@@ -74,13 +74,7 @@ from .observables import (
     variance_weights,
     variances,
 )
-from .presets import (
-    SAMPLE_CONFIG_NAMES,
-    STOCK_MODEL_NAMES,
-    sample_config,
-    stock_config,
-    stock_model,
-)
+from .presets import STOCK_MODEL_NAMES, stock_config, stock_model
 from .propagator import (
     DecayReport,
     PropagatorCoefficients,

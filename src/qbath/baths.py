@@ -31,13 +31,15 @@ import numpy as np
 from . import laguerre
 from .errors import DataError, ParameterError
 from .model import ModelSpec
-from .propagator import PropagatorCoefficients
+from .propagator import PropagatorCoefficients, row_slice
+from .states import gaussian_exponent
 
 __all__ = [
     "EquilibriumBath",
     "NumberStateBath",
     "CoherentStateBath",
     "GaussianFParams",
+    "GaussianFSeries",
     "NoiseCorrelation",
     "occupation",
     "equilibrium_F_params",
@@ -46,7 +48,8 @@ __all__ = [
     "gaussian_F_eval",
     "bath_F_eval",
     "bath_f_params",
-    "second_moment_sums",
+    "bath_sums",
+    "bath_delta",
     "member_rng",
     "sample_number_state",
     "sample_coherent_state",
@@ -116,6 +119,25 @@ class GaussianFParams:
     gamma: complex
 
 
+@dataclass
+class GaussianFSeries:
+    """Gaussian influence parameters on propagator rows, with exact time derivatives.
+
+    The derivative fields are None where only the values were computed.
+    Indexing selects rows of every field.
+    """
+
+    delta: np.ndarray
+    alpha: np.ndarray
+    gamma: np.ndarray
+    ddelta: np.ndarray | None = None
+    dalpha: np.ndarray | None = None
+    dgamma: np.ndarray | None = None
+
+    def __getitem__(self, rows) -> GaussianFSeries:
+        return GaussianFSeries(*(None if v is None else v[rows] for v in vars(self).values()))
+
+
 def occupation(beta: float, omega, hbar: float = 1.0) -> np.ndarray:
     """Mean thermal occupation 1/(exp(beta hbar omega) - 1); 0 at beta = inf."""
     beta = _check_beta(beta)
@@ -132,49 +154,77 @@ def occupation(beta: float, omega, hbar: float = 1.0) -> np.ndarray:
     return out
 
 
-def _mode_row(p: PropagatorCoefficients, i: int) -> tuple[np.ndarray, np.ndarray]:
-    return p.B[i], p.D[i]
+def _check_modes(p: PropagatorCoefficients, values: np.ndarray, what: str) -> None:
+    if values.shape != (p.n_modes,):
+        raise ParameterError(f"expected {p.n_modes} {what}, got {values.size}")
 
 
-def second_moment_sums(
-    p: PropagatorCoefficients, i: int, weights: np.ndarray
-) -> tuple[float, complex]:
-    """alpha-like and gamma-like sums with per-mode weights (n_k + 1/2)."""
-    b, d = _mode_row(p, i)
-    alpha = float(np.sum((np.abs(b) ** 2 + np.abs(d) ** 2) * weights))
-    gamma = complex(np.sum(b * d * weights))
-    return alpha, gamma
+def _mode_weights(p: PropagatorCoefficients, bath: BathSpec) -> np.ndarray:
+    """Per-mode weights n_k + 1/2 of the second-moment sums.
+
+    n_k is the thermal occupation, the prepared occupation, or 0 for a
+    coherent product (whose amplitudes enter delta instead).
+    """
+    if isinstance(bath, EquilibriumBath):
+        return occupation(bath.beta, p.model.omegas, p.model.units.hbar) + 0.5
+    if isinstance(bath, NumberStateBath):
+        _check_modes(p, bath.n, "occupations")
+        return bath.n + 0.5
+    return np.full(p.n_modes, 0.5)
+
+
+def _drive(p: PropagatorCoefficients, b: np.ndarray, d: np.ndarray, bath: BathSpec) -> np.ndarray:
+    """sum_k (b_k beta_k + d_k beta_k^*) over the last axis; zero unless the bath is coherent."""
+    if not isinstance(bath, CoherentStateBath):
+        return np.zeros(b.shape[:-1], dtype=complex)
+    _check_modes(p, bath.amps, "amplitudes")
+    return (b * bath.amps + d * np.conj(bath.amps)).sum(axis=-1)
+
+
+def bath_delta(p: PropagatorCoefficients, rows, bath: BathSpec) -> np.ndarray:
+    """Coherent drive delta = sum_k (B_k beta_k + D_k beta_k^*) on the rows p.X[rows]."""
+    return _drive(p, p.B[rows], p.D[rows], bath)
+
+
+def bath_sums(
+    p: PropagatorCoefficients, rows, bath: BathSpec, *, derivs: bool = False
+) -> GaussianFSeries:
+    """Bath mode sums on the propagator rows p.X[rows].
+
+    alpha = sum_k w_k (|B_k|^2 + |D_k|^2) and gamma = sum_k w_k B_k D_k with
+    the weights w_k of _mode_weights, and delta as in bath_delta.  Time
+    derivatives are computed only with derivs=True.  Sums run elementwise
+    along the mode axis, so one row gives the same bits as the whole grid.
+    """
+    w = _mode_weights(p, bath)
+    b, d = p.B[rows], p.D[rows]
+    fs = GaussianFSeries(
+        delta=_drive(p, b, d, bath),
+        alpha=((np.abs(b) ** 2 + np.abs(d) ** 2) * w).sum(axis=-1),
+        gamma=(b * d * w).sum(axis=-1),
+    )
+    if derivs:
+        db, dd = p.dB[rows], p.dD[rows]
+        fs.ddelta = _drive(p, db, dd, bath)
+        fs.dalpha = (2.0 * np.real(np.conj(b) * db + np.conj(d) * dd) * w).sum(axis=-1)
+        fs.dgamma = ((db * d + b * dd) * w).sum(axis=-1)
+    return fs
 
 
 def equilibrium_F_params(p: PropagatorCoefficients, i: int, beta: float) -> GaussianFParams:
     """Gaussian influence parameters of the thermal preparation at index i."""
-    nbar = occupation(beta, p.model.omegas, p.model.units.hbar)
-    alpha, gamma = second_moment_sums(p, i, nbar + 0.5)
-    return GaussianFParams(delta=0.0 + 0.0j, alpha=alpha, gamma=gamma)
+    return bath_f_params(p, i, EquilibriumBath(beta))
 
 
 def coherent_F_params(p: PropagatorCoefficients, i: int, amps: np.ndarray) -> GaussianFParams:
     """Gaussian influence parameters of a coherent-product preparation at index i."""
-    amps = np.atleast_1d(np.asarray(amps, dtype=complex))
-    b, d = _mode_row(p, i)
-    if amps.shape != b.shape:
-        raise ParameterError(f"expected {b.size} amplitudes, got {amps.size}")
-    alpha, gamma = second_moment_sums(p, i, np.full(b.shape, 0.5))
-    delta = complex(np.sum(b * amps + d * np.conj(amps)))
-    return GaussianFParams(delta=delta, alpha=alpha, gamma=gamma)
+    return bath_f_params(p, i, CoherentStateBath(amps))
 
 
 def gaussian_F_eval(params: GaussianFParams, eta: np.ndarray) -> np.ndarray:
     """Evaluate a Gaussian influence function on an array of eta values."""
     eta = np.asarray(eta, dtype=complex)
-    d, a, g = params.delta, params.alpha, params.gamma
-    return np.exp(
-        np.conj(d) * eta
-        - d * np.conj(eta)
-        - a * np.abs(eta) ** 2
-        + np.conj(g) * eta**2
-        + g * np.conj(eta) ** 2
-    )
+    return np.exp(gaussian_exponent(params.delta, params.alpha, params.gamma, eta))
 
 
 def number_F_eval(
@@ -187,38 +237,25 @@ def number_F_eval(
     recurrence and are combined in scaled form to avoid overflow.
     """
     bath = NumberStateBath(n)
+    _check_modes(p, bath.n, "occupations")
     eta = np.asarray(eta, dtype=complex)
-    b, d = _mode_row(p, i)
-    if bath.n.shape != b.shape:
-        raise ParameterError(f"expected {b.size} occupations, got {bath.n.size}")
+    b, d = p.B[i], p.D[i]
     zero_t = equilibrium_F_params(p, i, math.inf)
-    log_env = (
-        -zero_t.alpha * np.abs(eta) ** 2 + 2.0 * np.real(zero_t.gamma * np.conj(eta) ** 2)
-    )
-    mant = np.ones(eta.shape, dtype=float)
-    exp2 = np.zeros(eta.shape, dtype=float)
-    for k in np.nonzero(bath.n)[0]:
-        x = np.abs(eta * np.conj(b[k]) - np.conj(eta) * d[k]) ** 2
-        mk, _, ek = laguerre.eval_scaled(int(bath.n[k]), x)
-        mant *= mk
-        exp2 += ek
-        frac, ex = np.frexp(mant)
-        mant = frac
-        exp2 += ex
-    sign = np.sign(mant)
-    with np.errstate(divide="ignore"):
-        logmag = np.log(np.abs(mant))
-    out = sign * np.exp(log_env + logmag + exp2 * math.log(2.0))
-    return np.where(mant == 0.0, 0.0, out)
+    log_env = np.real(gaussian_exponent(0.0, zero_t.alpha, zero_t.gamma, eta))
+    active = np.nonzero(bath.n)[0]
+    xs = (np.abs(eta * np.conj(b[k]) - np.conj(eta) * d[k]) ** 2 for k in active)
+    sign, log_lag = laguerre.log_product(bath.n[active], xs, eta.shape)
+    return sign * np.exp(log_env + log_lag)
 
 
 def bath_f_params(p: PropagatorCoefficients, i: int, bath: BathSpec) -> GaussianFParams:
     """Gaussian influence parameters; rejects number-state baths."""
-    if isinstance(bath, EquilibriumBath):
-        return equilibrium_F_params(p, i, bath.beta)
-    if isinstance(bath, CoherentStateBath):
-        return coherent_F_params(p, i, bath.amps)
-    raise ParameterError("number-state baths have no Gaussian influence parameters")
+    if isinstance(bath, NumberStateBath):
+        raise ParameterError("number-state baths have no Gaussian influence parameters")
+    fs = bath_sums(p, row_slice(i), bath)
+    return GaussianFParams(
+        delta=complex(fs.delta[0]), alpha=float(fs.alpha[0]), gamma=complex(fs.gamma[0])
+    )
 
 
 def bath_F_eval(p: PropagatorCoefficients, i: int, bath: BathSpec, eta: np.ndarray) -> np.ndarray:
@@ -276,8 +313,8 @@ def delta_correlations(
 ) -> NoiseCorrelation:
     """Correlators of delta(t) = sum_k (B_k beta_k + D_k beta_k^*) under P_c."""
     nbar = occupation(beta, p.model.omegas, p.model.units.hbar)
-    bi, di = _mode_row(p, i)
-    bj, dj = _mode_row(p, j)
+    bi, di = p.B[i], p.D[i]
+    bj, dj = p.B[j], p.D[j]
     c1 = complex(np.sum((bi * np.conj(bj) + di * np.conj(dj)) * nbar))
     c2 = complex(np.sum((bi * dj + bj * di) * nbar))
     return NoiseCorrelation(c1=c1, c2=c2)

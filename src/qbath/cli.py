@@ -41,7 +41,7 @@ from . import __version__, mastereq, rwa
 from .baths import (
     CoherentStateBath,
     EquilibriumBath,
-    NumberStateBath,
+    bath_delta,
     delta_correlations,
     equilibrium_F_params,
     member_rng,
@@ -49,7 +49,7 @@ from .baths import (
     sample_number_state,
 )
 from .config import RunConfig, load_config, realize_bath
-from .errors import SchemaError
+from .errors import NumericalError, SchemaError
 from .model import SpectralFamily, validate_model
 from .observables import (
     averaged_purity_number_ensemble,
@@ -263,8 +263,7 @@ def _coherent_ensemble(cfg: RunConfig, p, i: int, seed: int, n_samples: int) -> 
         if k == 0:
             first_amps = bath_k.amps
         mean_x[k], mean_p[k] = mean_xp(p, i, bath_k, s)
-        delta_i[k] = np.sum(p.B[i] * bath_k.amps + p.D[i] * np.conj(bath_k.amps))
-        delta_j[k] = np.sum(p.B[j] * bath_k.amps + p.D[j] * np.conj(bath_k.amps))
+        delta_i[k], delta_j[k] = bath_delta(p, [i, j], bath_k)
 
     f_beta = equilibrium_F_params(p, i, beta)
     f_zero = equilibrium_F_params(p, i, math.inf)
@@ -435,7 +434,7 @@ def _cmd_n_sweep(cfg: RunConfig, args, out: Path) -> list[str]:
             entry["plateau_sup_A"] = float(np.max(np.abs(p.A[i0 : i1 + 1])))
             entry["plateau_t"] = float(p.grid.t[i_pl])
             entry["var_of_var_x"] = number_variance_of_variance(p, i_pl, beta)
-        except Exception:
+        except NumericalError:
             entry["no_decay"] = True
             entry["plateau_sup_A"] = float(np.max(np.abs(p.A)))
             entry["var_of_var_x"] = None

@@ -9,11 +9,13 @@ L_{n-1}/L_n exact.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["eval_scaled", "value", "log_derivative"]
+__all__ = ["eval_scaled", "value", "log_derivative", "log_product"]
 
 _RENORM_LIMIT = 2.0**500
 
@@ -69,3 +71,22 @@ def log_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # series around x = 0: L_n'/L_n -> -n (1 + O(x))
     ratio = np.where(small, -float(n), ratio)
     return ratio, ok
+
+
+def log_product(orders, xs, shape) -> tuple[np.ndarray, np.ndarray]:
+    """(sign, log|.|) of prod_k L_{n_k}(x_k) over arrays of the given shape.
+
+    orders and xs pair one Laguerre order with one argument array.  The
+    running product is renormalized with frexp after every factor, so it
+    neither overflows nor underflows; log|.| is -inf where it vanishes.
+    """
+    mant = np.ones(shape)
+    exp2 = np.zeros(shape)
+    for n, x in zip(orders, xs):
+        mk, _, ek = eval_scaled(int(n), x)
+        mant *= mk
+        exp2 += ek
+        mant, ex = np.frexp(mant)
+        exp2 += ex
+    with np.errstate(divide="ignore"):
+        return np.sign(mant), np.log(np.abs(mant)) + exp2 * math.log(2.0)

@@ -37,15 +37,24 @@ from .baths import (
     BathSpec,
     CoherentStateBath,
     EquilibriumBath,
+    GaussianFSeries,
     NumberStateBath,
     bath_F_eval,
-    bath_f_params,
-    occupation,
+    bath_sums,
 )
 from .errors import ParameterError, SingularGeneratorError
-from .observables import chi_eval
-from .propagator import PropagatorCoefficients
-from .states import OscillatorState, chi0_wirtinger, gaussian_chi_params, is_gaussian
+from .observables import chi_eval, square_eta_grid
+from .propagator import PropagatorCoefficients, row_slice
+from .states import (
+    OscillatorState,
+    carried_gaussian_params,
+    carried_gaussian_params_dt,
+    chi0_wirtinger,
+    gaussian_chi_params,
+    gaussian_exponent,
+    gaussian_exponent_wirtinger,
+    is_gaussian,
+)
 
 __all__ = [
     "DENOM_FLOOR",
@@ -80,59 +89,54 @@ class GeneratorCoefficients:
     valid: bool
 
 
-@dataclass
-class GaussianFSeries:
-    """Gaussian influence parameters and exact derivatives on the whole grid."""
-
-    delta: np.ndarray
-    alpha: np.ndarray
-    gamma: np.ndarray
-    ddelta: np.ndarray
-    dalpha: np.ndarray
-    dgamma: np.ndarray
-
-
-def _weighted_series(p: PropagatorCoefficients, weights: np.ndarray) -> GaussianFSeries:
-    b, d, db, dd = p.B, p.D, p.dB, p.dD
-    alpha = (np.abs(b) ** 2 + np.abs(d) ** 2) @ weights
-    gamma = (b * d) @ weights
-    dalpha = 2.0 * np.real(np.conj(b) * db + np.conj(d) * dd) @ weights
-    dgamma = (db * d + b * dd) @ weights
-    zeros = np.zeros(p.n_times, dtype=complex)
-    return GaussianFSeries(
-        delta=zeros,
-        alpha=np.real(alpha),
-        gamma=gamma,
-        ddelta=zeros.copy(),
-        dalpha=np.real(dalpha),
-        dgamma=dgamma,
-    )
-
-
 def equilibrium_f_series(p: PropagatorCoefficients, beta: float) -> GaussianFSeries:
     """Thermal influence parameters (delta = 0) with exact time derivatives."""
-    nbar = occupation(beta, p.model.omegas, p.model.units.hbar)
-    return _weighted_series(p, nbar + 0.5)
+    return bath_sums(p, slice(None), EquilibriumBath(beta), derivs=True)
 
 
 def coherent_f_series(p: PropagatorCoefficients, amps: np.ndarray) -> GaussianFSeries:
     """Coherent-preparation influence parameters with exact time derivatives."""
-    amps = np.atleast_1d(np.asarray(amps, dtype=complex))
-    if amps.shape != (p.n_modes,):
-        raise ParameterError(f"expected {p.n_modes} amplitudes, got {amps.size}")
-    fs = _weighted_series(p, np.full(p.n_modes, 0.5))
-    fs.delta = p.B @ amps + p.D @ np.conj(amps)
-    fs.ddelta = p.dB @ amps + p.dD @ np.conj(amps)
-    return fs
+    return bath_sums(p, slice(None), CoherentStateBath(amps), derivs=True)
 
 
 def f_series_for(p: PropagatorCoefficients, bath: BathSpec) -> GaussianFSeries:
     """Gaussian influence series for an equilibrium or coherent preparation."""
-    if isinstance(bath, EquilibriumBath):
-        return equilibrium_f_series(p, bath.beta)
-    if isinstance(bath, CoherentStateBath):
-        return coherent_f_series(p, bath.amps)
-    raise ParameterError("number-state baths have no Gaussian influence series")
+    if isinstance(bath, NumberStateBath):
+        raise ParameterError("number-state baths have no Gaussian influence series")
+    return bath_sums(p, slice(None), bath, derivs=True)
+
+
+def _drift_rows(p: PropagatorCoefficients, rows, denom_floor: float):
+    """(xi, zeta, denom, valid) on the propagator rows p.X[rows]; xi, zeta unset where invalid."""
+    a_t, c_t, da_t, dc_t = p.A[rows], p.C[rows], p.dA[rows], p.dC[rows]
+    denom = np.abs(a_t) ** 2 - np.abs(c_t) ** 2
+    valid = denom > denom_floor
+    safe = np.where(valid, denom, 1.0)
+    xi = (np.conj(a_t) * da_t - np.conj(c_t) * dc_t) / safe
+    zeta = (c_t * da_t - a_t * dc_t) / safe
+    return xi, zeta, denom, valid
+
+
+def _generator_rows(
+    p: PropagatorCoefficients, rows, fs: GaussianFSeries, denom_floor: float
+) -> dict[str, np.ndarray]:
+    """Generator coefficients on the rows p.X[rows]; fs holds the same rows."""
+    xi, zeta, denom, valid = _drift_rows(p, rows, denom_floor)
+    kappa = fs.alpha * 2.0 * np.real(xi) - 2.0 * (
+        zeta * np.conj(fs.gamma) + np.conj(zeta) * fs.gamma
+    ) - fs.dalpha
+    mu = zeta * fs.alpha - 2.0 * xi * fs.gamma + fs.dgamma
+    sigma = zeta * np.conj(fs.delta) - xi * fs.delta + fs.ddelta
+    for arr in (xi, zeta, kappa, mu, sigma):
+        arr[~valid] = np.nan
+    return {"xi": xi, "zeta": zeta, "kappa": kappa, "mu": mu, "sigma": sigma,
+            "denom": denom, "valid": valid}
+
+
+def _raise_singular(p: PropagatorCoefficients, i: int, denom: float, denom_floor: float):
+    raise SingularGeneratorError(
+        f"|A|^2 - |C|^2 = {denom:.3e} <= floor {denom_floor:.1e} at t = {p.grid.t[i]}"
+    )
 
 
 def xi_zeta(
@@ -143,15 +147,21 @@ def xi_zeta(
     Raises SingularGeneratorError when the denominator is at or below the
     floor; the coefficients are never regularized.
     """
-    a_t, c_t, da_t, dc_t = p.A[i], p.C[i], p.dA[i], p.dC[i]
-    denom = abs(a_t) ** 2 - abs(c_t) ** 2
-    if denom <= denom_floor:
-        raise SingularGeneratorError(
-            f"|A|^2 - |C|^2 = {denom:.3e} <= floor {denom_floor:.1e} at t = {p.grid.t[i]}"
-        )
-    xi = (np.conj(a_t) * da_t - np.conj(c_t) * dc_t) / denom
-    zeta = (c_t * da_t - a_t * dc_t) / denom
-    return complex(xi), complex(zeta), float(denom)
+    xi, zeta, denom, valid = _drift_rows(p, row_slice(i), denom_floor)
+    if not valid[0]:
+        _raise_singular(p, i, denom[0], denom_floor)
+    return complex(xi[0]), complex(zeta[0]), float(denom[0])
+
+
+def _generator_at(p: PropagatorCoefficients, i: int, fs_i: GaussianFSeries, denom_floor: float):
+    c = _generator_rows(p, row_slice(i), fs_i, denom_floor)
+    if not c["valid"][0]:
+        _raise_singular(p, i, c["denom"][0], denom_floor)
+    return GeneratorCoefficients(
+        xi=complex(c["xi"][0]), zeta=complex(c["zeta"][0]), kappa=complex(c["kappa"][0]),
+        mu=complex(c["mu"][0]), sigma=complex(c["sigma"][0]), denom=float(c["denom"][0]),
+        valid=True,
+    )
 
 
 def gaussian_generator(
@@ -162,16 +172,7 @@ def gaussian_generator(
     denom_floor: float = DENOM_FLOOR,
 ) -> GeneratorCoefficients:
     """Generator coefficients for a Gaussian influence function at index i."""
-    xi, zeta, denom = xi_zeta(p, i, denom_floor=denom_floor)
-    al, ga, de = float(fs.alpha[i]), complex(fs.gamma[i]), complex(fs.delta[i])
-    dal, dga, dde = float(fs.dalpha[i]), complex(fs.dgamma[i]), complex(fs.ddelta[i])
-    kappa = al * (xi + np.conj(xi)) - 2.0 * (zeta * np.conj(ga) + np.conj(zeta) * ga) - dal
-    mu = zeta * al - 2.0 * xi * ga + dga
-    sigma = zeta * np.conj(de) - xi * de + dde
-    return GeneratorCoefficients(
-        xi=xi, zeta=zeta, kappa=complex(kappa), mu=complex(mu), sigma=complex(sigma),
-        denom=float(denom), valid=True,
-    )
+    return _generator_at(p, i, fs[row_slice(i)], denom_floor)
 
 
 def generator_series(
@@ -181,56 +182,28 @@ def generator_series(
     denom_floor: float = DENOM_FLOOR,
 ) -> dict[str, np.ndarray]:
     """Vectorized generator coefficients with validity flags (no raising)."""
-    denom = np.abs(p.A) ** 2 - np.abs(p.C) ** 2
-    valid = denom > denom_floor
-    safe = np.where(valid, denom, 1.0)
-    xi = (np.conj(p.A) * p.dA - np.conj(p.C) * p.dC) / safe
-    zeta = (p.C * p.dA - p.A * p.dC) / safe
-    kappa = fs.alpha * 2.0 * np.real(xi) - 2.0 * (
-        zeta * np.conj(fs.gamma) + np.conj(zeta) * fs.gamma
-    ) - fs.dalpha
-    mu = zeta * fs.alpha - 2.0 * xi * fs.gamma + fs.dgamma
-    sigma = zeta * np.conj(fs.delta) - xi * fs.delta + fs.ddelta
-    for arr in (xi, zeta, kappa, mu, sigma):
-        arr[~valid] = np.nan
-    return {
-        "t": p.grid.t.copy(),
-        "xi": xi,
-        "zeta": zeta,
-        "kappa": kappa,
-        "mu": mu,
-        "sigma": sigma,
-        "denom": denom,
-        "valid": valid,
-    }
+    return {"t": p.grid.t.copy(), **_generator_rows(p, slice(None), fs, denom_floor)}
 
 
-def _gaussian_logF_derivs(fs: GaussianFSeries, i: int, eta: np.ndarray):
-    de, al, ga = complex(fs.delta[i]), float(fs.alpha[i]), complex(fs.gamma[i])
-    dde, dal, dga = complex(fs.ddelta[i]), float(fs.dalpha[i]), complex(fs.dgamma[i])
-    d_eta = np.conj(de) - al * np.conj(eta) + 2.0 * np.conj(ga) * eta
-    d_etab = -de - al * eta + 2.0 * ga * np.conj(eta)
-    d_t = (
-        np.conj(dde) * eta
-        - dde * np.conj(eta)
-        - dal * np.abs(eta) ** 2
-        + np.conj(dga) * eta**2
-        + dga * np.conj(eta) ** 2
-    )
-    return d_eta, d_etab, d_t
+def _logF_derivs(p: PropagatorCoefficients, i: int, bath: BathSpec, eta: np.ndarray):
+    """(dlnF/deta, dlnF/deta^*, dlnF/dt, ok) at index i.
 
-
-def _number_logF_derivs(p: PropagatorCoefficients, i: int, n: np.ndarray, eta: np.ndarray):
-    """(dlnF/deta, dlnF/deta^*, dlnF/dt, ok) for a number-state preparation."""
-    fs0 = _weighted_series(p, np.full(p.n_modes, 0.5))
-    d_eta, d_etab, d_t = _gaussian_logF_derivs(fs0, i, eta)
+    A number-state F is the zero-temperature Gaussian times Laguerre factors;
+    ok flags nodes where one of those factors is too close to a zero.
+    """
+    number = isinstance(bath, NumberStateBath)
+    fs = bath_sums(p, row_slice(i), EquilibriumBath(math.inf) if number else bath, derivs=True)[0]
+    d_eta, d_etab = gaussian_exponent_wirtinger(fs.delta, fs.alpha, fs.gamma, eta)
+    d_t = gaussian_exponent(fs.ddelta, fs.dalpha, fs.dgamma, eta)
     ok = np.ones(eta.shape, dtype=bool)
+    if not number:
+        return d_eta, d_etab, d_t, ok
     b, d, db, dd = p.B[i], p.D[i], p.dB[i], p.dD[i]
-    for k in np.nonzero(n)[0]:
+    for k in np.nonzero(bath.n)[0]:
         zk = eta * np.conj(b[k]) - np.conj(eta) * d[k]
         zk_c = np.conj(zk)
         x = np.abs(zk) ** 2
-        ratio, ok_k = laguerre.log_derivative(int(n[k]), x)
+        ratio, ok_k = laguerre.log_derivative(int(bath.n[k]), x)
         dzk_t = eta * np.conj(db[k]) - np.conj(eta) * dd[k]
         d_eta = d_eta + ratio * (np.conj(b[k]) * zk_c - np.conj(d[k]) * zk)
         d_etab = d_etab + ratio * (b[k] * zk - d[k] * zk_c)
@@ -239,27 +212,26 @@ def _number_logF_derivs(p: PropagatorCoefficients, i: int, n: np.ndarray, eta: n
     return d_eta, d_etab, d_t, ok
 
 
-def _logF_derivs(p: PropagatorCoefficients, i: int, bath: BathSpec, eta: np.ndarray):
-    if isinstance(bath, NumberStateBath):
-        return _number_logF_derivs(p, i, bath.n, eta)
-    fs = f_series_for(p, bath)
-    d_eta, d_etab, d_t = _gaussian_logF_derivs(fs, i, eta)
-    return d_eta, d_etab, d_t, np.ones(eta.shape, dtype=bool)
-
-
 def _chi_pieces(
     p: PropagatorCoefficients, i: int, bath: BathSpec, s: OscillatorState, eta: np.ndarray
 ):
-    """chi, its eta-Wirtinger derivatives, and the chi0 pieces for reuse."""
+    """chi, its eta-Wirtinger derivatives, the chi0 pieces and the log-derivatives of F."""
     a_t, c_t = p.A[i], p.C[i]
     w = eta * np.conj(a_t) - np.conj(eta) * c_t
     chi0, c0w, c0wb = chi0_wirtinger(s, w)
     f_val = bath_F_eval(p, i, bath, eta)
-    d_eta, d_etab, d_t, ok = _logF_derivs(p, i, bath, eta)
+    log_f = _logF_derivs(p, i, bath, eta)
+    d_eta, d_etab = log_f[:2]
     chi = chi0 * f_val
     dchi_eta = (c0w * np.conj(a_t) - c0wb * np.conj(c_t)) * f_val + chi * d_eta
     dchi_etab = (-c0w * c_t + c0wb * a_t) * f_val + chi * d_etab
-    return chi, dchi_eta, dchi_etab, (chi0, c0w, c0wb, f_val, d_t), ok
+    return chi, dchi_eta, dchi_etab, (chi0, c0w, c0wb, f_val), log_f
+
+
+def _drift_apply(xi: complex, zeta: complex, eta: np.ndarray, g_eta, g_etab) -> np.ndarray:
+    """(xi^* eta + zeta eta^*) g_eta + (xi eta^* + zeta^* eta) g_etab."""
+    eta_c = np.conj(eta)
+    return (np.conj(xi) * eta + zeta * eta_c) * g_eta + (xi * eta_c + np.conj(zeta) * eta) * g_etab
 
 
 def chi_time_derivative(
@@ -271,12 +243,17 @@ def chi_time_derivative(
     close to a zero for its logarithmic derivative to be reliable.
     """
     eta = np.asarray(eta, dtype=complex)
-    _, _, _, (chi0, c0w, c0wb, f_val, d_t), ok = _chi_pieces(p, i, bath, s, eta)
+    _, _, _, (chi0, c0w, c0wb, f_val), (_, _, d_t, ok) = _chi_pieces(p, i, bath, s, eta)
     da_t, dc_t = p.dA[i], p.dC[i]
     dw_t = eta * np.conj(da_t) - np.conj(eta) * dc_t
     dwb_t = np.conj(eta) * da_t - eta * np.conj(dc_t)
     dchi = (c0w * dw_t + c0wb * dwb_t) * f_val + chi0 * f_val * d_t
     return dchi, ok
+
+
+def _residual_nodes(eta) -> np.ndarray:
+    """The given eta nodes, or by default a 21 x 21 grid on [-2.5, 2.5]^2."""
+    return square_eta_grid(2.5, 21) if eta is None else np.asarray(eta, dtype=complex)
 
 
 def generator_residual(
@@ -296,28 +273,15 @@ def generator_residual(
     """
     if isinstance(bath, NumberStateBath):
         raise ParameterError("use general_generator_residual for number-state baths")
-    if eta is None:
-        from .observables import square_eta_grid
-
-        eta = square_eta_grid(2.5, 21)
-    eta = np.asarray(eta, dtype=complex)
-    fs = f_series_for(p, bath)
-    coeff = gaussian_generator(p, i, fs, denom_floor=denom_floor)
+    eta = _residual_nodes(eta)
+    fs = bath_sums(p, row_slice(i), bath, derivs=True)
+    c = _generator_at(p, i, fs, denom_floor)
     chi, dchi_eta, dchi_etab, _, _ = _chi_pieces(p, i, bath, s, eta)
-    rhs = (
-        (np.conj(coeff.xi) * eta + coeff.zeta * np.conj(eta)) * dchi_eta
-        + (coeff.xi * np.conj(eta) + np.conj(coeff.zeta) * eta) * dchi_etab
-        + (
-            coeff.kappa * np.abs(eta) ** 2
-            + np.conj(coeff.mu) * eta**2
-            + coeff.mu * np.conj(eta) ** 2
-            + np.conj(coeff.sigma) * eta
-            - coeff.sigma * np.conj(eta)
-        )
-        * chi
-    )
+    rhs = _drift_apply(c.xi, c.zeta, eta, dchi_eta, dchi_etab) + gaussian_exponent(
+        c.sigma, -c.kappa, c.mu, eta
+    ) * chi
     if is_gaussian(s):
-        lhs = _gaussian_lhs(p, i, fs, s, eta)
+        lhs = _gaussian_lhs(p, i, fs[0], s, eta)
     else:
         lhs, _ = chi_time_derivative(p, i, bath, s, eta)
     return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(chi)))
@@ -326,37 +290,13 @@ def generator_residual(
 def _gaussian_lhs(
     p: PropagatorCoefficients, i: int, fs: GaussianFSeries, s: OscillatorState, eta: np.ndarray
 ) -> np.ndarray:
-    """d chi/dt via derivatives of the total Gaussian parameters."""
+    """d chi/dt via derivatives of the total Gaussian parameters; fs holds row i."""
     d0, a0, g0 = gaussian_chi_params(s)
     a_t, c_t, da_t, dc_t = p.A[i], p.C[i], p.dA[i], p.dC[i]
-    d = d0 * a_t + np.conj(d0) * c_t + fs.delta[i]
-    a = (
-        a0 * (abs(a_t) ** 2 + abs(c_t) ** 2)
-        + 4.0 * np.real(g0 * a_t * np.conj(c_t))
-        + fs.alpha[i]
-    )
-    g = a0 * a_t * c_t + g0 * a_t**2 + np.conj(g0) * c_t**2 + fs.gamma[i]
-    dd = d0 * da_t + np.conj(d0) * dc_t + fs.ddelta[i]
-    da = (
-        a0 * 2.0 * np.real(np.conj(a_t) * da_t + np.conj(c_t) * dc_t)
-        + 4.0 * np.real(g0 * (da_t * np.conj(c_t) + a_t * np.conj(dc_t)))
-        + fs.dalpha[i]
-    )
-    dg = a0 * (da_t * c_t + a_t * dc_t) + 2.0 * g0 * a_t * da_t + 2.0 * np.conj(g0) * c_t * dc_t + fs.dgamma[i]
-    chi = np.exp(
-        np.conj(d) * eta
-        - d * np.conj(eta)
-        - a * np.abs(eta) ** 2
-        + np.conj(g) * eta**2
-        + g * np.conj(eta) ** 2
-    )
-    return chi * (
-        np.conj(dd) * eta
-        - dd * np.conj(eta)
-        - da * np.abs(eta) ** 2
-        + np.conj(dg) * eta**2
-        + dg * np.conj(eta) ** 2
-    )
+    d, a, g = carried_gaussian_params(d0, a0, g0, a_t, c_t)
+    dd, da, dg = carried_gaussian_params_dt(d0, a0, g0, a_t, c_t, da_t, dc_t)
+    chi = np.exp(gaussian_exponent(d + fs.delta, a + fs.alpha, g + fs.gamma, eta))
+    return chi * gaussian_exponent(dd + fs.ddelta, da + fs.dalpha, dg + fs.dgamma, eta)
 
 
 def general_generator_apply(
@@ -374,13 +314,8 @@ def general_generator_apply(
     """
     eta = np.asarray(eta, dtype=complex)
     xi, zeta, _ = xi_zeta(p, i, denom_floor=denom_floor)
-    chi, dchi_eta, dchi_etab, (_, _, _, _, d_t), ok = _chi_pieces(p, i, bath, s, eta)
-    d_eta, d_etab, _, _ = _logF_derivs(p, i, bath, eta)
-    rhs = (
-        (np.conj(xi) * eta + zeta * np.conj(eta)) * (dchi_eta - chi * d_eta)
-        + (xi * np.conj(eta) + np.conj(zeta) * eta) * (dchi_etab - chi * d_etab)
-        + chi * d_t
-    )
+    chi, dchi_eta, dchi_etab, _, (d_eta, d_etab, d_t, ok) = _chi_pieces(p, i, bath, s, eta)
+    rhs = _drift_apply(xi, zeta, eta, dchi_eta - chi * d_eta, dchi_etab - chi * d_etab) + chi * d_t
     return rhs, ok
 
 
@@ -401,11 +336,7 @@ def general_generator_residual(
     denom_floor: float = DENOM_FLOOR,
 ) -> GeneralResidualReport:
     """Residual of the general evolution identity over non-flagged nodes."""
-    if eta is None:
-        from .observables import square_eta_grid
-
-        eta = square_eta_grid(2.5, 21)
-    eta = np.asarray(eta, dtype=complex)
+    eta = _residual_nodes(eta)
     rhs, ok = general_generator_apply(p, i, bath, s, eta, denom_floor=denom_floor)
     lhs, ok2 = chi_time_derivative(p, i, bath, s, eta)
     ok = ok & ok2

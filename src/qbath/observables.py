@@ -24,22 +24,23 @@ from .baths import (
     EquilibriumBath,
     NumberStateBath,
     bath_F_eval,
-    bath_f_params,
+    bath_delta,
+    bath_sums,
     coherent_F_params,
     equilibrium_F_params,
     member_rng,
     occupation,
     sample_number_state,
-    second_moment_sums,
 )
 from .errors import AccuracyError, ParameterError, PhysicalityError
-from .propagator import PropagatorCoefficients
+from .propagator import PropagatorCoefficients, row_slice
 from .states import (
     OscillatorState,
-    CatState,
+    carried_gaussian_params,
     central_moments,
     chi0_eval,
     gaussian_chi_params,
+    gaussian_exponent,
     initial_moments,
     is_gaussian,
     vacuum_state,
@@ -96,19 +97,13 @@ def chi_eval(
     return chi0_eval(s, zeta) * bath_F_eval(p, i, bath, eta)
 
 
-def _bath_delta(p: PropagatorCoefficients, i: int, bath: BathSpec) -> complex:
-    if isinstance(bath, CoherentStateBath):
-        return coherent_F_params(p, i, bath.amps).delta
-    return 0.0 + 0.0j
-
-
-def mean_xp(
-    p: PropagatorCoefficients, i: int, bath: BathSpec, s: OscillatorState
-) -> tuple[float, float]:
-    """(mean x, mean p) at grid index i."""
+def _mean_rows(
+    p: PropagatorCoefficients, rows, bath: BathSpec, s: OscillatorState
+) -> tuple[np.ndarray, np.ndarray]:
+    """(mean x, mean p) on the propagator rows p.X[rows]."""
     mean_a, _, _ = initial_moments(s)
-    a_t, c_t = p.A[i], p.C[i]
-    delta = _bath_delta(p, i, bath)
+    a_t, c_t = p.A[rows], p.C[rows]
+    delta = bath_delta(p, rows, bath)
     u = p.model.units
     x_scale = math.sqrt(u.hbar / (2.0 * u.mass * p.model.nu))
     p_scale = math.sqrt(u.hbar * u.mass * p.model.nu / 2.0)
@@ -116,37 +111,48 @@ def mean_xp(
     mean_x = x_scale * (mean_adag_t + delta + np.conj(delta))
     diff = (np.conj(a_t) - c_t) * np.conj(mean_a) - (a_t - np.conj(c_t)) * mean_a
     mean_p = 1j * p_scale * (diff + np.conj(delta) - delta)
-    return float(np.real(mean_x)), float(np.real(mean_p))
+    return np.real(mean_x), np.real(mean_p)
+
+
+def mean_xp(
+    p: PropagatorCoefficients, i: int, bath: BathSpec, s: OscillatorState
+) -> tuple[float, float]:
+    """(mean x, mean p) at grid index i."""
+    mean_x, mean_p = _mean_rows(p, row_slice(i), bath, s)
+    return float(mean_x[0]), float(mean_p[0])
 
 
 def variance_weights(p: PropagatorCoefficients, i: int, bath: BathSpec) -> tuple[float, complex]:
     """(alpha-like, gamma-like) second-moment sums for the given preparation."""
-    if isinstance(bath, EquilibriumBath):
-        w = occupation(bath.beta, p.model.omegas, p.model.units.hbar) + 0.5
-    elif isinstance(bath, NumberStateBath):
-        w = bath.n + 0.5
-    else:
-        w = np.full(p.model.omegas.shape, 0.5)
-    return second_moment_sums(p, i, w)
+    f = bath_sums(p, row_slice(i), bath)
+    return float(f.alpha[0]), complex(f.gamma[0])
+
+
+def _variance_rows(
+    p: PropagatorCoefficients, rows, bath: BathSpec, s: OscillatorState
+) -> tuple[np.ndarray, np.ndarray]:
+    """(var x, var p) on the propagator rows p.X[rows]."""
+    n_c, c_aa = central_moments(s)
+    f = bath_sums(p, rows, bath)
+    a_t, c_t = p.A[rows], p.C[rows]
+    u = p.model.units
+    xq = u.hbar / (2.0 * u.mass * p.model.nu)
+    pq = u.hbar * u.mass * p.model.nu / 2.0
+    plus = a_t + np.conj(c_t)
+    minus = a_t - np.conj(c_t)
+    core_x = 2.0 * np.real(plus**2 * c_aa) + 2.0 * np.abs(plus) ** 2 * (n_c + 0.5)
+    core_p = -2.0 * np.real(minus**2 * c_aa) + 2.0 * np.abs(minus) ** 2 * (n_c + 0.5)
+    var_x = xq * (core_x + 2.0 * (f.alpha + 2.0 * np.real(f.gamma)))
+    var_p = pq * (core_p + 2.0 * (f.alpha - 2.0 * np.real(f.gamma)))
+    return var_x, var_p
 
 
 def variances(
     p: PropagatorCoefficients, i: int, bath: BathSpec, s: OscillatorState
 ) -> tuple[float, float]:
     """(var x, var p) at grid index i; coherent amplitudes drop out."""
-    n_c, c_aa = central_moments(s)
-    alpha, gamma = variance_weights(p, i, bath)
-    a_t, c_t = p.A[i], p.C[i]
-    u = p.model.units
-    xq = u.hbar / (2.0 * u.mass * p.model.nu)
-    pq = u.hbar * u.mass * p.model.nu / 2.0
-    plus = a_t + np.conj(c_t)
-    minus = a_t - np.conj(c_t)
-    core_x = 2.0 * np.real(plus**2 * c_aa) + 2.0 * abs(plus) ** 2 * (n_c + 0.5)
-    core_p = -2.0 * np.real(minus**2 * c_aa) + 2.0 * abs(minus) ** 2 * (n_c + 0.5)
-    var_x = xq * (core_x + 2.0 * (alpha + 2.0 * np.real(gamma)))
-    var_p = pq * (core_p + 2.0 * (alpha - 2.0 * np.real(gamma)))
-    return float(var_x), float(var_p)
+    var_x, var_p = _variance_rows(p, row_slice(i), bath, s)
+    return float(var_x[0]), float(var_p[0])
 
 
 def asymptotic_variances(
@@ -162,39 +168,39 @@ def asymptotic_variances(
     )
 
 
+def _gaussian_purity(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """1/(2 sqrt(a^2 - 4|g|^2)) elementwise; raises at the first non-positive form."""
+    disc = a * a - 4.0 * np.abs(g) ** 2
+    bad = disc <= 0.0
+    if bad.any():
+        k = np.argmax(bad)
+        raise PhysicalityError(f"purity form not positive: a={a[k]}, |g|={abs(g[k])}")
+    return 1.0 / (2.0 * np.sqrt(disc))
+
+
 def asymptotic_purity(p: PropagatorCoefficients, i: int, bath: BathSpec) -> float:
     """Long-time purity 1/(2 sqrt(alpha^2 - 4 |gamma|^2)) evaluated at index i."""
-    alpha, gamma = variance_weights(p, i, bath)
-    disc = alpha**2 - 4.0 * abs(gamma) ** 2
-    if disc <= 0.0:
-        raise PhysicalityError(f"purity form not positive: alpha={alpha}, |gamma|={abs(gamma)}")
-    return 1.0 / (2.0 * math.sqrt(disc))
+    f = bath_sums(p, row_slice(i), bath)
+    return float(_gaussian_purity(f.alpha, f.gamma)[0])
+
+
+def _total_gaussian_rows(
+    p: PropagatorCoefficients, rows, bath: BathSpec, s: OscillatorState
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d, a, g) of the total Gaussian chi on the propagator rows p.X[rows]."""
+    if isinstance(bath, NumberStateBath):
+        raise ParameterError("number-state bath influence is not Gaussian")
+    d, a, g = carried_gaussian_params(*gaussian_chi_params(s), p.A[rows], p.C[rows])
+    f = bath_sums(p, rows, bath)
+    return d + f.delta, a + f.alpha, g + f.gamma
 
 
 def total_gaussian_params(
     p: PropagatorCoefficients, i: int, bath: BathSpec, s: OscillatorState
 ) -> tuple[complex, float, complex]:
     """(d, a, g) of the total Gaussian chi for Gaussian state and Gaussian bath."""
-    if isinstance(bath, NumberStateBath):
-        raise ParameterError("number-state bath influence is not Gaussian")
-    d0, a0, g0 = gaussian_chi_params(s)
-    f = bath_f_params(p, i, bath)
-    a_t, c_t = p.A[i], p.C[i]
-    d = d0 * a_t + np.conj(d0) * c_t + f.delta
-    a = (
-        a0 * (abs(a_t) ** 2 + abs(c_t) ** 2)
-        + 4.0 * np.real(g0 * a_t * np.conj(c_t))
-        + f.alpha
-    )
-    g = a0 * a_t * c_t + g0 * a_t**2 + np.conj(g0) * c_t**2 + f.gamma
-    return complex(d), float(a), complex(g)
-
-
-def _gaussian_purity(a: float, g: complex) -> float:
-    disc = a * a - 4.0 * abs(g) ** 2
-    if disc <= 0.0:
-        raise PhysicalityError(f"purity form not positive: a={a}, |g|={abs(g)}")
-    return 1.0 / (2.0 * math.sqrt(disc))
+    d, a, g = _total_gaussian_rows(p, row_slice(i), bath, s)
+    return complex(d[0]), float(a[0]), complex(g[0])
 
 
 def _envelope_plan(
@@ -209,12 +215,8 @@ def _envelope_plan(
     else:
         a0, g0 = 0.5, 0.0
         margin = abs(s.alpha - s.beta) * rot
-    a_env = a0 * (abs(a_t) ** 2 + abs(c_t) ** 2) + 4.0 * np.real(g0 * a_t * np.conj(c_t))
-    g_env = a0 * a_t * c_t + g0 * a_t**2 + np.conj(g0) * c_t**2
-    if isinstance(bath, EquilibriumBath):
-        f = equilibrium_F_params(p, i, bath.beta)
-    else:
-        f = equilibrium_F_params(p, i, math.inf)
+    _, a_env, g_env = carried_gaussian_params(0.0, a0, g0, a_t, c_t)
+    f = equilibrium_F_params(p, i, bath.beta if isinstance(bath, EquilibriumBath) else math.inf)
     a_env += f.alpha
     g_env += f.gamma
     width = a_env - 2.0 * abs(g_env)
@@ -269,6 +271,11 @@ def _richardson_quadrature(
     )
 
 
+def _closed_form(bath: BathSpec, s: OscillatorState) -> bool:
+    """Whether the purity has the closed Gaussian form (Gaussian state and influence)."""
+    return is_gaussian(s) and not isinstance(bath, NumberStateBath)
+
+
 def purity(
     p: PropagatorCoefficients,
     i: int,
@@ -286,12 +293,11 @@ def purity(
     both Gaussian, quadrature otherwise; "closed" and "quadrature" force a
     path (closed raises for non-Gaussian inputs).
     """
-    gaussian_path = is_gaussian(s) and not isinstance(bath, NumberStateBath)
     if method == "auto":
-        method = "closed" if gaussian_path else "quadrature"
+        method = "closed" if _closed_form(bath, s) else "quadrature"
     if method == "closed":
-        _, a, g = total_gaussian_params(p, i, bath, s)
-        return _gaussian_purity(a, g)
+        _, a, g = _total_gaussian_rows(p, row_slice(i), bath, s)
+        return float(_gaussian_purity(a, g)[0])
     if method != "quadrature":
         raise ParameterError(f"unknown purity method {method!r}")
 
@@ -330,8 +336,7 @@ def _number_purity_batch(
 ) -> np.ndarray:
     """Purities for many number-state preparations sharing one quadrature grid."""
     n_samples = occs.shape[0]
-    bath_beta = EquilibriumBath(beta) if not math.isinf(beta) else EquilibriumBath(math.inf)
-    radius, n0 = _envelope_plan(p, i, bath_beta, s, envelope_cut)
+    radius, n0 = _envelope_plan(p, i, EquilibriumBath(beta), s, envelope_cut)
 
     def member_chi2(occ: np.ndarray):
         bath = NumberStateBath(occ)
@@ -366,9 +371,7 @@ def _number_purity_batch(
     zeta = eta * np.conj(p.A[i]) - np.conj(eta) * p.C[i]
     chi0_sq = np.abs(chi0_eval(s, zeta)) ** 2
     zt = equilibrium_F_params(p, i, math.inf)
-    log_env = 2.0 * (
-        -zt.alpha * np.abs(eta) ** 2 + 2.0 * np.real(zt.gamma * np.conj(eta) ** 2)
-    )
+    log_env = 2.0 * np.real(gaussian_exponent(0.0, zt.alpha, zt.gamma, eta))
     b_row, d_row = p.B[i], p.D[i]
     active = np.nonzero(occs.max(axis=0))[0]
     xs = {
@@ -376,23 +379,11 @@ def _number_purity_batch(
         for k in active
     }
     weight = h * h / math.pi
-    ln2 = math.log(2.0)
 
     def eval_member(k: int) -> float:
-        mant = np.ones(eta.shape, dtype=float)
-        exp2 = np.zeros(eta.shape, dtype=float)
-        for mode in np.nonzero(occs[k])[0]:
-            mk, _, ek = laguerre.eval_scaled(int(occs[k][mode]), xs[int(mode)])
-            mant *= mk
-            exp2 += ek
-            frac, ex = np.frexp(mant)
-            mant = frac
-            exp2 += ex
-        with np.errstate(divide="ignore"):
-            log_lag = np.log(np.abs(mant))
-        vals = chi0_sq * np.exp(log_env + 2.0 * (log_lag + exp2 * ln2))
-        vals = np.where(mant == 0.0, 0.0, vals)
-        return float(np.sum(vals) * weight)
+        modes = np.nonzero(occs[k])[0]
+        _, log_lag = laguerre.log_product(occs[k][modes], (xs[int(m)] for m in modes), eta.shape)
+        return float(np.sum(chi0_sq * np.exp(log_env + 2.0 * log_lag)) * weight)
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -461,19 +452,12 @@ def observable_series(
     purity_tol: float = 1e-8,
 ) -> dict[str, np.ndarray]:
     """Means, variances and (optionally) purity on the whole grid."""
-    n_t = p.n_times
-    out = {
-        "t": p.grid.t.copy(),
-        "mean_x": np.empty(n_t),
-        "mean_p": np.empty(n_t),
-        "var_x": np.empty(n_t),
-        "var_p": np.empty(n_t),
-    }
-    if with_purity:
-        out["purity"] = np.empty(n_t)
-    for i in range(n_t):
-        out["mean_x"][i], out["mean_p"][i] = mean_xp(p, i, bath, s)
-        out["var_x"][i], out["var_p"][i] = variances(p, i, bath, s)
-        if with_purity:
-            out["purity"][i] = purity(p, i, bath, s, tol=purity_tol)
+    out = {"t": p.grid.t.copy()}
+    out["mean_x"], out["mean_p"] = _mean_rows(p, slice(None), bath, s)
+    out["var_x"], out["var_p"] = _variance_rows(p, slice(None), bath, s)
+    if with_purity and _closed_form(bath, s):
+        _, a, g = _total_gaussian_rows(p, slice(None), bath, s)
+        out["purity"] = _gaussian_purity(a, g)
+    elif with_purity:
+        out["purity"] = np.array([purity(p, i, bath, s, tol=purity_tol) for i in range(p.n_times)])
     return out

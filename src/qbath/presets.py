@@ -1,4 +1,4 @@
-"""Stock models and sample run configurations shared by demos and tests.
+"""Stock models shared by demos and tests (sample run configs live in configs/).
 
 Five models exercise every coupling family and spectral recipe:
 
@@ -24,17 +24,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import parse_config
 from .errors import ParameterError
-from .model import (
-    CouplingFamily,
-    ModelSpec,
-    SpectralDiscretization,
-    SpectralFamily,
-    Units,
-    build_model,
-)
+from .model import ModelSpec
 
-__all__ = ["STOCK_MODEL_NAMES", "stock_model", "stock_config", "SAMPLE_CONFIG_NAMES", "sample_config"]
+__all__ = ["STOCK_MODEL_NAMES", "stock_model", "stock_config"]
 
 STOCK_MODEL_NAMES = (
     "decoupled",
@@ -45,49 +39,9 @@ STOCK_MODEL_NAMES = (
 )
 
 
-def _flat_custom_arrays(n_modes: int = 128) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Midpoint flat-band couplings with an explicit complex dagger channel."""
-    omega_min, omega_max, strength = 0.2, 1.8, 0.02
-    d_omega = (omega_max - omega_min) / n_modes
-    omegas = omega_min + (np.arange(n_modes) + 0.5) * d_omega
-    u = np.full(n_modes, np.sqrt(strength * d_omega), dtype=complex)
-    v = 0.3 * u * np.exp(0.7j * np.arange(n_modes))
-    return omegas, u, v
-
-
 def stock_model(name: str) -> ModelSpec:
-    """Build one of the named stock models."""
-    if name == "decoupled":
-        disc = SpectralDiscretization(
-            family=SpectralFamily.FLAT_BAND, strength=0.0,
-            omega_min=1.5, omega_max=2.5, n_modes=1,
-        )
-        return build_model(disc, nu=1.0, family=CouplingFamily.RWA)
-    if name == "rwa-n1-resonant":
-        disc = SpectralDiscretization(
-            family=SpectralFamily.EXPLICIT,
-            omegas=np.array([1.0]), u=np.array([0.35 + 0.0j]), n_modes=1,
-        )
-        return build_model(disc, nu=1.0, family=CouplingFamily.RWA)
-    if name == "ohmic-rwa-n64":
-        disc = SpectralDiscretization(
-            family=SpectralFamily.OHMIC_EXP_CUTOFF, strength=0.10, cutoff=5.0,
-            omega_min=0.5, omega_max=1.6, n_modes=64,
-        )
-        return build_model(disc, nu=1.0, family=CouplingFamily.RWA)
-    if name == "ohmic-pp-n64":
-        disc = SpectralDiscretization(
-            family=SpectralFamily.OHMIC_EXP_CUTOFF, strength=0.05, cutoff=5.0,
-            omega_min=0.01, omega_max=8.0, n_modes=64,
-        )
-        return build_model(disc, nu=1.0, family=CouplingFamily.POSITION_POSITION)
-    if name == "flat-custom-n128":
-        omegas, u, v = _flat_custom_arrays()
-        disc = SpectralDiscretization(
-            family=SpectralFamily.EXPLICIT, omegas=omegas, u=u, v=v, n_modes=omegas.size,
-        )
-        return build_model(disc, nu=1.0, family=CouplingFamily.CUSTOM)
-    raise ParameterError(f"unknown stock model {name!r}; choose from {STOCK_MODEL_NAMES}")
+    """Build one of the named stock models from its config section."""
+    return parse_config({"model": stock_config(name)}).model
 
 
 def stock_config(name: str) -> dict:
@@ -122,7 +76,12 @@ def stock_config(name: str) -> dict:
                          "omega_min": 0.01, "omega_max": 8.0, "N": 64},
         }
     if name == "flat-custom-n128":
-        omegas, u, v = _flat_custom_arrays()
+        # midpoint flat band with an explicit complex dagger channel
+        n_modes, omega_min, omega_max, strength = 128, 0.2, 1.8, 0.02
+        d_omega = (omega_max - omega_min) / n_modes
+        omegas = omega_min + (np.arange(n_modes) + 0.5) * d_omega
+        u = np.full(n_modes, np.sqrt(strength * d_omega), dtype=complex)
+        v = 0.3 * u * np.exp(0.7j * np.arange(n_modes))
         return {
             "nu": 1.0,
             "coupling_family": "Custom",
@@ -134,89 +93,3 @@ def stock_config(name: str) -> dict:
             },
         }
     raise ParameterError(f"unknown stock model {name!r}; choose from {STOCK_MODEL_NAMES}")
-
-
-SAMPLE_CONFIG_NAMES = (
-    "validate-decoupled",
-    "propagate-ohmic-pp",
-    "observables-rwa-coherent",
-    "purity-cat-vacuum",
-    "ensemble-number",
-    "ensemble-coherent",
-    "master-eq-equilibrium",
-    "rwa-compare-squeezed",
-    "n-sweep-ohmic-rwa",
-)
-
-
-def sample_config(name: str) -> dict:
-    """Complete run-config documents exercising each subcommand."""
-    if name == "validate-decoupled":
-        return {"model": stock_config("decoupled")}
-    if name == "propagate-ohmic-pp":
-        return {
-            "model": stock_config("ohmic-pp-n64"),
-            "time_grid": {"t_max": 30.0, "steps": 300},
-            "outputs": {"formats": ["csv", "sidecar"]},
-        }
-    if name == "observables-rwa-coherent":
-        # pure coherent oscillator: n_ex = |mean|^2 and aa = mean^2
-        return {
-            "model": stock_config("ohmic-rwa-n64"),
-            "bath": {"kind": "sample_coherent", "beta": 2.0, "seed": 11},
-            "oscillator": {"kind": "gaussian", "mean_re": 0.4, "mean_im": -0.2,
-                           "n_ex": 0.2, "aa_re": 0.12, "aa_im": -0.16},
-            "time_grid": {"t_max": 40.0, "steps": 200},
-        }
-    if name == "purity-cat-vacuum":
-        return {
-            "model": stock_config("rwa-n1-resonant"),
-            "bath": {"kind": "equilibrium", "beta": "inf"},
-            "oscillator": {"kind": "cat", "alpha_re": 1.3, "alpha_im": 0.4,
-                           "beta_re": -0.8, "beta_im": -0.6},
-            "time_grid": {"t_max": 8.975979010256552, "steps": 180},
-        }
-    if name == "ensemble-number":
-        return {
-            "model": stock_config("ohmic-rwa-n64"),
-            "bath": {"kind": "sample_number", "beta": 2.0, "seed": 7},
-            "oscillator": {"kind": "squeezed", "disp_re": 0.5, "disp_im": -0.1,
-                           "r": 0.6, "phi": 0.3},
-            "time_grid": {"t_max": 40.0, "steps": 100},
-            "experiment": {"kind": "number", "n_samples": 400, "seed": 7},
-        }
-    if name == "ensemble-coherent":
-        return {
-            "model": stock_config("ohmic-rwa-n64"),
-            "bath": {"kind": "sample_coherent", "beta": 1.0, "seed": 19},
-            "oscillator": {"kind": "gaussian"},
-            "time_grid": {"t_max": 40.0, "steps": 100},
-            "experiment": {"kind": "coherent", "n_samples": 2000, "seed": 19},
-        }
-    if name == "master-eq-equilibrium":
-        return {
-            "model": stock_config("ohmic-pp-n64"),
-            "bath": {"kind": "equilibrium", "beta": 1.5},
-            "oscillator": {"kind": "squeezed", "disp_re": 0.6, "disp_im": -0.3,
-                           "r": 0.5, "phi": 0.8},
-            "time_grid": {"t_max": 12.0, "steps": 120},
-        }
-    if name == "rwa-compare-squeezed":
-        return {
-            "model": stock_config("rwa-n1-resonant"),
-            "bath": {"kind": "equilibrium", "beta": "inf"},
-            "oscillator": {"kind": "squeezed", "disp_re": 0.7, "disp_im": -0.4,
-                           "r": 0.9, "phi": 1.1},
-            "time_grid": {"t_max": 8.975979010256552, "steps": 180},
-        }
-    if name == "n-sweep-ohmic-rwa":
-        # small N and a long grid so every recurrence 2 pi / delta omega
-        # lands inside the window
-        return {
-            "model": stock_config("ohmic-rwa-n64"),
-            "bath": {"kind": "equilibrium", "beta": 1.0},
-            "oscillator": {"kind": "gaussian"},
-            "time_grid": {"t_max": 200.0, "steps": 400},
-            "experiment": {"kind": "n-sweep", "n_list": [16, 24, 32], "seed": 0},
-        }
-    raise ParameterError(f"unknown sample config {name!r}; choose from {SAMPLE_CONFIG_NAMES}")

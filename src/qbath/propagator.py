@@ -136,6 +136,15 @@ def compute_propagator(
     )
 
 
+def row_slice(i: int) -> slice:
+    """The one-row slice of grid index i (negative indices count from the end).
+
+    Scalar entry points evaluate the whole-grid row kernels on this slice and
+    unwrap the single entry, so they agree bitwise with the series.
+    """
+    return slice(i, i + 1 or None)
+
+
 def sum_rule_defects(p: PropagatorCoefficients) -> np.ndarray:
     """|A|^2 - |C|^2 + sum|B_k|^2 - sum|D_k|^2 - 1 at every grid point."""
     return (

@@ -25,6 +25,10 @@ __all__ = [
     "initial_moments",
     "central_moments",
     "gaussian_chi_params",
+    "gaussian_exponent",
+    "gaussian_exponent_wirtinger",
+    "carried_gaussian_params",
+    "carried_gaussian_params_dt",
     "chi0_eval",
     "chi0_wirtinger",
     "coherent_overlap",
@@ -159,6 +163,41 @@ def gaussian_chi_params(s: OscillatorState) -> tuple[complex, float, complex]:
     return mom.mean_a, n_c + 0.5, c_aa / 2.0
 
 
+def gaussian_exponent(d, a, g, eta):
+    """Q(eta) = d^* eta - d eta^* - a |eta|^2 + g^* eta^2 + g eta^*2."""
+    return (
+        np.conj(d) * eta
+        - d * np.conj(eta)
+        - a * np.abs(eta) ** 2
+        + np.conj(g) * eta**2
+        + g * np.conj(eta) ** 2
+    )
+
+
+def gaussian_exponent_wirtinger(d, a, g, eta):
+    """(dQ/deta, dQ/deta^*) of the Gaussian exponent, eta and eta^* independent."""
+    eta_c = np.conj(eta)
+    return np.conj(d) - a * eta_c + 2.0 * np.conj(g) * eta, -d - a * eta + 2.0 * g * eta_c
+
+
+def carried_gaussian_params(d0, a0, g0, a_t, c_t):
+    """(d, a, g) of chi0(eta A^* - eta^* C) for chi0 with parameters (d0, a0, g0)."""
+    d = d0 * a_t + np.conj(d0) * c_t
+    a = a0 * (np.abs(a_t) ** 2 + np.abs(c_t) ** 2) + 4.0 * np.real(g0 * a_t * np.conj(c_t))
+    g = a0 * a_t * c_t + g0 * a_t**2 + np.conj(g0) * c_t**2
+    return d, a, g
+
+
+def carried_gaussian_params_dt(d0, a0, g0, a_t, c_t, da_t, dc_t):
+    """Time derivatives of carried_gaussian_params given dA/dt and dC/dt."""
+    dd = d0 * da_t + np.conj(d0) * dc_t
+    da = a0 * 2.0 * np.real(np.conj(a_t) * da_t + np.conj(c_t) * dc_t) + 4.0 * np.real(
+        g0 * (da_t * np.conj(c_t) + a_t * np.conj(dc_t))
+    )
+    dg = a0 * (da_t * c_t + a_t * dc_t) + 2.0 * g0 * a_t * da_t + 2.0 * np.conj(g0) * c_t * dc_t
+    return dd, da, dg
+
+
 def _cat_terms(s: CatState, w: np.ndarray):
     """Yield (prefactor, linear coefficients) of the four displacement overlaps.
 
@@ -179,14 +218,7 @@ def chi0_eval(s: OscillatorState, w: np.ndarray) -> np.ndarray:
         for pref, gc, d in _cat_terms(s, w):
             total += pref * np.exp(env + gc * w - d * np.conj(w))
         return total / s.norm_sq
-    d0, a0, g0 = gaussian_chi_params(s)
-    return np.exp(
-        np.conj(d0) * w
-        - d0 * np.conj(w)
-        - a0 * np.abs(w) ** 2
-        + np.conj(g0) * w**2
-        + g0 * np.conj(w) ** 2
-    )
+    return np.exp(gaussian_exponent(*gaussian_chi_params(s), w))
 
 
 def chi0_wirtinger(
@@ -206,8 +238,6 @@ def chi0_wirtinger(
             dwb += term * (-d - 0.5 * w)
         n = s.norm_sq
         return val / n, dw / n, dwb / n
-    d0, a0, g0 = gaussian_chi_params(s)
     val = chi0_eval(s, w)
-    dw = val * (np.conj(d0) - a0 * np.conj(w) + 2.0 * np.conj(g0) * w)
-    dwb = val * (-d0 - a0 * w + 2.0 * g0 * np.conj(w))
-    return val, dw, dwb
+    dq_w, dq_wb = gaussian_exponent_wirtinger(*gaussian_chi_params(s), w)
+    return val, val * dq_w, val * dq_wb

@@ -1,8 +1,28 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qbath import TimeGrid, compute_propagator, stock_model
 from qbath.propagator import plateau_window
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+def load_sample_config(name):
+    """A fresh copy of the run-config document configs/<name>.json."""
+    return json.loads((CONFIG_DIR / f"{name}.json").read_text())
+
+
+@pytest.fixture
+def sample_config():
+    return load_sample_config
+
+
+@pytest.fixture
+def sample_config_names():
+    return sorted(path.stem for path in CONFIG_DIR.glob("*.json"))
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ import pytest
 
 from qbath import EquilibriumBath, TimeGrid, compute_propagator
 from qbath.cli import main
-from qbath.presets import sample_config, stock_config, stock_model
+from qbath.presets import stock_config, stock_model
 
 SMALL_MODEL = {
     "nu": 1.0,
@@ -43,7 +43,7 @@ def read_csv(out, name):
     return header, data
 
 
-def test_validate_prints_min_eigenvalue(tmp_path, capsys):
+def test_validate_prints_min_eigenvalue(tmp_path, capsys, sample_config):
     cfg = write_config(tmp_path, sample_config("validate-decoupled"))
     rc = main(["validate", "--config", cfg])
     out = capsys.readouterr().out
@@ -54,7 +54,7 @@ def test_validate_prints_min_eigenvalue(tmp_path, capsys):
     assert sorted(q.name for q in tmp_path.iterdir()) == ["config.json"]
 
 
-def test_validate_writes_artifacts(tmp_path):
+def test_validate_writes_artifacts(tmp_path, sample_config):
     rc, out = run(tmp_path, "validate", sample_config("validate-decoupled"))
     assert rc == 0
     doc = load_json(out, "validate.json")
@@ -79,14 +79,14 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_negative_seed_exits_2(tmp_path, capsys):
+def test_negative_seed_exits_2(tmp_path, capsys, sample_config):
     cfg = write_config(tmp_path, sample_config("validate-decoupled"))
     rc = main(["validate", "--config", cfg, "--seed", "-1"])
     assert rc == 2
     assert "seed" in capsys.readouterr().err
 
 
-def test_threads_env_var(tmp_path, capsys, monkeypatch):
+def test_threads_env_var(tmp_path, capsys, monkeypatch, sample_config):
     cfg = write_config(tmp_path, sample_config("validate-decoupled"))
     monkeypatch.setenv("QBATH_THREADS", "abc")
     assert main(["validate", "--config", cfg]) == 2
@@ -108,7 +108,7 @@ def test_unstable_model_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_missing_out_dir_exits_2(tmp_path, capsys):
+def test_missing_out_dir_exits_2(tmp_path, capsys, sample_config):
     doc = sample_config("propagate-ohmic-pp")
     doc.get("outputs", {}).pop("directory", None)
     cfg = write_config(tmp_path, doc)
@@ -134,7 +134,7 @@ def test_quadrature_failure_exits_3(tmp_path, capsys):
     assert "did not converge" in report["message"]
 
 
-def test_propagate_artifacts_round_trip(tmp_path):
+def test_propagate_artifacts_round_trip(tmp_path, sample_config):
     rc, out = run(tmp_path, "propagate", sample_config("propagate-ohmic-pp"))
     assert rc == 0
     p = compute_propagator(stock_model("ohmic-pp-n64"), TimeGrid.linspace(30.0, 300))
@@ -156,7 +156,7 @@ def test_propagate_artifacts_round_trip(tmp_path):
     assert np.max(np.abs(data[:, 5])) < 1e-10
 
 
-def test_propagate_byte_identity_and_manifest(tmp_path):
+def test_propagate_byte_identity_and_manifest(tmp_path, sample_config):
     doc = sample_config("propagate-ohmic-pp")
     rc1, out1 = run(tmp_path, "propagate", doc, outdir="out1")
     rc2, out2 = run(tmp_path, "propagate", doc, outdir="out2")
@@ -173,7 +173,7 @@ def test_propagate_byte_identity_and_manifest(tmp_path):
     assert sorted(man1["versions"]) == ["numpy", "python", "qbath", "scipy"]
 
 
-def test_observables_purity_plateau(tmp_path):
+def test_observables_purity_plateau(tmp_path, sample_config):
     rc, out = run(tmp_path, "observables", sample_config("observables-rwa-coherent"))
     assert rc == 0
     header, data = read_csv(out, "observables.csv")
@@ -181,7 +181,7 @@ def test_observables_purity_plateau(tmp_path):
     assert data[-1, 5] > 0.999
 
 
-def test_purity_summary(tmp_path):
+def test_purity_summary(tmp_path, sample_config):
     rc, out = run(tmp_path, "purity", sample_config("purity-cat-vacuum"))
     assert rc == 0
     doc = load_json(out, "purity_summary.json")
@@ -193,7 +193,7 @@ def test_purity_summary(tmp_path):
     assert np.min(data[:, 1]) == pytest.approx(doc["min_purity"], abs=1e-12)
 
 
-def test_master_eq_equilibrium_outputs(tmp_path):
+def test_master_eq_equilibrium_outputs(tmp_path, sample_config):
     rc, out = run(tmp_path, "master-eq", sample_config("master-eq-equilibrium"))
     assert rc == 0
     header, data = read_csv(out, "master_eq.csv")
@@ -207,7 +207,7 @@ def test_master_eq_equilibrium_outputs(tmp_path):
     assert rep["flagged_nodes"] == 0
 
 
-def test_ensemble_number_summary(tmp_path):
+def test_ensemble_number_summary(tmp_path, sample_config):
     rc, out = run(tmp_path, "ensemble", sample_config("ensemble-number"))
     assert rc == 0
     doc = load_json(out, "ensemble_summary.json")
@@ -222,7 +222,7 @@ def test_ensemble_number_summary(tmp_path):
     assert mv["n_samples"] == 400 and mv["seed"] == 7
 
 
-def test_ensemble_coherent_summary(tmp_path):
+def test_ensemble_coherent_summary(tmp_path, sample_config):
     rc, out = run(tmp_path, "ensemble", sample_config("ensemble-coherent"))
     assert rc == 0
     doc = load_json(out, "ensemble_summary.json")
@@ -242,7 +242,7 @@ def test_ensemble_coherent_summary(tmp_path):
     assert doc["displaced_vacuum_defect"] < 1e-3
 
 
-def test_ensemble_rejects_wrong_bath(tmp_path, capsys):
+def test_ensemble_rejects_wrong_bath(tmp_path, capsys, sample_config):
     doc = sample_config("ensemble-number")
     doc["bath"] = {"kind": "equilibrium", "beta": 2.0}
     rc, _ = run(tmp_path, "ensemble", doc)
@@ -301,7 +301,7 @@ def test_ensemble_deterministic_across_thread_count(tmp_path):
         (out2 / "ensemble_summary.json").read_bytes()
 
 
-def test_n_sweep_summary(tmp_path):
+def test_n_sweep_summary(tmp_path, sample_config):
     rc, out = run(tmp_path, "n-sweep", sample_config("n-sweep-ohmic-rwa"))
     assert rc == 0
     doc = load_json(out, "n_sweep_summary.json")
@@ -332,7 +332,19 @@ def test_n_sweep_decoupled_flags_no_decay(tmp_path):
     assert doc["var_of_var_slope"] is None
 
 
-def test_rwa_compare_report(tmp_path):
+def test_n_sweep_reports_genuine_errors(tmp_path, capsys, monkeypatch, sample_config):
+    # only a numerical failure of the plateau search means "no decay"
+    def broken(*args, **kwargs):
+        raise ValueError("broken")
+
+    monkeypatch.setattr("qbath.cli.number_variance_of_variance", broken)
+    rc, out = run(tmp_path, "n-sweep", sample_config("n-sweep-ohmic-rwa"))
+    assert rc == 2
+    assert "broken" in capsys.readouterr().err
+    assert not (out / "n_sweep_summary.json").exists()
+
+
+def test_rwa_compare_report(tmp_path, sample_config):
     rc, out = run(tmp_path, "rwa-compare", sample_config("rwa-compare-squeezed"))
     assert rc == 0
     doc = load_json(out, "rwa_compare_report.json")
@@ -344,7 +356,7 @@ def test_rwa_compare_report(tmp_path):
     assert np.max(np.abs(data[:, 2] - data[:, 3])) < 1e-7
 
 
-def test_rwa_compare_rejects_thermal_bath(tmp_path, capsys):
+def test_rwa_compare_rejects_thermal_bath(tmp_path, capsys, sample_config):
     doc = sample_config("rwa-compare-squeezed")
     doc["bath"]["beta"] = 2.0
     rc, _ = run(tmp_path, "rwa-compare", doc)

@@ -9,7 +9,8 @@ import pytest
 from qbath.baths import CoherentStateBath, EquilibriumBath, NumberStateBath, member_rng
 from qbath.config import load_config, parse_config, realize_bath
 from qbath.errors import SchemaError
-from qbath.presets import SAMPLE_CONFIG_NAMES, STOCK_MODEL_NAMES, sample_config
+from qbath.cli import _SUBCOMMANDS
+from qbath.presets import STOCK_MODEL_NAMES
 from qbath.states import CatState, GaussianMoments, SqueezedDisplaced
 
 
@@ -33,8 +34,10 @@ def _base_doc():
     }
 
 
-def test_sample_configs_parse(tmp_path):
-    for name in SAMPLE_CONFIG_NAMES:
+def test_sample_configs_parse(tmp_path, sample_config, sample_config_names):
+    names = sample_config_names
+    assert names
+    for name in names:
         doc = sample_config(name)
         cfg = parse_config(doc, json.dumps(doc))
         assert cfg.model.n_modes >= 1
@@ -42,6 +45,9 @@ def test_sample_configs_parse(tmp_path):
         path.write_text(json.dumps(doc))
         cfg2 = load_config(path)
         assert cfg2.model.n_modes == cfg.model.n_modes
+    # every subcommand has a sample config, named <subcommand>-<scenario>
+    for sub in _SUBCOMMANDS:
+        assert any(name.startswith(sub + "-") for name in names), sub
 
 
 def test_unknown_keys_rejected_with_line_anchor():

@@ -1,0 +1,87 @@
+"""Scalar entry points are one-row slices of the whole-grid kernels: equal bitwise."""
+
+import math
+
+import numpy as np
+import pytest
+
+from qbath import mastereq as me
+from qbath import observables as obs
+from qbath.baths import (
+    CoherentStateBath,
+    EquilibriumBath,
+    NumberStateBath,
+    coherent_F_params,
+    equilibrium_F_params,
+    member_rng,
+    sample_coherent_state,
+)
+from qbath.errors import SingularGeneratorError
+from qbath.states import SqueezedDisplaced
+
+SQUEEZED = SqueezedDisplaced(disp=0.5 - 0.1j, r=0.6, phi=0.3)
+INDICES = (0, 1, 17, 50, -1)
+BETAS = (1.3, math.inf)
+
+
+@pytest.fixture(params=["ohmic_rwa", "ohmic_pp", "flat_custom"])
+def prop(request):
+    return request.getfixturevalue(request.param)
+
+
+def _amps(p):
+    return sample_coherent_state(2.0, p.model, member_rng(5, 0)).amps
+
+
+def test_equilibrium_params_equal_series(prop):
+    for beta in BETAS:
+        fs = me.equilibrium_f_series(prop, beta)
+        for i in INDICES:
+            f = equilibrium_F_params(prop, i, beta)
+            assert f.alpha == fs.alpha[i]
+            assert f.gamma == fs.gamma[i]
+
+
+def test_coherent_delta_equals_series(prop):
+    amps = _amps(prop)
+    fs = me.coherent_f_series(prop, amps)
+    for i in INDICES:
+        f = coherent_F_params(prop, i, amps)
+        assert f.delta == fs.delta[i]
+        assert (f.alpha, f.gamma) == (fs.alpha[i], fs.gamma[i])
+
+
+def test_gaussian_generator_equals_series(prop):
+    for fs in (me.equilibrium_f_series(prop, 1.3), me.coherent_f_series(prop, _amps(prop))):
+        series = me.generator_series(prop, fs)
+        for i in INDICES:
+            if not series["valid"][i]:
+                # flat-custom's last point sits past a zero of |A|^2 - |C|^2
+                with pytest.raises(SingularGeneratorError):
+                    me.gaussian_generator(prop, i, fs)
+                continue
+            c = me.gaussian_generator(prop, i, fs)
+            for key in ("xi", "zeta", "kappa", "mu", "sigma", "denom", "valid"):
+                assert getattr(c, key) == series[key][i], key
+            xi, zeta, denom = me.xi_zeta(prop, i)
+            assert (xi, zeta, denom) == (series["xi"][i], series["zeta"][i], series["denom"][i])
+
+
+def test_moments_equal_observable_series(prop):
+    n = np.zeros(prop.n_modes, dtype=int)
+    n[::7] = 2
+    baths = (EquilibriumBath(1.3), CoherentStateBath(_amps(prop)), NumberStateBath(n))
+    for bath in baths:
+        series = obs.observable_series(prop, bath, SQUEEZED, with_purity=False)
+        for i in INDICES:
+            means = obs.mean_xp(prop, i, bath, SQUEEZED)
+            assert means == (series["mean_x"][i], series["mean_p"][i])
+            variances = obs.variances(prop, i, bath, SQUEEZED)
+            assert variances == (series["var_x"][i], series["var_p"][i])
+
+
+def test_closed_purity_equals_observable_series(prop):
+    bath = EquilibriumBath(1.3)
+    series = obs.observable_series(prop, bath, SQUEEZED)
+    for i in INDICES:
+        assert obs.purity(prop, i, bath, SQUEEZED) == series["purity"][i]
