@@ -68,6 +68,7 @@ from .observables import (
     number_variance_of_variance,
     observable_series,
     purity,
+    purity_rows,
     square_eta_grid,
     summarize,
     total_gaussian_params,

@@ -58,6 +58,7 @@ from .observables import (
     number_variance_of_variance,
     observable_series,
     purity,
+    purity_rows,
     summarize,
     variances,
 )
@@ -198,7 +199,7 @@ def _cmd_purity(cfg: RunConfig, args, out: Path) -> list[str]:
     _require(cfg, grid=True, bath=True, oscillator=True)
     bath = realize_bath(cfg, seed_override=args.seed)
     p = compute_propagator(cfg.model, cfg.grid)
-    vals = np.array([purity(p, i, bath, cfg.oscillator) for i in range(p.n_times)])
+    vals = purity_rows(p, slice(None), bath, cfg.oscillator)
     artifacts = []
     if "csv" in cfg.formats:
         _write_csv(out / "purity.csv", ["t", "purity"], [p.grid.t, vals])
@@ -385,7 +386,7 @@ def _cmd_rwa_compare(cfg: RunConfig, args, out: Path) -> list[str]:
         raise SchemaError("rwa-compare requires a 'squeezed' or 'cat' oscillator")
     p = compute_propagator(cfg.model, cfg.grid)
     absA2 = np.abs(p.A) ** 2
-    pur = np.array([purity(p, i, bath, s) for i in range(p.n_times)])
+    pur = purity_rows(p, slice(None), bath, s)
     oracle_vals = np.array([oracle(min(max(a2, 0.0), 1.0)) for a2 in absA2])
     artifacts = []
     if "csv" in cfg.formats:

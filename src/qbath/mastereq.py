@@ -73,7 +73,7 @@ __all__ = [
     "chi_time_derivative",
 ]
 
-DENOM_FLOOR = 1e-8
+DENOM_FLOOR = 1e-8  # |A|^2 - |C|^2 at or below this marks a singular generator
 
 
 @dataclass
@@ -106,22 +106,20 @@ def f_series_for(p: PropagatorCoefficients, bath: BathSpec) -> GaussianFSeries:
     return bath_sums(p, slice(None), bath, derivs=True)
 
 
-def _drift_rows(p: PropagatorCoefficients, rows, denom_floor: float):
+def _drift_rows(p: PropagatorCoefficients, rows):
     """(xi, zeta, denom, valid) on the propagator rows p.X[rows]; xi, zeta unset where invalid."""
     a_t, c_t, da_t, dc_t = p.A[rows], p.C[rows], p.dA[rows], p.dC[rows]
     denom = np.abs(a_t) ** 2 - np.abs(c_t) ** 2
-    valid = denom > denom_floor
+    valid = denom > DENOM_FLOOR
     safe = np.where(valid, denom, 1.0)
     xi = (np.conj(a_t) * da_t - np.conj(c_t) * dc_t) / safe
     zeta = (c_t * da_t - a_t * dc_t) / safe
     return xi, zeta, denom, valid
 
 
-def _generator_rows(
-    p: PropagatorCoefficients, rows, fs: GaussianFSeries, denom_floor: float
-) -> dict[str, np.ndarray]:
+def _generator_rows(p: PropagatorCoefficients, rows, fs: GaussianFSeries) -> dict[str, np.ndarray]:
     """Generator coefficients on the rows p.X[rows]; fs holds the same rows."""
-    xi, zeta, denom, valid = _drift_rows(p, rows, denom_floor)
+    xi, zeta, denom, valid = _drift_rows(p, rows)
     kappa = fs.alpha * 2.0 * np.real(xi) - 2.0 * (
         zeta * np.conj(fs.gamma) + np.conj(zeta) * fs.gamma
     ) - fs.dalpha
@@ -133,30 +131,28 @@ def _generator_rows(
             "denom": denom, "valid": valid}
 
 
-def _raise_singular(p: PropagatorCoefficients, i: int, denom: float, denom_floor: float):
+def _raise_singular(p: PropagatorCoefficients, i: int, denom: float):
     raise SingularGeneratorError(
-        f"|A|^2 - |C|^2 = {denom:.3e} <= floor {denom_floor:.1e} at t = {p.grid.t[i]}"
+        f"|A|^2 - |C|^2 = {denom:.3e} <= floor {DENOM_FLOOR:.1e} at t = {p.grid.t[i]}"
     )
 
 
-def xi_zeta(
-    p: PropagatorCoefficients, i: int, *, denom_floor: float = DENOM_FLOOR
-) -> tuple[complex, complex, float]:
+def xi_zeta(p: PropagatorCoefficients, i: int) -> tuple[complex, complex, float]:
     """Drift coefficients and their denominator |A|^2 - |C|^2 at index i.
 
     Raises SingularGeneratorError when the denominator is at or below the
     floor; the coefficients are never regularized.
     """
-    xi, zeta, denom, valid = _drift_rows(p, row_slice(i), denom_floor)
+    xi, zeta, denom, valid = _drift_rows(p, row_slice(i))
     if not valid[0]:
-        _raise_singular(p, i, denom[0], denom_floor)
+        _raise_singular(p, i, denom[0])
     return complex(xi[0]), complex(zeta[0]), float(denom[0])
 
 
-def _generator_at(p: PropagatorCoefficients, i: int, fs_i: GaussianFSeries, denom_floor: float):
-    c = _generator_rows(p, row_slice(i), fs_i, denom_floor)
+def _generator_at(p: PropagatorCoefficients, i: int, fs_i: GaussianFSeries):
+    c = _generator_rows(p, row_slice(i), fs_i)
     if not c["valid"][0]:
-        _raise_singular(p, i, c["denom"][0], denom_floor)
+        _raise_singular(p, i, c["denom"][0])
     return GeneratorCoefficients(
         xi=complex(c["xi"][0]), zeta=complex(c["zeta"][0]), kappa=complex(c["kappa"][0]),
         mu=complex(c["mu"][0]), sigma=complex(c["sigma"][0]), denom=float(c["denom"][0]),
@@ -165,24 +161,15 @@ def _generator_at(p: PropagatorCoefficients, i: int, fs_i: GaussianFSeries, deno
 
 
 def gaussian_generator(
-    p: PropagatorCoefficients,
-    i: int,
-    fs: GaussianFSeries,
-    *,
-    denom_floor: float = DENOM_FLOOR,
+    p: PropagatorCoefficients, i: int, fs: GaussianFSeries
 ) -> GeneratorCoefficients:
     """Generator coefficients for a Gaussian influence function at index i."""
-    return _generator_at(p, i, fs[row_slice(i)], denom_floor)
+    return _generator_at(p, i, fs[row_slice(i)])
 
 
-def generator_series(
-    p: PropagatorCoefficients,
-    fs: GaussianFSeries,
-    *,
-    denom_floor: float = DENOM_FLOOR,
-) -> dict[str, np.ndarray]:
+def generator_series(p: PropagatorCoefficients, fs: GaussianFSeries) -> dict[str, np.ndarray]:
     """Vectorized generator coefficients with validity flags (no raising)."""
-    return {"t": p.grid.t.copy(), **_generator_rows(p, slice(None), fs, denom_floor)}
+    return {"t": p.grid.t.copy(), **_generator_rows(p, slice(None), fs)}
 
 
 def _logF_derivs(p: PropagatorCoefficients, i: int, bath: BathSpec, eta: np.ndarray):
@@ -262,8 +249,6 @@ def generator_residual(
     bath: BathSpec,
     s: OscillatorState,
     eta=None,
-    *,
-    denom_floor: float = DENOM_FLOOR,
 ) -> float:
     """Max |dchi/dt - generator RHS| / max |chi| for Gaussian influence baths.
 
@@ -275,7 +260,7 @@ def generator_residual(
         raise ParameterError("use general_generator_residual for number-state baths")
     eta = _residual_nodes(eta)
     fs = bath_sums(p, row_slice(i), bath, derivs=True)
-    c = _generator_at(p, i, fs, denom_floor)
+    c = _generator_at(p, i, fs)
     chi, dchi_eta, dchi_etab, _, _ = _chi_pieces(p, i, bath, s, eta)
     rhs = _drift_apply(c.xi, c.zeta, eta, dchi_eta, dchi_etab) + gaussian_exponent(
         c.sigma, -c.kappa, c.mu, eta
@@ -305,15 +290,13 @@ def general_generator_apply(
     bath: BathSpec,
     s: OscillatorState,
     eta,
-    *,
-    denom_floor: float = DENOM_FLOOR,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Right side of the general (arbitrary-F) evolution identity on a grid.
 
     Returns (rhs, ok); nodes where F vanishes are flagged, not fabricated.
     """
     eta = np.asarray(eta, dtype=complex)
-    xi, zeta, _ = xi_zeta(p, i, denom_floor=denom_floor)
+    xi, zeta, _ = xi_zeta(p, i)
     chi, dchi_eta, dchi_etab, _, (d_eta, d_etab, d_t, ok) = _chi_pieces(p, i, bath, s, eta)
     rhs = _drift_apply(xi, zeta, eta, dchi_eta - chi * d_eta, dchi_etab - chi * d_etab) + chi * d_t
     return rhs, ok
@@ -332,12 +315,10 @@ def general_generator_residual(
     bath: BathSpec,
     s: OscillatorState,
     eta=None,
-    *,
-    denom_floor: float = DENOM_FLOOR,
 ) -> GeneralResidualReport:
     """Residual of the general evolution identity over non-flagged nodes."""
     eta = _residual_nodes(eta)
-    rhs, ok = general_generator_apply(p, i, bath, s, eta, denom_floor=denom_floor)
+    rhs, ok = general_generator_apply(p, i, bath, s, eta)
     lhs, ok2 = chi_time_derivative(p, i, bath, s, eta)
     ok = ok & ok2
     chi = chi_eval(p, i, bath, s, eta)

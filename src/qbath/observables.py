@@ -2,11 +2,14 @@
 
 Position and momentum use x = sqrt(hbar/(2 m nu))(a^dag + a) and
 p = i sqrt(hbar m nu / 2)(a^dag - a).  Purity is Tr rho^2 =
-(1/pi) int d^2eta |chi(eta)|^2; when both the oscillator state and the bath
-influence are Gaussian it reduces to 1/(2 sqrt(a^2 - 4|g|^2)) in the total
-Gaussian parameters, otherwise the integral is done by midpoint quadrature on
-a square whose radius comes from the Gaussian envelope, refined until two
-successive node doublings agree.
+(1/pi) int d^2eta |chi(eta)|^2.  purity_rows picks the path for a whole grid:
+when both the oscillator state and the bath influence are Gaussian it is
+1/(2 sqrt(a^2 - 4|g|^2)) in the total Gaussian parameters; otherwise one
+quadrature driver integrates |chi|^2 = |chi0|^2 |F_g|^2 prod_k L_{n_k}^2 by
+the midpoint rule on a square whose radius comes from the Gaussian envelope,
+doubling the nodes per axis until two successive levels agree.  A single
+purity and each member of a number-state ensemble are members of that
+driver; the ensemble's members share one grid.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .baths import (
     CoherentStateBath,
     EquilibriumBath,
     NumberStateBath,
+    _check_modes,
     bath_F_eval,
     bath_delta,
     bath_sums,
@@ -40,7 +44,6 @@ from .states import (
     central_moments,
     chi0_eval,
     gaussian_chi_params,
-    gaussian_exponent,
     initial_moments,
     is_gaussian,
     vacuum_state,
@@ -56,12 +59,18 @@ __all__ = [
     "asymptotic_variances",
     "asymptotic_purity",
     "total_gaussian_params",
+    "purity_rows",
     "purity",
     "number_variance_of_variance",
     "averaged_purity_number_ensemble",
     "displaced_vacuum_check",
     "observable_series",
 ]
+
+ENVELOPE_CUT = 1e-16  # |chi|^2 on the boundary of the quadrature square
+MAX_NODES = 4096  # nodes per axis at the finest quadrature level
+ENSEMBLE_TOL = 1e-7  # level agreement of the number-ensemble quadrature
+_CHUNK = 1 << 20  # nodes, and shared Laguerre arguments, per chunk of the quadrature grid
 
 
 @dataclass
@@ -204,9 +213,9 @@ def total_gaussian_params(
 
 
 def _envelope_plan(
-    p: PropagatorCoefficients, i: int, bath: BathSpec, s: OscillatorState, cut: float
+    p: PropagatorCoefficients, i: int, beta: float, s: OscillatorState
 ) -> tuple[float, int]:
-    """Initial quadrature radius and node count from the Gaussian envelope."""
+    """Initial quadrature radius and node count from the Gaussian envelope at beta."""
     a_t, c_t = p.A[i], p.C[i]
     rot = abs(a_t) + abs(c_t)
     if is_gaussian(s):
@@ -216,13 +225,13 @@ def _envelope_plan(
         a0, g0 = 0.5, 0.0
         margin = abs(s.alpha - s.beta) * rot
     _, a_env, g_env = carried_gaussian_params(0.0, a0, g0, a_t, c_t)
-    f = equilibrium_F_params(p, i, bath.beta if isinstance(bath, EquilibriumBath) else math.inf)
+    f = equilibrium_F_params(p, i, beta)
     a_env += f.alpha
     g_env += f.gamma
     width = a_env - 2.0 * abs(g_env)
     if width <= 1e-12:
         width = 0.25 / max(a_env + 2.0 * abs(g_env), 0.5)
-    decay = -math.log(cut)
+    decay = -math.log(ENVELOPE_CUT)
     # solve 2 w R^2 - 2 margin R = decay for the envelope crossing
     radius = 1.1 * (margin + math.sqrt(margin**2 + 2.0 * width * decay)) / (2.0 * width)
     feature = 1.0 / math.sqrt(2.0 * (a_env + 2.0 * abs(g_env)))
@@ -232,48 +241,128 @@ def _envelope_plan(
     return radius, n0
 
 
-def _probe_radius(chi2, radius: float, cut: float, cap: float = 400.0) -> float:
+def _probe_radius(chi2, radius: float, cap: float = 400.0) -> float:
     """Grow the radius until |chi|^2 on the boundary ring falls below the cut."""
     angles = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False))
     while radius < cap:
         ring = np.max(chi2(radius * angles))
-        if ring < cut:
+        if ring < ENVELOPE_CUT:
             return radius
         radius *= 1.3
     raise AccuracyError("quadrature domain did not close below the envelope cut")
 
 
-def _midpoint_sum(chi2, radius: float, n: int, chunk: int = 1 << 20) -> float:
+def _nodes(p: PropagatorCoefficients, i: int, s: OscillatorState, gauss_bath, eta, shared=()):
+    """Parts of |chi|^2 at the nodes eta common to every member.
+
+    Returns |chi|^2 for the members' common Gaussian bath, and a function of
+    k giving the Laguerre argument |eta B_k^* - eta^* D_k|^2; the arguments
+    of the modes in shared are computed once and kept.
+    """
+    b, d = p.B[i], p.D[i]
+
+    def arg(k: int) -> np.ndarray:
+        return np.abs(eta * np.conj(b[k]) - np.conj(eta) * d[k]) ** 2
+
+    kept = {int(k): arg(k) for k in shared}
+    base = np.abs(chi_eval(p, i, gauss_bath, s, eta)) ** 2
+    return base, lambda k: kept[k] if k in kept else arg(k)
+
+
+def _chi2(base: np.ndarray, lag_arg, occ: np.ndarray) -> np.ndarray:
+    """|chi|^2 of the member with occupations occ: base times prod_k L_{n_k}(x_k)^2."""
+    modes = np.nonzero(occ)[0]
+    if modes.size == 0:
+        return base
+    _, log_lag = laguerre.log_product(occ[modes], (lag_arg(int(k)) for k in modes), base.shape)
+    return base * np.exp(2.0 * log_lag)
+
+
+def _map(fn, items, threads: int | None) -> list:
+    if threads and threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
+def _midpoint_sums(p, i, s, gauss_bath, occs, radius: float, n: int, threads=None) -> np.ndarray:
+    """(1/pi) h^2 sum of |chi|^2 over the n x n midpoint grid, one value per row of occs.
+
+    Several members share the Laguerre arguments of their occupied modes.
+    Node rows are taken in chunks of at most _CHUNK nodes and _CHUNK shared
+    arguments; each member's sum runs over the chunks in a fixed order.
+    """
     h = 2.0 * radius / n
     x = -radius + (np.arange(n) + 0.5) * h
-    total = 0.0
-    rows_per_chunk = max(1, chunk // n)
+    shared = np.nonzero(occs.any(axis=0))[0] if occs.shape[0] > 1 else ()
+    rows_per_chunk = max(1, _CHUNK // (n * max(1, len(shared))))
+    totals = np.zeros(occs.shape[0])
     for start in range(0, n, rows_per_chunk):
         ys = x[start : start + rows_per_chunk]
-        eta = (x[None, :] + 1j * ys[:, None]).ravel()
-        total += float(np.sum(chi2(eta)))
-    return total * h * h / math.pi
+        base, lag_arg = _nodes(p, i, s, gauss_bath, (x[None, :] + 1j * ys[:, None]).ravel(), shared)
+        totals += _map(lambda occ: float(np.sum(_chi2(base, lag_arg, occ))), occs, threads)
+        del base, lag_arg  # free this chunk's arrays before the next one is built
+    return totals * h * h / math.pi
 
 
-def _richardson_quadrature(
-    chi2, radius: float, n0: int, tol: float, max_nodes: int
-) -> float:
+def _quadrature(p, i, s, gauss_bath, occs, plan_beta, probes, tol, threads=None) -> np.ndarray:
+    """Purities at index i of the members F = F_g prod_k L_{n_k}, one row of occs each.
+
+    F_g is the influence of gauss_bath, a Gaussian bath common to the members,
+    and all members share one midpoint grid.  The grid's radius starts from
+    the envelope at plan_beta and grows until |chi|^2 of every probe member is
+    below ENVELOPE_CUT on the boundary; its node count per axis doubles until
+    every probe's sum agrees with the previous level to tol.  The other
+    members are then summed on that level.
+    """
+    radius, n = _envelope_plan(p, i, plan_beta, s)
+    for k in probes:
+        radius = _probe_radius(
+            lambda eta: _chi2(*_nodes(p, i, s, gauss_bath, eta), occs[k]), radius
+        )
     prev = None
-    n = n0
-    while n <= max_nodes:
-        cur = _midpoint_sum(chi2, radius, n)
-        if prev is not None and abs(cur - prev) < tol * max(1.0, abs(cur)):
-            return cur
+    while n <= MAX_NODES:
+        cur = _midpoint_sums(p, i, s, gauss_bath, occs[probes], radius, n)
+        if prev is not None and np.all(np.abs(cur - prev) < tol * np.maximum(1.0, np.abs(cur))):
+            vals = np.empty(occs.shape[0])
+            vals[probes] = cur
+            rest = np.setdiff1d(np.arange(occs.shape[0]), probes)
+            if rest.size:
+                vals[rest] = _midpoint_sums(p, i, s, gauss_bath, occs[rest], radius, n, threads)
+            return vals
         prev = cur
         n *= 2
     raise AccuracyError(
-        f"purity quadrature did not converge to {tol:.1e} within {max_nodes} nodes per axis"
+        f"purity quadrature did not converge to {tol:.1e} within {MAX_NODES} nodes per axis"
     )
 
 
-def _closed_form(bath: BathSpec, s: OscillatorState) -> bool:
-    """Whether the purity has the closed Gaussian form (Gaussian state and influence)."""
-    return is_gaussian(s) and not isinstance(bath, NumberStateBath)
+def purity_rows(
+    p: PropagatorCoefficients,
+    rows,
+    bath: BathSpec,
+    s: OscillatorState,
+    *,
+    method: str = "auto",
+    tol: float = 1e-8,
+) -> np.ndarray:
+    """Tr rho^2 on the propagator rows p.X[rows].
+
+    method: "auto" picks the closed Gaussian form when the state and bath are
+    both Gaussian, quadrature otherwise; "closed" and "quadrature" force a
+    path (closed raises for non-Gaussian inputs).  Quadrature runs purity()
+    at each index.
+    """
+    if method == "auto":
+        gaussian = is_gaussian(s) and not isinstance(bath, NumberStateBath)
+        method = "closed" if gaussian else "quadrature"
+    if method == "closed":
+        _, a, g = _total_gaussian_rows(p, rows, bath, s)
+        return _gaussian_purity(a, g)
+    if method != "quadrature":
+        raise ParameterError(f"unknown purity method {method!r}")
+    indices = range(p.n_times)[rows]
+    return np.array([purity(p, i, bath, s, method="quadrature", tol=tol) for i in indices])
 
 
 def purity(
@@ -284,29 +373,21 @@ def purity(
     *,
     method: str = "auto",
     tol: float = 1e-8,
-    envelope_cut: float = 1e-16,
-    max_nodes: int = 4096,
 ) -> float:
-    """Tr rho^2 at grid index i.
+    """Tr rho^2 at grid index i, the one-row slice of purity_rows.
 
-    method: "auto" picks the closed Gaussian form when the state and bath are
-    both Gaussian, quadrature otherwise; "closed" and "quadrature" force a
-    path (closed raises for non-Gaussian inputs).
+    Quadrature is a one-member call of the shared-grid driver; a number-state
+    F is the zero-temperature Gaussian times Laguerre factors.
     """
-    if method == "auto":
-        method = "closed" if _closed_form(bath, s) else "quadrature"
-    if method == "closed":
-        _, a, g = _total_gaussian_rows(p, row_slice(i), bath, s)
-        return float(_gaussian_purity(a, g)[0])
     if method != "quadrature":
-        raise ParameterError(f"unknown purity method {method!r}")
-
-    def chi2(eta: np.ndarray) -> np.ndarray:
-        return np.abs(chi_eval(p, i, bath, s, eta)) ** 2
-
-    radius, n0 = _envelope_plan(p, i, bath, s, envelope_cut)
-    radius = _probe_radius(chi2, radius, envelope_cut)
-    return _richardson_quadrature(chi2, radius, n0, tol, max_nodes)
+        return float(purity_rows(p, row_slice(i), bath, s, method=method, tol=tol)[0])
+    number = isinstance(bath, NumberStateBath)
+    if number:
+        _check_modes(p, bath.n, "occupations")
+    occs = (bath.n if number else np.zeros(p.n_modes, dtype=int))[None]
+    gauss_bath = EquilibriumBath(math.inf) if number else bath
+    plan_beta = bath.beta if isinstance(bath, EquilibriumBath) else math.inf
+    return float(_quadrature(p, i, s, gauss_bath, occs, plan_beta, [0], tol)[0])
 
 
 def number_variance_of_variance(p: PropagatorCoefficients, i: int, beta: float) -> float:
@@ -323,76 +404,6 @@ def number_variance_of_variance(p: PropagatorCoefficients, i: int, beta: float) 
     return float(factor * np.sum(np.abs(b + np.conj(d)) ** 4 * (nbar**2 + nbar)))
 
 
-def _number_purity_batch(
-    p: PropagatorCoefficients,
-    i: int,
-    occs: np.ndarray,
-    s: OscillatorState,
-    beta: float,
-    tol: float,
-    envelope_cut: float,
-    max_nodes: int,
-    threads: int | None,
-) -> np.ndarray:
-    """Purities for many number-state preparations sharing one quadrature grid."""
-    n_samples = occs.shape[0]
-    radius, n0 = _envelope_plan(p, i, EquilibriumBath(beta), s, envelope_cut)
-
-    def member_chi2(occ: np.ndarray):
-        bath = NumberStateBath(occ)
-        return lambda eta: np.abs(chi_eval(p, i, bath, s, eta)) ** 2
-
-    # probe and refine on the most occupied members plus the first
-    alpha_member = occs @ (np.abs(p.B[i]) ** 2 + np.abs(p.D[i]) ** 2)
-    probes = {0, int(np.argmax(alpha_member)), int(np.argmax(occs.sum(axis=1)))}
-    for k in probes:
-        radius = _probe_radius(member_chi2(occs[k]), radius, envelope_cut)
-    n = n0
-    converged = False
-    while n <= max_nodes and not converged:
-        converged = True
-        for k in probes:
-            a = _midpoint_sum(member_chi2(occs[k]), radius, n)
-            b = _midpoint_sum(member_chi2(occs[k]), radius, 2 * n)
-            if abs(a - b) >= tol * max(1.0, abs(b)):
-                converged = False
-                break
-        if not converged:
-            n *= 2
-    if not converged:
-        raise AccuracyError("shared ensemble quadrature grid did not converge")
-    n_final = 2 * n
-
-    # shared geometry: oscillator factor and per-mode Laguerre arguments
-    h = 2.0 * radius / n_final
-    axis = -radius + (np.arange(n_final) + 0.5) * h
-    re, im = np.meshgrid(axis, axis)
-    eta = (re + 1j * im).ravel()
-    zeta = eta * np.conj(p.A[i]) - np.conj(eta) * p.C[i]
-    chi0_sq = np.abs(chi0_eval(s, zeta)) ** 2
-    zt = equilibrium_F_params(p, i, math.inf)
-    log_env = 2.0 * np.real(gaussian_exponent(0.0, zt.alpha, zt.gamma, eta))
-    b_row, d_row = p.B[i], p.D[i]
-    active = np.nonzero(occs.max(axis=0))[0]
-    xs = {
-        int(k): np.abs(eta * np.conj(b_row[k]) - np.conj(eta) * d_row[k]) ** 2
-        for k in active
-    }
-    weight = h * h / math.pi
-
-    def eval_member(k: int) -> float:
-        modes = np.nonzero(occs[k])[0]
-        _, log_lag = laguerre.log_product(occs[k][modes], (xs[int(m)] for m in modes), eta.shape)
-        return float(np.sum(chi0_sq * np.exp(log_env + 2.0 * log_lag)) * weight)
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(eval_member, range(n_samples)))
-    else:
-        vals = [eval_member(k) for k in range(n_samples)]
-    return np.asarray(vals, dtype=float)
-
-
 def averaged_purity_number_ensemble(
     p: PropagatorCoefficients,
     i: int,
@@ -401,20 +412,23 @@ def averaged_purity_number_ensemble(
     n_samples: int,
     seed: int,
     *,
-    tol: float = 1e-7,
-    envelope_cut: float = 1e-16,
-    max_nodes: int = 4096,
     threads: int | None = None,
 ) -> EnsembleSummary:
-    """Monte-Carlo mean of purity over number-state preparations drawn from P_n."""
+    """Monte-Carlo mean of purity over number-state preparations drawn from P_n.
+
+    The members share one quadrature grid, refined on the first member and
+    the most occupied ones; threads fan the members out without changing
+    any value.
+    """
     if n_samples < 2:
         raise ParameterError("need at least two samples")
     occs = np.stack(
         [sample_number_state(beta, p.model, member_rng(seed, k)).n for k in range(n_samples)]
     )
-    vals = _number_purity_batch(
-        p, i, occs, s, beta, tol, envelope_cut, max_nodes, threads
-    )
+    alpha_member = occs @ (np.abs(p.B[i]) ** 2 + np.abs(p.D[i]) ** 2)
+    probes = sorted({0, int(np.argmax(alpha_member)), int(np.argmax(occs.sum(axis=1)))})
+    zero_t = EquilibriumBath(math.inf)
+    vals = _quadrature(p, i, s, zero_t, occs, beta, probes, ENSEMBLE_TOL, threads)
     return summarize(vals, seed)
 
 
@@ -449,15 +463,11 @@ def observable_series(
     s: OscillatorState,
     *,
     with_purity: bool = True,
-    purity_tol: float = 1e-8,
 ) -> dict[str, np.ndarray]:
     """Means, variances and (optionally) purity on the whole grid."""
     out = {"t": p.grid.t.copy()}
     out["mean_x"], out["mean_p"] = _mean_rows(p, slice(None), bath, s)
     out["var_x"], out["var_p"] = _variance_rows(p, slice(None), bath, s)
-    if with_purity and _closed_form(bath, s):
-        _, a, g = _total_gaussian_rows(p, slice(None), bath, s)
-        out["purity"] = _gaussian_purity(a, g)
-    elif with_purity:
-        out["purity"] = np.array([purity(p, i, bath, s, tol=purity_tol) for i in range(p.n_times)])
+    if with_purity:
+        out["purity"] = purity_rows(p, slice(None), bath, s)
     return out

@@ -33,6 +33,8 @@ __all__ = [
     "plateau_window",
 ]
 
+COND_LIMIT = 1e10  # largest eigenvector condition number compute_propagator accepts
+
 
 @dataclass
 class TimeGrid:
@@ -92,7 +94,6 @@ def compute_propagator(
     grid: TimeGrid,
     *,
     require_stable: bool = True,
-    cond_limit: float = 1e10,
 ) -> PropagatorCoefficients:
     """Evaluate the coefficient row and its derivative on the whole grid.
 
@@ -108,9 +109,9 @@ def compute_propagator(
     mat = dynamical_matrix(m)
     lam, vecs = np.linalg.eig(mat)
     cond = np.linalg.cond(vecs)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         raise NumericalError(
-            f"ill-conditioned eigenvector matrix (cond = {cond:.3e} > {cond_limit:.1e})"
+            f"ill-conditioned eigenvector matrix (cond = {cond:.3e} > {COND_LIMIT:.1e})"
         )
     inv = np.linalg.inv(vecs)
     weights = vecs[0, :]  # a-row of V
@@ -172,14 +173,11 @@ class DecayReport:
 
 
 def _local_maxima(y: np.ndarray) -> np.ndarray:
-    """Indices of strict interior local maxima, plus the final point if rising."""
-    idx = []
-    for i in range(1, y.size - 1):
-        if y[i] >= y[i - 1] and y[i] > y[i + 1]:
-            idx.append(i)
+    """Indices i with y[i-1] <= y[i] > y[i+1], plus the final point if rising."""
+    idx = np.nonzero((y[1:-1] >= y[:-2]) & (y[1:-1] > y[2:]))[0] + 1
     if y.size >= 2 and y[-1] > y[-2]:
-        idx.append(y.size - 1)
-    return np.asarray(idx, dtype=int)
+        idx = np.append(idx, y.size - 1)
+    return idx
 
 
 def decay_report(

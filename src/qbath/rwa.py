@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ParameterError
 from .states import CatState, coherent_overlap
@@ -125,6 +124,9 @@ def min_purity_check(
     if hi > lo and x_all.size >= 2:
         s_probe = np.linspace(lo, hi, n_pairs)
         if x_all.size >= 4:
+            # imported here: scipy.interpolate would dominate `import qbath`
+            from scipy.interpolate import PchipInterpolator
+
             curve = PchipInterpolator(x_all, y_all)
             defect = float(np.max(np.abs(curve(s_probe) - curve(1.0 - s_probe))))
         else:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qbath import TimeGrid, compute_propagator, stock_model
 from qbath import mastereq as me
 from qbath import observables as obs
 from qbath.baths import (
@@ -15,9 +16,10 @@ from qbath.baths import (
     equilibrium_F_params,
     member_rng,
     sample_coherent_state,
+    sample_number_state,
 )
 from qbath.errors import SingularGeneratorError
-from qbath.states import SqueezedDisplaced
+from qbath.states import CatState, SqueezedDisplaced
 
 SQUEEZED = SqueezedDisplaced(disp=0.5 - 0.1j, r=0.6, phi=0.3)
 INDICES = (0, 1, 17, 50, -1)
@@ -81,7 +83,32 @@ def test_moments_equal_observable_series(prop):
 
 
 def test_closed_purity_equals_observable_series(prop):
-    bath = EquilibriumBath(1.3)
-    series = obs.observable_series(prop, bath, SQUEEZED)
-    for i in INDICES:
-        assert obs.purity(prop, i, bath, SQUEEZED) == series["purity"][i]
+    for bath in (EquilibriumBath(1.3), CoherentStateBath(_amps(prop))):
+        series = obs.observable_series(prop, bath, SQUEEZED)
+        rows = obs.purity_rows(prop, slice(None), bath, SQUEEZED)
+        for i in INDICES:
+            assert obs.purity(prop, i, bath, SQUEEZED) == series["purity"][i] == rows[i]
+
+
+def test_quadrature_purity_rows_equal_purity():
+    p = compute_propagator(stock_model("rwa-n1-resonant"), TimeGrid.linspace(2.0, 4))
+    bath = EquilibriumBath(1.0)
+    cat = CatState(alpha=1.3 + 0.4j, beta=-0.8 - 0.6j)
+    rows = obs.purity_rows(p, slice(None), bath, cat)
+    assert rows.shape == (p.n_times,)
+    for i in range(-1, p.n_times):
+        assert obs.purity(p, i, bath, cat) == rows[i]
+
+
+def test_number_ensemble_member_equals_purity(ohmic_rwa, plateau_index):
+    # six members: at most three refine the shared grid, the rest are summed on it
+    p, beta, seed, n_samples = ohmic_rwa, 2.0, 11, 6
+    for i in (5, plateau_index(p)):
+        ens = obs.averaged_purity_number_ensemble(p, i, beta, SQUEEZED, n_samples, seed)
+        single = obs.summarize([
+            obs.purity(p, i, sample_number_state(beta, p.model, member_rng(seed, k)), SQUEEZED,
+                       tol=obs.ENSEMBLE_TOL)
+            for k in range(n_samples)
+        ], seed)
+        assert abs(ens.estimate - single.estimate) <= 1e-12
+        assert abs(ens.std_error - single.std_error) <= 1e-12

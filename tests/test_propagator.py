@@ -6,7 +6,7 @@ from qbath import TimeGrid, build_model, compute_propagator, stock_model
 from qbath.errors import NumericalError, ParameterError
 from qbath.model import SpectralDiscretization, dynamical_matrix
 from qbath.presets import STOCK_MODEL_NAMES
-from qbath.propagator import decay_report, plateau_window, sum_rule_defects
+from qbath.propagator import _local_maxima, decay_report, plateau_window, sum_rule_defects
 
 
 def test_time_grid_validation():
@@ -110,3 +110,29 @@ def test_plateau_window_ohmic(ohmic_rwa, plateau_index):
     assert sup < 0.05
     idx = plateau_index(ohmic_rwa)
     assert i0 <= idx <= i1
+
+
+def _local_maxima_loop(y):
+    idx = [i for i in range(1, y.size - 1) if y[i] >= y[i - 1] and y[i] > y[i + 1]]
+    if y.size >= 2 and y[-1] > y[-2]:
+        idx.append(y.size - 1)
+    return idx
+
+
+def test_local_maxima_matches_loop_reference():
+    rng = np.random.default_rng(4)
+    cases = [
+        np.array([]),
+        np.array([1.0]),
+        np.array([1.0, 2.0]),
+        np.array([2.0, 1.0]),
+        np.array([1.0, 1.0, 1.0]),
+        np.array([0.0, 1.0, 1.0, 0.0]),  # plateau top: only its last point counts
+        np.array([0.0, 1.0, 1.0, 2.0]),  # rising plateau ending at a rising last point
+        np.array([3.0, 1.0, 2.0, 2.0, 2.0, 1.0, 1.0, 4.0]),
+    ]
+    cases += [rng.integers(0, 3, size=n).astype(float) for n in (5, 17, 64, 200)]
+    for y in cases:
+        got = _local_maxima(y)
+        assert got.dtype.kind == "i"
+        assert got.tolist() == _local_maxima_loop(y), y

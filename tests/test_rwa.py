@@ -1,6 +1,10 @@
 """Closed-form purity references for number-conserving couplings."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,3 +141,17 @@ def test_min_purity_check_constant_series():
     assert report.purity_min == 0.83
     with pytest.raises(ParameterError):
         rwa.min_purity_check(np.ones(3), np.ones(4))
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    # min_purity_check imports PchipInterpolator on first use, not at import
+    import qbath
+
+    src = str(Path(qbath.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, qbath; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
+        timeout=120,
+    )
+    assert out.stdout.strip() == "False"
