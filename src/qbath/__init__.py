@@ -71,7 +71,6 @@ from .observables import (
     purity_rows,
     square_eta_grid,
     summarize,
-    total_gaussian_params,
     variance_weights,
     variances,
 )

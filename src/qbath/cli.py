@@ -125,16 +125,17 @@ def _require(cfg: RunConfig, *, grid=False, bath=False, oscillator=False) -> Non
         raise SchemaError("this subcommand requires an 'oscillator' section")
 
 
-def _plateau_index(p) -> int:
+def _plateau(p) -> tuple[int, int, int]:
+    """Plateau window (i0, i1) and the index in it where max(|A|, |C|) is least."""
     i0, i1 = plateau_window(p)
     run = np.maximum(np.abs(p.A[i0 : i1 + 1]), np.abs(p.C[i0 : i1 + 1]))
-    return i0 + int(np.argmin(run))
+    return i0, i1, i0 + int(np.argmin(run))
 
 
 def _time_index(cfg: RunConfig, p) -> int:
     ti = cfg.experiment.get("time_index", "auto")
     if ti == "auto" or ti is None:
-        return _plateau_index(p)
+        return _plateau(p)[2]
     if not -p.n_times <= ti < p.n_times:
         raise SchemaError(f"experiment.time_index {ti} out of range for {p.n_times} grid points")
     return ti % p.n_times
@@ -429,8 +430,7 @@ def _cmd_n_sweep(cfg: RunConfig, args, out: Path) -> list[str]:
         rep = decay_report(p)
         entry = {"N": n, "recurrence_onset": rep.recurrence_onset}
         try:
-            i_pl = _plateau_index(p)
-            i0, i1 = plateau_window(p)
+            i0, i1, i_pl = _plateau(p)
             entry["no_decay"] = False
             entry["plateau_sup_A"] = float(np.max(np.abs(p.A[i0 : i1 + 1])))
             entry["plateau_t"] = float(p.grid.t[i_pl])
@@ -447,9 +447,7 @@ def _cmd_n_sweep(cfg: RunConfig, args, out: Path) -> list[str]:
         slope = float(np.polyfit(np.log(np.asarray(n_list, float)), np.log(vv), 1)[0])
     onsets = [e["recurrence_onset"] for e in entries]
     known = [o for o in onsets if o is not None]
-    monotone = all(b > a for a, b in zip(known, known[1:])) and known == [
-        o for o in onsets if o is not None
-    ]
+    monotone = all(b > a for a, b in zip(known, known[1:]))
     _write_json(out / "n_sweep_summary.json", {
         "entries": entries,
         "var_of_var_slope": slope,
@@ -534,12 +532,13 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError, but a failed factorization is numerical
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 3
     return 0
 
 

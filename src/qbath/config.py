@@ -270,7 +270,6 @@ class RunConfig:
     out_dir: str | None = None
     formats: tuple[str, ...] = ("csv", "json")
     experiment: dict = field(default_factory=dict)
-    source_text: str = ""
 
 
 def parse_config(doc: dict, raw: str = "") -> RunConfig:
@@ -359,7 +358,6 @@ def parse_config(doc: dict, raw: str = "") -> RunConfig:
         out_dir=out_dir,
         formats=formats,
         experiment=experiment,
-        source_text=raw,
     )
 
 

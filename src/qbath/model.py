@@ -10,6 +10,11 @@ with a single oscillator frequency nu > 0, mode frequencies omega_k > 0,
 co-rotating couplings u_k and counter-rotating couplings v_k.  A coupling
 family restricts (u, v): "RWA" forces v = 0, "PositionPosition" forces
 u = v real (pure x-x coupling), "Custom" accepts both sets verbatim.
+
+In the basis w = (a, b_k, a^dag, b_k^dag) all couplings sit in one Hermitian
+matrix K.  The quadratic form is h = hbar K / 2 (H = w^dag h w up to a
+constant) and the Heisenberg generator is M = -i Sigma K, with
+Sigma = diag(+1,...,-1,...) the commutator metric of w.
 """
 
 from __future__ import annotations
@@ -192,55 +197,48 @@ def build_model(
     return ModelSpec(nu=nu, omegas=omegas, u=u, v=v, units=units, coupling_family=family)
 
 
-def dynamical_matrix(m: ModelSpec) -> np.ndarray:
-    """Generator M of the Heisenberg equations d/dt (a, b_k, a^dag, b_k^dag) = M (...).
+def _coupling_matrix(m: ModelSpec) -> np.ndarray:
+    """Hermitian coupling matrix K = [[Dk, X], [X^*, Dk^*]] in the basis w.
 
-    Basis ordering: index 0 is a, 1..N are b_k, N+1 is a^dag, N+2..2N+1 are
-    b_k^dag.  The daggered block is the elementwise complex conjugate of the
-    undaggered one, and M = -Sigma M^dag Sigma with Sigma = diag(+1,...,-1,...).
+    Basis ordering w = (a, b_k, a^dag, b_k^dag): index 0 is a, 1..N are b_k,
+    N+1 is a^dag, N+2..2N+1 are b_k^dag.  Dk = [[nu, u], [u^dag, diag omega]]
+    couples (a, b_k) among themselves and X = [[0, v], [v^T, 0]] (symmetric)
+    couples them to the daggered operators.
     """
     n = m.n_modes
-    dim = 2 * n + 2
-    upper = np.zeros((n + 1, n + 1), dtype=complex)  # rows/cols (a, b_k)
-    mixer = np.zeros((n + 1, n + 1), dtype=complex)  # columns (a^dag, b_k^dag)
-    upper[0, 0] = -1j * m.nu
-    upper[0, 1:] = -1j * m.u
-    upper[1:, 0] = -1j * np.conj(m.u)
-    upper[np.arange(1, n + 1), np.arange(1, n + 1)] = -1j * m.omegas
-    mixer[0, 1:] = -1j * m.v
-    mixer[1:, 0] = -1j * m.v
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[: n + 1, : n + 1] = upper
-    mat[: n + 1, n + 1 :] = mixer
-    mat[n + 1 :, n + 1 :] = np.conj(upper)
-    mat[n + 1 :, : n + 1] = np.conj(mixer)
+    dk = np.diag(np.concatenate(([m.nu], m.omegas))).astype(complex)
+    dk[0, 1:] = m.u
+    dk[1:, 0] = np.conj(m.u)
+    x = np.zeros((n + 1, n + 1), dtype=complex)
+    x[0, 1:] = m.v
+    x[1:, 0] = m.v
+    return np.block([[dk, x], [np.conj(x), np.conj(dk)]])
+
+
+def dynamical_matrix(m: ModelSpec) -> np.ndarray:
+    """Generator M = -i Sigma K of the Heisenberg equations d/dt w = M w.
+
+    K is the coupling matrix of `quadratic_form_matrix` (h = hbar K / 2) and
+    Sigma = diag(+1,...,-1,...) with one sign per basis entry of w.  The
+    daggered block is the elementwise complex conjugate of the undaggered one,
+    and M = -Sigma M^dag Sigma.
+    """
+    n = m.n_modes
+    mat = -1j * _coupling_matrix(m)
+    # Sigma as an exact negation: a float multiply would flip signed zeros,
+    # which the Householder sign choices inside eig read (rows move by ~1e-14)
+    mat[n + 1 :] = -mat[n + 1 :]
     return mat
 
 
 def quadratic_form_matrix(m: ModelSpec) -> np.ndarray:
-    """Hermitian coefficient matrix h of H = w^dag h w, w = (a, b_k, a^dag, b_k^dag).
+    """Hermitian coefficient matrix h = hbar K / 2 of H = w^dag h w.
 
     Each quadratic monomial is split evenly between its two Hermitian-conjugate
     placements, so the diagonal carries half frequencies; the ground-state
-    offset dropped in the splitting is irrelevant to dynamics.  Includes the
-    hbar factor.
+    offset dropped in the splitting is irrelevant to dynamics.
     """
-    n = m.n_modes
-    dim = 2 * n + 2
-    diag_block = np.zeros((n + 1, n + 1), dtype=complex)  # (a, b) x (a, b)
-    cross_block = np.zeros((n + 1, n + 1), dtype=complex)  # (a, b) x (a^dag, b^dag)
-    diag_block[0, 0] = m.nu / 2.0
-    diag_block[np.arange(1, n + 1), np.arange(1, n + 1)] = m.omegas / 2.0
-    diag_block[0, 1:] = m.u / 2.0
-    diag_block[1:, 0] = np.conj(m.u) / 2.0
-    cross_block[0, 1:] = m.v / 2.0
-    cross_block[1:, 0] = m.v / 2.0
-    h = np.zeros((dim, dim), dtype=complex)
-    h[: n + 1, : n + 1] = diag_block
-    h[n + 1 :, n + 1 :] = np.conj(diag_block)
-    h[: n + 1, n + 1 :] = cross_block
-    h[n + 1 :, : n + 1] = np.conj(cross_block)
-    return m.units.hbar * h
+    return (m.units.hbar / 2.0) * _coupling_matrix(m)
 
 
 def validate_model(m: ModelSpec) -> float:

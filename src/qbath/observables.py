@@ -58,7 +58,6 @@ __all__ = [
     "variance_weights",
     "asymptotic_variances",
     "asymptotic_purity",
-    "total_gaussian_params",
     "purity_rows",
     "purity",
     "number_variance_of_variance",
@@ -202,14 +201,6 @@ def _total_gaussian_rows(
     d, a, g = carried_gaussian_params(*gaussian_chi_params(s), p.A[rows], p.C[rows])
     f = bath_sums(p, rows, bath)
     return d + f.delta, a + f.alpha, g + f.gamma
-
-
-def total_gaussian_params(
-    p: PropagatorCoefficients, i: int, bath: BathSpec, s: OscillatorState
-) -> tuple[complex, float, complex]:
-    """(d, a, g) of the total Gaussian chi for Gaussian state and Gaussian bath."""
-    d, a, g = _total_gaussian_rows(p, row_slice(i), bath, s)
-    return complex(d[0]), float(a[0]), complex(g[0])
 
 
 def _envelope_plan(

@@ -10,12 +10,15 @@ Preserving [a(t), a(t)^dag] = 1 gives the sum rule
     |A|^2 - |C|^2 + sum_k |B_k|^2 - sum_k |D_k|^2 = 1.
 
 Coefficients are computed by eigendecomposition of M (exact in t, no time
-stepping); time derivatives are exact rows of row(t) . M.
+stepping) and kept as one (T, 2N+2) row array, of which A, B_k, C, D_k are
+views.  Time derivatives are the exact rows row(t) . M, built on first read:
+only the master-equation generators and bath sums with derivatives use them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +37,9 @@ __all__ = [
 ]
 
 COND_LIMIT = 1e10  # largest eigenvector condition number compute_propagator accepts
+DECAY_THRESHOLD = 0.1  # |A| level that decay_report's recurrence onset is measured against
+LATE_FRACTION = 0.2  # trailing share of the grid that decay_report calls late
+PLATEAU_THRESHOLD = 0.05  # |A|, |C| level below which plateau_window counts memory as lost
 
 
 @dataclass
@@ -66,19 +72,36 @@ class TimeGrid:
 class PropagatorCoefficients:
     """Coefficient rows A, B_k, C, D_k and their exact time derivatives.
 
+    `rows` is the (T, 2N+2) array of a-rows of exp(M t); A, B, C, D are views
+    into it, so the coefficients share its memory.  The derivative rows
+    row(t) M are built on the first read of dA, dB, dC or dD and then kept.
+
     Shapes: A, C, dA, dC are (T,); B, D, dB, dD are (T, N).
     """
 
     model: ModelSpec
     grid: TimeGrid
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    dA: np.ndarray
-    dB: np.ndarray
-    dC: np.ndarray
-    dD: np.ndarray
+    rows: np.ndarray
+    A: np.ndarray = field(init=False, repr=False)
+    B: np.ndarray = field(init=False, repr=False)
+    C: np.ndarray = field(init=False, repr=False)
+    D: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.A, self.B, self.C, self.D = _split(self.rows)
+
+    @cached_property
+    def _derivs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        mat = dynamical_matrix(self.model)
+        drows = self.rows @ mat
+        # row(0) is the identity, so drow(0) is M's a-row exactly
+        drows[0, :] = mat[0, :]
+        return _split(drows)
+
+    dA = property(lambda self: self._derivs[0])
+    dB = property(lambda self: self._derivs[1])
+    dC = property(lambda self: self._derivs[2])
+    dD = property(lambda self: self._derivs[3])
 
     @property
     def n_times(self) -> int:
@@ -89,16 +112,23 @@ class PropagatorCoefficients:
         return self.B.shape[1]
 
 
+def _split(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Views (A, B, C, D) of the a, b_k, a^dag and b_k^dag columns of rows."""
+    n = (rows.shape[1] - 2) // 2
+    return rows[:, 0], rows[:, 1 : n + 1], rows[:, n + 1], rows[:, n + 2 :]
+
+
 def compute_propagator(
     m: ModelSpec,
     grid: TimeGrid,
     *,
     require_stable: bool = True,
 ) -> PropagatorCoefficients:
-    """Evaluate the coefficient row and its derivative on the whole grid.
+    """Evaluate the coefficient rows on the whole grid.
 
     The dynamical matrix is eigendecomposed once; rows follow from
-    row(t) = e_a^T V exp(diag(lambda) t) V^{-1} and drow(t) = row(t) M.
+    row(t) = e_a^T V exp(diag(lambda) t) V^{-1}.  Their derivatives
+    drow(t) = row(t) M are left to the first read of dA, dB, dC or dD.
     """
     if require_stable:
         bound = validate_model(m)
@@ -106,8 +136,7 @@ def compute_propagator(
             raise ParameterError(
                 f"model is not stable: smallest quadratic-form eigenvalue {bound:.3e} <= 0"
             )
-    mat = dynamical_matrix(m)
-    lam, vecs = np.linalg.eig(mat)
+    lam, vecs = np.linalg.eig(dynamical_matrix(m))
     cond = np.linalg.cond(vecs)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise NumericalError(
@@ -117,24 +146,10 @@ def compute_propagator(
     weights = vecs[0, :]  # a-row of V
     phases = np.exp(np.multiply.outer(grid.t, lam))  # (T, dim)
     rows = (phases * weights) @ inv  # (T, dim)
-    drows = rows @ mat
     # t = 0 is the identity exactly; drop the reconstruction rounding there
     rows[0, :] = 0.0
     rows[0, 0] = 1.0
-    drows[0, :] = mat[0, :]
-    n = m.n_modes
-    return PropagatorCoefficients(
-        model=m,
-        grid=grid,
-        A=rows[:, 0].copy(),
-        B=rows[:, 1 : n + 1].copy(),
-        C=rows[:, n + 1].copy(),
-        D=rows[:, n + 2 :].copy(),
-        dA=drows[:, 0].copy(),
-        dB=drows[:, 1 : n + 1].copy(),
-        dC=drows[:, n + 1].copy(),
-        dD=drows[:, n + 2 :].copy(),
-    )
+    return PropagatorCoefficients(model=m, grid=grid, rows=rows)
 
 
 def row_slice(i: int) -> slice:
@@ -169,7 +184,6 @@ class DecayReport:
     late_sup_A: float
     late_sup_C: float
     recurrence_onset: float | None
-    threshold: float
 
 
 def _local_maxima(y: np.ndarray) -> np.ndarray:
@@ -180,54 +194,44 @@ def _local_maxima(y: np.ndarray) -> np.ndarray:
     return idx
 
 
-def decay_report(
-    p: PropagatorCoefficients,
-    *,
-    threshold: float = 0.1,
-    late_fraction: float = 0.2,
-) -> DecayReport:
+def decay_report(p: PropagatorCoefficients) -> DecayReport:
     """Summarize coefficient decay over the grid.
 
-    The late window is the trailing `late_fraction` of the grid.  The
-    recurrence onset is the first local maximum of |A| at or above the
-    threshold after |A| first drops below it; None when |A| never drops
-    below the threshold or never comes back up.
+    The late window is the trailing `LATE_FRACTION` of the grid.  The
+    recurrence onset is the first local maximum of |A| at or above
+    `DECAY_THRESHOLD` after |A| first drops below it; None when |A| never
+    drops below the threshold or never comes back up.
     """
     abs_a = np.abs(p.A)
     abs_c = np.abs(p.C)
-    start = int(np.floor((1.0 - late_fraction) * (abs_a.size - 1)))
+    start = int(np.floor((1.0 - LATE_FRACTION) * (abs_a.size - 1)))
     report = DecayReport(
         late_sup_A=float(abs_a[start:].max()),
         late_sup_C=float(abs_c[start:].max()),
         recurrence_onset=None,
-        threshold=threshold,
     )
-    below = np.nonzero(abs_a < threshold)[0]
+    below = np.nonzero(abs_a < DECAY_THRESHOLD)[0]
     if below.size == 0:
         return report
     first_dip = below[0]
     maxima = _local_maxima(abs_a)
-    maxima = maxima[(maxima > first_dip) & (abs_a[maxima] >= threshold)]
+    maxima = maxima[(maxima > first_dip) & (abs_a[maxima] >= DECAY_THRESHOLD)]
     if maxima.size:
         report.recurrence_onset = float(p.grid.t[maxima[0]])
     return report
 
 
-def plateau_window(
-    p: PropagatorCoefficients,
-    *,
-    threshold: float = 0.05,
-) -> tuple[int, int]:
+def plateau_window(p: PropagatorCoefficients) -> tuple[int, int]:
     """Index range [i0, i1] where initial-state memory has decayed.
 
     The window is the longest contiguous run of grid points with both |A| and
-    |C| below `threshold`; it ends where a recurrence (or the grid) begins.
-    Raises if no such run exists.
+    |C| below `PLATEAU_THRESHOLD`; it ends where a recurrence (or the grid)
+    begins.  Raises if no such run exists.
     """
-    below = np.maximum(np.abs(p.A), np.abs(p.C)) < threshold
+    below = np.maximum(np.abs(p.A), np.abs(p.C)) < PLATEAU_THRESHOLD
     if not below.any():
         raise NumericalError(
-            f"no plateau: |A|, |C| never drop below {threshold} on this grid"
+            f"no plateau: |A|, |C| never drop below {PLATEAU_THRESHOLD} on this grid"
         )
     edges = np.diff(below.astype(int))
     starts = list(np.nonzero(edges == 1)[0] + 1)

@@ -37,6 +37,8 @@ __all__ = [
     "min_purity_check",
 ]
 
+N_PAIRS = 101  # (s, 1 - s) probe pairs of the min_purity_check symmetry defect
+
 
 @dataclass(frozen=True)
 class OverlapParams:
@@ -94,14 +96,12 @@ class MinPurityReport:
     symmetry_defect: float
 
 
-def min_purity_check(
-    purity_series, absA2_series, *, n_pairs: int = 101
-) -> MinPurityReport:
+def min_purity_check(purity_series, absA2_series) -> MinPurityReport:
     """Locate the purity minimum along a trajectory and test s <-> 1-s symmetry.
 
     The series is re-parametrized by s = |A|^2 via monotone interpolation of
     the sampled (s, purity) pairs; the symmetry defect is
-    sup |P(s) - P(1-s)| over pairs both of which fall in the sampled range.
+    sup |P(s) - P(1-s)| over `N_PAIRS` pairs both of which fall in the sampled range.
     The defect is resolution-limited: it reflects interpolation error on
     coarse grids even when the underlying curve is exactly symmetric.
     """
@@ -122,7 +122,7 @@ def min_purity_check(
     lo = max(float(x_all.min()), 1.0 - float(x_all.max()))
     hi = 1.0 - lo
     if hi > lo and x_all.size >= 2:
-        s_probe = np.linspace(lo, hi, n_pairs)
+        s_probe = np.linspace(lo, hi, N_PAIRS)
         if x_all.size >= 4:
             # imported here: scipy.interpolate would dominate `import qbath`
             from scipy.interpolate import PchipInterpolator

@@ -134,6 +134,18 @@ def test_quadrature_failure_exits_3(tmp_path, capsys):
     assert "did not converge" in report["message"]
 
 
+def test_linalg_failure_exits_3(tmp_path, capsys, monkeypatch, sample_config):
+    # LinAlgError subclasses ValueError, yet a failed factorization is numerical
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr("qbath.cli.compute_propagator", singular)
+    rc, _ = run(tmp_path, "propagate", sample_config("propagate-ohmic-pp"))
+    assert rc == 3
+    report = json.loads(capsys.readouterr().err)
+    assert report == {"error": "LinAlgError", "message": "Singular matrix"}
+
+
 def test_propagate_artifacts_round_trip(tmp_path, sample_config):
     rc, out = run(tmp_path, "propagate", sample_config("propagate-ohmic-pp"))
     assert rc == 0

@@ -5,6 +5,7 @@ from qbath import build_model, stock_model, validate_model
 from qbath.errors import ParameterError
 from qbath.model import (
     SpectralDiscretization,
+    Units,
     dynamical_matrix,
     quadratic_form_matrix,
     spectral_density,
@@ -97,9 +98,66 @@ def test_quadratic_form_is_hermitian():
 
 
 def test_units_enter_quadratic_form_through_hbar():
-    from qbath.model import Units
-
     disc = SpectralDiscretization("FlatBand", 0.01, omega_min=0.5, omega_max=1.5, n_modes=2)
     m1 = build_model(disc, 1.0, "RWA")
     m2 = build_model(disc, 1.0, "RWA", units=Units(hbar=2.0, mass=3.0))
     np.testing.assert_allclose(quadratic_form_matrix(m2), 2.0 * quadratic_form_matrix(m1))
+
+
+def _dynamical_matrix_reference(m):
+    """M assembled block by block, independently of the coupling matrix K."""
+    n = m.n_modes
+    upper = np.zeros((n + 1, n + 1), dtype=complex)  # rows/cols (a, b_k)
+    mixer = np.zeros((n + 1, n + 1), dtype=complex)  # columns (a^dag, b_k^dag)
+    upper[0, 0] = -1j * m.nu
+    upper[0, 1:] = -1j * m.u
+    upper[1:, 0] = -1j * np.conj(m.u)
+    upper[np.arange(1, n + 1), np.arange(1, n + 1)] = -1j * m.omegas
+    mixer[0, 1:] = -1j * m.v
+    mixer[1:, 0] = -1j * m.v
+    mat = np.zeros((2 * n + 2, 2 * n + 2), dtype=complex)
+    mat[: n + 1, : n + 1] = upper
+    mat[: n + 1, n + 1 :] = mixer
+    mat[n + 1 :, n + 1 :] = np.conj(upper)
+    mat[n + 1 :, : n + 1] = np.conj(mixer)
+    return mat
+
+
+def _quadratic_form_reference(m):
+    """h assembled block by block, independently of the coupling matrix K."""
+    n = m.n_modes
+    diag_block = np.zeros((n + 1, n + 1), dtype=complex)  # (a, b) x (a, b)
+    cross_block = np.zeros((n + 1, n + 1), dtype=complex)  # (a, b) x (a^dag, b^dag)
+    diag_block[0, 0] = m.nu / 2.0
+    diag_block[np.arange(1, n + 1), np.arange(1, n + 1)] = m.omegas / 2.0
+    diag_block[0, 1:] = m.u / 2.0
+    diag_block[1:, 0] = np.conj(m.u) / 2.0
+    cross_block[0, 1:] = m.v / 2.0
+    cross_block[1:, 0] = m.v / 2.0
+    h = np.zeros((2 * n + 2, 2 * n + 2), dtype=complex)
+    h[: n + 1, : n + 1] = diag_block
+    h[n + 1 :, n + 1 :] = np.conj(diag_block)
+    h[: n + 1, n + 1 :] = cross_block
+    h[n + 1 :, : n + 1] = np.conj(cross_block)
+    return m.units.hbar * h
+
+
+def test_matrices_from_one_coupling_matrix_equal_block_assembly():
+    rng = np.random.default_rng(11)
+    disc = SpectralDiscretization(
+        "Explicit",
+        omegas=rng.uniform(0.5, 2.0, 6),
+        u=0.05 * (rng.normal(size=6) + 1j * rng.normal(size=6)),
+        v=0.03 * (rng.normal(size=6) - 1j * rng.normal(size=6)),
+    )
+    custom = build_model(disc, 1.1, "Custom", units=Units(hbar=2.5, mass=0.7))
+    models = [stock_model(name) for name in STOCK_MODEL_NAMES] + [custom]
+    for m in models:
+        mat, ref_mat = dynamical_matrix(m), _dynamical_matrix_reference(m)
+        h, ref_h = quadratic_form_matrix(m), _quadratic_form_reference(m)
+        assert np.array_equal(mat.view(np.float64), ref_mat.view(np.float64))
+        assert np.array_equal(h.view(np.float64), ref_h.view(np.float64))
+        assert h.tobytes() == ref_h.tobytes()
+        # eig's Householder steps read the signs of zero parts of nonzero entries
+        assigned = ref_mat != 0
+        assert mat[assigned].tobytes() == ref_mat[assigned].tobytes()

@@ -63,10 +63,36 @@ def test_ode_oracle_n16():
 
 def test_derivative_rows_match_matrix_product(ohmic_pp):
     mat = dynamical_matrix(ohmic_pp.model)
-    i = 37
-    row = np.concatenate(([ohmic_pp.A[i]], ohmic_pp.B[i], [ohmic_pp.C[i]], ohmic_pp.D[i]))
-    drow = np.concatenate(([ohmic_pp.dA[i]], ohmic_pp.dB[i], [ohmic_pp.dC[i]], ohmic_pp.dD[i]))
-    np.testing.assert_allclose(drow, row @ mat, atol=1e-13)
+    n = ohmic_pp.n_modes
+    ref = ohmic_pp.rows @ mat
+    ref[0] = mat[0]
+    for got, want in (
+        (ohmic_pp.dA, ref[:, 0]),
+        (ohmic_pp.dB, ref[:, 1 : n + 1]),
+        (ohmic_pp.dC, ref[:, n + 1]),
+        (ohmic_pp.dD, ref[:, n + 2 :]),
+    ):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_coefficients_are_views_of_one_row_array(ohmic_pp):
+    rows = ohmic_pp.rows
+    assert rows.shape == (ohmic_pp.n_times, 2 * ohmic_pp.n_modes + 2)
+    for coeff in (ohmic_pp.A, ohmic_pp.B, ohmic_pp.C, ohmic_pp.D):
+        assert coeff.base is rows
+    derivs = (ohmic_pp.dA, ohmic_pp.dB, ohmic_pp.dC, ohmic_pp.dD)
+    assert all(d.base is derivs[0].base for d in derivs)
+
+
+def test_derivative_rows_wait_for_first_read():
+    p = compute_propagator(stock_model("ohmic-rwa-n64"), TimeGrid.linspace(10.0, 20))
+    # before any read, every array the coefficients hold is a view of the rows
+    held = [v for v in vars(p).values() if isinstance(v, np.ndarray)]
+    assert all(v is p.rows or v.base is p.rows for v in held)
+    assert "_derivs" not in vars(p)
+    first = p.dC
+    assert "_derivs" in vars(p)
+    assert p.dC is first and not np.shares_memory(first, p.rows)
 
 
 def test_sum_rule_all_stock_models():
