@@ -197,6 +197,14 @@ def build_model(
     return ModelSpec(nu=nu, omegas=omegas, u=u, v=v, units=units, coupling_family=family)
 
 
+def _number_block(m: ModelSpec) -> np.ndarray:
+    """Hermitian block Dk = [[nu, u], [u^dag, diag omega]] acting on (a, b_k)."""
+    dk = np.diag(np.concatenate(([m.nu], m.omegas))).astype(complex)
+    dk[0, 1:] = m.u
+    dk[1:, 0] = np.conj(m.u)
+    return dk
+
+
 def _coupling_matrix(m: ModelSpec) -> np.ndarray:
     """Hermitian coupling matrix K = [[Dk, X], [X^*, Dk^*]] in the basis w.
 
@@ -206,9 +214,7 @@ def _coupling_matrix(m: ModelSpec) -> np.ndarray:
     couples them to the daggered operators.
     """
     n = m.n_modes
-    dk = np.diag(np.concatenate(([m.nu], m.omegas))).astype(complex)
-    dk[0, 1:] = m.u
-    dk[1:, 0] = np.conj(m.u)
+    dk = _number_block(m)
     x = np.zeros((n + 1, n + 1), dtype=complex)
     x[0, 1:] = m.v
     x[1:, 0] = m.v
@@ -241,9 +247,25 @@ def quadratic_form_matrix(m: ModelSpec) -> np.ndarray:
     return (m.units.hbar / 2.0) * _coupling_matrix(m)
 
 
+def _stability_block(m: ModelSpec) -> np.ndarray:
+    """The Hermitian matrix whose spectrum decides stability, as small and real as it gets.
+
+    With v = 0 (every RWA model) K = Dk (+) Dk^* is block-diagonal and both
+    blocks share one spectrum, so this is the (N+1)-dim Dk; otherwise it is
+    the full K.  It is returned as a real array when it has no imaginary part
+    (PositionPosition, or real Custom couplings).
+    """
+    block = _number_block(m) if not m.v.any() else _coupling_matrix(m)
+    return block if block.imag.any() else block.real.copy()
+
+
 def validate_model(m: ModelSpec) -> float:
-    """Smallest eigenvalue of the quadratic form; the model is stable iff > 0."""
-    h = quadratic_form_matrix(m)
+    """Smallest eigenvalue of the quadratic form; the model is stable iff > 0.
+
+    The eigenvalues are those of (hbar / 2) times `_stability_block`, which
+    has the same smallest eigenvalue as the full quadratic-form matrix.
+    """
+    h = (m.units.hbar / 2.0) * _stability_block(m)
     if not np.all(np.isfinite(h)):
         raise DataError("non-finite entries in the quadratic form matrix")
     return float(np.linalg.eigvalsh(h)[0])

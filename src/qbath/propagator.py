@@ -9,10 +9,24 @@ Preserving [a(t), a(t)^dag] = 1 gives the sum rule
 
     |A|^2 - |C|^2 + sum_k |B_k|^2 - sum_k |D_k|^2 = 1.
 
-Coefficients are computed by eigendecomposition of M (exact in t, no time
-stepping) and kept as one (T, 2N+2) row array, of which A, B_k, C, D_k are
-views.  Time derivatives are the exact rows row(t) . M, built on first read:
-only the master-equation generators and bath sums with derivatives use them.
+Coefficients are computed by one eigendecomposition (exact in t, no time
+stepping), chosen by the structure of the model:
+
+  v = 0          (a, b_k) evolve alone under the (N+1)-dim Hermitian block
+                 Dk = [[nu, u], [u^dag, diag omega]]; `eigh` of Dk gives the
+                 rows and C = D = 0 exactly.
+  K pos.-def.    the Cholesky factor K = L L^dag (the stability check) makes
+                 the symplectic problem Hermitian: `eigh` of L^dag Sigma L
+                 gives real normal-mode frequencies eps and eigenvectors with
+                 V^{-1} = sign(eps) V^dag Sigma, so no inverse is formed
+                 (Colpa, Physica A 93, 327 (1978)).
+  otherwise      the general `eig` of M, the only route for a quadratic form
+                 that is not positive-definite (require_stable=False).
+
+Real K, or a real Dk, keeps the factorizations real.  The rows are kept as
+one (T, 2N+2) array, of which A, B_k, C, D_k are views.  Time derivatives
+are the exact rows row(t) . M, built on first read: only the
+master-equation generators and bath sums with derivatives use them.
 """
 
 from __future__ import annotations
@@ -23,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .model import CouplingFamily, ModelSpec, dynamical_matrix, validate_model
+from .model import CouplingFamily, ModelSpec, _stability_block, dynamical_matrix, validate_model
 
 __all__ = [
     "TimeGrid",
@@ -126,16 +140,103 @@ def compute_propagator(
 ) -> PropagatorCoefficients:
     """Evaluate the coefficient rows on the whole grid.
 
-    The dynamical matrix is eigendecomposed once; rows follow from
-    row(t) = e_a^T V exp(diag(lambda) t) V^{-1}.  Their derivatives
-    drow(t) = row(t) M are left to the first read of dA, dB, dC or dD.
+    The route follows the structure of the model (see the module docstring):
+    with v = 0 the (N+1)-dim block Dk is diagonalized by `eigh`; otherwise a
+    Cholesky factor K = L L^dag, which exists iff the model is stable, turns
+    the symplectic problem into one Hermitian `eigh` (Colpa).  Only a K that
+    is not positive-definite, reachable with require_stable=False, goes to
+    the general `eig` of M.  Derivative rows drow(t) = row(t) M are left to
+    the first read of dA, dB, dC or dD.
     """
-    if require_stable:
-        bound = validate_model(m)
-        if bound <= 0.0:
-            raise ParameterError(
-                f"model is not stable: smallest quadratic-form eigenvalue {bound:.3e} <= 0"
-            )
+    block = _stability_block(m)
+    n = m.n_modes
+    if block.shape[0] == n + 1:
+        # (a, b_k) evolve alone under exp(-i Dk t), for any Hermitian Dk; C and
+        # D stay exactly zero and the eigenvectors are unitary (cond = 1)
+        freqs, vecs = np.linalg.eigh(block)
+        if require_stable and freqs[0] <= 0.0:
+            _require_stable(m)
+        rows = np.zeros((len(grid), 2 * n + 2), dtype=complex)
+        rows[:, : n + 1] = _phase_rows(grid.t, freqs, vecs[0], vecs.conj().T)
+    else:
+        try:
+            chol = np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            # K is not positive-definite: no Hermitian form, only the general eig
+            if require_stable:
+                _require_stable(m)
+            rows = _eig_rows(m, grid.t)
+        else:
+            modes = _colpa_modes(block, chol)
+            del block, chol  # free two (2N+2)^2 matrices before the (T, 2N+2) arrays
+            rows = _phase_rows(grid.t, *modes)
+    # t = 0 is the identity exactly; drop the reconstruction rounding there
+    rows[0, :] = 0.0
+    rows[0, 0] = 1.0
+    return PropagatorCoefficients(model=m, grid=grid, rows=rows)
+
+
+def _require_stable(m: ModelSpec) -> None:
+    """Raise ParameterError unless the quadratic form is positive-definite."""
+    bound = validate_model(m)
+    if bound <= 0.0:
+        raise ParameterError(
+            f"model is not stable: smallest quadratic-form eigenvalue {bound:.3e} <= 0"
+        )
+
+
+def _colpa_modes(
+    k: np.ndarray, chol: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normal modes of M = -i Sigma K from K = L L^dag (Colpa): (eps, weights, right).
+
+    L^dag Sigma L = U diag(eps) U^dag gives M V = V diag(-i eps) with
+    V = Sigma L U |eps|^{-1/2} and V^{-1} = sign(eps) V^dag Sigma, so
+    row(t) = L_00 (U_0 / eps) exp(-i eps t) (L U)^dag: no inverse is formed.
+    cond(V) = ||V||^2 <= ||K|| / min|eps| <= ||K||_1 / min|eps|, the bound
+    held against COND_LIMIT.
+    """
+    sigma = np.ones(k.shape[0])
+    sigma[k.shape[0] // 2 :] = -1.0
+    eps, vecs = np.linalg.eigh((chol.conj().T * sigma) @ chol)
+    bound = np.linalg.norm(k, 1) / np.min(np.abs(eps))
+    if not np.isfinite(bound) or bound > COND_LIMIT:
+        raise NumericalError(
+            f"ill-conditioned normal modes (cond bound = {bound:.3e} > {COND_LIMIT:.1e})"
+        )
+    return eps, chol[0, 0] * vecs[0] / eps, (chol @ vecs).conj().T
+
+
+def _phase_rows(
+    t: np.ndarray, freqs: np.ndarray, weights: np.ndarray, right: np.ndarray
+) -> np.ndarray:
+    """Rows (exp(-i t freqs) * weights) @ right, one per grid time.
+
+    Real weights and right take two real matmuls (cosine and sine parts)
+    instead of one complex one, half the arithmetic.
+    """
+    if np.iscomplexobj(weights) or np.iscomplexobj(right):
+        phases = np.multiply.outer(t, -1j * freqs)
+        np.exp(phases, out=phases)
+        phases *= weights
+        return phases @ right
+    arg = np.multiply.outer(t, freqs)
+    rows = np.empty((t.size, right.shape[1]), dtype=complex)
+    part = np.cos(arg)
+    part *= weights
+    rows.real = part @ right
+    np.sin(arg, out=part)
+    part *= -weights
+    rows.imag = part @ right
+    return rows
+
+
+def _eig_rows(m: ModelSpec, t: np.ndarray) -> np.ndarray:
+    """Rows e_a^T V exp(diag(lambda) t) V^{-1} from the general eig of M.
+
+    The fallback for a K that is not positive-definite; it needs neither
+    Hermitian structure nor stability.
+    """
     lam, vecs = np.linalg.eig(dynamical_matrix(m))
     cond = np.linalg.cond(vecs)
     if not np.isfinite(cond) or cond > COND_LIMIT:
@@ -144,12 +245,8 @@ def compute_propagator(
         )
     inv = np.linalg.inv(vecs)
     weights = vecs[0, :]  # a-row of V
-    phases = np.exp(np.multiply.outer(grid.t, lam))  # (T, dim)
-    rows = (phases * weights) @ inv  # (T, dim)
-    # t = 0 is the identity exactly; drop the reconstruction rounding there
-    rows[0, :] = 0.0
-    rows[0, 0] = 1.0
-    return PropagatorCoefficients(model=m, grid=grid, rows=rows)
+    phases = np.exp(np.multiply.outer(t, lam))  # (T, dim)
+    return (phases * weights) @ inv  # (T, dim)
 
 
 def row_slice(i: int) -> slice:

@@ -7,6 +7,16 @@ import pytest
 from qbath import TimeGrid, compute_propagator, stock_model
 from qbath.propagator import plateau_window
 
+try:
+    from hypothesis import settings
+except ImportError:  # property tests skip themselves without hypothesis
+    pass
+else:
+    # fixed examples and no example database keep the suite deterministic
+    settings.register_profile("qbath", derandomize=True, database=None, max_examples=100,
+                              deadline=None)
+    settings.load_profile("qbath")
+
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 

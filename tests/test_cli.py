@@ -146,6 +146,16 @@ def test_linalg_failure_exits_3(tmp_path, capsys, monkeypatch, sample_config):
     assert report == {"error": "LinAlgError", "message": "Singular matrix"}
 
 
+def test_ill_conditioned_modes_exit_3(tmp_path, capsys, monkeypatch, sample_config):
+    monkeypatch.setattr("qbath.propagator.COND_LIMIT", 1.0)
+    rc, out = run(tmp_path, "propagate", sample_config("propagate-ohmic-pp"))
+    assert rc == 3
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"] == "NumericalError"
+    assert report["message"].startswith("ill-conditioned normal modes")
+    assert not (out / "propagator.csv").exists()
+
+
 def test_propagate_artifacts_round_trip(tmp_path, sample_config):
     rc, out = run(tmp_path, "propagate", sample_config("propagate-ohmic-pp"))
     assert rc == 0

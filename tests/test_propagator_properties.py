@@ -1,0 +1,88 @@
+"""Property tests of the Hermitian propagator routes on random stable models."""
+
+import numpy as np
+import pytest
+
+from qbath import TimeGrid, build_model, compute_propagator
+from qbath import propagator
+from qbath.model import (
+    CouplingFamily,
+    SpectralDiscretization,
+    Units,
+    _coupling_matrix,
+    quadratic_form_matrix,
+    validate_model,
+)
+from qbath.propagator import sum_rule_defects
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+given = hypothesis.given
+
+FAMILIES = ("RWA", "PositionPosition", "Custom")
+
+
+@st.composite
+def stable_models(draw, family=None):
+    """A random model with N <= 12 whose quadratic form is positive-definite.
+
+    The couplings are drawn with unit scale, then scaled so that the coupling
+    part of K, in the metric of its diagonal D0, has norm `margin` < 1:
+    K = D0^{1/2} (1 + C') D0^{1/2} with ||C'|| = margin stays positive-definite.
+    """
+    family = family or draw(st.sampled_from(FAMILIES))
+    n = draw(st.integers(1, 12))
+    coupling = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n).map(np.array)
+    nu = draw(st.floats(0.2, 3.0))
+    omegas = draw(st.lists(st.floats(0.05, 4.0), min_size=n, max_size=n))
+    u = draw(coupling) + (0.0 if family == "PositionPosition" else 1j * draw(coupling))
+    v = draw(coupling) + 1j * draw(coupling) if family == "Custom" else np.zeros(n)
+    margin = draw(st.floats(0.05, 0.95))
+    units = Units(hbar=draw(st.floats(0.3, 3.0)), mass=draw(st.floats(0.3, 3.0)))
+    unit = build_model(
+        SpectralDiscretization("Explicit", omegas=omegas, u=u, v=v), nu, family, units
+    )
+    k = _coupling_matrix(unit)
+    d0 = np.sqrt(np.real(np.diag(k)))
+    off_diag = (k - np.diag(np.diag(k))) / np.outer(d0, d0)
+    norm = np.linalg.norm(off_diag, 2)
+    scale = margin / norm if norm > 0.0 else 1.0
+    disc = SpectralDiscretization("Explicit", omegas=omegas, u=scale * u, v=scale * v)
+    return build_model(disc, nu, family, units)
+
+
+GRID = TimeGrid.linspace(50.0, 60)
+
+
+@given(stable_models())
+def test_random_stable_models_match_eig_route(m):
+    p = compute_propagator(m, GRID)
+    assert np.max(np.abs(sum_rule_defects(p))) < 1e-10
+    ref = propagator._eig_rows(m, GRID.t)
+    ref[0, :] = 0.0
+    ref[0, 0] = 1.0
+    assert np.max(np.abs(p.rows - ref)) < 1e-10
+    if m.coupling_family is CouplingFamily.RWA:
+        assert not p.C.any() and not p.D.any()
+
+
+@given(stable_models(family="PositionPosition") | stable_models(family="Custom"))
+def test_colpa_modes_are_symplectically_normalized(m):
+    k = _coupling_matrix(m)
+    eps, weights, right = propagator._colpa_modes(k, np.linalg.cholesky(k))
+    sigma = np.concatenate((np.ones(m.n_modes + 1), -np.ones(m.n_modes + 1)))
+    # right = (L U)^dag = |eps|^{1/2} V^dag Sigma
+    vecs = sigma[:, None] * right.conj().T / np.sqrt(np.abs(eps))
+    np.testing.assert_allclose(
+        vecs.conj().T @ (sigma[:, None] * vecs), np.diag(np.sign(eps)), rtol=0, atol=1e-12
+    )
+    assert np.sum(eps > 0) == np.sum(eps < 0) == m.n_modes + 1
+
+
+@given(stable_models())
+def test_validate_model_equals_full_quadratic_form(m):
+    full = np.linalg.eigvalsh(quadratic_form_matrix(m))
+    got = validate_model(m)
+    assert got > 0.0
+    # eigvalsh is accurate to a few ulps of ||h||, so compare relative to it
+    assert abs(got - full[0]) <= 1e-14 * np.max(np.abs(full))
