@@ -206,7 +206,7 @@ def _cmd_purity(cfg: RunConfig, args, out: Path) -> list[str]:
         _write_csv(out / "purity.csv", ["t", "purity"], [p.grid.t, vals])
         artifacts.append("purity.csv")
     if "json" in cfg.formats:
-        i_min = int(np.argmin(vals))
+        i_min = rwa.first_min_index(vals)
         _write_json(out / "purity_summary.json", {
             "min_purity": float(vals[i_min]),
             "t_min": float(p.grid.t[i_min]),

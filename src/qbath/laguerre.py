@@ -28,13 +28,15 @@ def eval_scaled(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     if n < 0:
         raise ParameterError(f"Laguerre order must be >= 0, got {n}")
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
+    if (x < 0.0).any():
         raise ParameterError("Laguerre argument must be >= 0")
-    exp2 = np.zeros(x.shape, dtype=float)
     if n == 0:
-        return np.ones_like(x), np.zeros_like(x), exp2
-    prev = np.ones_like(x)
+        return np.ones(x.shape), np.zeros(x.shape), np.zeros(x.shape)
+    prev = np.ones(x.shape)
     cur = 1.0 - x
+    if n == 1:
+        return cur, prev, np.zeros(x.shape)
+    exp2 = None  # created at the first renormalization
     for k in range(1, n):
         prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
         big = np.abs(cur) > _RENORM_LIMIT
@@ -44,8 +46,9 @@ def eval_scaled(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
             scale = np.ldexp(1.0, -ex)
             cur = np.where(big, cur * scale, cur)
             prev = np.where(big, prev * scale, prev)
-            exp2 += np.where(big, ex, 0)
-    return cur, prev, exp2
+            shift = np.where(big, ex, 0.0)
+            exp2 = shift if exp2 is None else exp2 + shift
+    return cur, prev, np.zeros(x.shape) if exp2 is None else exp2
 
 
 def value(n: int, x: np.ndarray) -> np.ndarray:

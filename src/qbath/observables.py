@@ -5,15 +5,18 @@ p = i sqrt(hbar m nu / 2)(a^dag - a).  Purity is Tr rho^2 =
 (1/pi) int d^2eta |chi(eta)|^2.  purity_rows picks the path for a whole grid:
 when both the oscillator state and the bath influence are Gaussian it is
 1/(2 sqrt(a^2 - 4|g|^2)) in the total Gaussian parameters; otherwise one
-quadrature driver integrates |chi|^2 = |chi0|^2 |F_g|^2 prod_k L_{n_k}^2 by
-the midpoint rule on a square whose radius comes from the Gaussian envelope,
-doubling the nodes per axis until two successive levels agree.  A single
-purity and each member of a number-state ensemble are members of that
-driver; the ensemble's members share one grid.
+quadrature driver integrates |chi|^2 = |chi0|^2 |F_g|^2 prod_k L_{n_k}^2 with
+a tensor Gauss-Hermite rule in the coordinates that whiten its Gaussian
+envelope, doubling the nodes per axis until two successive levels agree.
+For a Gaussian state the rest of the integrand is a polynomial, and the rule
+is exact at 2 sum_k n_k + 1 nodes per axis.  A single purity and each member
+of a number-state ensemble are members of that driver; the ensemble's
+members share one node set.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -29,9 +32,9 @@ from .baths import (
     _check_modes,
     bath_F_eval,
     bath_delta,
+    bath_f_params,
     bath_sums,
     coherent_F_params,
-    equilibrium_F_params,
     member_rng,
     occupation,
     sample_number_state,
@@ -66,10 +69,9 @@ __all__ = [
     "observable_series",
 ]
 
-ENVELOPE_CUT = 1e-16  # |chi|^2 on the boundary of the quadrature square
-MAX_NODES = 4096  # nodes per axis at the finest quadrature level
+N_START = 16  # Gauss-Hermite nodes per axis at the first quadrature level
+MAX_NODES = 256  # nodes per axis at the finest level; hermgauss(512) is not finite
 ENSEMBLE_TOL = 1e-7  # level agreement of the number-ensemble quadrature
-_CHUNK = 1 << 20  # nodes, and shared Laguerre arguments, per chunk of the quadrature grid
 
 
 @dataclass
@@ -203,70 +205,75 @@ def _total_gaussian_rows(
     return d + f.delta, a + f.alpha, g + f.gamma
 
 
-def _envelope_plan(
-    p: PropagatorCoefficients, i: int, beta: float, s: OscillatorState
-) -> tuple[float, int]:
-    """Initial quadrature radius and node count from the Gaussian envelope at beta."""
-    a_t, c_t = p.A[i], p.C[i]
-    rot = abs(a_t) + abs(c_t)
-    if is_gaussian(s):
-        _, a0, g0 = gaussian_chi_params(s)
-        margin = 0.0
-    else:
-        a0, g0 = 0.5, 0.0
-        margin = abs(s.alpha - s.beta) * rot
-    _, a_env, g_env = carried_gaussian_params(0.0, a0, g0, a_t, c_t)
-    f = equilibrium_F_params(p, i, beta)
-    a_env += f.alpha
-    g_env += f.gamma
-    width = a_env - 2.0 * abs(g_env)
-    if width <= 1e-12:
-        width = 0.25 / max(a_env + 2.0 * abs(g_env), 0.5)
-    decay = -math.log(ENVELOPE_CUT)
-    # solve 2 w R^2 - 2 margin R = decay for the envelope crossing
-    radius = 1.1 * (margin + math.sqrt(margin**2 + 2.0 * width * decay)) / (2.0 * width)
-    feature = 1.0 / math.sqrt(2.0 * (a_env + 2.0 * abs(g_env)))
-    if margin > 0.0:
-        feature = min(feature, 1.0 / (1.0 + margin))
-    n0 = max(64, int(math.ceil(2.0 * radius / (feature / 3.0))))
-    return radius, n0
+def _whitened(p: PropagatorCoefficients, i: int, s: OscillatorState, gauss_bath):
+    """(W, 1/(pi sqrt(det M))) for the Gaussian envelope exp(-x^T M x) of |chi|^2.
 
-
-def _probe_radius(chi2, radius: float, cap: float = 400.0) -> float:
-    """Grow the radius until |chi|^2 on the boundary ring falls below the cut."""
-    angles = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False))
-    while radius < cap:
-        ring = np.max(chi2(radius * angles))
-        if ring < ENVELOPE_CUT:
-            return radius
-        radius *= 1.3
-    raise AccuracyError("quadrature domain did not close below the envelope cut")
-
-
-def _nodes(p: PropagatorCoefficients, i: int, s: OscillatorState, gauss_bath, eta, shared=()):
-    """Parts of |chi|^2 at the nodes eta common to every member.
-
-    Returns |chi|^2 for the members' common Gaussian bath, and a function of
-    k giving the Laguerre argument |eta B_k^* - eta^* D_k|^2; the arguments
-    of the modes in shared are computed once and kept.
+    x = (Re eta, Im eta).  M holds the state's carried Gaussian parameters (a
+    cat's are the vacuum's, a0 = 1/2, g0 = 0) plus those of the members'
+    common Gaussian bath.  With M = U Lambda U^T, W = U Lambda^{-1/2} maps
+    y to x so that x^T M x = y^T y.
     """
+    a0, g0 = gaussian_chi_params(s)[1:] if is_gaussian(s) else (0.5, 0.0)
+    _, a, g = carried_gaussian_params(0.0, a0, g0, p.A[i], p.C[i])
+    f = bath_f_params(p, i, gauss_bath)
+    a, g = a + f.alpha, g + f.gamma
+    m = np.array([[2.0 * a - 4.0 * g.real, -4.0 * g.imag],
+                  [-4.0 * g.imag, 2.0 * a + 4.0 * g.real]])
+    lam, u = np.linalg.eigh(m)
+    if not lam[0] > 0.0:
+        raise PhysicalityError(f"purity envelope not positive: eigenvalues {lam[0]}, {lam[1]}")
+    return u / np.sqrt(lam), 1.0 / (math.pi * math.sqrt(m[0, 0] * m[1, 1] - m[0, 1] ** 2))
+
+
+@functools.cache
+def _hermite_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes y and modified weights w exp(y^2) of the n-point Gauss-Hermite rule."""
+    # imported here: `import qbath` does not load numpy.polynomial
+    from numpy.polynomial.hermite import hermgauss
+
+    y, w = hermgauss(n)
+    table = (y, w * np.exp(y * y))
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
+def _level(p, i, s, gauss_bath, whiten: np.ndarray, n: int, occs: np.ndarray):
+    """One quadrature level: a function of a row of occs giving that member's sum.
+
+    The sum is sum_ij w_i w_j exp(y_i^2 + y_j^2) |chi|^2 over the n x n
+    Gauss-Hermite nodes mapped by x = whiten y.  |chi|^2 is |chi_g|^2 of the
+    common Gaussian bath times prod_k L_{n_k}(x_k)^2, multiplied in log space
+    so that an underflowed |chi_g|^2 never meets an overflowed product.  Each
+    mode's Laguerre argument |eta B_k^* - eta^* D_k|^2 is computed once per
+    level, on first use, and shared by the members.
+    """
+    y, wt = _hermite_table(n)
+    y1, y2 = y[:, None], y[None, :]
+    re = whiten[0, 0] * y1 + whiten[0, 1] * y2
+    im = whiten[1, 0] * y1 + whiten[1, 1] * y2
+    eta = (re + 1j * im).ravel()
+    base = np.abs(chi_eval(p, i, gauss_bath, s, eta)) ** 2
+    with np.errstate(divide="ignore"):
+        log_base = np.log(base) if occs.any() else None
     b, d = p.B[i], p.D[i]
+    args: dict[int, np.ndarray] = {}
 
     def arg(k: int) -> np.ndarray:
-        return np.abs(eta * np.conj(b[k]) - np.conj(eta) * d[k]) ** 2
+        if k not in args:
+            args[k] = np.abs(eta * np.conj(b[k]) - np.conj(eta) * d[k]) ** 2
+        return args[k]
 
-    kept = {int(k): arg(k) for k in shared}
-    base = np.abs(chi_eval(p, i, gauss_bath, s, eta)) ** 2
-    return base, lambda k: kept[k] if k in kept else arg(k)
+    def member(occ: np.ndarray) -> float:
+        modes = np.nonzero(occ)[0]
+        if modes.size == 0:
+            chi2 = base
+        else:
+            _, log_lag = laguerre.log_product(occ[modes], (arg(int(k)) for k in modes), eta.shape)
+            chi2 = np.exp(log_base + 2.0 * log_lag)
+        return float(wt @ chi2.reshape(n, n) @ wt)
 
-
-def _chi2(base: np.ndarray, lag_arg, occ: np.ndarray) -> np.ndarray:
-    """|chi|^2 of the member with occupations occ: base times prod_k L_{n_k}(x_k)^2."""
-    modes = np.nonzero(occ)[0]
-    if modes.size == 0:
-        return base
-    _, log_lag = laguerre.log_product(occ[modes], (lag_arg(int(k)) for k in modes), base.shape)
-    return base * np.exp(2.0 * log_lag)
+    return member
 
 
 def _map(fn, items, threads: int | None) -> list:
@@ -276,53 +283,36 @@ def _map(fn, items, threads: int | None) -> list:
     return [fn(x) for x in items]
 
 
-def _midpoint_sums(p, i, s, gauss_bath, occs, radius: float, n: int, threads=None) -> np.ndarray:
-    """(1/pi) h^2 sum of |chi|^2 over the n x n midpoint grid, one value per row of occs.
-
-    Several members share the Laguerre arguments of their occupied modes.
-    Node rows are taken in chunks of at most _CHUNK nodes and _CHUNK shared
-    arguments; each member's sum runs over the chunks in a fixed order.
-    """
-    h = 2.0 * radius / n
-    x = -radius + (np.arange(n) + 0.5) * h
-    shared = np.nonzero(occs.any(axis=0))[0] if occs.shape[0] > 1 else ()
-    rows_per_chunk = max(1, _CHUNK // (n * max(1, len(shared))))
-    totals = np.zeros(occs.shape[0])
-    for start in range(0, n, rows_per_chunk):
-        ys = x[start : start + rows_per_chunk]
-        base, lag_arg = _nodes(p, i, s, gauss_bath, (x[None, :] + 1j * ys[:, None]).ravel(), shared)
-        totals += _map(lambda occ: float(np.sum(_chi2(base, lag_arg, occ))), occs, threads)
-        del base, lag_arg  # free this chunk's arrays before the next one is built
-    return totals * h * h / math.pi
-
-
-def _quadrature(p, i, s, gauss_bath, occs, plan_beta, probes, tol, threads=None) -> np.ndarray:
+def _quadrature(p, i, s, gauss_bath, occs, probes, tol, threads=None) -> np.ndarray:
     """Purities at index i of the members F = F_g prod_k L_{n_k}, one row of occs each.
 
-    F_g is the influence of gauss_bath, a Gaussian bath common to the members,
-    and all members share one midpoint grid.  The grid's radius starts from
-    the envelope at plan_beta and grows until |chi|^2 of every probe member is
-    below ENVELOPE_CUT on the boundary; its node count per axis doubles until
-    every probe's sum agrees with the previous level to tol.  The other
-    members are then summed on that level.
+    F_g is the influence of gauss_bath, a Gaussian bath common to the members.
+    With x = W y the whitening of _whitened,
+    purity = sum_ij w_i w_j exp(y_i^2 + y_j^2) |chi(x_ij)|^2 / (pi sqrt(det M))
+    on a tensor Gauss-Hermite rule shared by the members.  The nodes per axis
+    double from N_START until every probe member agrees with the previous
+    level to tol; the other members are then summed on that level.  For a
+    Gaussian state |chi|^2 / envelope is a polynomial of degree 4 sum_k n_k,
+    so 2 max_member sum_k n_k + 1 nodes are exact and end the doubling.
     """
-    radius, n = _envelope_plan(p, i, plan_beta, s)
-    for k in probes:
-        radius = _probe_radius(
-            lambda eta: _chi2(*_nodes(p, i, s, gauss_bath, eta), occs[k]), radius
-        )
+    whiten, scale = _whitened(p, i, s, gauss_bath)
+    exact = 2 * int(occs.sum(axis=1).max()) + 1 if is_gaussian(s) else math.inf
+    # up to 2 N_START the exact rule costs less than the two levels doubling needs
+    n = exact if exact <= 2 * N_START else N_START
     prev = None
     while n <= MAX_NODES:
-        cur = _midpoint_sums(p, i, s, gauss_bath, occs[probes], radius, n)
+        member = _level(p, i, s, gauss_bath, whiten, n, occs)
+        if n == exact:
+            return np.array(_map(member, occs, threads)) * scale
+        cur = np.array([member(occs[k]) for k in probes]) * scale
         if prev is not None and np.all(np.abs(cur - prev) < tol * np.maximum(1.0, np.abs(cur))):
             vals = np.empty(occs.shape[0])
             vals[probes] = cur
             rest = np.setdiff1d(np.arange(occs.shape[0]), probes)
-            if rest.size:
-                vals[rest] = _midpoint_sums(p, i, s, gauss_bath, occs[rest], radius, n, threads)
+            vals[rest] = np.array(_map(member, occs[rest], threads)) * scale
             return vals
         prev = cur
-        n *= 2
+        n = min(2 * n, exact)
     raise AccuracyError(
         f"purity quadrature did not converge to {tol:.1e} within {MAX_NODES} nodes per axis"
     )
@@ -367,8 +357,8 @@ def purity(
 ) -> float:
     """Tr rho^2 at grid index i, the one-row slice of purity_rows.
 
-    Quadrature is a one-member call of the shared-grid driver; a number-state
-    F is the zero-temperature Gaussian times Laguerre factors.
+    Quadrature is a one-member call of the Gauss-Hermite driver; a
+    number-state F is the zero-temperature Gaussian times Laguerre factors.
     """
     if method != "quadrature":
         return float(purity_rows(p, row_slice(i), bath, s, method=method, tol=tol)[0])
@@ -377,8 +367,7 @@ def purity(
         _check_modes(p, bath.n, "occupations")
     occs = (bath.n if number else np.zeros(p.n_modes, dtype=int))[None]
     gauss_bath = EquilibriumBath(math.inf) if number else bath
-    plan_beta = bath.beta if isinstance(bath, EquilibriumBath) else math.inf
-    return float(_quadrature(p, i, s, gauss_bath, occs, plan_beta, [0], tol)[0])
+    return float(_quadrature(p, i, s, gauss_bath, occs, [0], tol)[0])
 
 
 def number_variance_of_variance(p: PropagatorCoefficients, i: int, beta: float) -> float:
@@ -407,9 +396,9 @@ def averaged_purity_number_ensemble(
 ) -> EnsembleSummary:
     """Monte-Carlo mean of purity over number-state preparations drawn from P_n.
 
-    The members share one quadrature grid, refined on the first member and
-    the most occupied ones; threads fan the members out without changing
-    any value.
+    The members share one Gauss-Hermite node set, refined on the first
+    member and the most occupied ones; threads fan the members out without
+    changing any value.
     """
     if n_samples < 2:
         raise ParameterError("need at least two samples")
@@ -419,7 +408,7 @@ def averaged_purity_number_ensemble(
     alpha_member = occs @ (np.abs(p.B[i]) ** 2 + np.abs(p.D[i]) ** 2)
     probes = sorted({0, int(np.argmax(alpha_member)), int(np.argmax(occs.sum(axis=1)))})
     zero_t = EquilibriumBath(math.inf)
-    vals = _quadrature(p, i, s, zero_t, occs, beta, probes, ENSEMBLE_TOL, threads)
+    vals = _quadrature(p, i, s, zero_t, occs, probes, ENSEMBLE_TOL, threads)
     return summarize(vals, seed)
 
 

@@ -34,10 +34,12 @@ __all__ = [
     "purity_squeezed_rwa",
     "purity_cat_rwa",
     "MinPurityReport",
+    "first_min_index",
     "min_purity_check",
 ]
 
 N_PAIRS = 101  # (s, 1 - s) probe pairs of the min_purity_check symmetry defect
+MIN_TIE_TOL = 1e-12  # relative width of the band counted as the minimum
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,17 @@ class MinPurityReport:
     symmetry_defect: float
 
 
+def first_min_index(values) -> int:
+    """First index whose value lies within MIN_TIE_TOL max(1, |min|) of the minimum.
+
+    A bare argmin lets round-off choose among minima that are tied exactly,
+    such as the two |A|^2 = 1/2 points per exchange period of a resonant pair.
+    """
+    v = np.asarray(values, dtype=float)
+    low = float(v.min())
+    return int(np.argmax(v <= low + MIN_TIE_TOL * max(1.0, abs(low))))
+
+
 def min_purity_check(purity_series, absA2_series) -> MinPurityReport:
     """Locate the purity minimum along a trajectory and test s <-> 1-s symmetry.
 
@@ -104,12 +117,13 @@ def min_purity_check(purity_series, absA2_series) -> MinPurityReport:
     sup |P(s) - P(1-s)| over `N_PAIRS` pairs both of which fall in the sampled range.
     The defect is resolution-limited: it reflects interpolation error on
     coarse grids even when the underlying curve is exactly symmetric.
+    index_min is the first_min_index of the purity series.
     """
     pur = np.asarray(purity_series, dtype=float)
     surv = np.asarray(absA2_series, dtype=float)
     if pur.shape != surv.shape or pur.ndim != 1 or pur.size == 0:
         raise ParameterError("purity and |A|^2 series must be equal-length 1-d arrays")
-    i_min = int(np.argmin(pur))
+    i_min = first_min_index(pur)
 
     order = np.argsort(surv)
     x_sorted, y_sorted = surv[order], pur[order]

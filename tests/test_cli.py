@@ -195,6 +195,24 @@ def test_propagate_byte_identity_and_manifest(tmp_path, sample_config):
     assert sorted(man1["versions"]) == ["numpy", "python", "qbath", "scipy"]
 
 
+def test_purity_summary_reports_the_first_of_tied_minima(tmp_path, monkeypatch, sample_config):
+    # the resonant pair reaches |A|^2 = 1/2 at indices 45 and 135; round-off
+    # one ulp lower at the later one must not move t_min
+    def tied(p, rows, bath, s, **kwargs):
+        vals = np.ones(p.n_times)
+        vals[45], vals[135] = 0.7, np.nextafter(0.7, 0.0)
+        return vals
+
+    monkeypatch.setattr("qbath.cli.purity_rows", tied)
+    doc = sample_config("rwa-compare-squeezed")
+    doc["outputs"] = {"formats": ["json"]}
+    rc, out = run(tmp_path, "purity", doc)
+    assert rc == 0
+    doc = load_json(out, "purity_summary.json")
+    assert doc["t_min"] == pytest.approx(8.975979010256552 / 4.0, abs=1e-12)
+    assert doc["min_purity"] == 0.7
+
+
 def test_observables_purity_plateau(tmp_path, sample_config):
     rc, out = run(tmp_path, "observables", sample_config("observables-rwa-coherent"))
     assert rc == 0

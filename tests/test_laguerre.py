@@ -61,3 +61,33 @@ def test_log_derivative_flags_roots():
     _, ok = laguerre.log_derivative(2, x)
     assert not ok[0]
     assert ok[1]
+
+
+def _general_loop(n, x):
+    """The recurrence with its renormalization, run as one loop for every order >= 1."""
+    exp2 = np.zeros(x.shape)
+    if n == 0:
+        return np.ones(x.shape), np.zeros(x.shape), exp2
+    prev, cur = np.ones(x.shape), 1.0 - x
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
+        big = np.abs(cur) > 2.0**500
+        if big.any():
+            _, ex = np.frexp(np.where(big, cur, 1.0))
+            scale = np.ldexp(1.0, -ex)
+            cur = np.where(big, cur * scale, cur)
+            prev = np.where(big, prev * scale, prev)
+            exp2 += np.where(big, ex, 0)
+    return cur, prev, exp2
+
+
+def test_low_orders_equal_the_general_loop_bitwise():
+    # orders 0 and 1 return early and exp2 is made only when needed; the
+    # values must not move by a bit (order 300 renormalizes at x = 1000)
+    x = np.concatenate([np.linspace(0.0, 1000.0, 41), [1e-300, 2.0 - np.sqrt(2.0)]])
+    for n in (0, 1, 2, 300):
+        got, ref = laguerre.eval_scaled(n, x), _general_loop(n, x)
+        for g, r in zip(got, ref):
+            assert g.dtype == r.dtype == np.float64 and g.shape == r.shape
+            assert g.tobytes() == r.tobytes(), n
+    assert _general_loop(300, x)[2].any()

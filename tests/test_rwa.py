@@ -155,3 +155,18 @@ def test_import_leaves_scipy_interpolate_unloaded():
         timeout=120,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_first_min_index_takes_the_first_of_tied_minima():
+    low = 0.6977946411003325
+    tied = np.array([1.0, low, 0.9, low, 1.0])
+    assert rwa.first_min_index(tied) == 1
+    # round-off one ulp below the first minimum must not move the index
+    later_lower = np.array([1.0, low, 0.9, np.nextafter(low, 0.0), 1.0])
+    assert int(np.argmin(later_lower)) == 3
+    assert rwa.first_min_index(later_lower) == 1
+    surv = np.array([1.0, 0.5, 0.7, 0.5, 1.0])
+    assert rwa.min_purity_check(later_lower, surv).index_min == 1
+    # a value above the tolerance band is not a tie
+    apart = np.array([1.0, low + 1e-9, 0.9, low, 1.0])
+    assert rwa.first_min_index(apart) == 3
