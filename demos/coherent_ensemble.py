@@ -16,18 +16,19 @@ from qbath import (
     CoherentStateBath,
     EquilibriumBath,
     TimeGrid,
+    asymptotic_variances,
+    bath_delta,
     compute_propagator,
     delta_correlations,
     displaced_vacuum_check,
-    equilibrium_F_params,
-    mean_xp,
-    member_rng,
+    mean_rows,
     plateau_window,
     purity,
-    sample_coherent_state,
+    row_slice,
+    sample_coherent_states,
     stock_model,
     vacuum_state,
-    variances,
+    variance_rows,
 )
 
 beta, seed, n_samples = 2.0, 19, 4000
@@ -37,38 +38,25 @@ i0, i1 = plateau_window(p)
 i = i0 + int(np.argmin(np.abs(p.A[i0 : i1 + 1])))
 j = i // 2
 state = vacuum_state()
+members = sample_coherent_states(beta, model, seed, n_samples)  # one row per member
 
 print("=== every member is a displaced zero-temperature state ===")
-vx0, vp0 = variances(p, i, EquilibriumBath(beta=math.inf), state)
-worst = 0.0
-for k in range(200):
-    bath_k = sample_coherent_state(beta, model, member_rng(seed, k))
-    vxk, vpk = variances(p, i, bath_k, state)
-    worst = max(worst, abs(vxk - vx0), abs(vpk - vp0))
+vx0, vp0 = variance_rows(p, row_slice(i), EquilibriumBath(beta=math.inf), state)
+vxk, vpk = variance_rows(p, row_slice(i), CoherentStateBath(members.amps[:200]), state)
+worst = max(np.max(np.abs(vxk - vx0)), np.max(np.abs(vpk - vp0)))
 print(f"max |per-sample variance - T=0 variance| over 200 members: {worst:.2e}")
 
-bath_0 = sample_coherent_state(beta, model, member_rng(seed, 0))
-print(f"member purity on the RWA plateau: {purity(p, i, CoherentStateBath(bath_0.amps), state):.12f}")
-print(f"displaced-vacuum factorization defect: {displaced_vacuum_check(p, i, bath_0.amps, state):.2e}")
+amps_0 = members.amps[0]
+print(f"member purity on the RWA plateau: {purity(p, i, CoherentStateBath(amps_0), state):.12f}")
+print(f"displaced-vacuum factorization defect: {displaced_vacuum_check(p, i, amps_0, state):.2e}")
 
 print()
 print(f"=== thermal broadening lives in the scatter of the means ({n_samples} samples) ===")
-mx = np.empty(n_samples)
-mp = np.empty(n_samples)
-di = np.empty(n_samples, complex)
-dj = np.empty(n_samples, complex)
-for k in range(n_samples):
-    bath_k = sample_coherent_state(beta, model, member_rng(seed, k))
-    mx[k], mp[k] = mean_xp(p, i, bath_k, state)
-    di[k] = np.sum(p.B[i] * bath_k.amps + p.D[i] * np.conj(bath_k.amps))
-    dj[k] = np.sum(p.B[j] * bath_k.amps + p.D[j] * np.conj(bath_k.amps))
+mx, mp = mean_rows(p, row_slice(i), members, state)
+di, dj = (bath_delta(p, row_slice(k), members) for k in (i, j))
 
-fb = equilibrium_F_params(p, i, beta)
-f0 = equilibrium_F_params(p, i, math.inf)
-da, dg = fb.alpha - f0.alpha, fb.gamma - f0.gamma
-u = model.units
-pred_x2 = (u.hbar / (u.mass * model.nu)) * (da + 2 * dg.real)
-pred_p2 = (u.hbar * u.mass * model.nu) * (da - 2 * dg.real)
+thermal, cold = (asymptotic_variances(p, i, EquilibriumBath(beta=b)) for b in (beta, math.inf))
+pred_x2, pred_p2 = np.subtract(thermal, cold)
 se_x = (mx**2).std(ddof=1) / math.sqrt(n_samples)
 se_p = (mp**2).std(ddof=1) / math.sqrt(n_samples)
 print(f"mean <x>^2: {np.mean(mx**2):.5f} +- {se_x:.5f}, predicted {pred_x2:.5f}")

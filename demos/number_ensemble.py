@@ -20,15 +20,16 @@ from qbath import (
     TimeGrid,
     averaged_purity_number_ensemble,
     compute_propagator,
-    member_rng,
     number_variance_of_variance,
     parse_config,
     plateau_window,
     purity,
-    sample_number_state,
+    row_slice,
+    sample_number_states,
     stock_config,
     stock_model,
     vacuum_state,
+    variance_rows,
     variances,
 )
 
@@ -40,10 +41,8 @@ i = i0 + int(np.argmin(np.abs(p.A[i0 : i1 + 1])))
 state = vacuum_state()
 
 print(f"=== {n_samples} number-state bath samples at beta = {beta}, t = {p.grid.t[i]:.1f} ===")
-vx = np.empty(n_samples)
-for k in range(n_samples):
-    bath_k = sample_number_state(beta, model, member_rng(seed, k))
-    vx[k], _ = variances(p, i, bath_k, state)
+members = sample_number_states(beta, model, seed, n_samples)  # one row per member
+vx, _ = variance_rows(p, row_slice(i), members, state)
 
 eq_vx, _ = variances(p, i, EquilibriumBath(beta=beta), state)
 se = vx.std(ddof=1) / math.sqrt(n_samples)

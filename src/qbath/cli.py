@@ -41,25 +41,28 @@ from . import __version__, mastereq, rwa
 from .baths import (
     CoherentStateBath,
     EquilibriumBath,
+    NumberStateBath,
     bath_delta,
     delta_correlations,
-    equilibrium_F_params,
-    member_rng,
-    sample_coherent_state,
-    sample_number_state,
+    sample_coherent_states,
+    sample_number_states,
 )
 from .config import RunConfig, load_config, realize_bath
 from .errors import NumericalError, SchemaError
 from .model import SpectralFamily, validate_model
 from .observables import (
-    averaged_purity_number_ensemble,
+    EnsembleSummary,
+    asymptotic_variances,
     displaced_vacuum_check,
+    mean_rows,
     mean_xp,
+    member_purities,
     number_variance_of_variance,
     observable_series,
     purity,
     purity_rows,
     summarize,
+    variance_rows,
     variances,
 )
 from .propagator import (
@@ -67,6 +70,7 @@ from .propagator import (
     decay_report,
     is_rwa,
     plateau_window,
+    row_slice,
     sum_rule_defects,
 )
 from .states import CatState, SqueezedDisplaced, vacuum_state
@@ -105,15 +109,6 @@ def _write_json(path: Path, doc: dict) -> None:
     with open(path, "w", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _summary_dict(s) -> dict:
-    return {
-        "estimate": s.estimate,
-        "std_error": s.std_error,
-        "n_samples": s.n_samples,
-        "seed": s.seed,
-    }
 
 
 def _require(cfg: RunConfig, *, grid=False, bath=False, oscillator=False) -> None:
@@ -219,89 +214,54 @@ def _cmd_purity(cfg: RunConfig, args, out: Path) -> list[str]:
 def _number_ensemble(cfg: RunConfig, p, i: int, seed: int, n_samples: int, threads) -> dict:
     beta = cfg.bath_doc["beta"]
     s = cfg.oscillator
-    var_samples = np.empty(n_samples)
-    for k in range(n_samples):
-        bath_k = sample_number_state(beta, cfg.model, member_rng(seed, k))
-        var_samples[k], _ = variances(p, i, bath_k, s)
-    eq_var_x, eq_var_p = variances(p, i, EquilibriumBath(beta=beta), s)
-    mean_summary = summarize(var_samples, seed)
-
+    members = sample_number_states(beta, cfg.model, seed, n_samples)
+    var_samples, _ = variance_rows(p, row_slice(i), members, s)
     centered = var_samples - var_samples.mean()
     pop_var = float(np.sum(centered**2) / (n_samples - 1))
     m4 = float(np.mean(centered**4))
     var_se = math.sqrt(max(m4 - pop_var**2, 0.0) / n_samples)
-
-    purity_n = min(n_samples, 1000)
-    pur_summary = averaged_purity_number_ensemble(
-        p, i, beta, s, purity_n, seed, threads=threads
-    )
-    eq_pur = purity(p, i, EquilibriumBath(beta=beta), s)
+    # the purity members are the first (at most 1000) of the variance members
+    purities = member_purities(p, i, NumberStateBath(members.n[:1000]), s, threads=threads)
     return {
         "kind": "number",
         "time_index": i,
         "t": float(p.grid.t[i]),
-        "mean_var_x": _summary_dict(mean_summary),
-        "equilibrium_var_x": float(eq_var_x),
-        "population_var_of_var_x": {"estimate": pop_var, "std_error": var_se,
-                                    "n_samples": n_samples, "seed": seed},
+        "mean_var_x": vars(summarize(var_samples, seed)),
+        "equilibrium_var_x": variances(p, i, EquilibriumBath(beta=beta), s)[0],
+        "population_var_of_var_x": vars(EnsembleSummary(pop_var, var_se, n_samples, seed)),
         "predicted_var_of_var_x": number_variance_of_variance(p, i, beta),
-        "averaged_purity": _summary_dict(pur_summary),
-        "equilibrium_purity": float(eq_pur),
+        "averaged_purity": vars(summarize(purities, seed)),
+        "equilibrium_purity": purity(p, i, EquilibriumBath(beta=beta), s),
     }
 
 
 def _coherent_ensemble(cfg: RunConfig, p, i: int, seed: int, n_samples: int) -> dict:
     beta = cfg.bath_doc["beta"]
     s = cfg.oscillator
-    units = cfg.model.units
     j = i // 2  # second probe time for the two-time correlator
-    mean_x = np.empty(n_samples)
-    mean_p = np.empty(n_samples)
-    delta_i = np.empty(n_samples, dtype=complex)
-    delta_j = np.empty(n_samples, dtype=complex)
-    first_amps = None
-    for k in range(n_samples):
-        bath_k = sample_coherent_state(beta, cfg.model, member_rng(seed, k))
-        if k == 0:
-            first_amps = bath_k.amps
-        mean_x[k], mean_p[k] = mean_xp(p, i, bath_k, s)
-        delta_i[k], delta_j[k] = bath_delta(p, [i, j], bath_k)
-
-    f_beta = equilibrium_F_params(p, i, beta)
-    f_zero = equilibrium_F_params(p, i, math.inf)
-    d_alpha = f_beta.alpha - f_zero.alpha
-    d_gamma = f_beta.gamma - f_zero.gamma
-    hbar, m, nu = units.hbar, units.mass, cfg.model.nu
-    pred_x2 = (hbar / (m * nu)) * (d_alpha + 2.0 * d_gamma.real)
-    pred_p2 = (hbar * m * nu) * (d_alpha - 2.0 * d_gamma.real)
-
+    members = sample_coherent_states(beta, cfg.model, seed, n_samples)
+    zero_t = EquilibriumBath(beta=math.inf)
+    x0, p0 = mean_xp(p, i, zero_t, s)
+    mean_x, mean_p = mean_rows(p, row_slice(i), members, s)
+    delta_i, delta_j = (bath_delta(p, row_slice(k), members) for k in (i, j))
+    c1_mc, c2_mc = delta_i * np.conj(delta_j), delta_i * delta_j
+    samples = {"mean_x_sq": (mean_x - x0) ** 2, "mean_p_sq": (mean_p - p0) ** 2,
+               "c1_re": c1_mc.real, "c1_im": c1_mc.imag, "c2_re": c2_mc.real, "c2_im": c2_mc.imag}
+    # the means scatter by the asymptotic variances at beta minus their T = 0 part
+    thermal, cold = (asymptotic_variances(p, i, b) for b in (EquilibriumBath(beta=beta), zero_t))
     corr = delta_correlations(p, i, j, beta)
-    c1_mc = delta_i * np.conj(delta_j)
-    c2_mc = delta_i * delta_j
-
-    osc_means = mean_xp(p, i, EquilibriumBath(beta=math.inf), s)
-    x_sq = (mean_x - osc_means[0]) ** 2
-    p_sq = (mean_p - osc_means[1]) ** 2
-
-    pur = purity(p, i, CoherentStateBath(first_amps), s)
-    dv = displaced_vacuum_check(p, i, first_amps, s)
     return {
         "kind": "coherent",
         "time_index": i,
         "t": float(p.grid.t[i]),
         "correlator_index": j,
-        "mean_x_sq": _summary_dict(summarize(x_sq, seed)),
-        "predicted_x_sq": float(pred_x2),
-        "mean_p_sq": _summary_dict(summarize(p_sq, seed)),
-        "predicted_p_sq": float(pred_p2),
-        "c1_re": _summary_dict(summarize(c1_mc.real, seed)),
-        "c1_im": _summary_dict(summarize(c1_mc.imag, seed)),
+        **{key: vars(summarize(v, seed)) for key, v in samples.items()},
+        "predicted_x_sq": float(thermal[0] - cold[0]),
+        "predicted_p_sq": float(thermal[1] - cold[1]),
         "predicted_c1": [corr.c1.real, corr.c1.imag],
-        "c2_re": _summary_dict(summarize(c2_mc.real, seed)),
-        "c2_im": _summary_dict(summarize(c2_mc.imag, seed)),
         "predicted_c2": [corr.c2.real, corr.c2.imag],
-        "sample_purity": float(pur),
-        "displaced_vacuum_defect": float(dv),
+        "sample_purity": purity(p, i, CoherentStateBath(members.amps[0]), s),
+        "displaced_vacuum_defect": displaced_vacuum_check(p, i, members.amps[0], s),
     }
 
 

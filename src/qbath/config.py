@@ -326,8 +326,8 @@ def parse_config(doc: dict, raw: str = "") -> RunConfig:
             )
         experiment["kind"] = kind
         n_samples = _integer(exp, "n_samples", "experiment", default=1000)
-        if n_samples < 1:
-            raise SchemaError("experiment.n_samples must be >= 1")
+        if n_samples < 2:
+            raise SchemaError("experiment.n_samples must be >= 2")
         experiment["n_samples"] = n_samples
         seed = _integer(exp, "seed", "experiment", default=0)
         if seed < 0:

@@ -11,7 +11,8 @@ envelope, doubling the nodes per axis until two successive levels agree.
 For a Gaussian state the rest of the integrand is a polynomial, and the rule
 is exact at 2 sum_k n_k + 1 nodes per axis.  A single purity and each member
 of a number-state ensemble are members of that driver; the ensemble's
-members share one node set.
+members share one node set.  On one propagator row, mean_rows and
+variance_rows give a member matrix one entry per member, or one shared entry.
 """
 
 from __future__ import annotations
@@ -30,14 +31,14 @@ from .baths import (
     EquilibriumBath,
     NumberStateBath,
     _check_modes,
+    _single,
     bath_F_eval,
     bath_delta,
     bath_f_params,
     bath_sums,
     coherent_F_params,
-    member_rng,
     occupation,
-    sample_number_state,
+    sample_number_states,
 )
 from .errors import AccuracyError, ParameterError, PhysicalityError
 from .propagator import PropagatorCoefficients, row_slice
@@ -56,14 +57,16 @@ __all__ = [
     "EnsembleSummary",
     "square_eta_grid",
     "chi_eval",
+    "mean_rows",
     "mean_xp",
+    "variance_rows",
     "variances",
-    "variance_weights",
     "asymptotic_variances",
     "asymptotic_purity",
     "purity_rows",
     "purity",
     "number_variance_of_variance",
+    "member_purities",
     "averaged_purity_number_ensemble",
     "displaced_vacuum_check",
     "observable_series",
@@ -107,7 +110,7 @@ def chi_eval(
     return chi0_eval(s, zeta) * bath_F_eval(p, i, bath, eta)
 
 
-def _mean_rows(
+def mean_rows(
     p: PropagatorCoefficients, rows, bath: BathSpec, s: OscillatorState
 ) -> tuple[np.ndarray, np.ndarray]:
     """(mean x, mean p) on the propagator rows p.X[rows]."""
@@ -128,17 +131,11 @@ def mean_xp(
     p: PropagatorCoefficients, i: int, bath: BathSpec, s: OscillatorState
 ) -> tuple[float, float]:
     """(mean x, mean p) at grid index i."""
-    mean_x, mean_p = _mean_rows(p, row_slice(i), bath, s)
+    mean_x, mean_p = mean_rows(p, row_slice(i), _single(bath), s)
     return float(mean_x[0]), float(mean_p[0])
 
 
-def variance_weights(p: PropagatorCoefficients, i: int, bath: BathSpec) -> tuple[float, complex]:
-    """(alpha-like, gamma-like) second-moment sums for the given preparation."""
-    f = bath_sums(p, row_slice(i), bath)
-    return float(f.alpha[0]), complex(f.gamma[0])
-
-
-def _variance_rows(
+def variance_rows(
     p: PropagatorCoefficients, rows, bath: BathSpec, s: OscillatorState
 ) -> tuple[np.ndarray, np.ndarray]:
     """(var x, var p) on the propagator rows p.X[rows]."""
@@ -161,7 +158,7 @@ def variances(
     p: PropagatorCoefficients, i: int, bath: BathSpec, s: OscillatorState
 ) -> tuple[float, float]:
     """(var x, var p) at grid index i; coherent amplitudes drop out."""
-    var_x, var_p = _variance_rows(p, row_slice(i), bath, s)
+    var_x, var_p = variance_rows(p, row_slice(i), _single(bath), s)
     return float(var_x[0]), float(var_p[0])
 
 
@@ -169,7 +166,8 @@ def asymptotic_variances(
     p: PropagatorCoefficients, i: int, bath: BathSpec
 ) -> tuple[float, float]:
     """Long-time limits (hbar/m nu)(alpha +- 2 Re gamma) evaluated at index i."""
-    alpha, gamma = variance_weights(p, i, bath)
+    f = bath_sums(p, row_slice(i), _single(bath))
+    alpha, gamma = float(f.alpha[0]), complex(f.gamma[0])
     u = p.model.units
     factor = u.hbar / (u.mass * p.model.nu)
     return (
@@ -190,7 +188,7 @@ def _gaussian_purity(a: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def asymptotic_purity(p: PropagatorCoefficients, i: int, bath: BathSpec) -> float:
     """Long-time purity 1/(2 sqrt(alpha^2 - 4 |gamma|^2)) evaluated at index i."""
-    f = bath_sums(p, row_slice(i), bath)
+    f = bath_sums(p, row_slice(i), _single(bath))
     return float(_gaussian_purity(f.alpha, f.gamma)[0])
 
 
@@ -361,8 +359,8 @@ def purity(
     number-state F is the zero-temperature Gaussian times Laguerre factors.
     """
     if method != "quadrature":
-        return float(purity_rows(p, row_slice(i), bath, s, method=method, tol=tol)[0])
-    number = isinstance(bath, NumberStateBath)
+        return float(purity_rows(p, row_slice(i), _single(bath), s, method=method, tol=tol)[0])
+    number = isinstance(_single(bath), NumberStateBath)
     if number:
         _check_modes(p, bath.n, "occupations")
     occs = (bath.n if number else np.zeros(p.n_modes, dtype=int))[None]
@@ -384,6 +382,22 @@ def number_variance_of_variance(p: PropagatorCoefficients, i: int, beta: float) 
     return float(factor * np.sum(np.abs(b + np.conj(d)) ** 4 * (nbar**2 + nbar)))
 
 
+def member_purities(
+    p: PropagatorCoefficients, i: int, bath: NumberStateBath, s: OscillatorState, *, threads=None
+) -> np.ndarray:
+    """Purity at index i of each member of a number-state member matrix.
+
+    The members share one Gauss-Hermite node set, refined on the first
+    member and the most occupied ones; threads fan the members out without
+    changing any value.
+    """
+    occs = np.atleast_2d(bath.n)
+    _check_modes(p, occs, "occupations")
+    alpha_member = occs @ (np.abs(p.B[i]) ** 2 + np.abs(p.D[i]) ** 2)
+    probes = sorted({0, int(np.argmax(alpha_member)), int(np.argmax(occs.sum(axis=1)))})
+    return _quadrature(p, i, s, EquilibriumBath(math.inf), occs, probes, ENSEMBLE_TOL, threads)
+
+
 def averaged_purity_number_ensemble(
     p: PropagatorCoefficients,
     i: int,
@@ -396,20 +410,13 @@ def averaged_purity_number_ensemble(
 ) -> EnsembleSummary:
     """Monte-Carlo mean of purity over number-state preparations drawn from P_n.
 
-    The members share one Gauss-Hermite node set, refined on the first
-    member and the most occupied ones; threads fan the members out without
-    changing any value.
+    Draws the member matrix sample_number_states(beta, p.model, seed,
+    n_samples) and summarizes its member_purities.
     """
     if n_samples < 2:
         raise ParameterError("need at least two samples")
-    occs = np.stack(
-        [sample_number_state(beta, p.model, member_rng(seed, k)).n for k in range(n_samples)]
-    )
-    alpha_member = occs @ (np.abs(p.B[i]) ** 2 + np.abs(p.D[i]) ** 2)
-    probes = sorted({0, int(np.argmax(alpha_member)), int(np.argmax(occs.sum(axis=1)))})
-    zero_t = EquilibriumBath(math.inf)
-    vals = _quadrature(p, i, s, zero_t, occs, probes, ENSEMBLE_TOL, threads)
-    return summarize(vals, seed)
+    members = sample_number_states(beta, p.model, seed, n_samples)
+    return summarize(member_purities(p, i, members, s, threads=threads), seed)
 
 
 def displaced_vacuum_check(
@@ -446,8 +453,8 @@ def observable_series(
 ) -> dict[str, np.ndarray]:
     """Means, variances and (optionally) purity on the whole grid."""
     out = {"t": p.grid.t.copy()}
-    out["mean_x"], out["mean_p"] = _mean_rows(p, slice(None), bath, s)
-    out["var_x"], out["var_p"] = _variance_rows(p, slice(None), bath, s)
+    out["mean_x"], out["mean_p"] = mean_rows(p, slice(None), bath, s)
+    out["var_x"], out["var_p"] = variance_rows(p, slice(None), bath, s)
     if with_purity:
         out["purity"] = purity_rows(p, slice(None), bath, s)
     return out

@@ -143,6 +143,14 @@ def test_number_sampler_moments(ohmic_rwa):
     assert np.all(vacuum.n == 0)
 
 
+def test_zero_temperature_number_draw_leaves_the_generator(ohmic_rwa):
+    # a generator shared with later draws gives them the same values at beta = inf
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    baths.sample_number_state(math.inf, ohmic_rwa.model, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_coherent_sampler_moments(ohmic_rwa):
     m = ohmic_rwa.model
     beta = 2.0

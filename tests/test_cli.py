@@ -7,7 +7,13 @@ import struct
 import numpy as np
 import pytest
 
-from qbath import EquilibriumBath, TimeGrid, compute_propagator
+from qbath import (
+    EquilibriumBath,
+    TimeGrid,
+    averaged_purity_number_ensemble,
+    compute_propagator,
+    parse_config,
+)
 from qbath.cli import main
 from qbath.presets import stock_config, stock_model
 
@@ -293,6 +299,42 @@ def test_ensemble_rejects_wrong_bath(tmp_path, capsys, sample_config):
     rc, _ = run(tmp_path, "ensemble", doc, outdir="out2")
     assert rc == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", ["number", "coherent"])
+def test_one_sample_ensemble_exits_2(tmp_path, capsys, kind):
+    doc = {
+        "model": SMALL_MODEL,
+        "bath": {"kind": f"sample_{kind}", "beta": 2.0, "seed": 5},
+        "oscillator": {"kind": "gaussian"},
+        "time_grid": {"t_max": 40.0, "steps": 100},
+        "experiment": {"kind": kind, "n_samples": 1, "seed": 9},
+    }
+    rc, out = run(tmp_path, "ensemble", doc)
+    assert rc == 2
+    assert "n_samples must be >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_number_ensemble_purity_members_are_its_variance_members(tmp_path):
+    # more members than the purity's 1000: the purity takes the first 1000 of them
+    doc = {
+        "model": SMALL_MODEL,
+        "bath": {"kind": "sample_number", "beta": 2.0, "seed": 5},
+        "oscillator": {"kind": "squeezed", "r": 0.4, "phi": 0.3, "disp_re": 0.5},
+        "time_grid": {"t_max": 40.0, "steps": 100},
+        "experiment": {"kind": "number", "n_samples": 1003, "seed": 9, "time_index": 60},
+    }
+    rc, out = run(tmp_path, "ensemble", doc)
+    assert rc == 0
+    summary = load_json(out, "ensemble_summary.json")
+    assert summary["mean_var_x"]["n_samples"] == 1003
+    cfg = parse_config(doc)
+    p = compute_propagator(cfg.model, cfg.grid)
+    expected = averaged_purity_number_ensemble(p, 60, 2.0, cfg.oscillator, 1000, 9)
+    assert summary["averaged_purity"] == {"estimate": expected.estimate,
+                                          "std_error": expected.std_error,
+                                          "n_samples": 1000, "seed": 9}
 
 
 def test_seed_precedence(tmp_path):
