@@ -257,19 +257,22 @@ def number_F_eval(
     """Influence function of a number-state preparation (real-valued).
 
     Each mode contributes L_{n_k}(|eta B_k^* - eta^* D_k|^2) on top of the
-    zero-temperature Gaussian; Laguerre factors use the guarded upward
-    recurrence and are combined in scaled form to avoid overflow.
+    zero-temperature Gaussian.  The product is the one-member call of
+    laguerre.log_products, in log space to avoid overflow, with its sign from
+    the parity of the negative factors.
     """
     bath = _single(NumberStateBath(n))
     _check_modes(p, bath.n, "occupations")
     eta = np.asarray(eta, dtype=complex)
-    b, d = p.B[i], p.D[i]
     zero_t = equilibrium_F_params(p, i, math.inf)
     log_env = np.real(gaussian_exponent(0.0, zero_t.alpha, zero_t.gamma, eta))
     active = np.nonzero(bath.n)[0]
-    xs = (np.abs(eta * np.conj(b[k]) - np.conj(eta) * d[k]) ** 2 for k in active)
-    sign, log_lag = laguerre.log_product(bath.n[active], xs, eta.shape)
-    return sign * np.exp(log_env + log_lag)
+    b, d = p.B[i, active, None], p.D[i, active, None]
+    flat = eta.ravel()
+    xs = np.abs(flat * np.conj(b) - np.conj(flat) * d) ** 2
+    ((_, log_lag, odd),) = laguerre.log_products(bath.n[None, active], xs, signed=True)
+    sign = np.where(odd[0], -1.0, 1.0).reshape(eta.shape)
+    return sign * np.exp(log_env + log_lag[0].reshape(eta.shape))
 
 
 def bath_f_params(p: PropagatorCoefficients, i: int, bath: BathSpec) -> GaussianFParams:

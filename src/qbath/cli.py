@@ -7,11 +7,12 @@ rwa-compare, n-sweep.  Each reads one JSON run config, executes the scenario,
 and writes CSV/JSON artifacts plus a manifest into the output directory.
 Exit codes: 0 success, 2 config/validation failure, 3 numerical error.
 
-Artifacts are deterministic: given identical config and seed (at a fixed
-worker count) every data file is byte-identical across runs.  The manifest
-records the config hash, effective seed, package versions, and wall time;
-since it contains the wall time it is the one file excluded from the
-byte-identity guarantee.
+Artifacts are deterministic: given identical config and seed every data file
+is byte-identical across runs.  --threads (or QBATH_THREADS) is accepted and
+validated but changes nothing; every ensemble is one batched evaluation.
+The manifest records the config hash, effective seed, package versions, and
+wall time; since it contains the wall time it is the one file excluded from
+the byte-identity guarantee.
 
 Floats in CSV files carry 17 significant digits so comparisons against the
 library can be made exact at the file level.
@@ -211,7 +212,7 @@ def _cmd_purity(cfg: RunConfig, args, out: Path) -> list[str]:
     return artifacts
 
 
-def _number_ensemble(cfg: RunConfig, p, i: int, seed: int, n_samples: int, threads) -> dict:
+def _number_ensemble(cfg: RunConfig, p, i: int, seed: int, n_samples: int) -> dict:
     beta = cfg.bath_doc["beta"]
     s = cfg.oscillator
     members = sample_number_states(beta, cfg.model, seed, n_samples)
@@ -221,7 +222,7 @@ def _number_ensemble(cfg: RunConfig, p, i: int, seed: int, n_samples: int, threa
     m4 = float(np.mean(centered**4))
     var_se = math.sqrt(max(m4 - pop_var**2, 0.0) / n_samples)
     # the purity members are the first (at most 1000) of the variance members
-    purities = member_purities(p, i, NumberStateBath(members.n[:1000]), s, threads=threads)
+    purities = member_purities(p, i, NumberStateBath(members.n[:1000]), s)
     return {
         "kind": "number",
         "time_index": i,
@@ -279,7 +280,7 @@ def _cmd_ensemble(cfg: RunConfig, args, out: Path) -> list[str]:
     p = compute_propagator(cfg.model, cfg.grid)
     i = _time_index(cfg, p)
     if want == "number":
-        doc = _number_ensemble(cfg, p, i, seed, n_samples, args.threads)
+        doc = _number_ensemble(cfg, p, i, seed, n_samples)
     else:
         doc = _coherent_ensemble(cfg, p, i, seed, n_samples)
     _write_json(out / "ensemble_summary.json", doc)
@@ -441,11 +442,12 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None,
                         help="override sampling/experiment seeds")
         sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads for ensembles (default: QBATH_THREADS or 1)")
+                        help="accepted and validated (default: QBATH_THREADS or 1); "
+                             "ensembles are batched and do not use it")
     return parser
 
 
-def _effective_threads(args) -> int:
+def _check_threads(args) -> None:
     if args.threads is not None:
         n = args.threads
     else:
@@ -455,14 +457,13 @@ def _effective_threads(args) -> int:
             raise SchemaError("QBATH_THREADS must be an integer") from None
     if n < 1:
         raise SchemaError(f"thread count must be >= 1, got {n}")
-    return n
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     t_start = time.perf_counter()
     try:
-        args.threads = _effective_threads(args)
+        _check_threads(args)
         if args.seed is not None and args.seed < 0:
             raise SchemaError("--seed must be nonnegative")
         cfg = load_config(args.config)

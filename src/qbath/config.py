@@ -33,7 +33,7 @@ from .baths import (
     sample_coherent_state,
     sample_number_state,
 )
-from .errors import SchemaError
+from .errors import PhysicalityError, SchemaError
 from .model import (
     CouplingFamily,
     ModelSpec,
@@ -81,9 +81,26 @@ def _number(doc: dict, key: str, where: str, *, default=None, required=False) ->
             raise SchemaError(f"{where} requires {key!r}")
         return default
     val = doc[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise SchemaError(f"{where}.{key} must be a number, got {val!r}")
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not _finite(val):
+        raise SchemaError(f"{where}.{key} must be a finite number, got {val!r}")
     return float(val)
+
+
+def _finite(val: int | float) -> bool:
+    """Whether a JSON number is a finite float (json also reads Infinity, NaN and huge ints)."""
+    try:
+        return math.isfinite(val)
+    except OverflowError:
+        return False
+
+
+def _kind(doc: dict, kinds: set, where: str):
+    """doc["kind"] if it is one of kinds (None stands for an absent kind)."""
+    kind = doc.get("kind")
+    if not isinstance(kind, (str, type(None))) or kind not in kinds:
+        raise SchemaError(f"{where}.kind must be one of {sorted(k for k in kinds if k)}, "
+                          f"got {kind!r}")
+    return kind
 
 
 def _integer(doc: dict, key: str, where: str, *, default=None, required=False) -> int:
@@ -102,9 +119,9 @@ def _number_list(doc: dict, key: str, where: str) -> np.ndarray | None:
         return None
     val = doc[key]
     if not isinstance(val, list) or any(
-        isinstance(x, bool) or not isinstance(x, (int, float)) for x in val
+        isinstance(x, bool) or not isinstance(x, (int, float)) or not _finite(x) for x in val
     ):
-        raise SchemaError(f"{where}.{key} must be a list of numbers")
+        raise SchemaError(f"{where}.{key} must be a list of finite numbers")
     return np.asarray(val, dtype=float)
 
 
@@ -191,18 +208,19 @@ def _parse_model(doc: dict, raw: str) -> ModelSpec:
 
 def _parse_oscillator(doc: dict, raw: str) -> OscillatorState:
     where = "oscillator"
-    kind = doc.get("kind")
-    if kind not in _OSC_KINDS:
-        raise SchemaError(f"oscillator.kind must be one of {sorted(_OSC_KINDS)}, got {kind!r}")
+    kind = _kind(doc, _OSC_KINDS, where)
     if kind == "gaussian":
         _check_keys(doc, {"kind", "mean_re", "mean_im", "n_ex", "aa_re", "aa_im"}, where, raw)
-        return GaussianMoments(
-            mean_a=complex(_number(doc, "mean_re", where, default=0.0),
-                           _number(doc, "mean_im", where, default=0.0)),
-            n_ex=_number(doc, "n_ex", where, default=0.0),
-            aa=complex(_number(doc, "aa_re", where, default=0.0),
-                       _number(doc, "aa_im", where, default=0.0)),
-        )
+        try:
+            return GaussianMoments(
+                mean_a=complex(_number(doc, "mean_re", where, default=0.0),
+                               _number(doc, "mean_im", where, default=0.0)),
+                n_ex=_number(doc, "n_ex", where, default=0.0),
+                aa=complex(_number(doc, "aa_re", where, default=0.0),
+                           _number(doc, "aa_im", where, default=0.0)),
+            )
+        except PhysicalityError as exc:  # moments a configured state cannot have
+            raise SchemaError(f"oscillator: {exc}") from None
     if kind == "squeezed":
         _check_keys(doc, {"kind", "disp_re", "disp_im", "r", "phi"}, where, raw)
         return SqueezedDisplaced(
@@ -222,9 +240,7 @@ def _parse_oscillator(doc: dict, raw: str) -> OscillatorState:
 
 def _parse_bath_doc(doc: dict, raw: str) -> dict:
     where = "bath"
-    kind = doc.get("kind")
-    if kind not in _BATH_KINDS:
-        raise SchemaError(f"bath.kind must be one of {sorted(_BATH_KINDS)}, got {kind!r}")
+    kind = _kind(doc, _BATH_KINDS, where)
     allowed = {"kind"}
     out: dict = {"kind": kind}
     if kind in ("equilibrium", "sample_number", "sample_coherent"):
@@ -275,6 +291,9 @@ class RunConfig:
 def parse_config(doc: dict, raw: str = "") -> RunConfig:
     """Validate a config document and construct the model-side objects."""
     _check_keys(doc, _TOP_KEYS, "config", raw)
+    for key in sorted(_TOP_KEYS & doc.keys()):
+        if not isinstance(doc[key], dict):
+            raise SchemaError(f"{key} must be a JSON object, got {type(doc[key]).__name__}")
     if "model" not in doc:
         raise SchemaError("config requires a 'model' section")
     model = _parse_model(doc["model"], raw)
@@ -311,7 +330,9 @@ def parse_config(doc: dict, raw: str = "") -> RunConfig:
             out_dir = outs["directory"]
         if "formats" in outs:
             fmts = outs["formats"]
-            if not isinstance(fmts, list) or any(f not in _FORMATS for f in fmts):
+            if not isinstance(fmts, list) or any(
+                not isinstance(f, str) or f not in _FORMATS for f in fmts
+            ):
                 raise SchemaError(f"outputs.formats entries must be among {sorted(_FORMATS)}")
             formats = tuple(fmts)
 
@@ -319,12 +340,7 @@ def parse_config(doc: dict, raw: str = "") -> RunConfig:
     if "experiment" in doc:
         exp = doc["experiment"]
         _check_keys(exp, {"kind", "n_samples", "seed", "n_list", "time_index"}, "experiment", raw)
-        kind = exp.get("kind")
-        if kind is not None and kind not in _EXPERIMENT_KINDS:
-            raise SchemaError(
-                f"experiment.kind must be one of {sorted(_EXPERIMENT_KINDS)}, got {kind!r}"
-            )
-        experiment["kind"] = kind
+        experiment["kind"] = _kind(exp, _EXPERIMENT_KINDS | {None}, "experiment")
         n_samples = _integer(exp, "n_samples", "experiment", default=1000)
         if n_samples < 2:
             raise SchemaError("experiment.n_samples must be >= 2")

@@ -5,6 +5,13 @@ the upward direction for x >= 0.  Values grow roughly like exp(2 sqrt(n x))
 inside the oscillatory region, so for large n both members of the running
 pair are rescaled by a shared power of two; the shared exponent keeps ratios
 L_{n-1}/L_n exact.
+
+log_products evaluates prod_k L_{n_k}(x_k) for every row of a member matrix
+of orders n_k at once: each distinct (mode, order) factor is one row of a
+log|L| table, built with one eval_scaled call per distinct order, and a
+member's product is the sum of its rows of that table, taken in mode order.
+A single member is a one-row member matrix, with the same bits as its row in
+any larger one.
 """
 
 from __future__ import annotations
@@ -15,9 +22,11 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["eval_scaled", "value", "log_derivative", "log_product"]
+__all__ = ["eval_scaled", "value", "log_derivative", "log_products"]
 
 _RENORM_LIMIT = 2.0**500
+_LN2 = math.log(2.0)
+BLOCK_VALUES = 1 << 16  # table values gathered per member block of log_products
 
 
 def eval_scaled(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -76,20 +85,53 @@ def log_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ratio, ok
 
 
-def log_product(orders, xs, shape) -> tuple[np.ndarray, np.ndarray]:
-    """(sign, log|.|) of prod_k L_{n_k}(x_k) over arrays of the given shape.
+def log_products(occs, xs, *, signed: bool = False):
+    """Blocks (rows, log|prod|, odd) of prod_k L_{occs[m, k]}(xs[k]) over members m.
 
-    orders and xs pair one Laguerre order with one argument array.  The
-    running product is renormalized with frexp after every factor, so it
-    neither overflows nor underflows; log|.| is -inf where it vanishes.
+    occs is an (M, K) member matrix of orders and xs a (K, P) array holding
+    each mode's argument at P points.  The factor of each distinct (mode,
+    order) pair with order > 0 is evaluated once, as log|L| (and, if signed,
+    L < 0), by one eval_scaled call per distinct order on the stacked
+    arguments of the modes that carry it.  Each member's row of log|prod| is
+    the sum of its factors' rows added one by one in mode order, so (for
+    P >= 2; numpy sums a single point pairwise) it has the same bits whatever
+    other members share the call; log|prod| is -inf where a factor vanishes
+    and 0 for a member with no occupied mode.  odd marks an odd count of
+    negative factors (None unless signed).
+
+    Members come in blocks of consecutive rows, yielded as the slice rows of
+    occs, whose gathered factor rows, padded to the most factors of any
+    member, hold at most BLOCK_VALUES values (or one member's, when that is
+    more), so the memory per block does not grow with M.
     """
-    mant = np.ones(shape)
-    exp2 = np.zeros(shape)
-    for n, x in zip(orders, xs):
-        mk, _, ek = eval_scaled(int(n), x)
-        mant *= mk
-        exp2 += ek
-        mant, ex = np.frexp(mant)
-        exp2 += ex
-    with np.errstate(divide="ignore"):
-        return np.sign(mant), np.log(np.abs(mant)) + exp2 * math.log(2.0)
+    occs = np.asarray(occs)
+    xs = np.asarray(xs, dtype=float)
+    n_members, n_points = occs.shape[0], xs.shape[1]
+    member, mode = np.nonzero(occs)  # row-major: each member's modes in ascending order
+    order = occs[member, mode]
+    width = int(order.max(initial=0)) + 1
+    pairs, row = np.unique(mode * width + order, return_inverse=True)
+    pair_mode, pair_order = np.divmod(pairs, width)
+    # one row per distinct factor, then a zero row (log 1) that pads short members
+    log_abs = np.zeros((pairs.size + 1, n_points))
+    negative = np.zeros(log_abs.shape, dtype=bool) if signed else None
+    for n in np.unique(pair_order):
+        at = np.flatnonzero(pair_order == n)
+        m, _, e = eval_scaled(int(n), xs[pair_mode[at]])
+        with np.errstate(divide="ignore"):
+            log_abs[at] = np.log(np.abs(m)) + e * _LN2
+        if signed:
+            negative[at] = m < 0.0
+
+    # factors[m, j]: table row of member m's j-th factor in mode order, else the zero row
+    counts = np.bincount(member, minlength=n_members)
+    factors = np.full((n_members, max(1, counts.max(initial=0))), pairs.size)
+    factors[member, np.arange(member.size) - (np.cumsum(counts) - counts)[member]] = row
+    step = max(1, BLOCK_VALUES // (factors.shape[1] * max(n_points, 1)))
+    for start in range(0, n_members, step):
+        rows = slice(start, min(start + step, n_members))
+        # trailing zero rows add nothing, so any block width gives the same sums
+        block = factors[rows, : max(1, counts[rows].max())]
+        logs = log_abs[block].sum(axis=1)  # in factor order: the points are the inner axis
+        odd = np.logical_xor.reduce(negative[block], axis=1) if signed else None
+        yield rows, logs, odd

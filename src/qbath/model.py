@@ -192,7 +192,9 @@ def build_model(
             )
         delta = (disc.omega_max - disc.omega_min) / disc.n_modes
         omegas = disc.omega_min + (np.arange(disc.n_modes) + 0.5) * delta
-        u = np.sqrt(spectral_density(disc, omegas) * delta).astype(complex)
+        # a band or strength near the float range overflows here; ModelSpec rejects the result
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = np.sqrt(spectral_density(disc, omegas) * delta).astype(complex)
         v = np.zeros_like(u) if family is CouplingFamily.RWA else u
     return ModelSpec(nu=nu, omegas=omegas, u=u, v=v, units=units, coupling_family=family)
 

@@ -11,15 +11,17 @@ envelope, doubling the nodes per axis until two successive levels agree.
 For a Gaussian state the rest of the integrand is a polynomial, and the rule
 is exact at 2 sum_k n_k + 1 nodes per axis.  A single purity and each member
 of a number-state ensemble are members of that driver; the ensemble's
-members share one node set.  On one propagator row, mean_rows and
-variance_rows give a member matrix one entry per member, or one shared entry.
+members share one node set, and each level evaluates them together: one
+laguerre.log_products table of the distinct (mode, order) factors, summed
+per member in blocks of bounded size, so a member has the same bits alone
+as in any ensemble.  On one propagator row, mean_rows and variance_rows give
+a member matrix one entry per member, or one shared entry.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,14 +239,17 @@ def _hermite_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _level(p, i, s, gauss_bath, whiten: np.ndarray, n: int, occs: np.ndarray):
-    """One quadrature level: a function of a row of occs giving that member's sum.
+    """One quadrature level of the member matrix occs: a function of member indices.
 
-    The sum is sum_ij w_i w_j exp(y_i^2 + y_j^2) |chi|^2 over the n x n
-    Gauss-Hermite nodes mapped by x = whiten y.  |chi|^2 is |chi_g|^2 of the
-    common Gaussian bath times prod_k L_{n_k}(x_k)^2, multiplied in log space
-    so that an underflowed |chi_g|^2 never meets an overflowed product.  Each
-    mode's Laguerre argument |eta B_k^* - eta^* D_k|^2 is computed once per
-    level, on first use, and shared by the members.
+    It gives, for the members occs[members], the sum
+    sum_ij w_i w_j exp(y_i^2 + y_j^2) |chi|^2 over the n x n Gauss-Hermite
+    nodes mapped by x = whiten y.  |chi|^2 is |chi_g|^2 of the common
+    Gaussian bath times prod_k L_{n_k}(x_k)^2.  A member with no occupied
+    mode sums |chi_g|^2 directly.  For the others, each occupied mode's
+    argument |eta B_k^* - eta^* D_k|^2 is computed once per level, the
+    products come from laguerre.log_products in member blocks, and
+    |chi|^2 times the weights is formed in log space, so that an underflowed
+    |chi_g|^2 never meets an overflowed product.
     """
     y, wt = _hermite_table(n)
     y1, y2 = y[:, None], y[None, :]
@@ -252,36 +257,30 @@ def _level(p, i, s, gauss_bath, whiten: np.ndarray, n: int, occs: np.ndarray):
     im = whiten[1, 0] * y1 + whiten[1, 1] * y2
     eta = (re + 1j * im).ravel()
     base = np.abs(chi_eval(p, i, gauss_bath, s, eta)) ** 2
+    base_sum = float(wt @ base.reshape(n, n) @ wt)
+    if not occs.any():  # cats and Gaussian baths
+        return lambda members: np.full(occs[members].shape[0], base_sum)
+    modes = np.flatnonzero(occs.any(axis=0))
+    b, d = p.B[i, modes, None], p.D[i, modes, None]
+    xs = np.abs(eta * np.conj(b) - np.conj(eta) * d) ** 2
+    log_wt = np.log(wt)
     with np.errstate(divide="ignore"):
-        log_base = np.log(base) if occs.any() else None
-    b, d = p.B[i], p.D[i]
-    args: dict[int, np.ndarray] = {}
+        log_weighted = np.log(base) + (log_wt[:, None] + log_wt[None, :]).ravel()
 
-    def arg(k: int) -> np.ndarray:
-        if k not in args:
-            args[k] = np.abs(eta * np.conj(b[k]) - np.conj(eta) * d[k]) ** 2
-        return args[k]
+    def sums(members) -> np.ndarray:
+        sub = occs[members][:, modes]
+        out = np.full(sub.shape[0], base_sum)
+        busy = np.flatnonzero(sub.any(axis=1))
+        for rows, log_chi2, _ in laguerre.log_products(sub[busy], xs):
+            log_chi2 *= 2.0
+            log_chi2 += log_weighted
+            out[busy[rows]] = np.exp(log_chi2, out=log_chi2).sum(axis=1)
+        return out
 
-    def member(occ: np.ndarray) -> float:
-        modes = np.nonzero(occ)[0]
-        if modes.size == 0:
-            chi2 = base
-        else:
-            _, log_lag = laguerre.log_product(occ[modes], (arg(int(k)) for k in modes), eta.shape)
-            chi2 = np.exp(log_base + 2.0 * log_lag)
-        return float(wt @ chi2.reshape(n, n) @ wt)
-
-    return member
+    return sums
 
 
-def _map(fn, items, threads: int | None) -> list:
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
-def _quadrature(p, i, s, gauss_bath, occs, probes, tol, threads=None) -> np.ndarray:
+def _quadrature(p, i, s, gauss_bath, occs, probes, tol) -> np.ndarray:
     """Purities at index i of the members F = F_g prod_k L_{n_k}, one row of occs each.
 
     F_g is the influence of gauss_bath, a Gaussian bath common to the members.
@@ -299,15 +298,15 @@ def _quadrature(p, i, s, gauss_bath, occs, probes, tol, threads=None) -> np.ndar
     n = exact if exact <= 2 * N_START else N_START
     prev = None
     while n <= MAX_NODES:
-        member = _level(p, i, s, gauss_bath, whiten, n, occs)
+        level = _level(p, i, s, gauss_bath, whiten, n, occs)
         if n == exact:
-            return np.array(_map(member, occs, threads)) * scale
-        cur = np.array([member(occs[k]) for k in probes]) * scale
+            return level(slice(None)) * scale
+        cur = level(probes) * scale
         if prev is not None and np.all(np.abs(cur - prev) < tol * np.maximum(1.0, np.abs(cur))):
             vals = np.empty(occs.shape[0])
             vals[probes] = cur
             rest = np.setdiff1d(np.arange(occs.shape[0]), probes)
-            vals[rest] = np.array(_map(member, occs[rest], threads)) * scale
+            vals[rest] = level(rest) * scale
             return vals
         prev = cur
         n = min(2 * n, exact)
@@ -383,19 +382,19 @@ def number_variance_of_variance(p: PropagatorCoefficients, i: int, beta: float) 
 
 
 def member_purities(
-    p: PropagatorCoefficients, i: int, bath: NumberStateBath, s: OscillatorState, *, threads=None
+    p: PropagatorCoefficients, i: int, bath: NumberStateBath, s: OscillatorState
 ) -> np.ndarray:
     """Purity at index i of each member of a number-state member matrix.
 
     The members share one Gauss-Hermite node set, refined on the first
-    member and the most occupied ones; threads fan the members out without
-    changing any value.
+    member and the most occupied ones, and each level sums them in member
+    blocks of one batched Laguerre kernel (_level).
     """
     occs = np.atleast_2d(bath.n)
     _check_modes(p, occs, "occupations")
     alpha_member = occs @ (np.abs(p.B[i]) ** 2 + np.abs(p.D[i]) ** 2)
     probes = sorted({0, int(np.argmax(alpha_member)), int(np.argmax(occs.sum(axis=1)))})
-    return _quadrature(p, i, s, EquilibriumBath(math.inf), occs, probes, ENSEMBLE_TOL, threads)
+    return _quadrature(p, i, s, EquilibriumBath(math.inf), occs, probes, ENSEMBLE_TOL)
 
 
 def averaged_purity_number_ensemble(
@@ -405,8 +404,6 @@ def averaged_purity_number_ensemble(
     s: OscillatorState,
     n_samples: int,
     seed: int,
-    *,
-    threads: int | None = None,
 ) -> EnsembleSummary:
     """Monte-Carlo mean of purity over number-state preparations drawn from P_n.
 
@@ -416,7 +413,7 @@ def averaged_purity_number_ensemble(
     if n_samples < 2:
         raise ParameterError("need at least two samples")
     members = sample_number_states(beta, p.model, seed, n_samples)
-    return summarize(member_purities(p, i, members, s, threads=threads), seed)
+    return summarize(member_purities(p, i, members, s), seed)
 
 
 def displaced_vacuum_check(

@@ -109,6 +109,44 @@ def first_min_index(values) -> int:
     return int(np.argmax(v <= low + MIN_TIE_TOL * max(1.0, abs(low))))
 
 
+def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """Three-point end slope, clamped so the end cell stays monotone."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip(x: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Monotone piecewise-cubic Hermite curve through (x, y), evaluated at s.
+
+    x is strictly increasing with at least three knots.  The slopes are
+    Fritsch-Carlson's (F. N. Fritsch and R. E. Carlson, SIAM J. Numer. Anal.
+    17, 238 (1980)) in the form scipy's PchipInterpolator uses: a weighted
+    harmonic mean of the neighbouring secants inside, 0 where they differ in
+    sign or one vanishes, and the clamped three-point formula at both ends.
+    Points outside [x[0], x[-1]] continue the end cubics.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = (w1 + w2) / (w1 / m[:-1] + w2 / m[1:])
+    d = np.concatenate([
+        [_end_slope(h[0], h[1], m[0], m[1])],
+        np.where(flat, 0.0, inner),
+        [_end_slope(h[-1], h[-2], m[-1], m[-2])],
+    ])
+    j = np.clip(np.searchsorted(x, s, side="right") - 1, 0, x.size - 2)
+    t = s - x[j]
+    c2 = (3.0 * m[j] - 2.0 * d[j] - d[j + 1]) / h[j]
+    c3 = (d[j] + d[j + 1] - 2.0 * m[j]) / h[j] ** 2
+    return y[j] + t * (d[j] + t * (c2 + t * c3))
+
+
 def min_purity_check(purity_series, absA2_series) -> MinPurityReport:
     """Locate the purity minimum along a trajectory and test s <-> 1-s symmetry.
 
@@ -138,11 +176,8 @@ def min_purity_check(purity_series, absA2_series) -> MinPurityReport:
     if hi > lo and x_all.size >= 2:
         s_probe = np.linspace(lo, hi, N_PAIRS)
         if x_all.size >= 4:
-            # imported here: scipy.interpolate would dominate `import qbath`
-            from scipy.interpolate import PchipInterpolator
-
-            curve = PchipInterpolator(x_all, y_all)
-            defect = float(np.max(np.abs(curve(s_probe) - curve(1.0 - s_probe))))
+            curve = _pchip(x_all, y_all, np.concatenate([s_probe, 1.0 - s_probe]))
+            defect = float(np.max(np.abs(curve[:N_PAIRS] - curve[N_PAIRS:])))
         else:
             defect = float(
                 np.max(

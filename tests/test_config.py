@@ -8,7 +8,7 @@ import pytest
 
 from qbath.baths import CoherentStateBath, EquilibriumBath, NumberStateBath, member_rng
 from qbath.config import load_config, parse_config, realize_bath
-from qbath.errors import SchemaError
+from qbath.errors import DataError, SchemaError
 from qbath.cli import _SUBCOMMANDS
 from qbath.presets import STOCK_MODEL_NAMES
 from qbath.states import CatState, GaussianMoments, SqueezedDisplaced
@@ -95,6 +95,43 @@ def test_type_errors():
     with pytest.raises(SchemaError):
         parse_config(doc, "")
 
+
+
+def _set(doc, path, value):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize("path, value", [
+    (("oscillator",), 1.5),
+    (("time_grid",), []),
+    (("bath",), 3),
+    (("outputs",), "csv"),
+    (("oscillator", "kind"), [None]),
+    (("bath", "kind"), [None]),
+    (("experiment",), {"kind": [None]}),
+    (("outputs",), {"formats": [["csv"]]}),
+    (("time_grid", "t_max"), math.inf),
+    (("time_grid", "t_max"), math.nan),
+    (("model", "nu"), 10**400),
+    (("oscillator",), {"kind": "gaussian", "n_ex": 0.2, "aa_re": 0.5}),  # below the bound
+])
+def test_malformed_values_are_schema_errors(path, value):
+    # each of these once escaped as AttributeError, TypeError, OverflowError, a
+    # PhysicalityError (exit 3) or a RuntimeWarning followed by the wrong message
+    doc = _base_doc()
+    _set(doc, path, value)
+    with pytest.raises(SchemaError, match=path[0]):
+        parse_config(doc, json.dumps(doc))
+
+
+def test_overflowing_band_is_a_data_error():
+    doc = _base_doc()
+    doc["model"]["spectral"].update(strength=1e308, omega_max=1e308)
+    with pytest.raises(DataError, match="non-finite"):
+        parse_config(doc, "")
 
 def test_explicit_section_rules():
     doc = _base_doc()

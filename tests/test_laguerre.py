@@ -91,3 +91,74 @@ def test_low_orders_equal_the_general_loop_bitwise():
             assert g.dtype == r.dtype == np.float64 and g.shape == r.shape
             assert g.tobytes() == r.tobytes(), n
     assert _general_loop(300, x)[2].any()
+
+
+def _member_matrix():
+    """Members with no occupied mode, mixed orders on one mode, and orders that renormalize."""
+    rng = np.random.default_rng(4)
+    occs = rng.integers(0, 4, size=(23, 6)) * (rng.random((23, 6)) < 0.4)
+    occs[:, 2] = np.arange(23) % 5  # every order 0..4 on one mode
+    occs[3] = 0
+    occs[7, 4] = 300  # L_300 renormalizes on the large arguments below
+    occs[8] = 0
+    occs[8, [1, 4]] = 300
+    xs = rng.uniform(0.0, 6.0, size=(6, 57))
+    xs[4, :20] = np.linspace(200.0, 1000.0, 20)
+    return occs, xs
+
+
+def _concat(blocks):
+    rows, logs, odd = zip(*blocks)
+    assert rows[0].start == 0 and all(a.stop == b.start for a, b in zip(rows, rows[1:]))
+    return np.concatenate(logs), None if odd[0] is None else np.concatenate(odd)
+
+
+def test_log_products_add_the_factors_mode_by_mode():
+    occs, xs = _member_matrix()
+    logs, odd = _concat(laguerre.log_products(occs, xs, signed=True))
+    assert logs.shape == odd.shape == (occs.shape[0], xs.shape[1])
+    for m, occ in enumerate(occs):
+        ref_log, ref_neg = np.zeros(xs.shape[1]), np.zeros(xs.shape[1], dtype=bool)
+        for k in np.nonzero(occ)[0]:
+            mant, _, ex = laguerre.eval_scaled(int(occ[k]), xs[k])
+            ref_log += np.log(np.abs(mant)) + ex * np.log(2.0)
+            ref_neg ^= mant < 0.0
+        assert logs[m].tobytes() == ref_log.tobytes(), m  # the same additions in the same order
+        assert (odd[m] == ref_neg).all()
+    assert (logs[3] == 0.0).all() and not odd[3].any()
+    # the renormalized orders are the same numbers scipy gives (about 1e286 at x = 1000)
+    big = eval_laguerre(300, xs[4, :20])
+    assert np.isfinite(big).all() and np.abs(big).max() > 1e150
+    direct = np.log(np.abs(eval_laguerre(300, xs[1, :20]))) + np.log(np.abs(big))
+    np.testing.assert_allclose(logs[8, :20], direct, rtol=1e-10)
+
+
+def test_log_products_rows_equal_one_member_calls_bitwise(monkeypatch):
+    occs, xs = _member_matrix()
+    whole, whole_odd = _concat(laguerre.log_products(occs, xs, signed=True))
+    monkeypatch.setattr(laguerre, "BLOCK_VALUES", 3 * xs.shape[1])  # blocks of a few members
+    blocked, blocked_odd = _concat(laguerre.log_products(occs, xs, signed=True))
+    assert blocked.tobytes() == whole.tobytes() and (blocked_odd == whole_odd).all()
+    for m in range(occs.shape[0]):
+        ((rows, one, one_odd),) = laguerre.log_products(occs[m : m + 1], xs, signed=True)
+        assert rows == slice(0, 1)
+        assert one[0].tobytes() == whole[m].tobytes(), m
+        assert (one_odd[0] == whole_odd[m]).all()
+
+
+def test_log_products_vanishing_factor_is_zero_not_nan():
+    # L_1(1) = 0: the product is exactly 0 there, with no NaN from the other members
+    occs = np.array([[1, 0], [0, 2], [1, 2], [0, 0]])
+    xs = np.array([[1.0, 0.5, 3.0], [0.25, 1.0, 2.0]])
+    logs, odd = _concat(laguerre.log_products(occs, xs, signed=True))
+    assert not np.isnan(logs).any()
+    assert logs[0, 0] == logs[2, 0] == -np.inf
+    values = np.where(odd, -1.0, 1.0) * np.exp(logs)
+    ref = np.array([
+        eval_laguerre(1, xs[0]),
+        eval_laguerre(2, xs[1]),
+        eval_laguerre(1, xs[0]) * eval_laguerre(2, xs[1]),
+        np.ones(3),
+    ])
+    assert values[0, 0] == values[2, 0] == 0.0
+    np.testing.assert_allclose(values, ref, rtol=1e-14, atol=0.0)

@@ -4,14 +4,21 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import eval_laguerre
 
-from qbath import laguerre
 from qbath import observables as obs
-from qbath.baths import EquilibriumBath, NumberStateBath, member_rng, sample_number_state
+from qbath.baths import (
+    EquilibriumBath,
+    NumberStateBath,
+    member_rng,
+    sample_number_state,
+    sample_number_states,
+)
 from qbath.states import CatState, SqueezedDisplaced
 
 SQUEEZED = SqueezedDisplaced(disp=0.5 - 0.1j, r=0.6, phi=0.3)
@@ -30,11 +37,11 @@ def _midpoint_purity(p, i, bath, s, radius=12.0, n=320):
     axis = -radius + (np.arange(n) + 0.5) * h
     eta = (axis[None, :] + 1j * axis[:, None]).ravel()
     if isinstance(bath, NumberStateBath):
+        # independent of qbath.laguerre: scipy's Laguerre values, multiplied mode by mode
         chi2 = np.abs(obs.chi_eval(p, i, EquilibriumBath(math.inf), s, eta)) ** 2
-        modes = np.nonzero(bath.n)[0]
-        xs = (np.abs(eta * np.conj(p.B[i, k]) - np.conj(eta) * p.D[i, k]) ** 2 for k in modes)
-        sign, log_lag = laguerre.log_product(bath.n[modes], xs, eta.shape)
-        chi2 = chi2 * (sign * np.exp(log_lag)) ** 2
+        for k in np.nonzero(bath.n)[0]:
+            x = np.abs(eta * np.conj(p.B[i, k]) - np.conj(eta) * p.D[i, k]) ** 2
+            chi2 = chi2 * eval_laguerre(int(bath.n[k]), x) ** 2
     else:
         chi2 = np.abs(obs.chi_eval(p, i, bath, s, eta)) ** 2
     edge = np.maximum(np.abs(eta.real), np.abs(eta.imag)) > radius - h
@@ -83,7 +90,7 @@ def test_gaussian_state_rule_is_exact_at_the_degree_count(ohmic_rwa, ohmic_pp, p
         for i in (*EARLY, plateau_index(p)):
             whiten, scale = obs._whitened(p, i, SQUEEZED, zero_t)
             at, above = (
-                obs._level(p, i, SQUEEZED, zero_t, whiten, n, occs)(occ) * scale
+                obs._level(p, i, SQUEEZED, zero_t, whiten, n, occs)(slice(None))[0] * scale
                 for n in (exact, exact + 8)
             )
             assert abs(at - above) < 1e-13
@@ -121,3 +128,34 @@ def test_import_leaves_numpy_polynomial_unloaded():
         timeout=120,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_level_rows_equal_one_member_levels_bitwise(ohmic_rwa, ohmic_pp, plateau_index):
+    # a member's level sum does not depend on the members it is summed with
+    zero_t = EquilibriumBath(math.inf)
+    for p in (ohmic_rwa, ohmic_pp):
+        i = plateau_index(p)
+        occs = sample_number_states(1.0, p.model, 21, 40).n
+        occs[5] = 0
+        whiten, _ = obs._whitened(p, i, SQUEEZED, zero_t)
+        level = obs._level(p, i, SQUEEZED, zero_t, whiten, 33, occs)
+        whole = level(slice(None))
+        assert np.isfinite(whole).all()
+        for m in range(occs.shape[0]):
+            alone = obs._level(p, i, SQUEEZED, zero_t, whiten, 33, occs[m : m + 1])
+            assert whole[m] == level([m])[0] == alone(slice(None))[0], m
+
+
+def test_member_purities_memory_does_not_grow_with_members(ohmic_rwa, plateau_index):
+    p = ohmic_rwa
+    i = plateau_index(p)
+    peaks = []
+    for count in (100, 800):
+        members = sample_number_states(2.0, p.model, 5, count)
+        tracemalloc.start()
+        try:
+            obs.member_purities(p, i, members, SQUEEZED)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0], peaks

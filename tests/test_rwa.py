@@ -143,18 +143,52 @@ def test_min_purity_check_constant_series():
         rwa.min_purity_check(np.ones(3), np.ones(4))
 
 
-def test_import_leaves_scipy_interpolate_unloaded():
-    # min_purity_check imports PchipInterpolator on first use, not at import
+def _run_python(code: str) -> str:
+    """Standard output of code run by a fresh interpreter that imports this qbath."""
     import qbath
 
     src = str(Path(qbath.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, qbath; print('scipy.interpolate' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
         timeout=120,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    code = "import sys, qbath; print('scipy.interpolate' in sys.modules)"
+    assert _run_python(code) == "False"
+
+
+def test_rwa_compare_leaves_scipy_interpolate_unloaded(tmp_path):
+    # min_purity_check interpolates with its own monotone cubic, not scipy's
+    config = Path(__file__).resolve().parents[1] / "configs" / "rwa-compare-squeezed.json"
+    code = (
+        "import sys; from qbath.cli import main; "
+        f"rc = main(['rwa-compare', '--config', {str(config)!r}, '--out', {str(tmp_path)!r}]); "
+        "print(rc, 'scipy.interpolate' in sys.modules)"
+    )
+    assert _run_python(code) == "0 False"
+    assert (tmp_path / "rwa_compare_report.json").exists()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_monotone_cubic_matches_scipy_pchip(seed):
+    from scipy.interpolate import PchipInterpolator
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 40))
+    x = np.cumsum(rng.uniform(0.01, 1.0, n))
+    for y in (
+        np.cumsum(rng.uniform(0.0, 1.0, n)),  # monotone, with flat steps below
+        np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.0, 1.0, n)).cumsum(),
+        rng.normal(size=n),  # not monotone
+        np.sin(3.0 * x),
+    ):
+        s = np.concatenate([rng.uniform(x[0], x[-1], 200), x, [x[0] - 0.1, x[-1] + 0.1]])
+        ref = PchipInterpolator(x, y)(s)
+        assert np.max(np.abs(rwa._pchip(x, y, s) - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_first_min_index_takes_the_first_of_tied_minima():
