@@ -20,6 +20,13 @@ beta = +inf is the zero-temperature sentinel.  Random preparations are drawn
 from the diagonal weights of the equilibrium state: geometric occupation
 numbers (P_n) or complex Gaussian amplitudes with E|beta_k|^2 = nbar_k (P_c).
 
+This module alone decides what F is.  Gaussian parameters come from
+bath_sums as a GaussianFSeries on propagator rows (fs[0] for one index), and
+_gaussian_sums is the one guard that refuses number states.  _laguerre_split
+writes any bath as a Gaussian part times prod_k L_{n_k} (vacuum plus
+occupations, or the bath itself plus a row of zeros), and _mode_args builds
+z_k = eta B_k^* - eta^* D_k for purity quadrature and the general generator.
+
 An ensemble is one bath holding an (M x N) member matrix, row k drawn from
 member_rng(seed, k); on one propagator row the sums below give one entry per
 member, or one shared by all where the prepared values do not enter.
@@ -42,7 +49,6 @@ __all__ = [
     "EquilibriumBath",
     "NumberStateBath",
     "CoherentStateBath",
-    "GaussianFParams",
     "GaussianFSeries",
     "NoiseCorrelation",
     "occupation",
@@ -113,24 +119,14 @@ BathSpec = EquilibriumBath | NumberStateBath | CoherentStateBath
 
 
 @dataclass
-class GaussianFParams:
-    """Parameters of a Gaussian influence function.
-
-    F(eta) = exp(delta^* eta - delta eta^* - alpha |eta|^2
-                 + gamma^* eta^2 + gamma eta^*2)
-    """
-
-    delta: complex
-    alpha: float
-    gamma: complex
-
-
-@dataclass
 class GaussianFSeries:
     """Gaussian influence parameters on propagator rows, with exact time derivatives.
 
+    F(eta) = exp(delta^* eta - delta eta^* - alpha |eta|^2
+                 + gamma^* eta^2 + gamma eta^*2)
+
     The derivative fields are None where only the values were computed.
-    Indexing selects rows of every field.
+    Indexing selects rows of every field; fs[0] holds the scalars of one row.
     """
 
     delta: np.ndarray
@@ -235,17 +231,45 @@ def bath_sums(
     return fs
 
 
-def equilibrium_F_params(p: PropagatorCoefficients, i: int, beta: float) -> GaussianFParams:
+def _gaussian_sums(
+    p: PropagatorCoefficients, rows, bath: BathSpec, *, derivs: bool = False
+) -> GaussianFSeries:
+    """bath_sums of a bath with Gaussian influence; ParameterError for number states."""
+    if isinstance(bath, NumberStateBath):
+        raise ParameterError("number-state baths have no Gaussian influence parameters")
+    return bath_sums(p, rows, bath, derivs=derivs)
+
+
+def _laguerre_split(p: PropagatorCoefficients, bath: BathSpec) -> tuple[BathSpec, np.ndarray]:
+    """(Gaussian part, occupation matrix) with F = F_gauss prod_k L_{n_k}, one row per member.
+
+    A number-state bath is the vacuum plus its checked occupations; any other
+    bath is itself plus one row of zeros.
+    """
+    if isinstance(bath, NumberStateBath):
+        occs = np.atleast_2d(bath.n)
+        _check_modes(p, occs, "occupations")
+        return EquilibriumBath(math.inf), occs
+    return bath, np.zeros((1, p.n_modes), dtype=int)
+
+
+def _mode_args(b: np.ndarray, d: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """z_k = eta b_k^* - eta^* d_k: one row per mode of b and d, one column per node of eta."""
+    eta = np.ravel(eta)
+    return eta * np.conj(b[:, None]) - np.conj(eta) * d[:, None]
+
+
+def equilibrium_F_params(p: PropagatorCoefficients, i: int, beta: float) -> GaussianFSeries:
     """Gaussian influence parameters of the thermal preparation at index i."""
     return bath_f_params(p, i, EquilibriumBath(beta))
 
 
-def coherent_F_params(p: PropagatorCoefficients, i: int, amps: np.ndarray) -> GaussianFParams:
+def coherent_F_params(p: PropagatorCoefficients, i: int, amps: np.ndarray) -> GaussianFSeries:
     """Gaussian influence parameters of a coherent-product preparation at index i."""
     return bath_f_params(p, i, CoherentStateBath(amps))
 
 
-def gaussian_F_eval(params: GaussianFParams, eta: np.ndarray) -> np.ndarray:
+def gaussian_F_eval(params: GaussianFSeries, eta: np.ndarray) -> np.ndarray:
     """Evaluate a Gaussian influence function on an array of eta values."""
     eta = np.asarray(eta, dtype=complex)
     return np.exp(gaussian_exponent(params.delta, params.alpha, params.gamma, eta))
@@ -261,28 +285,20 @@ def number_F_eval(
     laguerre.log_products, in log space to avoid overflow, with its sign from
     the parity of the negative factors.
     """
-    bath = _single(NumberStateBath(n))
-    _check_modes(p, bath.n, "occupations")
+    vacuum, occs = _laguerre_split(p, _single(NumberStateBath(n)))
     eta = np.asarray(eta, dtype=complex)
-    zero_t = equilibrium_F_params(p, i, math.inf)
+    zero_t = bath_f_params(p, i, vacuum)
     log_env = np.real(gaussian_exponent(0.0, zero_t.alpha, zero_t.gamma, eta))
-    active = np.nonzero(bath.n)[0]
-    b, d = p.B[i, active, None], p.D[i, active, None]
-    flat = eta.ravel()
-    xs = np.abs(flat * np.conj(b) - np.conj(flat) * d) ** 2
-    ((_, log_lag, odd),) = laguerre.log_products(bath.n[None, active], xs, signed=True)
+    active = np.flatnonzero(occs[0])
+    xs = np.abs(_mode_args(p.B[i, active], p.D[i, active], eta)) ** 2
+    ((_, log_lag, odd),) = laguerre.log_products(occs[:, active], xs, signed=True)
     sign = np.where(odd[0], -1.0, 1.0).reshape(eta.shape)
     return sign * np.exp(log_env + log_lag[0].reshape(eta.shape))
 
 
-def bath_f_params(p: PropagatorCoefficients, i: int, bath: BathSpec) -> GaussianFParams:
-    """Gaussian influence parameters; rejects number-state baths."""
-    if isinstance(bath, NumberStateBath):
-        raise ParameterError("number-state baths have no Gaussian influence parameters")
-    fs = bath_sums(p, row_slice(i), _single(bath))
-    return GaussianFParams(
-        delta=complex(fs.delta[0]), alpha=float(fs.alpha[0]), gamma=complex(fs.gamma[0])
-    )
+def bath_f_params(p: PropagatorCoefficients, i: int, bath: BathSpec) -> GaussianFSeries:
+    """Gaussian influence parameters at index i, the row fs[0]; rejects number-state baths."""
+    return _gaussian_sums(p, row_slice(i), _single(bath))[0]
 
 
 def bath_F_eval(p: PropagatorCoefficients, i: int, bath: BathSpec, eta: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Batch command line driver.
 
-    qbath <subcommand> --config <path> [--out <dir>] [--seed <u64>] [--threads <n>]
+    qbath <subcommand> --config <path> [--out <dir>] [--seed <u64>]
 
 Subcommands: validate, propagate, observables, purity, ensemble, master-eq,
 rwa-compare, n-sweep.  Each reads one JSON run config, executes the scenario,
@@ -8,11 +8,10 @@ and writes CSV/JSON artifacts plus a manifest into the output directory.
 Exit codes: 0 success, 2 config/validation failure, 3 numerical error.
 
 Artifacts are deterministic: given identical config and seed every data file
-is byte-identical across runs.  --threads (or QBATH_THREADS) is accepted and
-validated but changes nothing; every ensemble is one batched evaluation.
-The manifest records the config hash, effective seed, package versions, and
-wall time; since it contains the wall time it is the one file excluded from
-the byte-identity guarantee.
+is byte-identical across runs; every ensemble is one batched evaluation.
+The manifest records the config hash, the --seed override, the qbath, numpy
+and Python versions, and the wall time, which makes it the one file excluded
+from the byte-identity guarantee.
 
 Floats in CSV files carry 17 significant digits so comparisons against the
 library can be made exact at the file level.
@@ -28,7 +27,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import platform
 import struct
 import sys
@@ -36,7 +34,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, mastereq, rwa
 from .baths import (
@@ -48,7 +45,7 @@ from .baths import (
     sample_coherent_states,
     sample_number_states,
 )
-from .config import RunConfig, load_config, realize_bath
+from .config import RunConfig, load_config, parse_config, realize_bath
 from .errors import NumericalError, SchemaError
 from .model import SpectralFamily, validate_model
 from .observables import (
@@ -275,8 +272,8 @@ def _cmd_ensemble(cfg: RunConfig, args, out: Path) -> list[str]:
     want = "number" if kind == "sample_number" else "coherent"
     if exp_kind is not None and exp_kind != want:
         raise SchemaError(f"experiment.kind {exp_kind!r} does not match bath kind {kind!r}")
-    seed = args.seed if args.seed is not None else cfg.experiment.get("seed", cfg.bath_doc["seed"])
-    n_samples = cfg.experiment.get("n_samples", 1000)
+    seed = args.seed if args.seed is not None else cfg.experiment["seed"]
+    n_samples = cfg.experiment["n_samples"]
     p = compute_propagator(cfg.model, cfg.grid)
     i = _time_index(cfg, p)
     if want == "number":
@@ -379,8 +376,6 @@ def _cmd_n_sweep(cfg: RunConfig, args, out: Path) -> list[str]:
     n_list = cfg.experiment.get("n_list")
     if not n_list:
         raise SchemaError("n-sweep requires experiment.n_list")
-    from .config import parse_config
-
     beta = cfg.bath_doc["beta"]
     entries = []
     for n in n_list:
@@ -441,29 +436,13 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="output directory for artifacts")
         sp.add_argument("--seed", type=int, default=None,
                         help="override sampling/experiment seeds")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="accepted and validated (default: QBATH_THREADS or 1); "
-                             "ensembles are batched and do not use it")
     return parser
-
-
-def _check_threads(args) -> None:
-    if args.threads is not None:
-        n = args.threads
-    else:
-        try:
-            n = int(os.environ.get("QBATH_THREADS", "1"))
-        except ValueError:
-            raise SchemaError("QBATH_THREADS must be an integer") from None
-    if n < 1:
-        raise SchemaError(f"thread count must be >= 1, got {n}")
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     t_start = time.perf_counter()
     try:
-        _check_threads(args)
         if args.seed is not None and args.seed < 0:
             raise SchemaError("--seed must be nonnegative")
         cfg = load_config(args.config)
@@ -484,7 +463,6 @@ def main(argv=None) -> int:
                 "versions": {
                     "qbath": __version__,
                     "numpy": np.__version__,
-                    "scipy": scipy.__version__,
                     "python": platform.python_version(),
                 },
                 "wall_time_s": time.perf_counter() - t_start,

@@ -9,6 +9,9 @@ A run config is a single JSON object with sections
     outputs     {directory, formats: ["csv" | "json" | "sidecar"]}
     experiment  {kind, n_samples, seed, n_list, time_index}
 
+experiment.seed defaults to the sampled bath's seed (else 0), n_samples to
+1000; sizes beyond any array (time_grid.steps, model.spectral.N) are errors.
+
 Unknown keys are rejected anywhere in the document, with the offending line
 quoted when it can be located in the source text.  Complex-valued fields are
 carried as re/im pairs since JSON has no complex type; beta accepts the
@@ -52,6 +55,7 @@ _BATH_KINDS = {"equilibrium", "number", "coherent", "sample_number", "sample_coh
 _OSC_KINDS = {"gaussian", "squeezed", "cat"}
 _FORMATS = {"csv", "json", "sidecar"}
 _EXPERIMENT_KINDS = {"number", "coherent", "n-sweep"}
+_MAX_SIZE = int(np.iinfo(np.intp).max)  # the largest array length numpy can index
 
 
 def _line_of(raw: str, key: str) -> str:
@@ -163,6 +167,8 @@ def _parse_model(doc: dict, raw: str) -> ModelSpec:
                           f"{[f.value for f in SpectralFamily]}, got "
                           f"{spect_doc.get('family')!r}") from None
     n_modes = _integer(spect_doc, "N", "model.spectral", required=True)
+    if n_modes > _MAX_SIZE:
+        raise SchemaError(f"model.spectral.N = {n_modes} exceeds the largest array size")
 
     units = Units()
     if "units" in doc:
@@ -318,6 +324,8 @@ def parse_config(doc: dict, raw: str = "") -> RunConfig:
         steps = _integer(tg, "steps", "time_grid", required=True)
         if t_max <= 0 or steps < 1:
             raise SchemaError("time_grid requires t_max > 0 and steps >= 1")
+        if steps >= _MAX_SIZE:  # the grid holds steps + 1 points
+            raise SchemaError(f"time_grid.steps = {steps} exceeds the largest array size")
         grid = TimeGrid.linspace(t_max, steps)
 
     out_dir, formats = None, ("csv", "json")
@@ -336,16 +344,16 @@ def parse_config(doc: dict, raw: str = "") -> RunConfig:
                 raise SchemaError(f"outputs.formats entries must be among {sorted(_FORMATS)}")
             formats = tuple(fmts)
 
-    experiment: dict = {}
+    experiment: dict = {"seed": (bath_doc or {}).get("seed", 0), "n_samples": 1000}
     if "experiment" in doc:
         exp = doc["experiment"]
         _check_keys(exp, {"kind", "n_samples", "seed", "n_list", "time_index"}, "experiment", raw)
         experiment["kind"] = _kind(exp, _EXPERIMENT_KINDS | {None}, "experiment")
-        n_samples = _integer(exp, "n_samples", "experiment", default=1000)
+        n_samples = _integer(exp, "n_samples", "experiment", default=experiment["n_samples"])
         if n_samples < 2:
             raise SchemaError("experiment.n_samples must be >= 2")
         experiment["n_samples"] = n_samples
-        seed = _integer(exp, "seed", "experiment", default=0)
+        seed = _integer(exp, "seed", "experiment", default=experiment["seed"])
         if seed < 0:
             raise SchemaError("experiment.seed must be nonnegative")
         experiment["seed"] = seed

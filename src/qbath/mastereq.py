@@ -16,8 +16,11 @@ the full chi = chi~ F satisfies
 
 with kappa, mu, sigma given by the influence parameters, their exact time
 derivatives, and (xi, zeta).  For arbitrary F the generator keeps log-
-derivatives of F explicitly.  Everything here evaluates both sides of these
-identities along the exact solution; nothing is integrated forward.
+derivatives of F explicitly, split as baths decides (a number-state F is
+the vacuum Gaussian times Laguerre factors); the Gaussian entry points refuse
+number-state baths through the one guard in baths.  Everything here
+evaluates both sides of these identities along the exact solution; nothing
+is integrated forward.
 
 The drift denominator |A|^2 - |C|^2 can cross zero (e.g. on resonance at
 u t = pi/2); points at or below the floor raise SingularGeneratorError from
@@ -38,11 +41,13 @@ from .baths import (
     CoherentStateBath,
     EquilibriumBath,
     GaussianFSeries,
-    NumberStateBath,
+    _gaussian_sums,
+    _laguerre_split,
+    _mode_args,
     bath_F_eval,
     bath_sums,
 )
-from .errors import ParameterError, SingularGeneratorError
+from .errors import SingularGeneratorError
 from .observables import chi_eval, square_eta_grid
 from .propagator import PropagatorCoefficients, row_slice
 from .states import (
@@ -91,19 +96,17 @@ class GeneratorCoefficients:
 
 def equilibrium_f_series(p: PropagatorCoefficients, beta: float) -> GaussianFSeries:
     """Thermal influence parameters (delta = 0) with exact time derivatives."""
-    return bath_sums(p, slice(None), EquilibriumBath(beta), derivs=True)
+    return f_series_for(p, EquilibriumBath(beta))
 
 
 def coherent_f_series(p: PropagatorCoefficients, amps: np.ndarray) -> GaussianFSeries:
     """Coherent-preparation influence parameters with exact time derivatives."""
-    return bath_sums(p, slice(None), CoherentStateBath(amps), derivs=True)
+    return f_series_for(p, CoherentStateBath(amps))
 
 
 def f_series_for(p: PropagatorCoefficients, bath: BathSpec) -> GaussianFSeries:
     """Gaussian influence series for an equilibrium or coherent preparation."""
-    if isinstance(bath, NumberStateBath):
-        raise ParameterError("number-state baths have no Gaussian influence series")
-    return bath_sums(p, slice(None), bath, derivs=True)
+    return _gaussian_sums(p, slice(None), bath, derivs=True)
 
 
 def _drift_rows(p: PropagatorCoefficients, rows):
@@ -175,28 +178,30 @@ def generator_series(p: PropagatorCoefficients, fs: GaussianFSeries) -> dict[str
 def _logF_derivs(p: PropagatorCoefficients, i: int, bath: BathSpec, eta: np.ndarray):
     """(dlnF/deta, dlnF/deta^*, dlnF/dt, ok) at index i.
 
-    A number-state F is the zero-temperature Gaussian times Laguerre factors;
-    ok flags nodes where one of those factors is too close to a zero.
+    F is the Gaussian part of _laguerre_split times prod_k L_{n_k}(|z_k|^2),
+    whose log-derivatives form one (modes x nodes) array, one log_derivative
+    call per distinct order; ok flags nodes too close to a Laguerre zero.
     """
-    number = isinstance(bath, NumberStateBath)
-    fs = bath_sums(p, row_slice(i), EquilibriumBath(math.inf) if number else bath, derivs=True)[0]
+    gauss, occs = _laguerre_split(p, bath)
+    fs = bath_sums(p, row_slice(i), gauss, derivs=True)[0]
+    active = np.flatnonzero(occs[0])
+    orders, b, d = occs[0, active], p.B[i, active], p.D[i, active]
+    z, dz = _mode_args(b, d, eta), _mode_args(p.dB[i, active], p.dD[i, active], eta)
+    x = np.abs(z) ** 2
+    ratio, ok = np.empty(x.shape), np.empty(x.shape, dtype=bool)
+    for n in np.unique(orders):
+        at = orders == n
+        ratio[at], ok[at] = laguerre.log_derivative(int(n), x[at])
+    b, d, z_c = b[:, None], d[:, None], np.conj(z)
+    mode_sum = lambda term: (ratio * term).sum(axis=0).reshape(eta.shape)
     d_eta, d_etab = gaussian_exponent_wirtinger(fs.delta, fs.alpha, fs.gamma, eta)
     d_t = gaussian_exponent(fs.ddelta, fs.dalpha, fs.dgamma, eta)
-    ok = np.ones(eta.shape, dtype=bool)
-    if not number:
-        return d_eta, d_etab, d_t, ok
-    b, d, db, dd = p.B[i], p.D[i], p.dB[i], p.dD[i]
-    for k in np.nonzero(bath.n)[0]:
-        zk = eta * np.conj(b[k]) - np.conj(eta) * d[k]
-        zk_c = np.conj(zk)
-        x = np.abs(zk) ** 2
-        ratio, ok_k = laguerre.log_derivative(int(bath.n[k]), x)
-        dzk_t = eta * np.conj(db[k]) - np.conj(eta) * dd[k]
-        d_eta = d_eta + ratio * (np.conj(b[k]) * zk_c - np.conj(d[k]) * zk)
-        d_etab = d_etab + ratio * (b[k] * zk - d[k] * zk_c)
-        d_t = d_t + ratio * 2.0 * np.real(dzk_t * zk_c)
-        ok &= ok_k
-    return d_eta, d_etab, d_t, ok
+    return (
+        d_eta + mode_sum(np.conj(b) * z_c - np.conj(d) * z),
+        d_etab + mode_sum(b * z - d * z_c),
+        d_t + mode_sum(2.0 * np.real(dz * z_c)),
+        ok.all(axis=0).reshape(eta.shape),
+    )
 
 
 def _chi_pieces(
@@ -256,10 +261,8 @@ def generator_residual(
     solution; the right side uses the generator coefficients.  Their
     agreement verifies the coefficient formulas along the trajectory.
     """
-    if isinstance(bath, NumberStateBath):
-        raise ParameterError("use general_generator_residual for number-state baths")
     eta = _residual_nodes(eta)
-    fs = bath_sums(p, row_slice(i), bath, derivs=True)
+    fs = _gaussian_sums(p, row_slice(i), bath, derivs=True)
     c = _generator_at(p, i, fs)
     chi, dchi_eta, dchi_etab, _, _ = _chi_pieces(p, i, bath, s, eta)
     rhs = _drift_apply(c.xi, c.zeta, eta, dchi_eta, dchi_etab) + gaussian_exponent(

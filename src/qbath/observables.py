@@ -5,9 +5,10 @@ p = i sqrt(hbar m nu / 2)(a^dag - a).  Purity is Tr rho^2 =
 (1/pi) int d^2eta |chi(eta)|^2.  purity_rows picks the path for a whole grid:
 when both the oscillator state and the bath influence are Gaussian it is
 1/(2 sqrt(a^2 - 4|g|^2)) in the total Gaussian parameters; otherwise one
-quadrature driver integrates |chi|^2 = |chi0|^2 |F_g|^2 prod_k L_{n_k}^2 with
-a tensor Gauss-Hermite rule in the coordinates that whiten its Gaussian
-envelope, doubling the nodes per axis until two successive levels agree.
+quadrature driver integrates |chi|^2 = |chi0|^2 |F_g|^2 prod_k L_{n_k}^2,
+with F_g and n_k from baths._laguerre_split, on a tensor Gauss-Hermite rule
+in the coordinates that whiten its Gaussian envelope, doubling the nodes per
+axis until two successive levels agree.
 For a Gaussian state the rest of the integrand is a polynomial, and the rule
 is exact at 2 sum_k n_k + 1 nodes per axis.  A single purity and each member
 of a number-state ensemble are members of that driver; the ensemble's
@@ -30,9 +31,10 @@ from . import laguerre
 from .baths import (
     BathSpec,
     CoherentStateBath,
-    EquilibriumBath,
     NumberStateBath,
-    _check_modes,
+    _gaussian_sums,
+    _laguerre_split,
+    _mode_args,
     _single,
     bath_F_eval,
     bath_delta,
@@ -198,10 +200,8 @@ def _total_gaussian_rows(
     p: PropagatorCoefficients, rows, bath: BathSpec, s: OscillatorState
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(d, a, g) of the total Gaussian chi on the propagator rows p.X[rows]."""
-    if isinstance(bath, NumberStateBath):
-        raise ParameterError("number-state bath influence is not Gaussian")
     d, a, g = carried_gaussian_params(*gaussian_chi_params(s), p.A[rows], p.C[rows])
-    f = bath_sums(p, rows, bath)
+    f = _gaussian_sums(p, rows, bath)
     return d + f.delta, a + f.alpha, g + f.gamma
 
 
@@ -261,8 +261,7 @@ def _level(p, i, s, gauss_bath, whiten: np.ndarray, n: int, occs: np.ndarray):
     if not occs.any():  # cats and Gaussian baths
         return lambda members: np.full(occs[members].shape[0], base_sum)
     modes = np.flatnonzero(occs.any(axis=0))
-    b, d = p.B[i, modes, None], p.D[i, modes, None]
-    xs = np.abs(eta * np.conj(b) - np.conj(eta) * d) ** 2
+    xs = np.abs(_mode_args(p.B[i, modes], p.D[i, modes], eta)) ** 2
     log_wt = np.log(wt)
     with np.errstate(divide="ignore"):
         log_weighted = np.log(base) + (log_wt[:, None] + log_wt[None, :]).ravel()
@@ -354,16 +353,12 @@ def purity(
 ) -> float:
     """Tr rho^2 at grid index i, the one-row slice of purity_rows.
 
-    Quadrature is a one-member call of the Gauss-Hermite driver; a
-    number-state F is the zero-temperature Gaussian times Laguerre factors.
+    Quadrature is a one-member call of the Gauss-Hermite driver on the
+    bath's _laguerre_split.
     """
     if method != "quadrature":
         return float(purity_rows(p, row_slice(i), _single(bath), s, method=method, tol=tol)[0])
-    number = isinstance(_single(bath), NumberStateBath)
-    if number:
-        _check_modes(p, bath.n, "occupations")
-    occs = (bath.n if number else np.zeros(p.n_modes, dtype=int))[None]
-    gauss_bath = EquilibriumBath(math.inf) if number else bath
+    gauss_bath, occs = _laguerre_split(p, _single(bath))
     return float(_quadrature(p, i, s, gauss_bath, occs, [0], tol)[0])
 
 
@@ -390,11 +385,10 @@ def member_purities(
     member and the most occupied ones, and each level sums them in member
     blocks of one batched Laguerre kernel (_level).
     """
-    occs = np.atleast_2d(bath.n)
-    _check_modes(p, occs, "occupations")
+    gauss_bath, occs = _laguerre_split(p, bath)
     alpha_member = occs @ (np.abs(p.B[i]) ** 2 + np.abs(p.D[i]) ** 2)
     probes = sorted({0, int(np.argmax(alpha_member)), int(np.argmax(occs.sum(axis=1)))})
-    return _quadrature(p, i, s, EquilibriumBath(math.inf), occs, probes, ENSEMBLE_TOL)
+    return _quadrature(p, i, s, gauss_bath, occs, probes, ENSEMBLE_TOL)
 
 
 def averaged_purity_number_ensemble(

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +36,24 @@ def sample_config():
 @pytest.fixture
 def sample_config_names():
     return sorted(path.stem for path in CONFIG_DIR.glob("*.json"))
+
+
+@pytest.fixture
+def run_python():
+    """Standard output of code run by a fresh interpreter that imports this qbath."""
+    import qbath
+
+    src = str(Path(qbath.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def run(code: str) -> str:
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
+            timeout=120,
+        )
+        return out.stdout.strip()
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -92,17 +92,6 @@ def test_negative_seed_exits_2(tmp_path, capsys, sample_config):
     assert "seed" in capsys.readouterr().err
 
 
-def test_threads_env_var(tmp_path, capsys, monkeypatch, sample_config):
-    cfg = write_config(tmp_path, sample_config("validate-decoupled"))
-    monkeypatch.setenv("QBATH_THREADS", "abc")
-    assert main(["validate", "--config", cfg]) == 2
-    monkeypatch.setenv("QBATH_THREADS", "0")
-    assert main(["validate", "--config", cfg]) == 2
-    monkeypatch.setenv("QBATH_THREADS", "2")
-    assert main(["validate", "--config", cfg]) == 0
-    capsys.readouterr()
-
-
 def test_unstable_model_exits_2(tmp_path, capsys):
     doc = {
         "model": {"nu": 0.04, "coupling_family": "Custom",
@@ -198,7 +187,16 @@ def test_propagate_byte_identity_and_manifest(tmp_path, sample_config):
     config_bytes = (tmp_path / "config.json").read_bytes()
     assert man1["config_sha256"] == hashlib.sha256(config_bytes).hexdigest()
     assert sorted(man1["artifacts"]) == ["propagator.csv", "propagator_bd.bin"]
-    assert sorted(man1["versions"]) == ["numpy", "python", "qbath", "scipy"]
+    assert sorted(man1["versions"]) == ["numpy", "python", "qbath"]
+
+
+def test_validate_leaves_scipy_unloaded(tmp_path, sample_config, run_python):
+    # scipy is a test dependency only; the manifest no longer records its version
+    cfg = write_config(tmp_path, sample_config("validate-decoupled"))
+    code = ("import sys; from qbath.cli import main; "
+            f"rc = main(['validate', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]); "
+            "print(rc, 'scipy' in sys.modules)")
+    assert run_python(code).split()[-2:] == ["0", "False"]
 
 
 def test_purity_summary_reports_the_first_of_tied_minima(tmp_path, monkeypatch, sample_config):
@@ -367,6 +365,14 @@ def test_seed_precedence(tmp_path):
     assert summary["seed"] == 5
     assert summary["n_samples"] == 1000
 
+    # an experiment section without a seed falls back to the sampled-bath seed too
+    doc_fb["experiment"] = {"kind": "coherent", "n_samples": 40}
+    rc, out = run(tmp_path, "ensemble", doc_fb, outdir="o4")
+    assert rc == 0
+    summary = load_json(out, "ensemble_summary.json")["mean_x_sq"]
+    assert summary["seed"] == 5
+    assert summary["n_samples"] == 40
+
 
 def test_ensemble_deterministic_across_thread_count(tmp_path):
     doc = {
@@ -376,8 +382,8 @@ def test_ensemble_deterministic_across_thread_count(tmp_path):
         "time_grid": {"t_max": 40.0, "steps": 100},
         "experiment": {"kind": "number", "n_samples": 50, "seed": 9},
     }
-    rc1, out1 = run(tmp_path, "ensemble", doc, "--threads", "1", outdir="t1")
-    rc2, out2 = run(tmp_path, "ensemble", doc, "--threads", "2", outdir="t2")
+    rc1, out1 = run(tmp_path, "ensemble", doc, outdir="t1")
+    rc2, out2 = run(tmp_path, "ensemble", doc, outdir="t2")
     assert rc1 == rc2 == 0
     assert (out1 / "ensemble_summary.json").read_bytes() == \
         (out2 / "ensemble_summary.json").read_bytes()

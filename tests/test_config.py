@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,13 +118,18 @@ def _set(doc, path, value):
     (("time_grid", "t_max"), math.nan),
     (("model", "nu"), 10**400),
     (("oscillator",), {"kind": "gaussian", "n_ex": 0.2, "aa_re": 0.5}),  # below the bound
+    (("time_grid", "steps"), 2**63),  # sizes numpy refuses before allocating
+    (("time_grid", "steps"), 10**30),
+    (("model", "spectral", "N"), 2**63),
+    (("model", "spectral", "N"), 10**30),
 ])
 def test_malformed_values_are_schema_errors(path, value):
-    # each of these once escaped as AttributeError, TypeError, OverflowError, a
-    # PhysicalityError (exit 3) or a RuntimeWarning followed by the wrong message
+    # each of these once escaped as AttributeError, TypeError, OverflowError,
+    # IndexError, numpy's ValueError, a PhysicalityError (exit 3) or a
+    # RuntimeWarning followed by the wrong message; the message names the key
     doc = _base_doc()
     _set(doc, path, value)
-    with pytest.raises(SchemaError, match=path[0]):
+    with pytest.raises(SchemaError, match=re.escape(".".join(path))):
         parse_config(doc, json.dumps(doc))
 
 
@@ -239,8 +245,15 @@ def test_oscillator_kinds():
 
 def test_experiment_section():
     doc = _base_doc()
+    # the ensemble seed falls back to the sampled bath's seed, else 0
+    assert parse_config(doc, "").experiment == {"seed": 0, "n_samples": 1000}
+    doc["bath"] = {"kind": "sample_number", "beta": 1.0, "seed": 5}
+    assert parse_config(doc, "").experiment == {"seed": 5, "n_samples": 1000}
+    doc["experiment"] = {"kind": "number", "n_samples": 40}
+    assert parse_config(doc, "").experiment == {"kind": "number", "seed": 5, "n_samples": 40}
     doc["experiment"] = {"kind": "n-sweep", "n_list": [16, 32, 64], "seed": 3}
     cfg = parse_config(doc, "")
+    assert cfg.experiment["seed"] == 3
     assert cfg.experiment["n_list"] == [16, 32, 64]
     assert cfg.experiment["n_samples"] == 1000  # default
     doc["experiment"]["n_list"] = [32, 16]

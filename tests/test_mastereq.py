@@ -1,24 +1,32 @@
 """Time-local generator: closed forms, residuals on the exact solution, limits."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from qbath import laguerre, stock_model
 from qbath import mastereq as me
-from qbath import stock_model
 from qbath.baths import (
     CoherentStateBath,
     EquilibriumBath,
     NumberStateBath,
+    bath_sums,
     member_rng,
     sample_coherent_state,
     sample_number_state,
 )
 from qbath.errors import ParameterError, SingularGeneratorError
 from qbath.observables import summarize, square_eta_grid
-from qbath.propagator import TimeGrid, compute_propagator
-from qbath.states import CatState, SqueezedDisplaced, vacuum_state
+from qbath.propagator import TimeGrid, compute_propagator, row_slice
+from qbath.states import (
+    CatState,
+    SqueezedDisplaced,
+    gaussian_exponent,
+    gaussian_exponent_wirtinger,
+    vacuum_state,
+)
 
 SQUEEZED = SqueezedDisplaced(disp=0.5 - 0.1j, r=0.6, phi=0.3)
 CAT = CatState(alpha=1.3 + 0.4j, beta=-0.8 - 0.6j)
@@ -126,6 +134,46 @@ def test_general_residual_number_bath(ohmic_rwa):
         assert report.n_flagged < report.n_nodes // 10
     with pytest.raises(ParameterError):
         me.generator_residual(p, 10, bath, SQUEEZED)
+
+
+def _logF_derivs_per_mode(p, i, bath, eta):
+    """Reference for me._logF_derivs: the vacuum Gaussian plus one Laguerre mode at a time."""
+    fs = bath_sums(p, row_slice(i), EquilibriumBath(math.inf), derivs=True)[0]
+    d_eta, d_etab = gaussian_exponent_wirtinger(fs.delta, fs.alpha, fs.gamma, eta)
+    d_t = gaussian_exponent(fs.ddelta, fs.dalpha, fs.dgamma, eta)
+    ok = np.ones(eta.shape, dtype=bool)
+    b, d, db, dd = p.B[i], p.D[i], p.dB[i], p.dD[i]
+    for k in np.nonzero(bath.n)[0]:
+        zk = eta * np.conj(b[k]) - np.conj(eta) * d[k]
+        zk_c = np.conj(zk)
+        ratio, ok_k = laguerre.log_derivative(int(bath.n[k]), np.abs(zk) ** 2)
+        dzk_t = eta * np.conj(db[k]) - np.conj(eta) * dd[k]
+        d_eta = d_eta + ratio * (np.conj(b[k]) * zk_c - np.conj(d[k]) * zk)
+        d_etab = d_etab + ratio * (b[k] * zk - d[k] * zk_c)
+        d_t = d_t + ratio * 2.0 * np.real(dzk_t * zk_c)
+        ok &= ok_k
+    return d_eta, d_etab, d_t, ok
+
+
+def test_log_derivatives_match_the_per_mode_loop(ohmic_rwa, ohmic_pp):
+    # orders 1-5, three modes each; D_k = 0 under RWA, so the pair-term model
+    # checks the D terms; the wide grid reaches Laguerre zeros on both models
+    occs = np.zeros(64, dtype=int)
+    occs[np.arange(0, 60, 4)] = np.repeat(np.arange(1, 6), 3)
+    bath = NumberStateBath(occs)
+    flat = square_eta_grid(6.0, 21)
+    flagged = 0
+    for p, eta in itertools.product((ohmic_rwa, ohmic_pp), (flat, flat.reshape(21, 21))):
+        for i in (4, 40, 90):
+            got = me._logF_derivs(p, i, bath, eta)
+            ref = _logF_derivs_per_mode(p, i, bath, eta)
+            for a, b in zip(got[:3], ref[:3]):
+                assert a.shape == eta.shape
+                assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+            assert got[3].shape == eta.shape
+            assert np.array_equal(got[3], ref[3])
+            flagged += int((~ref[3]).sum())
+    assert flagged > 0
 
 
 def test_general_path_agrees_with_gaussian_path(ohmic_pp):

@@ -1,9 +1,6 @@
 """Closed-form purity references for number-conserving couplings."""
 
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -143,25 +140,12 @@ def test_min_purity_check_constant_series():
         rwa.min_purity_check(np.ones(3), np.ones(4))
 
 
-def _run_python(code: str) -> str:
-    """Standard output of code run by a fresh interpreter that imports this qbath."""
-    import qbath
-
-    src = str(Path(qbath.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
-        timeout=120,
-    )
-    return out.stdout.strip()
-
-
-def test_import_leaves_scipy_interpolate_unloaded():
+def test_import_leaves_scipy_interpolate_unloaded(run_python):
     code = "import sys, qbath; print('scipy.interpolate' in sys.modules)"
-    assert _run_python(code) == "False"
+    assert run_python(code) == "False"
 
 
-def test_rwa_compare_leaves_scipy_interpolate_unloaded(tmp_path):
+def test_rwa_compare_leaves_scipy_interpolate_unloaded(tmp_path, run_python):
     # min_purity_check interpolates with its own monotone cubic, not scipy's
     config = Path(__file__).resolve().parents[1] / "configs" / "rwa-compare-squeezed.json"
     code = (
@@ -169,7 +153,7 @@ def test_rwa_compare_leaves_scipy_interpolate_unloaded(tmp_path):
         f"rc = main(['rwa-compare', '--config', {str(config)!r}, '--out', {str(tmp_path)!r}]); "
         "print(rc, 'scipy.interpolate' in sys.modules)"
     )
-    assert _run_python(code) == "0 False"
+    assert run_python(code) == "0 False"
     assert (tmp_path / "rwa_compare_report.json").exists()
 
 
