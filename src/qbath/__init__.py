@@ -1,5 +1,16 @@
 """Exact reduced dynamics of a damped oscillator coupled to a finite bosonic bath."""
 
+import os
+import sys
+
+# OpenBLAS's factorizations and products give bits that depend on the thread
+# count, so artifacts are byte-identical only at a fixed count: one, unless the
+# caller set one.  OpenBLAS reads these variables when numpy is first imported,
+# so BLAS_THREADS holds the values in effect, or None when numpy came first.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_pinned = {var: os.environ.setdefault(var, "1") for var in BLAS_THREAD_VARS}
+BLAS_THREADS = None if "numpy" in sys.modules else _pinned
+
 from .baths import (
     BathSpec,
     CoherentStateBath,

@@ -29,12 +29,21 @@ z_k = eta B_k^* - eta^* D_k for purity quadrature and the general generator.
 
 An ensemble is one bath holding an (M x N) member matrix, row k drawn from
 member_rng(seed, k); on one propagator row the sums below give one entry per
-member, or one shared by all where the prepared values do not enter.
+member, or one shared by all where the prepared values do not enter.  Member
+k's stream is numpy's SeedSequence(seed, spawn_key=(k,)) stream, bit for bit,
+seeded without building a SeedSequence per member: _seed_words runs numpy's
+seeding hash as uint32 array arithmetic over a block of member indices,
+_pcg64_states applies PCG64's seeding to each result in Python ints, and
+_member_rngs re-seeds one PCG64 through its public state for each member.
+member_rng is the one-member slice of the same kernel.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -308,54 +317,190 @@ def bath_F_eval(p: PropagatorCoefficients, i: int, bath: BathSpec, eta: np.ndarr
     return gaussian_F_eval(bath_f_params(p, i, bath), eta)
 
 
+# numpy's SeedSequence hash constants (pool of four uint32 words), kept as masked
+# Python ints: a numpy uint32 *scalar* warns on overflow, a uint32 array wraps
+_MASK32, _POOL = 0xFFFFFFFF, 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier (O'Neill 2014)
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+# member indices are one uint32 spawn-key word each
+MAX_MEMBERS = 1 << 32
+# members hashed per pass of _seed_words
+_SEED_BLOCK = 256
+
+
+def _consts(const: int, mult: int) -> Iterator[tuple[int, int]]:
+    """SeedSequence's running hash constant: (c, c * mult), then the same from c * mult."""
+    while True:
+        nxt = const * mult & _MASK32
+        yield const, nxt
+        const = nxt
+
+
+def _hash(value, const, nxt):
+    """One hash step of value (an int or a uint32 array) with a constant pair of _consts."""
+    value = (value ^ const) * nxt & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool word x with hashed word y (ints or uint32 arrays)."""
+    r = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return r ^ r >> 16
+
+
+def _column(pairs: Iterator[tuple[int, int]], n: int) -> np.ndarray:
+    """The next n constant pairs of _consts as a (2, n, 1) uint32 array."""
+    return np.array([next(pairs) for _ in range(n)], dtype=np.uint32).T[..., None]
+
+
+@functools.lru_cache(maxsize=16)  # member_rng callers hash one seed member by member
+def _seed_pool(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """SeedSequence's pool after every word of seed, and the constants that hash k into it.
+
+    The seed's 32-bit words, zero-padded to the pool size, are hashed and
+    mixed in Python ints.  Returns the (4, 1) pool and the (2, 4, 1)
+    constant pairs with which the spawn-key word k meets each pool word.
+    """
+    consts = _consts(_INIT_A, _MULT_A)
+    hashmix = lambda v: _hash(v, *next(consts))
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL - len(words))
+    pool = [hashmix(w) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+    pool, consts = np.array(pool, dtype=np.uint32)[:, None], _column(consts, _POOL)
+    pool.flags.writeable = consts.flags.writeable = False  # shared through the cache
+    return pool, consts
+
+
+# generate_state's constants for eight output words, two cycles through the pool
+_STATE_CONSTS = _column(_consts(_INIT_B, _MULT_B), 2 * _POOL).reshape(2, 2, _POOL, 1)
+
+
+def _seed_words(seed: int, ks: np.ndarray) -> np.ndarray:
+    """SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64) for each uint32 k.
+
+    k is the last entropy word, so it is hashed into all four pool words of
+    every member at once; the eight output words, paired little-endian into
+    four uint64, come from the resulting (4, len(ks)) pool.
+    """
+    pool, consts = _seed_pool(seed)
+    out = _hash(_mix(pool, _hash(ks, *consts)), *_STATE_CONSTS)
+    return np.ascontiguousarray(out.reshape(2 * _POOL, -1).T, dtype="<u4").view("<u8")
+
+
+def _pcg64_states(seed: int, indices: range) -> Iterator[tuple[int, int]]:
+    """PCG64 (state, inc) of each member in indices, streamed in blocks of _SEED_BLOCK.
+
+    PCG64 seeds from generate_state(4, uint64) = (s_hi, s_lo, i_hi, i_lo) by
+    pcg64_srandom: inc = 2i + 1, state = (inc + s) * multiplier + inc.
+    """
+    for start in range(indices.start, indices.stop, _SEED_BLOCK):
+        ks = np.arange(start, min(start + _SEED_BLOCK, indices.stop), dtype=np.uint32)
+        for s_hi, s_lo, i_hi, i_lo in _seed_words(seed, ks).tolist():
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            yield ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, inc
+
+
+def _member_rngs(seed: int, indices: range) -> Iterator[np.random.Generator]:
+    """Generators of the members in indices, each numpy's SeedSequence(seed, spawn_key=(k,)) stream.
+
+    One PCG64 and Generator are re-seeded for each member, so a yielded
+    generator is valid until the next one is drawn.  Seed and indices are
+    checked here, before any generator or member array exists.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ParameterError(f"seeds must be nonnegative, got {seed}")
+    if not 0 <= indices.start <= indices.stop <= MAX_MEMBERS:
+        raise ParameterError(f"member indices must lie in [0, 2**32), got {indices}")
+    bits = np.random.PCG64(0)  # its state is replaced before every draw
+
+    def reseeded():
+        rng = np.random.Generator(bits)
+        for state, inc in _pcg64_states(seed, indices):
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            yield rng
+
+    return reseeded()
+
+
 def member_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent, reproducible stream for ensemble member `index`."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    """Independent, reproducible stream for ensemble member `index`.
+
+    numpy's SeedSequence(seed, spawn_key=(index,)) stream, built as the
+    one-member slice of the ensemble seeding kernel.
+    """
+    return next(_member_rngs(seed, range(index, index + 1)))
 
 
-def _number_rows(beta: float, m: ModelSpec, rng_of, count: int) -> np.ndarray:
-    """count rows of occupations from P(n) = (1-q) q^n, row k drawn with rng_of(k)."""
+def _number_rows(beta: float, m: ModelSpec, rngs: Iterable, count: int) -> np.ndarray:
+    """count rows of occupations from P(n) = (1-q) q^n, row k drawn with the k-th generator."""
     beta = _check_beta(beta)
+    out = np.zeros((count, m.n_modes), dtype=int)
     if math.isinf(beta):  # all n = 0, and no generator is advanced
-        return np.zeros((count, m.n_modes), dtype=int)
-    q = np.exp(-beta * m.units.hbar * m.omegas)
-    # numpy's geometric counts trials starting at 1
-    rows = (rng_of(k).geometric(p=1.0 - q) - 1 for k in range(count))
-    return np.fromiter(rows, dtype=(int, m.n_modes), count=count)
+        return out
+    p = 1.0 - np.exp(-beta * m.units.hbar * m.omegas)
+    for row, rng in zip(out, rngs):
+        np.subtract(rng.geometric(p), 1, out=row)  # numpy counts trials from 1
+    return out
 
 
-def _coherent_rows(beta: float, m: ModelSpec, rng_of, count: int) -> np.ndarray:
-    """count rows of amplitudes with E|beta_k|^2 = nbar_k, row k drawn with rng_of(k)."""
+def _coherent_rows(beta: float, m: ModelSpec, rngs: Iterable, count: int) -> np.ndarray:
+    """count rows of amplitudes with E|beta_k|^2 = nbar_k, row k drawn with the k-th generator.
+
+    A row is one normal(size=2N) draw, real parts first: the same values as
+    two normal(size=N) draws.
+    """
     scale, n = np.sqrt(occupation(beta, m.omegas, m.units.hbar) / 2.0), m.n_modes
-    draws = (rng_of(k) for k in range(count))
-    rows = (rng.normal(size=n) * scale + 1j * (rng.normal(size=n) * scale) for rng in draws)
-    return np.fromiter(rows, dtype=(complex, n), count=count)
+    out = np.empty((count, n), dtype=complex)
+    for row, rng in zip(out, rngs):
+        z = rng.normal(size=2 * n)
+        np.multiply(z[:n], scale, out=row.real)
+        np.multiply(z[n:], scale, out=row.imag)
+    # as in x + 1j * y: an imaginary -0.0 becomes +0.0 and a real -0.0 stays only
+    # where the imaginary part was -0.0 too (signed zeros come from a zero scale)
+    for k in range(0, count, _BLOCK):
+        re, im = out.real[k : k + _BLOCK], out.imag[k : k + _BLOCK]
+        re += np.copysign(0.0, im)
+        im += 0.0
+    return out
 
 
 def sample_number_state(
     beta: float, m: ModelSpec, rng: np.random.Generator | int
 ) -> NumberStateBath:
     """Draw occupations from the equilibrium diagonal weights P(n) = (1-q) q^n."""
-    return NumberStateBath(_number_rows(beta, m, lambda _: np.random.default_rng(rng), 1)[0])
+    return NumberStateBath(_number_rows(beta, m, [np.random.default_rng(rng)], 1)[0])
 
 
 def sample_coherent_state(
     beta: float, m: ModelSpec, rng: np.random.Generator | int
 ) -> CoherentStateBath:
     """Draw amplitudes from the complex Gaussian with E|beta_k|^2 = nbar_k."""
-    return CoherentStateBath(_coherent_rows(beta, m, lambda _: np.random.default_rng(rng), 1)[0])
+    return CoherentStateBath(_coherent_rows(beta, m, [np.random.default_rng(rng)], 1)[0])
 
 
 def sample_number_states(beta: float, m: ModelSpec, seed: int, n_members: int) -> NumberStateBath:
     """Member matrix whose row k is sample_number_state(beta, m, member_rng(seed, k))."""
-    return NumberStateBath(_number_rows(beta, m, lambda k: member_rng(seed, k), n_members))
+    rngs = _member_rngs(seed, range(n_members))
+    return NumberStateBath(_number_rows(beta, m, rngs, n_members))
 
 
 def sample_coherent_states(
     beta: float, m: ModelSpec, seed: int, n_members: int
 ) -> CoherentStateBath:
     """Member matrix whose row k is sample_coherent_state(beta, m, member_rng(seed, k))."""
-    return CoherentStateBath(_coherent_rows(beta, m, lambda k: member_rng(seed, k), n_members))
+    rngs = _member_rngs(seed, range(n_members))
+    return CoherentStateBath(_coherent_rows(beta, m, rngs, n_members))
 
 
 @dataclass

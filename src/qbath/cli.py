@@ -8,10 +8,13 @@ and writes CSV/JSON artifacts plus a manifest into the output directory.
 Exit codes: 0 success, 2 config/validation failure, 3 numerical error.
 
 Artifacts are deterministic: given identical config and seed every data file
-is byte-identical across runs; every ensemble is one batched evaluation.
+is byte-identical across runs at a fixed BLAS thread count (one unless the
+caller sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS); every
+ensemble is one batched evaluation.
 The manifest records the config hash, the --seed override, the qbath, numpy
-and Python versions, and the wall time, which makes it the one file excluded
-from the byte-identity guarantee.
+and Python versions, the BLAS thread variables in effect (null when numpy was
+imported before qbath), and the wall time, which makes it the one file
+excluded from the byte-identity guarantee.
 
 Floats in CSV files carry 17 significant digits so comparisons against the
 library can be made exact at the file level.
@@ -35,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, mastereq, rwa
+from . import BLAS_THREADS, __version__, mastereq, rwa
 from .baths import (
     CoherentStateBath,
     EquilibriumBath,
@@ -465,6 +468,7 @@ def main(argv=None) -> int:
                     "numpy": np.__version__,
                     "python": platform.python_version(),
                 },
+                "blas_threads": BLAS_THREADS,
                 "wall_time_s": time.perf_counter() - t_start,
                 "artifacts": artifacts,
             })

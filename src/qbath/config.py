@@ -10,7 +10,8 @@ A run config is a single JSON object with sections
     experiment  {kind, n_samples, seed, n_list, time_index}
 
 experiment.seed defaults to the sampled bath's seed (else 0), n_samples to
-1000; sizes beyond any array (time_grid.steps, model.spectral.N) are errors.
+1000 (at most 2**32: each member index is one uint32 seed word); sizes
+beyond any array (time_grid.steps, model.spectral.N) are errors.
 
 Unknown keys are rejected anywhere in the document, with the offending line
 quoted when it can be located in the source text.  Complex-valued fields are
@@ -28,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .baths import (
+    MAX_MEMBERS,
     BathSpec,
     CoherentStateBath,
     EquilibriumBath,
@@ -352,6 +354,8 @@ def parse_config(doc: dict, raw: str = "") -> RunConfig:
         n_samples = _integer(exp, "n_samples", "experiment", default=experiment["n_samples"])
         if n_samples < 2:
             raise SchemaError("experiment.n_samples must be >= 2")
+        if n_samples > MAX_MEMBERS:
+            raise SchemaError("experiment.n_samples must be <= 2**32 (one uint32 per member index)")
         experiment["n_samples"] = n_samples
         seed = _integer(exp, "seed", "experiment", default=experiment["seed"])
         if seed < 0:

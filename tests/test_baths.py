@@ -1,6 +1,7 @@
 """Bath preparations: occupations, influence functions, samplers, correlators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,15 +117,95 @@ def test_coherent_params(ohmic_pp):
         baths.bath_f_params(p, i, baths.NumberStateBath(np.zeros(p.n_modes, dtype=int)))
 
 
-def test_member_rng_streams():
+def _oracle_rng(seed, k):
+    """numpy's own generator for ensemble member k: the stream member_rng must reproduce."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+
+
+ORACLE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 3**80)
+
+
+def _same_stream(rng, k, seed):
+    ref = _oracle_rng(seed, k)
+    assert rng.bit_generator.state == ref.bit_generator.state, (seed, k)
+    draws = [(g.integers(0, 1 << 62, size=3), g.normal(size=3)) for g in (rng, ref)]
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(*draws)), (seed, k)
+
+
+def test_member_rng_streams(ohmic_rwa):
     a = baths.member_rng(5, 3).integers(0, 1 << 30, size=8)
-    b = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(3,))).integers(
-        0, 1 << 30, size=8
-    )
+    b = _oracle_rng(5, 3).integers(0, 1 << 30, size=8)
     assert np.array_equal(a, b)
     assert np.array_equal(a, baths.member_rng(5, 3).integers(0, 1 << 30, size=8))
     assert not np.array_equal(a, baths.member_rng(5, 4).integers(0, 1 << 30, size=8))
     assert not np.array_equal(a, baths.member_rng(6, 3).integers(0, 1 << 30, size=8))
+    # the seeding kernel against numpy's SeedSequence and PCG64, bit for bit: seeds of
+    # one to four 32-bit words, indices at the kernel's block edges and the top word
+    block = baths._SEED_BLOCK
+    indices = (0, 1, block - 1, block, block + 1, 2**31, 2**32 - 1)
+    for seed in ORACLE_SEEDS:
+        ks = np.array(indices, dtype=np.uint32)
+        expected = [np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64)
+                    for k in indices]
+        assert np.array_equal(baths._seed_words(seed, ks), expected)
+        for k in indices:
+            _same_stream(baths.member_rng(seed, k), k, seed)
+        # streamed: one generator re-seeded per member, across block edges
+        for k, rng in enumerate(baths._member_rngs(seed, range(block + 2))):
+            if k in indices:
+                _same_stream(rng, k, seed)
+        top = range(2**32 - 2, 2**32)
+        for k, rng in zip(top, baths._member_rngs(seed, top)):
+            _same_stream(rng, k, seed)
+    # the member matrices against per-member oracle draws, zero temperature included
+    m, seed, count = ohmic_rwa.model, 31, block + 3
+    for beta in (0.7, 2.0, math.inf):
+        number = baths.sample_number_states(beta, m, seed, count).n
+        coherent = baths.sample_coherent_states(beta, m, seed, count).amps
+        scale = np.sqrt(baths.occupation(beta, m.omegas) / 2.0)
+        for k in range(count):
+            rng = _oracle_rng(seed, k)
+            if math.isinf(beta):  # no draw
+                n_k = np.zeros(m.n_modes, dtype=int)
+            else:
+                n_k = rng.geometric(1.0 - np.exp(-beta * m.omegas)) - 1
+            assert number[k].tobytes() == n_k.tobytes()
+            # N real parts, then N imaginary parts, from one stream
+            rng = _oracle_rng(seed, k)
+            a_k = rng.normal(size=m.n_modes) * scale + 1j * (rng.normal(size=m.n_modes) * scale)
+            assert coherent[k].tobytes() == a_k.tobytes(), (beta, k)
+
+
+def test_member_index_bounds(ohmic_rwa):
+    # a member index is one uint32 spawn-key word: checked before any member array exists
+    for seed, k in ((0, 2**32), (0, -1), (-1, 0)):
+        with pytest.raises(ParameterError):
+            baths.member_rng(seed, k)
+    with pytest.raises(ParameterError):
+        baths._member_rngs(0, range(2**32 + 1))
+    tracemalloc.start()
+    try:
+        for sample in (baths.sample_number_states, baths.sample_coherent_states):
+            for count in (2**32 + 1, -1):
+                with pytest.raises(ParameterError):
+                    sample(1.0, ohmic_rwa.model, 0, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_coherent_member_matrix_memory(ohmic_rwa):
+    # no member-sized temporaries: the output plus fixed-size blocks
+    m = ohmic_rwa.model
+    baths.sample_coherent_states(1.0, m, 9, 10)
+    tracemalloc.start()
+    try:
+        amps = baths.sample_coherent_states(1.0, m, 9, 4000).amps
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= amps.nbytes + (1 << 19)
 
 
 def test_number_sampler_moments(ohmic_rwa):

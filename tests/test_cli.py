@@ -2,12 +2,18 @@
 
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qbath
 from qbath import (
+    BLAS_THREAD_VARS,
     EquilibriumBath,
     TimeGrid,
     averaged_purity_number_ensemble,
@@ -190,6 +196,31 @@ def test_propagate_byte_identity_and_manifest(tmp_path, sample_config):
     assert sorted(man1["versions"]) == ["numpy", "python", "qbath"]
 
 
+def test_propagate_bytes_do_not_depend_on_blas_threads_env(tmp_path):
+    # OpenBLAS bits depend on its thread count; qbath pins one unless the caller sets it
+    config = Path(__file__).resolve().parents[1] / "configs" / "propagate-ohmic-pp.json"
+    src = str(Path(qbath.__file__).resolve().parents[1])
+
+    def propagate(threads, first_import):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, threads) if threads else {})
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        out = tmp_path / f"{first_import}-{threads}"
+        code = f"import sys, {first_import}; from qbath.cli import main; sys.exit(main())"
+        subprocess.run(
+            [sys.executable, "-c", code, "propagate", "--config", str(config), "--out", str(out)],
+            check=True, env=env, timeout=120,
+        )
+        return out, load_json(out, "manifest.json")["blas_threads"]
+
+    (unset, unset_vars), (one, one_vars) = (propagate(t, "qbath") for t in (None, "1"))
+    for name in ("propagator.csv", "propagator_bd.bin"):
+        assert (unset / name).read_bytes() == (one / name).read_bytes()
+    assert unset_vars == one_vars == dict.fromkeys(BLAS_THREAD_VARS, "1")
+    # numpy imported first has read the variables already: the manifest does not guess
+    assert propagate("1", "numpy")[1] is None
+
+
 def test_validate_leaves_scipy_unloaded(tmp_path, sample_config, run_python):
     # scipy is a test dependency only; the manifest no longer records its version
     cfg = write_config(tmp_path, sample_config("validate-decoupled"))
@@ -311,6 +342,20 @@ def test_one_sample_ensemble_exits_2(tmp_path, capsys, kind):
     rc, out = run(tmp_path, "ensemble", doc)
     assert rc == 2
     assert "n_samples must be >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ensemble_beyond_the_member_index_range_exits_2(tmp_path, capsys):
+    doc = {
+        "model": SMALL_MODEL,
+        "bath": {"kind": "sample_coherent", "beta": 2.0, "seed": 5},
+        "oscillator": {"kind": "gaussian"},
+        "time_grid": {"t_max": 40.0, "steps": 100},
+        "experiment": {"kind": "coherent", "n_samples": 2**32 + 1},
+    }
+    rc, out = run(tmp_path, "ensemble", doc)
+    assert rc == 2
+    assert "n_samples must be <= 2**32" in capsys.readouterr().err
     assert not out.exists()
 
 

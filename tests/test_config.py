@@ -270,6 +270,12 @@ def test_experiment_section():
     doc["experiment"] = {"n_samples": 0}
     with pytest.raises(SchemaError):
         parse_config(doc, "")
+    # a member index is one uint32 seed word
+    doc["experiment"] = {"n_samples": 2**32}
+    assert parse_config(doc, "").experiment["n_samples"] == 2**32
+    doc["experiment"] = {"n_samples": 2**32 + 1}
+    with pytest.raises(SchemaError, match=r"<= 2\*\*32"):
+        parse_config(doc, "")
 
 
 def test_outputs_section():
