@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["eval_scaled", "value", "log_derivative", "log_products"]
+__all__ = ["eval_scaled", "log_derivative", "log_products"]
 
 _RENORM_LIMIT = 2.0**500
 _LN2 = math.log(2.0)
@@ -58,12 +58,6 @@ def eval_scaled(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
             shift = np.where(big, ex, 0.0)
             exp2 = shift if exp2 is None else exp2 + shift
     return cur, prev, np.zeros(x.shape) if exp2 is None else exp2
-
-
-def value(n: int, x: np.ndarray) -> np.ndarray:
-    """L_n(x); may overflow to inf for very large n and x."""
-    m, _, e = eval_scaled(n, x)
-    return np.ldexp(m, e.astype(int))
 
 
 def log_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -436,16 +436,11 @@ def displaced_vacuum_check(
 
 
 def observable_series(
-    p: PropagatorCoefficients,
-    bath: BathSpec,
-    s: OscillatorState,
-    *,
-    with_purity: bool = True,
+    p: PropagatorCoefficients, bath: BathSpec, s: OscillatorState
 ) -> dict[str, np.ndarray]:
-    """Means, variances and (optionally) purity on the whole grid."""
+    """Means, variances and purity on the whole grid."""
     out = {"t": p.grid.t.copy()}
     out["mean_x"], out["mean_p"] = mean_rows(p, slice(None), bath, s)
     out["var_x"], out["var_p"] = variance_rows(p, slice(None), bath, s)
-    if with_purity:
-        out["purity"] = purity_rows(p, slice(None), bath, s)
+    out["purity"] = purity_rows(p, slice(None), bath, s)
     return out

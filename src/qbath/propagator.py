@@ -9,19 +9,21 @@ Preserving [a(t), a(t)^dag] = 1 gives the sum rule
 
     |A|^2 - |C|^2 + sum_k |B_k|^2 - sum_k |D_k|^2 = 1.
 
-Coefficients are computed by one eigendecomposition (exact in t, no time
-stepping), chosen by the structure of the model:
+Coefficients are computed by one Hermitian eigendecomposition (exact in t,
+no time stepping), chosen by the structure of the model:
 
   v = 0          (a, b_k) evolve alone under the (N+1)-dim Hermitian block
                  Dk = [[nu, u], [u^dag, diag omega]]; `eigh` of Dk gives the
                  rows and C = D = 0 exactly.
-  K pos.-def.    the Cholesky factor K = L L^dag (the stability check) makes
-                 the symplectic problem Hermitian: `eigh` of L^dag Sigma L
-                 gives real normal-mode frequencies eps and eigenvectors with
-                 V^{-1} = sign(eps) V^dag Sigma, so no inverse is formed
-                 (Colpa, Physica A 93, 327 (1978)).
-  otherwise      the general `eig` of M, the only route for a quadratic form
-                 that is not positive-definite (require_stable=False).
+  v != 0         the Cholesky factor K = L L^dag of the positive-definite
+                 quadratic form makes the symplectic problem Hermitian: `eigh`
+                 of L^dag Sigma L gives real normal-mode frequencies eps and
+                 eigenvectors with V^{-1} = sign(eps) V^dag Sigma, so no
+                 inverse is formed (Colpa, Physica A 93, 327 (1978)).
+
+Only stable models are served.  An unstable one is a ParameterError; a K
+that has no Cholesky factor although validate_model finds it positive sits
+at the stability edge and is a NumericalError.
 
 Real K, or a real Dk, keeps the factorizations real.  The rows are kept as
 one (T, 2N+2) array, of which A, B_k, C, D_k are views.  Time derivatives
@@ -50,7 +52,7 @@ __all__ = [
     "plateau_window",
 ]
 
-COND_LIMIT = 1e10  # largest eigenvector condition number compute_propagator accepts
+COND_LIMIT = 1e10  # largest ||K||_1 / min|eps| (bounds cond of the Colpa eigenvectors) accepted
 DECAY_THRESHOLD = 0.1  # |A| level that decay_report's recurrence onset is measured against
 LATE_FRACTION = 0.2  # trailing share of the grid that decay_report calls late
 PLATEAU_THRESHOLD = 0.05  # |A|, |C| level below which plateau_window counts memory as lost
@@ -132,21 +134,16 @@ def _split(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     return rows[:, 0], rows[:, 1 : n + 1], rows[:, n + 1], rows[:, n + 2 :]
 
 
-def compute_propagator(
-    m: ModelSpec,
-    grid: TimeGrid,
-    *,
-    require_stable: bool = True,
-) -> PropagatorCoefficients:
+def compute_propagator(m: ModelSpec, grid: TimeGrid) -> PropagatorCoefficients:
     """Evaluate the coefficient rows on the whole grid.
 
     The route follows the structure of the model (see the module docstring):
-    with v = 0 the (N+1)-dim block Dk is diagonalized by `eigh`; otherwise a
-    Cholesky factor K = L L^dag, which exists iff the model is stable, turns
-    the symplectic problem into one Hermitian `eigh` (Colpa).  Only a K that
-    is not positive-definite, reachable with require_stable=False, goes to
-    the general `eig` of M.  Derivative rows drow(t) = row(t) M are left to
-    the first read of dA, dB, dC or dD.
+    with v = 0 the (N+1)-dim block Dk is diagonalized by `eigh`; otherwise
+    the Cholesky factor K = L L^dag of a stable model turns the symplectic
+    problem into one Hermitian `eigh` (Colpa).  Without that factor the model
+    is unstable (ParameterError) or at the stability edge (NumericalError).
+    Derivative rows drow(t) = row(t) M are left to the first read of dA, dB,
+    dC or dD.
     """
     block = _stability_block(m)
     n = m.n_modes
@@ -154,35 +151,36 @@ def compute_propagator(
         # (a, b_k) evolve alone under exp(-i Dk t), for any Hermitian Dk; C and
         # D stay exactly zero and the eigenvectors are unitary (cond = 1)
         freqs, vecs = np.linalg.eigh(block)
-        if require_stable and freqs[0] <= 0.0:
-            _require_stable(m)
+        if freqs[0] <= 0.0:
+            _check_stable(m)
         rows = np.zeros((len(grid), 2 * n + 2), dtype=complex)
         rows[:, : n + 1] = _phase_rows(grid.t, freqs, vecs[0], vecs.conj().T)
     else:
         try:
             chol = np.linalg.cholesky(block)
         except np.linalg.LinAlgError:
-            # K is not positive-definite: no Hermitian form, only the general eig
-            if require_stable:
-                _require_stable(m)
-            rows = _eig_rows(m, grid.t)
-        else:
-            modes = _colpa_modes(block, chol)
-            del block, chol  # free two (2N+2)^2 matrices before the (T, 2N+2) arrays
-            rows = _phase_rows(grid.t, *modes)
+            bound = _check_stable(m)
+            raise NumericalError(
+                f"no Cholesky factor of the quadratic form at the stability edge "
+                f"(smallest eigenvalue {bound:.3e})"
+            ) from None
+        modes = _colpa_modes(block, chol)
+        del block, chol  # free two (2N+2)^2 matrices before the (T, 2N+2) arrays
+        rows = _phase_rows(grid.t, *modes)
     # t = 0 is the identity exactly; drop the reconstruction rounding there
     rows[0, :] = 0.0
     rows[0, 0] = 1.0
     return PropagatorCoefficients(model=m, grid=grid, rows=rows)
 
 
-def _require_stable(m: ModelSpec) -> None:
-    """Raise ParameterError unless the quadratic form is positive-definite."""
+def _check_stable(m: ModelSpec) -> float:
+    """The smallest quadratic-form eigenvalue; ParameterError unless it is > 0."""
     bound = validate_model(m)
     if bound <= 0.0:
         raise ParameterError(
             f"model is not stable: smallest quadratic-form eigenvalue {bound:.3e} <= 0"
         )
+    return bound
 
 
 def _colpa_modes(
@@ -229,24 +227,6 @@ def _phase_rows(
     part *= -weights
     rows.imag = part @ right
     return rows
-
-
-def _eig_rows(m: ModelSpec, t: np.ndarray) -> np.ndarray:
-    """Rows e_a^T V exp(diag(lambda) t) V^{-1} from the general eig of M.
-
-    The fallback for a K that is not positive-definite; it needs neither
-    Hermitian structure nor stability.
-    """
-    lam, vecs = np.linalg.eig(dynamical_matrix(m))
-    cond = np.linalg.cond(vecs)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise NumericalError(
-            f"ill-conditioned eigenvector matrix (cond = {cond:.3e} > {COND_LIMIT:.1e})"
-        )
-    inv = np.linalg.inv(vecs)
-    weights = vecs[0, :]  # a-row of V
-    phases = np.exp(np.multiply.outer(t, lam))  # (T, dim)
-    return (phases * weights) @ inv  # (T, dim)
 
 
 def row_slice(i: int) -> slice:

@@ -4,10 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+# qbath first: it pins the BLAS thread count, which OpenBLAS reads when numpy loads
+import qbath
 import numpy as np
 import pytest
 
-from qbath import TimeGrid, compute_propagator, stock_model
+from qbath import TimeGrid, build_model, compute_propagator, stock_model
+from qbath.model import SpectralDiscretization, dynamical_matrix
 from qbath.propagator import plateau_window
 
 try:
@@ -41,8 +44,6 @@ def sample_config_names():
 @pytest.fixture
 def run_python():
     """Standard output of code run by a fresh interpreter that imports this qbath."""
-    import qbath
-
     src = str(Path(qbath.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
@@ -54,6 +55,42 @@ def run_python():
         return out.stdout.strip()
 
     return run
+
+
+@pytest.fixture(scope="session")
+def unstable_model():
+    # strong position-position coupling to a soft mode drives the form negative
+    disc = SpectralDiscretization("Explicit", omegas=[0.04], u=[0.35 + 0j], v=[0.35 + 0j])
+    return build_model(disc, 1.0, "Custom")
+
+
+@pytest.fixture
+def no_cholesky(monkeypatch):
+    """np.linalg.cholesky fails, as it does for a K that is positive-definite only in rounding."""
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+
+
+@pytest.fixture(scope="session")
+def eig_route_rows():
+    """Reference rows e_a^T V exp(diag(lambda) t) V^{-1} from the general eig of M.
+
+    It needs neither Hermitian structure nor stability, so it checks both
+    Hermitian routes of compute_propagator independently; the t = 0 row is
+    set to the exact identity, as there.
+    """
+
+    def rows(m, grid):
+        lam, vecs = np.linalg.eig(dynamical_matrix(m))
+        out = (np.exp(np.multiply.outer(grid.t, lam)) * vecs[0, :]) @ np.linalg.inv(vecs)
+        out[0, :] = 0.0
+        out[0, 0] = 1.0
+        return out
+
+    return rows
 
 
 @pytest.fixture(scope="session")

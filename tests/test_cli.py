@@ -109,6 +109,20 @@ def test_unstable_model_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_unstable_explicit_model_exits_2(tmp_path, capsys):
+    # a well-formed config whose quadratic form is not positive-definite
+    doc = {
+        "model": {"nu": 1.0, "coupling_family": "Custom",
+                  "spectral": {"family": "Explicit", "N": 1},
+                  "explicit": {"omegas": [0.04], "u_re": [0.35], "v_re": [0.35]}},
+        "time_grid": {"t_max": 5.0, "steps": 10},
+    }
+    rc, out = run(tmp_path, "propagate", doc)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: model is not stable")
+    assert not (out / "propagator.csv").exists()
+
+
 def test_missing_out_dir_exits_2(tmp_path, capsys, sample_config):
     doc = sample_config("propagate-ohmic-pp")
     doc.get("outputs", {}).pop("directory", None)
@@ -154,6 +168,16 @@ def test_ill_conditioned_modes_exit_3(tmp_path, capsys, monkeypatch, sample_conf
     report = json.loads(capsys.readouterr().err)
     assert report["error"] == "NumericalError"
     assert report["message"].startswith("ill-conditioned normal modes")
+    assert not (out / "propagator.csv").exists()
+
+
+def test_stability_edge_exits_3(tmp_path, capsys, no_cholesky, sample_config):
+    # a stable model without a Cholesky factor has no route: a typed numerical failure
+    rc, out = run(tmp_path, "propagate", sample_config("propagate-ohmic-pp"))
+    assert rc == 3
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"] == "NumericalError"
+    assert "stability edge" in report["message"]
     assert not (out / "propagator.csv").exists()
 
 
@@ -219,6 +243,11 @@ def test_propagate_bytes_do_not_depend_on_blas_threads_env(tmp_path):
     assert unset_vars == one_vars == dict.fromkeys(BLAS_THREAD_VARS, "1")
     # numpy imported first has read the variables already: the manifest does not guess
     assert propagate("1", "numpy")[1] is None
+
+
+def test_tests_run_at_the_pinned_blas_thread_count():
+    # conftest imports qbath before numpy, so in-process runs record the pin
+    assert qbath.BLAS_THREADS is not None
 
 
 def test_validate_leaves_scipy_unloaded(tmp_path, sample_config, run_python):

@@ -84,12 +84,11 @@ def test_moments_equal_observable_series(prop):
     n[::7] = 2
     baths = (EquilibriumBath(1.3), CoherentStateBath(_amps(prop)), NumberStateBath(n))
     for bath in baths:
-        series = obs.observable_series(prop, bath, SQUEEZED, with_purity=False)
+        mean_x, mean_p = obs.mean_rows(prop, slice(None), bath, SQUEEZED)
+        var_x, var_p = obs.variance_rows(prop, slice(None), bath, SQUEEZED)
         for i in INDICES:
-            means = obs.mean_xp(prop, i, bath, SQUEEZED)
-            assert means == (series["mean_x"][i], series["mean_p"][i])
-            variances = obs.variances(prop, i, bath, SQUEEZED)
-            assert variances == (series["var_x"][i], series["var_p"][i])
+            assert obs.mean_xp(prop, i, bath, SQUEEZED) == (mean_x[i], mean_p[i])
+            assert obs.variances(prop, i, bath, SQUEEZED) == (var_x[i], var_p[i])
 
 
 def test_member_batch_equals_members(prop):
@@ -140,7 +139,7 @@ def test_member_matrix_needs_one_row_and_a_batch_entry_point(prop):
             with pytest.raises(ParameterError, match="one propagator row"):
                 obs.variance_rows(prop, rows, batch, SQUEEZED)
         with pytest.raises(ParameterError):
-            obs.observable_series(prop, batch, SQUEEZED, with_purity=False)
+            obs.observable_series(prop, batch, SQUEEZED)
         for scalar in (obs.purity, obs.mean_xp, obs.variances):
             with pytest.raises(ParameterError, match="members"):
                 scalar(prop, 1, batch, SQUEEZED)

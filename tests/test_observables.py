@@ -317,7 +317,7 @@ def test_displaced_vacuum_defect(ohmic_rwa, plateau_index):
 
 def test_observable_series_wiring(rwa_n1):
     bath = EquilibriumBath(1.3)
-    series = obs.observable_series(rwa_n1, bath, SQUEEZED, with_purity=True)
+    series = obs.observable_series(rwa_n1, bath, SQUEEZED)
     n_t = rwa_n1.n_times
     for key in ("t", "mean_x", "mean_p", "var_x", "var_p", "purity"):
         assert series[key].shape == (n_t,)
@@ -327,8 +327,6 @@ def test_observable_series_wiring(rwa_n1):
         assert series["purity"][i] == pytest.approx(
             obs.purity(rwa_n1, i, bath, SQUEEZED), abs=1e-12
         )
-    no_purity = obs.observable_series(rwa_n1, bath, SQUEEZED, with_purity=False)
-    assert "purity" not in no_purity
 
 
 def test_square_eta_grid():

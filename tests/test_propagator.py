@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from qbath import TimeGrid, build_model, compute_propagator, stock_model
+from qbath import TimeGrid, build_model, compute_propagator, stock_model, validate_model
 from qbath import propagator
 from qbath.errors import NumericalError, ParameterError
 from qbath.model import SpectralDiscretization, Units, dynamical_matrix
@@ -20,14 +20,6 @@ def complex_custom_model():
         v=0.03 * np.exp(-1.3j * k + 0.4j),
     )
     return build_model(disc, 1.1, "Custom", Units(hbar=2.5, mass=0.7))
-
-
-def eig_route_rows(m, grid):
-    """Rows from the general-eig route, with the same exact t = 0 row."""
-    rows = propagator._eig_rows(m, grid.t)
-    rows[0, :] = 0.0
-    rows[0, 0] = 1.0
-    return rows
 
 
 def test_time_grid_validation():
@@ -123,37 +115,22 @@ def test_sum_rule_all_stock_models():
         assert np.max(np.abs(sum_rule_defects(p))) < 1e-10, name
 
 
-def unstable_model():
-    disc = SpectralDiscretization("Explicit", omegas=[0.04], u=[0.35 + 0j], v=[0.35 + 0j])
-    return build_model(disc, 1.0, "Custom")
-
-
-def test_sum_rule_holds_even_for_unstable_model(monkeypatch):
-    # commutator preservation does not require a bounded-below Hamiltonian
-    m = unstable_model()
+def test_no_cholesky_factor_is_a_typed_failure(unstable_model, no_cholesky):
+    # no other route exists: an unstable K is a config error, a stable one the stability edge
+    grid = TimeGrid.linspace(40.0, 50)
     with pytest.raises(ParameterError, match="model is not stable"):
-        compute_propagator(m, TimeGrid.linspace(40.0, 50))
-    calls = []
-    eig_rows = propagator._eig_rows
-
-    def counted(*args):
-        calls.append(args)
-        return eig_rows(*args)
-
-    monkeypatch.setattr(propagator, "_eig_rows", counted)
-    p = compute_propagator(m, TimeGrid.linspace(40.0, 50), require_stable=False)
-    assert len(calls) == 1  # no Cholesky factor exists, so the general eig runs
-    assert np.abs(p.A[-1]) > 1.0  # runaway growth
-    assert np.max(np.abs(sum_rule_defects(p))) < 1e-10
+        compute_propagator(unstable_model, grid)
+    m = stock_model("ohmic-pp-n64")
+    with pytest.raises(NumericalError, match="stability edge") as err:
+        compute_propagator(m, grid)
+    assert f"{validate_model(m):.3e}" in str(err.value)
 
 
 @pytest.mark.parametrize("name", [*STOCK_MODEL_NAMES, "complex-custom-n12"])
-def test_hermitian_route_matches_eig_route(name, monkeypatch):
+def test_hermitian_route_matches_eig_route(name, eig_route_rows):
     m = complex_custom_model() if name == "complex-custom-n12" else stock_model(name)
     grid = TimeGrid.linspace(60.0, 240)
-    with monkeypatch.context() as patch:
-        patch.setattr(propagator, "_eig_rows", None)  # the Hermitian route must not need it
-        p = compute_propagator(m, grid)
+    p = compute_propagator(m, grid)
     assert np.max(np.abs(p.rows - eig_route_rows(m, grid))) <= 1e-10
     assert np.max(np.abs(sum_rule_defects(p))) < 1e-10
     # t = 0 is the exact identity on every route
@@ -171,13 +148,6 @@ def test_cond_guard_on_hermitian_route(monkeypatch):
         compute_propagator(m, TimeGrid.linspace(10.0, 20))
     monkeypatch.setattr(propagator, "COND_LIMIT", 200.0)
     compute_propagator(m, TimeGrid.linspace(10.0, 20))
-
-
-def test_cond_guard_on_eig_fallback(monkeypatch):
-    m = unstable_model()
-    monkeypatch.setattr(propagator, "COND_LIMIT", 1.0)
-    with pytest.raises(NumericalError, match="ill-conditioned eigenvector matrix"):
-        compute_propagator(m, TimeGrid.linspace(10.0, 20), require_stable=False)
 
 
 def test_decay_report_decoupled():
