@@ -67,6 +67,7 @@ from .observables import (
     variances,
 )
 from .propagator import (
+    SUM_RULE_TOL,
     compute_propagator,
     decay_report,
     is_rwa,
@@ -156,6 +157,11 @@ def _cmd_propagate(cfg: RunConfig, args, out: Path) -> list[str]:
     _require(cfg, grid=True)
     p = compute_propagator(cfg.model, cfg.grid)
     defects = sum_rule_defects(p)
+    sup_defect = float(np.max(np.abs(defects)))
+    if not sup_defect <= SUM_RULE_TOL:
+        raise NumericalError(
+            f"sum-rule defect {sup_defect:.3e} exceeds {SUM_RULE_TOL:.0e}"
+        )
     artifacts = []
     if "csv" in cfg.formats:
         _write_csv(out / "propagator.csv",
@@ -172,7 +178,7 @@ def _cmd_propagate(cfg: RunConfig, args, out: Path) -> list[str]:
     if "json" in cfg.formats:
         rep = decay_report(p)
         _write_json(out / "propagate_summary.json", {
-            "sup_sum_rule_defect": float(np.max(np.abs(defects))),
+            "sup_sum_rule_defect": sup_defect,
             "late_sup_A": rep.late_sup_A,
             "late_sup_C": rep.late_sup_C,
             "recurrence_onset": rep.recurrence_onset,

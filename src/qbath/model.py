@@ -15,6 +15,23 @@ In the basis w = (a, b_k, a^dag, b_k^dag) all couplings sit in one Hermitian
 matrix K.  The quadratic form is h = hbar K / 2 (H = w^dag h w up to a
 constant) and the Heisenberg generator is M = -i Sigma K, with
 Sigma = diag(+1,...,-1,...) the commutator metric of w.
+
+In the quadratures z = (x, p), with a = (x + i p) / sqrt(2) for the
+oscillator and each mode, w = T z with T unitary, and the same form is the
+real symmetric S = T^dag K T.  With K = [[Dk, X], [X^*, Dk^*]],
+
+    S_xx = Re(Dk + X),   S_pp = Re(Dk - X),   S_xp = Im(X - Dk),
+
+and the equations of motion read dz/dt = J S z, J = [[0, 1], [-1, 0]].
+S_xp = 0 exactly when K is real (real u and v: every PositionPosition model
+and real Custom ones); S then splits into two real (N+1) blocks.
+
+Stability (S, or K, positive-definite) is decided on the smallest matrices
+the structure allows, all real whenever they can be:
+
+  v = 0          Dk, the (N+1) block of (a, b_k); K = Dk (+) Dk^*.
+  real K         S_xx and S_pp, two real (N+1) blocks.
+  complex K      the real (2N+2) S.
 """
 
 from __future__ import annotations
@@ -249,25 +266,52 @@ def quadratic_form_matrix(m: ModelSpec) -> np.ndarray:
     return (m.units.hbar / 2.0) * _coupling_matrix(m)
 
 
-def _stability_block(m: ModelSpec) -> np.ndarray:
-    """The Hermitian matrix whose spectrum decides stability, as small and real as it gets.
+def _has_real_couplings(m: ModelSpec) -> bool:
+    """True when K is real: neither u nor v has an imaginary part."""
+    return not (m.u.imag.any() or m.v.imag.any())
 
-    With v = 0 (every RWA model) K = Dk (+) Dk^* is block-diagonal and both
-    blocks share one spectrum, so this is the (N+1)-dim Dk; otherwise it is
-    the full K.  It is returned as a real array when it has no imaginary part
-    (PositionPosition, or real Custom couplings).
+
+def _arrow(diag: np.ndarray, row: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """The matrix diag(diag) with row 0 and column 0 past the diagonal set to row, col."""
+    s = np.diag(diag)
+    s[0, 1:] = row
+    s[1:, 0] = col
+    return s
+
+
+def _stability_blocks(m: ModelSpec) -> list[np.ndarray]:
+    """Real-when-possible Hermitian matrices whose smallest eigenvalue is K's.
+
+    Dk for v = 0, [S_xx, S_pp] for real K, the (2N+2) S otherwise (module
+    docstring); each has no more rows than it needs.  Couplings near the
+    float range can overflow to inf here, which validate_model rejects.
     """
-    block = _number_block(m) if not m.v.any() else _coupling_matrix(m)
-    return block if block.imag.any() else block.real.copy()
+    if not m.v.any():
+        dk = _number_block(m)
+        return [dk if dk.imag.any() else dk.real.copy()]
+    freqs = np.concatenate(([m.nu], m.omegas))
+    u, v = m.u, m.v
+    with np.errstate(over="ignore"):
+        sxx = _arrow(freqs, u.real + v.real, u.real + v.real)
+        spp = _arrow(freqs, u.real - v.real, u.real - v.real)
+        if _has_real_couplings(m):
+            return [sxx, spp]
+        sxp = _arrow(np.zeros(freqs.size), v.imag - u.imag, v.imag + u.imag)
+    return [np.block([[sxx, sxp], [sxp.T, spp]])]
 
 
 def validate_model(m: ModelSpec) -> float:
     """Smallest eigenvalue of the quadratic form; the model is stable iff > 0.
 
-    The eigenvalues are those of (hbar / 2) times `_stability_block`, which
-    has the same smallest eigenvalue as the full quadratic-form matrix.
+    The eigenvalues are those of (hbar / 2) times the `_stability_blocks`,
+    whose joint spectrum holds the smallest eigenvalue of the full
+    quadratic-form matrix: T is unitary, so S has the spectrum of K.
     """
-    h = (m.units.hbar / 2.0) * _stability_block(m)
-    if not np.all(np.isfinite(h)):
-        raise DataError("non-finite entries in the quadratic form matrix")
-    return float(np.linalg.eigvalsh(h)[0])
+    half = m.units.hbar / 2.0
+    bound = np.inf
+    for block in _stability_blocks(m):
+        h = half * block
+        if not np.all(np.isfinite(h)):
+            raise DataError("non-finite entries in the quadratic form matrix")
+        bound = min(bound, float(np.linalg.eigvalsh(h)[0]))
+    return bound

@@ -9,26 +9,33 @@ Preserving [a(t), a(t)^dag] = 1 gives the sum rule
 
     |A|^2 - |C|^2 + sum_k |B_k|^2 - sum_k |D_k|^2 = 1.
 
-Coefficients are computed by one Hermitian eigendecomposition (exact in t,
-no time stepping), chosen by the structure of the model:
+Coefficients are computed by one symmetric or Hermitian decomposition (exact
+in t, no time stepping), chosen by the structure of the model:
 
   v = 0          (a, b_k) evolve alone under the (N+1)-dim Hermitian block
                  Dk = [[nu, u], [u^dag, diag omega]]; `eigh` of Dk gives the
                  rows and C = D = 0 exactly.
-  v != 0         the Cholesky factor K = L L^dag of the positive-definite
+  real K         (real u, v != 0: PositionPosition, real Custom)  the real
+                 quadrature form splits, dx/dt = S_pp p and dp/dt = -S_xx x
+                 (see `model`).  With S_xx = L_x L_x^T and S_pp = L_p L_p^T,
+                 the SVD L_x^T L_p = Y E Z^T gives the normal-mode
+                 frequencies E and real mode profiles L_x Y, L_p Z: one
+                 (N+1) SVD, and rows cos(E t) R_c + i sin(E t) R_s.
+  complex K      the Cholesky factor K = L L^dag of the positive-definite
                  quadratic form makes the symplectic problem Hermitian: `eigh`
                  of L^dag Sigma L gives real normal-mode frequencies eps and
                  eigenvectors with V^{-1} = sign(eps) V^dag Sigma, so no
                  inverse is formed (Colpa, Physica A 93, 327 (1978)).
 
-Only stable models are served.  An unstable one is a ParameterError; a K
-that has no Cholesky factor although validate_model finds it positive sits
-at the stability edge and is a NumericalError.
+No route forms an inverse.  Only stable models are served.  An unstable one
+is a ParameterError; a form that has no Cholesky factor although
+validate_model finds it positive sits at the stability edge and is a
+NumericalError.
 
-Real K, or a real Dk, keeps the factorizations real.  The rows are kept as
-one (T, 2N+2) array, of which A, B_k, C, D_k are views.  Time derivatives
-are the exact rows row(t) . M, built on first read: only the
-master-equation generators and bath sums with derivatives use them.
+A real Dk keeps the v = 0 route real.  The rows are kept as one (T, 2N+2)
+array, of which A, B_k, C, D_k are views.  Time derivatives are the exact
+rows row(t) . M, built on first read: only the master-equation generators
+and bath sums with derivatives use them.
 """
 
 from __future__ import annotations
@@ -39,7 +46,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .model import CouplingFamily, ModelSpec, _stability_block, dynamical_matrix, validate_model
+from .model import (
+    CouplingFamily,
+    ModelSpec,
+    _coupling_matrix,
+    _has_real_couplings,
+    _stability_blocks,
+    dynamical_matrix,
+    validate_model,
+)
 
 __all__ = [
     "TimeGrid",
@@ -52,7 +67,8 @@ __all__ = [
     "plateau_window",
 ]
 
-COND_LIMIT = 1e10  # largest ||K||_1 / min|eps| (bounds cond of the Colpa eigenvectors) accepted
+SUM_RULE_TOL = 1e-10  # largest sup |sum-rule defect| that `qbath propagate` accepts
+COND_LIMIT = 1e10  # largest ||K||_1 / min|eps| (bounds cond of the normal modes) accepted
 DECAY_THRESHOLD = 0.1  # |A| level that decay_report's recurrence onset is measured against
 LATE_FRACTION = 0.2  # trailing share of the grid that decay_report calls late
 PLATEAU_THRESHOLD = 0.05  # |A|, |C| level below which plateau_window counts memory as lost
@@ -138,34 +154,31 @@ def compute_propagator(m: ModelSpec, grid: TimeGrid) -> PropagatorCoefficients:
     """Evaluate the coefficient rows on the whole grid.
 
     The route follows the structure of the model (see the module docstring):
-    with v = 0 the (N+1)-dim block Dk is diagonalized by `eigh`; otherwise
-    the Cholesky factor K = L L^dag of a stable model turns the symplectic
-    problem into one Hermitian `eigh` (Colpa).  Without that factor the model
-    is unstable (ParameterError) or at the stability edge (NumericalError).
-    Derivative rows drow(t) = row(t) M are left to the first read of dA, dB,
-    dC or dD.
+    with v = 0 the (N+1)-dim block Dk is diagonalized by `eigh`; a real K
+    takes the Choleskys of the quadrature blocks S_xx, S_pp and one (N+1)
+    SVD; a complex K takes its Cholesky factor K = L L^dag and one Hermitian
+    `eigh` (Colpa).  Without a Cholesky factor the model is unstable
+    (ParameterError) or at the stability edge (NumericalError).  Derivative
+    rows drow(t) = row(t) M are left to the first read of dA, dB, dC or dD.
     """
-    block = _stability_block(m)
     n = m.n_modes
-    if block.shape[0] == n + 1:
+    if not m.v.any():
         # (a, b_k) evolve alone under exp(-i Dk t), for any Hermitian Dk; C and
         # D stay exactly zero and the eigenvectors are unitary (cond = 1)
+        (block,) = _stability_blocks(m)
         freqs, vecs = np.linalg.eigh(block)
         if freqs[0] <= 0.0:
             _check_stable(m)
         rows = np.zeros((len(grid), 2 * n + 2), dtype=complex)
         rows[:, : n + 1] = _phase_rows(grid.t, freqs, vecs[0], vecs.conj().T)
+    elif _has_real_couplings(m):
+        sxx, spp = _stability_blocks(m)
+        modes = _quadrature_modes(m, _cholesky(m, sxx), _cholesky(m, spp))
+        rows = _quadrature_rows(grid.t, *modes)
     else:
-        try:
-            chol = np.linalg.cholesky(block)
-        except np.linalg.LinAlgError:
-            bound = _check_stable(m)
-            raise NumericalError(
-                f"no Cholesky factor of the quadratic form at the stability edge "
-                f"(smallest eigenvalue {bound:.3e})"
-            ) from None
-        modes = _colpa_modes(block, chol)
-        del block, chol  # free two (2N+2)^2 matrices before the (T, 2N+2) arrays
+        k = _coupling_matrix(m)
+        modes = _colpa_modes(k, _cholesky(m, k))
+        del k  # free a (2N+2)^2 matrix before the (T, 2N+2) arrays
         rows = _phase_rows(grid.t, *modes)
     # t = 0 is the identity exactly; drop the reconstruction rounding there
     rows[0, :] = 0.0
@@ -183,6 +196,27 @@ def _check_stable(m: ModelSpec) -> float:
     return bound
 
 
+def _cholesky(m: ModelSpec, form: np.ndarray) -> np.ndarray:
+    """Cholesky factor of a block of m's quadratic form, or the typed failure."""
+    try:
+        return np.linalg.cholesky(form)
+    except np.linalg.LinAlgError:
+        bound = _check_stable(m)
+        raise NumericalError(
+            f"no Cholesky factor of the quadratic form at the stability edge "
+            f"(smallest eigenvalue {bound:.3e})"
+        ) from None
+
+
+def _check_conditioning(k_norm: float, min_freq: float) -> None:
+    """NumericalError unless ||K||_1 / min|eps| is finite and within COND_LIMIT."""
+    bound = k_norm / min_freq
+    if not np.isfinite(bound) or bound > COND_LIMIT:
+        raise NumericalError(
+            f"ill-conditioned normal modes (cond bound = {bound:.3e} > {COND_LIMIT:.1e})"
+        )
+
+
 def _colpa_modes(
     k: np.ndarray, chol: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -197,12 +231,58 @@ def _colpa_modes(
     sigma = np.ones(k.shape[0])
     sigma[k.shape[0] // 2 :] = -1.0
     eps, vecs = np.linalg.eigh((chol.conj().T * sigma) @ chol)
-    bound = np.linalg.norm(k, 1) / np.min(np.abs(eps))
-    if not np.isfinite(bound) or bound > COND_LIMIT:
-        raise NumericalError(
-            f"ill-conditioned normal modes (cond bound = {bound:.3e} > {COND_LIMIT:.1e})"
-        )
+    _check_conditioning(np.linalg.norm(k, 1), np.min(np.abs(eps)))
     return eps, chol[0, 0] * vecs[0] / eps, (chol @ vecs).conj().T
+
+
+def _quadrature_modes(
+    m: ModelSpec, chol_x: np.ndarray, chol_p: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normal modes of dx/dt = S_pp p, dp/dt = -S_xx x: (E, X, P) with X = L_x Y, P = L_p Z.
+
+    In xi = Y^T L_x^T x and pi = Z^T L_p^T p, where L_x^T L_p = Y E Z^T, each
+    pair obeys dxi/dt = E pi, dpi/dt = -E xi.  Back in (x, p), x(t) = P E^{-1}
+    xi(t) and p(t) = X E^{-1} pi(t), and xi(0) = X^T x, pi(0) = P^T p: no
+    inverse is formed.  X^T P = diag(E), the symplectic normalization.  The
+    frequencies are the positive half of Colpa's +-eps, and ||K||_1 / min E is
+    held against COND_LIMIT; ||K||_1 is the largest column sum of K,
+    nu + sum|u| + sum|v| for a and omega_k + |u_k| + |v_k| for b_k.
+    """
+    ys, freqs, zts = np.linalg.svd(chol_x.T @ chol_p)
+    abs_u, abs_v = np.abs(m.u), np.abs(m.v)
+    k_norm = max(m.nu + abs_u.sum() + abs_v.sum(), np.max(m.omegas + abs_u + abs_v))
+    _check_conditioning(k_norm, freqs[-1])
+    return freqs, chol_x @ ys, chol_p @ zts.T
+
+
+def _quadrature_rows(
+    t: np.ndarray, freqs: np.ndarray, x_modes: np.ndarray, p_modes: np.ndarray
+) -> np.ndarray:
+    """Rows cos(E t) @ R_c + i sin(E t) @ R_s from the modes of `_quadrature_modes`.
+
+    With a = (x_0 + i p_0) / sqrt(2), a(t) takes alpha_j = P_0j / E_j of
+    xi_j(t) and beta_j = X_0j / E_j of pi_j(t); xi_j(t) = cos xi_j + sin pi_j
+    and pi_j(t) = cos pi_j - sin xi_j.  Written in w through x = (a + a^dag)
+    / sqrt(2) and p = -i (a - a^dag) / sqrt(2), the a- and a^dag-columns are
+
+        R_c = [alpha X^T + beta P^T, alpha X^T - beta P^T] / 2,
+        R_s = -[beta X^T + alpha P^T, beta X^T - alpha P^T] / 2,
+
+    real (N+1) x (2N+2) matrices; each product is written straight into the
+    real or imaginary part of the rows.
+    """
+    alpha = (0.5 * p_modes[0] / freqs)[:, None]
+    beta = (0.5 * x_modes[0] / freqs)[:, None]
+    ax, bx = alpha * x_modes.T, beta * x_modes.T
+    ap, bp = alpha * p_modes.T, beta * p_modes.T
+    r_cos = np.hstack((ax + bp, ax - bp))
+    r_sin = np.hstack((-(bx + ap), ap - bx))
+    rows = np.empty((t.size, 2 * freqs.size), dtype=complex)
+    phase = np.multiply.outer(t, freqs)
+    np.matmul(np.cos(phase), r_cos, out=rows.real)
+    np.sin(phase, out=phase)
+    np.matmul(phase, r_sin, out=rows.imag)
+    return rows
 
 
 def _phase_rows(

@@ -78,9 +78,9 @@ def no_cholesky(monkeypatch):
 def eig_route_rows():
     """Reference rows e_a^T V exp(diag(lambda) t) V^{-1} from the general eig of M.
 
-    It needs neither Hermitian structure nor stability, so it checks both
-    Hermitian routes of compute_propagator independently; the t = 0 row is
-    set to the exact identity, as there.
+    It needs neither Hermitian structure nor stability, so it checks all
+    three routes of compute_propagator independently; the t = 0 row is set
+    to the exact identity, as there.
     """
 
     def rows(m, grid):

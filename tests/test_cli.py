@@ -101,12 +101,13 @@ def test_negative_seed_exits_2(tmp_path, capsys, sample_config):
 def test_unstable_model_exits_2(tmp_path, capsys):
     doc = {
         "model": {"nu": 0.04, "coupling_family": "Custom",
+                  "spectral": {"family": "Explicit", "N": 1},
                   "explicit": {"omegas": [0.04], "u_re": [0.35], "v_re": [0.35]}},
         "time_grid": {"t_max": 5.0, "steps": 10},
     }
     rc, _ = run(tmp_path, "propagate", doc)
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err.startswith("error: model is not stable")
 
 
 def test_unstable_explicit_model_exits_2(tmp_path, capsys):
@@ -168,6 +169,37 @@ def test_ill_conditioned_modes_exit_3(tmp_path, capsys, monkeypatch, sample_conf
     report = json.loads(capsys.readouterr().err)
     assert report["error"] == "NumericalError"
     assert report["message"].startswith("ill-conditioned normal modes")
+    assert not (out / "propagator.csv").exists()
+
+
+def test_sum_rule_contract_exits_3(tmp_path, capsys, monkeypatch, sample_config):
+    # rows scaled by 1 + 1e-9 break the sum rule by about 2e-9, twenty times the contract
+    def off_by_1e9(m, grid):
+        p = compute_propagator(m, grid)
+        p.rows *= 1.0 + 1e-9
+        return p
+
+    monkeypatch.setattr("qbath.cli.compute_propagator", off_by_1e9)
+    rc, out = run(tmp_path, "propagate", sample_config("propagate-ohmic-pp"))
+    assert rc == 3
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"] == "NumericalError"
+    assert report["message"].startswith("sum-rule defect 2.0")
+    assert report["message"].endswith("exceeds 1e-10")
+    assert not any(out.iterdir())
+
+
+def test_model_just_past_the_stability_edge_exits_2(tmp_path, capsys):
+    # det S_xx = 0.04 - 0.2^2 is -3.6e-18 in the stored floats: the model is unstable
+    doc = {
+        "model": {"nu": 1.0, "coupling_family": "Custom",
+                  "spectral": {"family": "Explicit", "N": 1},
+                  "explicit": {"omegas": [0.04], "u_re": [0.1], "v_re": [0.1]}},
+        "time_grid": {"t_max": 5.0, "steps": 10},
+    }
+    rc, out = run(tmp_path, "propagate", doc)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: model is not stable")
     assert not (out / "propagator.csv").exists()
 
 

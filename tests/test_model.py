@@ -1,3 +1,6 @@
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -66,6 +69,40 @@ def test_explicit_family_validation():
 
 def test_unstable_model_detected(unstable_model):
     assert validate_model(unstable_model) < 0.0
+
+
+def _exact_min_eigenvalue_n1_real(m):
+    """(hbar/2) min eig of S = S_xx (+) S_pp for real N = 1 couplings, from the stored floats.
+
+    Each block [[nu, c], [c, omega]] has the smaller eigenvalue
+    (nu + omega - sqrt((nu - omega)^2 + 4 c^2)) / 2; the rationals are exact and
+    the one square root is taken to 60 digits.
+    """
+    nu, omega = Fraction(m.nu), Fraction(m.omegas[0])
+    u, v = Fraction(m.u[0].real), Fraction(m.v[0].real)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        lows = []
+        for c in (u + v, u - v):
+            disc = (nu - omega) ** 2 + 4 * c * c
+            root = (Decimal(disc.numerator) / Decimal(disc.denominator)).sqrt()
+            trace = Decimal((nu + omega).numerator) / Decimal((nu + omega).denominator)
+            lows.append((trace - root) / 2)
+        return Decimal(m.units.hbar) / 2 * min(lows)
+
+
+@pytest.mark.parametrize("coupling, exact", [
+    (0.1, -1.73e-18),
+    (0.10000000000000003, -1.24e-17),
+])
+def test_validate_model_sign_at_the_stability_edge(coupling, exact):
+    # u = v = g couples x to x with 2g: stable iff nu omega > (2g)^2, and 0.04 = 0.2^2 here
+    disc = SpectralDiscretization("Explicit", omegas=[0.04], u=[coupling + 0j], v=[coupling + 0j])
+    m = build_model(disc, 1.0, "Custom")
+    want = _exact_min_eigenvalue_n1_real(m)
+    assert float(want) == pytest.approx(exact, rel=1e-2)
+    got = validate_model(m)
+    assert np.sign(got) == np.sign(float(want)) == -1.0
 
 
 def test_dynamical_matrix_structure_n1():

@@ -5,7 +5,7 @@ from scipy.integrate import solve_ivp
 from qbath import TimeGrid, build_model, compute_propagator, stock_model, validate_model
 from qbath import propagator
 from qbath.errors import NumericalError, ParameterError
-from qbath.model import SpectralDiscretization, Units, dynamical_matrix
+from qbath.model import SpectralDiscretization, Units, _coupling_matrix, dynamical_matrix
 from qbath.presets import STOCK_MODEL_NAMES
 from qbath.propagator import _local_maxima, decay_report, plateau_window, sum_rule_defects
 
@@ -20,6 +20,21 @@ def complex_custom_model():
         v=0.03 * np.exp(-1.3j * k + 0.4j),
     )
     return build_model(disc, 1.1, "Custom", Units(hbar=2.5, mass=0.7))
+
+
+def real_custom_model():
+    """Custom model with real u != v (K real, neither quadrature block diagonal)."""
+    k = np.arange(12)
+    disc = SpectralDiscretization(
+        "Explicit",
+        omegas=0.4 + 0.15 * k,
+        u=0.06 * np.cos(0.7 * k) + 0j,
+        v=0.03 * np.sin(1.3 * k + 0.4) + 0j,
+    )
+    return build_model(disc, 1.1, "Custom", Units(hbar=2.5, mass=0.7))
+
+
+CUSTOM_MODELS = {"complex-custom-n12": complex_custom_model, "real-custom-n12": real_custom_model}
 
 
 def test_time_grid_validation():
@@ -126,9 +141,9 @@ def test_no_cholesky_factor_is_a_typed_failure(unstable_model, no_cholesky):
     assert f"{validate_model(m):.3e}" in str(err.value)
 
 
-@pytest.mark.parametrize("name", [*STOCK_MODEL_NAMES, "complex-custom-n12"])
+@pytest.mark.parametrize("name", [*STOCK_MODEL_NAMES, *CUSTOM_MODELS])
 def test_hermitian_route_matches_eig_route(name, eig_route_rows):
-    m = complex_custom_model() if name == "complex-custom-n12" else stock_model(name)
+    m = CUSTOM_MODELS[name]() if name in CUSTOM_MODELS else stock_model(name)
     grid = TimeGrid.linspace(60.0, 240)
     p = compute_propagator(m, grid)
     assert np.max(np.abs(p.rows - eig_route_rows(m, grid))) <= 1e-10
@@ -148,6 +163,18 @@ def test_cond_guard_on_hermitian_route(monkeypatch):
         compute_propagator(m, TimeGrid.linspace(10.0, 20))
     monkeypatch.setattr(propagator, "COND_LIMIT", 200.0)
     compute_propagator(m, TimeGrid.linspace(10.0, 20))
+
+
+@pytest.mark.parametrize("name", ["ohmic-pp-n64", "flat-custom-n128", "real-custom-n12"])
+def test_cond_bound_is_the_norm_over_the_smallest_frequency(name, monkeypatch):
+    # the real route sums K's columns in O(N); both routes must report ||K||_1 / min|eps|
+    m = CUSTOM_MODELS[name]() if name in CUSTOM_MODELS else stock_model(name)
+    freqs = np.abs(np.linalg.eigvals(dynamical_matrix(m)).imag)
+    want = np.linalg.norm(_coupling_matrix(m), 1) / freqs.min()
+    monkeypatch.setattr(propagator, "COND_LIMIT", 0.0)
+    with pytest.raises(NumericalError) as err:
+        compute_propagator(m, TimeGrid.linspace(10.0, 20))
+    assert f"cond bound = {want:.3e} >" in str(err.value)
 
 
 def test_decay_report_decoupled():

@@ -10,6 +10,7 @@ from qbath.model import (
     SpectralDiscretization,
     Units,
     _coupling_matrix,
+    _stability_blocks,
     quadratic_form_matrix,
     validate_model,
 )
@@ -23,20 +24,26 @@ FAMILIES = ("RWA", "PositionPosition", "Custom")
 
 
 @st.composite
-def stable_models(draw, family=None):
+def stable_models(draw, family=None, real=False):
     """A random model with N <= 12 whose quadratic form is positive-definite.
 
     The couplings are drawn with unit scale, then scaled so that the coupling
     part of K, in the metric of its diagonal D0, has norm `margin` < 1:
     K = D0^{1/2} (1 + C') D0^{1/2} with ||C'|| = margin stays positive-definite.
+    With real=True (Custom only) u and v are real and differ, so K is real
+    and neither quadrature block S_xx, S_pp is diagonal.
     """
     family = family or draw(st.sampled_from(FAMILIES))
     n = draw(st.integers(1, 12))
     coupling = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n).map(np.array)
     nu = draw(st.floats(0.2, 3.0))
     omegas = draw(st.lists(st.floats(0.05, 4.0), min_size=n, max_size=n))
-    u = draw(coupling) + (0.0 if family == "PositionPosition" else 1j * draw(coupling))
-    v = draw(coupling) + 1j * draw(coupling) if family == "Custom" else np.zeros(n)
+    if real:
+        u, v = draw(coupling) + 0j, draw(coupling) + 0j
+        hypothesis.assume(v.any() and np.any(u != v) and np.any(u != -v))
+    else:
+        u = draw(coupling) + (0.0 if family == "PositionPosition" else 1j * draw(coupling))
+        v = draw(coupling) + 1j * draw(coupling) if family == "Custom" else np.zeros(n)
     margin = draw(st.floats(0.05, 0.95))
     units = Units(hbar=draw(st.floats(0.3, 3.0)), mass=draw(st.floats(0.3, 3.0)))
     unit = build_model(
@@ -52,9 +59,10 @@ def stable_models(draw, family=None):
 
 
 GRID = TimeGrid.linspace(50.0, 60)
+ANY_MODEL = stable_models() | stable_models(family="Custom", real=True)
 
 
-@given(m=stable_models())
+@given(m=ANY_MODEL)
 def test_random_stable_models_match_eig_route(m, eig_route_rows):
     p = compute_propagator(m, GRID)
     assert np.max(np.abs(sum_rule_defects(p))) < 1e-10
@@ -76,7 +84,25 @@ def test_colpa_modes_are_symplectically_normalized(m):
     assert np.sum(eps > 0) == np.sum(eps < 0) == m.n_modes + 1
 
 
-@given(stable_models())
+@given(stable_models(family="PositionPosition") | stable_models(family="Custom", real=True))
+def test_quadrature_modes_are_symplectically_normalized(m):
+    hypothesis.assume(m.v.any())  # v = 0 takes the Dk route
+    sxx, spp = _stability_blocks(m)
+    freqs, x_modes, p_modes = propagator._quadrature_modes(
+        m, np.linalg.cholesky(sxx), np.linalg.cholesky(spp)
+    )
+    # (xi, pi) / sqrt(E) = diag(X, P)^T (x, p) / sqrt(E) is canonical iff X^T P = diag(E)
+    scale = np.sqrt(np.outer(freqs, freqs))
+    np.testing.assert_allclose(x_modes.T @ p_modes / scale, np.eye(m.n_modes + 1),
+                               rtol=0, atol=1e-12)
+    assert np.all(freqs > 0.0)
+    # E is the positive half of the Colpa frequencies +-eps
+    k = _coupling_matrix(m)
+    eps = propagator._colpa_modes(k, np.linalg.cholesky(k))[0]
+    np.testing.assert_allclose(np.sort(freqs), eps[eps > 0], rtol=1e-12)
+
+
+@given(ANY_MODEL)
 def test_validate_model_equals_full_quadratic_form(m):
     full = np.linalg.eigvalsh(quadratic_form_matrix(m))
     got = validate_model(m)
