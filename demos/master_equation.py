@@ -19,7 +19,7 @@ from qbath import (
     SqueezedDisplaced,
     TimeGrid,
     compute_propagator,
-    equilibrium_f_series,
+    f_series_for,
     generator_residual,
     generator_series,
     stock_model,
@@ -29,7 +29,7 @@ from qbath import (
 model = stock_model("ohmic-pp-n64")
 p = compute_propagator(model, TimeGrid.linspace(40.0, 100))
 bath = EquilibriumBath(beta=1.5)
-series = generator_series(p, equilibrium_f_series(p, 1.5))
+series = generator_series(p, f_series_for(p, bath))
 
 print("=== generator coefficients, pair-coupled Ohmic bath (beta = 1.5) ===")
 print("   t      Re xi     Im xi     |zeta|    kappa     |mu|      denom")

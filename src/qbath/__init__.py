@@ -20,10 +20,7 @@ from .baths import (
     bath_F_eval,
     bath_delta,
     bath_f_params,
-    coherent_F_params,
     delta_correlations,
-    equilibrium_F_params,
-    member_rng,
     number_F_eval,
     occupation,
     sample_coherent_state,
@@ -48,8 +45,6 @@ from .mastereq import (
     GeneralResidualReport,
     GeneratorCoefficients,
     chi_time_derivative,
-    coherent_f_series,
-    equilibrium_f_series,
     f_series_for,
     gaussian_generator,
     general_generator_apply,
@@ -99,12 +94,10 @@ from .propagator import (
     is_rwa,
     plateau_window,
     row_slice,
-    sum_rule_defect,
     sum_rule_defects,
 )
 from .rwa import (
     MinPurityReport,
-    OverlapParams,
     min_purity_check,
     purity_cat_rwa,
     purity_squeezed_rwa,

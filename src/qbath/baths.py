@@ -27,20 +27,20 @@ writes any bath as a Gaussian part times prod_k L_{n_k} (vacuum plus
 occupations, or the bath itself plus a row of zeros), and _mode_args builds
 z_k = eta B_k^* - eta^* D_k for purity quadrature and the general generator.
 
-An ensemble is one bath holding an (M x N) member matrix, row k drawn from
-member_rng(seed, k); on one propagator row the sums below give one entry per
-member, or one shared by all where the prepared values do not enter.  Member
-k's stream is numpy's SeedSequence(seed, spawn_key=(k,)) stream, bit for bit,
-seeded without building a SeedSequence per member: _seed_words runs numpy's
-seeding hash as uint32 array arithmetic over a block of member indices,
-_pcg64_states applies PCG64's seeding to each result in Python ints, and
-_member_rngs re-seeds one PCG64 through its public state for each member.
-member_rng is the one-member slice of the same kernel.
+An ensemble is one bath holding an (M x N) member matrix, from
+sample_number_states or sample_coherent_states; on one propagator row the
+sums below give one entry per member, or one shared by all where the prepared
+values do not enter.  Row k is drawn from numpy's SeedSequence(seed,
+spawn_key=(k,)) stream, bit for bit, seeded without building a SeedSequence
+per member: _seed_pool hashes the seed once per call, _seed_words runs
+numpy's seeding hash as uint32 array arithmetic over a block of member
+indices, _pcg64_states applies PCG64's seeding to each result in Python ints,
+and _member_rngs re-seeds one PCG64 through its public state for each member.
+A single sampled bath is row 0 of a one-member matrix.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from collections.abc import Iterable, Iterator
@@ -61,15 +61,12 @@ __all__ = [
     "GaussianFSeries",
     "NoiseCorrelation",
     "occupation",
-    "equilibrium_F_params",
     "number_F_eval",
-    "coherent_F_params",
     "gaussian_F_eval",
     "bath_F_eval",
     "bath_f_params",
     "bath_sums",
     "bath_delta",
-    "member_rng",
     "sample_number_state",
     "sample_coherent_state",
     "sample_number_states",
@@ -268,16 +265,6 @@ def _mode_args(b: np.ndarray, d: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return eta * np.conj(b[:, None]) - np.conj(eta) * d[:, None]
 
 
-def equilibrium_F_params(p: PropagatorCoefficients, i: int, beta: float) -> GaussianFSeries:
-    """Gaussian influence parameters of the thermal preparation at index i."""
-    return bath_f_params(p, i, EquilibriumBath(beta))
-
-
-def coherent_F_params(p: PropagatorCoefficients, i: int, amps: np.ndarray) -> GaussianFSeries:
-    """Gaussian influence parameters of a coherent-product preparation at index i."""
-    return bath_f_params(p, i, CoherentStateBath(amps))
-
-
 def gaussian_F_eval(params: GaussianFSeries, eta: np.ndarray) -> np.ndarray:
     """Evaluate a Gaussian influence function on an array of eta values."""
     eta = np.asarray(eta, dtype=complex)
@@ -355,7 +342,6 @@ def _column(pairs: Iterator[tuple[int, int]], n: int) -> np.ndarray:
     return np.array([next(pairs) for _ in range(n)], dtype=np.uint32).T[..., None]
 
 
-@functools.lru_cache(maxsize=16)  # member_rng callers hash one seed member by member
 def _seed_pool(seed: int) -> tuple[np.ndarray, np.ndarray]:
     """SeedSequence's pool after every word of seed, and the constants that hash k into it.
 
@@ -375,23 +361,22 @@ def _seed_pool(seed: int) -> tuple[np.ndarray, np.ndarray]:
     for w in words[_POOL:]:
         for dst in range(_POOL):
             pool[dst] = _mix(pool[dst], hashmix(w))
-    pool, consts = np.array(pool, dtype=np.uint32)[:, None], _column(consts, _POOL)
-    pool.flags.writeable = consts.flags.writeable = False  # shared through the cache
-    return pool, consts
+    return np.array(pool, dtype=np.uint32)[:, None], _column(consts, _POOL)
 
 
 # generate_state's constants for eight output words, two cycles through the pool
 _STATE_CONSTS = _column(_consts(_INIT_B, _MULT_B), 2 * _POOL).reshape(2, 2, _POOL, 1)
 
 
-def _seed_words(seed: int, ks: np.ndarray) -> np.ndarray:
+def _seed_words(seed_pool: tuple[np.ndarray, np.ndarray], ks: np.ndarray) -> np.ndarray:
     """SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64) for each uint32 k.
 
-    k is the last entropy word, so it is hashed into all four pool words of
-    every member at once; the eight output words, paired little-endian into
-    four uint64, come from the resulting (4, len(ks)) pool.
+    seed_pool is _seed_pool(seed).  k is the last entropy word, so it is
+    hashed into all four pool words of every member at once; the eight output
+    words, paired little-endian into four uint64, come from the resulting
+    (4, len(ks)) pool.
     """
-    pool, consts = _seed_pool(seed)
+    pool, consts = seed_pool
     out = _hash(_mix(pool, _hash(ks, *consts)), *_STATE_CONSTS)
     return np.ascontiguousarray(out.reshape(2 * _POOL, -1).T, dtype="<u4").view("<u8")
 
@@ -402,9 +387,10 @@ def _pcg64_states(seed: int, indices: range) -> Iterator[tuple[int, int]]:
     PCG64 seeds from generate_state(4, uint64) = (s_hi, s_lo, i_hi, i_lo) by
     pcg64_srandom: inc = 2i + 1, state = (inc + s) * multiplier + inc.
     """
+    seed_pool = _seed_pool(seed)
     for start in range(indices.start, indices.stop, _SEED_BLOCK):
         ks = np.arange(start, min(start + _SEED_BLOCK, indices.stop), dtype=np.uint32)
-        for s_hi, s_lo, i_hi, i_lo in _seed_words(seed, ks).tolist():
+        for s_hi, s_lo, i_hi, i_lo in _seed_words(seed_pool, ks).tolist():
             inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
             yield ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, inc
 
@@ -431,15 +417,6 @@ def _member_rngs(seed: int, indices: range) -> Iterator[np.random.Generator]:
             yield rng
 
     return reseeded()
-
-
-def member_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent, reproducible stream for ensemble member `index`.
-
-    numpy's SeedSequence(seed, spawn_key=(index,)) stream, built as the
-    one-member slice of the ensemble seeding kernel.
-    """
-    return next(_member_rngs(seed, range(index, index + 1)))
 
 
 def _number_rows(beta: float, m: ModelSpec, rngs: Iterable, count: int) -> np.ndarray:
@@ -490,7 +467,7 @@ def sample_coherent_state(
 
 
 def sample_number_states(beta: float, m: ModelSpec, seed: int, n_members: int) -> NumberStateBath:
-    """Member matrix whose row k is sample_number_state(beta, m, member_rng(seed, k))."""
+    """Members whose row k is sample_number_state on SeedSequence(seed, spawn_key=(k,))."""
     rngs = _member_rngs(seed, range(n_members))
     return NumberStateBath(_number_rows(beta, m, rngs, n_members))
 
@@ -498,7 +475,7 @@ def sample_number_states(beta: float, m: ModelSpec, seed: int, n_members: int) -
 def sample_coherent_states(
     beta: float, m: ModelSpec, seed: int, n_members: int
 ) -> CoherentStateBath:
-    """Member matrix whose row k is sample_coherent_state(beta, m, member_rng(seed, k))."""
+    """Members whose row k is sample_coherent_state on SeedSequence(seed, spawn_key=(k,))."""
     rngs = _member_rngs(seed, range(n_members))
     return CoherentStateBath(_coherent_rows(beta, m, rngs, n_members))
 

@@ -11,7 +11,8 @@ A run config is a single JSON object with sections
 
 experiment.seed defaults to the sampled bath's seed (else 0), n_samples to
 1000 (at most 2**32: each member index is one uint32 seed word); sizes
-beyond any array (time_grid.steps, model.spectral.N) are errors.
+beyond any array (time_grid.steps, model.spectral.N) are errors.  A sampled
+bath is realized as member 0 of the ensemble its seed draws.
 
 Unknown keys are rejected anywhere in the document, with the offending line
 quoted when it can be located in the source text.  Complex-valued fields are
@@ -34,9 +35,8 @@ from .baths import (
     CoherentStateBath,
     EquilibriumBath,
     NumberStateBath,
-    member_rng,
-    sample_coherent_state,
-    sample_number_state,
+    sample_coherent_states,
+    sample_number_states,
 )
 from .errors import PhysicalityError, SchemaError
 from .model import (
@@ -401,11 +401,12 @@ def load_config(path: str | Path) -> RunConfig:
     return parse_config(doc, raw)
 
 
-def realize_bath(cfg: RunConfig, *, seed_override: int | None = None) -> BathSpec:
+def realize_bath(cfg: RunConfig) -> BathSpec:
     """Turn the symbolic bath section into a concrete preparation.
 
-    The sample_* kinds draw one realization with the configured (or
-    overridden) seed; fixed kinds pass through unchanged.
+    The sample_* kinds draw one realization with the configured seed: row 0
+    of the one-member ensemble, numpy's SeedSequence(seed, spawn_key=(0,))
+    stream.  Fixed kinds pass through unchanged.
     """
     if cfg.bath_doc is None:
         raise SchemaError("config has no 'bath' section")
@@ -417,8 +418,6 @@ def realize_bath(cfg: RunConfig, *, seed_override: int | None = None) -> BathSpe
         return NumberStateBath(n=doc["n"])
     if kind == "coherent":
         return CoherentStateBath(amps=doc["amps"])
-    seed = seed_override if seed_override is not None else doc["seed"]
-    rng = member_rng(seed, 0)
     if kind == "sample_number":
-        return sample_number_state(doc["beta"], cfg.model, rng)
-    return sample_coherent_state(doc["beta"], cfg.model, rng)
+        return NumberStateBath(sample_number_states(doc["beta"], cfg.model, doc["seed"], 1).n[0])
+    return CoherentStateBath(sample_coherent_states(doc["beta"], cfg.model, doc["seed"], 1).amps[0])

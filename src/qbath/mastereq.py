@@ -17,10 +17,12 @@ the full chi = chi~ F satisfies
 with kappa, mu, sigma given by the influence parameters, their exact time
 derivatives, and (xi, zeta).  For arbitrary F the generator keeps log-
 derivatives of F explicitly, split as baths decides (a number-state F is
-the vacuum Gaussian times Laguerre factors); the Gaussian entry points refuse
-number-state baths through the one guard in baths.  Everything here
-evaluates both sides of these identities along the exact solution; nothing
-is integrated forward.
+the vacuum Gaussian times Laguerre factors).  Each quantity has one entry
+point taking any BathSpec: f_series_for gives the influence series of an
+equilibrium or coherent bath (number-state baths are refused by the one guard
+in baths), and chi_time_derivative the left side d chi/dt of every residual,
+Gaussian or not.  Everything here evaluates both sides of these identities
+along the exact solution; nothing is integrated forward.
 
 The drift denominator |A|^2 - |C|^2 can cross zero (e.g. on resonance at
 u t = pi/2); points at or below the floor raise SingularGeneratorError from
@@ -38,8 +40,6 @@ import numpy as np
 from . import laguerre
 from .baths import (
     BathSpec,
-    CoherentStateBath,
-    EquilibriumBath,
     GaussianFSeries,
     _gaussian_sums,
     _laguerre_split,
@@ -52,13 +52,9 @@ from .observables import chi_eval, square_eta_grid
 from .propagator import PropagatorCoefficients, row_slice
 from .states import (
     OscillatorState,
-    carried_gaussian_params,
-    carried_gaussian_params_dt,
     chi0_wirtinger,
-    gaussian_chi_params,
     gaussian_exponent,
     gaussian_exponent_wirtinger,
-    is_gaussian,
 )
 
 __all__ = [
@@ -67,8 +63,6 @@ __all__ = [
     "GaussianFSeries",
     "GeneralResidualReport",
     "xi_zeta",
-    "equilibrium_f_series",
-    "coherent_f_series",
     "f_series_for",
     "gaussian_generator",
     "generator_series",
@@ -92,16 +86,6 @@ class GeneratorCoefficients:
     sigma: complex
     denom: float
     valid: bool
-
-
-def equilibrium_f_series(p: PropagatorCoefficients, beta: float) -> GaussianFSeries:
-    """Thermal influence parameters (delta = 0) with exact time derivatives."""
-    return f_series_for(p, EquilibriumBath(beta))
-
-
-def coherent_f_series(p: PropagatorCoefficients, amps: np.ndarray) -> GaussianFSeries:
-    """Coherent-preparation influence parameters with exact time derivatives."""
-    return f_series_for(p, CoherentStateBath(amps))
 
 
 def f_series_for(p: PropagatorCoefficients, bath: BathSpec) -> GaussianFSeries:
@@ -207,17 +191,24 @@ def _logF_derivs(p: PropagatorCoefficients, i: int, bath: BathSpec, eta: np.ndar
 def _chi_pieces(
     p: PropagatorCoefficients, i: int, bath: BathSpec, s: OscillatorState, eta: np.ndarray
 ):
-    """chi, its eta-Wirtinger derivatives, the chi0 pieces and the log-derivatives of F."""
-    a_t, c_t = p.A[i], p.C[i]
+    """chi, its eta-Wirtinger derivatives, its explicit time derivative and F's log-derivatives.
+
+    d chi/dt differentiates the solution chi0(eta A^* - eta^* C) F(eta, t)
+    along the exact trajectory, through dA, dC and dlnF/dt.
+    """
+    a_t, c_t, da_t, dc_t = p.A[i], p.C[i], p.dA[i], p.dC[i]
     w = eta * np.conj(a_t) - np.conj(eta) * c_t
     chi0, c0w, c0wb = chi0_wirtinger(s, w)
     f_val = bath_F_eval(p, i, bath, eta)
     log_f = _logF_derivs(p, i, bath, eta)
-    d_eta, d_etab = log_f[:2]
+    d_eta, d_etab, d_t, _ = log_f
     chi = chi0 * f_val
     dchi_eta = (c0w * np.conj(a_t) - c0wb * np.conj(c_t)) * f_val + chi * d_eta
     dchi_etab = (-c0w * c_t + c0wb * a_t) * f_val + chi * d_etab
-    return chi, dchi_eta, dchi_etab, (chi0, c0w, c0wb, f_val), log_f
+    dw_t = eta * np.conj(da_t) - np.conj(eta) * dc_t
+    dwb_t = np.conj(eta) * da_t - eta * np.conj(dc_t)
+    dchi_t = (c0w * dw_t + c0wb * dwb_t) * f_val + chi0 * f_val * d_t
+    return chi, dchi_eta, dchi_etab, dchi_t, log_f
 
 
 def _drift_apply(xi: complex, zeta: complex, eta: np.ndarray, g_eta, g_etab) -> np.ndarray:
@@ -235,12 +226,8 @@ def chi_time_derivative(
     close to a zero for its logarithmic derivative to be reliable.
     """
     eta = np.asarray(eta, dtype=complex)
-    _, _, _, (chi0, c0w, c0wb, f_val), (_, _, d_t, ok) = _chi_pieces(p, i, bath, s, eta)
-    da_t, dc_t = p.dA[i], p.dC[i]
-    dw_t = eta * np.conj(da_t) - np.conj(eta) * dc_t
-    dwb_t = np.conj(eta) * da_t - eta * np.conj(dc_t)
-    dchi = (c0w * dw_t + c0wb * dwb_t) * f_val + chi0 * f_val * d_t
-    return dchi, ok
+    _, _, _, dchi_t, (_, _, _, ok) = _chi_pieces(p, i, bath, s, eta)
+    return dchi_t, ok
 
 
 def _residual_nodes(eta) -> np.ndarray:
@@ -257,34 +244,19 @@ def generator_residual(
 ) -> float:
     """Max |dchi/dt - generator RHS| / max |chi| for Gaussian influence baths.
 
-    The left side uses exact parameter derivatives of the closed-form
-    solution; the right side uses the generator coefficients.  Their
-    agreement verifies the coefficient formulas along the trajectory.
+    The left side is chi_time_derivative, the explicit time derivative of the
+    closed-form solution, for every oscillator state; the right side uses the
+    generator coefficients.  Their agreement verifies the coefficient
+    formulas along the trajectory.
     """
     eta = _residual_nodes(eta)
     fs = _gaussian_sums(p, row_slice(i), bath, derivs=True)
     c = _generator_at(p, i, fs)
-    chi, dchi_eta, dchi_etab, _, _ = _chi_pieces(p, i, bath, s, eta)
+    chi, dchi_eta, dchi_etab, lhs, _ = _chi_pieces(p, i, bath, s, eta)
     rhs = _drift_apply(c.xi, c.zeta, eta, dchi_eta, dchi_etab) + gaussian_exponent(
         c.sigma, -c.kappa, c.mu, eta
     ) * chi
-    if is_gaussian(s):
-        lhs = _gaussian_lhs(p, i, fs[0], s, eta)
-    else:
-        lhs, _ = chi_time_derivative(p, i, bath, s, eta)
     return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(chi)))
-
-
-def _gaussian_lhs(
-    p: PropagatorCoefficients, i: int, fs: GaussianFSeries, s: OscillatorState, eta: np.ndarray
-) -> np.ndarray:
-    """d chi/dt via derivatives of the total Gaussian parameters; fs holds row i."""
-    d0, a0, g0 = gaussian_chi_params(s)
-    a_t, c_t, da_t, dc_t = p.A[i], p.C[i], p.dA[i], p.dC[i]
-    d, a, g = carried_gaussian_params(d0, a0, g0, a_t, c_t)
-    dd, da, dg = carried_gaussian_params_dt(d0, a0, g0, a_t, c_t, da_t, dc_t)
-    chi = np.exp(gaussian_exponent(d + fs.delta, a + fs.alpha, g + fs.gamma, eta))
-    return chi * gaussian_exponent(dd + fs.ddelta, da + fs.dalpha, dg + fs.dgamma, eta)
 
 
 def general_generator_apply(

@@ -40,7 +40,6 @@ from .baths import (
     bath_delta,
     bath_f_params,
     bath_sums,
-    coherent_F_params,
     occupation,
     sample_number_states,
 )
@@ -428,7 +427,7 @@ def displaced_vacuum_check(
     eta = np.asarray(eta, dtype=complex)
     bath = CoherentStateBath(amps)
     chi = chi_eval(p, i, bath, s, eta)
-    delta = coherent_F_params(p, i, bath.amps).delta
+    delta = bath_f_params(p, i, bath).delta
     phase = np.exp(np.conj(delta) * eta - delta * np.conj(eta))
     vac_bath = CoherentStateBath(np.zeros(p.n_modes, dtype=complex))
     chi_vac = chi_eval(p, i, vac_bath, vacuum_state(), eta)

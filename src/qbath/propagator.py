@@ -32,6 +32,11 @@ is a ParameterError; a form that has no Cholesky factor although
 validate_model finds it positive sits at the stability edge and is a
 NumericalError.
 
+The sum rule is the contract on every row compute_propagator returns: its
+sup defect over the grid must be at most SUM_RULE_TOL, or the rows are
+refused with a NumericalError that names the defect.  The defects are
+computed once, in that check, and kept on the coefficients.
+
 A real Dk keeps the v = 0 route real.  The rows are kept as one (T, 2N+2)
 array, of which A, B_k, C, D_k are views.  Time derivatives are the exact
 rows row(t) . M, built on first read: only the master-equation generators
@@ -61,13 +66,12 @@ __all__ = [
     "PropagatorCoefficients",
     "DecayReport",
     "compute_propagator",
-    "sum_rule_defect",
     "sum_rule_defects",
     "decay_report",
     "plateau_window",
 ]
 
-SUM_RULE_TOL = 1e-10  # largest sup |sum-rule defect| that `qbath propagate` accepts
+SUM_RULE_TOL = 1e-10  # largest sup |sum-rule defect| that compute_propagator accepts
 COND_LIMIT = 1e10  # largest ||K||_1 / min|eps| (bounds cond of the normal modes) accepted
 DECAY_THRESHOLD = 0.1  # |A| level that decay_report's recurrence onset is measured against
 LATE_FRACTION = 0.2  # trailing share of the grid that decay_report calls late
@@ -106,7 +110,8 @@ class PropagatorCoefficients:
 
     `rows` is the (T, 2N+2) array of a-rows of exp(M t); A, B, C, D are views
     into it, so the coefficients share its memory.  The derivative rows
-    row(t) M are built on the first read of dA, dB, dC or dD and then kept.
+    row(t) M are built on the first read of dA, dB, dC or dD and then kept;
+    so are the sum-rule defects, on the first sum_rule_defects call.
 
     Shapes: A, C, dA, dC are (T,); B, D, dB, dD are (T, N).
     """
@@ -135,6 +140,16 @@ class PropagatorCoefficients:
     dC = property(lambda self: self._derivs[2])
     dD = property(lambda self: self._derivs[3])
 
+    @cached_property
+    def _defects(self) -> np.ndarray:
+        return (
+            np.abs(self.A) ** 2
+            - np.abs(self.C) ** 2
+            + np.sum(np.abs(self.B) ** 2, axis=1)
+            - np.sum(np.abs(self.D) ** 2, axis=1)
+            - 1.0
+        )
+
     @property
     def n_times(self) -> int:
         return self.A.size
@@ -158,8 +173,10 @@ def compute_propagator(m: ModelSpec, grid: TimeGrid) -> PropagatorCoefficients:
     takes the Choleskys of the quadrature blocks S_xx, S_pp and one (N+1)
     SVD; a complex K takes its Cholesky factor K = L L^dag and one Hermitian
     `eigh` (Colpa).  Without a Cholesky factor the model is unstable
-    (ParameterError) or at the stability edge (NumericalError).  Derivative
-    rows drow(t) = row(t) M are left to the first read of dA, dB, dC or dD.
+    (ParameterError) or at the stability edge (NumericalError); ill-
+    conditioned normal modes and a sup sum-rule defect above SUM_RULE_TOL are
+    NumericalErrors too.  Derivative rows drow(t) = row(t) M are left to the
+    first read of dA, dB, dC or dD.
     """
     n = m.n_modes
     if not m.v.any():
@@ -173,17 +190,25 @@ def compute_propagator(m: ModelSpec, grid: TimeGrid) -> PropagatorCoefficients:
         rows[:, : n + 1] = _phase_rows(grid.t, freqs, vecs[0], vecs.conj().T)
     elif _has_real_couplings(m):
         sxx, spp = _stability_blocks(m)
-        modes = _quadrature_modes(m, _cholesky(m, sxx), _cholesky(m, spp))
+        modes = _quadrature_modes(_cholesky(m, sxx), _cholesky(m, spp))
+        _check_conditioning(m, modes[0][-1])
         rows = _quadrature_rows(grid.t, *modes)
     else:
         k = _coupling_matrix(m)
-        modes = _colpa_modes(k, _cholesky(m, k))
-        del k  # free a (2N+2)^2 matrix before the (T, 2N+2) arrays
+        modes = _colpa_modes(_cholesky(m, k))
+        # free the (2N+2)^2 K after the eigh and before the (T, 2N+2) arrays: freed
+        # before the eigh, it raised the peak RSS of an N = 256 run by 8 MiB
+        del k
+        _check_conditioning(m, np.min(np.abs(modes[0])))
         rows = _phase_rows(grid.t, *modes)
     # t = 0 is the identity exactly; drop the reconstruction rounding there
     rows[0, :] = 0.0
     rows[0, 0] = 1.0
-    return PropagatorCoefficients(model=m, grid=grid, rows=rows)
+    p = PropagatorCoefficients(model=m, grid=grid, rows=rows)
+    sup_defect = float(np.max(np.abs(sum_rule_defects(p))))
+    if not sup_defect <= SUM_RULE_TOL:
+        raise NumericalError(f"sum-rule defect {sup_defect:.3e} exceeds {SUM_RULE_TOL:.0e}")
+    return p
 
 
 def _check_stable(m: ModelSpec) -> float:
@@ -208,8 +233,14 @@ def _cholesky(m: ModelSpec, form: np.ndarray) -> np.ndarray:
         ) from None
 
 
-def _check_conditioning(k_norm: float, min_freq: float) -> None:
-    """NumericalError unless ||K||_1 / min|eps| is finite and within COND_LIMIT."""
+def _check_conditioning(m: ModelSpec, min_freq: float) -> None:
+    """NumericalError unless ||K||_1 / min|eps| is finite and within COND_LIMIT.
+
+    ||K||_1 is the largest column sum of |K|, in O(N): nu + sum|u| + sum|v|
+    for a and a^dag, omega_k + |u_k| + |v_k| for b_k and b_k^dag.
+    """
+    abs_u, abs_v = np.abs(m.u), np.abs(m.v)
+    k_norm = max(m.nu + abs_u.sum() + abs_v.sum(), np.max(m.omegas + abs_u + abs_v))
     bound = k_norm / min_freq
     if not np.isfinite(bound) or bound > COND_LIMIT:
         raise NumericalError(
@@ -217,26 +248,23 @@ def _check_conditioning(k_norm: float, min_freq: float) -> None:
         )
 
 
-def _colpa_modes(
-    k: np.ndarray, chol: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _colpa_modes(chol: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normal modes of M = -i Sigma K from K = L L^dag (Colpa): (eps, weights, right).
 
     L^dag Sigma L = U diag(eps) U^dag gives M V = V diag(-i eps) with
     V = Sigma L U |eps|^{-1/2} and V^{-1} = sign(eps) V^dag Sigma, so
     row(t) = L_00 (U_0 / eps) exp(-i eps t) (L U)^dag: no inverse is formed.
     cond(V) = ||V||^2 <= ||K|| / min|eps| <= ||K||_1 / min|eps|, the bound
-    held against COND_LIMIT.
+    compute_propagator holds against COND_LIMIT.
     """
-    sigma = np.ones(k.shape[0])
-    sigma[k.shape[0] // 2 :] = -1.0
+    sigma = np.ones(chol.shape[0])
+    sigma[chol.shape[0] // 2 :] = -1.0
     eps, vecs = np.linalg.eigh((chol.conj().T * sigma) @ chol)
-    _check_conditioning(np.linalg.norm(k, 1), np.min(np.abs(eps)))
     return eps, chol[0, 0] * vecs[0] / eps, (chol @ vecs).conj().T
 
 
 def _quadrature_modes(
-    m: ModelSpec, chol_x: np.ndarray, chol_p: np.ndarray
+    chol_x: np.ndarray, chol_p: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normal modes of dx/dt = S_pp p, dp/dt = -S_xx x: (E, X, P) with X = L_x Y, P = L_p Z.
 
@@ -244,14 +272,10 @@ def _quadrature_modes(
     pair obeys dxi/dt = E pi, dpi/dt = -E xi.  Back in (x, p), x(t) = P E^{-1}
     xi(t) and p(t) = X E^{-1} pi(t), and xi(0) = X^T x, pi(0) = P^T p: no
     inverse is formed.  X^T P = diag(E), the symplectic normalization.  The
-    frequencies are the positive half of Colpa's +-eps, and ||K||_1 / min E is
-    held against COND_LIMIT; ||K||_1 is the largest column sum of K,
-    nu + sum|u| + sum|v| for a and omega_k + |u_k| + |v_k| for b_k.
+    frequencies, in descending order, are the positive half of Colpa's +-eps;
+    compute_propagator holds ||K||_1 / min E against COND_LIMIT.
     """
     ys, freqs, zts = np.linalg.svd(chol_x.T @ chol_p)
-    abs_u, abs_v = np.abs(m.u), np.abs(m.v)
-    k_norm = max(m.nu + abs_u.sum() + abs_v.sum(), np.max(m.omegas + abs_u + abs_v))
-    _check_conditioning(k_norm, freqs[-1])
     return freqs, chol_x @ ys, chol_p @ zts.T
 
 
@@ -319,19 +343,12 @@ def row_slice(i: int) -> slice:
 
 
 def sum_rule_defects(p: PropagatorCoefficients) -> np.ndarray:
-    """|A|^2 - |C|^2 + sum|B_k|^2 - sum|D_k|^2 - 1 at every grid point."""
-    return (
-        np.abs(p.A) ** 2
-        - np.abs(p.C) ** 2
-        + np.sum(np.abs(p.B) ** 2, axis=1)
-        - np.sum(np.abs(p.D) ** 2, axis=1)
-        - 1.0
-    )
+    """|A|^2 - |C|^2 + sum|B_k|^2 - sum|D_k|^2 - 1 at every grid point.
 
-
-def sum_rule_defect(p: PropagatorCoefficients, i: int) -> float:
-    """Sum-rule defect at grid index i."""
-    return float(sum_rule_defects(p)[i])
+    Computed on the first call, which compute_propagator makes for its
+    contract check, and kept on p.
+    """
+    return p._defects
 
 
 @dataclass

@@ -27,10 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .states import CatState, coherent_overlap
+from .states import coherent_overlap
 
 __all__ = [
-    "OverlapParams",
     "purity_squeezed_rwa",
     "purity_cat_rwa",
     "MinPurityReport",
@@ -40,23 +39,6 @@ __all__ = [
 
 N_PAIRS = 101  # (s, 1 - s) probe pairs of the min_purity_check symmetry defect
 MIN_TIE_TOL = 1e-12  # relative width of the band counted as the minimum
-
-
-@dataclass(frozen=True)
-class OverlapParams:
-    """Polar form R e^{i varphi} of the coherent-component overlap."""
-
-    R: float
-    varphi: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.R <= 1.0:
-            raise ParameterError(f"overlap magnitude must lie in [0, 1], got {self.R}")
-
-    @classmethod
-    def from_cat(cls, state: CatState) -> "OverlapParams":
-        ov = coherent_overlap(state.alpha, state.beta)
-        return cls(R=abs(ov), varphi=math.atan2(ov.imag, ov.real))
 
 
 def _check_survival(absA2: float) -> float:

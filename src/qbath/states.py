@@ -28,7 +28,6 @@ __all__ = [
     "gaussian_exponent",
     "gaussian_exponent_wirtinger",
     "carried_gaussian_params",
-    "carried_gaussian_params_dt",
     "chi0_eval",
     "chi0_wirtinger",
     "coherent_overlap",
@@ -186,16 +185,6 @@ def carried_gaussian_params(d0, a0, g0, a_t, c_t):
     a = a0 * (np.abs(a_t) ** 2 + np.abs(c_t) ** 2) + 4.0 * np.real(g0 * a_t * np.conj(c_t))
     g = a0 * a_t * c_t + g0 * a_t**2 + np.conj(g0) * c_t**2
     return d, a, g
-
-
-def carried_gaussian_params_dt(d0, a0, g0, a_t, c_t, da_t, dc_t):
-    """Time derivatives of carried_gaussian_params given dA/dt and dC/dt."""
-    dd = d0 * da_t + np.conj(d0) * dc_t
-    da = a0 * 2.0 * np.real(np.conj(a_t) * da_t + np.conj(c_t) * dc_t) + 4.0 * np.real(
-        g0 * (da_t * np.conj(c_t) + a_t * np.conj(dc_t))
-    )
-    dg = a0 * (da_t * c_t + a_t * dc_t) + 2.0 * g0 * a_t * da_t + 2.0 * np.conj(g0) * c_t * dc_t
-    return dd, da, dg
 
 
 def _cat_terms(s: CatState, w: np.ndarray):

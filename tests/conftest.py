@@ -94,6 +94,20 @@ def eig_route_rows():
 
 
 @pytest.fixture(scope="session")
+def member_stream():
+    """numpy's own generator of ensemble member k: the stream the ensemble samplers reproduce.
+
+    Row k of sample_number_states and sample_coherent_states is drawn from
+    default_rng(SeedSequence(seed, spawn_key=(k,))), bit for bit.
+    """
+
+    def stream(seed, k):
+        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+
+    return stream
+
+
+@pytest.fixture(scope="session")
 def rwa_n1():
     # grid step 0.05 keeps the generator singularity t = pi/0.7 off-grid
     return compute_propagator(stock_model("rwa-n1-resonant"), TimeGrid.linspace(9.0, 180))

@@ -16,25 +16,25 @@ from qbath import (
     CatState,
     CoherentStateBath,
     EquilibriumBath,
+    NumberStateBath,
     SingularGeneratorError,
     SqueezedDisplaced,
     TimeGrid,
     asymptotic_purity,
     asymptotic_variances,
     averaged_purity_number_ensemble,
+    bath_f_params,
     compute_propagator,
     decay_report,
     delta_correlations,
     displaced_vacuum_check,
     dynamical_matrix,
-    equilibrium_F_params,
-    equilibrium_f_series,
+    f_series_for,
     general_generator_apply,
     general_generator_residual,
     generator_residual,
     generator_series,
     mean_xp,
-    member_rng,
     min_purity_check,
     number_variance_of_variance,
     parse_config,
@@ -42,7 +42,9 @@ from qbath import (
     purity_cat_rwa,
     purity_squeezed_rwa,
     sample_coherent_state,
+    sample_coherent_states,
     sample_number_state,
+    sample_number_states,
     stock_config,
     stock_model,
     sum_rule_defects,
@@ -150,8 +152,8 @@ def test_criterion_4_number_state_ensemble(ohmic_rwa, plateau_index):
 
     n = 10_000
     vx = np.empty(n)
-    for k in range(n):
-        bath = sample_number_state(beta, m, member_rng(SEED, k))
+    for k, occs in enumerate(sample_number_states(beta, m, SEED, n).n):
+        bath = NumberStateBath(occs)
         vx[k], _ = variances(p, i, bath, s)
         if k % 200 == 0:
             record(p, i, bath, s, f"number sample {k}")
@@ -203,8 +205,8 @@ def test_criterion_5_coherent_state_ensemble(ohmic_rwa, plateau_index):
     dj = np.empty(n, complex)
     identity_defect = 0.0
     first_amps = None
-    for k in range(n):
-        bath = sample_coherent_state(beta, m, member_rng(SEED, k))
+    for k, amps in enumerate(sample_coherent_states(beta, m, SEED, n).amps):
+        bath = CoherentStateBath(amps)
         if k == 0:
             first_amps = bath.amps
         mx[k], mp[k] = mean_xp(p, i, bath, s)
@@ -216,8 +218,8 @@ def test_criterion_5_coherent_state_ensemble(ohmic_rwa, plateau_index):
         if k % 500 == 0:
             record(p, i, bath, s, f"coherent sample {k}")
 
-    fb = equilibrium_F_params(p, i, beta)
-    f0 = equilibrium_F_params(p, i, math.inf)
+    fb = bath_f_params(p, i, EquilibriumBath(beta=beta))
+    f0 = bath_f_params(p, i, EquilibriumBath(beta=math.inf))
     da, dg = fb.alpha - f0.alpha, fb.gamma - f0.gamma
     pred_x2 = (u.hbar / (u.mass * m.nu)) * (da + 2.0 * dg.real)
     pred_p2 = (u.hbar * u.mass * m.nu) * (da - 2.0 * dg.real)
@@ -241,15 +243,15 @@ def test_criterion_5_coherent_state_ensemble(ohmic_rwa, plateau_index):
            f"RWA plateau purity {plateau_pur:.6f}, displaced-vacuum defect {dv_defect:.1e}")
 
 
-def test_criterion_6_master_equation(ohmic_rwa):
+def test_criterion_6_master_equation(ohmic_rwa, member_stream):
     p = ohmic_rwa
     m = p.model
     onset = decay_report(p).recurrence_onset
     idx = [k for k in (0, 10, 25, 45, 70, 96)
            if onset is None or p.grid.t[k] < onset]
     eq = EquilibriumBath(beta=1.5)
-    coh = CoherentStateBath(sample_coherent_state(1.5, m, member_rng(SEED, 0)).amps)
-    num = sample_number_state(1.5, m, member_rng(SEED, 1))
+    coh = CoherentStateBath(sample_coherent_state(1.5, m, member_stream(SEED, 0)).amps)
+    num = sample_number_state(1.5, m, member_stream(SEED, 1))
     sq = SqueezedDisplaced(0.5 - 0.1j, 0.6, 0.3)
     cat = CatState(1.3 + 0.4j, -0.8 - 0.6j)
 
@@ -258,7 +260,7 @@ def test_criterion_6_master_equation(ohmic_rwa):
     reports = [general_generator_residual(p, k, num, sq) for k in idx]
     res_num = max(r.max_residual for r in reports)
 
-    series = generator_series(p, equilibrium_f_series(p, 1.5))
+    series = generator_series(p, f_series_for(p, eq))
     sigma_zero = bool(np.all(series["sigma"] == 0.0)) and bool(np.all(series["valid"]))
 
     origin = 0.0
@@ -320,12 +322,12 @@ def test_criterion_7_purity_oracles():
            f"min at |A|^2 = 0.5 +- {loc_defect:.1e} (grid {ds:.1e}), symmetry {sym:.1e}")
 
 
-def test_criterion_8_physicality_suite():
+def test_criterion_8_physicality_suite(member_stream):
     # widen the audit beyond what criteria 1-7 recorded
     for name in ("ohmic-rwa-n64", "ohmic-pp-n64"):
         p = compute_propagator(stock_model(name), GRID)
-        amps = sample_coherent_state(1.0, p.model, member_rng(5, 0)).amps
-        number = sample_number_state(1.0, p.model, member_rng(5, 1))
+        amps = sample_coherent_state(1.0, p.model, member_stream(5, 0)).amps
+        number = sample_number_state(1.0, p.model, member_stream(5, 1))
         baths = (EquilibriumBath(beta=2.0), EquilibriumBath(beta=math.inf),
                  CoherentStateBath(amps), number)
         states = (vacuum_state(), SqueezedDisplaced(0.3 + 0.2j, 0.8, 0.4),

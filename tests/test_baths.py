@@ -44,7 +44,7 @@ def test_equilibrium_params_match_direct_sums(ohmic_pp):
     p = ohmic_pp
     i = 37
     beta = 1.3
-    params = baths.equilibrium_F_params(p, i, beta)
+    params = baths.bath_f_params(p, i, baths.EquilibriumBath(beta))
     nbar = baths.occupation(beta, p.model.omegas)
     b, d = p.B[i], p.D[i]
     alpha = np.sum((np.abs(b) ** 2 + np.abs(d) ** 2) * (nbar + 0.5))
@@ -58,7 +58,7 @@ def test_ground_state_number_equals_zero_temperature(ohmic_pp):
     p = ohmic_pp
     i = 52
     eta = np.array([0.3 - 0.4j, 1.1 + 0.2j, -0.7 + 0.9j])
-    zero_t = baths.gaussian_F_eval(baths.equilibrium_F_params(p, i, math.inf), eta)
+    zero_t = baths.gaussian_F_eval(baths.bath_f_params(p, i, baths.EquilibriumBath(math.inf)), eta)
     from_number = baths.number_F_eval(p, i, np.zeros(p.n_modes, dtype=int), eta)
     assert np.max(np.abs(from_number - zero_t)) < 1e-13
 
@@ -74,11 +74,11 @@ def test_thermal_number_average_single_mode_exact(rwa_n1):
     acc = np.zeros(eta.shape, dtype=float)
     for n in range(200):
         acc += (1.0 - q) * q**n * baths.number_F_eval(p, i, [n], eta)
-    thermal = baths.gaussian_F_eval(baths.equilibrium_F_params(p, i, beta), eta).real
+    thermal = baths.bath_F_eval(p, i, baths.EquilibriumBath(beta), eta).real
     assert np.max(np.abs(acc - thermal)) < 1e-12
 
 
-def test_thermal_number_average_monte_carlo(ohmic_rwa):
+def test_thermal_number_average_monte_carlo(ohmic_rwa, member_stream):
     p = ohmic_rwa
     i = 40
     beta = 2.0
@@ -86,11 +86,11 @@ def test_thermal_number_average_monte_carlo(ohmic_rwa):
     n_samples = 3000
     vals = np.empty(n_samples)
     for s in range(n_samples):
-        bath = baths.sample_number_state(beta, p.model, baths.member_rng(411, s))
+        bath = baths.sample_number_state(beta, p.model, member_stream(411, s))
         vals[s] = baths.number_F_eval(p, i, bath.n, np.array([eta]))[0]
     summary = summarize(vals, seed=411)
     thermal = baths.gaussian_F_eval(
-        baths.equilibrium_F_params(p, i, beta), np.array([eta])
+        baths.bath_f_params(p, i, baths.EquilibriumBath(beta)), np.array([eta])
     )[0].real
     assert abs(summary.estimate - thermal) < 4.0 * summary.std_error
 
@@ -100,45 +100,44 @@ def test_coherent_params(ohmic_pp):
     i = 61
     rng = np.random.default_rng(7)
     amps = rng.normal(size=p.n_modes) + 1j * rng.normal(size=p.n_modes)
-    params = baths.coherent_F_params(p, i, amps)
+    params = baths.bath_f_params(p, i, baths.CoherentStateBath(amps))
     b, d = p.B[i], p.D[i]
     delta = np.sum(b * amps + d * np.conj(amps))
     assert params.delta == pytest.approx(delta, rel=1e-14)
-    zero_t = baths.equilibrium_F_params(p, i, math.inf)
+    zero_t = baths.bath_f_params(p, i, baths.EquilibriumBath(math.inf))
     assert params.alpha == pytest.approx(zero_t.alpha, rel=1e-14)
     assert params.gamma == pytest.approx(zero_t.gamma, rel=1e-14)
-    quiet = baths.coherent_F_params(p, i, np.zeros(p.n_modes, dtype=complex))
+    quiet = baths.bath_f_params(p, i, baths.CoherentStateBath(np.zeros(p.n_modes, dtype=complex)))
     assert quiet.delta == 0.0
     with pytest.raises(ParameterError):
-        baths.coherent_F_params(p, i, amps[:-1])
+        baths.bath_f_params(p, i, baths.CoherentStateBath(amps[:-1]))
     with pytest.raises(ParameterError):
         baths.number_F_eval(p, i, np.zeros(3, dtype=int), np.array([0.1 + 0.1j]))
     with pytest.raises(ParameterError):
         baths.bath_f_params(p, i, baths.NumberStateBath(np.zeros(p.n_modes, dtype=int)))
 
 
-def _oracle_rng(seed, k):
-    """numpy's own generator for ensemble member k: the stream member_rng must reproduce."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
-
-
 ORACLE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 3**80)
 
 
-def _same_stream(rng, k, seed):
-    ref = _oracle_rng(seed, k)
-    assert rng.bit_generator.state == ref.bit_generator.state, (seed, k)
+def _same_stream(rng, ref, label):
+    assert rng.bit_generator.state == ref.bit_generator.state, label
     draws = [(g.integers(0, 1 << 62, size=3), g.normal(size=3)) for g in (rng, ref)]
-    assert all(x.tobytes() == y.tobytes() for x, y in zip(*draws)), (seed, k)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(*draws)), label
 
 
-def test_member_rng_streams(ohmic_rwa):
-    a = baths.member_rng(5, 3).integers(0, 1 << 30, size=8)
-    b = _oracle_rng(5, 3).integers(0, 1 << 30, size=8)
+def _member(seed, k):
+    """The one-member slice of the seeding kernel."""
+    return next(baths._member_rngs(seed, range(k, k + 1)))
+
+
+def test_member_rng_streams(ohmic_rwa, member_stream):
+    a = _member(5, 3).integers(0, 1 << 30, size=8)
+    b = member_stream(5, 3).integers(0, 1 << 30, size=8)
     assert np.array_equal(a, b)
-    assert np.array_equal(a, baths.member_rng(5, 3).integers(0, 1 << 30, size=8))
-    assert not np.array_equal(a, baths.member_rng(5, 4).integers(0, 1 << 30, size=8))
-    assert not np.array_equal(a, baths.member_rng(6, 3).integers(0, 1 << 30, size=8))
+    assert np.array_equal(a, _member(5, 3).integers(0, 1 << 30, size=8))
+    assert not np.array_equal(a, _member(5, 4).integers(0, 1 << 30, size=8))
+    assert not np.array_equal(a, _member(6, 3).integers(0, 1 << 30, size=8))
     # the seeding kernel against numpy's SeedSequence and PCG64, bit for bit: seeds of
     # one to four 32-bit words, indices at the kernel's block edges and the top word
     block = baths._SEED_BLOCK
@@ -147,16 +146,16 @@ def test_member_rng_streams(ohmic_rwa):
         ks = np.array(indices, dtype=np.uint32)
         expected = [np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64)
                     for k in indices]
-        assert np.array_equal(baths._seed_words(seed, ks), expected)
+        assert np.array_equal(baths._seed_words(baths._seed_pool(seed), ks), expected)
         for k in indices:
-            _same_stream(baths.member_rng(seed, k), k, seed)
+            _same_stream(_member(seed, k), member_stream(seed, k), (seed, k))
         # streamed: one generator re-seeded per member, across block edges
         for k, rng in enumerate(baths._member_rngs(seed, range(block + 2))):
             if k in indices:
-                _same_stream(rng, k, seed)
+                _same_stream(rng, member_stream(seed, k), (seed, k))
         top = range(2**32 - 2, 2**32)
         for k, rng in zip(top, baths._member_rngs(seed, top)):
-            _same_stream(rng, k, seed)
+            _same_stream(rng, member_stream(seed, k), (seed, k))
     # the member matrices against per-member oracle draws, zero temperature included
     m, seed, count = ohmic_rwa.model, 31, block + 3
     for beta in (0.7, 2.0, math.inf):
@@ -164,14 +163,14 @@ def test_member_rng_streams(ohmic_rwa):
         coherent = baths.sample_coherent_states(beta, m, seed, count).amps
         scale = np.sqrt(baths.occupation(beta, m.omegas) / 2.0)
         for k in range(count):
-            rng = _oracle_rng(seed, k)
+            rng = member_stream(seed, k)
             if math.isinf(beta):  # no draw
                 n_k = np.zeros(m.n_modes, dtype=int)
             else:
                 n_k = rng.geometric(1.0 - np.exp(-beta * m.omegas)) - 1
             assert number[k].tobytes() == n_k.tobytes()
             # N real parts, then N imaginary parts, from one stream
-            rng = _oracle_rng(seed, k)
+            rng = member_stream(seed, k)
             a_k = rng.normal(size=m.n_modes) * scale + 1j * (rng.normal(size=m.n_modes) * scale)
             assert coherent[k].tobytes() == a_k.tobytes(), (beta, k)
 
@@ -180,7 +179,7 @@ def test_member_index_bounds(ohmic_rwa):
     # a member index is one uint32 spawn-key word: checked before any member array exists
     for seed, k in ((0, 2**32), (0, -1), (-1, 0)):
         with pytest.raises(ParameterError):
-            baths.member_rng(seed, k)
+            baths._member_rngs(seed, range(k, k + 1))
     with pytest.raises(ParameterError):
         baths._member_rngs(0, range(2**32 + 1))
     tracemalloc.start()
@@ -208,19 +207,19 @@ def test_coherent_member_matrix_memory(ohmic_rwa):
     assert peak <= amps.nbytes + (1 << 19)
 
 
-def test_number_sampler_moments(ohmic_rwa):
+def test_number_sampler_moments(ohmic_rwa, member_stream):
     m = ohmic_rwa.model
     beta = 2.0
     nbar = baths.occupation(beta, m.omegas)
     n_samples = 1500
     draws = np.empty((n_samples, m.n_modes))
     for s in range(n_samples):
-        draws[s] = baths.sample_number_state(beta, m, baths.member_rng(787, s)).n
+        draws[s] = baths.sample_number_state(beta, m, member_stream(787, s)).n
     mean_res = summarize((draws - nbar).ravel(), seed=787)
     assert abs(mean_res.estimate) < 4.0 * mean_res.std_error
     var_res = summarize(((draws - nbar) ** 2 - nbar * (nbar + 1.0)).ravel(), seed=787)
     assert abs(var_res.estimate) < 4.0 * var_res.std_error
-    vacuum = baths.sample_number_state(math.inf, m, baths.member_rng(787, 0))
+    vacuum = baths.sample_number_state(math.inf, m, member_stream(787, 0))
     assert np.all(vacuum.n == 0)
 
 
@@ -232,14 +231,14 @@ def test_zero_temperature_number_draw_leaves_the_generator(ohmic_rwa):
     assert rng.bit_generator.state == state
 
 
-def test_coherent_sampler_moments(ohmic_rwa):
+def test_coherent_sampler_moments(ohmic_rwa, member_stream):
     m = ohmic_rwa.model
     beta = 2.0
     nbar = baths.occupation(beta, m.omegas)
     n_samples = 2000
     amps = np.empty((n_samples, m.n_modes), dtype=complex)
     for s in range(n_samples):
-        amps[s] = baths.sample_coherent_state(beta, m, baths.member_rng(788, s)).amps
+        amps[s] = baths.sample_coherent_state(beta, m, member_stream(788, s)).amps
     mag = summarize((np.abs(amps) ** 2 - nbar).ravel(), seed=788)
     assert abs(mag.estimate) < 4.0 * mag.std_error
     for part in (np.real, np.imag):

@@ -172,15 +172,21 @@ def test_ill_conditioned_modes_exit_3(tmp_path, capsys, monkeypatch, sample_conf
     assert not (out / "propagator.csv").exists()
 
 
-def test_sum_rule_contract_exits_3(tmp_path, capsys, monkeypatch, sample_config):
-    # rows scaled by 1 + 1e-9 break the sum rule by about 2e-9, twenty times the contract
-    def off_by_1e9(m, grid):
-        p = compute_propagator(m, grid)
-        p.rows *= 1.0 + 1e-9
-        return p
-
-    monkeypatch.setattr("qbath.cli.compute_propagator", off_by_1e9)
-    rc, out = run(tmp_path, "propagate", sample_config("propagate-ohmic-pp"))
+@pytest.mark.parametrize("subcommand, config", [
+    ("propagate", "propagate-ohmic-pp"),
+    ("observables", "observables-rwa-coherent"),
+    ("purity", "purity-cat-vacuum"),
+    ("master-eq", "master-eq-equilibrium"),
+])
+def test_sum_rule_contract_exits_3(tmp_path, capsys, monkeypatch, sample_config, subcommand,
+                                   config):
+    # route rows scaled by 1 + 1e-9 break the sum rule by about 2e-9, twenty times the
+    # contract, which compute_propagator enforces for every subcommand that propagates
+    for name in ("_phase_rows", "_quadrature_rows"):
+        route = getattr(qbath.propagator, name)
+        monkeypatch.setattr(qbath.propagator, name,
+                            lambda *args, route=route: route(*args) * (1.0 + 1e-9))
+    rc, out = run(tmp_path, subcommand, sample_config(config))
     assert rc == 3
     report = json.loads(capsys.readouterr().err)
     assert report["error"] == "NumericalError"
@@ -457,6 +463,14 @@ def test_seed_precedence(tmp_path):
     assert rc == 0
     assert load_json(out, "ensemble_summary.json")["mean_var_x"]["seed"] == 123
     assert load_json(out, "manifest.json")["seed"] == 123
+
+    # --seed replaces a sampled bath's seed too: the same bath as bath.seed = 123
+    doc_obs = {key: doc[key] for key in ("model", "bath", "oscillator", "time_grid")}
+    rc, out = run(tmp_path, "observables", doc_obs, "--seed", "123", outdir="o5")
+    doc_obs["bath"] = dict(doc_obs["bath"], seed=123)
+    rc_ref, ref = run(tmp_path, "observables", doc_obs, outdir="o6")
+    assert rc == rc_ref == 0
+    assert (out / "observables.csv").read_bytes() == (ref / "observables.csv").read_bytes()
 
     # no experiment section: the sampled-bath seed is the fallback
     doc_fb = {

@@ -7,10 +7,17 @@ import re
 import numpy as np
 import pytest
 
-from qbath.baths import CoherentStateBath, EquilibriumBath, NumberStateBath, member_rng
+from qbath.baths import (
+    CoherentStateBath,
+    EquilibriumBath,
+    NumberStateBath,
+    sample_coherent_state,
+    sample_coherent_states,
+    sample_number_states,
+)
 from qbath.config import load_config, parse_config, realize_bath
 from qbath.errors import DataError, SchemaError
-from qbath.cli import _SUBCOMMANDS
+from qbath.cli import _DISPATCH
 from qbath.presets import STOCK_MODEL_NAMES
 from qbath.states import CatState, GaussianMoments, SqueezedDisplaced
 
@@ -47,7 +54,7 @@ def test_sample_configs_parse(tmp_path, sample_config, sample_config_names):
         cfg2 = load_config(path)
         assert cfg2.model.n_modes == cfg.model.n_modes
     # every subcommand has a sample config, named <subcommand>-<scenario>
-    for sub in _SUBCOMMANDS:
+    for sub in _DISPATCH:
         assert any(name.startswith(sub + "-") for name in names), sub
 
 
@@ -203,24 +210,37 @@ def test_beta_forms():
         parse_config(doc, "")
 
 
-def test_sampled_bath_seeds():
+def test_sampled_bath_seeds(member_stream):
     doc = _base_doc()
     doc["bath"] = {"kind": "sample_number", "beta": 1.0, "seed": 11}
     cfg = parse_config(doc, "")
     a = realize_bath(cfg)
     b = realize_bath(cfg)
     assert np.array_equal(a.n, b.n)  # one fixed realization per seed
-    c = realize_bath(cfg, seed_override=12)
-    assert isinstance(c, NumberStateBath)
+    doc["bath"]["seed"] = 12
+    assert isinstance(realize_bath(parse_config(doc, "")), NumberStateBath)
     doc["bath"] = {"kind": "sample_coherent", "beta": 1.0, "seed": 11}
     amps = realize_bath(parse_config(doc, "")).amps
-    from qbath.baths import sample_coherent_state
-
-    expected = sample_coherent_state(1.0, cfg.model, member_rng(11, 0)).amps
+    expected = sample_coherent_state(1.0, cfg.model, member_stream(11, 0)).amps
     assert np.array_equal(amps, expected)
     doc["bath"] = {"kind": "sample_number", "beta": 1.0, "seed": -1}
     with pytest.raises(SchemaError):
         parse_config(doc, "")
+
+
+def test_realized_sample_bath_is_row_0_of_the_ensemble():
+    # a configured sampled bath is member 0 of its seed's ensemble, bit for bit
+    doc, seed = _base_doc(), 2**40 + 3
+    kinds = (("sample_number", sample_number_states, "n"),
+             ("sample_coherent", sample_coherent_states, "amps"))
+    for kind, sample, field in kinds:
+        for beta in (0.7, math.inf):
+            doc["bath"] = {"kind": kind, "beta": beta, "seed": seed}
+            cfg = parse_config(doc, "")
+            got = getattr(realize_bath(cfg), field)
+            row = getattr(sample(beta, cfg.model, seed, 3), field)[0]
+            assert (got.dtype, got.shape) == (row.dtype, row.shape)
+            assert got.tobytes() == row.tobytes(), (kind, beta)
 
 
 def test_oscillator_kinds():

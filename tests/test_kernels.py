@@ -15,12 +15,9 @@ from qbath.baths import (
     CoherentStateBath,
     EquilibriumBath,
     NumberStateBath,
-    coherent_F_params,
-    equilibrium_F_params,
     bath_delta,
     bath_F_eval,
     bath_f_params,
-    member_rng,
     number_F_eval,
     sample_coherent_state,
     sample_coherent_states,
@@ -41,30 +38,30 @@ def prop(request):
     return request.getfixturevalue(request.param)
 
 
-def _amps(p):
-    return sample_coherent_state(2.0, p.model, member_rng(5, 0)).amps
+def _coherent(p, member_stream):
+    return CoherentStateBath(sample_coherent_state(2.0, p.model, member_stream(5, 0)).amps)
+
+
+def _slice_equals_series(p, bath):
+    """bath_f_params at each index is the row of f_series_for, bitwise, derivatives aside."""
+    fs = me.f_series_for(p, bath)
+    for i in INDICES:
+        f = bath_f_params(p, i, bath)
+        assert (f.delta, f.alpha, f.gamma) == (fs.delta[i], fs.alpha[i], fs.gamma[i])
 
 
 def test_equilibrium_params_equal_series(prop):
     for beta in BETAS:
-        fs = me.equilibrium_f_series(prop, beta)
-        for i in INDICES:
-            f = equilibrium_F_params(prop, i, beta)
-            assert f.alpha == fs.alpha[i]
-            assert f.gamma == fs.gamma[i]
+        _slice_equals_series(prop, EquilibriumBath(beta))
 
 
-def test_coherent_delta_equals_series(prop):
-    amps = _amps(prop)
-    fs = me.coherent_f_series(prop, amps)
-    for i in INDICES:
-        f = coherent_F_params(prop, i, amps)
-        assert f.delta == fs.delta[i]
-        assert (f.alpha, f.gamma) == (fs.alpha[i], fs.gamma[i])
+def test_coherent_delta_equals_series(prop, member_stream):
+    _slice_equals_series(prop, _coherent(prop, member_stream))
 
 
-def test_gaussian_generator_equals_series(prop):
-    for fs in (me.equilibrium_f_series(prop, 1.3), me.coherent_f_series(prop, _amps(prop))):
+def test_gaussian_generator_equals_series(prop, member_stream):
+    baths = (EquilibriumBath(1.3), _coherent(prop, member_stream))
+    for fs in (me.f_series_for(prop, bath) for bath in baths):
         series = me.generator_series(prop, fs)
         for i in INDICES:
             if not series["valid"][i]:
@@ -79,10 +76,10 @@ def test_gaussian_generator_equals_series(prop):
             assert (xi, zeta, denom) == (series["xi"][i], series["zeta"][i], series["denom"][i])
 
 
-def test_moments_equal_observable_series(prop):
+def test_moments_equal_observable_series(prop, member_stream):
     n = np.zeros(prop.n_modes, dtype=int)
     n[::7] = 2
-    baths = (EquilibriumBath(1.3), CoherentStateBath(_amps(prop)), NumberStateBath(n))
+    baths = (EquilibriumBath(1.3), _coherent(prop, member_stream), NumberStateBath(n))
     for bath in baths:
         mean_x, mean_p = obs.mean_rows(prop, slice(None), bath, SQUEEZED)
         var_x, var_p = obs.variance_rows(prop, slice(None), bath, SQUEEZED)
@@ -91,7 +88,7 @@ def test_moments_equal_observable_series(prop):
             assert obs.variances(prop, i, bath, SQUEEZED) == (var_x[i], var_p[i])
 
 
-def test_member_batch_equals_members(prop):
+def test_member_batch_equals_members(prop, member_stream):
     seed, m = 23, 4
     for beta in BETAS:
         number = sample_number_states(beta, prop.model, seed, m)
@@ -99,8 +96,8 @@ def test_member_batch_equals_members(prop):
         assert number.n.shape == coherent.amps.shape == (m, prop.n_modes)
         singles = []
         for k in range(m):
-            n_k = sample_number_state(beta, prop.model, member_rng(seed, k))
-            a_k = sample_coherent_state(beta, prop.model, member_rng(seed, k))
+            n_k = sample_number_state(beta, prop.model, member_stream(seed, k))
+            a_k = sample_coherent_state(beta, prop.model, member_stream(seed, k))
             assert np.array_equal(number.n[k], n_k.n) and number.n.dtype == n_k.n.dtype
             assert np.array_equal(coherent.amps[k], a_k.amps)
             singles.append((n_k, a_k))
@@ -158,8 +155,8 @@ def test_member_matrix_needs_one_row_and_a_batch_entry_point(prop):
         number_F_eval(prop, 1, number.n, np.array([0.3 + 0.1j]))
 
 
-def test_closed_purity_equals_observable_series(prop):
-    for bath in (EquilibriumBath(1.3), CoherentStateBath(_amps(prop))):
+def test_closed_purity_equals_observable_series(prop, member_stream):
+    for bath in (EquilibriumBath(1.3), _coherent(prop, member_stream)):
         series = obs.observable_series(prop, bath, SQUEEZED)
         rows = obs.purity_rows(prop, slice(None), bath, SQUEEZED)
         for i in INDICES:
@@ -176,13 +173,13 @@ def test_quadrature_purity_rows_equal_purity():
         assert obs.purity(p, i, bath, cat) == rows[i]
 
 
-def test_number_ensemble_member_equals_purity(ohmic_rwa, plateau_index):
+def test_number_ensemble_member_equals_purity(ohmic_rwa, plateau_index, member_stream):
     # six members: at most three refine the shared grid, the rest are summed on it
     p, beta, seed, n_samples = ohmic_rwa, 2.0, 11, 6
     for i in (5, plateau_index(p)):
         ens = obs.averaged_purity_number_ensemble(p, i, beta, SQUEEZED, n_samples, seed)
         single = obs.summarize([
-            obs.purity(p, i, sample_number_state(beta, p.model, member_rng(seed, k)), SQUEEZED,
+            obs.purity(p, i, sample_number_state(beta, p.model, member_stream(seed, k)), SQUEEZED,
                        tol=obs.ENSEMBLE_TOL)
             for k in range(n_samples)
         ], seed)

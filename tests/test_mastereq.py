@@ -13,7 +13,6 @@ from qbath.baths import (
     EquilibriumBath,
     NumberStateBath,
     bath_sums,
-    member_rng,
     sample_coherent_state,
     sample_number_state,
 )
@@ -57,9 +56,9 @@ def test_singular_generator_raises():
     with pytest.raises(SingularGeneratorError):
         me.xi_zeta(p, 2)
     with pytest.raises(SingularGeneratorError):
-        me.gaussian_generator(p, 2, me.equilibrium_f_series(p, 1.0))
+        me.gaussian_generator(p, 2, me.f_series_for(p, EquilibriumBath(1.0)))
     # series form flags instead of raising
-    series = me.generator_series(p, me.equilibrium_f_series(p, 1.0))
+    series = me.generator_series(p, me.f_series_for(p, EquilibriumBath(1.0)))
     assert series["valid"][1]
     assert not series["valid"][2]
     assert np.isnan(series["xi"][2])
@@ -81,7 +80,7 @@ def test_near_floor_denominator_not_regularized():
 
 def test_equilibrium_generator_shape(ohmic_rwa):
     p = ohmic_rwa
-    fs = me.equilibrium_f_series(p, 1.3)
+    fs = me.f_series_for(p, EquilibriumBath(1.3))
     series = me.generator_series(p, fs)
     valid = series["valid"]
     assert np.all(valid)
@@ -98,7 +97,7 @@ def test_equilibrium_generator_shape(ohmic_rwa):
 def test_initial_sigma_matches_coupling_row(ohmic_pp):
     p = ohmic_pp
     amps = sample_coherent_state(1.0, p.model, np.random.default_rng(17)).amps
-    fs = me.coherent_f_series(p, amps)
+    fs = me.f_series_for(p, CoherentStateBath(amps))
     g0 = me.gaussian_generator(p, 0, fs)
     assert g0.kappa == 0.0
     assert g0.mu == 0.0
@@ -124,9 +123,9 @@ def test_generator_residual_cat_state(ohmic_rwa):
         assert me.generator_residual(p, i, EquilibriumBath(2.0), CAT) < 1e-8
 
 
-def test_general_residual_number_bath(ohmic_rwa):
+def test_general_residual_number_bath(ohmic_rwa, member_stream):
     p = ohmic_rwa
-    occs = sample_number_state(2.0, p.model, member_rng(55, 0)).n
+    occs = sample_number_state(2.0, p.model, member_stream(55, 0)).n
     bath = NumberStateBath(occs)
     for i in (4, 33, 66, 95):
         report = me.general_generator_residual(p, i, bath, SQUEEZED)
@@ -222,7 +221,7 @@ def test_sigma_is_linear_in_amplitudes(ohmic_pp):
     rng = np.random.default_rng(61)
     for _ in range(20):
         amps = rng.normal(size=p.n_modes) + 1j * rng.normal(size=p.n_modes)
-        sigma = me.gaussian_generator(p, i, me.coherent_f_series(p, amps)).sigma
+        sigma = me.gaussian_generator(p, i, me.f_series_for(p, CoherentStateBath(amps))).sigma
         assert abs(sigma - (P @ amps + Q @ np.conj(amps))) < 1e-12
 
 
@@ -260,7 +259,7 @@ def test_f_series_validation(ohmic_rwa):
     with pytest.raises(ParameterError):
         me.f_series_for(p, NumberStateBath(np.zeros(p.n_modes, dtype=int)))
     with pytest.raises(ParameterError):
-        me.coherent_f_series(p, np.zeros(3, dtype=complex))
+        me.f_series_for(p, CoherentStateBath(np.zeros(3, dtype=complex)))
     fs = me.f_series_for(p, EquilibriumBath(0.9))
     assert fs.alpha.shape == (p.n_times,)
     assert np.all(fs.delta == 0.0)

@@ -11,8 +11,7 @@ from qbath.baths import (
     CoherentStateBath,
     EquilibriumBath,
     NumberStateBath,
-    equilibrium_F_params,
-    member_rng,
+    bath_f_params,
     occupation,
     sample_coherent_state,
     sample_number_state,
@@ -218,7 +217,7 @@ def test_heisenberg_and_purity_bounds(ohmic_pp, ohmic_rwa):
                     assert 0.0 < pur <= 1.0 + 1e-9
 
 
-def test_number_ensemble_variance_mean_and_spread(ohmic_rwa, plateau_index):
+def test_number_ensemble_variance_mean_and_spread(ohmic_rwa, plateau_index, member_stream):
     # var x is linear in the occupations: its P_n mean is the thermal value and
     # its P_n variance is (hbar/m nu)^2 sum |B + D^*|^4 nbar (nbar + 1)
     p = ohmic_rwa
@@ -227,7 +226,7 @@ def test_number_ensemble_variance_mean_and_spread(ohmic_rwa, plateau_index):
     n_samples = 2000
     vals = np.empty(n_samples)
     for k in range(n_samples):
-        bath = sample_number_state(beta, p.model, member_rng(314, k))
+        bath = sample_number_state(beta, p.model, member_stream(314, k))
         vals[k], _ = obs.variances(p, i, bath, vacuum_state())
     thermal, _ = obs.variances(p, i, EquilibriumBath(beta), vacuum_state())
     summary = obs.summarize(vals, seed=314)
@@ -238,7 +237,7 @@ def test_number_ensemble_variance_mean_and_spread(ohmic_rwa, plateau_index):
     assert abs(sample_var - pred_var) < 4.0 * pred_var * math.sqrt(2.0 / (n_samples - 1))
 
 
-def test_coherent_ensemble_mean_square_drift(ohmic_pp):
+def test_coherent_ensemble_mean_square_drift(ohmic_pp, member_stream):
     p = ohmic_pp
     i = 40
     beta = 1.5
@@ -246,7 +245,7 @@ def test_coherent_ensemble_mean_square_drift(ohmic_pp):
     mx2 = np.empty(n_samples)
     mp2 = np.empty(n_samples)
     for k in range(n_samples):
-        bath = CoherentStateBath(sample_coherent_state(beta, p.model, member_rng(271, k)).amps)
+        bath = CoherentStateBath(sample_coherent_state(beta, p.model, member_stream(271, k)).amps)
         mx, mp_ = obs.mean_xp(p, i, bath, vacuum_state())
         mx2[k], mp2[k] = mx * mx, mp_ * mp_
     corr = delta_correlations(p, i, i, beta)
@@ -279,7 +278,7 @@ def _exact_averaged_purity(p, i, beta, s, radius=6.0, n=400):
     eta = (re + 1j * im).ravel()
     zeta = eta * np.conj(p.A[i]) - np.conj(eta) * p.C[i]
     chi0_sq = np.abs(chi0_eval(s, zeta)) ** 2
-    zt = equilibrium_F_params(p, i, math.inf)
+    zt = bath_f_params(p, i, EquilibriumBath(math.inf))
     log_env = 2.0 * (-zt.alpha * np.abs(eta) ** 2 + 2.0 * np.real(zt.gamma * np.conj(eta) ** 2))
     nbar = occupation(beta, p.model.omegas)
     xs = np.abs(np.outer(eta, np.conj(p.B[i])) - np.outer(np.conj(eta), p.D[i])) ** 2

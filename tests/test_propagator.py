@@ -114,9 +114,12 @@ def test_coefficients_are_views_of_one_row_array(ohmic_pp):
 
 def test_derivative_rows_wait_for_first_read():
     p = compute_propagator(stock_model("ohmic-rwa-n64"), TimeGrid.linspace(10.0, 20))
-    # before any read, every array the coefficients hold is a view of the rows
-    held = [v for v in vars(p).values() if isinstance(v, np.ndarray)]
-    assert all(v is p.rows or v.base is p.rows for v in held)
+    # before any read, the coefficients hold views of the rows and, from the contract
+    # check, the (T,) sum-rule defects that sum_rule_defects returns from then on
+    held = {k: v for k, v in vars(p).items() if isinstance(v, np.ndarray)}
+    defects = held.pop("_defects")
+    assert defects.shape == (p.n_times,) and sum_rule_defects(p) is defects
+    assert all(v is p.rows or v.base is p.rows for v in held.values())
     assert "_derivs" not in vars(p)
     first = p.dC
     assert "_derivs" in vars(p)

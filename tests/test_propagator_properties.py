@@ -74,7 +74,7 @@ def test_random_stable_models_match_eig_route(m, eig_route_rows):
 @given(stable_models(family="PositionPosition") | stable_models(family="Custom"))
 def test_colpa_modes_are_symplectically_normalized(m):
     k = _coupling_matrix(m)
-    eps, weights, right = propagator._colpa_modes(k, np.linalg.cholesky(k))
+    eps, weights, right = propagator._colpa_modes(np.linalg.cholesky(k))
     sigma = np.concatenate((np.ones(m.n_modes + 1), -np.ones(m.n_modes + 1)))
     # right = (L U)^dag = |eps|^{1/2} V^dag Sigma
     vecs = sigma[:, None] * right.conj().T / np.sqrt(np.abs(eps))
@@ -89,7 +89,7 @@ def test_quadrature_modes_are_symplectically_normalized(m):
     hypothesis.assume(m.v.any())  # v = 0 takes the Dk route
     sxx, spp = _stability_blocks(m)
     freqs, x_modes, p_modes = propagator._quadrature_modes(
-        m, np.linalg.cholesky(sxx), np.linalg.cholesky(spp)
+        np.linalg.cholesky(sxx), np.linalg.cholesky(spp)
     )
     # (xi, pi) / sqrt(E) = diag(X, P)^T (x, p) / sqrt(E) is canonical iff X^T P = diag(E)
     scale = np.sqrt(np.outer(freqs, freqs))
@@ -98,7 +98,7 @@ def test_quadrature_modes_are_symplectically_normalized(m):
     assert np.all(freqs > 0.0)
     # E is the positive half of the Colpa frequencies +-eps
     k = _coupling_matrix(m)
-    eps = propagator._colpa_modes(k, np.linalg.cholesky(k))[0]
+    eps = propagator._colpa_modes(np.linalg.cholesky(k))[0]
     np.testing.assert_allclose(np.sort(freqs), eps[eps > 0], rtol=1e-12)
 
 

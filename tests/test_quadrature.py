@@ -15,8 +15,6 @@ from qbath import observables as obs
 from qbath.baths import (
     EquilibriumBath,
     NumberStateBath,
-    member_rng,
-    sample_number_state,
     sample_number_states,
 )
 from qbath.states import CatState, SqueezedDisplaced
@@ -55,7 +53,7 @@ def _singly_occupied(p):
 
 
 def _sampled(p):
-    return sample_number_state(1.0, p.model, member_rng(3, 0))
+    return NumberStateBath(sample_number_states(1.0, p.model, 3, 1).n[0])
 
 
 CASES = {

@@ -52,23 +52,12 @@ def test_cat_reference_shape():
 
 
 def test_cat_half_survival_overlap_form():
-    # at s = 1/2: P = 1 - (1 - R)^2 / (2 (1 + R cos phi)^2)
+    # at s = 1/2: P = 1 - (1 - R)^2 / (2 (1 + R cos phi)^2), with <alpha|beta> = R e^{i phi}
     for a, b in ((1.1 + 0.3j, -0.9 + 0.1j), (0.6, 0.6 + 1.2j), (2.0, -1.0 + 0.5j)):
-        params = rwa.OverlapParams.from_cat(CatState(a, b))
-        expected = 1.0 - (1.0 - params.R) ** 2 / (
-            2.0 * (1.0 + params.R * math.cos(params.varphi)) ** 2
-        )
+        ov = coherent_overlap(a, b)
+        r, phi = abs(ov), math.atan2(ov.imag, ov.real)
+        expected = 1.0 - (1.0 - r) ** 2 / (2.0 * (1.0 + r * math.cos(phi)) ** 2)
         assert rwa.purity_cat_rwa(0.5, a, b) == pytest.approx(expected, abs=1e-13)
-
-
-def test_overlap_params():
-    a, b = 0.9 + 0.4j, -0.2 + 1.0j
-    ov = coherent_overlap(a, b)
-    params = rwa.OverlapParams.from_cat(CatState(a, b))
-    assert params.R == pytest.approx(abs(ov), abs=1e-15)
-    assert params.varphi == pytest.approx(math.atan2(ov.imag, ov.real), abs=1e-15)
-    with pytest.raises(ParameterError):
-        rwa.OverlapParams(R=1.2, varphi=0.0)
 
 
 def test_survival_argument_validation():
