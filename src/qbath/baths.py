@@ -24,8 +24,9 @@ This module alone decides what F is.  Gaussian parameters come from
 bath_sums as a GaussianFSeries on propagator rows (fs[0] for one index), and
 _gaussian_sums is the one guard that refuses number states.  _laguerre_split
 writes any bath as a Gaussian part times prod_k L_{n_k} (vacuum plus
-occupations, or the bath itself plus a row of zeros), and _mode_args builds
-z_k = eta B_k^* - eta^* D_k for purity quadrature and the general generator.
+occupations, or the bath itself plus a row of zeros), _mode_args builds
+z_k = eta B_k^* - eta^* D_k for the general generator, and _mode_args_squared
+the Laguerre arguments |z_k|^2 of number_F_eval and purity quadrature.
 
 An ensemble is one bath holding an (M x N) member matrix, from
 sample_number_states or sample_coherent_states; on one propagator row the
@@ -265,6 +266,23 @@ def _mode_args(b: np.ndarray, d: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return eta * np.conj(b[:, None]) - np.conj(eta) * d[:, None]
 
 
+def _mode_args_squared(b: np.ndarray, d: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """|z_k|^2 of `_mode_args`, in real arithmetic: the Laguerre arguments.
+
+    |eta b^* - eta^* d|^2 = |eta|^2 (|b|^2 + |d|^2) - 2 Re(eta^2 b^* d^*), one
+    real (K x 3) by (3 x P) product with no complex temporaries, clamped at 0
+    against rounding where the two terms cancel.
+    """
+    eta = np.ravel(eta)
+    cross = b * d
+    coeffs = np.stack((b.real**2 + b.imag**2 + d.real**2 + d.imag**2, -2.0 * cross.real,
+                       -2.0 * cross.imag), axis=1)
+    eta2 = eta * eta
+    powers = np.stack((eta.real**2 + eta.imag**2, eta2.real, eta2.imag))
+    squares = coeffs @ powers
+    return np.maximum(squares, 0.0, out=squares)
+
+
 def gaussian_F_eval(params: GaussianFSeries, eta: np.ndarray) -> np.ndarray:
     """Evaluate a Gaussian influence function on an array of eta values."""
     eta = np.asarray(eta, dtype=complex)
@@ -286,7 +304,7 @@ def number_F_eval(
     zero_t = bath_f_params(p, i, vacuum)
     log_env = np.real(gaussian_exponent(0.0, zero_t.alpha, zero_t.gamma, eta))
     active = np.flatnonzero(occs[0])
-    xs = np.abs(_mode_args(p.B[i, active], p.D[i, active], eta)) ** 2
+    xs = _mode_args_squared(p.B[i, active], p.D[i, active], eta)
     ((_, log_lag, odd),) = laguerre.log_products(occs[:, active], xs, signed=True)
     sign = np.where(odd[0], -1.0, 1.0).reshape(eta.shape)
     return sign * np.exp(log_env + log_lag[0].reshape(eta.shape))

@@ -26,16 +26,30 @@ and the equations of motion read dz/dt = J S z, J = [[0, 1], [-1, 0]].
 S_xp = 0 exactly when K is real (real u and v: every PositionPosition model
 and real Custom ones); S then splits into two real (N+1) blocks.
 
-Stability (S, or K, positive-definite) is decided on the smallest matrices
-the structure allows, all real whenever they can be:
+Every mode couples to the oscillator and to nothing else, so in the basis
+(b_k, b_k^dag, a, a^dag) K is an arrow matrix: D = diag(omega, omega) on the
+bath, a 2N x 2 border G, and nu I on (a, a^dag).  The model is stable iff K
+(or S) is positive-definite.  For lambda < min omega, K - lambda is
+positive-definite iff its 2 x 2 Schur complement
 
-  v = 0          Dk, the (N+1) block of (a, b_k); K = Dk (+) Dk^*.
-  real K         S_xx and S_pp, two real (N+1) blocks.
-  complex K      the real (2N+2) S.
+    R(lambda) = (nu - lambda) I - G^dag (D - lambda)^{-1} G
+
+is: the renormalized oscillator of Caldeira and Leggett (Physica A 121, 587
+(1983)).  R(lambda) decreases strictly with lambda, and its smaller
+eigenvalue is
+
+    nu - lambda - sum_k (|u_k|^2 + |v_k|^2) / (omega_k - lambda)
+       - 2 |sum_k u_k v_k / (omega_k - lambda)|.
+
+validate_model takes the smallest eigenvalue of K as the root of that
+function, or min omega when that is smaller: O(N) per step, for every
+coupling family, with no matrix built.  The propagator factors the same R(0)
+for complex K.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -55,6 +69,10 @@ __all__ = [
     "quadratic_form_matrix",
     "validate_model",
 ]
+
+
+MAX_SCHUR_STEPS = 100  # cap on the safeguarded Newton steps of validate_model's root
+EPS = np.finfo(float).eps
 
 
 class CouplingFamily(str, Enum):
@@ -280,38 +298,116 @@ def _arrow(diag: np.ndarray, row: np.ndarray, col: np.ndarray) -> np.ndarray:
 
 
 def _stability_blocks(m: ModelSpec) -> list[np.ndarray]:
-    """Real-when-possible Hermitian matrices whose smallest eigenvalue is K's.
+    """Real-when-possible Hermitian blocks whose joint spectrum holds K's smallest eigenvalue.
 
-    Dk for v = 0, [S_xx, S_pp] for real K, the (2N+2) S otherwise (module
-    docstring); each has no more rows than it needs.  Couplings near the
-    float range can overflow to inf here, which validate_model rejects.
+    Dk for v = 0 and [S_xx, S_pp] for real K (module docstring): the blocks
+    the v = 0 and real-K propagator routes decompose.  Couplings near the
+    float range can overflow to inf here.
     """
     if not m.v.any():
         dk = _number_block(m)
         return [dk if dk.imag.any() else dk.real.copy()]
     freqs = np.concatenate(([m.nu], m.omegas))
-    u, v = m.u, m.v
+    u, v = m.u.real, m.v.real
     with np.errstate(over="ignore"):
-        sxx = _arrow(freqs, u.real + v.real, u.real + v.real)
-        spp = _arrow(freqs, u.real - v.real, u.real - v.real)
-        if _has_real_couplings(m):
-            return [sxx, spp]
-        sxp = _arrow(np.zeros(freqs.size), v.imag - u.imag, v.imag + u.imag)
-    return [np.block([[sxx, sxp], [sxp.T, spp]])]
+        return [_arrow(freqs, u + v, u + v), _arrow(freqs, u - v, u - v)]
+
+
+def _schur_min_at_zero(nu: float, omegas: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
+    """f(0) of `_schur_root` from the stored floats in exact rational arithmetic, then rounded.
+
+    With d = nu - sum |.|^2 / omega and c = 2 sum u v / omega, f(0) = d - |c|,
+    taken as (d^2 - |c|^2) / (d + |c|) when d > 0, so that its sign is exact.
+    """
+    # imported here: only models within rounding of the stability edge get here
+    from fractions import Fraction
+
+    d, c_re, c_im = Fraction(nu), Fraction(0), Fraction(0)
+    for w, a, b in zip(omegas.tolist(), u.tolist(), v.tolist()):
+        a_re, a_im, b_re, b_im = map(Fraction, (a.real, a.imag, b.real, b.imag))
+        inv = 1 / Fraction(w)
+        d -= (a_re * a_re + a_im * a_im + b_re * b_re + b_im * b_im) * inv
+        c_re += 2 * (a_re * b_re - a_im * b_im) * inv
+        c_im += 2 * (a_re * b_im + a_im * b_re) * inv
+    size = math.hypot(c_re, c_im)
+    if d <= 0:
+        return float(d) - size
+    return float(d * d - c_re * c_re - c_im * c_im) / (float(d) + size)
+
+
+def _schur_root(nu: float, omegas: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
+    """The root lam of f(lam) = lambda_min(R(lam)) on (-inf, min omega), over the coupled modes.
+
+    f = nu - lam - sum w / (omega - lam) - |sum x / (omega - lam)|, with
+    w = |u|^2 + |v|^2 >= |x| = 2 |u v| (module docstring), is strictly
+    decreasing there and falls to -inf at min omega, so the root exists and
+    is unique.  Newton steps run on h = f (min omega - lam), which has the
+    same root and no pole: with r = (min omega - lam) / (omega - lam) in
+    (0, 1], h = (nu - lam)(min omega - lam) - sum w r - |sum x r|; where h
+    does not fall, the step is f's.  A step that leaves the bracket
+    [lo, min omega), lo the Gershgorin bound less 1 (scaled K), or that is
+    not below half the last one, bisects the bracket instead.  lam = 0 comes
+    first, so the root takes the sign of f(0); where f(0) is within its
+    rounding of 0 it is taken in exact arithmetic, so that sign is exact.
+    The iteration ends on a step below the rounding of h.
+    """
+    weight = u.real**2 + u.imag**2 + v.real**2 + v.imag**2
+    mix = 2.0 * u * v
+    reach = np.abs(u) + np.abs(v)
+    lo = min(nu - reach.sum(), np.min(omegas - reach)) - 1.0  # f(lo) >= 1
+    hi = pole = omegas.min()
+    lam, last = 0.0, np.inf
+    for _ in range(MAX_SCHUR_STEPS):
+        gap = pole - lam
+        inv = 1.0 / (omegas - lam)
+        ratio = gap * inv
+        mixed = mix @ ratio
+        size = abs(mixed)
+        pull = weight @ ratio + size
+        h = (nu - lam) * gap - pull
+        noise = (omegas.size + 12) * EPS * (abs(nu - lam) * gap + pull)
+        if lam == 0.0 and abs(h) <= noise:
+            h = gap * _schur_min_at_zero(nu, omegas, u, v)
+        if h == 0.0:
+            return lam
+        if h > 0.0:
+            lo = lam
+        else:
+            hi = lam
+        inv *= 1.0 - ratio  # -dr/dlam
+        slope = lam - nu - gap + weight @ inv
+        if size > 0.0:
+            slope += (mixed.conjugate() * (mix @ inv)).real / size
+        if slope >= 0.0:  # far from the root h need not fall, but f always does: step on f
+            slope += h / gap
+        step = h / slope
+        if abs(step) <= max(noise / -slope, 4.0 * EPS * abs(lam)):
+            return lam - step if lo < lam - step < hi else lam
+        if lo < lam - step < hi and abs(step) <= 0.5 * last:
+            lam -= step
+        else:  # out of the bracket, or not converging: bisect
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                return lam
+            step, lam = lam - mid, mid
+        last = abs(step)
+    return lam
 
 
 def validate_model(m: ModelSpec) -> float:
-    """Smallest eigenvalue of the quadratic form; the model is stable iff > 0.
+    """Smallest eigenvalue of the quadratic form h = hbar K / 2; the model is stable iff > 0.
 
-    The eigenvalues are those of (hbar / 2) times the `_stability_blocks`,
-    whose joint spectrum holds the smallest eigenvalue of the full
-    quadratic-form matrix: T is unitary, so S has the spectrum of K.
+    The smallest eigenvalue of K is the smaller of min omega and the root of
+    lambda_min(R(lambda)) (module docstring) over the coupled modes; no
+    matrix is built.  K is scaled by a power of two first, so that squared
+    couplings neither overflow nor lose bits.
     """
-    half = m.units.hbar / 2.0
-    bound = np.inf
-    for block in _stability_blocks(m):
-        h = half * block
-        if not np.all(np.isfinite(h)):
-            raise DataError("non-finite entries in the quadratic form matrix")
-        bound = min(bound, float(np.linalg.eigvalsh(h)[0]))
-    return bound
+    _, exponent = np.frexp(max(m.nu, m.omegas.max(), np.abs(m.u).max(), np.abs(m.v).max()))
+    scale = math.ldexp(1.0, int(exponent) - 1)  # the largest entry scales into [1, 2)
+    nu, omegas, u, v = m.nu / scale, m.omegas / scale, m.u / scale, m.v / scale
+    coupled = (u != 0.0) | (v != 0.0)
+    root = _schur_root(nu, omegas[coupled], u[coupled], v[coupled]) if coupled.any() else nu
+    bound = m.units.hbar / 2.0 * scale * min(root, omegas.min())
+    if not np.isfinite(bound):
+        raise DataError("the quadratic form overflows: non-finite smallest eigenvalue")
+    return float(bound)

@@ -34,7 +34,7 @@ from .baths import (
     NumberStateBath,
     _gaussian_sums,
     _laguerre_split,
-    _mode_args,
+    _mode_args_squared,
     _single,
     bath_F_eval,
     bath_delta,
@@ -260,7 +260,7 @@ def _level(p, i, s, gauss_bath, whiten: np.ndarray, n: int, occs: np.ndarray):
     if not occs.any():  # cats and Gaussian baths
         return lambda members: np.full(occs[members].shape[0], base_sum)
     modes = np.flatnonzero(occs.any(axis=0))
-    xs = np.abs(_mode_args(p.B[i, modes], p.D[i, modes], eta)) ** 2
+    xs = _mode_args_squared(p.B[i, modes], p.D[i, modes], eta)
     log_wt = np.log(wt)
     with np.errstate(divide="ignore"):
         log_weighted = np.log(base) + (log_wt[:, None] + log_wt[None, :]).ravel()

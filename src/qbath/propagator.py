@@ -25,7 +25,12 @@ in t, no time stepping), chosen by the structure of the model:
                  quadratic form makes the symplectic problem Hermitian: `eigh`
                  of L^dag Sigma L gives real normal-mode frequencies eps and
                  eigenvectors with V^{-1} = sign(eps) V^dag Sigma, so no
-                 inverse is formed (Colpa, Physica A 93, 327 (1978)).
+                 inverse is formed (Colpa, Physica A 93, 327 (1978)).  K is
+                 an arrow matrix (see `model`), so L comes from the Cholesky
+                 factor of its 2 x 2 Schur complement and L^dag Sigma L is a
+                 diagonal plus a rank-2 term, both in O(N^2); the one
+                 (2N+2) `eigh` is the only cubic step.  The +-eps pairs give
+                 rows cos(E t) R_c + i sin(E t) R_s, as for real K.
 
 No route forms an inverse.  Only stable models are served.  An unstable one
 is a ParameterError; a form that has no Cholesky factor although
@@ -54,7 +59,6 @@ from .errors import NumericalError, ParameterError
 from .model import (
     CouplingFamily,
     ModelSpec,
-    _coupling_matrix,
     _has_real_couplings,
     _stability_blocks,
     dynamical_matrix,
@@ -171,8 +175,9 @@ def compute_propagator(m: ModelSpec, grid: TimeGrid) -> PropagatorCoefficients:
     The route follows the structure of the model (see the module docstring):
     with v = 0 the (N+1)-dim block Dk is diagonalized by `eigh`; a real K
     takes the Choleskys of the quadrature blocks S_xx, S_pp and one (N+1)
-    SVD; a complex K takes its Cholesky factor K = L L^dag and one Hermitian
-    `eigh` (Colpa).  Without a Cholesky factor the model is unstable
+    SVD; a complex K takes the Cholesky factor of its 2 x 2 Schur complement
+    and one Hermitian (2N+2) `eigh` (Colpa).  Both pair routes make their rows
+    in `_quadrature_rows`.  Without a Cholesky factor the model is unstable
     (ParameterError) or at the stability edge (NumericalError); ill-
     conditioned normal modes and a sup sum-rule defect above SUM_RULE_TOL are
     NumericalErrors too.  Derivative rows drow(t) = row(t) M are left to the
@@ -188,19 +193,15 @@ def compute_propagator(m: ModelSpec, grid: TimeGrid) -> PropagatorCoefficients:
             _check_stable(m)
         rows = np.zeros((len(grid), 2 * n + 2), dtype=complex)
         rows[:, : n + 1] = _phase_rows(grid.t, freqs, vecs[0], vecs.conj().T)
-    elif _has_real_couplings(m):
-        sxx, spp = _stability_blocks(m)
-        modes = _quadrature_modes(_cholesky(m, sxx), _cholesky(m, spp))
+    else:
+        if _has_real_couplings(m):
+            sxx, spp = _stability_blocks(m)
+            modes = _quadrature_pairs(*_quadrature_modes(_cholesky(m, sxx), _cholesky(m, spp)))
+        else:
+            modes = _colpa_pairs(*_colpa_modes(m))
+        # the pair frequencies E descend: E[-1] is the smallest
         _check_conditioning(m, modes[0][-1])
         rows = _quadrature_rows(grid.t, *modes)
-    else:
-        k = _coupling_matrix(m)
-        modes = _colpa_modes(_cholesky(m, k))
-        # free the (2N+2)^2 K after the eigh and before the (T, 2N+2) arrays: freed
-        # before the eigh, it raised the peak RSS of an N = 256 run by 8 MiB
-        del k
-        _check_conditioning(m, np.min(np.abs(modes[0])))
-        rows = _phase_rows(grid.t, *modes)
     # t = 0 is the identity exactly; drop the reconstruction rounding there
     rows[0, :] = 0.0
     rows[0, 0] = 1.0
@@ -248,19 +249,71 @@ def _check_conditioning(m: ModelSpec, min_freq: float) -> None:
         )
 
 
-def _colpa_modes(chol: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _colpa_modes(m: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normal modes of M = -i Sigma K from K = L L^dag (Colpa): (eps, weights, right).
 
-    L^dag Sigma L = U diag(eps) U^dag gives M V = V diag(-i eps) with
-    V = Sigma L U |eps|^{-1/2} and V^{-1} = sign(eps) V^dag Sigma, so
-    row(t) = L_00 (U_0 / eps) exp(-i eps t) (L U)^dag: no inverse is formed.
-    cond(V) = ||V||^2 <= ||K|| / min|eps| <= ||K||_1 / min|eps|, the bound
-    compute_propagator holds against COND_LIMIT.
+    In the basis (b, b^dag, a, a^dag) K is the arrow [[D, G], [G^dag, nu I]]
+    with D = diag(omega, omega) (see `model`), so its Cholesky factor is
+    L = [[D^{1/2}, 0], [Y, L_s]], Y = G^dag D^{-1/2}, with L_s the factor of
+    the 2 x 2 Schur complement nu I - Y Y^dag.  With Z^dag = [Y, L_s],
+
+        H = L^dag Sigma L = diag(omega, -omega, 0, 0) + Z sigma Z^dag,
+
+    sigma = diag(1, -1), and H = U diag(eps) U^dag gives M V = V diag(-i eps)
+    with V = Sigma L U |eps|^{-1/2} and V^{-1} = sign(eps) V^dag Sigma, so
+    row(t) = (L U)_a / eps exp(-i eps t) (L U)^dag: no inverse is formed.
+    The bath rows of L U are D^{1/2} U_b.  The oscillator rows Z^dag U come
+    from the last two rows of H U = U diag(eps), as sigma L_s^{-dag} U_o
+    diag(eps), which keeps them accurate where the sum Y U_b + L_s U_o
+    cancels, near the stability edge; the weights (L U)_a / eps are then the
+    a-row of L_s^{-dag} U_o.  `right` = (L U)^dag has its columns in the
+    basis (a, b, a^dag, b^dag) of the rows.  cond(V) = ||V||^2 <= ||K|| /
+    min|eps| <= ||K||_1 / min|eps|, the bound compute_propagator holds
+    against COND_LIMIT.
     """
-    sigma = np.ones(chol.shape[0])
-    sigma[chol.shape[0] // 2 :] = -1.0
-    eps, vecs = np.linalg.eigh((chol.conj().T * sigma) @ chol)
-    return eps, chol[0, 0] * vecs[0] / eps, (chol @ vecs).conj().T
+    n = m.n_modes
+    root = np.sqrt(m.omegas)
+    y = np.empty((2, 2 * n), dtype=complex)
+    y[0, :n], y[0, n:] = m.u / root, m.v / root
+    y[1, :n], y[1, n:] = np.conj(y[0, n:]), np.conj(y[0, :n])
+    (l00, _), (l10, l11) = _cholesky(m, m.nu * np.eye(2) - y @ y.conj().T)
+    z_a = np.concatenate((y[0], [l00, 0.0]))
+    z_ad = np.concatenate((y[1], [l10, l11]))
+    colpa = np.multiply.outer(z_a.conj(), z_a)
+    colpa -= np.multiply.outer(z_ad.conj(), z_ad)
+    diag = colpa.reshape(-1)[:: 2 * n + 3]
+    diag[:n] += m.omegas
+    diag[n : 2 * n] -= m.omegas
+    eps, vecs = np.linalg.eigh(colpa)
+    del colpa  # one (2N+2)^2 array fewer alive once `right` is built
+    # L_s^{-dag} U_o, by back substitution in the upper triangular L_s^dag
+    osc_ad = vecs[2 * n + 1] / l11.real
+    weights = (vecs[2 * n] - np.conj(l10) * osc_ad) / l00.real
+    right = np.empty((2 * n + 2, 2 * n + 2), dtype=complex)
+    right[:, 0] = np.conj(weights) * eps
+    right[:, n + 1] = -np.conj(osc_ad) * eps
+    right[:, 1 : n + 1] = vecs[:n].T.conj() * root
+    right[:, n + 2 :] = vecs[n : 2 * n].T.conj() * root
+    return eps, weights, right
+
+
+def _colpa_pairs(
+    eps: np.ndarray, weights: np.ndarray, right: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E, R_c, R_s) of `_quadrature_rows` from the +-eps pairs of `_colpa_modes`.
+
+    Colpa's eps come in pairs +E, -E; the k-th largest positive one is paired
+    with the k-th most negative.  With P and N the (weights * right) rows of
+    the pair, exp(-i E t) P + exp(i E t) N = cos(E t) (P + N) + i sin(E t)
+    (N - P), and E is the pair's mean |eps|, in descending order.
+    """
+    half = eps.size // 2
+    pos, neg = slice(None, half - 1, -1), slice(half)
+    plus = weights[pos, None] * right[pos]
+    r_sin = weights[neg, None] * right[neg]
+    r_cos = r_sin + plus
+    r_sin -= plus
+    return 0.5 * (eps[pos] - eps[neg]), r_cos, r_sin
 
 
 def _quadrature_modes(
@@ -279,10 +332,10 @@ def _quadrature_modes(
     return freqs, chol_x @ ys, chol_p @ zts.T
 
 
-def _quadrature_rows(
-    t: np.ndarray, freqs: np.ndarray, x_modes: np.ndarray, p_modes: np.ndarray
-) -> np.ndarray:
-    """Rows cos(E t) @ R_c + i sin(E t) @ R_s from the modes of `_quadrature_modes`.
+def _quadrature_pairs(
+    freqs: np.ndarray, x_modes: np.ndarray, p_modes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E, R_c, R_s) of `_quadrature_rows` from the modes of `_quadrature_modes`.
 
     With a = (x_0 + i p_0) / sqrt(2), a(t) takes alpha_j = P_0j / E_j of
     xi_j(t) and beta_j = X_0j / E_j of pi_j(t); xi_j(t) = cos xi_j + sin pi_j
@@ -292,20 +345,43 @@ def _quadrature_rows(
         R_c = [alpha X^T + beta P^T, alpha X^T - beta P^T] / 2,
         R_s = -[beta X^T + alpha P^T, beta X^T - alpha P^T] / 2,
 
-    real (N+1) x (2N+2) matrices; each product is written straight into the
-    real or imaginary part of the rows.
+    real (N+1) x (2N+2) matrices.
     """
     alpha = (0.5 * p_modes[0] / freqs)[:, None]
     beta = (0.5 * x_modes[0] / freqs)[:, None]
     ax, bx = alpha * x_modes.T, beta * x_modes.T
     ap, bp = alpha * p_modes.T, beta * p_modes.T
-    r_cos = np.hstack((ax + bp, ax - bp))
-    r_sin = np.hstack((-(bx + ap), ap - bx))
-    rows = np.empty((t.size, 2 * freqs.size), dtype=complex)
-    phase = np.multiply.outer(t, freqs)
-    np.matmul(np.cos(phase), r_cos, out=rows.real)
-    np.sin(phase, out=phase)
-    np.matmul(phase, r_sin, out=rows.imag)
+    return freqs, np.hstack((ax + bp, ax - bp)), np.hstack((-(bx + ap), ap - bx))
+
+
+def _quadrature_rows(
+    t: np.ndarray, freqs: np.ndarray, r_cos: np.ndarray, r_sin: np.ndarray
+) -> np.ndarray:
+    """Rows cos(E t) @ R_c + i sin(E t) @ R_s, one per grid time: the kernel of both pair routes.
+
+    Real R_c, R_s (real K) take one real product each, written straight into
+    the real and imaginary parts of the rows.  Complex ones (Colpa) take one
+    real product of [cos | sin] with [R_c; i R_s] on the interleaved float
+    view, straight into the rows: half the arithmetic of a complex product
+    over all 2N+2 frequencies.
+    """
+    if not np.iscomplexobj(r_cos):
+        rows = np.empty((t.size, r_cos.shape[1]), dtype=complex)
+        phase = np.multiply.outer(t, freqs)
+        np.matmul(np.cos(phase), r_cos, out=rows.real)
+        np.sin(phase, out=phase)
+        np.matmul(phase, r_sin, out=rows.imag)
+        return rows
+    half = freqs.size
+    stacked = np.concatenate((r_cos, r_sin))
+    stacked[half:] *= 1j
+    trig = np.empty((t.size, 2 * half))
+    cos, sin = trig[:, :half], trig[:, half:]
+    np.multiply.outer(t, freqs, out=cos)
+    np.sin(cos, out=sin)
+    np.cos(cos, out=cos)
+    rows = np.empty((t.size, r_cos.shape[1]), dtype=complex)
+    np.matmul(trig, stacked.view(np.float64), out=rows.view(np.float64))
     return rows
 
 

@@ -95,6 +95,18 @@ def test_thermal_number_average_monte_carlo(ohmic_rwa, member_stream):
     assert abs(summary.estimate - thermal) < 4.0 * summary.std_error
 
 
+def test_laguerre_arguments_equal_the_squared_mode_args(ohmic_pp):
+    # the real form |eta|^2 (|b|^2 + |d|^2) - 2 Re(eta^2 b^* d^*) against |z|^2 of the complex z
+    rng = np.random.default_rng(3)
+    eta = rng.normal(size=(7, 9)) + 1j * rng.normal(size=(7, 9))
+    b, d = ohmic_pp.B[40], ohmic_pp.D[40]
+    got = baths._mode_args_squared(b, d, eta)
+    want = np.abs(baths._mode_args(b, d, eta)) ** 2
+    scale = np.outer(np.abs(b) ** 2 + np.abs(d) ** 2, np.abs(eta.ravel()) ** 2)
+    assert got.shape == want.shape and np.all(got >= 0.0)
+    assert np.max(np.abs(got - want) / scale) < 1e-14
+
+
 def test_coherent_params(ohmic_pp):
     p = ohmic_pp
     i = 61

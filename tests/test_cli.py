@@ -172,21 +172,28 @@ def test_ill_conditioned_modes_exit_3(tmp_path, capsys, monkeypatch, sample_conf
     assert not (out / "propagator.csv").exists()
 
 
+COMPLEX_CUSTOM = {"model": stock_config("flat-custom-n128"),
+                  "time_grid": {"t_max": 20.0, "steps": 40}}
+
+
 @pytest.mark.parametrize("subcommand, config", [
     ("propagate", "propagate-ohmic-pp"),
     ("observables", "observables-rwa-coherent"),
     ("purity", "purity-cat-vacuum"),
     ("master-eq", "master-eq-equilibrium"),
+    pytest.param("propagate", COMPLEX_CUSTOM, id="propagate-complex-custom"),
 ])
 def test_sum_rule_contract_exits_3(tmp_path, capsys, monkeypatch, sample_config, subcommand,
                                    config):
     # route rows scaled by 1 + 1e-9 break the sum rule by about 2e-9, twenty times the
-    # contract, which compute_propagator enforces for every subcommand that propagates
+    # contract, which compute_propagator enforces for every subcommand that propagates;
+    # the v = 0 route makes its rows in _phase_rows, both pair routes in _quadrature_rows
     for name in ("_phase_rows", "_quadrature_rows"):
         route = getattr(qbath.propagator, name)
         monkeypatch.setattr(qbath.propagator, name,
                             lambda *args, route=route: route(*args) * (1.0 + 1e-9))
-    rc, out = run(tmp_path, subcommand, sample_config(config))
+    doc = sample_config(config) if isinstance(config, str) else config
+    rc, out = run(tmp_path, subcommand, doc)
     assert rc == 3
     report = json.loads(capsys.readouterr().err)
     assert report["error"] == "NumericalError"

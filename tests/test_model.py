@@ -71,38 +71,46 @@ def test_unstable_model_detected(unstable_model):
     assert validate_model(unstable_model) < 0.0
 
 
-def _exact_min_eigenvalue_n1_real(m):
-    """(hbar/2) min eig of S = S_xx (+) S_pp for real N = 1 couplings, from the stored floats.
+def _exact_min_eigenvalue_n1(m):
+    """(hbar/2) min eig of K for N = 1, from the stored floats.
 
-    Each block [[nu, c], [c, omega]] has the smaller eigenvalue
-    (nu + omega - sqrt((nu - omega)^2 + 4 c^2)) / 2; the rationals are exact and
-    the one square root is taken to 60 digits.
+    K's smallest eigenvalue is (nu + omega - sqrt((nu - omega)^2 + 4 (|u| + |v|)^2)) / 2
+    (for real u, v: the smaller one of the quadrature blocks [[nu, u +- v], [u +- v, omega]]).
+    |u|^2 and |v|^2 are exact rationals; the square roots are taken to 60 digits.
     """
+    def dec(x):
+        return Decimal(x.numerator) / Decimal(x.denominator)
+
     nu, omega = Fraction(m.nu), Fraction(m.omegas[0])
-    u, v = Fraction(m.u[0].real), Fraction(m.v[0].real)
+    abs2_u = Fraction(m.u[0].real) ** 2 + Fraction(m.u[0].imag) ** 2
+    abs2_v = Fraction(m.v[0].real) ** 2 + Fraction(m.v[0].imag) ** 2
     with localcontext() as ctx:
         ctx.prec = 60
-        lows = []
-        for c in (u + v, u - v):
-            disc = (nu - omega) ** 2 + 4 * c * c
-            root = (Decimal(disc.numerator) / Decimal(disc.denominator)).sqrt()
-            trace = Decimal((nu + omega).numerator) / Decimal((nu + omega).denominator)
-            lows.append((trace - root) / 2)
-        return Decimal(m.units.hbar) / 2 * min(lows)
+        reach2 = dec(abs2_u) + dec(abs2_v) + 2 * dec(abs2_u * abs2_v).sqrt()
+        root = (dec((nu - omega) ** 2) + 4 * reach2).sqrt()
+        return Decimal(m.units.hbar) / 2 * (dec(nu + omega) - root) / 2
 
 
-@pytest.mark.parametrize("coupling, exact", [
-    (0.1, -1.73e-18),
-    (0.10000000000000003, -1.24e-17),
+@pytest.mark.parametrize("coupling, phase, exact", [
+    pytest.param(0.1, 0.0, -1.73e-18, id="0.1--1.73e-18"),
+    pytest.param(0.10000000000000003, 0.0, -1.24e-17, id="0.10000000000000003--1.24e-17"),
+    pytest.param(0.1, 0.7, -1.40e-18, id="0.1-phase-0.7--1.40e-18"),
+    pytest.param(0.10000000000000003, 0.7, -1.30e-17, id="0.10000000000000003-phase-0.7--1.30e-17"),
+    # f(0) rounds to 0 in floats here: the exact rational f(0) decides the sign
+    pytest.param(0.1, 0.2, -6.28e-19, id="0.1-phase-0.2--6.28e-19"),
+    pytest.param(0.09999999999999999, 0.1, 1.49e-18, id="0.09999999999999999-phase-0.1-1.49e-18"),
 ])
-def test_validate_model_sign_at_the_stability_edge(coupling, exact):
-    # u = v = g couples x to x with 2g: stable iff nu omega > (2g)^2, and 0.04 = 0.2^2 here
-    disc = SpectralDiscretization("Explicit", omegas=[0.04], u=[coupling + 0j], v=[coupling + 0j])
+def test_validate_model_sign_at_the_stability_edge(coupling, phase, exact):
+    # u = g e^{-i phase}, v = g e^{i phase}: stable iff nu omega > (|u| + |v|)^2 = (2g)^2, and
+    # 0.04 = 0.2^2 here; phase = 0 couples x to x with 2g, and K is complex otherwise
+    disc = SpectralDiscretization("Explicit", omegas=[0.04], u=[coupling * np.exp(-1j * phase)],
+                                  v=[coupling * np.exp(1j * phase)])
     m = build_model(disc, 1.0, "Custom")
-    want = _exact_min_eigenvalue_n1_real(m)
+    want = _exact_min_eigenvalue_n1(m)
     assert float(want) == pytest.approx(exact, rel=1e-2)
     got = validate_model(m)
-    assert np.sign(got) == np.sign(float(want)) == -1.0
+    assert np.sign(got) == np.sign(float(want)) == np.sign(exact)
+    assert got == pytest.approx(float(want), rel=1e-12)
 
 
 def test_dynamical_matrix_structure_n1():

@@ -134,14 +134,36 @@ def test_sum_rule_all_stock_models():
 
 
 def test_no_cholesky_factor_is_a_typed_failure(unstable_model, no_cholesky):
-    # no other route exists: an unstable K is a config error, a stable one the stability edge
+    # no other route exists: an unstable K is a config error, a stable one the stability edge;
+    # the real-K route factors S_xx and S_pp, the complex-K route the 2 x 2 Schur complement
     grid = TimeGrid.linspace(40.0, 50)
-    with pytest.raises(ParameterError, match="model is not stable"):
-        compute_propagator(unstable_model, grid)
-    m = stock_model("ohmic-pp-n64")
-    with pytest.raises(NumericalError, match="stability edge") as err:
-        compute_propagator(m, grid)
-    assert f"{validate_model(m):.3e}" in str(err.value)
+    unstable_complex = build_model(
+        SpectralDiscretization("Explicit", omegas=[0.04], u=[0.35 * np.exp(-0.7j)],
+                               v=[0.35 * np.exp(0.7j)]),
+        1.0, "Custom",
+    )
+    for m in (unstable_model, unstable_complex):
+        with pytest.raises(ParameterError, match="model is not stable"):
+            compute_propagator(m, grid)
+    for m in (stock_model("ohmic-pp-n64"), stock_model("flat-custom-n128"),
+              complex_custom_model()):
+        with pytest.raises(NumericalError, match="stability edge") as err:
+            compute_propagator(m, grid)
+        assert f"{validate_model(m):.3e}" in str(err.value)
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-8, 1e-10, 1e-12, 1e-13])
+def test_complex_route_keeps_the_sum_rule_near_the_stability_edge(delta):
+    # N = 1 with |u| + |v| = 2g: the edge is g = 0.1.  The oscillator rows of L U come from
+    # the eigen-equation, not from the sum Y U_b + L_s U_o, which cancels here and breaks
+    # the contract from delta = 1e-13 on this grid
+    g = 0.1 * (1.0 - delta)
+    disc = SpectralDiscretization("Explicit", omegas=[0.04], u=[g * np.exp(-0.7j)],
+                                  v=[g * np.exp(0.7j)])
+    m = build_model(disc, 1.0, "Custom")
+    assert validate_model(m) > 0.0
+    p = compute_propagator(m, TimeGrid.linspace(200.0, 400))
+    assert np.max(np.abs(sum_rule_defects(p))) < 1e-10
 
 
 @pytest.mark.parametrize("name", [*STOCK_MODEL_NAMES, *CUSTOM_MODELS])
