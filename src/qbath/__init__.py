@@ -91,7 +91,6 @@ from .propagator import (
     TimeGrid,
     compute_propagator,
     decay_report,
-    is_rwa,
     plateau_window,
     row_slice,
     sum_rule_defects,

@@ -54,7 +54,7 @@ from .baths import (
 )
 from .config import RunConfig, load_config, parse_config, realize_bath
 from .errors import NumericalError, SchemaError
-from .model import SpectralFamily, validate_model
+from .model import CouplingFamily, SpectralFamily, validate_model
 from .observables import (
     EnsembleSummary,
     asymptotic_variances,
@@ -73,7 +73,6 @@ from .observables import (
 from .propagator import (
     compute_propagator,
     decay_report,
-    is_rwa,
     plateau_window,
     row_slice,
     sum_rule_defects,
@@ -320,7 +319,7 @@ def _cmd_master_eq(cfg: RunConfig, out: Path) -> list[str]:
 
 def _cmd_rwa_compare(cfg: RunConfig, out: Path) -> list[str]:
     _require(cfg, grid=True, bath=True, oscillator=True)
-    if not is_rwa(cfg.model):
+    if cfg.model.coupling_family is not CouplingFamily.RWA:
         raise SchemaError("rwa-compare requires the RWA coupling family")
     bath = realize_bath(cfg)
     if not (isinstance(bath, EquilibriumBath) and math.isinf(bath.beta)):

@@ -48,7 +48,7 @@ from .baths import (
     bath_sums,
 )
 from .errors import SingularGeneratorError
-from .observables import chi_eval, square_eta_grid
+from .observables import square_eta_grid
 from .propagator import PropagatorCoefficients, row_slice
 from .states import (
     OscillatorState,
@@ -259,6 +259,12 @@ def generator_residual(
     return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(chi)))
 
 
+def _general_rhs(xi: complex, zeta: complex, eta: np.ndarray, pieces) -> np.ndarray:
+    """Right side of the general evolution identity from the `_chi_pieces` at eta."""
+    chi, dchi_eta, dchi_etab, _, (d_eta, d_etab, d_t, _) = pieces
+    return _drift_apply(xi, zeta, eta, dchi_eta - chi * d_eta, dchi_etab - chi * d_etab) + chi * d_t
+
+
 def general_generator_apply(
     p: PropagatorCoefficients,
     i: int,
@@ -272,9 +278,9 @@ def general_generator_apply(
     """
     eta = np.asarray(eta, dtype=complex)
     xi, zeta, _ = xi_zeta(p, i)
-    chi, dchi_eta, dchi_etab, _, (d_eta, d_etab, d_t, ok) = _chi_pieces(p, i, bath, s, eta)
-    rhs = _drift_apply(xi, zeta, eta, dchi_eta - chi * d_eta, dchi_etab - chi * d_etab) + chi * d_t
-    return rhs, ok
+    pieces = _chi_pieces(p, i, bath, s, eta)
+    _, _, _, _, (_, _, _, ok) = pieces
+    return _general_rhs(xi, zeta, eta, pieces), ok
 
 
 @dataclass
@@ -291,13 +297,15 @@ def general_generator_residual(
     s: OscillatorState,
     eta=None,
 ) -> GeneralResidualReport:
-    """Residual of the general evolution identity over non-flagged nodes."""
+    """Residual of the general evolution identity over non-flagged nodes.
+
+    Both sides, chi and the flags come from one `_chi_pieces` evaluation.
+    """
     eta = _residual_nodes(eta)
-    rhs, ok = general_generator_apply(p, i, bath, s, eta)
-    lhs, ok2 = chi_time_derivative(p, i, bath, s, eta)
-    ok = ok & ok2
-    chi = chi_eval(p, i, bath, s, eta)
-    res = np.abs(lhs - rhs)[ok]
+    xi, zeta, _ = xi_zeta(p, i)
+    pieces = _chi_pieces(p, i, bath, s, eta)
+    chi, _, _, lhs, (_, _, _, ok) = pieces
+    res = np.abs(lhs - _general_rhs(xi, zeta, eta, pieces))[ok]
     scale = float(np.max(np.abs(chi)))
     return GeneralResidualReport(
         max_residual=float(res.max() / scale) if res.size else math.nan,

@@ -24,7 +24,9 @@ real symmetric S = T^dag K T.  With K = [[Dk, X], [X^*, Dk^*]],
 
 and the equations of motion read dz/dt = J S z, J = [[0, 1], [-1, 0]].
 S_xp = 0 exactly when K is real (real u and v: every PositionPosition model
-and real Custom ones); S then splits into two real (N+1) blocks.
+and real Custom ones); S then splits into two real (N+1) blocks, the arrows
+with diagonal (nu, omega) and borders u + v (S_xx) and u - v (S_pp), which
+the propagator builds and factors for real K.
 
 Every mode couples to the oscillator and to nothing else, so in the basis
 (b_k, b_k^dag, a, a^dag) K is an arrow matrix: D = diag(omega, omega) on the
@@ -282,35 +284,6 @@ def quadratic_form_matrix(m: ModelSpec) -> np.ndarray:
     offset dropped in the splitting is irrelevant to dynamics.
     """
     return (m.units.hbar / 2.0) * _coupling_matrix(m)
-
-
-def _has_real_couplings(m: ModelSpec) -> bool:
-    """True when K is real: neither u nor v has an imaginary part."""
-    return not (m.u.imag.any() or m.v.imag.any())
-
-
-def _arrow(diag: np.ndarray, row: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """The matrix diag(diag) with row 0 and column 0 past the diagonal set to row, col."""
-    s = np.diag(diag)
-    s[0, 1:] = row
-    s[1:, 0] = col
-    return s
-
-
-def _stability_blocks(m: ModelSpec) -> list[np.ndarray]:
-    """Real-when-possible Hermitian blocks whose joint spectrum holds K's smallest eigenvalue.
-
-    Dk for v = 0 and [S_xx, S_pp] for real K (module docstring): the blocks
-    the v = 0 and real-K propagator routes decompose.  Couplings near the
-    float range can overflow to inf here.
-    """
-    if not m.v.any():
-        dk = _number_block(m)
-        return [dk if dk.imag.any() else dk.real.copy()]
-    freqs = np.concatenate(([m.nu], m.omegas))
-    u, v = m.u.real, m.v.real
-    with np.errstate(over="ignore"):
-        return [_arrow(freqs, u + v, u + v), _arrow(freqs, u - v, u - v)]
 
 
 def _schur_min_at_zero(nu: float, omegas: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:

@@ -10,27 +10,29 @@ Preserving [a(t), a(t)^dag] = 1 gives the sum rule
     |A|^2 - |C|^2 + sum_k |B_k|^2 - sum_k |D_k|^2 = 1.
 
 Coefficients are computed by one symmetric or Hermitian decomposition (exact
-in t, no time stepping), chosen by the structure of the model:
+in t, no time stepping), chosen by the structure of the model.  Every route
+gives pair frequencies E and matrices R_c, R_s, and one kernel, `_trig_rows`,
+writes the rows cos(E t) R_c + i sin(E t) R_s:
 
   v = 0          (a, b_k) evolve alone under the (N+1)-dim Hermitian block
-                 Dk = [[nu, u], [u^dag, diag omega]]; `eigh` of Dk gives the
-                 rows and C = D = 0 exactly.
+                 Dk = [[nu, u], [u^dag, diag omega]]; `eigh` of Dk gives
+                 exp(-i E t) w V^dag, so R_s = -R_c = -w V^dag over the N+1
+                 (a, b_k) columns, and C = D = 0 exactly.
   real K         (real u, v != 0: PositionPosition, real Custom)  the real
                  quadrature form splits, dx/dt = S_pp p and dp/dt = -S_xx x
                  (see `model`).  With S_xx = L_x L_x^T and S_pp = L_p L_p^T,
                  the SVD L_x^T L_p = Y E Z^T gives the normal-mode
                  frequencies E and real mode profiles L_x Y, L_p Z: one
-                 (N+1) SVD, and rows cos(E t) R_c + i sin(E t) R_s.
+                 (N+1) SVD.
   complex K      the Cholesky factor K = L L^dag of the positive-definite
                  quadratic form makes the symplectic problem Hermitian: `eigh`
-                 of L^dag Sigma L gives real normal-mode frequencies eps and
-                 eigenvectors with V^{-1} = sign(eps) V^dag Sigma, so no
-                 inverse is formed (Colpa, Physica A 93, 327 (1978)).  K is
+                 of L^dag Sigma L gives real normal-mode frequencies
+                 eps = +-E and eigenvectors with V^{-1} = sign(eps) V^dag
+                 Sigma, so no inverse is formed (Colpa, Physica A 93, 327 (1978)).  K is
                  an arrow matrix (see `model`), so L comes from the Cholesky
                  factor of its 2 x 2 Schur complement and L^dag Sigma L is a
                  diagonal plus a rank-2 term, both in O(N^2); the one
-                 (2N+2) `eigh` is the only cubic step.  The +-eps pairs give
-                 rows cos(E t) R_c + i sin(E t) R_s, as for real K.
+                 (2N+2) `eigh` is the only cubic step.
 
 No route forms an inverse.  Only stable models are served.  An unstable one
 is a ParameterError; a form that has no Cholesky factor although
@@ -42,10 +44,10 @@ sup defect over the grid must be at most SUM_RULE_TOL, or the rows are
 refused with a NumericalError that names the defect.  The defects are
 computed once, in that check, and kept on the coefficients.
 
-A real Dk keeps the v = 0 route real.  The rows are kept as one (T, 2N+2)
-array, of which A, B_k, C, D_k are views.  Time derivatives are the exact
-rows row(t) . M, built on first read: only the master-equation generators
-and bath sums with derivatives use them.
+Real R_c, R_s (real K, real u with v = 0) keep the kernel real.  The rows
+are kept as one (T, 2N+2) array, of which A, B_k, C, D_k are views.  Time
+derivatives are the exact rows row(t) . M, built on first read: only the
+master-equation generators and bath sums with derivatives use them.
 """
 
 from __future__ import annotations
@@ -56,14 +58,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .model import (
-    CouplingFamily,
-    ModelSpec,
-    _has_real_couplings,
-    _stability_blocks,
-    dynamical_matrix,
-    validate_model,
-)
+from .model import ModelSpec, _number_block, dynamical_matrix, validate_model
 
 __all__ = [
     "TimeGrid",
@@ -172,36 +167,30 @@ def _split(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
 def compute_propagator(m: ModelSpec, grid: TimeGrid) -> PropagatorCoefficients:
     """Evaluate the coefficient rows on the whole grid.
 
-    The route follows the structure of the model (see the module docstring):
-    with v = 0 the (N+1)-dim block Dk is diagonalized by `eigh`; a real K
-    takes the Choleskys of the quadrature blocks S_xx, S_pp and one (N+1)
-    SVD; a complex K takes the Cholesky factor of its 2 x 2 Schur complement
-    and one Hermitian (2N+2) `eigh` (Colpa).  Both pair routes make their rows
-    in `_quadrature_rows`.  Without a Cholesky factor the model is unstable
-    (ParameterError) or at the stability edge (NumericalError); ill-
-    conditioned normal modes and a sup sum-rule defect above SUM_RULE_TOL are
+    The route follows the structure of the model (see the module docstring)
+    and gives the pair frequencies E and the matrices R_c, R_s: `eigh` of Dk
+    for v = 0, the Choleskys of S_xx, S_pp and one (N+1) SVD for real K, the
+    Cholesky factor of the 2 x 2 Schur complement and one Hermitian (2N+2)
+    `eigh` for complex K (Colpa).  One call of `_trig_rows` writes the rows.
+    Without a Cholesky factor the model is unstable (ParameterError) or at
+    the stability edge (NumericalError); ill-conditioned normal modes of a
+    pair route and a sup sum-rule defect above SUM_RULE_TOL are
     NumericalErrors too.  Derivative rows drow(t) = row(t) M are left to the
     first read of dA, dB, dC or dD.
     """
-    n = m.n_modes
     if not m.v.any():
-        # (a, b_k) evolve alone under exp(-i Dk t), for any Hermitian Dk; C and
-        # D stay exactly zero and the eigenvectors are unitary (cond = 1)
-        (block,) = _stability_blocks(m)
-        freqs, vecs = np.linalg.eigh(block)
-        if freqs[0] <= 0.0:
-            _check_stable(m)
-        rows = np.zeros((len(grid), 2 * n + 2), dtype=complex)
-        rows[:, : n + 1] = _phase_rows(grid.t, freqs, vecs[0], vecs.conj().T)
+        # the eigenvectors of Dk are unitary (cond = 1): no conditioning guard
+        freqs, r_cos, r_sin = _number_pairs(m)
     else:
-        if _has_real_couplings(m):
-            sxx, spp = _stability_blocks(m)
-            modes = _quadrature_pairs(*_quadrature_modes(_cholesky(m, sxx), _cholesky(m, spp)))
+        if m.u.imag.any() or m.v.imag.any():
+            freqs, r_cos, r_sin = _colpa_pairs(*_colpa_modes(m))
         else:
-            modes = _colpa_pairs(*_colpa_modes(m))
+            freqs, r_cos, r_sin = _quadrature_pairs(*_quadrature_modes(m))
         # the pair frequencies E descend: E[-1] is the smallest
-        _check_conditioning(m, modes[0][-1])
-        rows = _quadrature_rows(grid.t, *modes)
+        _check_conditioning(m, freqs[-1])
+    # v = 0 fills only the (a, b_k) columns: C and D stay exactly zero
+    rows = np.zeros((len(grid), 2 * m.n_modes + 2), dtype=complex)
+    _trig_rows(grid.t, freqs, r_cos, r_sin, rows[:, : r_cos.shape[1]])
     # t = 0 is the identity exactly; drop the reconstruction rounding there
     rows[0, :] = 0.0
     rows[0, 0] = 1.0
@@ -223,7 +212,7 @@ def _check_stable(m: ModelSpec) -> float:
 
 
 def _cholesky(m: ModelSpec, form: np.ndarray) -> np.ndarray:
-    """Cholesky factor of a block of m's quadratic form, or the typed failure."""
+    """Cholesky factors of m's quadratic-form blocks (one or a stack), or the typed failure."""
     try:
         return np.linalg.cholesky(form)
     except np.linalg.LinAlgError:
@@ -247,6 +236,23 @@ def _check_conditioning(m: ModelSpec, min_freq: float) -> None:
         raise NumericalError(
             f"ill-conditioned normal modes (cond bound = {bound:.3e} > {COND_LIMIT:.1e})"
         )
+
+
+def _number_pairs(m: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E, R_c, R_s) of `_trig_rows` for v = 0, from `eigh` of Dk.
+
+    (a, b_k) evolve alone under exp(-i Dk t), for any Hermitian Dk.  With
+    Dk = V diag(E) V^dag the a-row is exp(-i E t) w V^dag, w = V's a-row, so
+    R_c = w V^dag and R_s = -R_c over the N+1 (a, b_k) columns.  A real Dk
+    (real u) keeps V, R_c and R_s real.
+    """
+    block = _number_block(m)
+    freqs, vecs = np.linalg.eigh(block if m.u.imag.any() else block.real)
+    if freqs[0] <= 0.0:
+        _check_stable(m)
+    # C order: the complex kernel takes the interleaved float view of [R_c; i R_s]
+    r_cos = np.multiply(vecs[0, :, None], vecs.T.conj(), order="C")
+    return freqs, r_cos, -r_cos
 
 
 def _colpa_modes(m: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -300,7 +306,7 @@ def _colpa_modes(m: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _colpa_pairs(
     eps: np.ndarray, weights: np.ndarray, right: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(E, R_c, R_s) of `_quadrature_rows` from the +-eps pairs of `_colpa_modes`.
+    """(E, R_c, R_s) of `_trig_rows` from the +-eps pairs of `_colpa_modes`.
 
     Colpa's eps come in pairs +E, -E; the k-th largest positive one is paired
     with the k-th most negative.  With P and N the (weights * right) rows of
@@ -316,18 +322,25 @@ def _colpa_pairs(
     return 0.5 * (eps[pos] - eps[neg]), r_cos, r_sin
 
 
-def _quadrature_modes(
-    chol_x: np.ndarray, chol_p: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normal modes of dx/dt = S_pp p, dp/dt = -S_xx x: (E, X, P) with X = L_x Y, P = L_p Z.
+def _quadrature_modes(m: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normal modes of dx/dt = S_pp p, dp/dt = -S_xx x for real K: (E, X, P).
 
-    In xi = Y^T L_x^T x and pi = Z^T L_p^T p, where L_x^T L_p = Y E Z^T, each
-    pair obeys dxi/dt = E pi, dpi/dt = -E xi.  Back in (x, p), x(t) = P E^{-1}
-    xi(t) and p(t) = X E^{-1} pi(t), and xi(0) = X^T x, pi(0) = P^T p: no
-    inverse is formed.  X^T P = diag(E), the symplectic normalization.  The
-    frequencies, in descending order, are the positive half of Colpa's +-eps;
-    compute_propagator holds ||K||_1 / min E against COND_LIMIT.
+    S_xx and S_pp are the arrows with diagonal (nu, omega) and borders u + v
+    and u - v (see `model`).  With S_xx = L_x L_x^T, S_pp = L_p L_p^T and
+    L_x^T L_p = Y E Z^T, X = L_x Y and P = L_p Z.  In xi = Y^T L_x^T x and
+    pi = Z^T L_p^T p each pair obeys dxi/dt = E pi, dpi/dt = -E xi.  Back in
+    (x, p), x(t) = P E^{-1} xi(t) and p(t) = X E^{-1} pi(t), and xi(0) =
+    X^T x, pi(0) = P^T p: no inverse is formed.  X^T P = diag(E), the
+    symplectic normalization.  The frequencies, in descending order, are the
+    positive half of Colpa's +-eps; compute_propagator holds ||K||_1 / min E
+    against COND_LIMIT.
     """
+    forms = np.tile(np.diag(np.concatenate(([m.nu], m.omegas))), (2, 1, 1))
+    u, v = m.u.real, m.v.real
+    # couplings near the float range can overflow to inf here
+    with np.errstate(over="ignore"):
+        forms[:, 0, 1:] = forms[:, 1:, 0] = (u + v, u - v)
+    chol_x, chol_p = _cholesky(m, forms)
     ys, freqs, zts = np.linalg.svd(chol_x.T @ chol_p)
     return freqs, chol_x @ ys, chol_p @ zts.T
 
@@ -335,7 +348,7 @@ def _quadrature_modes(
 def _quadrature_pairs(
     freqs: np.ndarray, x_modes: np.ndarray, p_modes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(E, R_c, R_s) of `_quadrature_rows` from the modes of `_quadrature_modes`.
+    """(E, R_c, R_s) of `_trig_rows` from the modes of `_quadrature_modes`.
 
     With a = (x_0 + i p_0) / sqrt(2), a(t) takes alpha_j = P_0j / E_j of
     xi_j(t) and beta_j = X_0j / E_j of pi_j(t); xi_j(t) = cos xi_j + sin pi_j
@@ -354,24 +367,23 @@ def _quadrature_pairs(
     return freqs, np.hstack((ax + bp, ax - bp)), np.hstack((-(bx + ap), ap - bx))
 
 
-def _quadrature_rows(
-    t: np.ndarray, freqs: np.ndarray, r_cos: np.ndarray, r_sin: np.ndarray
-) -> np.ndarray:
-    """Rows cos(E t) @ R_c + i sin(E t) @ R_s, one per grid time: the kernel of both pair routes.
+def _trig_rows(
+    t: np.ndarray, freqs: np.ndarray, r_cos: np.ndarray, r_sin: np.ndarray, out: np.ndarray
+) -> None:
+    """Write the rows cos(E t) @ R_c + i sin(E t) @ R_s, one per grid time, into out.
 
-    Real R_c, R_s (real K) take one real product each, written straight into
-    the real and imaginary parts of the rows.  Complex ones (Colpa) take one
-    real product of [cos | sin] with [R_c; i R_s] on the interleaved float
-    view, straight into the rows: half the arithmetic of a complex product
-    over all 2N+2 frequencies.
+    The kernel of every route.  Real R_c, R_s (real K; real u, v = 0) take one
+    real product each, written straight into the real and imaginary parts of
+    out.  Complex ones take one real product of [cos | sin] with [R_c; i R_s]
+    on the interleaved float view, straight into out: half the arithmetic of
+    a complex product.
     """
     if not np.iscomplexobj(r_cos):
-        rows = np.empty((t.size, r_cos.shape[1]), dtype=complex)
         phase = np.multiply.outer(t, freqs)
-        np.matmul(np.cos(phase), r_cos, out=rows.real)
+        np.matmul(np.cos(phase), r_cos, out=out.real)
         np.sin(phase, out=phase)
-        np.matmul(phase, r_sin, out=rows.imag)
-        return rows
+        np.matmul(phase, r_sin, out=out.imag)
+        return
     half = freqs.size
     stacked = np.concatenate((r_cos, r_sin))
     stacked[half:] *= 1j
@@ -380,33 +392,7 @@ def _quadrature_rows(
     np.multiply.outer(t, freqs, out=cos)
     np.sin(cos, out=sin)
     np.cos(cos, out=cos)
-    rows = np.empty((t.size, r_cos.shape[1]), dtype=complex)
-    np.matmul(trig, stacked.view(np.float64), out=rows.view(np.float64))
-    return rows
-
-
-def _phase_rows(
-    t: np.ndarray, freqs: np.ndarray, weights: np.ndarray, right: np.ndarray
-) -> np.ndarray:
-    """Rows (exp(-i t freqs) * weights) @ right, one per grid time.
-
-    Real weights and right take two real matmuls (cosine and sine parts)
-    instead of one complex one, half the arithmetic.
-    """
-    if np.iscomplexobj(weights) or np.iscomplexobj(right):
-        phases = np.multiply.outer(t, -1j * freqs)
-        np.exp(phases, out=phases)
-        phases *= weights
-        return phases @ right
-    arg = np.multiply.outer(t, freqs)
-    rows = np.empty((t.size, right.shape[1]), dtype=complex)
-    part = np.cos(arg)
-    part *= weights
-    rows.real = part @ right
-    np.sin(arg, out=part)
-    part *= -weights
-    rows.imag = part @ right
-    return rows
+    np.matmul(trig, stacked.view(np.float64), out=out.view(np.float64))
 
 
 def row_slice(i: int) -> slice:
@@ -493,7 +479,3 @@ def plateau_window(p: PropagatorCoefficients) -> tuple[int, int]:
     lengths = [e - s for s, e in zip(starts, ends)]
     best = int(np.argmax(lengths))
     return int(starts[best]), int(ends[best])
-
-
-def is_rwa(m: ModelSpec) -> bool:
-    return m.coupling_family is CouplingFamily.RWA

@@ -185,13 +185,16 @@ COMPLEX_CUSTOM = {"model": stock_config("flat-custom-n128"),
 ])
 def test_sum_rule_contract_exits_3(tmp_path, capsys, monkeypatch, sample_config, subcommand,
                                    config):
-    # route rows scaled by 1 + 1e-9 break the sum rule by about 2e-9, twenty times the
-    # contract, which compute_propagator enforces for every subcommand that propagates;
-    # the v = 0 route makes its rows in _phase_rows, both pair routes in _quadrature_rows
-    for name in ("_phase_rows", "_quadrature_rows"):
-        route = getattr(qbath.propagator, name)
-        monkeypatch.setattr(qbath.propagator, name,
-                            lambda *args, route=route: route(*args) * (1.0 + 1e-9))
+    # rows scaled by 1 + 1e-9 break the sum rule by about 2e-9, twenty times the contract,
+    # which compute_propagator enforces for every subcommand that propagates; every route,
+    # v = 0 (observables-rwa-coherent) included, writes its rows in _trig_rows
+    kernel = qbath.propagator._trig_rows
+
+    def scaled_kernel(t, freqs, r_cos, r_sin, out):
+        kernel(t, freqs, r_cos, r_sin, out)
+        out *= 1.0 + 1e-9
+
+    monkeypatch.setattr(qbath.propagator, "_trig_rows", scaled_kernel)
     doc = sample_config(config) if isinstance(config, str) else config
     rc, out = run(tmp_path, subcommand, doc)
     assert rc == 3

@@ -34,7 +34,20 @@ def real_custom_model():
     return build_model(disc, 1.1, "Custom", Units(hbar=2.5, mass=0.7))
 
 
-CUSTOM_MODELS = {"complex-custom-n12": complex_custom_model, "real-custom-n12": real_custom_model}
+def complex_rwa_model():
+    """Custom model with complex u and v = 0 (the v = 0 route with a complex Dk)."""
+    k = np.arange(12)
+    disc = SpectralDiscretization(
+        "Explicit", omegas=0.4 + 0.15 * k, u=0.06 * np.exp(0.7j * k), v=np.zeros(12)
+    )
+    return build_model(disc, 1.1, "Custom", Units(hbar=2.5, mass=0.7))
+
+
+CUSTOM_MODELS = {
+    "complex-custom-n12": complex_custom_model,
+    "real-custom-n12": real_custom_model,
+    "complex-rwa-n12": complex_rwa_model,
+}
 
 
 def test_time_grid_validation():
@@ -178,6 +191,20 @@ def test_hermitian_route_matches_eig_route(name, eig_route_rows):
     if not m.v.any():
         # RWA (v = 0): the block route never fills the dagger columns
         assert not p.C.any() and not p.D.any()
+
+
+@pytest.mark.parametrize("name", [*STOCK_MODEL_NAMES, *CUSTOM_MODELS])
+def test_no_route_builds_the_dense_coupling_matrix(name, monkeypatch):
+    # every route works from the structure of K (Dk, the quadrature arrows, the 2 x 2 Schur
+    # complement), never from the dense (2N+2)^2 K; the lazy derivative rows are not read here
+    m = CUSTOM_MODELS[name]() if name in CUSTOM_MODELS else stock_model(name)
+
+    def dense(_):
+        raise AssertionError("a propagator route built the dense coupling matrix K")
+
+    monkeypatch.setattr("qbath.model._coupling_matrix", dense)
+    p = compute_propagator(m, TimeGrid.linspace(20.0, 40))
+    assert np.max(np.abs(sum_rule_defects(p))) < 1e-10
 
 
 def test_cond_guard_on_hermitian_route(monkeypatch):
