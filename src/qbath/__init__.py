@@ -21,7 +21,6 @@ from .baths import (
     bath_delta,
     bath_f_params,
     delta_correlations,
-    number_F_eval,
     occupation,
     sample_coherent_state,
     sample_coherent_states,

@@ -24,9 +24,10 @@ This module alone decides what F is.  Gaussian parameters come from
 bath_sums as a GaussianFSeries on propagator rows (fs[0] for one index), and
 _gaussian_sums is the one guard that refuses number states.  _laguerre_split
 writes any bath as a Gaussian part times prod_k L_{n_k} (vacuum plus
-occupations, or the bath itself plus a row of zeros), _mode_args builds
+occupations, or the bath itself plus a row of zeros), and bath_F_eval is the
+one evaluator of F for every preparation.  _mode_args builds
 z_k = eta B_k^* - eta^* D_k for the general generator, and _mode_args_squared
-the Laguerre arguments |z_k|^2 of number_F_eval and purity quadrature.
+the Laguerre arguments |z_k|^2 of bath_F_eval and purity quadrature.
 
 An ensemble is one bath holding an (M x N) member matrix, from
 sample_number_states or sample_coherent_states; on one propagator row the
@@ -62,7 +63,6 @@ __all__ = [
     "GaussianFSeries",
     "NoiseCorrelation",
     "occupation",
-    "number_F_eval",
     "gaussian_F_eval",
     "bath_F_eval",
     "bath_f_params",
@@ -289,17 +289,22 @@ def gaussian_F_eval(params: GaussianFSeries, eta: np.ndarray) -> np.ndarray:
     return np.exp(gaussian_exponent(params.delta, params.alpha, params.gamma, eta))
 
 
-def number_F_eval(
-    p: PropagatorCoefficients, i: int, n: np.ndarray, eta: np.ndarray
-) -> np.ndarray:
-    """Influence function of a number-state preparation (real-valued).
+def bath_f_params(p: PropagatorCoefficients, i: int, bath: BathSpec) -> GaussianFSeries:
+    """Gaussian influence parameters at index i, the row fs[0]; rejects number-state baths."""
+    return _gaussian_sums(p, row_slice(i), _single(bath))[0]
 
-    Each mode contributes L_{n_k}(|eta B_k^* - eta^* D_k|^2) on top of the
-    zero-temperature Gaussian.  The product is the one-member call of
-    laguerre.log_products, in log space to avoid overflow, with its sign from
-    the parity of the negative factors.
+
+def bath_F_eval(p: PropagatorCoefficients, i: int, bath: BathSpec, eta: np.ndarray) -> np.ndarray:
+    """Influence function F(eta, t_i) for any supported preparation.
+
+    A number-state bath has the real F of its _laguerre_split: the real
+    zero-temperature Gaussian times prod_k L_{n_k}(|eta B_k^* - eta^* D_k|^2),
+    the one-member call of laguerre.log_products, in log space to avoid
+    overflow, with its sign from the parity of the negative factors.
     """
-    vacuum, occs = _laguerre_split(p, _single(NumberStateBath(n)))
+    if not isinstance(bath, NumberStateBath):
+        return gaussian_F_eval(bath_f_params(p, i, bath), eta)
+    vacuum, occs = _laguerre_split(p, _single(bath))
     eta = np.asarray(eta, dtype=complex)
     zero_t = bath_f_params(p, i, vacuum)
     log_env = np.real(gaussian_exponent(0.0, zero_t.alpha, zero_t.gamma, eta))
@@ -308,18 +313,6 @@ def number_F_eval(
     ((_, log_lag, odd),) = laguerre.log_products(occs[:, active], xs, signed=True)
     sign = np.where(odd[0], -1.0, 1.0).reshape(eta.shape)
     return sign * np.exp(log_env + log_lag[0].reshape(eta.shape))
-
-
-def bath_f_params(p: PropagatorCoefficients, i: int, bath: BathSpec) -> GaussianFSeries:
-    """Gaussian influence parameters at index i, the row fs[0]; rejects number-state baths."""
-    return _gaussian_sums(p, row_slice(i), _single(bath))[0]
-
-
-def bath_F_eval(p: PropagatorCoefficients, i: int, bath: BathSpec, eta: np.ndarray) -> np.ndarray:
-    """Influence function F(eta, t_i) for any supported preparation."""
-    if isinstance(bath, NumberStateBath):
-        return number_F_eval(p, i, bath.n, eta)
-    return gaussian_F_eval(bath_f_params(p, i, bath), eta)
 
 
 # numpy's SeedSequence hash constants (pool of four uint32 words), kept as masked

@@ -9,7 +9,7 @@ and writes CSV/JSON artifacts plus a manifest into the output directory.
 parsed config, before the subcommand runs.
 Exit codes: 0 success, 2 config/validation failure, 3 numerical error (a
 sum-rule defect that breaks the contract of `propagator` among them, in
-every subcommand that propagates).
+every subcommand that propagates, and an array the machine cannot allocate).
 
 Artifacts are deterministic: given identical config and seed every data file
 is byte-identical across runs at a fixed BLAS thread count (one unless the
@@ -462,8 +462,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
-        # LinAlgError subclasses ValueError, but a failed factorization is numerical
+    except (RuntimeError, np.linalg.LinAlgError, MemoryError) as exc:
+        # LinAlgError subclasses ValueError, but a failed factorization is numerical;
+        # an array the machine refuses to allocate is a numerical failure too
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 3
     except ValueError as exc:

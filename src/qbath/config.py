@@ -14,8 +14,12 @@ experiment.seed defaults to the sampled bath's seed (else 0), n_samples to
 beyond any array (time_grid.steps, model.spectral.N) are errors.  A sampled
 bath is realized as member 0 of the ensemble its seed draws.
 
-Unknown keys are rejected anywhere in the document, with the offending line
-quoted when it can be located in the source text.  Complex-valued fields are
+Each section is read once, by typed getters of one _Section.  Its unknown
+keys are the keys its reader does not take, and they are rejected with the
+offending line quoted when it can be located in the source text (the band
+keys of model.spectral are taken and ignored under the Explicit family).
+When a section has both, a bad value is reported before an unknown key.
+Complex-valued fields are
 carried as re/im pairs since JSON has no complex type; beta accepts the
 string "inf" (or JSON Infinity) for a zero-temperature bath.
 """
@@ -52,12 +56,12 @@ from .states import CatState, GaussianMoments, OscillatorState, SqueezedDisplace
 
 __all__ = ["RunConfig", "load_config", "parse_config", "realize_bath"]
 
-_TOP_KEYS = {"model", "bath", "oscillator", "time_grid", "outputs", "experiment"}
 _BATH_KINDS = {"equilibrium", "number", "coherent", "sample_number", "sample_coherent"}
 _OSC_KINDS = {"gaussian", "squeezed", "cat"}
 _FORMATS = {"csv", "json", "sidecar"}
 _EXPERIMENT_KINDS = {"number", "coherent", "n-sweep"}
 _MAX_SIZE = int(np.iinfo(np.intp).max)  # the largest array length numpy can index
+_REQUIRED = object()  # the default of a getter whose key must be present
 
 
 def _line_of(raw: str, key: str) -> str:
@@ -73,204 +77,203 @@ def _line_of(raw: str, key: str) -> str:
     return ""
 
 
-def _check_keys(doc: dict, allowed: set[str], where: str, raw: str) -> None:
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{where} must be a JSON object, got {type(doc).__name__}")
-    for key in doc:
-        if key not in allowed:
-            raise SchemaError(f"unknown key {key!r} in {where}{_line_of(raw, key)}")
-
-
-def _number(doc: dict, key: str, where: str, *, default=None, required=False) -> float:
-    if key not in doc:
-        if required:
-            raise SchemaError(f"{where} requires {key!r}")
-        return default
-    val = doc[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or not _finite(val):
-        raise SchemaError(f"{where}.{key} must be a finite number, got {val!r}")
-    return float(val)
-
-
-def _finite(val: int | float) -> bool:
-    """Whether a JSON number is a finite float (json also reads Infinity, NaN and huge ints)."""
+def _is_number(val) -> bool:
+    """Whether a JSON value is a finite number (json also reads Infinity, NaN and huge ints)."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
     try:
         return math.isfinite(val)
     except OverflowError:
         return False
 
 
-def _kind(doc: dict, kinds: set, where: str):
-    """doc["kind"] if it is one of kinds (None stands for an absent kind)."""
-    kind = doc.get("kind")
-    if not isinstance(kind, (str, type(None))) or kind not in kinds:
-        raise SchemaError(f"{where}.kind must be one of {sorted(k for k in kinds if k)}, "
-                          f"got {kind!r}")
-    return kind
+def _is_integer(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
 
 
-def _integer(doc: dict, key: str, where: str, *, default=None, required=False) -> int:
-    if key not in doc:
-        if required:
-            raise SchemaError(f"{where} requires {key!r}")
+class _Section:
+    """One JSON object of a config, read through typed getters.
+
+    Every getter marks its key as read, and done() refuses the keys that were
+    not, so the keys a section accepts are the keys its reader takes.
+    Messages name the key path, as in model.spectral.N.
+    """
+
+    def __init__(self, doc, where: str, raw: str) -> None:
+        if not isinstance(doc, dict):
+            raise SchemaError(f"{where} must be a JSON object, got {type(doc).__name__}")
+        self.doc, self.where, self._raw, self._read = doc, where, raw, set()
+
+    def get(self, key: str, default=_REQUIRED):
+        """The raw value at key, else default; without a default an absent key is an error."""
+        self._read.add(key)
+        if key in self.doc:
+            return self.doc[key]
+        if default is _REQUIRED:
+            raise SchemaError(f"{self.where} requires {key!r}")
         return default
-    val = doc[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise SchemaError(f"{where}.{key} must be an integer, got {val!r}")
-    return val
+
+    def value(self, key: str, ok, must: str):
+        """The value at key, None when absent; SchemaError "<where>.<key> <must>" unless ok."""
+        val = self.get(key, None)
+        if key in self.doc and not ok(val):
+            raise SchemaError(f"{self.where}.{key} {must}")
+        return val
+
+    def _scalar(self, key: str, default, ok, what: str):
+        val = self.get(key, default)
+        if not ok(val):
+            raise SchemaError(f"{self.where}.{key} must be {what}, got {val!r}")
+        return val
+
+    def number(self, key: str, default=_REQUIRED) -> float:
+        return float(self._scalar(key, default, _is_number, "a finite number"))
+
+    def integer(self, key: str, default=_REQUIRED) -> int:
+        return self._scalar(key, default, _is_integer, "an integer")
+
+    def numbers(self, key: str, default=None) -> np.ndarray | None:
+        val = self.value(key, lambda v: isinstance(v, list) and all(map(_is_number, v)),
+                         "must be a list of finite numbers")
+        return default if val is None else np.asarray(val, dtype=float)
+
+    def complex(self, key: str) -> complex:
+        """<key>_re + i <key>_im, each part 0 when absent."""
+        return complex(self.number(f"{key}_re", 0.0), self.number(f"{key}_im", 0.0))
+
+    def kind(self, kinds: set[str], *, optional: bool = False) -> str | None:
+        """The value at "kind", one of kinds (or, if optional, None for an absent or null kind)."""
+        kind = self.get("kind", None)
+        if not (kind in kinds if isinstance(kind, str) else optional and kind is None):
+            raise SchemaError(f"{self.where}.kind must be one of {sorted(kinds)}, got {kind!r}")
+        return kind
+
+    def enum(self, key: str, enum):
+        """The member of enum whose value is at key."""
+        val = self.get(key, None)
+        try:
+            return enum(val)
+        except ValueError:
+            raise SchemaError(f"{self.where}.{key} must be one of {[e.value for e in enum]}, "
+                              f"got {val!r}") from None
+
+    def section(self, key: str, missing: str | None = None) -> _Section | None:
+        """The JSON object at key; when absent, None or else SchemaError(missing).
+
+        With a missing message, a null counts as absent.
+        """
+        if key not in self.doc and missing is None:
+            return None
+        val = self.get(key, None)
+        if val is None and missing is not None:
+            raise SchemaError(missing)
+        return _Section(val, key if self.where == "config" else f"{self.where}.{key}", self._raw)
+
+    def done(self) -> None:
+        """Refuse the first key that no getter read."""
+        for key in self.doc:
+            if key not in self._read:
+                raise SchemaError(f"unknown key {key!r} in {self.where}{_line_of(self._raw, key)}")
 
 
-def _number_list(doc: dict, key: str, where: str) -> np.ndarray | None:
-    if key not in doc:
-        return None
-    val = doc[key]
-    if not isinstance(val, list) or any(
-        isinstance(x, bool) or not isinstance(x, (int, float)) or not _finite(x) for x in val
-    ):
-        raise SchemaError(f"{where}.{key} must be a list of finite numbers")
-    return np.asarray(val, dtype=float)
-
-
-def _beta(doc: dict, where: str) -> float:
-    if "beta" not in doc:
-        raise SchemaError(f"{where} requires 'beta'")
-    val = doc["beta"]
+def _beta(bath: _Section) -> float:
+    val = bath.get("beta")
     if isinstance(val, str):
         if val.lower() in ("inf", "infinity"):
             return math.inf
-        raise SchemaError(f"{where}.beta string form must be 'inf', got {val!r}")
+        raise SchemaError(f"bath.beta string form must be 'inf', got {val!r}")
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise SchemaError(f"{where}.beta must be a positive number or 'inf'")
+        raise SchemaError("bath.beta must be a positive number or 'inf'")
     if not val > 0:
-        raise SchemaError(f"{where}.beta must be positive, got {val}")
+        raise SchemaError(f"bath.beta must be positive, got {val}")
+    if not (_is_number(val) or val == math.inf):  # an integer beyond the float range
+        raise SchemaError("bath.beta must be a finite number or 'inf'")
     return float(val)
 
 
-def _parse_model(doc: dict, raw: str) -> ModelSpec:
-    where = "model"
-    _check_keys(doc, {"nu", "coupling_family", "spectral", "units", "explicit"}, where, raw)
-    nu = _number(doc, "nu", where, required=True)
-    fam_name = doc.get("coupling_family")
-    try:
-        family = CouplingFamily(fam_name)
-    except ValueError:
-        raise SchemaError(f"model.coupling_family must be one of "
-                          f"{[f.value for f in CouplingFamily]}, got {fam_name!r}") from None
-
-    spect_doc = doc.get("spectral")
-    if spect_doc is None:
-        raise SchemaError("model requires 'spectral'")
-    _check_keys(spect_doc, {"family", "strength", "cutoff", "omega_min", "omega_max", "N"},
-                "model.spectral", raw)
-    try:
-        sfamily = SpectralFamily(spect_doc.get("family"))
-    except ValueError:
-        raise SchemaError(f"model.spectral.family must be one of "
-                          f"{[f.value for f in SpectralFamily]}, got "
-                          f"{spect_doc.get('family')!r}") from None
-    n_modes = _integer(spect_doc, "N", "model.spectral", required=True)
+def _parse_model(model: _Section) -> ModelSpec:
+    nu = model.number("nu")
+    family = model.enum("coupling_family", CouplingFamily)
+    spectral = model.section("spectral", "model requires 'spectral'")
+    sfamily = spectral.enum("family", SpectralFamily)
+    n_modes = spectral.integer("N")
     if n_modes > _MAX_SIZE:
         raise SchemaError(f"model.spectral.N = {n_modes} exceeds the largest array size")
 
     units = Units()
-    if "units" in doc:
-        _check_keys(doc["units"], {"hbar", "mass"}, "model.units", raw)
-        units = Units(
-            hbar=_number(doc["units"], "hbar", "model.units", default=1.0),
-            mass=_number(doc["units"], "mass", "model.units", default=1.0),
-        )
+    if (section := model.section("units")) is not None:
+        units = Units(hbar=section.number("hbar", 1.0), mass=section.number("mass", 1.0))
+        section.done()
 
     if sfamily is SpectralFamily.EXPLICIT:
-        exp_doc = doc.get("explicit")
-        if exp_doc is None:
-            raise SchemaError("model.spectral.family 'Explicit' requires the 'explicit' section")
-        _check_keys(exp_doc, {"omegas", "u_re", "u_im", "v_re", "v_im"}, "model.explicit", raw)
-        omegas = _number_list(exp_doc, "omegas", "model.explicit")
-        u_re = _number_list(exp_doc, "u_re", "model.explicit")
+        # the band keys shape only the built-in families: an explicit model takes and ignores them
+        for key in ("strength", "cutoff", "omega_min", "omega_max"):
+            spectral.get(key, None)
+        spectral.done()
+        explicit = model.section(
+            "explicit", "model.spectral.family 'Explicit' requires the 'explicit' section")
+        omegas, u_re = explicit.numbers("omegas"), explicit.numbers("u_re")
         if omegas is None or u_re is None:
             raise SchemaError("model.explicit requires 'omegas' and 'u_re'")
-        u_im = _number_list(exp_doc, "u_im", "model.explicit")
-        v_re = _number_list(exp_doc, "v_re", "model.explicit")
-        v_im = _number_list(exp_doc, "v_im", "model.explicit")
+        zeros = np.zeros_like(omegas)
+        u_im, v_re, v_im = (explicit.numbers(key, zeros) for key in ("u_im", "v_re", "v_im"))
+        explicit.done()
         named = {"omegas": omegas, "u_re": u_re, "u_im": u_im, "v_re": v_re, "v_im": v_im}
         for key, arr in named.items():
-            if arr is not None and arr.size != n_modes:
+            if arr.size != n_modes:
                 raise SchemaError(f"model.explicit.{key} must have length N = {n_modes}")
-        zeros = np.zeros_like(omegas)
-        u = u_re + 1j * (u_im if u_im is not None else zeros)
-        v = (v_re if v_re is not None else zeros) + 1j * (v_im if v_im is not None else zeros)
-        disc = SpectralDiscretization(family=sfamily, omegas=omegas, u=u, v=v, n_modes=n_modes)
+        disc = SpectralDiscretization(family=sfamily, omegas=omegas, u=u_re + 1j * u_im,
+                                      v=v_re + 1j * v_im, n_modes=n_modes)
     else:
-        if "explicit" in doc:
+        if "explicit" in model.doc:
             raise SchemaError("model.explicit is only allowed with the Explicit spectral family")
         disc = SpectralDiscretization(
             family=sfamily,
-            strength=_number(spect_doc, "strength", "model.spectral", default=0.0),
-            cutoff=_number(spect_doc, "cutoff", "model.spectral", default=1.0),
-            omega_min=_number(spect_doc, "omega_min", "model.spectral", required=True),
-            omega_max=_number(spect_doc, "omega_max", "model.spectral", required=True),
+            strength=spectral.number("strength", 0.0),
+            cutoff=spectral.number("cutoff", 1.0),
+            omega_min=spectral.number("omega_min"),
+            omega_max=spectral.number("omega_max"),
             n_modes=n_modes,
         )
+        spectral.done()
+    model.done()
     return build_model(disc, nu=nu, family=family, units=units)
 
 
-def _parse_oscillator(doc: dict, raw: str) -> OscillatorState:
-    where = "oscillator"
-    kind = _kind(doc, _OSC_KINDS, where)
+def _parse_oscillator(osc: _Section) -> OscillatorState:
+    kind = osc.kind(_OSC_KINDS)
     if kind == "gaussian":
-        _check_keys(doc, {"kind", "mean_re", "mean_im", "n_ex", "aa_re", "aa_im"}, where, raw)
         try:
-            return GaussianMoments(
-                mean_a=complex(_number(doc, "mean_re", where, default=0.0),
-                               _number(doc, "mean_im", where, default=0.0)),
-                n_ex=_number(doc, "n_ex", where, default=0.0),
-                aa=complex(_number(doc, "aa_re", where, default=0.0),
-                           _number(doc, "aa_im", where, default=0.0)),
-            )
+            state = GaussianMoments(mean_a=osc.complex("mean"), n_ex=osc.number("n_ex", 0.0),
+                                    aa=osc.complex("aa"))
         except PhysicalityError as exc:  # moments a configured state cannot have
             raise SchemaError(f"oscillator: {exc}") from None
-    if kind == "squeezed":
-        _check_keys(doc, {"kind", "disp_re", "disp_im", "r", "phi"}, where, raw)
-        return SqueezedDisplaced(
-            disp=complex(_number(doc, "disp_re", where, default=0.0),
-                         _number(doc, "disp_im", where, default=0.0)),
-            r=_number(doc, "r", where, default=0.0),
-            phi=_number(doc, "phi", where, default=0.0),
-        )
-    _check_keys(doc, {"kind", "alpha_re", "alpha_im", "beta_re", "beta_im"}, where, raw)
-    return CatState(
-        alpha=complex(_number(doc, "alpha_re", where, default=0.0),
-                      _number(doc, "alpha_im", where, default=0.0)),
-        beta=complex(_number(doc, "beta_re", where, default=0.0),
-                     _number(doc, "beta_im", where, default=0.0)),
-    )
+    elif kind == "squeezed":
+        state = SqueezedDisplaced(disp=osc.complex("disp"), r=osc.number("r", 0.0),
+                                  phi=osc.number("phi", 0.0))
+    else:
+        state = CatState(alpha=osc.complex("alpha"), beta=osc.complex("beta"))
+    osc.done()
+    return state
 
 
-def _parse_bath_doc(doc: dict, raw: str) -> dict:
-    where = "bath"
-    kind = _kind(doc, _BATH_KINDS, where)
-    allowed = {"kind"}
+def _parse_bath(bath: _Section, n_modes: int) -> dict:
+    kind = bath.kind(_BATH_KINDS)
     out: dict = {"kind": kind}
     if kind in ("equilibrium", "sample_number", "sample_coherent"):
-        allowed.add("beta")
-        out["beta"] = _beta(doc, where)
+        out["beta"] = _beta(bath)
     if kind in ("sample_number", "sample_coherent"):
-        allowed.add("seed")
-        seed = _integer(doc, "seed", where, default=0)
+        seed = bath.integer("seed", 0)
         if seed < 0:
             raise SchemaError(f"bath.seed must be nonnegative, got {seed}")
         out["seed"] = seed
     if kind == "number":
-        allowed.add("n")
-        if "n" not in doc or not isinstance(doc["n"], list) or any(
-            isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in doc["n"]
-        ):
+        n = bath.get("n", None)
+        if not isinstance(n, list) or not all(_is_integer(x) and x >= 0 for x in n):
             raise SchemaError("bath.n must be a list of nonnegative integers")
-        out["n"] = np.asarray(doc["n"], dtype=int)
+        out["n"] = np.asarray(n, dtype=int)
     if kind == "coherent":
-        allowed.update(("amps_re", "amps_im"))
-        re = _number_list(doc, "amps_re", where)
-        im = _number_list(doc, "amps_im", where)
+        re, im = bath.numbers("amps_re"), bath.numbers("amps_im")
         if re is None:
             raise SchemaError("bath kind 'coherent' requires 'amps_re'")
         if im is None:
@@ -278,8 +281,51 @@ def _parse_bath_doc(doc: dict, raw: str) -> dict:
         if re.size != im.size:
             raise SchemaError("bath.amps_re and bath.amps_im must have equal length")
         out["amps"] = re + 1j * im
-    _check_keys(doc, allowed, where, raw)
+    bath.done()
+    if "n" in out and out["n"].size != n_modes:
+        raise SchemaError(f"bath.n must have length N = {n_modes}")
+    if "amps" in out and out["amps"].size != n_modes:
+        raise SchemaError(f"bath.amps_re must have length N = {n_modes}")
     return out
+
+
+def _parse_time_grid(tg: _Section) -> TimeGrid:
+    t_max = tg.number("t_max")
+    steps = tg.integer("steps")
+    tg.done()
+    if t_max <= 0 or steps < 1:
+        raise SchemaError("time_grid requires t_max > 0 and steps >= 1")
+    if steps >= _MAX_SIZE:  # the grid holds steps + 1 points
+        raise SchemaError(f"time_grid.steps = {steps} exceeds the largest array size")
+    return TimeGrid.linspace(t_max, steps)
+
+
+def _parse_experiment(exp: _Section | None, seed: int) -> dict:
+    experiment: dict = {"seed": seed, "n_samples": 1000}
+    if exp is None:
+        return experiment
+    experiment["kind"] = exp.kind(_EXPERIMENT_KINDS, optional=True)
+    n_samples = exp.integer("n_samples", experiment["n_samples"])
+    if n_samples < 2:
+        raise SchemaError("experiment.n_samples must be >= 2")
+    if n_samples > MAX_MEMBERS:
+        raise SchemaError("experiment.n_samples must be <= 2**32 (one uint32 per member index)")
+    experiment["n_samples"] = n_samples
+    seed = exp.integer("seed", seed)
+    if seed < 0:
+        raise SchemaError("experiment.seed must be nonnegative")
+    experiment["seed"] = seed
+    n_list = exp.value("n_list", lambda v: isinstance(v, list) and v and all(
+        _is_integer(x) and x >= 1 for x in v) and all(b > a for a, b in zip(v, v[1:])),
+        "must be an ascending list of positive integers")
+    if n_list is not None:
+        experiment["n_list"] = list(n_list)
+    time_index = exp.value("time_index", lambda v: v == "auto" or _is_integer(v),
+                           "must be an integer or 'auto'")
+    if time_index is not None:
+        experiment["time_index"] = time_index
+    exp.done()
+    return experiment
 
 
 @dataclass
@@ -298,94 +344,36 @@ class RunConfig:
 
 def parse_config(doc: dict, raw: str = "") -> RunConfig:
     """Validate a config document and construct the model-side objects."""
-    _check_keys(doc, _TOP_KEYS, "config", raw)
-    for key in sorted(_TOP_KEYS & doc.keys()):
-        if not isinstance(doc[key], dict):
-            raise SchemaError(f"{key} must be a JSON object, got {type(doc[key]).__name__}")
-    if "model" not in doc:
+    top = _Section(doc, "config", raw)
+    bath, exp, model, osc, outputs, tg = (top.section(key) for key in (
+        "bath", "experiment", "model", "oscillator", "outputs", "time_grid"))
+    top.done()
+    if model is None:
         raise SchemaError("config requires a 'model' section")
-    model = _parse_model(doc["model"], raw)
-
-    bath_doc = None
-    if "bath" in doc:
-        bath_doc = _parse_bath_doc(doc["bath"], raw)
-        n_fixed = bath_doc.get("n")
-        if n_fixed is not None and n_fixed.size != model.n_modes:
-            raise SchemaError(f"bath.n must have length N = {model.n_modes}")
-        amps = bath_doc.get("amps")
-        if amps is not None and amps.size != model.n_modes:
-            raise SchemaError(f"bath.amps_re must have length N = {model.n_modes}")
-
-    oscillator = _parse_oscillator(doc["oscillator"], raw) if "oscillator" in doc else None
-
-    grid = None
-    if "time_grid" in doc:
-        tg = doc["time_grid"]
-        _check_keys(tg, {"t_max", "steps"}, "time_grid", raw)
-        t_max = _number(tg, "t_max", "time_grid", required=True)
-        steps = _integer(tg, "steps", "time_grid", required=True)
-        if t_max <= 0 or steps < 1:
-            raise SchemaError("time_grid requires t_max > 0 and steps >= 1")
-        if steps >= _MAX_SIZE:  # the grid holds steps + 1 points
-            raise SchemaError(f"time_grid.steps = {steps} exceeds the largest array size")
-        grid = TimeGrid.linspace(t_max, steps)
+    spec = _parse_model(model)
+    bath_doc = None if bath is None else _parse_bath(bath, spec.n_modes)
+    oscillator = None if osc is None else _parse_oscillator(osc)
+    grid = None if tg is None else _parse_time_grid(tg)
 
     out_dir, formats = None, ("csv", "json")
-    if "outputs" in doc:
-        outs = doc["outputs"]
-        _check_keys(outs, {"directory", "formats"}, "outputs", raw)
-        if "directory" in outs:
-            if not isinstance(outs["directory"], str):
-                raise SchemaError("outputs.directory must be a string")
-            out_dir = outs["directory"]
-        if "formats" in outs:
-            fmts = outs["formats"]
-            if not isinstance(fmts, list) or any(
-                not isinstance(f, str) or f not in _FORMATS for f in fmts
-            ):
-                raise SchemaError(f"outputs.formats entries must be among {sorted(_FORMATS)}")
+    if outputs is not None:
+        out_dir = outputs.value("directory", lambda v: isinstance(v, str), "must be a string")
+        fmts = outputs.value("formats", lambda v: isinstance(v, list) and all(
+            isinstance(f, str) and f in _FORMATS for f in v),
+            f"entries must be among {sorted(_FORMATS)}")
+        outputs.done()
+        if fmts is not None:
             formats = tuple(fmts)
 
-    experiment: dict = {"seed": (bath_doc or {}).get("seed", 0), "n_samples": 1000}
-    if "experiment" in doc:
-        exp = doc["experiment"]
-        _check_keys(exp, {"kind", "n_samples", "seed", "n_list", "time_index"}, "experiment", raw)
-        experiment["kind"] = _kind(exp, _EXPERIMENT_KINDS | {None}, "experiment")
-        n_samples = _integer(exp, "n_samples", "experiment", default=experiment["n_samples"])
-        if n_samples < 2:
-            raise SchemaError("experiment.n_samples must be >= 2")
-        if n_samples > MAX_MEMBERS:
-            raise SchemaError("experiment.n_samples must be <= 2**32 (one uint32 per member index)")
-        experiment["n_samples"] = n_samples
-        seed = _integer(exp, "seed", "experiment", default=experiment["seed"])
-        if seed < 0:
-            raise SchemaError("experiment.seed must be nonnegative")
-        experiment["seed"] = seed
-        if "n_list" in exp:
-            n_list = exp["n_list"]
-            if (
-                not isinstance(n_list, list)
-                or not n_list
-                or any(isinstance(x, bool) or not isinstance(x, int) or x < 1 for x in n_list)
-                or any(b <= a for a, b in zip(n_list, n_list[1:]))
-            ):
-                raise SchemaError("experiment.n_list must be an ascending list of positive integers")
-            experiment["n_list"] = list(n_list)
-        if "time_index" in exp:
-            ti = exp["time_index"]
-            if ti != "auto" and (isinstance(ti, bool) or not isinstance(ti, int)):
-                raise SchemaError("experiment.time_index must be an integer or 'auto'")
-            experiment["time_index"] = ti
-
     return RunConfig(
-        model=model,
-        model_doc=doc["model"],
+        model=spec,
+        model_doc=model.doc,
         bath_doc=bath_doc,
         oscillator=oscillator,
         grid=grid,
         out_dir=out_dir,
         formats=formats,
-        experiment=experiment,
+        experiment=_parse_experiment(exp, (bath_doc or {}).get("seed", 0)),
     )
 
 
@@ -396,8 +384,6 @@ def load_config(path: str | Path) -> RunConfig:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError(f"config root must be a JSON object in {path}")
     return parse_config(doc, raw)
 
 

@@ -59,7 +59,8 @@ def test_ground_state_number_equals_zero_temperature(ohmic_pp):
     i = 52
     eta = np.array([0.3 - 0.4j, 1.1 + 0.2j, -0.7 + 0.9j])
     zero_t = baths.gaussian_F_eval(baths.bath_f_params(p, i, baths.EquilibriumBath(math.inf)), eta)
-    from_number = baths.number_F_eval(p, i, np.zeros(p.n_modes, dtype=int), eta)
+    ground = baths.NumberStateBath(np.zeros(p.n_modes, dtype=int))
+    from_number = baths.bath_F_eval(p, i, ground, eta)
     assert np.max(np.abs(from_number - zero_t)) < 1e-13
 
 
@@ -73,7 +74,7 @@ def test_thermal_number_average_single_mode_exact(rwa_n1):
     eta = np.array([0.45 + 0.3j, -0.9 + 0.6j])
     acc = np.zeros(eta.shape, dtype=float)
     for n in range(200):
-        acc += (1.0 - q) * q**n * baths.number_F_eval(p, i, [n], eta)
+        acc += (1.0 - q) * q**n * baths.bath_F_eval(p, i, baths.NumberStateBath([n]), eta)
     thermal = baths.bath_F_eval(p, i, baths.EquilibriumBath(beta), eta).real
     assert np.max(np.abs(acc - thermal)) < 1e-12
 
@@ -87,7 +88,7 @@ def test_thermal_number_average_monte_carlo(ohmic_rwa, member_stream):
     vals = np.empty(n_samples)
     for s in range(n_samples):
         bath = baths.sample_number_state(beta, p.model, member_stream(411, s))
-        vals[s] = baths.number_F_eval(p, i, bath.n, np.array([eta]))[0]
+        vals[s] = baths.bath_F_eval(p, i, bath, np.array([eta]))[0]
     summary = summarize(vals, seed=411)
     thermal = baths.gaussian_F_eval(
         baths.bath_f_params(p, i, baths.EquilibriumBath(beta)), np.array([eta])
@@ -124,7 +125,8 @@ def test_coherent_params(ohmic_pp):
     with pytest.raises(ParameterError):
         baths.bath_f_params(p, i, baths.CoherentStateBath(amps[:-1]))
     with pytest.raises(ParameterError):
-        baths.number_F_eval(p, i, np.zeros(3, dtype=int), np.array([0.1 + 0.1j]))
+        short = baths.NumberStateBath(np.zeros(3, dtype=int))
+        baths.bath_F_eval(p, i, short, np.array([0.1 + 0.1j]))
     with pytest.raises(ParameterError):
         baths.bath_f_params(p, i, baths.NumberStateBath(np.zeros(p.n_modes, dtype=int)))
 

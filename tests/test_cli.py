@@ -150,6 +150,34 @@ def test_quadrature_failure_exits_3(tmp_path, capsys):
     assert "did not converge" in report["message"]
 
 
+@pytest.mark.parametrize("subcommand, section, key", [
+    ("validate", "spectral", "N"),
+    ("propagate", "time_grid", "steps"),
+])
+def test_refused_allocation_exits_3(tmp_path, run_python, subcommand, section, key):
+    # a size within intp whose arrays the machine refuses: the address space is
+    # capped so that the refusal does not depend on the overcommit policy
+    pytest.importorskip("resource")
+    doc = {"model": json.loads(json.dumps(SMALL_MODEL)), "time_grid": {"t_max": 5.0, "steps": 10}}
+    (doc["model"] if section == "spectral" else doc)[section][key] = 10**12
+    cfg, out = write_config(tmp_path, doc), str(tmp_path / "out")
+    code = (
+        "import contextlib, io, json, resource\n"
+        "cap, hard = 2 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "cap = cap if hard == resource.RLIM_INFINITY else min(cap, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        "from qbath.cli import main\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        f"    rc = main([{subcommand!r}, '--config', {cfg!r}, '--out', {out!r}])\n"
+        "print(json.dumps({'rc': rc, 'err': err.getvalue()}))"
+    )
+    result = json.loads(run_python(code).splitlines()[-1])
+    assert result["rc"] == 3
+    assert json.loads(result["err"])["error"].endswith("MemoryError")
+    assert not Path(out).exists() or not any(Path(out).iterdir())
+
+
 def test_linalg_failure_exits_3(tmp_path, capsys, monkeypatch, sample_config):
     # LinAlgError subclasses ValueError, yet a failed factorization is numerical
     def singular(*args, **kwargs):

@@ -74,6 +74,102 @@ def test_unknown_keys_rejected_with_line_anchor():
     assert "model.spectral" in str(err.value)
 
 
+def _explicit_doc():
+    doc = _base_doc()
+    doc["model"]["coupling_family"] = "Custom"
+    doc["model"]["spectral"] = {"family": "Explicit", "N": 2}
+    doc["model"]["explicit"] = {"omegas": [1.0, 2.0], "u_re": [0.1, 0.2], "v_im": [0.05, 0.0]}
+    return doc
+
+
+def _full_doc():
+    doc = _base_doc()
+    doc["model"]["units"] = {"hbar": 1.0}
+    doc["outputs"] = {"directory": "out"}
+    doc["experiment"] = {"kind": "number"}
+    return doc
+
+
+_BATHS = {
+    "equilibrium": {"kind": "equilibrium", "beta": 1.0},
+    "number": {"kind": "number", "n": [1, 0, 2, 0, 1, 0, 0, 3]},
+    "coherent": {"kind": "coherent", "amps_re": [0.1] * 8},
+    "sample_number": {"kind": "sample_number", "beta": 1.0, "seed": 3},
+    "sample_coherent": {"kind": "sample_coherent", "beta": 1.0, "seed": 3},
+}
+_OSCILLATORS = {
+    "gaussian": {"kind": "gaussian", "n_ex": 0.2},
+    "squeezed": {"kind": "squeezed", "r": 0.5},
+    "cat": {"kind": "cat", "alpha_re": 1.0, "beta_re": -1.0},
+}
+
+
+def _with(key, section):
+    """Maker of the full document with section at key."""
+    return lambda: {**_full_doc(), key: dict(section)}
+
+
+_SECTIONS = [
+    pytest.param(where, path, make, id=name) for name, where, path, make in [
+        ("config", "config", (), _full_doc),
+        ("model", "model", ("model",), _full_doc),
+        ("spectral", "model.spectral", ("model", "spectral"), _full_doc),
+        ("spectral-explicit", "model.spectral", ("model", "spectral"), _explicit_doc),
+        ("units", "model.units", ("model", "units"), _full_doc),
+        ("explicit", "model.explicit", ("model", "explicit"), _explicit_doc),
+        ("time_grid", "time_grid", ("time_grid",), _full_doc),
+        ("outputs", "outputs", ("outputs",), _full_doc),
+        ("experiment", "experiment", ("experiment",), _full_doc),
+    ]
+] + [
+    pytest.param(where, (where,), _with(where, section), id=f"{where}-{kind}")
+    for where, kinds in (("bath", _BATHS), ("oscillator", _OSCILLATORS))
+    for kind, section in kinds.items()
+]
+
+
+@pytest.mark.parametrize("where, path, make", _SECTIONS)
+def test_every_section_refuses_a_key_it_does_not_read(where, path, make):
+    doc = make()
+    parse_config(doc, "")  # valid as made
+    section = doc
+    for key in path:
+        section = section[key]
+    section["mystery"] = 1.0
+    with pytest.raises(SchemaError) as err:
+        parse_config(doc, "")
+    assert str(err.value) == f"unknown key 'mystery' in {where}"
+
+
+@pytest.mark.parametrize("bath, key, value", [
+    ("equilibrium", "seed", 3),
+    ("number", "beta", 1.0),
+    ("sample_coherent", "amps_re", [0.1] * 8),
+], ids=["seed-under-equilibrium", "beta-under-number", "amps_re-under-sample_coherent"])
+def test_a_kind_refuses_the_keys_of_another_kind(bath, key, value):
+    doc = _full_doc()
+    doc["bath"] = {**_BATHS[bath], key: value}
+    with pytest.raises(SchemaError, match=f"unknown key '{key}' in bath"):
+        parse_config(doc, "")
+
+
+def test_explicit_family_ignores_the_band_keys():
+    # the band keys shape only the built-in families; any value is taken and ignored
+    doc = _explicit_doc()
+    plain = parse_config(doc, "").model
+    doc["model"]["spectral"].update(strength="x", cutoff=None, omega_min=[], omega_max={})
+    banded = parse_config(doc, "").model
+    assert banded.omegas.tobytes() == plain.omegas.tobytes()
+    assert banded.u.tobytes() == plain.u.tobytes() and banded.v.tobytes() == plain.v.tobytes()
+
+
+def test_null_output_directory_is_a_schema_error():
+    doc = _full_doc()
+    doc["outputs"]["directory"] = None
+    with pytest.raises(SchemaError, match="outputs.directory must be a string"):
+        parse_config(doc, "")
+
+
 def test_long_line_excerpt_is_truncated():
     doc = _base_doc()
     doc["bath"]["mystery"] = 1
@@ -207,6 +303,9 @@ def test_beta_forms():
         parse_config(doc, "")
     doc["bath"]["beta"] = "cold"
     with pytest.raises(SchemaError):
+        parse_config(doc, "")
+    doc["bath"]["beta"] = 10**400  # an integer beyond the float range, once an OverflowError
+    with pytest.raises(SchemaError, match="bath.beta"):
         parse_config(doc, "")
 
 

@@ -18,7 +18,6 @@ from qbath.baths import (
     bath_delta,
     bath_F_eval,
     bath_f_params,
-    number_F_eval,
     sample_coherent_state,
     sample_coherent_states,
     sample_number_state,
@@ -151,8 +150,6 @@ def test_member_matrix_needs_one_row_and_a_batch_entry_point(prop):
             obs.mean_rows(prop, rows, coherent, SQUEEZED)
     with pytest.raises(ParameterError, match="members"):
         bath_f_params(prop, 1, coherent)
-    with pytest.raises(ParameterError, match="members"):
-        number_F_eval(prop, 1, number.n, np.array([0.3 + 0.1j]))
 
 
 def test_closed_purity_equals_observable_series(prop, member_stream):
