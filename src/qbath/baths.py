@@ -466,14 +466,22 @@ def _coherent_rows(beta: float, m: ModelSpec, rngs: Iterable, count: int) -> np.
 def sample_number_state(
     beta: float, m: ModelSpec, rng: np.random.Generator | int
 ) -> NumberStateBath:
-    """Draw occupations from the equilibrium diagonal weights P(n) = (1-q) q^n."""
+    """Draw occupations from the equilibrium diagonal weights P(n) = (1-q) q^n.
+
+    An int rng seeds default_rng(rng): not a config's sampled bath for bath.seed = rng, which
+    is row 0 of sample_number_states(beta, m, rng, 1) (they differ for seed 7 on ohmic-rwa-n64).
+    """
     return NumberStateBath(_number_rows(beta, m, [np.random.default_rng(rng)], 1)[0])
 
 
 def sample_coherent_state(
     beta: float, m: ModelSpec, rng: np.random.Generator | int
 ) -> CoherentStateBath:
-    """Draw amplitudes from the complex Gaussian with E|beta_k|^2 = nbar_k."""
+    """Draw amplitudes from the complex Gaussian with E|beta_k|^2 = nbar_k.
+
+    An int rng seeds default_rng(rng): not a config's sampled bath for bath.seed = rng, which
+    is row 0 of sample_coherent_states(beta, m, rng, 1) (they differ for seed 7 on ohmic-rwa-n64).
+    """
     return CoherentStateBath(_coherent_rows(beta, m, [np.random.default_rng(rng)], 1)[0])
 
 

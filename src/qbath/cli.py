@@ -31,6 +31,7 @@ row-major as T x N complex128 (interleaved re, im float64 pairs).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -52,9 +53,9 @@ from .baths import (
     sample_coherent_states,
     sample_number_states,
 )
-from .config import RunConfig, load_config, parse_config, realize_bath
+from .config import RunConfig, load_config, realize_bath
 from .errors import NumericalError, SchemaError
-from .model import CouplingFamily, SpectralFamily, validate_model
+from .model import CouplingFamily, build_model, validate_model
 from .observables import (
     EnsembleSummary,
     asymptotic_variances,
@@ -358,19 +359,18 @@ def _cmd_n_sweep(cfg: RunConfig, out: Path) -> list[str]:
     _require(cfg, grid=True, bath=True, oscillator=True)
     if cfg.bath_doc["kind"] != "equilibrium":
         raise SchemaError("n-sweep requires bath kind 'equilibrium'")
-    fam = cfg.model_doc.get("spectral", {}).get("family")
-    if fam == SpectralFamily.EXPLICIT.value:
+    if cfg.band is None:
         raise SchemaError("n-sweep requires a parametric spectral family, not 'Explicit'")
     n_list = cfg.experiment.get("n_list")
     if not n_list:
         raise SchemaError("n-sweep requires experiment.n_list")
     beta = cfg.bath_doc["beta"]
+    m = cfg.model
     entries = []
     for n in n_list:
-        model_doc = json.loads(json.dumps(cfg.model_doc))
-        model_doc["spectral"]["N"] = n
-        sub = parse_config({"model": model_doc})
-        p = compute_propagator(sub.model, cfg.grid)
+        model = build_model(dataclasses.replace(cfg.band, n_modes=n), m.nu, m.coupling_family,
+                            m.units)
+        p = compute_propagator(model, cfg.grid)
         rep = decay_report(p)
         entry = {"N": n, "recurrence_onset": rep.recurrence_onset}
         try:

@@ -9,6 +9,11 @@ A run config is a single JSON object with sections
     outputs     {directory, formats: ["csv" | "json" | "sidecar"]}
     experiment  {kind, n_samples, seed, n_list, time_index}
 
+model.explicit lists omegas and u_re, and u_im, v_re, v_im (0 when absent),
+each of length model.spectral.N.  Without v_re and v_im, v is the coupling
+family's (u for PositionPosition, else 0); a given v must agree with the
+family.  RunConfig.band keeps a parametric model's recipe, for n-sweep.
+
 experiment.seed defaults to the sampled bath's seed (else 0), n_samples to
 1000 (at most 2**32: each member index is one uint32 seed word); sizes
 beyond any array (time_grid.steps, model.spectral.N) are errors.  A sampled
@@ -191,7 +196,8 @@ def _beta(bath: _Section) -> float:
     return float(val)
 
 
-def _parse_model(model: _Section) -> ModelSpec:
+def _parse_model(model: _Section) -> tuple[ModelSpec, SpectralDiscretization | None]:
+    """The model, and the band recipe it was built from (None for explicit couplings)."""
     nu = model.number("nu")
     family = model.enum("coupling_family", CouplingFamily)
     spectral = model.section("spectral", "model requires 'spectral'")
@@ -215,29 +221,29 @@ def _parse_model(model: _Section) -> ModelSpec:
         omegas, u_re = explicit.numbers("omegas"), explicit.numbers("u_re")
         if omegas is None or u_re is None:
             raise SchemaError("model.explicit requires 'omegas' and 'u_re'")
-        zeros = np.zeros_like(omegas)
-        u_im, v_re, v_im = (explicit.numbers(key, zeros) for key in ("u_im", "v_re", "v_im"))
+        parts = {key: explicit.numbers(key) for key in ("u_im", "v_re", "v_im")}
         explicit.done()
-        named = {"omegas": omegas, "u_re": u_re, "u_im": u_im, "v_re": v_re, "v_im": v_im}
-        for key, arr in named.items():
-            if arr.size != n_modes:
+        for key, arr in {"omegas": omegas, "u_re": u_re, **parts}.items():
+            if arr is not None and arr.size != n_modes:
                 raise SchemaError(f"model.explicit.{key} must have length N = {n_modes}")
-        disc = SpectralDiscretization(family=sfamily, omegas=omegas, u=u_re + 1j * u_im,
-                                      v=v_re + 1j * v_im, n_modes=n_modes)
-    else:
-        if "explicit" in model.doc:
-            raise SchemaError("model.explicit is only allowed with the Explicit spectral family")
-        disc = SpectralDiscretization(
-            family=sfamily,
-            strength=spectral.number("strength", 0.0),
-            cutoff=spectral.number("cutoff", 1.0),
-            omega_min=spectral.number("omega_min"),
-            omega_max=spectral.number("omega_max"),
-            n_modes=n_modes,
-        )
-        spectral.done()
+        model.done()
+        given_v = parts["v_re"] is not None or parts["v_im"] is not None
+        u_im, v_re, v_im = (np.zeros_like(omegas) if arr is None else arr for arr in parts.values())
+        v = v_re + 1j * v_im if given_v else None  # None: the coupling family's v
+        return ModelSpec(nu, omegas, u_re + 1j * u_im, v, units, family), None
+    if "explicit" in model.doc:
+        raise SchemaError("model.explicit is only allowed with the Explicit spectral family")
+    band = SpectralDiscretization(
+        family=sfamily,
+        strength=spectral.number("strength", 0.0),
+        cutoff=spectral.number("cutoff", 1.0),
+        omega_min=spectral.number("omega_min"),
+        omega_max=spectral.number("omega_max"),
+        n_modes=n_modes,
+    )
+    spectral.done()
     model.done()
-    return build_model(disc, nu=nu, family=family, units=units)
+    return build_model(band, nu=nu, family=family, units=units), band
 
 
 def _parse_oscillator(osc: _Section) -> OscillatorState:
@@ -333,7 +339,7 @@ class RunConfig:
     """Validated run configuration; bath is kept symbolic until realized."""
 
     model: ModelSpec
-    model_doc: dict = field(default_factory=dict)
+    band: SpectralDiscretization | None = None  # the model's band recipe; None if explicit
     bath_doc: dict | None = None
     oscillator: OscillatorState | None = None
     grid: TimeGrid | None = None
@@ -350,7 +356,7 @@ def parse_config(doc: dict, raw: str = "") -> RunConfig:
     top.done()
     if model is None:
         raise SchemaError("config requires a 'model' section")
-    spec = _parse_model(model)
+    spec, band = _parse_model(model)
     bath_doc = None if bath is None else _parse_bath(bath, spec.n_modes)
     oscillator = None if osc is None else _parse_oscillator(osc)
     grid = None if tg is None else _parse_time_grid(tg)
@@ -367,7 +373,7 @@ def parse_config(doc: dict, raw: str = "") -> RunConfig:
 
     return RunConfig(
         model=spec,
-        model_doc=model.doc,
+        band=band,
         bath_doc=bath_doc,
         oscillator=oscillator,
         grid=grid,

@@ -8,8 +8,11 @@ The Hamiltonian is
 
 with a single oscillator frequency nu > 0, mode frequencies omega_k > 0,
 co-rotating couplings u_k and counter-rotating couplings v_k.  A coupling
-family restricts (u, v): "RWA" forces v = 0, "PositionPosition" forces
+family restricts (u, v): "RWA" requires v = 0, "PositionPosition" requires
 u = v real (pure x-x coupling), "Custom" accepts both sets verbatim.
+ModelSpec alone applies that rule: v = None is the family's v (u for
+PositionPosition, else 0), and a given v must obey it.  The couplings come
+from a band recipe (SpectralDiscretization, build_model) or explicit arrays.
 
 In the basis w = (a, b_k, a^dag, b_k^dag) all couplings sit in one Hermitian
 matrix K.  The quadratic form is h = hbar K / 2 (H = w^dag h w up to a
@@ -105,13 +108,12 @@ class Units:
 
 @dataclass
 class SpectralDiscretization:
-    """Recipe for the bath frequencies and coupling magnitudes.
+    """Band recipe for the bath frequencies and coupling magnitudes.
 
-    For the parametric families the band [omega_min, omega_max] is split into
-    N equal cells; omega_k sits at the cell midpoint and |u_k|^2 = J(omega_k)
-    * delta_omega, so couplings scale as 1/sqrt(N) at fixed band.  For the
-    Explicit family the arrays are supplied verbatim and the band parameters
-    are ignored.
+    The band [omega_min, omega_max] of a parametric family is split into N
+    equal cells; omega_k sits at the cell midpoint and |u_k|^2 = J(omega_k)
+    * delta_omega, so couplings scale as 1/sqrt(N) at fixed band.  The
+    Explicit family has no recipe (its arrays go straight into ModelSpec).
     """
 
     family: SpectralFamily
@@ -120,54 +122,45 @@ class SpectralDiscretization:
     omega_min: float = 0.0
     omega_max: float = 1.0
     n_modes: int = 1
-    omegas: np.ndarray | None = None
-    u: np.ndarray | None = None
-    v: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.family = SpectralFamily(self.family)
         if self.family is SpectralFamily.EXPLICIT:
-            if self.omegas is None or self.u is None:
-                raise ParameterError("Explicit discretization requires omegas and u arrays")
-            self.omegas = np.asarray(self.omegas, dtype=float)
-            self.u = np.asarray(self.u, dtype=complex)
-            if self.v is None:
-                self.v = np.zeros_like(self.u)
-            self.v = np.asarray(self.v, dtype=complex)
-            if not (self.omegas.shape == self.u.shape == self.v.shape):
-                raise ParameterError("explicit omegas, u, v must have matching shapes")
-            self.n_modes = self.omegas.size
-        else:
-            if self.n_modes < 1:
-                raise ParameterError(f"need at least one bath mode, got N={self.n_modes}")
-            if not (self.omega_max > self.omega_min >= 0.0):
-                raise ParameterError(
-                    f"need omega_max > omega_min >= 0, got [{self.omega_min}, {self.omega_max}]"
-                )
-            if self.strength < 0.0:
-                raise ParameterError(f"strength must be >= 0, got {self.strength}")
-            if self.family is SpectralFamily.OHMIC_EXP_CUTOFF and self.cutoff <= 0.0:
-                raise ParameterError(f"cutoff must be > 0, got {self.cutoff}")
+            raise ParameterError(
+                "the Explicit family has no band recipe: give its arrays to ModelSpec")
+        if self.n_modes < 1:
+            raise ParameterError(f"need at least one bath mode, got N={self.n_modes}")
+        if self.n_modes > np.iinfo(np.intp).max:
+            raise ParameterError(f"N = {self.n_modes} exceeds the largest array size")
+        if not (self.omega_max > self.omega_min >= 0.0):
+            raise ParameterError(
+                f"need omega_max > omega_min >= 0, got [{self.omega_min}, {self.omega_max}]"
+            )
+        if self.strength < 0.0:
+            raise ParameterError(f"strength must be >= 0, got {self.strength}")
+        if self.family is SpectralFamily.OHMIC_EXP_CUTOFF and self.cutoff <= 0.0:
+            raise ParameterError(f"cutoff must be > 0, got {self.cutoff}")
 
 
 def spectral_density(disc: SpectralDiscretization, omega: np.ndarray) -> np.ndarray:
-    """Evaluate the coupling density J(omega) of a parametric family."""
+    """Evaluate the coupling density J(omega) of a band recipe."""
     omega = np.asarray(omega, dtype=float)
     if disc.family is SpectralFamily.OHMIC_EXP_CUTOFF:
         return disc.strength * omega * np.exp(-omega / disc.cutoff)
-    if disc.family is SpectralFamily.FLAT_BAND:
-        return np.full_like(omega, disc.strength)
-    raise ParameterError("spectral_density is undefined for the Explicit family")
+    return np.full_like(omega, disc.strength)
 
 
 @dataclass
 class ModelSpec:
-    """A fully assembled model: frequencies, couplings, units, coupling family."""
+    """A fully assembled model: frequencies, couplings, units, coupling family.
+
+    v = None is the family's v (u for PositionPosition, else 0); a given v must obey the family.
+    """
 
     nu: float
     omegas: np.ndarray
     u: np.ndarray
-    v: np.ndarray
+    v: np.ndarray | None = None
     units: Units = field(default_factory=Units)
     coupling_family: CouplingFamily = CouplingFamily.CUSTOM
 
@@ -175,6 +168,9 @@ class ModelSpec:
         self.coupling_family = CouplingFamily(self.coupling_family)
         self.omegas = np.atleast_1d(np.asarray(self.omegas, dtype=float))
         self.u = np.atleast_1d(np.asarray(self.u, dtype=complex))
+        if self.v is None:
+            pp = self.coupling_family is CouplingFamily.POSITION_POSITION
+            self.v = self.u if pp else np.zeros_like(self.u)
         self.v = np.atleast_1d(np.asarray(self.v, dtype=complex))
         if not (self.omegas.shape == self.u.shape == self.v.shape):
             raise ParameterError("omegas, u, v must have matching shapes")
@@ -204,36 +200,24 @@ def build_model(
     family: CouplingFamily | str,
     units: Units | None = None,
 ) -> ModelSpec:
-    """Assemble a ModelSpec from a discretization recipe.
+    """Assemble a ModelSpec from a band recipe.
 
-    Parametric families place omega_k at cell midpoints and set
-    u_k = sqrt(J(omega_k) * delta_omega) real; v_k then follows the coupling
-    family (0 for RWA, u_k for PositionPosition).  The Custom coupling family
-    requires the Explicit discretization, where u and v are given verbatim.
+    omega_k sits at the cell midpoints and u_k = sqrt(J(omega_k) * delta_omega)
+    is real; v_k is left to ModelSpec, which takes the coupling family's.  The
+    Custom coupling family needs explicit u and v, so it has no band recipe.
     """
     family = CouplingFamily(family)
-    units = units if units is not None else Units()
-    if disc.family is SpectralFamily.EXPLICIT:
-        omegas = disc.omegas
-        u = disc.u
-        v = disc.v
-        if family is CouplingFamily.RWA:
-            v = np.zeros_like(u)
-        elif family is CouplingFamily.POSITION_POSITION:
-            v = u
-    else:
-        if family is CouplingFamily.CUSTOM:
-            raise ParameterError(
-                "Custom coupling family needs explicit u and v arrays; "
-                "use the Explicit spectral family"
-            )
-        delta = (disc.omega_max - disc.omega_min) / disc.n_modes
-        omegas = disc.omega_min + (np.arange(disc.n_modes) + 0.5) * delta
-        # a band or strength near the float range overflows here; ModelSpec rejects the result
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = np.sqrt(spectral_density(disc, omegas) * delta).astype(complex)
-        v = np.zeros_like(u) if family is CouplingFamily.RWA else u
-    return ModelSpec(nu=nu, omegas=omegas, u=u, v=v, units=units, coupling_family=family)
+    if family is CouplingFamily.CUSTOM:
+        raise ParameterError(
+            "Custom coupling family needs explicit u and v arrays; "
+            "use the Explicit spectral family"
+        )
+    delta = (disc.omega_max - disc.omega_min) / disc.n_modes
+    omegas = disc.omega_min + (np.arange(disc.n_modes) + 0.5) * delta
+    # a band or strength near the float range overflows here; ModelSpec rejects the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.sqrt(spectral_density(disc, omegas) * delta).astype(complex)
+    return ModelSpec(nu=nu, omegas=omegas, u=u, units=units or Units(), coupling_family=family)
 
 
 def _number_block(m: ModelSpec) -> np.ndarray:

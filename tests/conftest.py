@@ -9,8 +9,8 @@ import qbath
 import numpy as np
 import pytest
 
-from qbath import TimeGrid, build_model, compute_propagator, stock_model
-from qbath.model import SpectralDiscretization, dynamical_matrix
+from qbath import TimeGrid, compute_propagator, stock_model
+from qbath.model import ModelSpec, dynamical_matrix
 from qbath.propagator import plateau_window
 
 try:
@@ -60,8 +60,7 @@ def run_python():
 @pytest.fixture(scope="session")
 def unstable_model():
     # strong position-position coupling to a soft mode drives the form negative
-    disc = SpectralDiscretization("Explicit", omegas=[0.04], u=[0.35 + 0j], v=[0.35 + 0j])
-    return build_model(disc, 1.0, "Custom")
+    return ModelSpec(1.0, omegas=[0.04], u=[0.35 + 0j], v=[0.35 + 0j], coupling_family="Custom")
 
 
 @pytest.fixture

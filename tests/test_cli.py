@@ -21,6 +21,7 @@ from qbath import (
     parse_config,
 )
 from qbath.cli import main
+from qbath.model import ModelSpec
 from qbath.presets import stock_config, stock_model
 
 SMALL_MODEL = {
@@ -122,6 +123,43 @@ def test_unstable_explicit_model_exits_2(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: model is not stable")
     assert not (out / "propagator.csv").exists()
+
+
+def _explicit_doc(family, v_re=None):
+    explicit = {"omegas": [0.8, 1.3], "u_re": [0.3, 0.1]}
+    if v_re is not None:
+        explicit["v_re"] = v_re
+    return {"model": {"nu": 1.0, "coupling_family": family,
+                      "spectral": {"family": "Explicit", "N": 2}, "explicit": explicit}}
+
+
+@pytest.mark.parametrize("family, v_re, error", [
+    pytest.param("RWA", [0.2, 0.0], "RWA family requires v_k = 0", id="rwa-nonzero-v"),
+    pytest.param("PositionPosition", [0.3, 0.2],
+                 "PositionPosition family requires u_k = v_k, both real", id="pp-v-not-u"),
+    pytest.param("RWA", None, None, id="rwa-without-v"),
+    pytest.param("PositionPosition", None, None, id="pp-without-v"),
+    pytest.param("Custom", None, None, id="custom-without-v"),
+    pytest.param("PositionPosition", [0.3, 0.1], None, id="pp-v-equal-u"),
+    pytest.param("Custom", [0.2, 0.0], None, id="custom-given-v"),
+])
+def test_explicit_v_must_agree_with_the_coupling_family(tmp_path, capsys, family, v_re, error):
+    # a given v is checked against the family, never replaced; an absent v is the family's
+    doc = _explicit_doc(family, v_re)
+    rc = main(["validate", "--config", write_config(tmp_path, doc)])
+    err = capsys.readouterr().err
+    if error is not None:
+        assert rc == 2
+        assert err.startswith(f"error: {error}")
+        return
+    assert rc == 0
+    m = parse_config(doc).model
+    if v_re is not None:
+        want = np.asarray(v_re) + 0j
+    else:
+        want = m.u if family == "PositionPosition" else np.zeros(2, complex)
+        assert ModelSpec(m.nu, m.omegas, m.u, coupling_family=family).v.tobytes() == want.tobytes()
+    assert m.v.tobytes() == want.tobytes()
 
 
 def test_missing_out_dir_exits_2(tmp_path, capsys, sample_config):
@@ -576,6 +614,44 @@ def test_n_sweep_decoupled_flags_no_decay(tmp_path):
         assert entry["no_decay"] is True
         assert abs(entry["plateau_sup_A"] - 1.0) < 1e-12
     assert doc["var_of_var_slope"] is None
+
+
+@pytest.mark.parametrize("variant", ["sample", "pp-flat-units"])
+def test_n_sweep_builds_each_n_from_the_band(tmp_path, monkeypatch, sample_config, variant):
+    # each N of the sweep is the model the config gives with model.spectral.N = N, bit for bit
+    doc = sample_config("n-sweep-ohmic-rwa")
+    if variant == "pp-flat-units":
+        doc["model"] = {"nu": 1.3, "coupling_family": "PositionPosition",
+                        "units": {"hbar": 2.5, "mass": 0.7},
+                        "spectral": {"family": "FlatBand", "strength": 0.01,
+                                     "omega_min": 0.4, "omega_max": 2.0, "N": 8}}
+    built, real = [], qbath.cli.compute_propagator
+    monkeypatch.setattr("qbath.cli.compute_propagator",
+                        lambda m, grid: built.append(m) or real(m, grid))
+    rc, _ = run(tmp_path, "n-sweep", doc)
+    assert rc == 0
+    assert [m.n_modes for m in built] == doc["experiment"]["n_list"]
+    for m in built:
+        doc["model"]["spectral"]["N"] = m.n_modes
+        want = parse_config({"model": doc["model"]}).model
+        for key in ("omegas", "u", "v"):
+            assert getattr(m, key).tobytes() == getattr(want, key).tobytes(), key
+        assert (m.nu, m.units, m.coupling_family) == (want.nu, want.units, want.coupling_family)
+
+
+@pytest.mark.parametrize("model, n_list, message", [
+    pytest.param(stock_config("rwa-n1-resonant"), [16, 24],
+                 "n-sweep requires a parametric spectral family, not 'Explicit'", id="explicit"),
+    pytest.param(SMALL_MODEL, [2**63], "exceeds the largest array size", id="n-beyond-arrays"),
+])
+def test_n_sweep_refusals_exit_2(tmp_path, capsys, sample_config, model, n_list, message):
+    doc = sample_config("n-sweep-ohmic-rwa")
+    doc["model"] = model
+    doc["experiment"]["n_list"] = n_list
+    rc, out = run(tmp_path, "n-sweep", doc)
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "n_sweep_summary.json").exists()
 
 
 def test_n_sweep_reports_genuine_errors(tmp_path, capsys, monkeypatch, sample_config):

@@ -7,6 +7,7 @@ import pytest
 from qbath import build_model, stock_model, validate_model
 from qbath.errors import ParameterError
 from qbath.model import (
+    ModelSpec,
     SpectralDiscretization,
     Units,
     dynamical_matrix,
@@ -60,7 +61,9 @@ def test_coupling_scales_as_inverse_sqrt_n():
 
 def test_explicit_family_validation():
     with pytest.raises(ParameterError):
-        SpectralDiscretization("Explicit", omegas=[1.0, 2.0], u=[0.1 + 0j])
+        ModelSpec(1.0, omegas=[1.0, 2.0], u=[0.1 + 0j])
+    with pytest.raises(ParameterError, match="no band recipe"):
+        SpectralDiscretization("Explicit", n_modes=2)
     with pytest.raises(ParameterError):
         SpectralDiscretization("FlatBand", strength=-0.1, omega_min=0.0, omega_max=1.0, n_modes=2)
     with pytest.raises(ParameterError):
@@ -103,9 +106,8 @@ def _exact_min_eigenvalue_n1(m):
 def test_validate_model_sign_at_the_stability_edge(coupling, phase, exact):
     # u = g e^{-i phase}, v = g e^{i phase}: stable iff nu omega > (|u| + |v|)^2 = (2g)^2, and
     # 0.04 = 0.2^2 here; phase = 0 couples x to x with 2g, and K is complex otherwise
-    disc = SpectralDiscretization("Explicit", omegas=[0.04], u=[coupling * np.exp(-1j * phase)],
-                                  v=[coupling * np.exp(1j * phase)])
-    m = build_model(disc, 1.0, "Custom")
+    m = ModelSpec(1.0, omegas=[0.04], u=[coupling * np.exp(-1j * phase)],
+                  v=[coupling * np.exp(1j * phase)], coupling_family="Custom")
     want = _exact_min_eigenvalue_n1(m)
     assert float(want) == pytest.approx(exact, rel=1e-2)
     got = validate_model(m)
@@ -114,8 +116,7 @@ def test_validate_model_sign_at_the_stability_edge(coupling, phase, exact):
 
 
 def test_dynamical_matrix_structure_n1():
-    disc = SpectralDiscretization("Explicit", omegas=[1.3], u=[0.25 + 0.1j], v=[0.15 - 0.2j])
-    m = build_model(disc, 1.0, "Custom")
+    m = ModelSpec(1.0, omegas=[1.3], u=[0.25 + 0.1j], v=[0.15 - 0.2j], coupling_family="Custom")
     mat = dynamical_matrix(m)
     assert mat.shape == (4, 4)
     # a-row: -i(nu, u, 0, v)
@@ -186,13 +187,14 @@ def _quadratic_form_reference(m):
 
 def test_matrices_from_one_coupling_matrix_equal_block_assembly():
     rng = np.random.default_rng(11)
-    disc = SpectralDiscretization(
-        "Explicit",
+    custom = ModelSpec(
+        1.1,
         omegas=rng.uniform(0.5, 2.0, 6),
         u=0.05 * (rng.normal(size=6) + 1j * rng.normal(size=6)),
         v=0.03 * (rng.normal(size=6) - 1j * rng.normal(size=6)),
+        units=Units(hbar=2.5, mass=0.7),
+        coupling_family="Custom",
     )
-    custom = build_model(disc, 1.1, "Custom", units=Units(hbar=2.5, mass=0.7))
     models = [stock_model(name) for name in STOCK_MODEL_NAMES] + [custom]
     for m in models:
         mat, ref_mat = dynamical_matrix(m), _dynamical_matrix_reference(m)

@@ -18,7 +18,7 @@ from qbath.baths import (
     delta_correlations,
 )
 from qbath.errors import ParameterError
-from qbath.model import SpectralDiscretization, build_model
+from qbath.model import ModelSpec
 from qbath.propagator import TimeGrid, compute_propagator
 from qbath.states import CatState, SqueezedDisplaced, chi0_eval, vacuum_state
 
@@ -75,13 +75,14 @@ def test_chi_frozen_coherent_bath(rwa_n1):
 
 
 def test_chi_and_purity_frozen_pair_coupling():
-    disc = SpectralDiscretization(
-        family="Explicit",
+    m = ModelSpec(
+        nu=1.0,
         omegas=np.array([1.3]),
         u=np.array([0.25 + 0j]),
         v=np.array([0.15 * np.exp(0.5j)]),
+        coupling_family="Custom",
     )
-    p = compute_propagator(build_model(disc, nu=1.0, family="Custom"), TimeGrid.linspace(0.8, 16))
+    p = compute_propagator(m, TimeGrid.linspace(0.8, 16))
     bath = EquilibriumBath(2.0)
     got = obs.chi_eval(p, 16, bath, SQUEEZED, ETAS)
     assert np.max(np.abs(got - CASE4_CHI)) < 1e-11

@@ -5,7 +5,7 @@ from scipy.integrate import solve_ivp
 from qbath import TimeGrid, build_model, compute_propagator, stock_model, validate_model
 from qbath import propagator
 from qbath.errors import NumericalError, ParameterError
-from qbath.model import SpectralDiscretization, Units, _coupling_matrix, dynamical_matrix
+from qbath.model import ModelSpec, SpectralDiscretization, Units, _coupling_matrix, dynamical_matrix
 from qbath.presets import STOCK_MODEL_NAMES
 from qbath.propagator import _local_maxima, decay_report, plateau_window, sum_rule_defects
 
@@ -13,34 +13,34 @@ from qbath.propagator import _local_maxima, decay_report, plateau_window, sum_ru
 def complex_custom_model():
     """Custom model with complex u, v and non-unit hbar and mass."""
     k = np.arange(12)
-    disc = SpectralDiscretization(
-        "Explicit",
+    return ModelSpec(
+        1.1,
         omegas=0.4 + 0.15 * k,
         u=0.06 * np.exp(0.7j * k),
         v=0.03 * np.exp(-1.3j * k + 0.4j),
+        units=Units(hbar=2.5, mass=0.7),
+        coupling_family="Custom",
     )
-    return build_model(disc, 1.1, "Custom", Units(hbar=2.5, mass=0.7))
 
 
 def real_custom_model():
     """Custom model with real u != v (K real, neither quadrature block diagonal)."""
     k = np.arange(12)
-    disc = SpectralDiscretization(
-        "Explicit",
+    return ModelSpec(
+        1.1,
         omegas=0.4 + 0.15 * k,
         u=0.06 * np.cos(0.7 * k) + 0j,
         v=0.03 * np.sin(1.3 * k + 0.4) + 0j,
+        units=Units(hbar=2.5, mass=0.7),
+        coupling_family="Custom",
     )
-    return build_model(disc, 1.1, "Custom", Units(hbar=2.5, mass=0.7))
 
 
 def complex_rwa_model():
     """Custom model with complex u and v = 0 (the v = 0 route with a complex Dk)."""
     k = np.arange(12)
-    disc = SpectralDiscretization(
-        "Explicit", omegas=0.4 + 0.15 * k, u=0.06 * np.exp(0.7j * k), v=np.zeros(12)
-    )
-    return build_model(disc, 1.1, "Custom", Units(hbar=2.5, mass=0.7))
+    return ModelSpec(1.1, omegas=0.4 + 0.15 * k, u=0.06 * np.exp(0.7j * k), v=np.zeros(12),
+                     units=Units(hbar=2.5, mass=0.7), coupling_family="Custom")
 
 
 CUSTOM_MODELS = {
@@ -150,11 +150,8 @@ def test_no_cholesky_factor_is_a_typed_failure(unstable_model, no_cholesky):
     # no other route exists: an unstable K is a config error, a stable one the stability edge;
     # the real-K route factors S_xx and S_pp, the complex-K route the 2 x 2 Schur complement
     grid = TimeGrid.linspace(40.0, 50)
-    unstable_complex = build_model(
-        SpectralDiscretization("Explicit", omegas=[0.04], u=[0.35 * np.exp(-0.7j)],
-                               v=[0.35 * np.exp(0.7j)]),
-        1.0, "Custom",
-    )
+    unstable_complex = ModelSpec(1.0, omegas=[0.04], u=[0.35 * np.exp(-0.7j)],
+                                 v=[0.35 * np.exp(0.7j)], coupling_family="Custom")
     for m in (unstable_model, unstable_complex):
         with pytest.raises(ParameterError, match="model is not stable"):
             compute_propagator(m, grid)
@@ -171,9 +168,8 @@ def test_complex_route_keeps_the_sum_rule_near_the_stability_edge(delta):
     # the eigen-equation, not from the sum Y U_b + L_s U_o, which cancels here and breaks
     # the contract from delta = 1e-13 on this grid
     g = 0.1 * (1.0 - delta)
-    disc = SpectralDiscretization("Explicit", omegas=[0.04], u=[g * np.exp(-0.7j)],
-                                  v=[g * np.exp(0.7j)])
-    m = build_model(disc, 1.0, "Custom")
+    m = ModelSpec(1.0, omegas=[0.04], u=[g * np.exp(-0.7j)], v=[g * np.exp(0.7j)],
+                  coupling_family="Custom")
     assert validate_model(m) > 0.0
     p = compute_propagator(m, TimeGrid.linspace(200.0, 400))
     assert np.max(np.abs(sum_rule_defects(p))) < 1e-10

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from qbath import TimeGrid, build_model, compute_propagator
+from qbath import TimeGrid, compute_propagator
 from qbath import propagator
 from qbath.model import (
     CouplingFamily,
-    SpectralDiscretization,
+    ModelSpec,
     Units,
     _coupling_matrix,
     quadratic_form_matrix,
@@ -42,19 +42,16 @@ def stable_models(draw, family=None, real=False):
         hypothesis.assume(v.any() and np.any(u != v) and np.any(u != -v))
     else:
         u = draw(coupling) + (0.0 if family == "PositionPosition" else 1j * draw(coupling))
-        v = draw(coupling) + 1j * draw(coupling) if family == "Custom" else np.zeros(n)
+        v = draw(coupling) + 1j * draw(coupling) if family == "Custom" else None
     margin = draw(st.floats(0.05, 0.95))
     units = Units(hbar=draw(st.floats(0.3, 3.0)), mass=draw(st.floats(0.3, 3.0)))
-    unit = build_model(
-        SpectralDiscretization("Explicit", omegas=omegas, u=u, v=v), nu, family, units
-    )
+    unit = ModelSpec(nu, omegas, u, v, units, family)
     k = _coupling_matrix(unit)
     d0 = np.sqrt(np.real(np.diag(k)))
     off_diag = (k - np.diag(np.diag(k))) / np.outer(d0, d0)
     norm = np.linalg.norm(off_diag, 2)
     scale = margin / norm if norm > 0.0 else 1.0
-    disc = SpectralDiscretization("Explicit", omegas=omegas, u=scale * u, v=scale * v)
-    return build_model(disc, nu, family, units)
+    return ModelSpec(nu, omegas, scale * u, None if v is None else scale * v, units, family)
 
 
 GRID = TimeGrid.linspace(50.0, 60)
