@@ -8,7 +8,9 @@ when both the oscillator state and the bath influence are Gaussian it is
 quadrature driver integrates |chi|^2 = |chi0|^2 |F_g|^2 prod_k L_{n_k}^2,
 with F_g and n_k from baths._laguerre_split, on a tensor Gauss-Hermite rule
 in the coordinates that whiten its Gaussian envelope, doubling the nodes per
-axis until two successive levels agree.
+axis until two successive levels agree.  The reduced state is Hermitian, so
+|chi|^2 is even in eta; the rule's nodes come in exact +- pairs, and each
+level evaluates only the half plane, n ceil(n/2) of its n^2 nodes.
 For a Gaussian state the rest of the integrand is a polynomial, and the rule
 is exact at 2 sum_k n_k + 1 nodes per axis.  A single purity and each member
 of a number-state ensemble are members of that driver; the ensemble's
@@ -204,24 +206,33 @@ def _total_gaussian_rows(
     return d + f.delta, a + f.alpha, g + f.gamma
 
 
-def _whitened(p: PropagatorCoefficients, i: int, s: OscillatorState, gauss_bath):
-    """(W, 1/(pi sqrt(det M))) for the Gaussian envelope exp(-x^T M x) of |chi|^2.
+def _whitening(a: float, g: complex) -> tuple[np.ndarray, float]:
+    """(W, 1/(pi sqrt(det M))) for M = [[2a - 4 Re g, -4 Im g], [-4 Im g, 2a + 4 Re g]].
 
-    x = (Re eta, Im eta).  M holds the state's carried Gaussian parameters (a
-    cat's are the vacuum's, a0 = 1/2, g0 = 0) plus those of the members'
-    common Gaussian bath.  With M = U Lambda U^T, W = U Lambda^{-1/2} maps
-    y to x so that x^T M x = y^T y.
+    M = 2a I - 4 [[Re g, Im g], [Im g, -Re g]] has the eigenvalues 2a -+ 4|g|,
+    on the unit vectors U at half the angle of g and at a right angle to it,
+    so W = U Lambda^{-1/2} maps y to x with x^T M x = y^T y.
+    """
+    lam = 2.0 * a - 4.0 * abs(g), 2.0 * a + 4.0 * abs(g)
+    if not lam[0] > 0.0:
+        raise PhysicalityError(f"purity envelope not positive: eigenvalues {lam[0]}, {lam[1]}")
+    half = 0.5 * math.atan2(g.imag, g.real)
+    u = np.array([[math.cos(half), -math.sin(half)], [math.sin(half), math.cos(half)]])
+    det = (2.0 * a - 4.0 * g.real) * (2.0 * a + 4.0 * g.real) - (4.0 * g.imag) ** 2
+    return u / np.sqrt(lam), 1.0 / (math.pi * math.sqrt(det))
+
+
+def _whitened(p: PropagatorCoefficients, i: int, s: OscillatorState, gauss_bath):
+    """_whitening of the Gaussian envelope exp(-x^T M x) of |chi|^2, x = (Re eta, Im eta).
+
+    M holds the state's carried Gaussian parameters (a cat's are the
+    vacuum's, a0 = 1/2, g0 = 0) plus those of the members' common Gaussian
+    bath.
     """
     a0, g0 = gaussian_chi_params(s)[1:] if is_gaussian(s) else (0.5, 0.0)
     _, a, g = carried_gaussian_params(0.0, a0, g0, p.A[i], p.C[i])
     f = bath_f_params(p, i, gauss_bath)
-    a, g = a + f.alpha, g + f.gamma
-    m = np.array([[2.0 * a - 4.0 * g.real, -4.0 * g.imag],
-                  [-4.0 * g.imag, 2.0 * a + 4.0 * g.real]])
-    lam, u = np.linalg.eigh(m)
-    if not lam[0] > 0.0:
-        raise PhysicalityError(f"purity envelope not positive: eigenvalues {lam[0]}, {lam[1]}")
-    return u / np.sqrt(lam), 1.0 / (math.pi * math.sqrt(m[0, 0] * m[1, 1] - m[0, 1] ** 2))
+    return _whitening(a + f.alpha, g + f.gamma)
 
 
 @functools.cache
@@ -242,7 +253,11 @@ def _level(p, i, s, gauss_bath, whiten: np.ndarray, n: int, occs: np.ndarray):
 
     It gives, for the members occs[members], the sum
     sum_ij w_i w_j exp(y_i^2 + y_j^2) |chi|^2 over the n x n Gauss-Hermite
-    nodes mapped by x = whiten y.  |chi|^2 is |chi_g|^2 of the common
+    nodes mapped by x = whiten y.  chi(-eta) = chi(eta)^* (rho is Hermitian),
+    hermgauss's nodes are exactly antisymmetric and its weights symmetric, so
+    node (i, j) is exactly minus node (n-1-i, n-1-j) and has the same |chi|^2:
+    only the columns j < n/2 are evaluated, with weights 2 w_j, and for odd n
+    the middle column once, with w_j.  |chi|^2 is |chi_g|^2 of the common
     Gaussian bath times prod_k L_{n_k}(x_k)^2.  A member with no occupied
     mode sums |chi_g|^2 directly.  For the others, each occupied mode's
     argument |eta B_k^* - eta^* D_k|^2 is computed once per level, the
@@ -251,19 +266,23 @@ def _level(p, i, s, gauss_bath, whiten: np.ndarray, n: int, occs: np.ndarray):
     |chi_g|^2 never meets an overflowed product.
     """
     y, wt = _hermite_table(n)
-    y1, y2 = y[:, None], y[None, :]
+    half = (n + 1) // 2
+    wt_half = 2.0 * wt[:half]
+    if n % 2:
+        wt_half[-1] = wt[half - 1]
+    y1, y2 = y[:, None], y[None, :half]
     re = whiten[0, 0] * y1 + whiten[0, 1] * y2
     im = whiten[1, 0] * y1 + whiten[1, 1] * y2
     eta = (re + 1j * im).ravel()
-    base = np.abs(chi_eval(p, i, gauss_bath, s, eta)) ** 2
-    base_sum = float(wt @ base.reshape(n, n) @ wt)
+    chi = chi_eval(p, i, gauss_bath, s, eta)
+    base = chi.real**2 + chi.imag**2
+    base_sum = float(wt @ base.reshape(n, half) @ wt_half)
     if not occs.any():  # cats and Gaussian baths
         return lambda members: np.full(occs[members].shape[0], base_sum)
     modes = np.flatnonzero(occs.any(axis=0))
     xs = _mode_args_squared(p.B[i, modes], p.D[i, modes], eta)
-    log_wt = np.log(wt)
     with np.errstate(divide="ignore"):
-        log_weighted = np.log(base) + (log_wt[:, None] + log_wt[None, :]).ravel()
+        log_weighted = np.log(base) + (np.log(wt)[:, None] + np.log(wt_half)[None, :]).ravel()
 
     def sums(members) -> np.ndarray:
         sub = occs[members][:, modes]
@@ -284,11 +303,12 @@ def _quadrature(p, i, s, gauss_bath, occs, probes, tol) -> np.ndarray:
     F_g is the influence of gauss_bath, a Gaussian bath common to the members.
     With x = W y the whitening of _whitened,
     purity = sum_ij w_i w_j exp(y_i^2 + y_j^2) |chi(x_ij)|^2 / (pi sqrt(det M))
-    on a tensor Gauss-Hermite rule shared by the members.  The nodes per axis
-    double from N_START until every probe member agrees with the previous
-    level to tol; the other members are then summed on that level.  For a
-    Gaussian state |chi|^2 / envelope is a polynomial of degree 4 sum_k n_k,
-    so 2 max_member sum_k n_k + 1 nodes are exact and end the doubling.
+    on a tensor Gauss-Hermite rule shared by the members (_level evaluates
+    its half plane j < n/2).  The nodes per axis double from N_START until
+    every probe member agrees with the previous level to tol; the other
+    members, if any, are then summed on that level.  For a Gaussian state
+    |chi|^2 / envelope is a polynomial of degree 4 sum_k n_k, so
+    2 max_member sum_k n_k + 1 nodes are exact and end the doubling.
     """
     whiten, scale = _whitened(p, i, s, gauss_bath)
     exact = 2 * int(occs.sum(axis=1).max()) + 1 if is_gaussian(s) else math.inf
@@ -301,6 +321,8 @@ def _quadrature(p, i, s, gauss_bath, occs, probes, tol) -> np.ndarray:
             return level(slice(None)) * scale
         cur = level(probes) * scale
         if prev is not None and np.all(np.abs(cur - prev) < tol * np.maximum(1.0, np.abs(cur))):
+            if len(probes) == occs.shape[0]:  # the probes are sorted and distinct
+                return cur
             vals = np.empty(occs.shape[0])
             vals[probes] = cur
             rest = np.setdiff1d(np.arange(occs.shape[0]), probes)

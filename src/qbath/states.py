@@ -188,25 +188,32 @@ def carried_gaussian_params(d0, a0, g0, a_t, c_t):
 
 
 def _cat_terms(s: CatState, w: np.ndarray):
-    """Yield (prefactor, linear coefficients) of the four displacement overlaps.
+    """Yield (term, g^*, d) of the four displacement overlaps.
 
     <g|D(w)|d> = <g|d> exp(-|w|^2/2 + g^* w - d w^*), summed over
-    (g, d) in {alpha, beta}^2.
+    (g, d) in {alpha, beta}^2.  The exponent's imaginary part is
+    Im(g^* w) + Im(d^* w), so the four terms share two phases
+    cis(Im alpha^* w) and cis(Im beta^* w); its real part
+    -|w|^2/2 + Re(g^* w) - Re(d^* w) is at most |g - d|^2/2 and never overflows.
     """
-    for g in (s.alpha, s.beta):
-        for d in (s.alpha, s.beta):
-            yield coherent_overlap(g, d), np.conj(g), d
+    lobes = (s.alpha, s.beta)
+    env = -0.5 * np.abs(w) ** 2
+    gw = [np.conj(g) * w for g in lobes]
+    phases = [np.empty(w.shape, dtype=complex) for _ in lobes]
+    for x, phase in zip(gw, phases):
+        np.cos(x.imag, out=phase.real)
+        np.sin(x.imag, out=phase.imag)
+    for a, g in enumerate(lobes):
+        for b, d in enumerate(lobes):
+            real = np.exp(env + gw[a].real - gw[b].real)
+            yield coherent_overlap(g, d) * real * (phases[a] * phases[b]), np.conj(g), d
 
 
 def chi0_eval(s: OscillatorState, w: np.ndarray) -> np.ndarray:
     """chi0 evaluated at an array of complex arguments."""
     w = np.asarray(w, dtype=complex)
     if isinstance(s, CatState):
-        total = np.zeros(w.shape, dtype=complex)
-        env = -0.5 * np.abs(w) ** 2
-        for pref, gc, d in _cat_terms(s, w):
-            total += pref * np.exp(env + gc * w - d * np.conj(w))
-        return total / s.norm_sq
+        return sum(term for term, _, _ in _cat_terms(s, w)) / s.norm_sq
     return np.exp(gaussian_exponent(*gaussian_chi_params(s), w))
 
 
@@ -219,9 +226,7 @@ def chi0_wirtinger(
         val = np.zeros(w.shape, dtype=complex)
         dw = np.zeros(w.shape, dtype=complex)
         dwb = np.zeros(w.shape, dtype=complex)
-        env = -0.5 * np.abs(w) ** 2
-        for pref, gc, d in _cat_terms(s, w):
-            term = pref * np.exp(env + gc * w - d * np.conj(w))
+        for term, gc, d in _cat_terms(s, w):
             val += term
             dw += term * (gc - 0.5 * np.conj(w))
             dwb += term * (-d - 0.5 * w)

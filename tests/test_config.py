@@ -16,7 +16,7 @@ from qbath.baths import (
     sample_number_states,
 )
 from qbath.config import load_config, parse_config, realize_bath
-from qbath.errors import DataError, SchemaError
+from qbath.errors import DataError, ParameterError, SchemaError
 from qbath.cli import _DISPATCH
 from qbath.presets import STOCK_MODEL_NAMES
 from qbath.states import CatState, GaussianMoments, SqueezedDisplaced
@@ -241,6 +241,25 @@ def test_overflowing_band_is_a_data_error():
     doc["model"]["spectral"].update(strength=1e308, omega_max=1e308)
     with pytest.raises(DataError, match="non-finite"):
         parse_config(doc, "")
+
+@pytest.mark.parametrize("name, path, value", [
+    ("ensemble-number", ("model", "nu"), 0.0),
+    ("ensemble-number", ("model", "nu"), -1.0),
+    ("ensemble-number", ("model", "spectral", "strength"), -0.1),
+    ("ensemble-number", ("model", "spectral", "cutoff"), 0.0),
+    ("ensemble-number", ("model", "spectral", "omega_min"), 2.0),  # above omega_max
+    ("ensemble-number", ("model", "units"), {"hbar": 0.0}),
+    ("rwa-compare-squeezed", ("model", "explicit", "omegas", 0), 0.0),
+    ("rwa-compare-squeezed", ("model", "explicit", "v_re", 0), 0.2),  # RWA needs v = 0
+    ("rwa-compare-squeezed", ("model", "coupling_family"), "PositionPosition"),  # u != v
+])
+def test_well_typed_out_of_range_models_are_refused(sample_config, name, path, value):
+    # the schema accepts each of these; the model's own checks refuse them (exit 2)
+    doc = sample_config(name)
+    _set(doc, path, value)
+    with pytest.raises((ParameterError, DataError)):
+        parse_config(doc, json.dumps(doc))
+
 
 def test_explicit_section_rules():
     doc = _base_doc()

@@ -9,14 +9,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 from scipy.special import eval_laguerre
 
 from qbath import observables as obs
 from qbath.baths import (
+    CoherentStateBath,
     EquilibriumBath,
     NumberStateBath,
     sample_number_states,
 )
+from qbath.errors import PhysicalityError
 from qbath.states import CatState, SqueezedDisplaced
 
 SQUEEZED = SqueezedDisplaced(disp=0.5 - 0.1j, r=0.6, phi=0.3)
@@ -157,3 +160,119 @@ def test_member_purities_memory_does_not_grow_with_members(ohmic_rwa, plateau_in
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 2 * peaks[0], peaks
+
+
+def _full_rule(p, i, s, gauss_bath, whiten, n, occs):
+    """Level sums of the members occs on the whole n x n tensor Gauss-Hermite rule.
+
+    chi_eval runs on all n^2 nodes x = whiten y with hermgauss's weights, and
+    each member multiplies |chi_g|^2 by scipy's Laguerre factors mode by mode.
+    """
+    y, w = hermgauss(n)
+    wt = w * np.exp(y * y)
+    x = whiten @ np.stack(np.broadcast_arrays(y[:, None], y[None, :])).reshape(2, -1)
+    eta = x[0] + 1j * x[1]
+    weighted = np.outer(wt, wt).ravel() * np.abs(obs.chi_eval(p, i, gauss_bath, s, eta)) ** 2
+    sums = []
+    for occ in occs:
+        f = weighted.copy()
+        for k in np.flatnonzero(occ):
+            xk = np.abs(eta * np.conj(p.B[i, k]) - np.conj(eta) * p.D[i, k]) ** 2
+            f *= eval_laguerre(int(occ[k]), xk) ** 2
+        sums.append(f.sum())
+    return np.array(sums)
+
+
+def _half_plane_cases(p):
+    """(state, common Gaussian bath, member matrix) of the three quadrature kinds."""
+    none = np.zeros((1, p.n_modes), dtype=int)
+    amps = 0.4 * np.exp(1j * np.arange(p.n_modes))
+    return {
+        "cat-thermal": (CAT, EquilibriumBath(1.0), none),
+        "cat-coherent": (CAT, CoherentStateBath(amps), none),
+        "squeezed-number": (SQUEEZED, EquilibriumBath(math.inf),
+                            sample_number_states(1.0, p.model, 9, 12).n),
+    }
+
+
+@pytest.mark.parametrize("n", [16, 25, 32, 33])
+def test_half_plane_level_equals_the_full_tensor_rule(ohmic_rwa, ohmic_pp, plateau_index, n):
+    # |chi|^2 is even in eta and the nodes pair up exactly, so half of them give the sum
+    for p in (ohmic_rwa, ohmic_pp):
+        for i in (*EARLY, plateau_index(p)):
+            for case, (s, gauss_bath, occs) in _half_plane_cases(p).items():
+                whiten, _ = obs._whitened(p, i, s, gauss_bath)
+                half = obs._level(p, i, s, gauss_bath, whiten, n, occs)(slice(None))
+                full = _full_rule(p, i, s, gauss_bath, whiten, n, occs)
+                assert np.max(np.abs(half - full) / full) <= 1e-14, (case, i)
+
+
+def test_half_plane_visits_the_full_rule_levels_on_half_the_nodes(
+    monkeypatch, ohmic_rwa, ohmic_pp, plateau_index
+):
+    chi_eval, level = obs.chi_eval, obs._level
+    nodes, levels = [], []
+
+    def counted_chi_eval(p, i, bath, s, eta):
+        nodes.append(np.size(eta))
+        return chi_eval(p, i, bath, s, eta)
+
+    def full_level(p, i, s, gauss_bath, whiten, n, occs):
+        levels.append(n)
+        return _full_rule(p, i, s, gauss_bath, whiten, n, occs).__getitem__
+
+    def half_level(*args):
+        levels.append(args[5])
+        return level(*args)
+
+    def visits(make_level, run):
+        nodes.clear()
+        levels.clear()
+        with monkeypatch.context() as m:
+            m.setattr(obs, "_level", make_level)
+            values = np.atleast_1d(run())
+        return list(levels), list(nodes), values
+
+    monkeypatch.setattr(obs, "chi_eval", counted_chi_eval)
+    for p in (ohmic_rwa, ohmic_pp):
+        for i in (*EARLY, plateau_index(p)):
+            for case, (s, gauss_bath, occs) in _half_plane_cases(p).items():
+                if occs.any():
+                    bath = NumberStateBath(occs)
+                    run = lambda: obs.member_purities(p, i, bath, s)  # noqa: E731
+                else:
+                    run = lambda: obs.purity(p, i, gauss_bath, s, method="quadrature")  # noqa: E731
+                full_levels, _, full = visits(full_level, run)
+                half_levels, half_nodes, half = visits(half_level, run)
+                assert half_levels == full_levels, (case, i)
+                assert half_nodes == [n * ((n + 1) // 2) for n in full_levels], (case, i)
+                assert half.shape == (occs.shape[0],)
+                assert np.max(np.abs(half - full) / full) <= 1e-14, (case, i)
+
+
+def _envelope(a, g):
+    return np.array([[2.0 * a - 4.0 * g.real, -4.0 * g.imag], [-4.0 * g.imag, 2.0 * a + 4.0 * g.real]])
+
+
+def test_closed_form_whitening_diagonalizes_the_envelope():
+    rng = np.random.default_rng(4)
+    cases = [(1.0, 0j), (0.5, 0.2 + 0j), (0.5, -0.2 + 0j), (0.5, 0.2j), (0.5, -0.2j), (2.0, -0.0j)]
+    for _ in range(200):
+        a = 10.0 ** rng.uniform(-6.0, 6.0)
+        cases.append((a, 0.5 * a * rng.uniform() * np.exp(2j * np.pi * rng.uniform())))
+    for a in (1e-3, 1.0, 7.5):  # |g| within 1e-12 of a/2
+        cases += [(a, (0.5 * a - 1e-12) * np.exp(1j * phase)) for phase in (0.0, 0.7, np.pi / 2, 3.0)]
+    eps = np.finfo(float).eps
+    for a, g in cases:
+        g = complex(g)
+        whiten, scale = obs._whitening(a, g)
+        m = _envelope(a, g)
+        lam = np.linalg.eigvalsh(m)
+        assert lam[0] > 0.0, (a, g)
+        # a float whitening is good to eps times the condition number, and to 1e-12 below 1e3
+        tol = max(1e-12, 2.0 * eps * lam[1] / lam[0])
+        assert np.max(np.abs(whiten.T @ m @ whiten - np.eye(2))) <= tol, (a, g)
+        assert scale == 1.0 / (math.pi * math.sqrt(m[0, 0] * m[1, 1] - m[0, 1] ** 2))
+    for a, g in [(1.0, 0.5 + 0j), (1.0, 0.5j), (1.0, 0.6 * np.exp(1j)), (-1.0, 0j), (0.0, 0j)]:
+        with pytest.raises(PhysicalityError):
+            obs._whitening(a, complex(g))

@@ -1,6 +1,7 @@
 """Initial oscillator states: moments, characteristic functions, derivatives."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,49 @@ def test_chi0_bounded_and_hermitian():
         flipped = states.chi0_eval(s, -w)
         assert np.max(np.abs(flipped - np.conj(vals))) < 1e-13
         assert states.chi0_eval(s, np.array([0.0j]))[0] == pytest.approx(1.0, abs=1e-14)
+
+
+SAMPLE_CAT = states.CatState(alpha=1.36, beta=np.exp(2.8j))  # configs/purity-cat-vacuum.json
+
+
+def _disc(radius, count=4000):
+    """w = 0 and count points drawn uniformly from the disc |w| <= radius."""
+    rng = np.random.default_rng(round(radius))
+    w = radius * np.sqrt(rng.uniform(size=count)) * np.exp(2j * np.pi * rng.uniform(size=count))
+    return np.append(w, 0.0)
+
+
+def _four_exponentials(s, w):
+    """A cat's chi0 as four complex exponentials, and the sum of their moduli."""
+    total, moduli = 0.0, 0.0
+    for g in (s.alpha, s.beta):
+        for d in (s.alpha, s.beta):
+            term = states.coherent_overlap(g, d) * np.exp(
+                -0.5 * np.abs(w) ** 2 + np.conj(g) * w - d * np.conj(w))
+            total, moduli = total + term, moduli + np.abs(term)
+    return total / s.norm_sq, moduli / s.norm_sq
+
+
+def test_cat_chi0_is_hermitian_and_equals_four_exponentials():
+    for s in (CAT, SAMPLE_CAT):
+        for radius in (1.0, 5.0, 10.0, 20.0, 30.0):
+            w = _disc(radius)
+            vals = states.chi0_eval(s, w)
+            # chi0(0) = 1 is the largest modulus
+            assert np.max(np.abs(states.chi0_eval(s, -w) - np.conj(vals))) <= 1e-15
+            # the terms can cancel, so the scale is the sum of their moduli; the real
+            # exponent is summed in the reference's order, which far out sets the last bits
+            ref, moduli = _four_exponentials(s, w)
+            assert np.max(np.abs(vals - ref) / moduli) <= 1e-14, radius
+
+
+def test_cat_chi0_far_out_is_finite_and_quiet():
+    w = 40.0 * np.exp(2j * np.pi * np.linspace(0.0, 1.0, 1001))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for s in (CAT, SAMPLE_CAT):
+            for out in (states.chi0_eval(s, w), *states.chi0_wirtinger(s, w)):
+                assert np.isfinite(out).all()
 
 
 def test_degenerate_cat_is_coherent():
