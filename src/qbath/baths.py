@@ -32,20 +32,17 @@ the Laguerre arguments |z_k|^2 of bath_F_eval and purity quadrature.
 An ensemble is one bath holding an (M x N) member matrix, from
 sample_number_states or sample_coherent_states; on one propagator row the
 sums below give one entry per member, or one shared by all where the prepared
-values do not enter.  Row k is drawn from numpy's SeedSequence(seed,
-spawn_key=(k,)) stream, bit for bit, seeded without building a SeedSequence
-per member: _seed_pool hashes the seed once per call, _seed_words runs
-numpy's seeding hash as uint32 array arithmetic over a block of member
-indices, _pcg64_states applies PCG64's seeding to each result in Python ints,
-and _member_rngs re-seeds one PCG64 through its public state for each member.
-A single sampled bath is row 0 of a one-member matrix.
+values do not enter.  The whole matrix is one default_rng(seed) stream,
+drawn in blocks of _BLOCK rows and consumed row by row in C order, so row k
+of an M-member draw is row k of any larger draw, and row 0 is the single
+draw sample_*_state(beta, m, seed).  A zero-temperature draw advances no
+generator.  The member count is bounded only by the largest array.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,8 +175,9 @@ def _single(bath: BathSpec) -> BathSpec:
     return bath
 
 
-# Members summed at once by _drive: an unblocked (M x N) sum over a 2000-member
-# matrix raised the peak resident set of the sample-config run by 11 %.
+# Members summed at once by _drive, and drawn at once by the samplers: an unblocked
+# (M x N) sum over a 2000-member matrix raised the peak resident set of the
+# sample-config run by 11 %.
 _BLOCK = 256
 
 
@@ -315,149 +313,49 @@ def bath_F_eval(p: PropagatorCoefficients, i: int, bath: BathSpec, eta: np.ndarr
     return sign * np.exp(log_env + log_lag[0].reshape(eta.shape))
 
 
-# numpy's SeedSequence hash constants (pool of four uint32 words), kept as masked
-# Python ints: a numpy uint32 *scalar* warns on overflow, a uint32 array wraps
-_MASK32, _POOL = 0xFFFFFFFF, 4
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# PCG64's 128-bit LCG multiplier (O'Neill 2014)
-_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
-# member indices are one uint32 spawn-key word each
-MAX_MEMBERS = 1 << 32
-# members hashed per pass of _seed_words
-_SEED_BLOCK = 256
-
-
-def _consts(const: int, mult: int) -> Iterator[tuple[int, int]]:
-    """SeedSequence's running hash constant: (c, c * mult), then the same from c * mult."""
-    while True:
-        nxt = const * mult & _MASK32
-        yield const, nxt
-        const = nxt
-
-
-def _hash(value, const, nxt):
-    """One hash step of value (an int or a uint32 array) with a constant pair of _consts."""
-    value = (value ^ const) * nxt & _MASK32
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    """SeedSequence's mix of pool word x with hashed word y (ints or uint32 arrays)."""
-    r = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
-    return r ^ r >> 16
-
-
-def _column(pairs: Iterator[tuple[int, int]], n: int) -> np.ndarray:
-    """The next n constant pairs of _consts as a (2, n, 1) uint32 array."""
-    return np.array([next(pairs) for _ in range(n)], dtype=np.uint32).T[..., None]
-
-
-def _seed_pool(seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """SeedSequence's pool after every word of seed, and the constants that hash k into it.
-
-    The seed's 32-bit words, zero-padded to the pool size, are hashed and
-    mixed in Python ints.  Returns the (4, 1) pool and the (2, 4, 1)
-    constant pairs with which the spawn-key word k meets each pool word.
-    """
-    consts = _consts(_INIT_A, _MULT_A)
-    hashmix = lambda v: _hash(v, *next(consts))
-    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL - len(words))
-    pool = [hashmix(w) for w in words[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in words[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], hashmix(w))
-    return np.array(pool, dtype=np.uint32)[:, None], _column(consts, _POOL)
-
-
-# generate_state's constants for eight output words, two cycles through the pool
-_STATE_CONSTS = _column(_consts(_INIT_B, _MULT_B), 2 * _POOL).reshape(2, 2, _POOL, 1)
-
-
-def _seed_words(seed_pool: tuple[np.ndarray, np.ndarray], ks: np.ndarray) -> np.ndarray:
-    """SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64) for each uint32 k.
-
-    seed_pool is _seed_pool(seed).  k is the last entropy word, so it is
-    hashed into all four pool words of every member at once; the eight output
-    words, paired little-endian into four uint64, come from the resulting
-    (4, len(ks)) pool.
-    """
-    pool, consts = seed_pool
-    out = _hash(_mix(pool, _hash(ks, *consts)), *_STATE_CONSTS)
-    return np.ascontiguousarray(out.reshape(2 * _POOL, -1).T, dtype="<u4").view("<u8")
-
-
-def _pcg64_states(seed: int, indices: range) -> Iterator[tuple[int, int]]:
-    """PCG64 (state, inc) of each member in indices, streamed in blocks of _SEED_BLOCK.
-
-    PCG64 seeds from generate_state(4, uint64) = (s_hi, s_lo, i_hi, i_lo) by
-    pcg64_srandom: inc = 2i + 1, state = (inc + s) * multiplier + inc.
-    """
-    seed_pool = _seed_pool(seed)
-    for start in range(indices.start, indices.stop, _SEED_BLOCK):
-        ks = np.arange(start, min(start + _SEED_BLOCK, indices.stop), dtype=np.uint32)
-        for s_hi, s_lo, i_hi, i_lo in _seed_words(seed_pool, ks).tolist():
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            yield ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, inc
-
-
-def _member_rngs(seed: int, indices: range) -> Iterator[np.random.Generator]:
-    """Generators of the members in indices, each numpy's SeedSequence(seed, spawn_key=(k,)) stream.
-
-    One PCG64 and Generator are re-seeded for each member, so a yielded
-    generator is valid until the next one is drawn.  Seed and indices are
-    checked here, before any generator or member array exists.
-    """
-    seed = operator.index(seed)
+def _generator(seed: int, count: int) -> np.random.Generator:
+    """default_rng(seed) for count members, both checked before any member array exists."""
+    seed, count = operator.index(seed), operator.index(count)
     if seed < 0:
         raise ParameterError(f"seeds must be nonnegative, got {seed}")
-    if not 0 <= indices.start <= indices.stop <= MAX_MEMBERS:
-        raise ParameterError(f"member indices must lie in [0, 2**32), got {indices}")
-    bits = np.random.PCG64(0)  # its state is replaced before every draw
-
-    def reseeded():
-        rng = np.random.Generator(bits)
-        for state, inc in _pcg64_states(seed, indices):
-            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                          "has_uint32": 0, "uinteger": 0}
-            yield rng
-
-    return reseeded()
+    if count < 0:
+        raise ParameterError(f"member counts must be nonnegative, got {count}")
+    return np.random.default_rng(seed)
 
 
-def _number_rows(beta: float, m: ModelSpec, rngs: Iterable, count: int) -> np.ndarray:
-    """count rows of occupations from P(n) = (1-q) q^n, row k drawn with the k-th generator."""
+def _number_rows(beta: float, m: ModelSpec, rng: np.random.Generator, count: int) -> np.ndarray:
+    """count rows of occupations from P(n) = (1-q) q^n, drawn in C order from rng."""
     beta = _check_beta(beta)
     out = np.zeros((count, m.n_modes), dtype=int)
-    if math.isinf(beta):  # all n = 0, and no generator is advanced
+    if math.isinf(beta):  # all n = 0, and rng is not advanced
         return out
     p = 1.0 - np.exp(-beta * m.units.hbar * m.omegas)
-    for row, rng in zip(out, rngs):
-        np.subtract(rng.geometric(p), 1, out=row)  # numpy counts trials from 1
+    for k in range(0, count, _BLOCK):
+        rows = out[k : k + _BLOCK]
+        np.subtract(rng.geometric(p, size=rows.shape), 1, out=rows)  # numpy counts trials from 1
     return out
 
 
-def _coherent_rows(beta: float, m: ModelSpec, rngs: Iterable, count: int) -> np.ndarray:
-    """count rows of amplitudes with E|beta_k|^2 = nbar_k, row k drawn with the k-th generator.
+def _coherent_rows(beta: float, m: ModelSpec, rng: np.random.Generator, count: int) -> np.ndarray:
+    """count rows of amplitudes with E|beta_k|^2 = nbar_k, drawn in C order from rng.
 
     A row is one normal(size=2N) draw, real parts first: the same values as
     two normal(size=N) draws.
     """
-    scale, n = np.sqrt(occupation(beta, m.omegas, m.units.hbar) / 2.0), m.n_modes
+    beta, n = _check_beta(beta), m.n_modes
+    if math.isinf(beta):  # all amplitudes 0, and rng is not advanced
+        return np.zeros((count, n), dtype=complex)
+    scale = np.sqrt(occupation(beta, m.omegas, m.units.hbar) / 2.0)
     out = np.empty((count, n), dtype=complex)
-    for row, rng in zip(out, rngs):
-        z = rng.normal(size=2 * n)
-        np.multiply(z[:n], scale, out=row.real)
-        np.multiply(z[n:], scale, out=row.imag)
-    # as in x + 1j * y: an imaginary -0.0 becomes +0.0 and a real -0.0 stays only
-    # where the imaginary part was -0.0 too (signed zeros come from a zero scale)
     for k in range(0, count, _BLOCK):
-        re, im = out.real[k : k + _BLOCK], out.imag[k : k + _BLOCK]
+        rows = out[k : k + _BLOCK]
+        z = rng.normal(size=(rows.shape[0], 2 * n))
+        re, im = rows.real, rows.imag
+        np.multiply(z[:, :n], scale, out=re)
+        np.multiply(z[:, n:], scale, out=im)
+        del z  # so that two blocks of draws are never alive at once
+        # as in x + 1j * y: an imaginary -0.0 becomes +0.0 and a real -0.0 stays only
+        # where the imaginary part was -0.0 too (signed zeros come from a zero scale)
         re += np.copysign(0.0, im)
         im += 0.0
     return out
@@ -468,10 +366,10 @@ def sample_number_state(
 ) -> NumberStateBath:
     """Draw occupations from the equilibrium diagonal weights P(n) = (1-q) q^n.
 
-    An int rng seeds default_rng(rng): not a config's sampled bath for bath.seed = rng, which
-    is row 0 of sample_number_states(beta, m, rng, 1) (they differ for seed 7 on ohmic-rwa-n64).
+    An int rng seeds default_rng(rng): the draw is row 0 of
+    sample_number_states(beta, m, rng, M) for every M >= 1.
     """
-    return NumberStateBath(_number_rows(beta, m, [np.random.default_rng(rng)], 1)[0])
+    return NumberStateBath(_number_rows(beta, m, np.random.default_rng(rng), 1)[0])
 
 
 def sample_coherent_state(
@@ -479,24 +377,24 @@ def sample_coherent_state(
 ) -> CoherentStateBath:
     """Draw amplitudes from the complex Gaussian with E|beta_k|^2 = nbar_k.
 
-    An int rng seeds default_rng(rng): not a config's sampled bath for bath.seed = rng, which
-    is row 0 of sample_coherent_states(beta, m, rng, 1) (they differ for seed 7 on ohmic-rwa-n64).
+    An int rng seeds default_rng(rng): the draw is row 0 of
+    sample_coherent_states(beta, m, rng, M) for every M >= 1.
     """
-    return CoherentStateBath(_coherent_rows(beta, m, [np.random.default_rng(rng)], 1)[0])
+    return CoherentStateBath(_coherent_rows(beta, m, np.random.default_rng(rng), 1)[0])
 
 
 def sample_number_states(beta: float, m: ModelSpec, seed: int, n_members: int) -> NumberStateBath:
-    """Members whose row k is sample_number_state on SeedSequence(seed, spawn_key=(k,))."""
-    rngs = _member_rngs(seed, range(n_members))
-    return NumberStateBath(_number_rows(beta, m, rngs, n_members))
+    """n_members rows of sample_number_state, drawn one after another from default_rng(seed)."""
+    rng = _generator(seed, n_members)
+    return NumberStateBath(_number_rows(beta, m, rng, n_members))
 
 
 def sample_coherent_states(
     beta: float, m: ModelSpec, seed: int, n_members: int
 ) -> CoherentStateBath:
-    """Members whose row k is sample_coherent_state on SeedSequence(seed, spawn_key=(k,))."""
-    rngs = _member_rngs(seed, range(n_members))
-    return CoherentStateBath(_coherent_rows(beta, m, rngs, n_members))
+    """n_members rows of sample_coherent_state, drawn one after another from default_rng(seed)."""
+    rng = _generator(seed, n_members)
+    return CoherentStateBath(_coherent_rows(beta, m, rng, n_members))
 
 
 @dataclass

@@ -15,9 +15,9 @@ family's (u for PositionPosition, else 0); a given v must agree with the
 family.  RunConfig.band keeps a parametric model's recipe, for n-sweep.
 
 experiment.seed defaults to the sampled bath's seed (else 0), n_samples to
-1000 (at most 2**32: each member index is one uint32 seed word); sizes
-beyond any array (time_grid.steps, model.spectral.N) are errors.  A sampled
-bath is realized as member 0 of the ensemble its seed draws.
+1000; sizes beyond any array (time_grid.steps, model.spectral.N,
+experiment.n_samples) are errors.  A sampled bath is realized as member 0 of
+the ensemble its seed draws.
 
 Each section is read once, by typed getters of one _Section.  Its unknown
 keys are the keys its reader does not take, and they are rejected with the
@@ -39,7 +39,6 @@ from pathlib import Path
 import numpy as np
 
 from .baths import (
-    MAX_MEMBERS,
     BathSpec,
     CoherentStateBath,
     EquilibriumBath,
@@ -314,8 +313,8 @@ def _parse_experiment(exp: _Section | None, seed: int) -> dict:
     n_samples = exp.integer("n_samples", experiment["n_samples"])
     if n_samples < 2:
         raise SchemaError("experiment.n_samples must be >= 2")
-    if n_samples > MAX_MEMBERS:
-        raise SchemaError("experiment.n_samples must be <= 2**32 (one uint32 per member index)")
+    if n_samples > _MAX_SIZE:
+        raise SchemaError(f"experiment.n_samples = {n_samples} exceeds the largest array size")
     experiment["n_samples"] = n_samples
     seed = exp.integer("seed", seed)
     if seed < 0:
@@ -397,8 +396,8 @@ def realize_bath(cfg: RunConfig) -> BathSpec:
     """Turn the symbolic bath section into a concrete preparation.
 
     The sample_* kinds draw one realization with the configured seed: row 0
-    of the one-member ensemble, numpy's SeedSequence(seed, spawn_key=(0,))
-    stream.  Fixed kinds pass through unchanged.
+    of the ensemble, the first draw of default_rng(seed).  Fixed kinds pass
+    through unchanged.
     """
     if cfg.bath_doc is None:
         raise SchemaError("config has no 'bath' section")

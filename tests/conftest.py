@@ -93,11 +93,12 @@ def eig_route_rows():
 
 
 @pytest.fixture(scope="session")
-def member_stream():
-    """numpy's own generator of ensemble member k: the stream the ensemble samplers reproduce.
+def keyed_rng():
+    """A fixed, independent generator for each (seed, k): a source of test draws.
 
-    Row k of sample_number_states and sample_coherent_states is drawn from
-    default_rng(SeedSequence(seed, spawn_key=(k,))), bit for bit.
+    It is numpy's default_rng(SeedSequence(seed, spawn_key=(k,))), so tests
+    that draw one bath per k keep their data whatever the ensemble samplers
+    do (those draw every member from one default_rng(seed)).
     """
 
     def stream(seed, k):

@@ -243,15 +243,15 @@ def test_criterion_5_coherent_state_ensemble(ohmic_rwa, plateau_index):
            f"RWA plateau purity {plateau_pur:.6f}, displaced-vacuum defect {dv_defect:.1e}")
 
 
-def test_criterion_6_master_equation(ohmic_rwa, member_stream):
+def test_criterion_6_master_equation(ohmic_rwa, keyed_rng):
     p = ohmic_rwa
     m = p.model
     onset = decay_report(p).recurrence_onset
     idx = [k for k in (0, 10, 25, 45, 70, 96)
            if onset is None or p.grid.t[k] < onset]
     eq = EquilibriumBath(beta=1.5)
-    coh = CoherentStateBath(sample_coherent_state(1.5, m, member_stream(SEED, 0)).amps)
-    num = sample_number_state(1.5, m, member_stream(SEED, 1))
+    coh = CoherentStateBath(sample_coherent_state(1.5, m, keyed_rng(SEED, 0)).amps)
+    num = sample_number_state(1.5, m, keyed_rng(SEED, 1))
     sq = SqueezedDisplaced(0.5 - 0.1j, 0.6, 0.3)
     cat = CatState(1.3 + 0.4j, -0.8 - 0.6j)
 
@@ -322,12 +322,12 @@ def test_criterion_7_purity_oracles():
            f"min at |A|^2 = 0.5 +- {loc_defect:.1e} (grid {ds:.1e}), symmetry {sym:.1e}")
 
 
-def test_criterion_8_physicality_suite(member_stream):
+def test_criterion_8_physicality_suite(keyed_rng):
     # widen the audit beyond what criteria 1-7 recorded
     for name in ("ohmic-rwa-n64", "ohmic-pp-n64"):
         p = compute_propagator(stock_model(name), GRID)
-        amps = sample_coherent_state(1.0, p.model, member_stream(5, 0)).amps
-        number = sample_number_state(1.0, p.model, member_stream(5, 1))
+        amps = sample_coherent_state(1.0, p.model, keyed_rng(5, 0)).amps
+        number = sample_number_state(1.0, p.model, keyed_rng(5, 1))
         baths = (EquilibriumBath(beta=2.0), EquilibriumBath(beta=math.inf),
                  CoherentStateBath(amps), number)
         states = (vacuum_state(), SqueezedDisplaced(0.3 + 0.2j, 0.8, 0.4),

@@ -79,7 +79,7 @@ def test_thermal_number_average_single_mode_exact(rwa_n1):
     assert np.max(np.abs(acc - thermal)) < 1e-12
 
 
-def test_thermal_number_average_monte_carlo(ohmic_rwa, member_stream):
+def test_thermal_number_average_monte_carlo(ohmic_rwa, keyed_rng):
     p = ohmic_rwa
     i = 40
     beta = 2.0
@@ -87,7 +87,7 @@ def test_thermal_number_average_monte_carlo(ohmic_rwa, member_stream):
     n_samples = 3000
     vals = np.empty(n_samples)
     for s in range(n_samples):
-        bath = baths.sample_number_state(beta, p.model, member_stream(411, s))
+        bath = baths.sample_number_state(beta, p.model, keyed_rng(411, s))
         vals[s] = baths.bath_F_eval(p, i, bath, np.array([eta]))[0]
     summary = summarize(vals, seed=411)
     thermal = baths.gaussian_F_eval(
@@ -131,77 +131,64 @@ def test_coherent_params(ohmic_pp):
         baths.bath_f_params(p, i, baths.NumberStateBath(np.zeros(p.n_modes, dtype=int)))
 
 
-ORACLE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 3**80)
+SEEDS = (0, 31, 2**64 + 5)
 
 
-def _same_stream(rng, ref, label):
-    assert rng.bit_generator.state == ref.bit_generator.state, label
-    draws = [(g.integers(0, 1 << 62, size=3), g.normal(size=3)) for g in (rng, ref)]
-    assert all(x.tobytes() == y.tobytes() for x, y in zip(*draws)), label
+def _oracle_rows(beta, m, seed, count):
+    """Members drawn one row at a time from default_rng(seed); amplitudes formed as x + 1j * y."""
+    n = m.n_modes
+    if math.isinf(beta):  # nothing is drawn at zero temperature
+        return np.zeros((count, n), dtype=int), np.zeros((count, n), dtype=complex)
+    rng = np.random.default_rng(seed)
+    number = np.array([rng.geometric(1.0 - np.exp(-beta * m.omegas)) - 1 for _ in range(count)])
+    rng, scale = np.random.default_rng(seed), np.sqrt(baths.occupation(beta, m.omegas) / 2.0)
+    zs = [rng.normal(size=2 * n) for _ in range(count)]  # N real parts, then N imaginary parts
+    return number, np.array([z[:n] * scale + 1j * (z[n:] * scale) for z in zs])
 
 
-def _member(seed, k):
-    """The one-member slice of the seeding kernel."""
-    return next(baths._member_rngs(seed, range(k, k + 1)))
-
-
-def test_member_rng_streams(ohmic_rwa, member_stream):
-    a = _member(5, 3).integers(0, 1 << 30, size=8)
-    b = member_stream(5, 3).integers(0, 1 << 30, size=8)
-    assert np.array_equal(a, b)
-    assert np.array_equal(a, _member(5, 3).integers(0, 1 << 30, size=8))
-    assert not np.array_equal(a, _member(5, 4).integers(0, 1 << 30, size=8))
-    assert not np.array_equal(a, _member(6, 3).integers(0, 1 << 30, size=8))
-    # the seeding kernel against numpy's SeedSequence and PCG64, bit for bit: seeds of
-    # one to four 32-bit words, indices at the kernel's block edges and the top word
-    block = baths._SEED_BLOCK
-    indices = (0, 1, block - 1, block, block + 1, 2**31, 2**32 - 1)
-    for seed in ORACLE_SEEDS:
-        ks = np.array(indices, dtype=np.uint32)
-        expected = [np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64)
-                    for k in indices]
-        assert np.array_equal(baths._seed_words(baths._seed_pool(seed), ks), expected)
-        for k in indices:
-            _same_stream(_member(seed, k), member_stream(seed, k), (seed, k))
-        # streamed: one generator re-seeded per member, across block edges
-        for k, rng in enumerate(baths._member_rngs(seed, range(block + 2))):
-            if k in indices:
-                _same_stream(rng, member_stream(seed, k), (seed, k))
-        top = range(2**32 - 2, 2**32)
-        for k, rng in zip(top, baths._member_rngs(seed, top)):
-            _same_stream(rng, member_stream(seed, k), (seed, k))
-    # the member matrices against per-member oracle draws, zero temperature included
-    m, seed, count = ohmic_rwa.model, 31, block + 3
+def test_member_matrix_is_one_stream(ohmic_rwa):
+    m, block = ohmic_rwa.model, baths._BLOCK
+    sizes = (1, block - 1, block, block + 1, 3 * block + 7)
     for beta in (0.7, 2.0, math.inf):
-        number = baths.sample_number_states(beta, m, seed, count).n
-        coherent = baths.sample_coherent_states(beta, m, seed, count).amps
-        scale = np.sqrt(baths.occupation(beta, m.omegas) / 2.0)
-        for k in range(count):
-            rng = member_stream(seed, k)
-            if math.isinf(beta):  # no draw
-                n_k = np.zeros(m.n_modes, dtype=int)
-            else:
-                n_k = rng.geometric(1.0 - np.exp(-beta * m.omegas)) - 1
-            assert number[k].tobytes() == n_k.tobytes()
-            # N real parts, then N imaginary parts, from one stream
-            rng = member_stream(seed, k)
-            a_k = rng.normal(size=m.n_modes) * scale + 1j * (rng.normal(size=m.n_modes) * scale)
-            assert coherent[k].tobytes() == a_k.tobytes(), (beta, k)
+        for seed in SEEDS:
+            number = baths.sample_number_states(beta, m, seed, sizes[-1]).n
+            coherent = baths.sample_coherent_states(beta, m, seed, sizes[-1]).amps
+            want_n, want_a = _oracle_rows(beta, m, seed, sizes[-1])
+            assert number.tobytes() == want_n.tobytes(), (beta, seed)
+            assert coherent.tobytes() == want_a.tobytes(), (beta, seed)
+            # the prefix property: row k of M members is row k of any larger draw,
+            # across the sampler's block edges
+            for size in sizes[:-1]:
+                rows = baths.sample_number_states(beta, m, seed, size).n
+                assert rows.tobytes() == number[:size].tobytes(), (beta, seed, size)
+                rows = baths.sample_coherent_states(beta, m, seed, size).amps
+                assert rows.tobytes() == coherent[:size].tobytes(), (beta, seed, size)
+            # an int seed makes the single draw row 0
+            single = baths.sample_number_state(beta, m, seed).n
+            assert (single.dtype, single.tobytes()) == (number.dtype, number[0].tobytes())
+            single = baths.sample_coherent_state(beta, m, seed).amps
+            assert (single.dtype, single.tobytes()) == (coherent.dtype, coherent[0].tobytes())
 
 
-def test_member_index_bounds(ohmic_rwa):
-    # a member index is one uint32 spawn-key word: checked before any member array exists
-    for seed, k in ((0, 2**32), (0, -1), (-1, 0)):
-        with pytest.raises(ParameterError):
-            baths._member_rngs(seed, range(k, k + 1))
-    with pytest.raises(ParameterError):
-        baths._member_rngs(0, range(2**32 + 1))
+def test_member_matrix_is_determined_by_its_seed(ohmic_rwa):
+    m = ohmic_rwa.model
+    for sample, field in ((baths.sample_number_states, "n"),
+                          (baths.sample_coherent_states, "amps")):
+        draw = lambda seed: getattr(sample(1.0, m, seed, 40), field)
+        assert draw(5).tobytes() == draw(5).tobytes()
+        assert not np.array_equal(draw(5), draw(6))
+        assert not np.array_equal(draw(5), draw(2**64 + 5))
+        assert getattr(sample(1.0, m, 5, 0), field).shape == (0, m.n_modes)
+
+
+def test_seed_and_count_refused_before_allocation(ohmic_rwa):
+    # checked before any member array exists, whatever the count asks for
     tracemalloc.start()
     try:
         for sample in (baths.sample_number_states, baths.sample_coherent_states):
-            for count in (2**32 + 1, -1):
+            for seed, count in ((-1, 10**12), (0, -1), (-1, 3)):
                 with pytest.raises(ParameterError):
-                    sample(1.0, ohmic_rwa.model, 0, count)
+                    sample(1.0, ohmic_rwa.model, seed, count)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -221,19 +208,19 @@ def test_coherent_member_matrix_memory(ohmic_rwa):
     assert peak <= amps.nbytes + (1 << 19)
 
 
-def test_number_sampler_moments(ohmic_rwa, member_stream):
+def test_number_sampler_moments(ohmic_rwa, keyed_rng):
     m = ohmic_rwa.model
     beta = 2.0
     nbar = baths.occupation(beta, m.omegas)
     n_samples = 1500
     draws = np.empty((n_samples, m.n_modes))
     for s in range(n_samples):
-        draws[s] = baths.sample_number_state(beta, m, member_stream(787, s)).n
+        draws[s] = baths.sample_number_state(beta, m, keyed_rng(787, s)).n
     mean_res = summarize((draws - nbar).ravel(), seed=787)
     assert abs(mean_res.estimate) < 4.0 * mean_res.std_error
     var_res = summarize(((draws - nbar) ** 2 - nbar * (nbar + 1.0)).ravel(), seed=787)
     assert abs(var_res.estimate) < 4.0 * var_res.std_error
-    vacuum = baths.sample_number_state(math.inf, m, member_stream(787, 0))
+    vacuum = baths.sample_number_state(math.inf, m, keyed_rng(787, 0))
     assert np.all(vacuum.n == 0)
 
 
@@ -241,18 +228,19 @@ def test_zero_temperature_number_draw_leaves_the_generator(ohmic_rwa):
     # a generator shared with later draws gives them the same values at beta = inf
     rng = np.random.default_rng(5)
     state = rng.bit_generator.state
-    baths.sample_number_state(math.inf, ohmic_rwa.model, rng)
+    assert not baths.sample_number_state(math.inf, ohmic_rwa.model, rng).n.any()
+    assert not baths.sample_coherent_state(math.inf, ohmic_rwa.model, rng).amps.any()
     assert rng.bit_generator.state == state
 
 
-def test_coherent_sampler_moments(ohmic_rwa, member_stream):
+def test_coherent_sampler_moments(ohmic_rwa, keyed_rng):
     m = ohmic_rwa.model
     beta = 2.0
     nbar = baths.occupation(beta, m.omegas)
     n_samples = 2000
     amps = np.empty((n_samples, m.n_modes), dtype=complex)
     for s in range(n_samples):
-        amps[s] = baths.sample_coherent_state(beta, m, member_stream(788, s)).amps
+        amps[s] = baths.sample_coherent_state(beta, m, keyed_rng(788, s)).amps
     mag = summarize((np.abs(amps) ** 2 - nbar).ravel(), seed=788)
     assert abs(mag.estimate) < 4.0 * mag.std_error
     for part in (np.real, np.imag):

@@ -21,6 +21,7 @@ from qbath import (
     parse_config,
 )
 from qbath.cli import main
+from qbath.config import _MAX_SIZE
 from qbath.model import ModelSpec
 from qbath.presets import stock_config, stock_model
 
@@ -191,12 +192,16 @@ def test_quadrature_failure_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("subcommand, section, key", [
     ("validate", "spectral", "N"),
     ("propagate", "time_grid", "steps"),
+    ("ensemble", "experiment", "n_samples"),
 ])
 def test_refused_allocation_exits_3(tmp_path, run_python, subcommand, section, key):
     # a size within intp whose arrays the machine refuses: the address space is
     # capped so that the refusal does not depend on the overcommit policy
     pytest.importorskip("resource")
     doc = {"model": json.loads(json.dumps(SMALL_MODEL)), "time_grid": {"t_max": 5.0, "steps": 10}}
+    if subcommand == "ensemble":  # a member matrix of 10**12 rows
+        doc.update(bath={"kind": "sample_number", "beta": 2.0, "seed": 5},
+                   oscillator={"kind": "gaussian"}, experiment={"kind": "number", "time_index": 5})
     (doc["model"] if section == "spectral" else doc)[section][key] = 10**12
     cfg, out = write_config(tmp_path, doc), str(tmp_path / "out")
     code = (
@@ -359,6 +364,34 @@ def test_propagate_bytes_do_not_depend_on_blas_threads_env(tmp_path):
     assert propagate("1", "numpy")[1] is None
 
 
+def test_ensemble_bytes_do_not_depend_on_blas_threads_env(tmp_path):
+    # one stream per ensemble: the same files for any BLAS thread setting, other ones
+    # for another seed
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    src = str(Path(qbath.__file__).resolve().parents[1])
+
+    def ensemble(name, threads, *extra):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, threads) if threads else {})
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        out = tmp_path / f"{name}-{threads}-{len(extra)}"
+        config = configs / f"{name}.json"
+        subprocess.run(
+            [sys.executable, "-c", "import sys; from qbath.cli import main; sys.exit(main())",
+             "ensemble", "--config", str(config), "--out", str(out), *extra],
+            check=True, env=env, timeout=120,
+        )
+        # every data file; the manifest records the wall time and the thread variables
+        return {f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"}
+
+    for name in ("ensemble-number", "ensemble-coherent"):
+        unset, one = ensemble(name, None), ensemble(name, "1")
+        assert list(unset) == ["ensemble_summary.json"]
+        assert unset == one
+        reseeded = ensemble(name, None, "--seed", "8")
+        assert reseeded["ensemble_summary.json"] != unset["ensemble_summary.json"]
+
+
 def test_tests_run_at_the_pinned_blas_thread_count():
     # conftest imports qbath before numpy, so in-process runs record the pin
     assert qbath.BLAS_THREADS is not None
@@ -489,16 +522,18 @@ def test_one_sample_ensemble_exits_2(tmp_path, capsys, kind):
 
 
 def test_ensemble_beyond_the_member_index_range_exits_2(tmp_path, capsys):
+    # member indices are array indices: more members than any array holds
     doc = {
         "model": SMALL_MODEL,
         "bath": {"kind": "sample_coherent", "beta": 2.0, "seed": 5},
         "oscillator": {"kind": "gaussian"},
         "time_grid": {"t_max": 40.0, "steps": 100},
-        "experiment": {"kind": "coherent", "n_samples": 2**32 + 1},
+        "experiment": {"kind": "coherent", "n_samples": _MAX_SIZE + 1},
     }
     rc, out = run(tmp_path, "ensemble", doc)
     assert rc == 2
-    assert "n_samples must be <= 2**32" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"n_samples = {_MAX_SIZE + 1} exceeds the largest array size" in err
     assert not out.exists()
 
 

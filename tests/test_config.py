@@ -1,5 +1,6 @@
 """Strict JSON config parsing: schema errors, realized objects, round trips."""
 
+import itertools
 import json
 import math
 import re
@@ -13,12 +14,13 @@ from qbath.baths import (
     NumberStateBath,
     sample_coherent_state,
     sample_coherent_states,
+    sample_number_state,
     sample_number_states,
 )
-from qbath.config import load_config, parse_config, realize_bath
+from qbath.config import _MAX_SIZE, load_config, parse_config, realize_bath
 from qbath.errors import DataError, ParameterError, SchemaError
 from qbath.cli import _DISPATCH
-from qbath.presets import STOCK_MODEL_NAMES
+from qbath.presets import STOCK_MODEL_NAMES, stock_config
 from qbath.states import CatState, GaussianMoments, SqueezedDisplaced
 
 
@@ -328,7 +330,7 @@ def test_beta_forms():
         parse_config(doc, "")
 
 
-def test_sampled_bath_seeds(member_stream):
+def test_sampled_bath_seeds():
     doc = _base_doc()
     doc["bath"] = {"kind": "sample_number", "beta": 1.0, "seed": 11}
     cfg = parse_config(doc, "")
@@ -339,7 +341,7 @@ def test_sampled_bath_seeds(member_stream):
     assert isinstance(realize_bath(parse_config(doc, "")), NumberStateBath)
     doc["bath"] = {"kind": "sample_coherent", "beta": 1.0, "seed": 11}
     amps = realize_bath(parse_config(doc, "")).amps
-    expected = sample_coherent_state(1.0, cfg.model, member_stream(11, 0)).amps
+    expected = sample_coherent_state(1.0, cfg.model, 11).amps
     assert np.array_equal(amps, expected)
     doc["bath"] = {"kind": "sample_number", "beta": 1.0, "seed": -1}
     with pytest.raises(SchemaError):
@@ -347,18 +349,22 @@ def test_sampled_bath_seeds(member_stream):
 
 
 def test_realized_sample_bath_is_row_0_of_the_ensemble():
-    # a configured sampled bath is member 0 of its seed's ensemble, bit for bit
-    doc, seed = _base_doc(), 2**40 + 3
-    kinds = (("sample_number", sample_number_states, "n"),
-             ("sample_coherent", sample_coherent_states, "amps"))
-    for kind, sample, field in kinds:
-        for beta in (0.7, math.inf):
-            doc["bath"] = {"kind": kind, "beta": beta, "seed": seed}
-            cfg = parse_config(doc, "")
-            got = getattr(realize_bath(cfg), field)
-            row = getattr(sample(beta, cfg.model, seed, 3), field)[0]
-            assert (got.dtype, got.shape) == (row.dtype, row.shape)
-            assert got.tobytes() == row.tobytes(), (kind, beta)
+    # a configured sampled bath is member 0 of its seed's ensemble and the single
+    # draw with that seed, bit for bit
+    doc = _base_doc()
+    kinds = (("sample_number", sample_number_state, sample_number_states, "n"),
+             ("sample_coherent", sample_coherent_state, sample_coherent_states, "amps"))
+    for model in (doc["model"], stock_config("ohmic-rwa-n64")):
+        doc["model"] = model
+        for kind, single, sample, field in kinds:
+            for beta, seed in itertools.product((0.7, math.inf), (7, 2**64 + 3)):
+                doc["bath"] = {"kind": kind, "beta": beta, "seed": seed}
+                cfg = parse_config(doc, "")
+                got = getattr(realize_bath(cfg), field)
+                for want in (getattr(sample(beta, cfg.model, seed, 3), field)[0],
+                             getattr(single(beta, cfg.model, seed), field)):
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                    assert got.tobytes() == want.tobytes(), (kind, beta, seed)
 
 
 def test_oscillator_kinds():
@@ -408,11 +414,13 @@ def test_experiment_section():
     doc["experiment"] = {"n_samples": 0}
     with pytest.raises(SchemaError):
         parse_config(doc, "")
-    # a member index is one uint32 seed word
-    doc["experiment"] = {"n_samples": 2**32}
-    assert parse_config(doc, "").experiment["n_samples"] == 2**32
+    # the member matrix has n_samples rows: any array size is accepted, none beyond
     doc["experiment"] = {"n_samples": 2**32 + 1}
-    with pytest.raises(SchemaError, match=r"<= 2\*\*32"):
+    assert parse_config(doc, "").experiment["n_samples"] == 2**32 + 1
+    doc["experiment"] = {"n_samples": _MAX_SIZE}
+    assert parse_config(doc, "").experiment["n_samples"] == _MAX_SIZE
+    doc["experiment"] = {"n_samples": _MAX_SIZE + 1}
+    with pytest.raises(SchemaError, match="exceeds the largest array size"):
         parse_config(doc, "")
 
 

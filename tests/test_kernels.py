@@ -20,7 +20,6 @@ from qbath.baths import (
     bath_f_params,
     sample_coherent_state,
     sample_coherent_states,
-    sample_number_state,
     sample_number_states,
 )
 from qbath.errors import ParameterError, SingularGeneratorError
@@ -37,8 +36,8 @@ def prop(request):
     return request.getfixturevalue(request.param)
 
 
-def _coherent(p, member_stream):
-    return CoherentStateBath(sample_coherent_state(2.0, p.model, member_stream(5, 0)).amps)
+def _coherent(p, keyed_rng):
+    return CoherentStateBath(sample_coherent_state(2.0, p.model, keyed_rng(5, 0)).amps)
 
 
 def _slice_equals_series(p, bath):
@@ -54,12 +53,12 @@ def test_equilibrium_params_equal_series(prop):
         _slice_equals_series(prop, EquilibriumBath(beta))
 
 
-def test_coherent_delta_equals_series(prop, member_stream):
-    _slice_equals_series(prop, _coherent(prop, member_stream))
+def test_coherent_delta_equals_series(prop, keyed_rng):
+    _slice_equals_series(prop, _coherent(prop, keyed_rng))
 
 
-def test_gaussian_generator_equals_series(prop, member_stream):
-    baths = (EquilibriumBath(1.3), _coherent(prop, member_stream))
+def test_gaussian_generator_equals_series(prop, keyed_rng):
+    baths = (EquilibriumBath(1.3), _coherent(prop, keyed_rng))
     for fs in (me.f_series_for(prop, bath) for bath in baths):
         series = me.generator_series(prop, fs)
         for i in INDICES:
@@ -75,10 +74,10 @@ def test_gaussian_generator_equals_series(prop, member_stream):
             assert (xi, zeta, denom) == (series["xi"][i], series["zeta"][i], series["denom"][i])
 
 
-def test_moments_equal_observable_series(prop, member_stream):
+def test_moments_equal_observable_series(prop, keyed_rng):
     n = np.zeros(prop.n_modes, dtype=int)
     n[::7] = 2
-    baths = (EquilibriumBath(1.3), _coherent(prop, member_stream), NumberStateBath(n))
+    baths = (EquilibriumBath(1.3), _coherent(prop, keyed_rng), NumberStateBath(n))
     for bath in baths:
         mean_x, mean_p = obs.mean_rows(prop, slice(None), bath, SQUEEZED)
         var_x, var_p = obs.variance_rows(prop, slice(None), bath, SQUEEZED)
@@ -87,19 +86,14 @@ def test_moments_equal_observable_series(prop, member_stream):
             assert obs.variances(prop, i, bath, SQUEEZED) == (var_x[i], var_p[i])
 
 
-def test_member_batch_equals_members(prop, member_stream):
+def test_member_batch_equals_members(prop):
     seed, m = 23, 4
     for beta in BETAS:
         number = sample_number_states(beta, prop.model, seed, m)
         coherent = sample_coherent_states(beta, prop.model, seed, m)
         assert number.n.shape == coherent.amps.shape == (m, prop.n_modes)
-        singles = []
-        for k in range(m):
-            n_k = sample_number_state(beta, prop.model, member_stream(seed, k))
-            a_k = sample_coherent_state(beta, prop.model, member_stream(seed, k))
-            assert np.array_equal(number.n[k], n_k.n) and number.n.dtype == n_k.n.dtype
-            assert np.array_equal(coherent.amps[k], a_k.amps)
-            singles.append((n_k, a_k))
+        singles = [(NumberStateBath(number.n[k]), CoherentStateBath(coherent.amps[k]))
+                   for k in range(m)]
         for i in INDICES:
             rows = row_slice(i)
             for batch, member in ((number, 0), (coherent, 1)):
@@ -152,8 +146,8 @@ def test_member_matrix_needs_one_row_and_a_batch_entry_point(prop):
         bath_f_params(prop, 1, coherent)
 
 
-def test_closed_purity_equals_observable_series(prop, member_stream):
-    for bath in (EquilibriumBath(1.3), _coherent(prop, member_stream)):
+def test_closed_purity_equals_observable_series(prop, keyed_rng):
+    for bath in (EquilibriumBath(1.3), _coherent(prop, keyed_rng)):
         series = obs.observable_series(prop, bath, SQUEEZED)
         rows = obs.purity_rows(prop, slice(None), bath, SQUEEZED)
         for i in INDICES:
@@ -170,15 +164,15 @@ def test_quadrature_purity_rows_equal_purity():
         assert obs.purity(p, i, bath, cat) == rows[i]
 
 
-def test_number_ensemble_member_equals_purity(ohmic_rwa, plateau_index, member_stream):
+def test_number_ensemble_member_equals_purity(ohmic_rwa, plateau_index):
     # six members: at most three refine the shared grid, the rest are summed on it
     p, beta, seed, n_samples = ohmic_rwa, 2.0, 11, 6
+    members = sample_number_states(beta, p.model, seed, n_samples).n
     for i in (5, plateau_index(p)):
         ens = obs.averaged_purity_number_ensemble(p, i, beta, SQUEEZED, n_samples, seed)
         single = obs.summarize([
-            obs.purity(p, i, sample_number_state(beta, p.model, member_stream(seed, k)), SQUEEZED,
-                       tol=obs.ENSEMBLE_TOL)
-            for k in range(n_samples)
+            obs.purity(p, i, NumberStateBath(occ), SQUEEZED, tol=obs.ENSEMBLE_TOL)
+            for occ in members
         ], seed)
         assert abs(ens.estimate - single.estimate) <= 1e-12
         assert abs(ens.std_error - single.std_error) <= 1e-12

@@ -123,9 +123,9 @@ def test_generator_residual_cat_state(ohmic_rwa):
         assert me.generator_residual(p, i, EquilibriumBath(2.0), CAT) < 1e-8
 
 
-def test_general_residual_number_bath(ohmic_rwa, member_stream):
+def test_general_residual_number_bath(ohmic_rwa, keyed_rng):
     p = ohmic_rwa
-    occs = sample_number_state(2.0, p.model, member_stream(55, 0)).n
+    occs = sample_number_state(2.0, p.model, keyed_rng(55, 0)).n
     bath = NumberStateBath(occs)
     for i in (4, 33, 66, 95):
         report = me.general_generator_residual(p, i, bath, SQUEEZED)

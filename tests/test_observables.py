@@ -218,7 +218,7 @@ def test_heisenberg_and_purity_bounds(ohmic_pp, ohmic_rwa):
                     assert 0.0 < pur <= 1.0 + 1e-9
 
 
-def test_number_ensemble_variance_mean_and_spread(ohmic_rwa, plateau_index, member_stream):
+def test_number_ensemble_variance_mean_and_spread(ohmic_rwa, plateau_index, keyed_rng):
     # var x is linear in the occupations: its P_n mean is the thermal value and
     # its P_n variance is (hbar/m nu)^2 sum |B + D^*|^4 nbar (nbar + 1)
     p = ohmic_rwa
@@ -227,7 +227,7 @@ def test_number_ensemble_variance_mean_and_spread(ohmic_rwa, plateau_index, memb
     n_samples = 2000
     vals = np.empty(n_samples)
     for k in range(n_samples):
-        bath = sample_number_state(beta, p.model, member_stream(314, k))
+        bath = sample_number_state(beta, p.model, keyed_rng(314, k))
         vals[k], _ = obs.variances(p, i, bath, vacuum_state())
     thermal, _ = obs.variances(p, i, EquilibriumBath(beta), vacuum_state())
     summary = obs.summarize(vals, seed=314)
@@ -238,7 +238,7 @@ def test_number_ensemble_variance_mean_and_spread(ohmic_rwa, plateau_index, memb
     assert abs(sample_var - pred_var) < 4.0 * pred_var * math.sqrt(2.0 / (n_samples - 1))
 
 
-def test_coherent_ensemble_mean_square_drift(ohmic_pp, member_stream):
+def test_coherent_ensemble_mean_square_drift(ohmic_pp, keyed_rng):
     p = ohmic_pp
     i = 40
     beta = 1.5
@@ -246,7 +246,7 @@ def test_coherent_ensemble_mean_square_drift(ohmic_pp, member_stream):
     mx2 = np.empty(n_samples)
     mp2 = np.empty(n_samples)
     for k in range(n_samples):
-        bath = CoherentStateBath(sample_coherent_state(beta, p.model, member_stream(271, k)).amps)
+        bath = CoherentStateBath(sample_coherent_state(beta, p.model, keyed_rng(271, k)).amps)
         mx, mp_ = obs.mean_xp(p, i, bath, vacuum_state())
         mx2[k], mp2[k] = mx * mx, mp_ * mp_
     corr = delta_correlations(p, i, i, beta)
