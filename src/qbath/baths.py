@@ -153,8 +153,10 @@ def occupation(beta: float, omega, hbar: float = 1.0) -> np.ndarray:
     if math.isinf(beta):
         return np.zeros_like(omega)
     x = beta * hbar * omega
+    large = x > 700.0  # expm1 overflows past 709.78; exp(-x) equals 1/expm1(x) to rounding there
+    if not large.any():
+        return 1.0 / np.expm1(x)
     out = np.empty_like(x)
-    large = x > 700.0
     out[large] = np.exp(-x[large])
     out[~large] = 1.0 / np.expm1(x[~large])
     return out

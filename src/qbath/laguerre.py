@@ -1,10 +1,16 @@
-"""Laguerre polynomials by upward recurrence, guarded against overflow.
+"""Laguerre polynomials by the difference recurrence, guarded against overflow.
 
-The recurrence (k+1) L_{k+1}(x) = (2k+1-x) L_k(x) - k L_{k-1}(x) is stable in
-the upward direction for x >= 0.  Values grow roughly like exp(2 sqrt(n x))
-inside the oscillatory region, so for large n both members of the running
-pair are rescaled by a shared power of two; the shared exponent keeps ratios
-L_{n-1}/L_n exact.
+The three-term recurrence (k+1) L_{k+1}(x) = (2k+1-x) L_k(x) - k L_{k-1}(x)
+is run in its difference form, as scipy evaluates it: with
+d_k = L_k - L_{k-1},
+    d_{k+1} = -x L_k / (k+1) + k d_k / (k+1),    L_{k+1} = L_k + d_{k+1}.
+For small x each step adds a small correction to L_k instead of cancelling
+two terms of size ~2 L_k, so the relative error in L_n(x)^2 grows about
+linearly in n, where the plain upward recurrence's grows like n^2 (over
+1e4 eps at n = 64 for x <= 0.05).  Values grow roughly like exp(2 sqrt(n x))
+inside the oscillatory region, so for large n the running values L_k,
+L_{k-1} and d_k are rescaled by a shared power of two; the shared exponent
+keeps ratios L_{n-1}/L_n exact.
 
 log_products evaluates prod_k L_{n_k}(x_k) for every row of a member matrix
 of orders n_k at once: each distinct (mode, order) factor is one row of a
@@ -45,16 +51,22 @@ def eval_scaled(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     cur = 1.0 - x
     if n == 1:
         return cur, prev, np.zeros(x.shape)
+    diff, step = -x, np.empty(x.shape)
     exp2 = None  # created at the first renormalization
     for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
+        # diff <- -x cur / (k+1) + k diff / (k+1), in place; L_{k+1} goes into L_{k-1}'s array
+        np.multiply(np.divide(x, k + 1, out=step), cur, out=step)
+        diff *= k / (k + 1)
+        diff -= step
+        prev, cur = cur, np.add(cur, diff, out=prev)
         big = np.abs(cur) > _RENORM_LIMIT
         if big.any():
-            # shift the pair by a common power of two where it grew too large
+            # shift the running values by a common power of two where they grew too large
             _, ex = np.frexp(np.where(big, cur, 1.0))
             scale = np.ldexp(1.0, -ex)
             cur = np.where(big, cur * scale, cur)
             prev = np.where(big, prev * scale, prev)
+            diff = np.where(big, diff * scale, diff)
             shift = np.where(big, ex, 0.0)
             exp2 = shift if exp2 is None else exp2 + shift
     return cur, prev, np.zeros(x.shape) if exp2 is None else exp2

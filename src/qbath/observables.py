@@ -10,7 +10,10 @@ with F_g and n_k from baths._laguerre_split, on a tensor Gauss-Hermite rule
 in the coordinates that whiten its Gaussian envelope, doubling the nodes per
 axis until two successive levels agree.  The reduced state is Hermitian, so
 |chi|^2 is even in eta; the rule's nodes come in exact +- pairs, and each
-level evaluates only the half plane, n ceil(n/2) of its n^2 nodes.
+level evaluates only the half plane, n ceil(n/2) of its n^2 nodes.  The
+first comparison needs two levels, so levels 16 and 32 share one chi_eval
+call on their joined nodes, each summed on its own points; the node tables
+of each level set are built on first use and cached.
 For a Gaussian state the rest of the integrand is a polynomial, and the rule
 is exact at 2 sum_k n_k + 1 nodes per axis.  A single purity and each member
 of a number-state ensemble are members of that driver; the ensemble's
@@ -248,50 +251,89 @@ def _hermite_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return table
 
 
-def _level(p, i, s, gauss_bath, whiten: np.ndarray, n: int, occs: np.ndarray):
-    """One quadrature level of the member matrix occs: a function of member indices.
+# a table holds 3 n ceil(n/2) floats (0.8 MiB at n = 256), and each exact level of a
+# number bath is its own set, so only the recently used sets are kept
+@functools.lru_cache(maxsize=8)
+def _half_plane_table(ns: tuple[int, ...]):
+    """Joined half-plane nodes of the levels ns: (y1, y2, offsets, weights, log_weights).
 
-    It gives, for the members occs[members], the sum
-    sum_ij w_i w_j exp(y_i^2 + y_j^2) |chi|^2 over the n x n Gauss-Hermite
-    nodes mapped by x = whiten y.  chi(-eta) = chi(eta)^* (rho is Hermitian),
-    hermgauss's nodes are exactly antisymmetric and its weights symmetric, so
-    node (i, j) is exactly minus node (n-1-i, n-1-j) and has the same |chi|^2:
-    only the columns j < n/2 are evaluated, with weights 2 w_j, and for odd n
-    the middle column once, with w_j.  |chi|^2 is |chi_g|^2 of the common
-    Gaussian bath times prod_k L_{n_k}(x_k)^2.  A member with no occupied
-    mode sums |chi_g|^2 directly.  For the others, each occupied mode's
-    argument |eta B_k^* - eta^* D_k|^2 is computed once per level, the
-    products come from laguerre.log_products in member blocks, and
-    |chi|^2 times the weights is formed in log space, so that an underflowed
-    |chi_g|^2 never meets an overflowed product.
+    Level n keeps the columns j < n/2 of its n x n rule: node (i, j) has the
+    coordinates (y_i, y_j) and the weight w_i w'_j, with w' = 2 w on those
+    columns and, for odd n, w' = w on the middle one.  y1 and y2 hold the
+    coordinates of every level's n ceil(n/2) nodes in C order, level after
+    level; level k owns the points offsets[k]:offsets[k+1].  weights holds
+    each level's (w, w'), and log_weights the joined log w_i + log w'_j.
     """
-    y, wt = _hermite_table(n)
-    half = (n + 1) // 2
-    wt_half = 2.0 * wt[:half]
-    if n % 2:
-        wt_half[-1] = wt[half - 1]
-    y1, y2 = y[:, None], y[None, :half]
+    y1, y2, weights, log_weights = [], [], [], []
+    for n in ns:
+        y, wt = _hermite_table(n)
+        half = (n + 1) // 2
+        wt_half = 2.0 * wt[:half]
+        if n % 2:
+            wt_half[-1] = wt[half - 1]
+        wt_half.setflags(write=False)
+        y1.append(np.repeat(y, half))
+        y2.append(np.tile(y[:half], n))
+        weights.append((wt, wt_half))
+        log_weights.append((np.log(wt)[:, None] + np.log(wt_half)[None, :]).ravel())
+    offsets = np.cumsum([0, *(n * ((n + 1) // 2) for n in ns)])
+    y1, y2, log_weights = (np.concatenate(parts) for parts in (y1, y2, log_weights))
+    for arr in (y1, y2, offsets, log_weights):
+        arr.setflags(write=False)
+    return y1, y2, offsets, tuple(weights), log_weights
+
+
+def _levels(p, i, s, gauss_bath, whiten: np.ndarray, ns: tuple[int, ...], occs: np.ndarray):
+    """The quadrature levels ns of the member matrix occs, from one chi_eval call.
+
+    Returns sums(members, levels=slice(None)), which gives, for the members
+    occs[members] and each level n of ns[levels], the sum
+    sum_ij w_i w_j exp(y_i^2 + y_j^2) |chi|^2 over the n x n Gauss-Hermite
+    nodes mapped by x = whiten y, as a (levels, members) array.
+    chi(-eta) = chi(eta)^* (rho is Hermitian), hermgauss's nodes are exactly
+    antisymmetric and its weights symmetric, so node (i, j) is exactly minus
+    node (n-1-i, n-1-j) and has the same |chi|^2: each level evaluates only
+    the half plane of _half_plane_table, and the levels' nodes are joined
+    into one evaluation of every node-wise step, each level summed on its
+    own points.  |chi|^2 is |chi_g|^2 of the common Gaussian bath times
+    prod_k L_{n_k}(x_k)^2.  A member with no occupied mode sums |chi_g|^2
+    directly.  For the others, each occupied mode's argument
+    |eta B_k^* - eta^* D_k|^2 is computed once, the products come from
+    laguerre.log_products in member blocks on the points of the levels
+    asked for, and |chi|^2 times the weights is formed in log space, so that
+    an underflowed |chi_g|^2 never meets an overflowed product.
+    """
+    y1, y2, offsets, weights, log_weights = _half_plane_table(ns)
     re = whiten[0, 0] * y1 + whiten[0, 1] * y2
     im = whiten[1, 0] * y1 + whiten[1, 1] * y2
-    eta = (re + 1j * im).ravel()
+    eta = re + 1j * im
     chi = chi_eval(p, i, gauss_bath, s, eta)
     base = chi.real**2 + chi.imag**2
-    base_sum = float(wt @ base.reshape(n, half) @ wt_half)
+    base_sums = np.array([
+        float(wt @ base[offsets[k] : offsets[k + 1]].reshape(wt.size, wt_half.size) @ wt_half)
+        for k, (wt, wt_half) in enumerate(weights)
+    ])
     if not occs.any():  # cats and Gaussian baths
-        return lambda members: np.full(occs[members].shape[0], base_sum)
+        return lambda members, levels=slice(None): np.repeat(
+            base_sums[levels, None], occs[members].shape[0], axis=1)
     modes = np.flatnonzero(occs.any(axis=0))
     xs = _mode_args_squared(p.B[i, modes], p.D[i, modes], eta)
     with np.errstate(divide="ignore"):
-        log_weighted = np.log(base) + (np.log(wt)[:, None] + np.log(wt_half)[None, :]).ravel()
+        log_weighted = np.log(base) + log_weights
 
-    def sums(members) -> np.ndarray:
+    def sums(members, levels=slice(None)) -> np.ndarray:
+        chosen = range(len(ns))[levels]
+        points = slice(offsets[chosen.start], offsets[chosen.stop])
         sub = occs[members][:, modes]
-        out = np.full(sub.shape[0], base_sum)
+        out = np.repeat(base_sums[levels, None], sub.shape[0], axis=1)
         busy = np.flatnonzero(sub.any(axis=1))
-        for rows, log_chi2, _ in laguerre.log_products(sub[busy], xs):
+        for rows, log_chi2, _ in laguerre.log_products(sub[busy], xs[:, points]):
             log_chi2 *= 2.0
-            log_chi2 += log_weighted
-            out[busy[rows]] = np.exp(log_chi2, out=log_chi2).sum(axis=1)
+            log_chi2 += log_weighted[points]
+            np.exp(log_chi2, out=log_chi2)
+            for k, level in enumerate(chosen):
+                start, stop = offsets[level : level + 2] - offsets[chosen.start]
+                out[k, busy[rows]] = log_chi2[:, start:stop].sum(axis=1)
         return out
 
     return sums
@@ -303,33 +345,35 @@ def _quadrature(p, i, s, gauss_bath, occs, probes, tol) -> np.ndarray:
     F_g is the influence of gauss_bath, a Gaussian bath common to the members.
     With x = W y the whitening of _whitened,
     purity = sum_ij w_i w_j exp(y_i^2 + y_j^2) |chi(x_ij)|^2 / (pi sqrt(det M))
-    on a tensor Gauss-Hermite rule shared by the members (_level evaluates
+    on a tensor Gauss-Hermite rule shared by the members (_levels evaluates
     its half plane j < n/2).  The nodes per axis double from N_START until
     every probe member agrees with the previous level to tol; the other
-    members, if any, are then summed on that level.  For a Gaussian state
-    |chi|^2 / envelope is a polynomial of degree 4 sum_k n_k, so
+    members, if any, are then summed on that level only.  The first
+    comparison needs the levels N_START and 2 N_START, so those two are
+    evaluated together; later levels come one at a time.  For a Gaussian
+    state |chi|^2 / envelope is a polynomial of degree 4 sum_k n_k, so
     2 max_member sum_k n_k + 1 nodes are exact and end the doubling.
     """
     whiten, scale = _whitened(p, i, s, gauss_bath)
     exact = 2 * int(occs.sum(axis=1).max()) + 1 if is_gaussian(s) else math.inf
     # up to 2 N_START the exact rule costs less than the two levels doubling needs
-    n = exact if exact <= 2 * N_START else N_START
+    ns = (exact,) if exact <= 2 * N_START else (N_START, 2 * N_START)
     prev = None
-    while n <= MAX_NODES:
-        level = _level(p, i, s, gauss_bath, whiten, n, occs)
-        if n == exact:
-            return level(slice(None)) * scale
-        cur = level(probes) * scale
-        if prev is not None and np.all(np.abs(cur - prev) < tol * np.maximum(1.0, np.abs(cur))):
-            if len(probes) == occs.shape[0]:  # the probes are sorted and distinct
-                return cur
-            vals = np.empty(occs.shape[0])
-            vals[probes] = cur
-            rest = np.setdiff1d(np.arange(occs.shape[0]), probes)
-            vals[rest] = level(rest) * scale
-            return vals
-        prev = cur
-        n = min(2 * n, exact)
+    while ns[-1] <= MAX_NODES:
+        sums = _levels(p, i, s, gauss_bath, whiten, ns, occs)
+        if ns[-1] == exact:
+            return sums(slice(None))[-1] * scale
+        for k, cur in enumerate(sums(probes) * scale):
+            if prev is not None and np.all(np.abs(cur - prev) < tol * np.maximum(1.0, np.abs(cur))):
+                if len(probes) == occs.shape[0]:  # the probes are sorted and distinct
+                    return cur
+                vals = np.empty(occs.shape[0])
+                vals[probes] = cur
+                rest = np.setdiff1d(np.arange(occs.shape[0]), probes)
+                vals[rest] = sums(rest, slice(k, k + 1))[0] * scale
+                return vals
+            prev = cur
+        ns = (min(2 * ns[-1], exact),)
     raise AccuracyError(
         f"purity quadrature did not converge to {tol:.1e} within {MAX_NODES} nodes per axis"
     )
@@ -346,10 +390,13 @@ def purity_rows(
 ) -> np.ndarray:
     """Tr rho^2 on the propagator rows p.X[rows].
 
-    method: "auto" picks the closed Gaussian form when the state and bath are
-    both Gaussian, quadrature otherwise; "closed" and "quadrature" force a
-    path (closed raises for non-Gaussian inputs).  Quadrature runs purity()
-    at each index.
+    rows is a slice, an integer array or a boolean mask, and both paths
+    return an array of the shape p.A[rows] has.  method: "auto" picks the
+    closed Gaussian form when the state and bath are both Gaussian,
+    quadrature otherwise; "closed" and "quadrature" force a path (closed
+    raises for non-Gaussian inputs).  Quadrature runs purity() at each
+    index: each row has its own whitening, and its own levels until it
+    converges, so the rows share no node set.
     """
     if method == "auto":
         gaussian = is_gaussian(s) and not isinstance(bath, NumberStateBath)
@@ -359,8 +406,9 @@ def purity_rows(
         return _gaussian_purity(a, g)
     if method != "quadrature":
         raise ParameterError(f"unknown purity method {method!r}")
-    indices = range(p.n_times)[rows]
-    return np.array([purity(p, i, bath, s, method="quadrature", tol=tol) for i in indices])
+    indices = np.arange(p.n_times)[rows]
+    values = [purity(p, int(i), bath, s, method="quadrature", tol=tol) for i in indices.flat]
+    return np.array(values, dtype=float).reshape(indices.shape)
 
 
 def purity(
@@ -404,7 +452,7 @@ def member_purities(
 
     The members share one Gauss-Hermite node set, refined on the first
     member and the most occupied ones, and each level sums them in member
-    blocks of one batched Laguerre kernel (_level).
+    blocks of one batched Laguerre kernel (_levels).
     """
     gauss_bath, occs = _laguerre_split(p, bath)
     alpha_member = occs @ (np.abs(p.B[i]) ** 2 + np.abs(p.D[i]) ** 2)

@@ -4,13 +4,15 @@ Every state exposes chi0(w) = <exp(w a^dag - w^* a)> together with its
 Wirtinger derivatives in (w, w^*), and first/second moments of (a, a^dag).
 Gaussian states are carried by their moments; a squeezed-displaced pure state
 is a special case; cat states (superpositions of two coherent states) are the
-non-Gaussian branch.
+non-Gaussian branch.  States are frozen and carry the constants every
+evaluation needs, computed once at construction: a squeezed state its
+GaussianMoments, a cat its four lobe overlaps <g|d> and its norm.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +39,7 @@ __all__ = [
 _PHYS_TOL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaussianMoments:
     """Gaussian state specified by <a>, <a^dag a>, <a a>.
 
@@ -51,9 +53,9 @@ class GaussianMoments:
     aa: complex = 0.0 + 0.0j
 
     def __post_init__(self) -> None:
-        self.mean_a = complex(self.mean_a)
-        self.n_ex = float(self.n_ex)
-        self.aa = complex(self.aa)
+        object.__setattr__(self, "mean_a", complex(self.mean_a))
+        object.__setattr__(self, "n_ex", float(self.n_ex))
+        object.__setattr__(self, "aa", complex(self.aa))
         n_c = self.n_ex - abs(self.mean_a) ** 2
         c_aa = self.aa - self.mean_a**2
         if n_c < -_PHYS_TOL:
@@ -65,51 +67,60 @@ class GaussianMoments:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SqueezedDisplaced:
     """Pure state D(disp) S(r e^{2 i phi}) |0>."""
 
     disp: complex = 0.0 + 0.0j
     r: float = 0.0
     phi: float = 0.0
+    moments: GaussianMoments = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.disp = complex(self.disp)
-        self.r = float(self.r)
-        self.phi = float(self.phi)
+        object.__setattr__(self, "disp", complex(self.disp))
+        object.__setattr__(self, "r", float(self.r))
+        object.__setattr__(self, "phi", float(self.phi))
         if self.r < 0.0 or not math.isfinite(self.r):
             raise ParameterError(f"squeezing magnitude must be >= 0, got {self.r}")
-
-    def to_gaussian_moments(self) -> GaussianMoments:
         sh, ch = math.sinh(self.r), math.cosh(self.r)
-        return GaussianMoments(
+        moments = GaussianMoments(
             mean_a=self.disp,
             n_ex=abs(self.disp) ** 2 + sh * sh,
             aa=self.disp**2 - np.exp(2j * self.phi) * sh * ch,
         )
+        object.__setattr__(self, "moments", moments)
+
+    def to_gaussian_moments(self) -> GaussianMoments:
+        return self.moments
 
 
-@dataclass
+@dataclass(frozen=True)
 class CatState:
-    """Normalized superposition (|alpha> + |beta>)/sqrt(2 + 2 Re<alpha|beta>)."""
+    """Normalized superposition (|alpha> + |beta>)/sqrt(2 + 2 Re<alpha|beta>).
+
+    overlaps holds <g|d> for (g, d) = (alpha, alpha), (alpha, beta),
+    (beta, alpha), (beta, beta), in that order.
+    """
 
     alpha: complex
     beta: complex
+    overlaps: tuple[complex, ...] = field(init=False, repr=False, compare=False)
+    norm_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.alpha = complex(self.alpha)
-        self.beta = complex(self.beta)
+        object.__setattr__(self, "alpha", complex(self.alpha))
+        object.__setattr__(self, "beta", complex(self.beta))
+        lobes = (self.alpha, self.beta)
+        overlaps = tuple(coherent_overlap(g, d) for g in lobes for d in lobes)
+        object.__setattr__(self, "overlaps", overlaps)
+        object.__setattr__(self, "norm_sq", 2.0 + 2.0 * float(np.real(overlaps[1])))
         if self.norm_sq < 1e-12:
             raise ParameterError("cat state norm vanishes (destructive overlap)")
 
     @property
     def overlap(self) -> complex:
         """<alpha|beta>."""
-        return coherent_overlap(self.alpha, self.beta)
-
-    @property
-    def norm_sq(self) -> float:
-        return 2.0 + 2.0 * float(np.real(self.overlap))
+        return self.overlaps[1]
 
 
 OscillatorState = GaussianMoments | SqueezedDisplaced | CatState
@@ -191,9 +202,9 @@ def _cat_terms(s: CatState, w: np.ndarray):
     """Yield (term, g^*, d) of the four displacement overlaps.
 
     <g|D(w)|d> = <g|d> exp(-|w|^2/2 + g^* w - d w^*), summed over
-    (g, d) in {alpha, beta}^2.  The exponent's imaginary part is
-    Im(g^* w) + Im(d^* w), so the four terms share two phases
-    cis(Im alpha^* w) and cis(Im beta^* w); its real part
+    (g, d) in {alpha, beta}^2, with <g|d> stored in s.overlaps.  The
+    exponent's imaginary part is Im(g^* w) + Im(d^* w), so the four terms
+    share two phases cis(Im alpha^* w) and cis(Im beta^* w); its real part
     -|w|^2/2 + Re(g^* w) - Re(d^* w) is at most |g - d|^2/2 and never overflows.
     """
     lobes = (s.alpha, s.beta)
@@ -206,7 +217,7 @@ def _cat_terms(s: CatState, w: np.ndarray):
     for a, g in enumerate(lobes):
         for b, d in enumerate(lobes):
             real = np.exp(env + gw[a].real - gw[b].real)
-            yield coherent_overlap(g, d) * real * (phases[a] * phases[b]), np.conj(g), d
+            yield s.overlaps[2 * a + b] * real * (phases[a] * phases[b]), np.conj(g), d
 
 
 def chi0_eval(s: OscillatorState, w: np.ndarray) -> np.ndarray:

@@ -1,0 +1,54 @@
+"""tools/compare_artifacts.py: artifact trees of two checkouts, file by file."""
+
+import importlib.util
+import json
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "compare_artifacts.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("compare_artifacts", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_checkout_compared_with_itself_is_identical():
+    # CSV, JSON and the complex128 sidecar, from two sample configs
+    out = subprocess.run(
+        [sys.executable, str(TOOL), str(ROOT), str(ROOT),
+         "--config", "propagate-ohmic-pp", "--config", "rwa-compare-squeezed"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[-1] == "4 of 4 data files identical", out.stdout
+    assert all(line.endswith(": identical") for line in lines[:-1])
+    assert any(line.startswith("configs/propagate-ohmic-pp/propagator_bd.bin") for line in lines)
+
+
+def test_differing_files_report_their_largest_relative_deviation(tmp_path):
+    tool = _tool()
+    trees = tmp_path / "a", tmp_path / "b"
+    for tree, last in zip(trees, (0.25, 0.25 * (1 + 2e-15))):
+        (tree / "job").mkdir(parents=True)
+        (tree / "job" / "data.csv").write_text(f"t,x\n0,1\n1,{last!r}\n")
+        (tree / "job" / "report.json").write_text(json.dumps({"n": 3, "values": [1.0, last]}))
+        (tree / "job" / "side.bin").write_bytes(
+            struct.pack("<QQ", 1, 1) + np.array([1 + last * 1j], dtype="<c16").tobytes())
+        (tree / "job" / "manifest.json").write_text(json.dumps({"wall_time_s": last}))
+    (trees[1] / "job" / "extra.csv").write_text("t\n0\n")
+    (trees[1] / "job" / "report.json").write_text(json.dumps({"n": 3, "values": [1.0]}))
+    verdicts = dict(tool.compare(*trees))
+    assert verdicts.keys() == {"job/data.csv", "job/report.json", "job/side.bin", "job/extra.csv"}
+    for name in ("job/data.csv", "job/side.bin"):
+        assert verdicts[name].startswith("max relative deviation 1.9"), verdicts
+    assert verdicts["job/report.json"] == "differs in structure"
+    assert verdicts["job/extra.csv"] == "only in B"

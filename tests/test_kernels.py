@@ -164,6 +164,27 @@ def test_quadrature_purity_rows_equal_purity():
         assert obs.purity(p, i, bath, cat) == rows[i]
 
 
+@pytest.mark.parametrize("selector", ["slice", "integers", "mask"])
+def test_purity_rows_take_every_row_selector_on_both_paths(selector):
+    p = compute_propagator(stock_model("rwa-n1-resonant"), TimeGrid.linspace(2.0, 4))
+    rows = {
+        "slice": slice(1, None, 2),
+        "integers": np.array([3, 1, -1]),
+        "mask": np.arange(p.n_times) % 2 == 0,
+    }[selector]
+    bath = EquilibriumBath(1.0)
+    closed = obs.purity_rows(p, rows, bath, SQUEEZED, method="closed")
+    quad = obs.purity_rows(p, rows, bath, SQUEEZED, method="quadrature")
+    assert closed.shape == quad.shape == p.A[rows].shape
+    # a Gaussian |chi|^2 is its own envelope: the one-node rule is exact up to rounding
+    np.testing.assert_allclose(quad, closed, rtol=1e-14, atol=0.0)
+    cat = CatState(alpha=1.3 + 0.4j, beta=-0.8 - 0.6j)
+    cat_rows = obs.purity_rows(p, rows, bath, cat)
+    assert cat_rows.shape == p.A[rows].shape
+    indices = np.arange(p.n_times)[rows]
+    assert cat_rows.tolist() == [obs.purity(p, int(i), bath, cat) for i in indices]
+
+
 def test_number_ensemble_member_equals_purity(ohmic_rwa, plateau_index):
     # six members: at most three refine the shared grid, the rest are summed on it
     p, beta, seed, n_samples = ohmic_rwa, 2.0, 11, 6

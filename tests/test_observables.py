@@ -137,6 +137,22 @@ def test_closed_and_quadrature_purity_agree(ohmic_rwa, ohmic_pp):
         assert abs(closed - quad) < 1e-7
 
 
+@pytest.mark.parametrize("model", ["ohmic_rwa", "ohmic_pp", "flat_custom"])
+def test_coherent_bath_purity_is_the_zero_temperature_purity(request, plateau_index, model):
+    # A displacement does not change purity, so a coherent bath of any amplitudes gives
+    # the zero-temperature purity: cats by quadrature (through the delta phase of
+    # gaussian_F_eval), squeezed states in closed form.
+    p = request.getfixturevalue(model)
+    zero_t = EquilibriumBath(math.inf)
+    phases = np.exp(2j * np.pi * np.random.default_rng(7).uniform(size=p.n_modes))
+    for i in (3, p.n_times // 2, plateau_index(p)):
+        for s, method in ((CAT, "quadrature"), (SQUEEZED, "closed")):
+            ref = obs.purity(p, i, zero_t, s, method=method)
+            for size in (0.1, 1.0, 5.0, 30.0):
+                got = obs.purity(p, i, CoherentStateBath(size * phases), s, method=method)
+                assert abs(got - ref) <= 1e-14 * ref, (i, method, size)
+
+
 def test_purity_method_dispatch(rwa_n1):
     with pytest.raises(ParameterError):
         obs.purity(rwa_n1, 10, EquilibriumBath(1.0), SQUEEZED, method="fancy")

@@ -12,6 +12,7 @@ import pytest
 from numpy.polynomial.hermite import hermgauss
 from scipy.special import eval_laguerre
 
+from qbath import baths, states
 from qbath import observables as obs
 from qbath.baths import (
     CoherentStateBath,
@@ -91,7 +92,7 @@ def test_gaussian_state_rule_is_exact_at_the_degree_count(ohmic_rwa, ohmic_pp, p
         for i in (*EARLY, plateau_index(p)):
             whiten, scale = obs._whitened(p, i, SQUEEZED, zero_t)
             at, above = (
-                obs._level(p, i, SQUEEZED, zero_t, whiten, n, occs)(slice(None))[0] * scale
+                obs._levels(p, i, SQUEEZED, zero_t, whiten, (n,), occs)(slice(None))[0, 0] * scale
                 for n in (exact, exact + 8)
             )
             assert abs(at - above) < 1e-13
@@ -139,12 +140,12 @@ def test_level_rows_equal_one_member_levels_bitwise(ohmic_rwa, ohmic_pp, plateau
         occs = sample_number_states(1.0, p.model, 21, 40).n
         occs[5] = 0
         whiten, _ = obs._whitened(p, i, SQUEEZED, zero_t)
-        level = obs._level(p, i, SQUEEZED, zero_t, whiten, 33, occs)
-        whole = level(slice(None))
+        level = obs._levels(p, i, SQUEEZED, zero_t, whiten, (33,), occs)
+        whole = level(slice(None))[0]
         assert np.isfinite(whole).all()
         for m in range(occs.shape[0]):
-            alone = obs._level(p, i, SQUEEZED, zero_t, whiten, 33, occs[m : m + 1])
-            assert whole[m] == level([m])[0] == alone(slice(None))[0], m
+            alone = obs._levels(p, i, SQUEEZED, zero_t, whiten, (33,), occs[m : m + 1])
+            assert whole[m] == level([m])[0, 0] == alone(slice(None))[0, 0], m
 
 
 def test_member_purities_memory_does_not_grow_with_members(ohmic_rwa, plateau_index):
@@ -208,35 +209,54 @@ def test_half_plane_level_equals_the_full_tensor_rule(ohmic_rwa, ohmic_pp, plate
         for i in (*EARLY, plateau_index(p)):
             for case, (s, gauss_bath, occs) in _half_plane_cases(p).items():
                 whiten, _ = obs._whitened(p, i, s, gauss_bath)
-                half = obs._level(p, i, s, gauss_bath, whiten, n, occs)(slice(None))
+                half = obs._levels(p, i, s, gauss_bath, whiten, (n,), occs)(slice(None))[0]
                 full = _full_rule(p, i, s, gauss_bath, whiten, n, occs)
                 bound = 1e-14 + np.finfo(float).eps * (occs.astype(float) ** 2).sum(axis=1) / 4
                 assert np.all(np.abs(half - full) / full <= bound), (case, i)
 
 
+def test_joined_levels_equal_single_levels_bitwise(ohmic_rwa, ohmic_pp, plateau_index):
+    # one chi_eval call on the joined nodes gives each level the bits it has alone
+    for p in (ohmic_rwa, ohmic_pp):
+        i = plateau_index(p)
+        for case, (s, gauss_bath, occs) in _half_plane_cases(p).items():
+            whiten, _ = obs._whitened(p, i, s, gauss_bath)
+            joined = obs._levels(p, i, s, gauss_bath, whiten, (16, 32), occs)
+            both = joined(slice(None))
+            picked = [occs.shape[0] - 1, 0]  # a member subset on one level, as after convergence
+            for k, n in enumerate((16, 32)):
+                alone = obs._levels(p, i, s, gauss_bath, whiten, (n,), occs)(slice(None))[0]
+                assert both[k].tobytes() == alone.tobytes(), (case, n)
+                one_level = joined(picked, slice(k, k + 1))
+                assert one_level.shape == (1, 2)
+                assert one_level[0].tobytes() == alone[picked].tobytes(), (case, n)
+
+
 def test_half_plane_visits_the_full_rule_levels_on_half_the_nodes(
     monkeypatch, ohmic_rwa, ohmic_pp, plateau_index
 ):
-    chi_eval, level = obs.chi_eval, obs._level
+    # nodes are counted per level: one chi_eval call may serve several levels
+    chi_eval, levels_of = obs.chi_eval, obs._levels
     nodes, levels = [], []
 
     def counted_chi_eval(p, i, bath, s, eta):
         nodes.append(np.size(eta))
         return chi_eval(p, i, bath, s, eta)
 
-    def full_level(p, i, s, gauss_bath, whiten, n, occs):
-        levels.append(n)
-        return _full_rule(p, i, s, gauss_bath, whiten, n, occs).__getitem__
+    def full_levels(p, i, s, gauss_bath, whiten, ns, occs):
+        levels.extend(ns)
+        sums = np.array([_full_rule(p, i, s, gauss_bath, whiten, n, occs) for n in ns])
+        return lambda members, chosen=slice(None): sums[chosen][:, members]
 
-    def half_level(*args):
-        levels.append(args[5])
-        return level(*args)
+    def half_levels(*args):
+        levels.extend(args[5])
+        return levels_of(*args)
 
-    def visits(make_level, run):
+    def visits(make_levels, run):
         nodes.clear()
         levels.clear()
         with monkeypatch.context() as m:
-            m.setattr(obs, "_level", make_level)
+            m.setattr(obs, "_levels", make_levels)
             values = np.atleast_1d(run())
         return list(levels), list(nodes), values
 
@@ -249,12 +269,39 @@ def test_half_plane_visits_the_full_rule_levels_on_half_the_nodes(
                     run = lambda: obs.member_purities(p, i, bath, s)  # noqa: E731
                 else:
                     run = lambda: obs.purity(p, i, gauss_bath, s, method="quadrature")  # noqa: E731
-                full_levels, _, full = visits(full_level, run)
-                half_levels, half_nodes, half = visits(half_level, run)
-                assert half_levels == full_levels, (case, i)
-                assert half_nodes == [n * ((n + 1) // 2) for n in full_levels], (case, i)
+                full_levels_seen, _, full = visits(full_levels, run)
+                half_levels_seen, half_nodes, half = visits(half_levels, run)
+                assert half_levels_seen == full_levels_seen, (case, i)
+                assert sum(half_nodes) == sum(n * ((n + 1) // 2) for n in full_levels_seen), case
                 assert half.shape == (occs.shape[0],)
                 assert np.max(np.abs(half - full) / full) <= 1e-14, (case, i)
+
+
+def test_cat_row_converging_at_level_32_takes_one_chi_eval_call(monkeypatch, ohmic_rwa,
+                                                                plateau_index):
+    # the first two levels share one evaluation, the bath's Gaussian parameters are taken
+    # once for the whitening and once for it, and the cat's overlaps were stored when built
+    p, i, bath = ohmic_rwa, plateau_index(ohmic_rwa), EquilibriumBath(1.0)
+    cat = CatState(alpha=1.3 + 0.4j, beta=-0.8 - 0.6j)
+    expected = obs.purity(p, i, bath, cat, method="quadrature")
+    calls = {"chi_eval": [], "bath_f_params": [], "coherent_overlap": []}
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            calls[name].append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+
+    for module, name in ((obs, "chi_eval"), (obs, "bath_f_params"), (baths, "bath_f_params"),
+                         (states, "coherent_overlap")):
+        spy(module, name)
+    assert obs.purity(p, i, bath, cat, method="quadrature") == expected
+    assert [np.size(args[-1]) for args in calls["chi_eval"]] == [16 * 8 + 32 * 16]
+    assert len(calls["bath_f_params"]) == 2
+    assert calls["coherent_overlap"] == []
 
 
 def _envelope(a, g):
