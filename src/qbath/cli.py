@@ -248,6 +248,8 @@ def _coherent_ensemble(cfg: RunConfig, p, i: int, seed: int, n_samples: int) -> 
         "predicted_c1": [corr.c1.real, corr.c1.imag],
         "predicted_c2": [corr.c2.real, corr.c2.imag],
         "sample_purity": purity(p, i, CoherentStateBath(members.amps[0]), s),
+        # a displacement of the bath leaves the purity at its zero-temperature value
+        "zero_temperature_purity": purity(p, i, zero_t, s),
         "displaced_vacuum_defect": displaced_vacuum_check(p, i, members.amps[0], s),
     }
 

@@ -39,10 +39,21 @@ is a ParameterError; a form that has no Cholesky factor although
 validate_model finds it positive sits at the stability edge and is a
 NumericalError.
 
+The kernel reads its phases from one table exp(i E t).  On a uniform grid,
+t[:-1] == arange(T - 1) * t[1] exactly, as `TimeGrid.linspace` writes it,
+a table of at least PHASE_TABLE_MIN entries T (N+1) takes cos and sin at
+ceil(sqrt(T)) offsets and about as many anchors only; every other entry
+is an anchor times an offset (angle addition), and the last row, t_max,
+is evaluated directly.  Other grids and smaller tables evaluate every phase.
+The table is within 2 eps max|E t| + 4 eps of cos and sin of the exact
+phases of the stored times, against eps max|E t| / 2 + eps evaluated
+directly.
+
 The sum rule is the contract on every row compute_propagator returns: its
 sup defect over the grid must be at most SUM_RULE_TOL, or the rows are
 refused with a NumericalError that names the defect.  The defects are
-computed once, in that check, and kept on the coefficients.
+computed once, in that check, in real arithmetic, and kept on the
+coefficients.
 
 Real R_c, R_s (real K, real u with v = 0) keep the kernel real.  The rows
 are kept as one (T, 2N+2) array, of which A, B_k, C, D_k are views.  Time
@@ -52,6 +63,7 @@ master-equation generators and bath sums with derivatives use them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -75,6 +87,8 @@ COND_LIMIT = 1e10  # largest ||K||_1 / min|eps| (bounds cond of the normal modes
 DECAY_THRESHOLD = 0.1  # |A| level that decay_report's recurrence onset is measured against
 LATE_FRACTION = 0.2  # trailing share of the grid that decay_report calls late
 PLATEAU_THRESHOLD = 0.05  # |A|, |C| level below which plateau_window counts memory as lost
+PHASE_TABLE_MIN = 1024  # fewest entries T (N+1) where angle addition beat direct cos and sin
+_ROW_BLOCK = 256  # grid rows per product of the real-route kernel
 
 
 @dataclass
@@ -141,13 +155,15 @@ class PropagatorCoefficients:
 
     @cached_property
     def _defects(self) -> np.ndarray:
-        return (
-            np.abs(self.A) ** 2
-            - np.abs(self.C) ** 2
-            + np.sum(np.abs(self.B) ** 2, axis=1)
-            - np.sum(np.abs(self.D) ** 2, axis=1)
-            - 1.0
-        )
+        # on the float view each half of a row, (a, b_k) and (a^dag, b_k^dag),
+        # is one real vector whose squared norm is the half's sum of |.|^2
+        parts = self.rows.view(np.float64)
+        half = parts.shape[1] // 2
+        plus, minus = parts[:, :half], parts[:, half:]
+        defects = np.vecdot(plus, plus)
+        defects -= np.vecdot(minus, minus)
+        defects -= 1.0
+        return defects
 
     @property
     def n_times(self) -> int:
@@ -372,27 +388,87 @@ def _trig_rows(
 ) -> None:
     """Write the rows cos(E t) @ R_c + i sin(E t) @ R_s, one per grid time, into out.
 
-    The kernel of every route.  Real R_c, R_s (real K; real u, v = 0) take one
-    real product each, written straight into the real and imaginary parts of
-    out.  Complex ones take one real product of [cos | sin] with [R_c; i R_s]
-    on the interleaved float view, straight into out: half the arithmetic of
-    a complex product.
+    The kernel of every route, on the phase table exp(i E t) of
+    `_phase_table`.  Real R_c, R_s (real K; real u, v = 0) take one real
+    product each, of the table's real and imaginary parts into out's real and
+    imaginary parts; these views are strided, so numpy buffers them, and the
+    products go in blocks of _ROW_BLOCK rows to keep those buffers small.
+    Complex ones take one real product of the table's interleaved float view
+    [cos_k, sin_k] with the rows [R_c_k; i R_s_k], interleaved alike,
+    straight into out: half the arithmetic of a complex product.
     """
+    table = _phase_table(t, freqs)
     if not np.iscomplexobj(r_cos):
-        phase = np.multiply.outer(t, freqs)
-        np.matmul(np.cos(phase), r_cos, out=out.real)
-        np.sin(phase, out=phase)
-        np.matmul(phase, r_sin, out=out.imag)
+        for first in range(0, t.size, _ROW_BLOCK):
+            rows = slice(first, first + _ROW_BLOCK)
+            np.matmul(table[rows].real, r_cos, out=out[rows].real)
+            np.matmul(table[rows].imag, r_sin, out=out[rows].imag)
         return
-    half = freqs.size
-    stacked = np.concatenate((r_cos, r_sin))
-    stacked[half:] *= 1j
-    trig = np.empty((t.size, 2 * half))
-    cos, sin = trig[:, :half], trig[:, half:]
-    np.multiply.outer(t, freqs, out=cos)
-    np.sin(cos, out=sin)
-    np.cos(cos, out=cos)
-    np.matmul(trig, stacked.view(np.float64), out=out.view(np.float64))
+    stacked = np.empty((freqs.size, 2, r_cos.shape[1]), dtype=complex)
+    stacked[:, 0] = r_cos
+    np.multiply(r_sin, 1j, out=stacked[:, 1])
+    np.matmul(
+        table.view(np.float64),
+        stacked.reshape(2 * freqs.size, -1).view(np.float64),
+        out=out.view(np.float64),
+    )
+
+
+def _phase_table(t: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """The (T, n) phase table exp(i E t) of the grid times t and the n frequencies E.
+
+    A grid is uniform when t[:-1] == arange(T - 1) * t[1] holds exactly, as
+    it does for every `TimeGrid.linspace`.  There, from PHASE_TABLE_MIN table
+    entries T n on, `_uniform_phases` fills the table from cos and sin at
+    about 2 sqrt(T) n phases.  Smaller tables, where that costs more than it
+    saves, and other grids take cos and sin of every phase t E.
+    """
+    table = np.empty((t.size, freqs.size), dtype=complex)
+    head = t[:-1]
+    if table.size >= PHASE_TABLE_MIN and np.array_equal(head, np.arange(head.size) * t[1:2]):
+        _uniform_phases(t, freqs, table)
+    else:
+        _direct_phases(t, freqs, table)
+    return table
+
+
+def _direct_phases(t: np.ndarray, freqs: np.ndarray, table: np.ndarray) -> None:
+    """Write cos(t E) + i sin(t E) of every grid time into table."""
+    phase = np.multiply.outer(t, freqs)
+    np.cos(phase, out=table.real)
+    np.sin(phase, out=table.imag)
+
+
+def _uniform_phases(t: np.ndarray, freqs: np.ndarray, table: np.ndarray) -> None:
+    """`_direct_phases` for a uniform grid, t[i] = i t[1] for i < T - 1, by angle addition.
+
+    With b = ceil(sqrt(T)) the time of row q b + r is the anchor t[q b] plus
+    the offset t[r], r < b.  Only the b offsets and the ceil((T - 1) / b)
+    anchors take cos and sin; each block of b rows is then the anchor's
+    exp(i E t[q b]) times the offsets' exp(i E t[r]), written in place:
+
+        cos(x + y) = cos x cos y - sin x sin y,
+        sin(x + y) = sin x cos y + cos x sin y.
+
+    The last row holds t_max, which `linspace` sets apart from (T - 1) t[1],
+    and is evaluated directly.  Against cos and sin of the exact phases t E of
+    the stored times, the error is at most 2 eps max|E t| + 4 eps: the
+    anchor's and the offset's phases each carry the rounding of a product t E,
+    and the stored times the rounding of i t[1].  Direct evaluation carries
+    the first alone.
+    """
+    head = t.size - 1
+    block = math.isqrt(head) + 1  # ceil(sqrt(T))
+    offsets = np.empty((min(block, head), freqs.size), dtype=complex)
+    _direct_phases(t[: offsets.shape[0]], freqs, offsets)
+    anchors = np.empty(((head + block - 1) // block, freqs.size), dtype=complex)
+    _direct_phases(t[:head:block], freqs, anchors)
+    full = head // block
+    if full:
+        full_blocks = table[: full * block].reshape(full, block, freqs.size)
+        np.multiply(anchors[:full, None], offsets, out=full_blocks)
+    np.multiply(anchors[full:], offsets[: head - full * block], out=table[full * block : head])
+    _direct_phases(t[head:], freqs, table[head:])
 
 
 def row_slice(i: int) -> slice:
@@ -407,8 +483,10 @@ def row_slice(i: int) -> slice:
 def sum_rule_defects(p: PropagatorCoefficients) -> np.ndarray:
     """|A|^2 - |C|^2 + sum|B_k|^2 - sum|D_k|^2 - 1 at every grid point.
 
-    Computed on the first call, which compute_propagator makes for its
-    contract check, and kept on p.
+    Two row-wise dot products on the float view of p.rows, the (a, b_k) half
+    minus the (a^dag, b_k^dag) half, minus 1: no complex abs and no (T, N)
+    temporaries.  Computed on the first call, which compute_propagator makes
+    for its contract check, and kept on p.
     """
     return p._defects
 

@@ -45,7 +45,11 @@ class GaussianMoments:
 
     Construction enforces the single-mode covariance bound
     (n_c + 1/2)^2 >= 1/4 + |c_aa|^2 on the central moments
-    n_c = n_ex - |mean_a|^2, c_aa = aa - mean_a^2.
+    n_c = n_ex - |mean_a|^2, c_aa = aa - mean_a^2, and n_c >= 0.  Both hold
+    to _PHYS_TOL relative to the larger of 1 and the size of the terms,
+    (n_c + 1/2)^2 and n_ex: a pure state sits on the bound, and its rounding
+    grows with its moments.  Moments whose squares overflow are a
+    ParameterError.
     """
 
     mean_a: complex = 0.0 + 0.0j
@@ -56,14 +60,21 @@ class GaussianMoments:
         object.__setattr__(self, "mean_a", complex(self.mean_a))
         object.__setattr__(self, "n_ex", float(self.n_ex))
         object.__setattr__(self, "aa", complex(self.aa))
-        n_c = self.n_ex - abs(self.mean_a) ** 2
-        c_aa = self.aa - self.mean_a**2
-        if n_c < -_PHYS_TOL:
+        # products, not ** 2: a float square past the range is inf, not an OverflowError
+        n_c = self.n_ex - abs(self.mean_a) * abs(self.mean_a)
+        c_aa = self.aa - self.mean_a * self.mean_a
+        spread = (n_c + 0.5) * (n_c + 0.5)
+        bound = 0.25 + abs(c_aa) * abs(c_aa)
+        if not (math.isfinite(spread) and math.isfinite(bound)):
+            raise ParameterError(
+                f"Gaussian moments overflow: n_ex = {self.n_ex:.3e}, |aa| = {abs(self.aa):.3e}"
+            )
+        if n_c < -_PHYS_TOL * max(1.0, self.n_ex):
             raise PhysicalityError(f"negative central occupation n_c = {n_c:.3e}")
-        if (n_c + 0.5) ** 2 + _PHYS_TOL < 0.25 + abs(c_aa) ** 2:
+        if spread + _PHYS_TOL * max(1.0, spread) < bound:
             raise PhysicalityError(
-                f"covariance bound violated: (n_c+1/2)^2 = {(n_c + 0.5) ** 2:.6e} "
-                f"< 1/4 + |c_aa|^2 = {0.25 + abs(c_aa) ** 2:.6e}"
+                f"covariance bound violated: (n_c+1/2)^2 = {spread:.6e} "
+                f"< 1/4 + |c_aa|^2 = {bound:.6e}"
             )
 
 
@@ -82,11 +93,16 @@ class SqueezedDisplaced:
         object.__setattr__(self, "phi", float(self.phi))
         if self.r < 0.0 or not math.isfinite(self.r):
             raise ParameterError(f"squeezing magnitude must be >= 0, got {self.r}")
-        sh, ch = math.sinh(self.r), math.cosh(self.r)
+        try:
+            sh, ch = math.sinh(self.r), math.cosh(self.r)
+        except OverflowError:
+            raise ParameterError(f"squeezing magnitude {self.r} overflows the moments") from None
+        # Python floats and complex, not numpy scalars: moments that overflow come out
+        # as inf without a warning, and GaussianMoments refuses them
         moments = GaussianMoments(
             mean_a=self.disp,
             n_ex=abs(self.disp) ** 2 + sh * sh,
-            aa=self.disp**2 - np.exp(2j * self.phi) * sh * ch,
+            aa=self.disp**2 - complex(math.cos(2 * self.phi), math.sin(2 * self.phi)) * sh * ch,
         )
         object.__setattr__(self, "moments", moments)
 

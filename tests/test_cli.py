@@ -490,6 +490,8 @@ def test_ensemble_coherent_summary(tmp_path, sample_config):
         assert abs(s["estimate"] - pred) < 4 * s["std_error"]
     assert doc["predicted_c2"] == [0.0, 0.0]
     assert doc["sample_purity"] > 0.999
+    # every member's purity is the zero-temperature purity, which the summary states
+    assert doc["sample_purity"] == pytest.approx(doc["zero_temperature_purity"], rel=1e-14)
     assert doc["displaced_vacuum_defect"] < 1e-3
 
 
@@ -711,6 +713,17 @@ def test_rwa_compare_report(tmp_path, sample_config):
     header, data = read_csv(out, "rwa_compare.csv")
     assert header == ["t", "absA2", "purity", "oracle_purity"]
     assert np.max(np.abs(data[:, 2] - data[:, 3])) < 1e-7
+
+
+@pytest.mark.parametrize("r, code", [(2.9, 0), (200.0, 2)])
+def test_rwa_compare_strong_squeezing(tmp_path, capsys, sample_config, r, code):
+    # r = 2.9 sits on the covariance bound to rounding; r = 200 overflows its moments
+    doc = sample_config("rwa-compare-squeezed")
+    doc["oscillator"]["r"] = r
+    rc, _ = run(tmp_path, "rwa-compare", doc)
+    assert rc == code
+    if code == 2:
+        assert "overflow" in capsys.readouterr().err
 
 
 def test_rwa_compare_rejects_thermal_bath(tmp_path, capsys, sample_config):

@@ -50,5 +50,29 @@ def test_differing_files_report_their_largest_relative_deviation(tmp_path):
     assert verdicts.keys() == {"job/data.csv", "job/report.json", "job/side.bin", "job/extra.csv"}
     for name in ("job/data.csv", "job/side.bin"):
         assert verdicts[name].startswith("max relative deviation 1.9"), verdicts
+        # the absolute deviation beside it: |0.25 - 0.25 (1 + 2e-15)|, 5e-16 to rounding
+        assert verdicts[name].endswith(", max absolute deviation 4.996e-16"), verdicts
     assert verdicts["job/report.json"] == "differs in structure"
     assert verdicts["job/extra.csv"] == "only in B"
+
+
+def test_rounding_level_zeros_read_small_absolute_deviations(tmp_path):
+    # a sum-rule defect or a residual is zero up to rounding: its relative
+    # deviation is O(1), its absolute one shows that it is rounding
+    tool = _tool()
+    trees = tmp_path / "a", tmp_path / "b"
+    for tree, defect in zip(trees, (3.1e-15, -3.1e-15)):
+        (tree / "job").mkdir(parents=True)
+        (tree / "job" / "report.json").write_text(
+            json.dumps({"sum_rule_defect": defect, "min_purity": 0.5}))
+    verdict = dict(tool.compare(*trees))["job/report.json"]
+    assert verdict == "max relative deviation 2.000e+00, max absolute deviation 6.200e-15"
+
+
+def test_deviations_of_nan_and_infinite_entries():
+    tool = _tool()
+    same = np.array([np.nan, np.inf, 1.0])
+    assert tool._deviations(same, same.copy()) == (0.0, 0.0)
+    assert tool._deviations(np.array([np.nan, 1.0]), np.array([1.0, 1.0])) == (np.inf, np.inf)
+    assert tool._deviations(np.array([np.inf]), np.array([-np.inf])) == (np.inf, np.inf)
+    assert tool._deviations(np.array([0.0, 2.0]), np.array([1e-300, 3.0])) == (1.0, 1.0)

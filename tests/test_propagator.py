@@ -146,6 +146,101 @@ def test_sum_rule_all_stock_models():
         assert np.max(np.abs(sum_rule_defects(p))) < 1e-10, name
 
 
+EPS = np.finfo(float).eps
+
+
+def _phase_reference(t, freqs):
+    """cos and sin of the exact phases t E of the stored times, in long double."""
+    phase = np.multiply.outer(t.astype(np.longdouble), freqs.astype(np.longdouble))
+    return np.cos(phase), np.sin(phase)
+
+
+def _phase_error(table, t, freqs):
+    cos, sin = _phase_reference(t, freqs)
+    return float(max(np.max(np.abs(table.real - cos), initial=0.0),
+                     np.max(np.abs(table.imag - sin), initial=0.0)))
+
+
+def _table(fill, t, freqs):
+    table = np.empty((t.size, freqs.size), dtype=complex)
+    fill(t, freqs, table)
+    return table
+
+
+@pytest.mark.parametrize("t_max, steps, n", [(120.0, 1600, 257), (1000.0, 20000, 9),
+                                             (40.0, 100, 65), (8.9, 180, 2)])
+def test_phase_table_against_long_double_reference(t_max, steps, n):
+    # angle addition: within 2 eps max|E t| + 4 eps; direct: eps max|E t| / 2 + eps
+    t = TimeGrid.linspace(t_max, steps).t
+    freqs = np.linspace(0.01, 8.0, n)
+    largest = t_max * freqs[-1]
+    table = _table(propagator._uniform_phases, t, freqs)
+    assert _phase_error(table, t, freqs) <= 2 * EPS * largest + 4 * EPS
+    direct = _table(propagator._direct_phases, t, freqs)
+    assert _phase_error(direct, t, freqs) <= EPS * largest / 2 + EPS
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 3, 9, 12, 16, 25, 40])
+def test_phase_table_at_every_block_shape(steps):
+    # T = 1, 2, 3; 12 uniform rows are three blocks of b = 4, while 9, 16, 25
+    # and 40 leave a part block (b = 4, 5, 6, 7)
+    t = np.linspace(0.0, 3.7, steps + 1)
+    freqs = np.array([0.3, 1.7, 5.2])
+    table = _table(propagator._uniform_phases, t, freqs)
+    assert _phase_error(table, t, freqs) <= 2 * EPS * 3.7 * 5.2 + 4 * EPS
+    assert table[0].tolist() == [1.0] * 3
+
+
+def test_phase_table_takes_angle_addition_on_large_uniform_grids(monkeypatch):
+    calls = []
+    uniform = propagator._uniform_phases
+    monkeypatch.setattr(propagator, "_uniform_phases",
+                        lambda *args: calls.append(args[0].size) or uniform(*args))
+    n = 5
+    below = propagator.PHASE_TABLE_MIN // n - 1  # T n just under the threshold
+    above = propagator.PHASE_TABLE_MIN // n + 1
+    freqs = np.linspace(0.2, 3.0, n)
+    for times in (np.linspace(0.0, 10.0, below), np.linspace(0.0, 10.0, above),
+                  np.arange(above) * 0.01):  # explicit times that are uniform
+        propagator._phase_table(times, freqs)
+    assert calls == [above, above]
+    # the same times with one nudged by an ulp take the direct path
+    times = np.linspace(0.0, 10.0, above)
+    nudged = times.copy()
+    nudged[7] = np.nextafter(nudged[7], np.inf)
+    direct = propagator._phase_table(nudged, freqs)
+    assert calls == [above, above]
+    table = propagator._phase_table(times, freqs)
+    assert np.max(np.abs(table - direct)) <= 2 * EPS * 10.0 * 3.0 + 4 * EPS + 2 * EPS * 3.0
+
+
+@pytest.mark.parametrize("name", ["ohmic-rwa-n64", "ohmic-pp-n64", *CUSTOM_MODELS])
+@pytest.mark.parametrize("steps", [0, 1, 2, 600])
+def test_rows_agree_on_the_table_and_the_direct_path(name, steps, monkeypatch):
+    m = CUSTOM_MODELS[name]() if name in CUSTOM_MODELS else stock_model(name)
+    grid = TimeGrid.linspace(60.0, steps) if steps else TimeGrid([0.0])
+    monkeypatch.setattr(propagator, "PHASE_TABLE_MIN", 0)
+    table = compute_propagator(m, grid)
+    monkeypatch.setattr(propagator, "PHASE_TABLE_MIN", np.inf)
+    direct = compute_propagator(m, grid)
+    # the tables differ by about 2 eps max|E t| ~ 1e-13 here, times |R_c|, |R_s|
+    # (9e-15 measured)
+    assert np.max(np.abs(table.rows - direct.rows)) < 1e-12
+    assert table.rows.shape == (len(grid), 2 * m.n_modes + 2)
+
+
+@pytest.mark.parametrize("name", [*STOCK_MODEL_NAMES, *CUSTOM_MODELS])
+def test_defects_match_the_complex_abs_formula(name):
+    m = CUSTOM_MODELS[name]() if name in CUSTOM_MODELS else stock_model(name)
+    p = compute_propagator(m, TimeGrid.linspace(50.0, 400))
+    # the reference: the |.|^2 sums the defects were first written with
+    plus = np.abs(p.A) ** 2 + np.sum(np.abs(p.B) ** 2, axis=1)
+    minus = np.abs(p.C) ** 2 + np.sum(np.abs(p.D) ** 2, axis=1)
+    reference = plus - minus - 1.0
+    # both round to a few eps of plus + minus (3 eps at most on these models)
+    assert np.all(np.abs(sum_rule_defects(p) - reference) <= 8 * EPS * (plus + minus))
+
+
 def test_no_cholesky_factor_is_a_typed_failure(unstable_model, no_cholesky):
     # no other route exists: an unstable K is a config error, a stable one the stability edge;
     # the real-K route factors S_xx and S_pp, the complex-K route the 2 x 2 Schur complement

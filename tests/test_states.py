@@ -37,6 +37,27 @@ def test_gaussian_physicality_guard():
         states.CatState(math.pi * 1e8, math.pi * 1e8 + 1e-8j)
 
 
+def test_pure_squeezed_states_pass_the_bound_at_every_r():
+    # a pure state sits on the covariance bound, whose rounding grows with
+    # (n_c + 1/2)^2 ~ exp(4 r) / 16: the check is relative to it
+    for r in np.linspace(0.0, 40.0, 4001):
+        states.SqueezedDisplaced(disp=0.3 + 0.1j, r=float(r), phi=0.7)
+    # a state a relative 1e-9 inside the bound is still refused
+    sh, ch = math.sinh(20.0), math.cosh(20.0)
+    with pytest.raises(PhysicalityError):
+        states.GaussianMoments(0.0, sh * sh, sh * ch * (1.0 + 1e-9))
+
+
+@pytest.mark.parametrize("r", [200.0, 400.0, 800.0])
+def test_squeezing_whose_moments_overflow_is_refused(r):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="overflow"):
+            states.SqueezedDisplaced(disp=0.3 + 0.1j, r=r, phi=0.7)
+    with pytest.raises(ParameterError, match="overflow"):
+        states.GaussianMoments(1e160, 1e200, 0.0)
+
+
 def test_vacuum_chi0():
     w = _grid()
     vac = states.vacuum_state()

@@ -9,8 +9,11 @@ NAMEs given), each with the subcommand its file name starts with, and with
 configs come from the checkout's ``perfbench/workloads.py`` (imported, never
 changed).  Every data file is then compared across the two output trees.  A
 line says ``identical``, or gives the largest relative deviation
-|a - b| / max(|a|, |b|) over the numbers of the file: the CSV cells, the JSON
-numbers, or the float64 parts of the complex128 sidecar ``propagator_bd.bin``.
+|a - b| / max(|a|, |b|) and the largest absolute deviation |a - b| over the
+numbers of the file: the CSV cells, the JSON numbers, or the float64 parts of
+the complex128 sidecar ``propagator_bd.bin``.  A number that is zero up to
+rounding, such as a sum-rule defect, reads an O(1) relative deviation; its
+absolute one says whether that is rounding.
 ``manifest.json`` is skipped: it records the wall time and the versions.
 
 The exit status is 0 when every file is identical, 1 when any differs, and 2
@@ -116,15 +119,23 @@ def _numbers(path: Path):
     return data, np.zeros(0)
 
 
-def _deviation(a, b) -> float:
-    """Largest |a - b| / max(|a|, |b|); equal entries (NaN against NaN too) count 0."""
+def _deviations(a, b) -> tuple[float, float]:
+    """Largest |a - b| / max(|a|, |b|) and largest |a - b|.
+
+    Equal entries (NaN against NaN too) count 0; a NaN against a number or
+    unequal infinities count inf.
+    """
     import numpy as np
 
     same = (a == b) | (np.isnan(a) & np.isnan(b))
     with np.errstate(invalid="ignore", divide="ignore"):
-        dev = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
-    dev = np.where(same, 0.0, np.where(np.isnan(dev), math.inf, dev))
-    return float(dev.max(initial=0.0))
+        absolute = np.abs(a - b)
+        relative = absolute / np.maximum(np.abs(a), np.abs(b))
+
+    def largest(dev) -> float:
+        return float(np.where(same, 0.0, np.where(np.isnan(dev), math.inf, dev)).max(initial=0.0))
+
+    return largest(relative), largest(absolute)
 
 
 def compare(tree_a: Path, tree_b: Path) -> list[tuple[str, str]]:
@@ -147,8 +158,9 @@ def compare(tree_a: Path, tree_b: Path) -> list[tuple[str, str]]:
             if shape_a != shape_b or values_a.shape != values_b.shape:
                 verdicts.append((rel, "differs in structure"))
             else:
-                deviation = _deviation(values_a, values_b)
-                verdicts.append((rel, f"max relative deviation {deviation:.3e}"))
+                relative, absolute = _deviations(values_a, values_b)
+                verdicts.append((rel, f"max relative deviation {relative:.3e}, "
+                                      f"max absolute deviation {absolute:.3e}"))
     return verdicts
 
 
