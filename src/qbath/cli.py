@@ -162,6 +162,8 @@ def _cmd_propagate(cfg: RunConfig, out: Path) -> list[str]:
             "late_sup_A": rep.late_sup_A,
             "late_sup_C": rep.late_sup_C,
             "recurrence_onset": rep.recurrence_onset,
+            "route": p.route,
+            "cond_bound": p.cond_bound,
         })
         artifacts.append("propagate_summary.json")
     return artifacts

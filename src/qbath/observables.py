@@ -55,6 +55,7 @@ from .states import (
     carried_gaussian_params,
     central_moments,
     chi0_eval,
+    gaussian_chi_discriminant,
     gaussian_chi_params,
     initial_moments,
     is_gaussian,
@@ -184,9 +185,22 @@ def asymptotic_variances(
     )
 
 
-def _gaussian_purity(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """1/(2 sqrt(a^2 - 4|g|^2)) elementwise; raises at the first non-positive form."""
-    disc = a * a - 4.0 * np.abs(g) ** 2
+def _discriminant(d0: float, a_s, g_s, a_t, c_t, alpha, gamma):
+    """a^2 - 4|g|^2 of the total form a = a_s + alpha, g = g_s + gamma, without cancellation.
+
+    (a_s, g_s) is the state's form (a0, g0) carried by eta -> eta A^* - eta^* C,
+    a map of determinant |A|^2 - |C|^2, so a_s^2 - 4|g_s|^2 is the state's
+    invariant d0 (|A|^2 - |C|^2)^2.  For a squeezed state a_s and |g_s| grow
+    as e^{2r}, and a_s^2 - 4|g_s|^2 formed from them cancels to rounding; the
+    rest is the bath's part, 2 a_s alpha - 8 Re(g_s gamma^*) + alpha^2 - 4|gamma|^2.
+    """
+    det = abs(a_t) ** 2 - abs(c_t) ** 2
+    return (d0 * det * det + 2.0 * a_s * alpha - 8.0 * (g_s * gamma.conjugate()).real
+            + alpha * alpha - 4.0 * abs(gamma) ** 2)
+
+
+def _gaussian_purity(disc: np.ndarray, a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """1/(2 sqrt(disc)) elementwise, disc = a^2 - 4|g|^2; raises at the first non-positive form."""
     bad = disc <= 0.0
     if bad.any():
         k = np.argmax(bad)
@@ -197,45 +211,55 @@ def _gaussian_purity(a: np.ndarray, g: np.ndarray) -> np.ndarray:
 def asymptotic_purity(p: PropagatorCoefficients, i: int, bath: BathSpec) -> float:
     """Long-time purity 1/(2 sqrt(alpha^2 - 4 |gamma|^2)) evaluated at index i."""
     f = bath_sums(p, row_slice(i), _single(bath))
-    return float(_gaussian_purity(f.alpha, f.gamma)[0])
+    return float(_gaussian_purity(f.alpha**2 - 4.0 * np.abs(f.gamma) ** 2, f.alpha, f.gamma)[0])
 
 
 def _total_gaussian_rows(
     p: PropagatorCoefficients, rows, bath: BathSpec, s: OscillatorState
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(d, a, g) of the total Gaussian chi on the propagator rows p.X[rows]."""
-    d, a, g = carried_gaussian_params(*gaussian_chi_params(s), p.A[rows], p.C[rows])
+    """(a^2 - 4|g|^2, a, g) of the total Gaussian chi on the propagator rows p.X[rows]."""
+    a_t, c_t = p.A[rows], p.C[rows]
+    _, a, g = carried_gaussian_params(*gaussian_chi_params(s), a_t, c_t)
     f = _gaussian_sums(p, rows, bath)
-    return d + f.delta, a + f.alpha, g + f.gamma
+    disc = _discriminant(gaussian_chi_discriminant(s), a, g, a_t, c_t, f.alpha, f.gamma)
+    return disc, a + f.alpha, g + f.gamma
 
 
-def _whitening(a: float, g: complex) -> tuple[np.ndarray, float]:
+def _whitening(a: float, g: complex, disc: float) -> tuple[np.ndarray, float]:
     """(W, 1/(pi sqrt(det M))) for M = [[2a - 4 Re g, -4 Im g], [-4 Im g, 2a + 4 Re g]].
 
     M = 2a I - 4 [[Re g, Im g], [Im g, -Re g]] has the eigenvalues 2a -+ 4|g|,
     on the unit vectors U at half the angle of g and at a right angle to it,
-    so W = U Lambda^{-1/2} maps y to x with x^T M x = y^T y.
+    so W = U Lambda^{-1/2} maps y to x with x^T M x = y^T y.  disc is
+    a^2 - 4|g|^2, as `_discriminant` forms it: det M = 4 disc, and the smaller
+    eigenvalue is 2a - 4|g| = 2 disc / (a + 2|g|).
     """
-    lam = 2.0 * a - 4.0 * abs(g), 2.0 * a + 4.0 * abs(g)
-    if not lam[0] > 0.0:
-        raise PhysicalityError(f"purity envelope not positive: eigenvalues {lam[0]}, {lam[1]}")
+    # M is positive-definite iff a > 2|g|, iff a > 0 and disc > 0
+    if not (a > 0.0 and disc > 0.0):
+        raise PhysicalityError(f"purity envelope not positive: a = {a}, a^2 - 4|g|^2 = {disc}")
+    lam = 2.0 * disc / (a + 2.0 * abs(g)), 2.0 * a + 4.0 * abs(g)
     half = 0.5 * math.atan2(g.imag, g.real)
     u = np.array([[math.cos(half), -math.sin(half)], [math.sin(half), math.cos(half)]])
-    det = (2.0 * a - 4.0 * g.real) * (2.0 * a + 4.0 * g.real) - (4.0 * g.imag) ** 2
-    return u / np.sqrt(lam), 1.0 / (math.pi * math.sqrt(det))
+    return u / np.sqrt(lam), 1.0 / (math.pi * math.sqrt(4.0 * disc))
 
 
 def _whitened(p: PropagatorCoefficients, i: int, s: OscillatorState, gauss_bath):
     """_whitening of the Gaussian envelope exp(-x^T M x) of |chi|^2, x = (Re eta, Im eta).
 
     M holds the state's carried Gaussian parameters (a cat's are the
-    vacuum's, a0 = 1/2, g0 = 0) plus those of the members' common Gaussian
-    bath.
+    vacuum's, a0 = 1/2, g0 = 0, d0 = 1/4) plus those of the members' common
+    Gaussian bath.
     """
-    a0, g0 = gaussian_chi_params(s)[1:] if is_gaussian(s) else (0.5, 0.0)
-    _, a, g = carried_gaussian_params(0.0, a0, g0, p.A[i], p.C[i])
+    if is_gaussian(s):
+        (a0, g0), d0 = gaussian_chi_params(s)[1:], gaussian_chi_discriminant(s)
+    else:
+        (a0, g0), d0 = (0.5, 0.0), 0.25
+    a_t, c_t = p.A[i], p.C[i]
+    _, a, g = carried_gaussian_params(0.0, a0, g0, a_t, c_t)
     f = bath_f_params(p, i, gauss_bath)
-    return _whitening(a + f.alpha, g + f.gamma)
+    # Python scalars: this runs once per quadrature row, where numpy scalars cost more
+    a, g, alpha, gamma = float(a), complex(g), float(f.alpha), complex(f.gamma)
+    return _whitening(a + alpha, g + gamma, _discriminant(d0, a, g, a_t, c_t, alpha, gamma))
 
 
 @functools.cache
@@ -402,8 +426,7 @@ def purity_rows(
         gaussian = is_gaussian(s) and not isinstance(bath, NumberStateBath)
         method = "closed" if gaussian else "quadrature"
     if method == "closed":
-        _, a, g = _total_gaussian_rows(p, rows, bath, s)
-        return _gaussian_purity(a, g)
+        return _gaussian_purity(*_total_gaussian_rows(p, rows, bath, s))
     if method != "quadrature":
         raise ParameterError(f"unknown purity method {method!r}")
     indices = np.arange(p.n_times)[rows]

@@ -9,30 +9,32 @@ Preserving [a(t), a(t)^dag] = 1 gives the sum rule
 
     |A|^2 - |C|^2 + sum_k |B_k|^2 - sum_k |D_k|^2 = 1.
 
-Coefficients are computed by one symmetric or Hermitian decomposition (exact
-in t, no time stepping), chosen by the structure of the model.  Every route
-gives pair frequencies E and matrices R_c, R_s, and one kernel, `_trig_rows`,
-writes the rows cos(E t) R_c + i sin(E t) R_s:
+Coefficients are computed by one decomposition (exact in t, no time
+stepping), chosen by the structure of the model.  Every route gives pair
+frequencies E and matrices R_c, R_s, and one kernel, `_trig_rows`, writes
+the rows cos(E t) R_c + i sin(E t) R_s:
 
-  v = 0          (a, b_k) evolve alone under the (N+1)-dim Hermitian block
-                 Dk = [[nu, u], [u^dag, diag omega]]; `eigh` of Dk gives
-                 exp(-i E t) w V^dag, so R_s = -R_c = -w V^dag over the N+1
-                 (a, b_k) columns, and C = D = 0 exactly.
-  real K         (real u, v != 0: PositionPosition, real Custom)  the real
-                 quadrature form splits, dx/dt = S_pp p and dp/dt = -S_xx x
-                 (see `model`).  With S_xx = L_x L_x^T and S_pp = L_p L_p^T,
-                 the SVD L_x^T L_p = Y E Z^T gives the normal-mode
-                 frequencies E and real mode profiles L_x Y, L_p Z: one
-                 (N+1) SVD.
-  complex K      the Cholesky factor K = L L^dag of the positive-definite
-                 quadratic form makes the symplectic problem Hermitian: `eigh`
-                 of L^dag Sigma L gives real normal-mode frequencies
-                 eps = +-E and eigenvectors with V^{-1} = sign(eps) V^dag
-                 Sigma, so no inverse is formed (Colpa, Physica A 93, 327 (1978)).  K is
-                 an arrow matrix (see `model`), so L comes from the Cholesky
-                 factor of its 2 x 2 Schur complement and L^dag Sigma L is a
-                 diagonal plus a rank-2 term, both in O(N^2); the one
-                 (2N+2) `eigh` is the only cubic step.
+  v = 0          "number": (a, b_k) evolve alone under the (N+1)-dim
+                 Hermitian block Dk = [[nu, u], [u^dag, diag omega]]; `eigh`
+                 of Dk gives exp(-i E t) w V^dag, so R_s = -R_c = -w V^dag
+                 over the N+1 (a, b_k) columns, and C = D = 0 exactly.
+  real K         "quadrature-svd" (real u, v != 0: PositionPosition, real
+                 Custom): the real quadrature form splits, dx/dt = S_pp p and
+                 dp/dt = -S_xx x (see `model`).  With S_xx = L_x L_x^T and
+                 S_pp = L_p L_p^T, the SVD L_x^T L_p = Y E Z^T gives the
+                 normal-mode frequencies E and real mode profiles L_x Y,
+                 L_p Z: one (N+1) SVD.
+  complex K      "williamson-svd": with the real form S = L L^T, y = L^T z
+                 obeys dy/dt = A y, A = L^T J L the real antisymmetric
+                 Williamson matrix (Am. J. Math. 58, 141 (1936)); for real K
+                 an SVD of its off-diagonal block L_x^T L_p suffices.  S is
+                 an arrow, so L comes from the Cholesky factor L_s of its
+                 2 x 2 Schur complement, A is built in O(N^2), and one real
+                 (2N+2) SVD is the only cubic step.  At the stability edge
+                 L_s has a soft pivot; `_williamson_pairs` takes no product
+                 that amplifies the SVD's rounding by it (on 240 random models
+                 within 1e-14 .. 1e-6 of the edge, tools/edge_sweep.py seeds
+                 0 and 1, the largest sup defect is 1.1e-11).
 
 No route forms an inverse.  Only stable models are served.  An unstable one
 is a ParameterError; a form that has no Cholesky factor although
@@ -83,7 +85,7 @@ __all__ = [
 ]
 
 SUM_RULE_TOL = 1e-10  # largest sup |sum-rule defect| that compute_propagator accepts
-COND_LIMIT = 1e10  # largest ||K||_1 / min|eps| (bounds cond of the normal modes) accepted
+COND_LIMIT = 1e10  # largest ||K||_1 / min E (bounds cond of the normal modes) accepted
 DECAY_THRESHOLD = 0.1  # |A| level that decay_report's recurrence onset is measured against
 LATE_FRACTION = 0.2  # trailing share of the grid that decay_report calls late
 PLATEAU_THRESHOLD = 0.05  # |A|, |C| level below which plateau_window counts memory as lost
@@ -126,12 +128,17 @@ class PropagatorCoefficients:
     row(t) M are built on the first read of dA, dB, dC or dD and then kept;
     so are the sum-rule defects, on the first sum_rule_defects call.
 
+    `route` is compute_propagator's decomposition and `cond_bound` its
+    ||K||_1 / min E, None for the "number" route.
+
     Shapes: A, C, dA, dC are (T,); B, D, dB, dD are (T, N).
     """
 
     model: ModelSpec
     grid: TimeGrid
     rows: np.ndarray
+    route: str
+    cond_bound: float | None
     A: np.ndarray = field(init=False, repr=False)
     B: np.ndarray = field(init=False, repr=False)
     C: np.ndarray = field(init=False, repr=False)
@@ -184,33 +191,32 @@ def compute_propagator(m: ModelSpec, grid: TimeGrid) -> PropagatorCoefficients:
     """Evaluate the coefficient rows on the whole grid.
 
     The route follows the structure of the model (see the module docstring)
-    and gives the pair frequencies E and the matrices R_c, R_s: `eigh` of Dk
-    for v = 0, the Choleskys of S_xx, S_pp and one (N+1) SVD for real K, the
-    Cholesky factor of the 2 x 2 Schur complement and one Hermitian (2N+2)
-    `eigh` for complex K (Colpa).  One call of `_trig_rows` writes the rows.
+    and gives the pair frequencies E and the matrices R_c, R_s: "number",
+    `eigh` of Dk for v = 0; "quadrature-svd", one (N+1) SVD for real K;
+    "williamson-svd", one real (2N+2) SVD for complex K.  One call of
+    `_trig_rows` writes the rows.  The coefficients keep the route and the
+    ||K||_1 / min E bound of the pair routes.
     Without a Cholesky factor the model is unstable (ParameterError) or at
-    the stability edge (NumericalError); ill-conditioned normal modes of a
-    pair route and a sup sum-rule defect above SUM_RULE_TOL are
-    NumericalErrors too.  Derivative rows drow(t) = row(t) M are left to the
-    first read of dA, dB, dC or dD.
+    the stability edge (NumericalError); a bound above COND_LIMIT and a sup
+    sum-rule defect above SUM_RULE_TOL are NumericalErrors too.  Derivative
+    rows drow(t) = row(t) M are left to the first read of dA, dB, dC or dD.
     """
     if not m.v.any():
         # the eigenvectors of Dk are unitary (cond = 1): no conditioning guard
-        freqs, r_cos, r_sin = _number_pairs(m)
+        route, (freqs, r_cos, r_sin) = "number", _number_pairs(m)
+    elif m.u.imag.any() or m.v.imag.any():
+        route, (freqs, r_cos, r_sin) = "williamson-svd", _williamson_pairs(m)
     else:
-        if m.u.imag.any() or m.v.imag.any():
-            freqs, r_cos, r_sin = _colpa_pairs(*_colpa_modes(m))
-        else:
-            freqs, r_cos, r_sin = _quadrature_pairs(*_quadrature_modes(m))
-        # the pair frequencies E descend: E[-1] is the smallest
-        _check_conditioning(m, freqs[-1])
+        route, (freqs, r_cos, r_sin) = "quadrature-svd", _quadrature_pairs(*_quadrature_modes(m))
+    # the pair frequencies E descend: E[-1] is the smallest
+    cond_bound = None if route == "number" else _check_conditioning(m, freqs[-1])
     # v = 0 fills only the (a, b_k) columns: C and D stay exactly zero
     rows = np.zeros((len(grid), 2 * m.n_modes + 2), dtype=complex)
     _trig_rows(grid.t, freqs, r_cos, r_sin, rows[:, : r_cos.shape[1]])
     # t = 0 is the identity exactly; drop the reconstruction rounding there
     rows[0, :] = 0.0
     rows[0, 0] = 1.0
-    p = PropagatorCoefficients(model=m, grid=grid, rows=rows)
+    p = PropagatorCoefficients(m, grid, rows, route, cond_bound)
     sup_defect = float(np.max(np.abs(sum_rule_defects(p))))
     if not sup_defect <= SUM_RULE_TOL:
         raise NumericalError(f"sum-rule defect {sup_defect:.3e} exceeds {SUM_RULE_TOL:.0e}")
@@ -239,8 +245,8 @@ def _cholesky(m: ModelSpec, form: np.ndarray) -> np.ndarray:
         ) from None
 
 
-def _check_conditioning(m: ModelSpec, min_freq: float) -> None:
-    """NumericalError unless ||K||_1 / min|eps| is finite and within COND_LIMIT.
+def _check_conditioning(m: ModelSpec, min_freq: float) -> float:
+    """The bound ||K||_1 / min E; NumericalError unless it is finite and within COND_LIMIT.
 
     ||K||_1 is the largest column sum of |K|, in O(N): nu + sum|u| + sum|v|
     for a and a^dag, omega_k + |u_k| + |v_k| for b_k and b_k^dag.
@@ -252,6 +258,7 @@ def _check_conditioning(m: ModelSpec, min_freq: float) -> None:
         raise NumericalError(
             f"ill-conditioned normal modes (cond bound = {bound:.3e} > {COND_LIMIT:.1e})"
         )
+    return float(bound)
 
 
 def _number_pairs(m: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -271,71 +278,83 @@ def _number_pairs(m: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return freqs, r_cos, -r_cos
 
 
-def _colpa_modes(m: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normal modes of M = -i Sigma K from K = L L^dag (Colpa): (eps, weights, right).
+def _williamson_modes(m: ModelSpec) -> tuple[np.ndarray, ...]:
+    """SVD of the Williamson matrix A = L^T J L of the real form S = L L^T: (A, U, sigma, V^T, g).
 
-    In the basis (b, b^dag, a, a^dag) K is the arrow [[D, G], [G^dag, nu I]]
-    with D = diag(omega, omega) (see `model`), so its Cholesky factor is
-    L = [[D^{1/2}, 0], [Y, L_s]], Y = G^dag D^{-1/2}, with L_s the factor of
-    the 2 x 2 Schur complement nu I - Y Y^dag.  With Z^dag = [Y, L_s],
+    In the quadratures (x_b, p_b, x_0, p_0) S is the arrow [[D, D^{1/2} Y^T],
+    [Y D^{1/2}, nu I]], D = diag(omega, omega), with the 2 x 2N border Y of
+    rows (Re(u + v), Im(v - u)) / sqrt(omega), (Im(u + v), Re(u - v)) /
+    sqrt(omega) (see `model`).  So L = [[D^{1/2}, 0], [Y, L_s]], L_s the
+    Cholesky factor of the Schur complement nu I - Y Y^T, and in O(N^2)
 
-        H = L^dag Sigma L = diag(omega, -omega, 0, 0) + Z sigma Z^dag,
+        A = [[omega J_N + y_x y_p^T - y_p y_x^T, Y^T J_0 L_s],
+             [L_s^T J_0 Y, det(L_s) J_0]].
 
-    sigma = diag(1, -1), and H = U diag(eps) U^dag gives M V = V diag(-i eps)
-    with V = Sigma L U |eps|^{-1/2} and V^{-1} = sign(eps) V^dag Sigma, so
-    row(t) = (L U)_a / eps exp(-i eps t) (L U)^dag: no inverse is formed.
-    The bath rows of L U are D^{1/2} U_b.  The oscillator rows Z^dag U come
-    from the last two rows of H U = U diag(eps), as sigma L_s^{-dag} U_o
-    diag(eps), which keeps them accurate where the sum Y U_b + L_s U_o
-    cancels, near the stability edge; the weights (L U)_a / eps are then the
-    a-row of L_s^{-dag} U_o.  `right` = (L U)^dag has its columns in the
-    basis (a, b, a^dag, b^dag) of the rows.  cond(V) = ||V||^2 <= ||K|| /
-    min|eps| <= ||K||_1 / min|eps|, the bound compute_propagator holds
-    against COND_LIMIT.
+    In y = L^T z, dz/dt = J S z reads dy/dt = A y, and a = c^T z = g^T y
+    with c = (1, i) / sqrt(2) on (x_0, p_0) and g = (0, L_s^{-1} c).
     """
     n = m.n_modes
     root = np.sqrt(m.omegas)
-    y = np.empty((2, 2 * n), dtype=complex)
-    y[0, :n], y[0, n:] = m.u / root, m.v / root
-    y[1, :n], y[1, n:] = np.conj(y[0, n:]), np.conj(y[0, :n])
-    (l00, _), (l10, l11) = _cholesky(m, m.nu * np.eye(2) - y @ y.conj().T)
-    z_a = np.concatenate((y[0], [l00, 0.0]))
-    z_ad = np.concatenate((y[1], [l10, l11]))
-    colpa = np.multiply.outer(z_a.conj(), z_a)
-    colpa -= np.multiply.outer(z_ad.conj(), z_ad)
-    diag = colpa.reshape(-1)[:: 2 * n + 3]
-    diag[:n] += m.omegas
-    diag[n : 2 * n] -= m.omegas
-    eps, vecs = np.linalg.eigh(colpa)
-    del colpa  # one (2N+2)^2 array fewer alive once `right` is built
-    # L_s^{-dag} U_o, by back substitution in the upper triangular L_s^dag
-    osc_ad = vecs[2 * n + 1] / l11.real
-    weights = (vecs[2 * n] - np.conj(l10) * osc_ad) / l00.real
-    right = np.empty((2 * n + 2, 2 * n + 2), dtype=complex)
-    right[:, 0] = np.conj(weights) * eps
-    right[:, n + 1] = -np.conj(osc_ad) * eps
-    right[:, 1 : n + 1] = vecs[:n].T.conj() * root
-    right[:, n + 2 :] = vecs[n : 2 * n].T.conj() * root
-    return eps, weights, right
+    # the real and imaginary parts of (u + v, i (u - v)) / sqrt(omega) are the rows of Y
+    y = np.concatenate(((m.u + m.v) / root, 1j * (m.u - m.v) / root)).view(float)
+    y = y.reshape(2 * n, 2).T
+    ls = _cholesky(m, m.nu * np.eye(2) - y @ y.T)
+    size = 2 * n + 2
+    # the upper parts of A's blocks; subtracting the transpose makes A exactly antisymmetric
+    will = np.zeros((size, size))
+    np.multiply.outer(y[0], y[1], out=will[: 2 * n, : 2 * n])
+    will.reshape(-1)[n : n * (size + 1) : size + 1] += m.omegas
+    np.matmul(y.T, [[ls[1, 0], ls[1, 1]], [-ls[0, 0], 0.0]], out=will[: 2 * n, 2 * n :])
+    will[2 * n, 2 * n + 1] = ls[0, 0] * ls[1, 1]
+    will -= will.T
+    (l00, _), (l10, l11) = ls.tolist()
+    g_x = math.sqrt(0.5) / l00  # L_s^{-1} c by forward substitution
+    return will, *np.linalg.svd(will), np.array([g_x, (1j * math.sqrt(0.5) - l10 * g_x) / l11])
 
 
-def _colpa_pairs(
-    eps: np.ndarray, weights: np.ndarray, right: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(E, R_c, R_s) of `_trig_rows` from the +-eps pairs of `_colpa_modes`.
+def _williamson_pairs(m: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E, R_c, R_s) of `_trig_rows` from `_williamson_modes`.
 
-    Colpa's eps come in pairs +E, -E; the k-th largest positive one is paired
-    with the k-th most negative.  With P and N the (weights * right) rows of
-    the pair, exp(-i E t) P + exp(i E t) N = cos(E t) (P + N) + i sin(E t)
-    (N - P), and E is the pair's mean |eps|, in descending order.
+    A is antisymmetric, so its singular values come in equal pairs, and on
+    the span of a pair exp(A t) = cos(sigma t) + sin(sigma t) A / sigma:
+
+        a(t) = sum_j [cos(E t) alpha_j + sin(E t) beta_j / E] (L v_j)^T z(0)
+
+    with alpha_j = g^T v_j, beta_j = g^T A v_j and E the mean sigma of the
+    pair of v_j.  At the stability edge g is large along the soft pivot of
+    L_s, and the SVD error is not antisymmetric, so no product takes g times
+    a computed vector whose soft entry lacks that pivot:
+      - beta and the oscillator rows -J_0 L_s^{-T} (A V)_0 of L V come from
+        A's oscillator rows, whose soft row carries the pivot (the direct sum
+        Y V_b + L_s V_0 cancels);
+      - alpha_j = (A g)^T u_j / sigma_j, from A v_j = sigma_j u_j, and
+        A g = L^T J (0, c) is free of the pivot;
+      - the softest pair, where dividing by sigma fails, takes R_c from the
+        t = 0 identity sum_k R_c,k = e_a.
+    The bath rows of L V are D^{1/2} V_b.  In w, x = (a + a^dag) / sqrt(2)
+    and p = -i (a - a^dag) / sqrt(2).
     """
-    half = eps.size // 2
-    pos, neg = slice(None, half - 1, -1), slice(half)
-    plus = weights[pos, None] * right[pos]
-    r_sin = weights[neg, None] * right[neg]
-    r_cos = r_sin + plus
-    r_sin -= plus
-    return 0.5 * (eps[pos] - eps[neg]), r_cos, r_sin
+    will, left, sigma, vt, g = _williamson_modes(m)
+    n = m.n_modes
+    freqs = 0.5 * (sigma[::2] + sigma[1::2])
+    beta = vt @ will[2 * n :].T @ g
+    # the rows (L v_j)^T in the columns (a, b_k, a^dag, b_k^dag)
+    modes = np.empty((2 * n + 2, 2 * n + 2), dtype=complex)
+    modes[:, 0], modes[:, n + 1] = -1j * np.conj(beta), 1j * beta
+    root = np.sqrt(0.5 * m.omegas)
+    np.multiply(vt[:, :n], root, out=modes[:, 1 : n + 1].real)
+    np.multiply(vt[:, n : 2 * n], -root, out=modes[:, 1 : n + 1].imag)
+    modes[:, n + 2 :] = np.conj(modes[:, 1 : n + 1])
+    weights = np.stack(((will[:, 2 * n :] @ g) @ left / sigma, beta / np.repeat(freqs, 2)))
+    del will, left  # so the rows below and the kernel's tables can reuse their memory
+    # pair k: [alpha; beta / E] of its two columns times their two rows, into [R_c; i R_s]
+    r_cos, r_sin = rows = np.empty((2, n + 1, 2 * n + 2), dtype=complex)
+    np.matmul(weights.reshape(2, n + 1, 2).transpose(1, 0, 2), modes.reshape(n + 1, 2, -1),
+              out=rows.transpose(1, 0, 2))
+    r_cos[-1] = -r_cos[:-1].sum(axis=0)
+    r_cos[-1, 0] += 1.0
+    r_sin *= -1j
+    return freqs, r_cos, r_sin
 
 
 def _quadrature_modes(m: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -348,8 +367,8 @@ def _quadrature_modes(m: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     (x, p), x(t) = P E^{-1} xi(t) and p(t) = X E^{-1} pi(t), and xi(0) =
     X^T x, pi(0) = P^T p: no inverse is formed.  X^T P = diag(E), the
     symplectic normalization.  The frequencies, in descending order, are the
-    positive half of Colpa's +-eps; compute_propagator holds ||K||_1 / min E
-    against COND_LIMIT.
+    pair frequencies of `_williamson_pairs`; compute_propagator holds
+    ||K||_1 / min E against COND_LIMIT.
     """
     forms = np.tile(np.diag(np.concatenate(([m.nu], m.omegas))), (2, 1, 1))
     u, v = m.u.real, m.v.real

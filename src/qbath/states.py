@@ -27,6 +27,7 @@ __all__ = [
     "initial_moments",
     "central_moments",
     "gaussian_chi_params",
+    "gaussian_chi_discriminant",
     "gaussian_exponent",
     "gaussian_exponent_wirtinger",
     "carried_gaussian_params",
@@ -187,6 +188,19 @@ def gaussian_chi_params(s: OscillatorState) -> tuple[complex, float, complex]:
     mom = _as_moments(s)
     n_c, c_aa = central_moments(mom)
     return mom.mean_a, n_c + 0.5, c_aa / 2.0
+
+
+def gaussian_chi_discriminant(s: OscillatorState) -> float:
+    """a0^2 - 4 |g0|^2 of gaussian_chi_params(s), from the state's own parameters.
+
+    It is (n_c + 1/2)^2 - |c_aa|^2, which a pure state holds at 1/4.  A
+    SqueezedDisplaced state gives 1/4 exactly: its moments grow as e^{2r},
+    and their difference would cancel to rounding.
+    """
+    if isinstance(s, SqueezedDisplaced):
+        return 0.25
+    spread, c_aa = gaussian_chi_params(s)[1], abs(central_moments(s)[1])
+    return (spread - c_aa) * (spread + c_aa)
 
 
 def gaussian_exponent(d, a, g, eta):

@@ -93,6 +93,25 @@ def eig_route_rows():
 
 
 @pytest.fixture(scope="session")
+def squeezed_reference_check():
+    """Check purities against rwa.purity_squeezed_rwa within the reference's own conditioning.
+
+    |pur - ref| <= 4 eps ref / min(s, 1 - s) on the rows with min(s, 1 - s) >=
+    1e-3, s = |A|^2: the reference forms 1 - s, which carries the rounding of s
+    relative to itself, so next to a revival (s = 1) it loses every digit.
+    """
+
+    def check(absA2, pur, ref):
+        spread = np.minimum(absA2, 1.0 - absA2)
+        rows = spread >= 1e-3
+        assert rows.sum() > absA2.size // 2
+        bound = 4.0 * np.finfo(float).eps / spread[rows] * ref[rows]
+        assert np.all(np.abs(pur - ref)[rows] <= bound)
+
+    return check
+
+
+@pytest.fixture(scope="session")
 def keyed_rng():
     """A fixed, independent generator for each (seed, k): a source of test draws.
 

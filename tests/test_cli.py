@@ -276,6 +276,25 @@ def test_sum_rule_contract_exits_3(tmp_path, capsys, monkeypatch, sample_config,
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("config, route", [
+    ({"model": SMALL_MODEL, "time_grid": {"t_max": 10.0, "steps": 20}}, "number"),
+    ("propagate-ohmic-pp", "quadrature-svd"),
+    (COMPLEX_CUSTOM, "williamson-svd"),
+], ids=["rwa", "position-position", "complex-custom"])
+def test_propagate_summary_names_the_route_and_its_cond_bound(tmp_path, sample_config, config,
+                                                             route):
+    doc = sample_config(config) if isinstance(config, str) else dict(config)
+    doc["outputs"] = {"formats": ["json"]}
+    rc, out = run(tmp_path, "propagate", doc)
+    assert rc == 0
+    summary = load_json(out, "propagate_summary.json")
+    cfg = parse_config(doc)
+    p = compute_propagator(cfg.model, cfg.grid)
+    assert summary["route"] == p.route == route
+    assert summary["cond_bound"] == p.cond_bound
+    assert (p.cond_bound is None) == (route == "number")
+
+
 def test_model_just_past_the_stability_edge_exits_2(tmp_path, capsys):
     # det S_xx = 0.04 - 0.2^2 is -3.6e-18 in the stored floats: the model is unstable
     doc = {
@@ -724,6 +743,18 @@ def test_rwa_compare_strong_squeezing(tmp_path, capsys, sample_config, r, code):
     assert rc == code
     if code == 2:
         assert "overflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("r", [6.0, 9.0, 9.25, 12.0, 20.0])
+def test_rwa_compare_closed_purity_of_strong_squeezing(tmp_path, sample_config, r,
+                                                       squeezed_reference_check):
+    # from r = 9.25 the closed-form purity exited 3 ("purity form not positive")
+    doc = sample_config("rwa-compare-squeezed")
+    doc["oscillator"]["r"] = r
+    rc, out = run(tmp_path, "rwa-compare", doc)
+    assert rc == 0
+    _, data = read_csv(out, "rwa_compare.csv")
+    squeezed_reference_check(data[:, 1], data[:, 2], data[:, 3])
 
 
 def test_rwa_compare_rejects_thermal_bath(tmp_path, capsys, sample_config):

@@ -1,3 +1,7 @@
+import functools
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -8,6 +12,8 @@ from qbath.errors import NumericalError, ParameterError
 from qbath.model import ModelSpec, SpectralDiscretization, Units, _coupling_matrix, dynamical_matrix
 from qbath.presets import STOCK_MODEL_NAMES
 from qbath.propagator import _local_maxima, decay_report, plateau_window, sum_rule_defects
+
+EDGE_SWEEP = Path(__file__).resolve().parents[1] / "tools" / "edge_sweep.py"
 
 
 def complex_custom_model():
@@ -259,15 +265,86 @@ def test_no_cholesky_factor_is_a_typed_failure(unstable_model, no_cholesky):
 
 @pytest.mark.parametrize("delta", [1e-6, 1e-8, 1e-10, 1e-12, 1e-13])
 def test_complex_route_keeps_the_sum_rule_near_the_stability_edge(delta):
-    # N = 1 with |u| + |v| = 2g: the edge is g = 0.1.  The oscillator rows of L U come from
-    # the eigen-equation, not from the sum Y U_b + L_s U_o, which cancels here and breaks
-    # the contract from delta = 1e-13 on this grid
+    # N = 1 with |u| + |v| = 2g: the edge is g = 0.1.  The oscillator rows of L V come from
+    # the oscillator rows of A V, not from the sum Y V_b + L_s V_0, which cancels here
     g = 0.1 * (1.0 - delta)
     m = ModelSpec(1.0, omegas=[0.04], u=[g * np.exp(-0.7j)], v=[g * np.exp(0.7j)],
                   coupling_family="Custom")
     assert validate_model(m) > 0.0
     p = compute_propagator(m, TimeGrid.linspace(200.0, 400))
     assert np.max(np.abs(sum_rule_defects(p))) < 1e-10
+
+
+@functools.cache
+def _edge_scale():
+    """tools/edge_sweep.py's bisection for the stability edge of a coupling direction."""
+    spec = importlib.util.spec_from_file_location("edge_sweep", EDGE_SWEEP)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._edge_scale
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("delta", [1e-10, 1e-11, 1e-12, 1e-13])
+def test_complex_route_keeps_the_sum_rule_near_the_edge_of_random_models(seed, delta):
+    # random complex u, v at N = 4..12, scaled to (1 - delta) of the edge; the grid of the
+    # N = 1 edge test.  The softest pair takes its cosine row from the t = 0 identity and no
+    # other pair multiplies the SVD's rounding by the soft pivot of L_s
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 13))
+    nu, omegas = rng.uniform(0.2, 3.0), rng.uniform(0.05, 4.0, n)
+    u, v = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
+    scale = (1.0 - delta) * _edge_scale()(nu, omegas, u, v)
+    m = ModelSpec(nu, omegas, scale * u, scale * v, coupling_family="Custom")
+    assert validate_model(m) > 0.0
+    p = compute_propagator(m, TimeGrid.linspace(200.0, 400))
+    assert p.route == "williamson-svd"
+    assert np.max(np.abs(sum_rule_defects(p))) < 1e-10
+
+
+@pytest.mark.parametrize("repeats", [2, 4, 8])
+def test_complex_route_with_dark_modes_matches_eig_route(repeats, eig_route_rows):
+    # repeated omega_k with equal couplings leave repeats - 1 dark modes at each omega_k, an
+    # exactly repeated singular value of the Williamson matrix: any orthonormal basis of its
+    # eigenspace is an SVD, and the rows must not depend on which one LAPACK returns
+    omegas = np.repeat([0.5, 0.9, 1.3], repeats)
+    n = omegas.size
+    m = ModelSpec(1.1, omegas, np.full(n, 0.05 * np.exp(0.4j)), np.full(n, 0.02 * np.exp(-1.1j)),
+                  coupling_family="Custom")
+    grid = TimeGrid.linspace(60.0, 240)
+    p = compute_propagator(m, grid)
+    assert p.route == "williamson-svd"
+    assert np.max(np.abs(p.rows - eig_route_rows(m, grid))) <= 1e-10
+    assert np.max(np.abs(sum_rule_defects(p))) < 1e-10
+
+
+@pytest.mark.parametrize("name", ["real-custom-n12", "ohmic-pp-n64"])
+def test_real_model_takes_the_same_modes_through_both_svd_routes(name):
+    # real K: the (N+1) SVD of L_x^T L_p and the (2N+2) SVD of the whole Williamson matrix
+    m = CUSTOM_MODELS[name]() if name in CUSTOM_MODELS else stock_model(name)
+    grid = TimeGrid.linspace(60.0, 240)
+    pairs = propagator._williamson_pairs(m), propagator._quadrature_pairs(
+        *propagator._quadrature_modes(m))
+    rows = np.zeros((2, len(grid), 2 * m.n_modes + 2), dtype=complex)
+    for (freqs, r_cos, r_sin), out in zip(pairs, rows):
+        propagator._trig_rows(grid.t, freqs, r_cos, r_sin, out)
+    np.testing.assert_allclose(pairs[0][0], pairs[1][0], rtol=0, atol=1e-12)
+    assert np.max(np.abs(rows[0] - rows[1])) <= 1e-12
+
+
+@pytest.mark.parametrize("name", [*STOCK_MODEL_NAMES, "complex-custom-n12"])
+def test_coefficients_report_their_route_and_cond_bound(name):
+    m = CUSTOM_MODELS[name]() if name in CUSTOM_MODELS else stock_model(name)
+    p = compute_propagator(m, TimeGrid.linspace(10.0, 20))
+    if not m.v.any():
+        assert (p.route, p.cond_bound) == ("number", None)
+        return
+    complex_k = m.u.imag.any() or m.v.imag.any()
+    assert p.route == ("williamson-svd" if complex_k else "quadrature-svd")
+    # the want of test_cond_bound_is_the_norm_over_the_smallest_frequency
+    freqs = np.abs(np.linalg.eigvals(dynamical_matrix(m)).imag)
+    want = np.linalg.norm(_coupling_matrix(m), 1) / freqs.min()
+    assert p.cond_bound == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("name", [*STOCK_MODEL_NAMES, *CUSTOM_MODELS])

@@ -10,6 +10,7 @@ from qbath.model import (
     ModelSpec,
     Units,
     _coupling_matrix,
+    dynamical_matrix,
     quadratic_form_matrix,
     validate_model,
 )
@@ -68,15 +69,26 @@ def test_random_stable_models_match_eig_route(m, eig_route_rows):
 
 
 @given(stable_models(family="PositionPosition") | stable_models(family="Custom"))
-def test_colpa_modes_are_symplectically_normalized(m):
-    eps, weights, right = propagator._colpa_modes(m)
-    sigma = np.concatenate((np.ones(m.n_modes + 1), -np.ones(m.n_modes + 1)))
-    # right = (L U)^dag = |eps|^{1/2} V^dag Sigma
-    vecs = sigma[:, None] * right.conj().T / np.sqrt(np.abs(eps))
-    np.testing.assert_allclose(
-        vecs.conj().T @ (sigma[:, None] * vecs), np.diag(np.sign(eps)), rtol=0, atol=1e-12
-    )
-    assert np.sum(eps > 0) == np.sum(eps < 0) == m.n_modes + 1
+def test_williamson_modes_are_symplectically_normalized(m):
+    will, _, sigma, vt, _ = propagator._williamson_modes(m)
+    # the Williamson matrix A = L^T J L is built exactly antisymmetric
+    assert np.array_equal(will, -will.T)
+    np.testing.assert_allclose(vt @ vt.T, np.eye(2 * m.n_modes + 2), rtol=0, atol=1e-12)
+    norm = np.linalg.norm(will, 2)
+    freqs = 0.5 * (sigma[::2] + sigma[1::2])
+    # every column lies in the eigenspace of -A^2 of its pair: A^2 v_j = -E^2 v_j
+    av = vt @ will.T
+    e_sq = np.repeat(freqs, 2)[:, None] ** 2
+    assert np.max(np.abs(av @ will.T + e_sq * vt)) <= 1e-12 * norm**2
+    # a pair with a simple frequency spans an invariant plane: A v1 = -b v2, A v2 = b v1
+    # (in a repeated one, such as that of uncoupled modes, any orthonormal basis is an SVD)
+    gaps = np.abs(freqs[:, None] - freqs[None, :]) + np.diag(np.full(freqs.size, np.inf))
+    simple = gaps.min(axis=1) > 1e-3 * norm
+    b = np.einsum("ij,ij->i", vt[::2], av[1::2])[simple, None]
+    tol = 1e-12 * norm
+    assert np.max(np.abs(av[::2][simple] + b * vt[1::2][simple]), initial=0.0) <= tol
+    assert np.max(np.abs(av[1::2][simple] - b * vt[::2][simple]), initial=0.0) <= tol
+    np.testing.assert_allclose(np.abs(b[:, 0]), freqs[simple], rtol=0, atol=tol)
 
 
 @given(stable_models(family="PositionPosition") | stable_models(family="Custom", real=True))
@@ -88,9 +100,9 @@ def test_quadrature_modes_are_symplectically_normalized(m):
     np.testing.assert_allclose(x_modes.T @ p_modes / scale, np.eye(m.n_modes + 1),
                                rtol=0, atol=1e-12)
     assert np.all(freqs > 0.0)
-    # E is the positive half of the Colpa frequencies +-eps
-    eps = propagator._colpa_modes(m)[0]
-    np.testing.assert_allclose(np.sort(freqs), eps[eps > 0], rtol=1e-12)
+    # M = -i Sigma K has the eigenvalues +-i E
+    eigs = np.sort(np.abs(np.linalg.eigvals(dynamical_matrix(m)).imag))
+    np.testing.assert_allclose(np.sort(freqs), eigs[::2], rtol=1e-12)
 
 
 @given(ANY_MODEL)

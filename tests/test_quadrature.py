@@ -319,14 +319,18 @@ def test_closed_form_whitening_diagonalizes_the_envelope():
     eps = np.finfo(float).eps
     for a, g in cases:
         g = complex(g)
-        whiten, scale = obs._whitening(a, g)
+        # a^2 - 4|g|^2 as a product, whose first factor is exact where a ~ 2|g| (Sterbenz)
+        disc = (a - 2.0 * abs(g)) * (a + 2.0 * abs(g))
+        whiten, scale = obs._whitening(a, g, disc)
         m = _envelope(a, g)
         lam = np.linalg.eigvalsh(m)
         assert lam[0] > 0.0, (a, g)
         # a float whitening is good to eps times the condition number, and to 1e-12 below 1e3
         tol = max(1e-12, 2.0 * eps * lam[1] / lam[0])
         assert np.max(np.abs(whiten.T @ m @ whiten - np.eye(2))) <= tol, (a, g)
-        assert scale == 1.0 / (math.pi * math.sqrt(m[0, 0] * m[1, 1] - m[0, 1] ** 2))
+        # det M = 4 disc; the determinant of the float entries carries the same condition number
+        assert scale == 1.0 / (math.pi * math.sqrt(4.0 * disc))
+        assert scale == pytest.approx(1.0 / (math.pi * math.sqrt(np.linalg.det(m))), rel=tol)
     for a, g in [(1.0, 0.5 + 0j), (1.0, 0.5j), (1.0, 0.6 * np.exp(1j)), (-1.0, 0j), (0.0, 0j)]:
         with pytest.raises(PhysicalityError):
-            obs._whitening(a, complex(g))
+            obs._whitening(a, complex(g), (a - 2.0 * abs(g)) * (a + 2.0 * abs(g)))

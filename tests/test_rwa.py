@@ -9,7 +9,7 @@ import pytest
 from qbath import rwa
 from qbath.baths import EquilibriumBath
 from qbath.errors import ParameterError
-from qbath.observables import purity
+from qbath.observables import purity, purity_rows
 from qbath.states import CatState, SqueezedDisplaced, coherent_overlap
 
 
@@ -80,6 +80,19 @@ def test_pipeline_matches_squeezed_reference(rwa_n1):
         assert abs(closed - rwa.purity_squeezed_rwa(absA2, 0.9)) < 1e-12
         quad = purity(p, i, bath, s_state, method="quadrature", tol=1e-9)
         assert abs(quad - rwa.purity_squeezed_rwa(absA2, 0.9)) < 1e-7
+
+
+@pytest.mark.parametrize("r", [6.0, 9.0, 9.25, 12.0, 20.0])
+def test_closed_purity_of_strong_squeezing_matches_squeezed_reference(rwa_n1, r,
+                                                                      squeezed_reference_check):
+    # the carried a and |g| grow as e^{2r}: a^2 - 4|g|^2 formed from them cancelled to
+    # rounding, lost digits from r ~ 5 and was not positive from r = 9.25
+    p = rwa_n1
+    s_state = SqueezedDisplaced(disp=0.7 - 0.4j, r=r, phi=1.1)
+    pur = purity_rows(p, slice(None), EquilibriumBath(math.inf), s_state)
+    absA2 = np.abs(p.A) ** 2
+    ref = np.array([rwa.purity_squeezed_rwa(min(s, 1.0), r) for s in absA2])
+    squeezed_reference_check(absA2, pur, ref)
 
 
 def test_pipeline_matches_cat_reference(rwa_n1):

@@ -173,6 +173,21 @@ def test_wirtinger_derivatives_match_finite_differences():
         assert np.max(np.abs(dwb - 0.5 * (fx + 1j * fy))) < 1e-8
 
 
+@pytest.mark.parametrize("r", [0.0, 0.9, 9.25, 40.0])
+def test_gaussian_chi_discriminant_of_a_pure_state_is_a_quarter(r):
+    # a0^2 - 4|g0|^2 from the moments cancels to rounding in e^{4r}; the state gives it exactly
+    s = states.SqueezedDisplaced(disp=0.7 - 0.4j, r=r, phi=1.1)
+    assert states.gaussian_chi_discriminant(s) == 0.25
+
+
+def test_gaussian_chi_discriminant_of_moments():
+    thermal = states.GaussianMoments(mean_a=0.3 + 0.2j, n_ex=1.5 + 0.13, aa=(0.3 + 0.2j) ** 2)
+    assert states.gaussian_chi_discriminant(thermal) == pytest.approx(2.0**2, rel=1e-15)
+    assert states.gaussian_chi_discriminant(states.vacuum_state()) == 0.25
+    mixed = states.GaussianMoments(n_ex=2.0, aa=1.5)
+    assert states.gaussian_chi_discriminant(mixed) == pytest.approx(2.5**2 - 1.5**2, rel=1e-15)
+
+
 def test_gaussian_chi_params_rejects_cat():
     with pytest.raises(ParameterError):
         states.gaussian_chi_params(CAT)
