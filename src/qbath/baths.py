@@ -148,7 +148,7 @@ def occupation(beta: float, omega, hbar: float = 1.0) -> np.ndarray:
     """Mean thermal occupation 1/(exp(beta hbar omega) - 1); 0 at beta = inf."""
     beta = _check_beta(beta)
     omega = np.asarray(omega, dtype=float)
-    if np.any(omega <= 0.0):
+    if (omega <= 0.0).any():
         raise ParameterError("occupation needs omega > 0")
     if math.isinf(beta):
         return np.zeros_like(omega)
@@ -269,17 +269,22 @@ def _mode_args(b: np.ndarray, d: np.ndarray, eta: np.ndarray) -> np.ndarray:
 def _mode_args_squared(b: np.ndarray, d: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """|z_k|^2 of `_mode_args`, in real arithmetic: the Laguerre arguments.
 
-    |eta b^* - eta^* d|^2 = |eta|^2 (|b|^2 + |d|^2) - 2 Re(eta^2 b^* d^*), one
-    real (K x 3) by (3 x P) product with no complex temporaries, clamped at 0
-    against rounding where the two terms cancel.
+    b and d hold one coefficient per mode, and the result has one row per
+    mode and one column per node of the flattened eta; on a row set, b and d
+    are (R, K) and eta is (R, P), and the result is (K, R, P), one (R, P)
+    array per mode.  |eta b^* - eta^* d|^2 = |eta|^2 (|b|^2 + |d|^2)
+    - 2 Re(eta^2 b^* d^*), one real (K x 3) by (3 x P) product per row with
+    no complex temporaries, clamped at 0 against rounding where the two
+    terms cancel.
     """
-    eta = np.ravel(eta)
+    eta = np.ravel(eta) if b.ndim == 1 else eta
     cross = b * d
     coeffs = np.stack((b.real**2 + b.imag**2 + d.real**2 + d.imag**2, -2.0 * cross.real,
-                       -2.0 * cross.imag), axis=1)
+                       -2.0 * cross.imag), axis=-1)
     eta2 = eta * eta
-    powers = np.stack((eta.real**2 + eta.imag**2, eta2.real, eta2.imag))
-    squares = coeffs @ powers
+    powers = np.stack((eta.real**2 + eta.imag**2, eta2.real, eta2.imag), axis=-2)
+    squares = np.empty((b.shape[-1], *eta.shape))
+    np.matmul(coeffs, powers, out=np.moveaxis(squares, 0, -2))
     return np.maximum(squares, 0.0, out=squares)
 
 
@@ -289,30 +294,49 @@ def gaussian_F_eval(params: GaussianFSeries, eta: np.ndarray) -> np.ndarray:
     return np.exp(gaussian_exponent(params.delta, params.alpha, params.gamma, eta))
 
 
-def bath_f_params(p: PropagatorCoefficients, i: int, bath: BathSpec) -> GaussianFSeries:
-    """Gaussian influence parameters at index i, the row fs[0]; rejects number-state baths."""
-    return _gaussian_sums(p, row_slice(i), _single(bath))[0]
+def bath_f_params(p: PropagatorCoefficients, i, bath: BathSpec) -> GaussianFSeries:
+    """Gaussian influence parameters at index i, the row fs[0]; rejects number-state baths.
+
+    On a row set i (a slice, an integer array or a mask) the fields hold
+    one entry per row of p.X[i].
+    """
+    if _is_index(i):
+        return _gaussian_sums(p, row_slice(i), _single(bath))[0]
+    return _gaussian_sums(p, i, _single(bath))
 
 
-def bath_F_eval(p: PropagatorCoefficients, i: int, bath: BathSpec, eta: np.ndarray) -> np.ndarray:
+def bath_F_eval(p: PropagatorCoefficients, i, bath: BathSpec, eta: np.ndarray) -> np.ndarray:
     """Influence function F(eta, t_i) for any supported preparation.
 
-    A number-state bath has the real F of its _laguerre_split: the real
-    zero-temperature Gaussian times prod_k L_{n_k}(|eta B_k^* - eta^* D_k|^2),
-    the one-member call of laguerre.log_products, in log space to avoid
-    overflow, with its sign from the parity of the negative factors.
+    i is a grid index, with eta of any shape, or a row set of R rows (a
+    slice, an integer array or a mask), with an (R, P) eta whose row r is
+    evaluated on the r-th row of p.X[i].  A number-state bath has the real F
+    of its _laguerre_split: the real zero-temperature Gaussian times
+    prod_k L_{n_k}(|eta B_k^* - eta^* D_k|^2), the one-member call of
+    laguerre.log_products, in log space to avoid overflow, with its sign
+    from the parity of the negative factors.
     """
-    if not isinstance(bath, NumberStateBath):
-        return gaussian_F_eval(bath_f_params(p, i, bath), eta)
-    vacuum, occs = _laguerre_split(p, _single(bath))
     eta = np.asarray(eta, dtype=complex)
-    zero_t = bath_f_params(p, i, vacuum)
+    if not isinstance(bath, NumberStateBath):
+        return gaussian_F_eval(_columns(i, bath_f_params(p, i, bath)), eta)
+    vacuum, occs = _laguerre_split(p, _single(bath))
+    zero_t = _columns(i, bath_f_params(p, i, vacuum))
     log_env = np.real(gaussian_exponent(0.0, zero_t.alpha, zero_t.gamma, eta))
     active = np.flatnonzero(occs[0])
-    xs = _mode_args_squared(p.B[i, active], p.D[i, active], eta)
+    xs = _mode_args_squared(p.B[i][..., active], p.D[i][..., active], eta)
     ((_, log_lag, odd),) = laguerre.log_products(occs[:, active], xs, signed=True)
     sign = np.where(odd[0], -1.0, 1.0).reshape(eta.shape)
     return sign * np.exp(log_env + log_lag[0].reshape(eta.shape))
+
+
+def _is_index(i) -> bool:
+    """True for one grid index, False for a row set."""
+    return isinstance(i, (int, np.integer))
+
+
+def _columns(i, fs: GaussianFSeries) -> GaussianFSeries:
+    """fs at index i as it is, or on a row set as columns, one row per row of eta."""
+    return fs if _is_index(i) else fs[:, None]
 
 
 def _generator(seed: int, count: int) -> np.random.Generator:

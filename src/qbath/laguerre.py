@@ -38,19 +38,22 @@ BLOCK_VALUES = 1 << 16  # table values gathered per member block of log_products
 def eval_scaled(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (m_n, m_prev, e) with L_n(x) = m_n 2^e and L_{n-1}(x) = m_prev 2^e.
 
-    x must be real and non-negative; n >= 0 (m_prev is 0 for n = 0).
+    x must be real and non-negative; n >= 0 (m_prev is 0 for n = 0).  For
+    n <= 1, m_prev and e are read-only broadcasts of their one value, so the
+    low orders allocate only m_n.
     """
     if n < 0:
         raise ParameterError(f"Laguerre order must be >= 0, got {n}")
     x = np.asarray(x, dtype=float)
     if (x < 0.0).any():
         raise ParameterError("Laguerre argument must be >= 0")
+    zero = np.broadcast_to(0.0, x.shape)
     if n == 0:
-        return np.ones(x.shape), np.zeros(x.shape), np.zeros(x.shape)
-    prev = np.ones(x.shape)
+        return np.ones(x.shape), zero, zero
     cur = 1.0 - x
     if n == 1:
-        return cur, prev, np.zeros(x.shape)
+        return cur, np.broadcast_to(1.0, x.shape), zero
+    prev = np.ones(x.shape)
     diff, step = -x, np.empty(x.shape)
     exp2 = None  # created at the first renormalization
     for k in range(1, n):
@@ -69,7 +72,7 @@ def eval_scaled(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
             diff = np.where(big, diff * scale, diff)
             shift = np.where(big, ex, 0.0)
             exp2 = shift if exp2 is None else exp2 + shift
-    return cur, prev, np.zeros(x.shape) if exp2 is None else exp2
+    return cur, prev, zero if exp2 is None else exp2
 
 
 def log_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,14 +97,16 @@ def log_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def log_products(occs, xs, *, signed: bool = False):
     """Blocks (rows, log|prod|, odd) of prod_k L_{occs[m, k]}(xs[k]) over members m.
 
-    occs is an (M, K) member matrix of orders and xs a (K, P) array holding
-    each mode's argument at P points.  The factor of each distinct (mode,
-    order) pair with order > 0 is evaluated once, as log|L| (and, if signed,
-    L < 0), by one eval_scaled call per distinct order on the stacked
-    arguments of the modes that carry it.  Each member's row of log|prod| is
-    the sum of its factors' rows added one by one in mode order, so (for
-    P >= 2; numpy sums a single point pairwise) it has the same bits whatever
-    other members share the call; log|prod| is -inf where a factor vanishes
+    occs is an (M, K) member matrix of orders and xs a (K, ...) array holding
+    each mode's argument at the points of its trailing axes, P in all (a
+    (K, R, P) array holds P points on each of R rows).  The factor of each
+    distinct (mode, order) pair with order > 0 is evaluated once, as log|L|
+    (and, if signed, L < 0), by one eval_scaled call per distinct order on
+    the stacked arguments of the modes that carry it.  Each member's
+    log|prod|, of xs's trailing shape, is the sum of its factors' tables
+    added one by one in mode order, so (for P >= 2; numpy sums a single
+    point pairwise) it has the same bits at each point whatever other
+    members and points share the call; it is -inf where a factor vanishes
     and 0 for a member with no occupied mode.  odd marks an odd count of
     negative factors (None unless signed).
 
@@ -112,22 +117,27 @@ def log_products(occs, xs, *, signed: bool = False):
     """
     occs = np.asarray(occs)
     xs = np.asarray(xs, dtype=float)
-    n_members, n_points = occs.shape[0], xs.shape[1]
+    n_members, points = occs.shape[0], xs.shape[1:]
+    n_points = math.prod(points)
     member, mode = np.nonzero(occs)  # row-major: each member's modes in ascending order
     order = occs[member, mode]
     width = int(order.max(initial=0)) + 1
     pairs, row = np.unique(mode * width + order, return_inverse=True)
     pair_mode, pair_order = np.divmod(pairs, width)
     # one row per distinct factor, then a zero row (log 1) that pads short members
-    log_abs = np.zeros((pairs.size + 1, n_points))
+    log_abs = np.zeros((pairs.size + 1, *points))
     negative = np.zeros(log_abs.shape, dtype=bool) if signed else None
     for n in np.unique(pair_order):
         at = np.flatnonzero(pair_order == n)
         m, _, e = eval_scaled(int(n), xs[pair_mode[at]])
-        with np.errstate(divide="ignore"):
-            log_abs[at] = np.log(np.abs(m)) + e * _LN2
         if signed:
             negative[at] = m < 0.0
+        # in place: the table is the largest array here, and m is not needed again
+        with np.errstate(divide="ignore"):
+            log_m = np.log(np.abs(m, out=m), out=m)
+        if e.any():
+            log_m += e * _LN2
+        log_abs[at] = log_m
 
     # factors[m, j]: table row of member m's j-th factor in mode order, else the zero row
     counts = np.bincount(member, minlength=n_members)

@@ -15,13 +15,20 @@ first comparison needs two levels, so levels 16 and 32 share one chi_eval
 call on their joined nodes, each summed on its own points; the node tables
 of each level set are built on first use and cached.
 For a Gaussian state the rest of the integrand is a polynomial, and the rule
-is exact at 2 sum_k n_k + 1 nodes per axis.  A single purity and each member
-of a number-state ensemble are members of that driver; the ensemble's
-members share one node set, and each level evaluates them together: one
-laguerre.log_products table of the distinct (mode, order) factors, summed
-per member in blocks of bounded size, so a member has the same bits alone
-as in any ensemble.  On one propagator row, mean_rows and variance_rows give
-a member matrix one entry per member, or one shared entry.
+is exact at 2 sum_k n_k + 1 nodes per axis; up to 2 N_START nodes that rule
+is the first and only level.  The driver takes a set of grid rows and a
+member matrix.  When its first level is exact, purity_rows hands it every
+row at once: the rows share the node set, and go through the whitening,
+chi_eval and the Laguerre table in blocks of bounded size, each step
+elementwise in the rows, so a row has the same bits as in purity(), the
+driver's one-row call.  Rows that double their levels (cats, Gaussian states
+with more quanta) converge each on its own, and go one at a time through
+purity().  The members of a number-state ensemble share one row's node set,
+and each level evaluates them together: one laguerre.log_products table of
+the distinct (mode, order) factors, summed per member in blocks of bounded
+size, so a member has the same bits alone as in any ensemble.  On one
+propagator row, mean_rows and variance_rows give a member matrix one entry
+per member, or one shared entry.
 """
 
 from __future__ import annotations
@@ -110,12 +117,18 @@ def square_eta_grid(extent: float, n: int) -> np.ndarray:
     return (re + 1j * im).ravel()
 
 
-def chi_eval(
-    p: PropagatorCoefficients, i: int, bath: BathSpec, s: OscillatorState, eta
-) -> np.ndarray:
-    """Symmetrically ordered characteristic function of the reduced state."""
+def chi_eval(p: PropagatorCoefficients, i, bath: BathSpec, s: OscillatorState, eta) -> np.ndarray:
+    """Symmetrically ordered characteristic function of the reduced state.
+
+    i is a grid index, with eta of any shape, or a row set of R rows (a
+    slice, an integer array or a mask), with an (R, P) eta whose row r is
+    evaluated on the r-th row of p.X[i], as in bath_F_eval.
+    """
     eta = np.asarray(eta, dtype=complex)
-    zeta = eta * np.conj(p.A[i]) - np.conj(eta) * p.C[i]
+    a_t, c_t = p.A[i], p.C[i]
+    if np.ndim(a_t):  # a row set: one row of eta per propagator row
+        a_t, c_t = a_t[:, None], c_t[:, None]
+    zeta = eta * np.conj(a_t) - np.conj(eta) * c_t
     return chi0_eval(s, zeta) * bath_F_eval(p, i, bath, eta)
 
 
@@ -215,51 +228,66 @@ def asymptotic_purity(p: PropagatorCoefficients, i: int, bath: BathSpec) -> floa
 
 
 def _total_gaussian_rows(
-    p: PropagatorCoefficients, rows, bath: BathSpec, s: OscillatorState
+    p: PropagatorCoefficients, rows, s: OscillatorState, f
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a^2 - 4|g|^2, a, g) of the total Gaussian chi on the propagator rows p.X[rows]."""
+    """(a^2 - 4|g|^2, a, g) of the total Gaussian chi on the propagator rows p.X[rows].
+
+    f holds the bath's Gaussian sums on those rows.
+    """
     a_t, c_t = p.A[rows], p.C[rows]
     _, a, g = carried_gaussian_params(*gaussian_chi_params(s), a_t, c_t)
-    f = _gaussian_sums(p, rows, bath)
     disc = _discriminant(gaussian_chi_discriminant(s), a, g, a_t, c_t, f.alpha, f.gamma)
     return disc, a + f.alpha, g + f.gamma
 
 
-def _whitening(a: float, g: complex, disc: float) -> tuple[np.ndarray, float]:
+def _whitening(a, g, disc, rows=None) -> tuple[np.ndarray, np.ndarray]:
     """(W, 1/(pi sqrt(det M))) for M = [[2a - 4 Re g, -4 Im g], [-4 Im g, 2a + 4 Re g]].
 
-    M = 2a I - 4 [[Re g, Im g], [Im g, -Re g]] has the eigenvalues 2a -+ 4|g|,
-    on the unit vectors U at half the angle of g and at a right angle to it,
-    so W = U Lambda^{-1/2} maps y to x with x^T M x = y^T y.  disc is
-    a^2 - 4|g|^2, as `_discriminant` forms it: det M = 4 disc, and the smaller
-    eigenvalue is 2a - 4|g| = 2 disc / (a + 2|g|).
+    Elementwise in a, g and disc, scalars or arrays of one shape S: W has the
+    shape S + (2, 2).  M = 2a I - 4 [[Re g, Im g], [Im g, -Re g]] has the
+    eigenvalues 2a -+ 4|g|, on the unit vectors U at half the angle of g and
+    at a right angle to it, so W = U Lambda^{-1/2} maps y to x with
+    x^T M x = y^T y.  disc is a^2 - 4|g|^2, as `_discriminant` forms it:
+    det M = 4 disc, and the smaller eigenvalue is 2a - 4|g| = 2 disc / (a + 2|g|).
+    The first entry whose M is not positive-definite raises, named by its
+    grid index in rows when given.  Each entry is taken in Python floats:
+    the doubling rows come one at a time, and on one entry numpy's per-call
+    cost is several times the arithmetic.
     """
-    # M is positive-definite iff a > 2|g|, iff a > 0 and disc > 0
-    if not (a > 0.0 and disc > 0.0):
-        raise PhysicalityError(f"purity envelope not positive: a = {a}, a^2 - 4|g|^2 = {disc}")
-    lam = 2.0 * disc / (a + 2.0 * abs(g)), 2.0 * a + 4.0 * abs(g)
-    half = 0.5 * math.atan2(g.imag, g.real)
-    u = np.array([[math.cos(half), -math.sin(half)], [math.sin(half), math.cos(half)]])
-    return u / np.sqrt(lam), 1.0 / (math.pi * math.sqrt(4.0 * disc))
+    a, g, disc = np.asarray(a), np.asarray(g), np.asarray(disc)
+    whiten, scale = [], []
+    entries = zip(a.ravel().tolist(), g.ravel().tolist(), disc.ravel().tolist())
+    for k, (a_k, g_k, disc_k) in enumerate(entries):
+        # M is positive-definite iff a > 2|g|, iff a > 0 and disc > 0
+        if not (a_k > 0.0 and disc_k > 0.0):
+            at = "" if rows is None else f" at grid index {np.ravel(rows)[k]}"
+            raise PhysicalityError(
+                f"purity envelope not positive{at}: a = {a_k}, a^2 - 4|g|^2 = {disc_k}"
+            )
+        g_k = complex(g_k)
+        small = math.sqrt(2.0 * disc_k / (a_k + 2.0 * abs(g_k)))
+        large = math.sqrt(2.0 * a_k + 4.0 * abs(g_k))
+        half = 0.5 * math.atan2(g_k.imag, g_k.real)
+        cos, sin = math.cos(half), math.sin(half)
+        whiten.append(((cos / small, -sin / large), (sin / small, cos / large)))
+        scale.append(1.0 / (math.pi * math.sqrt(4.0 * disc_k)))
+    return np.array(whiten).reshape(*a.shape, 2, 2), np.array(scale).reshape(a.shape)
 
 
-def _whitened(p: PropagatorCoefficients, i: int, s: OscillatorState, gauss_bath):
+_VACUUM = vacuum_state()
+
+
+def _whitened(p: PropagatorCoefficients, rows, s: OscillatorState, gauss_bath):
     """_whitening of the Gaussian envelope exp(-x^T M x) of |chi|^2, x = (Re eta, Im eta).
 
     M holds the state's carried Gaussian parameters (a cat's are the
     vacuum's, a0 = 1/2, g0 = 0, d0 = 1/4) plus those of the members' common
-    Gaussian bath.
+    Gaussian bath, on one grid index rows, or on each index of an integer
+    array rows: (R, 2, 2) W and (R,) scales.
     """
-    if is_gaussian(s):
-        (a0, g0), d0 = gaussian_chi_params(s)[1:], gaussian_chi_discriminant(s)
-    else:
-        (a0, g0), d0 = (0.5, 0.0), 0.25
-    a_t, c_t = p.A[i], p.C[i]
-    _, a, g = carried_gaussian_params(0.0, a0, g0, a_t, c_t)
-    f = bath_f_params(p, i, gauss_bath)
-    # Python scalars: this runs once per quadrature row, where numpy scalars cost more
-    a, g, alpha, gamma = float(a), complex(g), float(f.alpha), complex(f.gamma)
-    return _whitening(a + alpha, g + gamma, _discriminant(d0, a, g, a_t, c_t, alpha, gamma))
+    f = bath_f_params(p, rows, gauss_bath)
+    disc, a, g = _total_gaussian_rows(p, rows, s if is_gaussian(s) else _VACUUM, f)
+    return _whitening(a, g, disc, rows)
 
 
 @functools.cache
@@ -307,13 +335,16 @@ def _half_plane_table(ns: tuple[int, ...]):
     return y1, y2, offsets, tuple(weights), log_weights
 
 
-def _levels(p, i, s, gauss_bath, whiten: np.ndarray, ns: tuple[int, ...], occs: np.ndarray):
+def _levels(p, rows, s, gauss_bath, whiten: np.ndarray, ns: tuple[int, ...], occs: np.ndarray):
     """The quadrature levels ns of the member matrix occs, from one chi_eval call.
 
-    Returns sums(members, levels=slice(None)), which gives, for the members
-    occs[members] and each level n of ns[levels], the sum
+    rows is one grid index, with its (2, 2) whitening, or an integer array
+    of R grid indices, with their (R, 2, 2) whitenings.  Returns
+    sums(members, levels=slice(None)), which gives, for the members
+    occs[members], each level n of ns[levels] and each row, the sum
     sum_ij w_i w_j exp(y_i^2 + y_j^2) |chi|^2 over the n x n Gauss-Hermite
-    nodes mapped by x = whiten y, as a (levels, members) array.
+    nodes mapped by x = whiten y, as a (levels, members) array on one index
+    and a (levels, members, rows) array on a row set.
     chi(-eta) = chi(eta)^* (rho is Hermitian), hermgauss's nodes are exactly
     antisymmetric and its weights symmetric, so node (i, j) is exactly minus
     node (n-1-i, n-1-j) and has the same |chi|^2: each level evaluates only
@@ -325,23 +356,26 @@ def _levels(p, i, s, gauss_bath, whiten: np.ndarray, ns: tuple[int, ...], occs: 
     |eta B_k^* - eta^* D_k|^2 is computed once, the products come from
     laguerre.log_products in member blocks on the points of the levels
     asked for, and |chi|^2 times the weights is formed in log space, so that
-    an underflowed |chi_g|^2 never meets an overflowed product.
+    an underflowed |chi_g|^2 never meets an overflowed product.  Every step
+    is elementwise in the rows, or a sum within one row, so a row has the
+    same bits in any row set.
     """
     y1, y2, offsets, weights, log_weights = _half_plane_table(ns)
-    re = whiten[0, 0] * y1 + whiten[0, 1] * y2
-    im = whiten[1, 0] * y1 + whiten[1, 1] * y2
+    re = whiten[..., 0, 0, None] * y1 + whiten[..., 0, 1, None] * y2
+    im = whiten[..., 1, 0, None] * y1 + whiten[..., 1, 1, None] * y2
     eta = re + 1j * im
-    chi = chi_eval(p, i, gauss_bath, s, eta)
+    chi = chi_eval(p, rows, gauss_bath, s, eta)
     base = chi.real**2 + chi.imag**2
+    lead = base.shape[:-1]  # () on one index, (R,) on a row set
     base_sums = np.array([
-        float(wt @ base[offsets[k] : offsets[k + 1]].reshape(wt.size, wt_half.size) @ wt_half)
+        np.vecdot(wt @ base[..., offsets[k] : offsets[k + 1]].reshape(*lead, wt.size, -1), wt_half)
         for k, (wt, wt_half) in enumerate(weights)
     ])
     if not occs.any():  # cats and Gaussian baths
         return lambda members, levels=slice(None): np.repeat(
             base_sums[levels, None], occs[members].shape[0], axis=1)
     modes = np.flatnonzero(occs.any(axis=0))
-    xs = _mode_args_squared(p.B[i, modes], p.D[i, modes], eta)
+    xs = _mode_args_squared(p.B[rows][..., modes], p.D[rows][..., modes], eta)
     with np.errstate(divide="ignore"):
         log_weighted = np.log(base) + log_weights
 
@@ -351,51 +385,76 @@ def _levels(p, i, s, gauss_bath, whiten: np.ndarray, ns: tuple[int, ...], occs: 
         sub = occs[members][:, modes]
         out = np.repeat(base_sums[levels, None], sub.shape[0], axis=1)
         busy = np.flatnonzero(sub.any(axis=1))
-        for rows, log_chi2, _ in laguerre.log_products(sub[busy], xs[:, points]):
+        for block, log_chi2, _ in laguerre.log_products(sub[busy], xs[..., points]):
             log_chi2 *= 2.0
-            log_chi2 += log_weighted[points]
+            log_chi2 += log_weighted[..., points]
             np.exp(log_chi2, out=log_chi2)
             for k, level in enumerate(chosen):
                 start, stop = offsets[level : level + 2] - offsets[chosen.start]
-                out[k, busy[rows]] = log_chi2[:, start:stop].sum(axis=1)
+                out[k, busy[block]] = log_chi2[..., start:stop].sum(axis=-1)
         return out
 
     return sums
 
 
-def _quadrature(p, i, s, gauss_bath, occs, probes, tol) -> np.ndarray:
-    """Purities at index i of the members F = F_g prod_k L_{n_k}, one row of occs each.
+def _exact_nodes(s: OscillatorState, occs: np.ndarray) -> float:
+    """Nodes per axis of the exact rule: 2 max_member sum_k n_k + 1 for a Gaussian state.
 
-    F_g is the influence of gauss_bath, a Gaussian bath common to the members.
-    With x = W y the whitening of _whitened,
-    purity = sum_ij w_i w_j exp(y_i^2 + y_j^2) |chi(x_ij)|^2 / (pi sqrt(det M))
-    on a tensor Gauss-Hermite rule shared by the members (_levels evaluates
-    its half plane j < n/2).  The nodes per axis double from N_START until
-    every probe member agrees with the previous level to tol; the other
-    members, if any, are then summed on that level only.  The first
-    comparison needs the levels N_START and 2 N_START, so those two are
-    evaluated together; later levels come one at a time.  For a Gaussian
-    state |chi|^2 / envelope is a polynomial of degree 4 sum_k n_k, so
-    2 max_member sum_k n_k + 1 nodes are exact and end the doubling.
+    For a Gaussian state |chi|^2 / envelope is a polynomial of degree
+    4 sum_k n_k; for a cat it is not, and no rule is exact (inf).
     """
+    return 2 * int(occs.sum(axis=1).max()) + 1 if is_gaussian(s) else math.inf
+
+
+def _quadrature(p, rows: np.ndarray, s, gauss_bath, occs, probes, tol) -> np.ndarray:
+    """Purities on the grid indices rows of the members F = F_g prod_k L_{n_k}, as (members, rows).
+
+    occs is the (members, modes) matrix of the n_k, and F_g the influence of
+    gauss_bath, a Gaussian bath common to the members.  With x = W y the
+    whitening of _whitened, purity = sum_ij w_i w_j exp(y_i^2 + y_j^2)
+    |chi(x_ij)|^2 / (pi sqrt(det M)) on a tensor Gauss-Hermite rule shared
+    by the members (_levels evaluates its half plane j < n/2).  Up to
+    2 N_START the exact rule of _exact_nodes costs less than the two levels
+    doubling needs, so it is the only level, and every row is summed on it:
+    the rows go to _levels in blocks whose Laguerre table (occupied modes x
+    rows x nodes) holds at most laguerre.BLOCK_VALUES values, so the memory
+    does not grow with the rows.  Otherwise rows holds one index, which
+    the doubling levels take as a grid index (its whitening in numpy
+    scalars, the cheaper form for one row), and the nodes per axis double
+    from N_START until every probe member agrees with the previous level to
+    tol, or reach the exact rule; the other members, if any, are then
+    summed on that level only.  The first comparison needs the levels
+    N_START and 2 N_START, so those two are evaluated together; later
+    levels come one at a time.
+    """
+    exact = _exact_nodes(s, occs)
+    if exact <= 2 * N_START:
+        table_row = max(1, np.count_nonzero(occs.any(axis=0))) * exact * ((exact + 1) // 2)
+        step = max(1, laguerre.BLOCK_VALUES // table_row)
+        out = np.empty((occs.shape[0], rows.size))
+        for start in range(0, rows.size, step):
+            block = rows[start : start + step]
+            whiten, scale = _whitened(p, block, s, gauss_bath)
+            sums = _levels(p, block, s, gauss_bath, whiten, (exact,), occs)
+            out[:, start : start + step] = sums(slice(None))[0] * scale
+        return out
+    (i,) = rows.tolist()
     whiten, scale = _whitened(p, i, s, gauss_bath)
-    exact = 2 * int(occs.sum(axis=1).max()) + 1 if is_gaussian(s) else math.inf
-    # up to 2 N_START the exact rule costs less than the two levels doubling needs
-    ns = (exact,) if exact <= 2 * N_START else (N_START, 2 * N_START)
+    ns = (N_START, 2 * N_START)
     prev = None
     while ns[-1] <= MAX_NODES:
         sums = _levels(p, i, s, gauss_bath, whiten, ns, occs)
         if ns[-1] == exact:
-            return sums(slice(None))[-1] * scale
+            return sums(slice(None))[-1, :, None] * scale
         for k, cur in enumerate(sums(probes) * scale):
-            if prev is not None and np.all(np.abs(cur - prev) < tol * np.maximum(1.0, np.abs(cur))):
+            if prev is not None and (np.abs(cur - prev) < tol * np.maximum(1.0, np.abs(cur))).all():
                 if len(probes) == occs.shape[0]:  # the probes are sorted and distinct
-                    return cur
+                    return cur[:, None]
                 vals = np.empty(occs.shape[0])
                 vals[probes] = cur
                 rest = np.setdiff1d(np.arange(occs.shape[0]), probes)
                 vals[rest] = sums(rest, slice(k, k + 1))[0] * scale
-                return vals
+                return vals[:, None]
             prev = cur
         ns = (min(2 * ns[-1], exact),)
     raise AccuracyError(
@@ -418,20 +477,27 @@ def purity_rows(
     return an array of the shape p.A[rows] has.  method: "auto" picks the
     closed Gaussian form when the state and bath are both Gaussian,
     quadrature otherwise; "closed" and "quadrature" force a path (closed
-    raises for non-Gaussian inputs).  Quadrature runs purity() at each
-    index: each row has its own whitening, and its own levels until it
-    converges, so the rows share no node set.
+    raises for non-Gaussian inputs).  Quadrature hands every row to the
+    driver in one call when its first level is already the exact rule (a
+    Gaussian state with 2 sum_k n_k + 1 <= 2 N_START): the rows share that
+    one node set.  Rows that double their levels (cats, Gaussian states with
+    more quanta) each converge on their own, and run purity() one index at
+    a time.
     """
     if method == "auto":
         gaussian = is_gaussian(s) and not isinstance(bath, NumberStateBath)
         method = "closed" if gaussian else "quadrature"
     if method == "closed":
-        return _gaussian_purity(*_total_gaussian_rows(p, rows, bath, s))
+        return _gaussian_purity(*_total_gaussian_rows(p, rows, s, _gaussian_sums(p, rows, bath)))
     if method != "quadrature":
         raise ParameterError(f"unknown purity method {method!r}")
     indices = np.arange(p.n_times)[rows]
-    values = [purity(p, int(i), bath, s, method="quadrature", tol=tol) for i in indices.flat]
-    return np.array(values, dtype=float).reshape(indices.shape)
+    gauss_bath, occs = _laguerre_split(p, _single(bath))
+    if _exact_nodes(s, occs) <= 2 * N_START:
+        values = _quadrature(p, indices.ravel(), s, gauss_bath, occs, [0], tol)[0]
+    else:
+        values = [purity(p, int(i), bath, s, method="quadrature", tol=tol) for i in indices.flat]
+    return np.asarray(values, dtype=float).reshape(indices.shape)
 
 
 def purity(
@@ -445,13 +511,13 @@ def purity(
 ) -> float:
     """Tr rho^2 at grid index i, the one-row slice of purity_rows.
 
-    Quadrature is a one-member call of the Gauss-Hermite driver on the
-    bath's _laguerre_split.
+    Quadrature is a one-row, one-member call of the Gauss-Hermite driver on
+    the bath's _laguerre_split.
     """
     if method != "quadrature":
         return float(purity_rows(p, row_slice(i), _single(bath), s, method=method, tol=tol)[0])
     gauss_bath, occs = _laguerre_split(p, _single(bath))
-    return float(_quadrature(p, i, s, gauss_bath, occs, [0], tol)[0])
+    return float(_quadrature(p, np.array([i]), s, gauss_bath, occs, [0], tol)[0, 0])
 
 
 def number_variance_of_variance(p: PropagatorCoefficients, i: int, beta: float) -> float:
@@ -480,7 +546,7 @@ def member_purities(
     gauss_bath, occs = _laguerre_split(p, bath)
     alpha_member = occs @ (np.abs(p.B[i]) ** 2 + np.abs(p.D[i]) ** 2)
     probes = sorted({0, int(np.argmax(alpha_member)), int(np.argmax(occs.sum(axis=1)))})
-    return _quadrature(p, i, s, gauss_bath, occs, probes, ENSEMBLE_TOL)
+    return _quadrature(p, np.array([i]), s, gauss_bath, occs, probes, ENSEMBLE_TOL)[:, 0]
 
 
 def averaged_purity_number_ensemble(

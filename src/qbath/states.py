@@ -44,26 +44,35 @@ _PHYS_TOL = 1e-12
 class GaussianMoments:
     """Gaussian state specified by <a>, <a^dag a>, <a a>.
 
-    Construction enforces the single-mode covariance bound
-    (n_c + 1/2)^2 >= 1/4 + |c_aa|^2 on the central moments
-    n_c = n_ex - |mean_a|^2, c_aa = aa - mean_a^2, and n_c >= 0.  Both hold
-    to _PHYS_TOL relative to the larger of 1 and the size of the terms,
-    (n_c + 1/2)^2 and n_ex: a pure state sits on the bound, and its rounding
-    grows with its moments.  Moments whose squares overflow are a
-    ParameterError.
+    The central moments n_c = n_ex - |mean_a|^2 and c_aa = aa - mean_a^2
+    are kept beside the raw ones.  They are formed by subtraction unless
+    given: the subtraction cancels for a large mean, so a state that knows
+    them in closed form (SqueezedDisplaced) passes them.  Construction
+    enforces the single-mode covariance bound (n_c + 1/2)^2 >= 1/4 + |c_aa|^2
+    and n_c >= 0 on the central moments.  Both hold to _PHYS_TOL relative to
+    the larger of 1 and the size of the terms, (n_c + 1/2)^2 and n_ex: a pure
+    state sits on the bound, and its rounding grows with its moments.
+    Moments whose squares overflow are a ParameterError.
     """
 
     mean_a: complex = 0.0 + 0.0j
     n_ex: float = 0.0
     aa: complex = 0.0 + 0.0j
+    n_c: float | None = field(default=None, repr=False)
+    c_aa: complex | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mean_a", complex(self.mean_a))
         object.__setattr__(self, "n_ex", float(self.n_ex))
         object.__setattr__(self, "aa", complex(self.aa))
+        try:
+            n_c = self.n_ex - abs(self.mean_a) ** 2 if self.n_c is None else float(self.n_c)
+            c_aa = self.aa - self.mean_a**2 if self.c_aa is None else complex(self.c_aa)
+        except OverflowError:  # a mean whose square is past the float range
+            n_c, c_aa = -math.inf, complex(math.inf)
+        object.__setattr__(self, "n_c", n_c)
+        object.__setattr__(self, "c_aa", c_aa)
         # products, not ** 2: a float square past the range is inf, not an OverflowError
-        n_c = self.n_ex - abs(self.mean_a) * abs(self.mean_a)
-        c_aa = self.aa - self.mean_a * self.mean_a
         spread = (n_c + 0.5) * (n_c + 0.5)
         bound = 0.25 + abs(c_aa) * abs(c_aa)
         if not (math.isfinite(spread) and math.isfinite(bound)):
@@ -100,10 +109,13 @@ class SqueezedDisplaced:
             raise ParameterError(f"squeezing magnitude {self.r} overflows the moments") from None
         # Python floats and complex, not numpy scalars: moments that overflow come out
         # as inf without a warning, and GaussianMoments refuses them
+        squeeze = complex(math.cos(2 * self.phi), math.sin(2 * self.phi)) * sh * ch
         moments = GaussianMoments(
             mean_a=self.disp,
             n_ex=abs(self.disp) ** 2 + sh * sh,
-            aa=self.disp**2 - complex(math.cos(2 * self.phi), math.sin(2 * self.phi)) * sh * ch,
+            aa=self.disp**2 - squeeze,
+            n_c=sh * sh,
+            c_aa=-squeeze,
         )
         object.__setattr__(self, "moments", moments)
 
@@ -176,7 +188,10 @@ def initial_moments(s: OscillatorState) -> tuple[complex, float, complex]:
 
 
 def central_moments(s: OscillatorState) -> tuple[float, complex]:
-    """(n_c, c_aa): second moments with the mean subtracted."""
+    """(n_c, c_aa): second moments with the mean subtracted; a Gaussian state keeps its own."""
+    if is_gaussian(s):
+        mom = _as_moments(s)
+        return mom.n_c, mom.c_aa
     mean_a, n_ex, aa = initial_moments(s)
     return n_ex - abs(mean_a) ** 2, aa - mean_a**2
 
@@ -186,8 +201,7 @@ def gaussian_chi_params(s: OscillatorState) -> tuple[complex, float, complex]:
     if not is_gaussian(s):
         raise ParameterError("state is not Gaussian")
     mom = _as_moments(s)
-    n_c, c_aa = central_moments(mom)
-    return mom.mean_a, n_c + 0.5, c_aa / 2.0
+    return mom.mean_a, mom.n_c + 0.5, mom.c_aa / 2.0
 
 
 def gaussian_chi_discriminant(s: OscillatorState) -> float:
@@ -199,7 +213,9 @@ def gaussian_chi_discriminant(s: OscillatorState) -> float:
     """
     if isinstance(s, SqueezedDisplaced):
         return 0.25
-    spread, c_aa = gaussian_chi_params(s)[1], abs(central_moments(s)[1])
+    if not is_gaussian(s):
+        raise ParameterError("state is not Gaussian")
+    spread, c_aa = s.n_c + 0.5, abs(s.c_aa)
     return (spread - c_aa) * (spread + c_aa)
 
 

@@ -146,6 +146,22 @@ def test_member_matrix_needs_one_row_and_a_batch_entry_point(prop):
         bath_f_params(prop, 1, coherent)
 
 
+def test_chi_eval_on_a_row_set_equals_each_row_bitwise(prop, keyed_rng):
+    # row r of an (R, P) eta is evaluated on the r-th row of the set, as at its index
+    rows = np.array([0, 17, 50, -1, 17])
+    eta = np.linspace(0.5, 1.5, rows.size)[:, None] * (np.linspace(-1.0, 1.0, 7) + 0.3j)
+    occ = np.zeros(prop.n_modes, dtype=int)
+    occ[::7] = 2
+    cat = CatState(alpha=1.3 + 0.4j, beta=-0.8 - 0.6j)
+    for bath in (EquilibriumBath(1.3), _coherent(prop, keyed_rng), NumberStateBath(occ)):
+        for s in (SQUEEZED, cat):
+            got = obs.chi_eval(prop, rows, bath, s, eta)
+            assert got.shape == eta.shape
+            for r, i in enumerate(rows):
+                want = obs.chi_eval(prop, int(i), bath, s, eta[r])
+                assert got[r].tobytes() == want.tobytes(), (type(bath).__name__, i)
+
+
 def test_closed_purity_equals_observable_series(prop, keyed_rng):
     for bath in (EquilibriumBath(1.3), _coherent(prop, keyed_rng)):
         series = obs.observable_series(prop, bath, SQUEEZED)

@@ -153,6 +153,19 @@ def test_coherent_bath_purity_is_the_zero_temperature_purity(request, plateau_in
                 assert abs(got - ref) <= 1e-14 * ref, (i, method, size)
 
 
+@pytest.mark.parametrize("model", ["rwa_n1", "ohmic_pp"])
+def test_closed_purity_does_not_depend_on_the_displacement(request, model):
+    # a displacement leaves the central moments, and so the purity, as they are
+    p = request.getfixturevalue(model)
+    bath = EquilibriumBath(1.0)
+    ref = obs.purity_rows(p, slice(None), bath, SqueezedDisplaced(r=0.9, phi=1.1))
+    eps = np.finfo(float).eps
+    for size in (1e-3, 1.0, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8):
+        s = SqueezedDisplaced(disp=size * (0.6 + 0.8j), r=0.9, phi=1.1)
+        got = obs.purity_rows(p, slice(None), bath, s)
+        assert np.max(np.abs(got - ref) / ref) <= 4 * eps, size
+
+
 def test_purity_method_dispatch(rwa_n1):
     with pytest.raises(ParameterError):
         obs.purity(rwa_n1, 10, EquilibriumBath(1.0), SQUEEZED, method="fancy")

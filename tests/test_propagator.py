@@ -276,12 +276,17 @@ def test_complex_route_keeps_the_sum_rule_near_the_stability_edge(delta):
 
 
 @functools.cache
-def _edge_scale():
-    """tools/edge_sweep.py's bisection for the stability edge of a coupling direction."""
+def _edge_tool():
+    """The module tools/edge_sweep.py."""
     spec = importlib.util.spec_from_file_location("edge_sweep", EDGE_SWEEP)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module._edge_scale
+    return module
+
+
+def _edge_scale():
+    """tools/edge_sweep.py's bisection for the stability edge of a coupling direction."""
+    return _edge_tool()._edge_scale
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -299,6 +304,37 @@ def test_complex_route_keeps_the_sum_rule_near_the_edge_of_random_models(seed, d
     assert validate_model(m) > 0.0
     p = compute_propagator(m, TimeGrid.linspace(200.0, 400))
     assert p.route == "williamson-svd"
+    assert np.max(np.abs(sum_rule_defects(p))) < 1e-10
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("delta", [1e-10, 1e-11, 1e-12, 1e-13])
+def test_real_route_keeps_the_sum_rule_near_the_edge_of_random_models(seed, delta):
+    # the random models of the complex test above with real u, v: the (N+1) SVD route
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 13))
+    nu, omegas = rng.uniform(0.2, 3.0), rng.uniform(0.05, 4.0, n)
+    u, v = rng.normal(size=n) + 0j, rng.normal(size=n) + 0j
+    scale = (1.0 - delta) * _edge_scale()(nu, omegas, u, v)
+    m = ModelSpec(nu, omegas, scale * u, scale * v, coupling_family="Custom")
+    assert validate_model(m) > 0.0
+    p = compute_propagator(m, TimeGrid.linspace(200.0, 400))
+    assert p.route == "quadrature-svd"
+    assert np.max(np.abs(sum_rule_defects(p))) < 1e-10
+
+
+@pytest.mark.parametrize(("seed", "index"), [(0, 52), (0, 91), (0, 113), (1, 68), (3, 63)])
+def test_real_route_keeps_the_sum_rule_on_the_edge_sweep_draws(seed, index):
+    # draws of tools/edge_sweep.py --couplings real whose sup defect read 1.1e-10 to
+    # 1.5e-10 while the softest pair's R_c still came from the 1/E-scaled modes; from
+    # the t = 0 identity it reads at most 1.8e-11 on seeds 0-3
+    tool = _edge_tool()
+    rng = np.random.default_rng(seed)
+    for _ in range(index):
+        tool.draw(rng, "real")
+    m, _, t_max = tool.edge_model(rng, "real")
+    p = compute_propagator(m, TimeGrid.linspace(t_max, 400))
+    assert p.route == "quadrature-svd"
     assert np.max(np.abs(sum_rule_defects(p))) < 1e-10
 
 

@@ -12,7 +12,7 @@ import pytest
 from numpy.polynomial.hermite import hermgauss
 from scipy.special import eval_laguerre
 
-from qbath import baths, states
+from qbath import TimeGrid, baths, compute_propagator, laguerre, states
 from qbath import observables as obs
 from qbath.baths import (
     CoherentStateBath,
@@ -21,6 +21,7 @@ from qbath.baths import (
     sample_number_states,
 )
 from qbath.errors import PhysicalityError
+from qbath.propagator import PropagatorCoefficients
 from qbath.states import CatState, SqueezedDisplaced
 
 SQUEEZED = SqueezedDisplaced(disp=0.5 - 0.1j, r=0.6, phi=0.3)
@@ -90,9 +91,11 @@ def test_gaussian_state_rule_is_exact_at_the_degree_count(ohmic_rwa, ohmic_pp, p
         zero_t = EquilibriumBath(math.inf)
         exact = 2 * int(occ.sum()) + 1
         for i in (*EARLY, plateau_index(p)):
-            whiten, scale = obs._whitened(p, i, SQUEEZED, zero_t)
+            rows = np.array([i])
+            whiten, scale = obs._whitened(p, rows, SQUEEZED, zero_t)
             at, above = (
-                obs._levels(p, i, SQUEEZED, zero_t, whiten, (n,), occs)(slice(None))[0, 0] * scale
+                obs._levels(p, rows, SQUEEZED, zero_t, whiten, (n,), occs)(slice(None))[0, 0, 0]
+                * scale[0]
                 for n in (exact, exact + 8)
             )
             assert abs(at - above) < 1e-13
@@ -136,16 +139,16 @@ def test_level_rows_equal_one_member_levels_bitwise(ohmic_rwa, ohmic_pp, plateau
     # a member's level sum does not depend on the members it is summed with
     zero_t = EquilibriumBath(math.inf)
     for p in (ohmic_rwa, ohmic_pp):
-        i = plateau_index(p)
+        rows = np.array([plateau_index(p)])
         occs = sample_number_states(1.0, p.model, 21, 40).n
         occs[5] = 0
-        whiten, _ = obs._whitened(p, i, SQUEEZED, zero_t)
-        level = obs._levels(p, i, SQUEEZED, zero_t, whiten, (33,), occs)
-        whole = level(slice(None))[0]
+        whiten, _ = obs._whitened(p, rows, SQUEEZED, zero_t)
+        level = obs._levels(p, rows, SQUEEZED, zero_t, whiten, (33,), occs)
+        whole = level(slice(None))[0, :, 0]
         assert np.isfinite(whole).all()
         for m in range(occs.shape[0]):
-            alone = obs._levels(p, i, SQUEEZED, zero_t, whiten, (33,), occs[m : m + 1])
-            assert whole[m] == level([m])[0, 0] == alone(slice(None))[0, 0], m
+            alone = obs._levels(p, rows, SQUEEZED, zero_t, whiten, (33,), occs[m : m + 1])
+            assert whole[m] == level([m])[0, 0, 0] == alone(slice(None))[0, 0, 0], m
 
 
 def test_member_purities_memory_does_not_grow_with_members(ohmic_rwa, plateau_index):
@@ -208,9 +211,10 @@ def test_half_plane_level_equals_the_full_tensor_rule(ohmic_rwa, ohmic_pp, plate
     for p in (ohmic_rwa, ohmic_pp):
         for i in (*EARLY, plateau_index(p)):
             for case, (s, gauss_bath, occs) in _half_plane_cases(p).items():
-                whiten, _ = obs._whitened(p, i, s, gauss_bath)
-                half = obs._levels(p, i, s, gauss_bath, whiten, (n,), occs)(slice(None))[0]
-                full = _full_rule(p, i, s, gauss_bath, whiten, n, occs)
+                rows = np.array([i])
+                whiten, _ = obs._whitened(p, rows, s, gauss_bath)
+                half = obs._levels(p, rows, s, gauss_bath, whiten, (n,), occs)(slice(None))[0, :, 0]
+                full = _full_rule(p, i, s, gauss_bath, whiten[0], n, occs)
                 bound = 1e-14 + np.finfo(float).eps * (occs.astype(float) ** 2).sum(axis=1) / 4
                 assert np.all(np.abs(half - full) / full <= bound), (case, i)
 
@@ -218,17 +222,17 @@ def test_half_plane_level_equals_the_full_tensor_rule(ohmic_rwa, ohmic_pp, plate
 def test_joined_levels_equal_single_levels_bitwise(ohmic_rwa, ohmic_pp, plateau_index):
     # one chi_eval call on the joined nodes gives each level the bits it has alone
     for p in (ohmic_rwa, ohmic_pp):
-        i = plateau_index(p)
+        rows = np.array([plateau_index(p)])
         for case, (s, gauss_bath, occs) in _half_plane_cases(p).items():
-            whiten, _ = obs._whitened(p, i, s, gauss_bath)
-            joined = obs._levels(p, i, s, gauss_bath, whiten, (16, 32), occs)
+            whiten, _ = obs._whitened(p, rows, s, gauss_bath)
+            joined = obs._levels(p, rows, s, gauss_bath, whiten, (16, 32), occs)
             both = joined(slice(None))
             picked = [occs.shape[0] - 1, 0]  # a member subset on one level, as after convergence
             for k, n in enumerate((16, 32)):
-                alone = obs._levels(p, i, s, gauss_bath, whiten, (n,), occs)(slice(None))[0]
+                alone = obs._levels(p, rows, s, gauss_bath, whiten, (n,), occs)(slice(None))[0]
                 assert both[k].tobytes() == alone.tobytes(), (case, n)
                 one_level = joined(picked, slice(k, k + 1))
-                assert one_level.shape == (1, 2)
+                assert one_level.shape == (1, 2, 1)
                 assert one_level[0].tobytes() == alone[picked].tobytes(), (case, n)
 
 
@@ -243,9 +247,13 @@ def test_half_plane_visits_the_full_rule_levels_on_half_the_nodes(
         nodes.append(np.size(eta))
         return chi_eval(p, i, bath, s, eta)
 
-    def full_levels(p, i, s, gauss_bath, whiten, ns, occs):
+    def full_levels(p, rows, s, gauss_bath, whiten, ns, occs):
         levels.extend(ns)
-        sums = np.array([_full_rule(p, i, s, gauss_bath, whiten, n, occs) for n in ns])
+        # the doubling levels take one grid index, the exact level a one-row set
+        one = np.ndim(rows) == 0
+        i, w = (rows, whiten) if one else (int(rows[0]), whiten[0])
+        sums = np.array([_full_rule(p, i, s, gauss_bath, w, n, occs) for n in ns])
+        sums = sums if one else sums[..., None]
         return lambda members, chosen=slice(None): sums[chosen][:, members]
 
     def half_levels(*args):
@@ -302,6 +310,100 @@ def test_cat_row_converging_at_level_32_takes_one_chi_eval_call(monkeypatch, ohm
     assert [np.size(args[-1]) for args in calls["chi_eval"]] == [16 * 8 + 32 * 16]
     assert len(calls["bath_f_params"]) == 2
     assert calls["coherent_overlap"] == []
+
+
+def _block_rows(p, bath):
+    """Rows per block of the exact first level: the Laguerre table stays within BLOCK_VALUES."""
+    exact = 2 * int(bath.n.sum()) + 1
+    assert exact <= 2 * obs.N_START  # the first level is the exact rule
+    table_row = np.count_nonzero(bath.n) * exact * ((exact + 1) // 2)
+    return laguerre.BLOCK_VALUES // table_row
+
+
+@pytest.mark.parametrize("model", ["ohmic_rwa", "ohmic_pp"])
+def test_number_bath_rows_equal_one_row_purity_bitwise(request, model):
+    # purity() is the one-row call of the driver that purity_rows runs on row blocks
+    p = request.getfixturevalue(model)
+    bath = _singly_occupied(p)
+    assert 1 < _block_rows(p, bath) < p.n_times
+    grid = obs.purity_rows(p, slice(None), bath, SQUEEZED)
+    assert grid.shape == (p.n_times,) and np.all((grid > 0.0) & (grid <= 1.0))
+    single = np.array([obs.purity(p, i, bath, SQUEEZED) for i in range(p.n_times)])
+    assert single.tobytes() == grid.tobytes()
+    assert obs.purity(p, -1, bath, SQUEEZED) == grid[-1]
+
+
+def test_number_bath_row_selectors_give_the_grid_bits(ohmic_rwa):
+    p = ohmic_rwa
+    bath = _singly_occupied(p)
+    grid = obs.purity_rows(p, slice(None), bath, SQUEEZED)
+    selectors = [
+        slice(3, 90, 7),
+        np.array([5, -1, 5, 0, -40, 99, 5]),  # negative and repeated indices
+        np.arange(p.n_times) % 3 == 1,
+    ]
+    for rows in selectors:
+        got = obs.purity_rows(p, rows, bath, SQUEEZED)
+        assert got.shape == p.A[rows].shape
+        assert got.tobytes() == grid[rows].tobytes(), rows
+
+
+def test_number_bath_rows_take_one_chi_eval_call_per_block(monkeypatch, ohmic_rwa):
+    p = ohmic_rwa
+    bath = _singly_occupied(p)
+    step = _block_rows(p, bath)
+    exact = 2 * int(bath.n.sum()) + 1
+    shapes, orders = [], []
+    chi_eval, eval_scaled = obs.chi_eval, laguerre.eval_scaled
+
+    def counted_chi_eval(p, rows, bath, s, eta):
+        shapes.append(np.shape(eta))
+        return chi_eval(p, rows, bath, s, eta)
+
+    def counted_eval_scaled(n, x):
+        orders.append(n)
+        return eval_scaled(n, x)
+
+    monkeypatch.setattr(obs, "chi_eval", counted_chi_eval)
+    monkeypatch.setattr(laguerre, "eval_scaled", counted_eval_scaled)
+    obs.purity_rows(p, slice(None), bath, SQUEEZED)
+    blocks = math.ceil(p.n_times / step)
+    assert shapes == [(min(step, p.n_times - k * step), exact * ((exact + 1) // 2))
+                      for k in range(blocks)]
+    assert orders == [1] * blocks  # one Laguerre table per block: every mode holds one quantum
+
+
+def test_number_bath_rows_memory_does_not_grow_with_the_grid(ohmic_rwa):
+    bath = _singly_occupied(ohmic_rwa)
+    assert _block_rows(ohmic_rwa, bath) < ohmic_rwa.n_times  # both grids fill whole blocks
+    peaks = []
+    for steps in (100, 1600):
+        p = compute_propagator(ohmic_rwa.model, TimeGrid.linspace(40.0, steps))
+        tracemalloc.start()
+        try:
+            obs.purity_rows(p, slice(None), bath, SQUEEZED)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0], peaks
+
+
+def test_non_positive_envelope_names_the_first_bad_row_in_row_order(ohmic_rwa):
+    # |A| = |C| with B = D = 0 makes the envelope's a^2 - 4|g|^2 vanish on a row
+    p = ohmic_rwa
+    rows = p.rows.copy()
+    for k in (7, 40):
+        rows[k] = 0.0
+        rows[k, 0] = rows[k, p.n_modes + 1] = 0.6
+    bad = PropagatorCoefficients(p.model, p.grid, rows, p.route, p.cond_bound)
+    bath = _singly_occupied(p)
+    for selector, first in ((slice(None), 7), (np.array([50, 40, 3, 7]), 40), (-61, 40)):
+        with pytest.raises(PhysicalityError, match=f"at grid index {first}:"):
+            obs.purity_rows(bad, selector, bath, SQUEEZED)
+    with pytest.raises(PhysicalityError, match="at grid index 7:"):
+        obs.purity(bad, 7, bath, SQUEEZED)
+    assert obs.purity_rows(bad, slice(8, 40), bath, SQUEEZED).tobytes() == (
+        obs.purity_rows(p, slice(8, 40), bath, SQUEEZED).tobytes())
 
 
 def _envelope(a, g):

@@ -160,6 +160,23 @@ def test_squeezed_moments_closed_form():
     assert (n_c + 0.5) ** 2 == pytest.approx(0.25 + abs(c_aa) ** 2, rel=1e-12)
 
 
+def test_squeezed_state_keeps_its_central_moments_at_any_displacement():
+    # n_ex - |disp|^2 and aa - disp^2 cancel for a large displacement; the state keeps
+    # sinh^2 r and -e^{2 i phi} sinh r cosh r, and the bound is checked on them
+    sh, ch = math.sinh(0.9), math.cosh(0.9)
+    central = (sh * sh, -complex(math.cos(2.2), math.sin(2.2)) * sh * ch)
+    for size in (0.0, 1.0, 1e2, 1e3, 1e4, 1e5, 1e6, 1e8):
+        s = states.SqueezedDisplaced(disp=size * (0.6 + 0.8j), r=0.9, phi=1.1)
+        assert states.central_moments(s) == central, size
+        assert states.gaussian_chi_params(s)[1:] == (central[0] + 0.5, central[1] / 2.0), size
+
+
+def test_raw_moments_are_centered_by_subtraction():
+    mean = 0.3 + 0.2j
+    mom = states.GaussianMoments(mean_a=mean, n_ex=1.5 + 0.13, aa=mean**2 + 0.4j)
+    assert states.central_moments(mom) == (1.5 + 0.13 - abs(mean) ** 2, mean**2 + 0.4j - mean**2)
+
+
 def test_wirtinger_derivatives_match_finite_differences():
     w0 = np.array([0.31 - 0.47j, -0.62 + 0.18j])
     h = 1e-6
