@@ -77,7 +77,6 @@ from .observables import (
     number_variance_of_variance,
     observable_series,
     purity,
-    purity_rows,
     square_eta_grid,
     summarize,
     variance_rows,

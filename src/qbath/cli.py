@@ -66,7 +66,6 @@ from .observables import (
     number_variance_of_variance,
     observable_series,
     purity,
-    purity_rows,
     summarize,
     variance_rows,
     variances,
@@ -184,7 +183,7 @@ def _cmd_purity(cfg: RunConfig, out: Path) -> list[str]:
     _require(cfg, grid=True, bath=True, oscillator=True)
     bath = realize_bath(cfg)
     p = compute_propagator(cfg.model, cfg.grid)
-    vals = purity_rows(p, slice(None), bath, cfg.oscillator)
+    vals = purity(p, slice(None), bath, cfg.oscillator)
     artifacts = []
     if "csv" in cfg.formats:
         _write_csv(out / "purity.csv", ["t", "purity"], [p.grid.t, vals])
@@ -338,7 +337,7 @@ def _cmd_rwa_compare(cfg: RunConfig, out: Path) -> list[str]:
         raise SchemaError("rwa-compare requires a 'squeezed' or 'cat' oscillator")
     p = compute_propagator(cfg.model, cfg.grid)
     absA2 = np.abs(p.A) ** 2
-    pur = purity_rows(p, slice(None), bath, s)
+    pur = purity(p, slice(None), bath, s)
     oracle_vals = np.array([oracle(min(max(a2, 0.0), 1.0)) for a2 in absA2])
     artifacts = []
     if "csv" in cfg.formats:

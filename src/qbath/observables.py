@@ -2,7 +2,7 @@
 
 Position and momentum use x = sqrt(hbar/(2 m nu))(a^dag + a) and
 p = i sqrt(hbar m nu / 2)(a^dag - a).  Purity is Tr rho^2 =
-(1/pi) int d^2eta |chi(eta)|^2.  purity_rows picks the path for a whole grid:
+(1/pi) int d^2eta |chi(eta)|^2.  purity() takes one grid index or a row set:
 when both the oscillator state and the bath influence are Gaussian it is
 1/(2 sqrt(a^2 - 4|g|^2)) in the total Gaussian parameters; otherwise one
 quadrature driver integrates |chi|^2 = |chi0|^2 |F_g|^2 prod_k L_{n_k}^2,
@@ -17,18 +17,16 @@ of each level set are built on first use and cached.
 For a Gaussian state the rest of the integrand is a polynomial, and the rule
 is exact at 2 sum_k n_k + 1 nodes per axis; up to 2 N_START nodes that rule
 is the first and only level.  The driver takes a set of grid rows and a
-member matrix.  When its first level is exact, purity_rows hands it every
-row at once: the rows share the node set, and go through the whitening,
-chi_eval and the Laguerre table in blocks of bounded size, each step
-elementwise in the rows, so a row has the same bits as in purity(), the
-driver's one-row call.  Rows that double their levels (cats, Gaussian states
-with more quanta) converge each on its own, and go one at a time through
-purity().  The members of a number-state ensemble share one row's node set,
-and each level evaluates them together: one laguerre.log_products table of
-the distinct (mode, order) factors, summed per member in blocks of bounded
-size, so a member has the same bits alone as in any ensemble.  On one
-propagator row, mean_rows and variance_rows give a member matrix one entry
-per member, or one shared entry.
+member matrix.  Each level runs the rows still pending in blocks of bounded
+size through the whitening, chi_eval and the Laguerre table, each step
+elementwise in the rows, and a row leaves once it has converged, so a row
+has the same bits in any row set and costs the levels it needs alone.  The
+members of a number-state ensemble share one row's node set, and each level
+evaluates them together: one laguerre.log_products table of the distinct
+(mode, order) factors, summed per member in blocks of bounded size, so a
+member has the same bits alone as in any ensemble.  On one propagator row,
+mean_rows and variance_rows give a member matrix one entry per member, or
+one shared entry.
 """
 
 from __future__ import annotations
@@ -45,6 +43,7 @@ from .baths import (
     CoherentStateBath,
     NumberStateBath,
     _gaussian_sums,
+    _is_index,
     _laguerre_split,
     _mode_args_squared,
     _single,
@@ -79,7 +78,6 @@ __all__ = [
     "variances",
     "asymptotic_variances",
     "asymptotic_purity",
-    "purity_rows",
     "purity",
     "number_variance_of_variance",
     "member_purities",
@@ -115,6 +113,13 @@ def square_eta_grid(extent: float, n: int) -> np.ndarray:
     x = np.linspace(-extent, extent, n)
     re, im = np.meshgrid(x, x)
     return (re + 1j * im).ravel()
+
+
+def _row(p: PropagatorCoefficients, i: int) -> slice:
+    """row_slice(i) of a scalar entry point; ParameterError for an index outside the grid."""
+    if not -p.n_times <= i < p.n_times:
+        raise ParameterError(f"grid index {i} is outside the grid of {p.n_times} points")
+    return row_slice(i)
 
 
 def chi_eval(p: PropagatorCoefficients, i, bath: BathSpec, s: OscillatorState, eta) -> np.ndarray:
@@ -153,7 +158,7 @@ def mean_xp(
     p: PropagatorCoefficients, i: int, bath: BathSpec, s: OscillatorState
 ) -> tuple[float, float]:
     """(mean x, mean p) at grid index i."""
-    mean_x, mean_p = mean_rows(p, row_slice(i), _single(bath), s)
+    mean_x, mean_p = mean_rows(p, _row(p, i), _single(bath), s)
     return float(mean_x[0]), float(mean_p[0])
 
 
@@ -180,7 +185,7 @@ def variances(
     p: PropagatorCoefficients, i: int, bath: BathSpec, s: OscillatorState
 ) -> tuple[float, float]:
     """(var x, var p) at grid index i; coherent amplitudes drop out."""
-    var_x, var_p = variance_rows(p, row_slice(i), _single(bath), s)
+    var_x, var_p = variance_rows(p, _row(p, i), _single(bath), s)
     return float(var_x[0]), float(var_p[0])
 
 
@@ -188,7 +193,7 @@ def asymptotic_variances(
     p: PropagatorCoefficients, i: int, bath: BathSpec
 ) -> tuple[float, float]:
     """Long-time limits (hbar/m nu)(alpha +- 2 Re gamma) evaluated at index i."""
-    f = bath_sums(p, row_slice(i), _single(bath))
+    f = bath_sums(p, _row(p, i), _single(bath))
     alpha, gamma = float(f.alpha[0]), complex(f.gamma[0])
     u = p.model.units
     factor = u.hbar / (u.mass * p.model.nu)
@@ -223,7 +228,7 @@ def _gaussian_purity(disc: np.ndarray, a: np.ndarray, g: np.ndarray) -> np.ndarr
 
 def asymptotic_purity(p: PropagatorCoefficients, i: int, bath: BathSpec) -> float:
     """Long-time purity 1/(2 sqrt(alpha^2 - 4 |gamma|^2)) evaluated at index i."""
-    f = bath_sums(p, row_slice(i), _single(bath))
+    f = bath_sums(p, _row(p, i), _single(bath))
     return float(_gaussian_purity(f.alpha**2 - 4.0 * np.abs(f.gamma) ** 2, f.alpha, f.gamma)[0])
 
 
@@ -240,29 +245,27 @@ def _total_gaussian_rows(
     return disc, a + f.alpha, g + f.gamma
 
 
-def _whitening(a, g, disc, rows=None) -> tuple[np.ndarray, np.ndarray]:
+def _whitening(a, g, disc, rows) -> tuple[np.ndarray, np.ndarray]:
     """(W, 1/(pi sqrt(det M))) for M = [[2a - 4 Re g, -4 Im g], [-4 Im g, 2a + 4 Re g]].
 
-    Elementwise in a, g and disc, scalars or arrays of one shape S: W has the
-    shape S + (2, 2).  M = 2a I - 4 [[Re g, Im g], [Im g, -Re g]] has the
+    Elementwise in the (R,) arrays a, g and disc of the grid indices rows:
+    W is (R, 2, 2).  M = 2a I - 4 [[Re g, Im g], [Im g, -Re g]] has the
     eigenvalues 2a -+ 4|g|, on the unit vectors U at half the angle of g and
     at a right angle to it, so W = U Lambda^{-1/2} maps y to x with
     x^T M x = y^T y.  disc is a^2 - 4|g|^2, as `_discriminant` forms it:
     det M = 4 disc, and the smaller eigenvalue is 2a - 4|g| = 2 disc / (a + 2|g|).
     The first entry whose M is not positive-definite raises, named by its
-    grid index in rows when given.  Each entry is taken in Python floats:
-    the doubling rows come one at a time, and on one entry numpy's per-call
-    cost is several times the arithmetic.
+    grid index.  Each entry is taken in Python floats: a cat block holds a
+    few rows, and on a few entries numpy's per-call cost is several times
+    the arithmetic.
     """
-    a, g, disc = np.asarray(a), np.asarray(g), np.asarray(disc)
     whiten, scale = [], []
-    entries = zip(a.ravel().tolist(), g.ravel().tolist(), disc.ravel().tolist())
-    for k, (a_k, g_k, disc_k) in enumerate(entries):
+    for i, a_k, g_k, disc_k in zip(rows, a.tolist(), g.tolist(), disc.tolist()):
         # M is positive-definite iff a > 2|g|, iff a > 0 and disc > 0
         if not (a_k > 0.0 and disc_k > 0.0):
-            at = "" if rows is None else f" at grid index {np.ravel(rows)[k]}"
             raise PhysicalityError(
-                f"purity envelope not positive{at}: a = {a_k}, a^2 - 4|g|^2 = {disc_k}"
+                f"purity envelope not positive at grid index {i}: a = {a_k}, "
+                f"a^2 - 4|g|^2 = {disc_k}"
             )
         g_k = complex(g_k)
         small = math.sqrt(2.0 * disc_k / (a_k + 2.0 * abs(g_k)))
@@ -271,7 +274,7 @@ def _whitening(a, g, disc, rows=None) -> tuple[np.ndarray, np.ndarray]:
         cos, sin = math.cos(half), math.sin(half)
         whiten.append(((cos / small, -sin / large), (sin / small, cos / large)))
         scale.append(1.0 / (math.pi * math.sqrt(4.0 * disc_k)))
-    return np.array(whiten).reshape(*a.shape, 2, 2), np.array(scale).reshape(a.shape)
+    return np.array(whiten).reshape(-1, 2, 2), np.array(scale)
 
 
 _VACUUM = vacuum_state()
@@ -282,8 +285,8 @@ def _whitened(p: PropagatorCoefficients, rows, s: OscillatorState, gauss_bath):
 
     M holds the state's carried Gaussian parameters (a cat's are the
     vacuum's, a0 = 1/2, g0 = 0, d0 = 1/4) plus those of the members' common
-    Gaussian bath, on one grid index rows, or on each index of an integer
-    array rows: (R, 2, 2) W and (R,) scales.
+    Gaussian bath, on each of the R grid indices of the integer array rows:
+    (R, 2, 2) W and (R,) scales.
     """
     f = bath_f_params(p, rows, gauss_bath)
     disc, a, g = _total_gaussian_rows(p, rows, s if is_gaussian(s) else _VACUUM, f)
@@ -338,13 +341,12 @@ def _half_plane_table(ns: tuple[int, ...]):
 def _levels(p, rows, s, gauss_bath, whiten: np.ndarray, ns: tuple[int, ...], occs: np.ndarray):
     """The quadrature levels ns of the member matrix occs, from one chi_eval call.
 
-    rows is one grid index, with its (2, 2) whitening, or an integer array
-    of R grid indices, with their (R, 2, 2) whitenings.  Returns
-    sums(members, levels=slice(None)), which gives, for the members
-    occs[members], each level n of ns[levels] and each row, the sum
-    sum_ij w_i w_j exp(y_i^2 + y_j^2) |chi|^2 over the n x n Gauss-Hermite
-    nodes mapped by x = whiten y, as a (levels, members) array on one index
-    and a (levels, members, rows) array on a row set.
+    rows is an integer array of R grid indices, with their (R, 2, 2)
+    whitenings.  Returns sums(members, levels=slice(None)), which gives, for
+    the members occs[members], each level n of ns[levels] and each row, the
+    sum sum_ij w_i w_j exp(y_i^2 + y_j^2) |chi|^2 over the n x n
+    Gauss-Hermite nodes mapped by x = whiten y, as a (levels, members, rows)
+    array.
     chi(-eta) = chi(eta)^* (rho is Hermitian), hermgauss's nodes are exactly
     antisymmetric and its weights symmetric, so node (i, j) is exactly minus
     node (n-1-i, n-1-j) and has the same |chi|^2: each level evaluates only
@@ -361,14 +363,14 @@ def _levels(p, rows, s, gauss_bath, whiten: np.ndarray, ns: tuple[int, ...], occ
     same bits in any row set.
     """
     y1, y2, offsets, weights, log_weights = _half_plane_table(ns)
-    re = whiten[..., 0, 0, None] * y1 + whiten[..., 0, 1, None] * y2
-    im = whiten[..., 1, 0, None] * y1 + whiten[..., 1, 1, None] * y2
+    re = whiten[:, 0, 0, None] * y1 + whiten[:, 0, 1, None] * y2
+    im = whiten[:, 1, 0, None] * y1 + whiten[:, 1, 1, None] * y2
     eta = re + 1j * im
     chi = chi_eval(p, rows, gauss_bath, s, eta)
     base = chi.real**2 + chi.imag**2
-    lead = base.shape[:-1]  # () on one index, (R,) on a row set
     base_sums = np.array([
-        np.vecdot(wt @ base[..., offsets[k] : offsets[k + 1]].reshape(*lead, wt.size, -1), wt_half)
+        np.vecdot(wt @ base[:, offsets[k] : offsets[k + 1]].reshape(len(base), wt.size, -1),
+                  wt_half)
         for k, (wt, wt_half) in enumerate(weights)
     ])
     if not occs.any():  # cats and Gaussian baths
@@ -413,111 +415,99 @@ def _quadrature(p, rows: np.ndarray, s, gauss_bath, occs, probes, tol) -> np.nda
     gauss_bath, a Gaussian bath common to the members.  With x = W y the
     whitening of _whitened, purity = sum_ij w_i w_j exp(y_i^2 + y_j^2)
     |chi(x_ij)|^2 / (pi sqrt(det M)) on a tensor Gauss-Hermite rule shared
-    by the members (_levels evaluates its half plane j < n/2).  Up to
-    2 N_START the exact rule of _exact_nodes costs less than the two levels
-    doubling needs, so it is the only level, and every row is summed on it:
-    the rows go to _levels in blocks whose Laguerre table (occupied modes x
-    rows x nodes) holds at most laguerre.BLOCK_VALUES values, so the memory
-    does not grow with the rows.  Otherwise rows holds one index, which
-    the doubling levels take as a grid index (its whitening in numpy
-    scalars, the cheaper form for one row), and the nodes per axis double
-    from N_START until every probe member agrees with the previous level to
-    tol, or reach the exact rule; the other members, if any, are then
-    summed on that level only.  The first comparison needs the levels
-    N_START and 2 N_START, so those two are evaluated together; later
-    levels come one at a time.
+    by the members (_levels evaluates its half plane j < n/2).  Every row
+    starts at the first level: the exact rule of _exact_nodes when it has at
+    most 2 N_START nodes per axis (it costs less than the two levels
+    doubling needs), otherwise the joined levels N_START and 2 N_START.  A
+    row leaves as soon as every probe member agrees with the row's previous
+    level to tol, and its other members, if any, are summed on that level
+    only; the rows left go on at twice the nodes, capped at the exact rule,
+    which ends every row without a comparison.  Each level runs its pending
+    rows in blocks with rows x nodes x m <= laguerre.BLOCK_VALUES, m the
+    occupied modes of the Laguerre table, or 32 without one (about the
+    float64 values a node holds through one chi evaluation), so the memory
+    does not grow with the rows; a row is whitened in its first block.
     """
     exact = _exact_nodes(s, occs)
-    if exact <= 2 * N_START:
-        table_row = max(1, np.count_nonzero(occs.any(axis=0))) * exact * ((exact + 1) // 2)
-        step = max(1, laguerre.BLOCK_VALUES // table_row)
-        out = np.empty((occs.shape[0], rows.size))
-        for start in range(0, rows.size, step):
-            block = rows[start : start + step]
-            whiten, scale = _whitened(p, block, s, gauss_bath)
-            sums = _levels(p, block, s, gauss_bath, whiten, (exact,), occs)
-            out[:, start : start + step] = sums(slice(None))[0] * scale
-        return out
-    (i,) = rows.tolist()
-    whiten, scale = _whitened(p, i, s, gauss_bath)
-    ns = (N_START, 2 * N_START)
-    prev = None
-    while ns[-1] <= MAX_NODES:
-        sums = _levels(p, i, s, gauss_bath, whiten, ns, occs)
-        if ns[-1] == exact:
-            return sums(slice(None))[-1, :, None] * scale
-        for k, cur in enumerate(sums(probes) * scale):
-            if prev is not None and (np.abs(cur - prev) < tol * np.maximum(1.0, np.abs(cur))).all():
-                if len(probes) == occs.shape[0]:  # the probes are sorted and distinct
-                    return cur[:, None]
-                vals = np.empty(occs.shape[0])
-                vals[probes] = cur
-                rest = np.setdiff1d(np.arange(occs.shape[0]), probes)
-                vals[rest] = sums(rest, slice(k, k + 1))[0] * scale
-                return vals[:, None]
-            prev = cur
+    ns = (exact,) if exact <= 2 * N_START else (N_START, 2 * N_START)
+    width = np.count_nonzero(occs.any(axis=0)) or 32
+    out = np.empty((occs.shape[0], rows.size))
+    whiten, scale = np.empty((rows.size, 2, 2)), np.empty(rows.size)
+    prev = np.full((len(probes), rows.size), np.nan)  # compares False: no level before the first
+    rest = np.ones(occs.shape[0], dtype=bool)
+    rest[probes] = False  # summed on the level where their row leaves, and on no other
+    done = np.zeros(rows.size, dtype=bool)
+    pending = np.arange(rows.size)
+    first = True
+    while pending.size:
+        if ns[-1] > MAX_NODES:
+            i = rows[pending[0]]
+            raise AccuracyError(
+                f"purity quadrature did not converge to {tol:.1e} within {MAX_NODES} nodes "
+                f"per axis at grid index {i} (t = {p.grid.t[i]})"
+            )
+        step = max(1, laguerre.BLOCK_VALUES // (width * sum(n * ((n + 1) // 2) for n in ns)))
+        for start in range(0, pending.size, step):
+            block = pending[start : start + step]
+            if first:
+                whiten[block], scale[block] = _whitened(p, rows[block], s, gauss_bath)
+            sums = _levels(p, rows[block], s, gauss_bath, whiten[block], ns, occs)
+            if ns[-1] == exact:
+                out[:, block] = sums(slice(None))[-1] * scale[block]
+                done[block] = True
+                continue
+            for k, cur in enumerate(sums(probes) * scale[block]):
+                close = np.abs(cur - prev[:, block]) < tol * np.maximum(1.0, np.abs(cur))
+                agree = close.all(axis=0)
+                prev[:, block] = cur
+                if agree.any():
+                    if rest.any():
+                        every = np.empty((occs.shape[0], block.size))
+                        every[probes] = cur
+                        every[rest] = sums(rest, slice(k, k + 1))[0] * scale[block]
+                        cur = every
+                    out[:, block[agree]] = cur[:, agree]
+                    done[block[agree]] = True
+        first = False
+        pending = pending[~done[pending]]
         ns = (min(2 * ns[-1], exact),)
-    raise AccuracyError(
-        f"purity quadrature did not converge to {tol:.1e} within {MAX_NODES} nodes per axis"
-    )
-
-
-def purity_rows(
-    p: PropagatorCoefficients,
-    rows,
-    bath: BathSpec,
-    s: OscillatorState,
-    *,
-    method: str = "auto",
-    tol: float = 1e-8,
-) -> np.ndarray:
-    """Tr rho^2 on the propagator rows p.X[rows].
-
-    rows is a slice, an integer array or a boolean mask, and both paths
-    return an array of the shape p.A[rows] has.  method: "auto" picks the
-    closed Gaussian form when the state and bath are both Gaussian,
-    quadrature otherwise; "closed" and "quadrature" force a path (closed
-    raises for non-Gaussian inputs).  Quadrature hands every row to the
-    driver in one call when its first level is already the exact rule (a
-    Gaussian state with 2 sum_k n_k + 1 <= 2 N_START): the rows share that
-    one node set.  Rows that double their levels (cats, Gaussian states with
-    more quanta) each converge on their own, and run purity() one index at
-    a time.
-    """
-    if method == "auto":
-        gaussian = is_gaussian(s) and not isinstance(bath, NumberStateBath)
-        method = "closed" if gaussian else "quadrature"
-    if method == "closed":
-        return _gaussian_purity(*_total_gaussian_rows(p, rows, s, _gaussian_sums(p, rows, bath)))
-    if method != "quadrature":
-        raise ParameterError(f"unknown purity method {method!r}")
-    indices = np.arange(p.n_times)[rows]
-    gauss_bath, occs = _laguerre_split(p, _single(bath))
-    if _exact_nodes(s, occs) <= 2 * N_START:
-        values = _quadrature(p, indices.ravel(), s, gauss_bath, occs, [0], tol)[0]
-    else:
-        values = [purity(p, int(i), bath, s, method="quadrature", tol=tol) for i in indices.flat]
-    return np.asarray(values, dtype=float).reshape(indices.shape)
+    return out
 
 
 def purity(
     p: PropagatorCoefficients,
-    i: int,
+    i,
     bath: BathSpec,
     s: OscillatorState,
     *,
     method: str = "auto",
     tol: float = 1e-8,
-) -> float:
-    """Tr rho^2 at grid index i, the one-row slice of purity_rows.
+) -> float | np.ndarray:
+    """Tr rho^2 at grid index i, or on the row set p.X[i].
 
-    Quadrature is a one-row, one-member call of the Gauss-Hermite driver on
-    the bath's _laguerre_split.
+    An integer i returns a float; a slice, an integer array or a boolean
+    mask returns an array of the shape p.A[i] has, each entry with the bits
+    of its one-index call.  method: "auto" picks the closed Gaussian form
+    when the state and bath are both Gaussian, quadrature otherwise;
+    "closed" and "quadrature" force a path (closed raises for non-Gaussian
+    inputs).  Quadrature is one call of the Gauss-Hermite driver on the
+    bath's _laguerre_split with every row of i.
     """
-    if method != "quadrature":
-        return float(purity_rows(p, row_slice(i), _single(bath), s, method=method, tol=tol)[0])
-    gauss_bath, occs = _laguerre_split(p, _single(bath))
-    return float(_quadrature(p, np.array([i]), s, gauss_bath, occs, [0], tol)[0, 0])
+    one = _is_index(i)
+    rows, bath = _row(p, i) if one else i, _single(bath)
+    if method == "auto":
+        gaussian = is_gaussian(s) and not isinstance(bath, NumberStateBath)
+        method = "closed" if gaussian else "quadrature"
+    if method == "closed":
+        values = _gaussian_purity(*_total_gaussian_rows(p, rows, s, _gaussian_sums(p, rows, bath)))
+    elif method == "quadrature":
+        indices = np.arange(p.n_times)[rows]
+        gauss_bath, occs = _laguerre_split(p, bath)
+        values = _quadrature(p, indices.ravel(), s, gauss_bath, occs, [0], tol)[0]
+        values = values.reshape(indices.shape)
+    else:
+        raise ParameterError(f"unknown purity method {method!r}")
+    return float(values[0]) if one else values
 
 
 def number_variance_of_variance(p: PropagatorCoefficients, i: int, beta: float) -> float:
@@ -543,10 +533,13 @@ def member_purities(
     member and the most occupied ones, and each level sums them in member
     blocks of one batched Laguerre kernel (_levels).
     """
+    rows = np.arange(p.n_times)[_row(p, i)]
     gauss_bath, occs = _laguerre_split(p, bath)
+    if not occs.shape[0]:
+        raise ParameterError("member_purities needs at least one member")
     alpha_member = occs @ (np.abs(p.B[i]) ** 2 + np.abs(p.D[i]) ** 2)
     probes = sorted({0, int(np.argmax(alpha_member)), int(np.argmax(occs.sum(axis=1)))})
-    return _quadrature(p, np.array([i]), s, gauss_bath, occs, probes, ENSEMBLE_TOL)[:, 0]
+    return _quadrature(p, rows, s, gauss_bath, occs, probes, ENSEMBLE_TOL)[:, 0]
 
 
 def averaged_purity_number_ensemble(
@@ -600,5 +593,5 @@ def observable_series(
     out = {"t": p.grid.t.copy()}
     out["mean_x"], out["mean_p"] = mean_rows(p, slice(None), bath, s)
     out["var_x"], out["var_p"] = variance_rows(p, slice(None), bath, s)
-    out["purity"] = purity_rows(p, slice(None), bath, s)
+    out["purity"] = purity(p, slice(None), bath, s)
     return out

@@ -187,6 +187,7 @@ def test_quadrature_failure_exits_3(tmp_path, capsys):
     report = json.loads(err)
     assert report["error"] == "AccuracyError"
     assert "did not converge" in report["message"]
+    assert "at grid index 0 (t = 0.0)" in report["message"]  # the first row in row order
 
 
 @pytest.mark.parametrize("subcommand, section, key", [
@@ -433,7 +434,7 @@ def test_purity_summary_reports_the_first_of_tied_minima(tmp_path, monkeypatch, 
         vals[45], vals[135] = 0.7, np.nextafter(0.7, 0.0)
         return vals
 
-    monkeypatch.setattr("qbath.cli.purity_rows", tied)
+    monkeypatch.setattr("qbath.cli.purity", tied)
     doc = sample_config("rwa-compare-squeezed")
     doc["outputs"] = {"formats": ["json"]}
     rc, out = run(tmp_path, "purity", doc)

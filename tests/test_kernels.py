@@ -165,23 +165,23 @@ def test_chi_eval_on_a_row_set_equals_each_row_bitwise(prop, keyed_rng):
 def test_closed_purity_equals_observable_series(prop, keyed_rng):
     for bath in (EquilibriumBath(1.3), _coherent(prop, keyed_rng)):
         series = obs.observable_series(prop, bath, SQUEEZED)
-        rows = obs.purity_rows(prop, slice(None), bath, SQUEEZED)
+        rows = obs.purity(prop, slice(None), bath, SQUEEZED)
         for i in INDICES:
             assert obs.purity(prop, i, bath, SQUEEZED) == series["purity"][i] == rows[i]
 
 
-def test_quadrature_purity_rows_equal_purity():
+def test_quadrature_purity_row_sets_equal_one_index_purity():
     p = compute_propagator(stock_model("rwa-n1-resonant"), TimeGrid.linspace(2.0, 4))
     bath = EquilibriumBath(1.0)
     cat = CatState(alpha=1.3 + 0.4j, beta=-0.8 - 0.6j)
-    rows = obs.purity_rows(p, slice(None), bath, cat)
+    rows = obs.purity(p, slice(None), bath, cat)
     assert rows.shape == (p.n_times,)
     for i in range(-1, p.n_times):
         assert obs.purity(p, i, bath, cat) == rows[i]
 
 
 @pytest.mark.parametrize("selector", ["slice", "integers", "mask"])
-def test_purity_rows_take_every_row_selector_on_both_paths(selector):
+def test_purity_takes_every_row_selector_on_both_paths(selector):
     p = compute_propagator(stock_model("rwa-n1-resonant"), TimeGrid.linspace(2.0, 4))
     rows = {
         "slice": slice(1, None, 2),
@@ -189,13 +189,13 @@ def test_purity_rows_take_every_row_selector_on_both_paths(selector):
         "mask": np.arange(p.n_times) % 2 == 0,
     }[selector]
     bath = EquilibriumBath(1.0)
-    closed = obs.purity_rows(p, rows, bath, SQUEEZED, method="closed")
-    quad = obs.purity_rows(p, rows, bath, SQUEEZED, method="quadrature")
+    closed = obs.purity(p, rows, bath, SQUEEZED, method="closed")
+    quad = obs.purity(p, rows, bath, SQUEEZED, method="quadrature")
     assert closed.shape == quad.shape == p.A[rows].shape
     # a Gaussian |chi|^2 is its own envelope: the one-node rule is exact up to rounding
     np.testing.assert_allclose(quad, closed, rtol=1e-14, atol=0.0)
     cat = CatState(alpha=1.3 + 0.4j, beta=-0.8 - 0.6j)
-    cat_rows = obs.purity_rows(p, rows, bath, cat)
+    cat_rows = obs.purity(p, rows, bath, cat)
     assert cat_rows.shape == p.A[rows].shape
     indices = np.arange(p.n_times)[rows]
     assert cat_rows.tolist() == [obs.purity(p, int(i), bath, cat) for i in indices]

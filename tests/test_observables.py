@@ -19,6 +19,7 @@ from qbath.baths import (
 )
 from qbath.errors import ParameterError
 from qbath.model import ModelSpec
+from qbath.presets import stock_model
 from qbath.propagator import TimeGrid, compute_propagator
 from qbath.states import CatState, SqueezedDisplaced, chi0_eval, vacuum_state
 
@@ -158,11 +159,11 @@ def test_closed_purity_does_not_depend_on_the_displacement(request, model):
     # a displacement leaves the central moments, and so the purity, as they are
     p = request.getfixturevalue(model)
     bath = EquilibriumBath(1.0)
-    ref = obs.purity_rows(p, slice(None), bath, SqueezedDisplaced(r=0.9, phi=1.1))
+    ref = obs.purity(p, slice(None), bath, SqueezedDisplaced(r=0.9, phi=1.1))
     eps = np.finfo(float).eps
     for size in (1e-3, 1.0, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8):
         s = SqueezedDisplaced(disp=size * (0.6 + 0.8j), r=0.9, phi=1.1)
-        got = obs.purity_rows(p, slice(None), bath, s)
+        got = obs.purity(p, slice(None), bath, s)
         assert np.max(np.abs(got - ref) / ref) <= 4 * eps, size
 
 
@@ -177,6 +178,36 @@ def test_purity_method_dispatch(rwa_n1):
     auto = obs.purity(rwa_n1, 10, EquilibriumBath(1.0), SQUEEZED)
     closed = obs.purity(rwa_n1, 10, EquilibriumBath(1.0), SQUEEZED, method="closed")
     assert auto == closed
+
+
+SCALAR_CALLS = {
+    "purity": lambda p, i: obs.purity(p, i, EquilibriumBath(1.0), SQUEEZED),
+    "purity-quadrature": lambda p, i: obs.purity(p, i, EquilibriumBath(1.0), CAT),
+    "mean_xp": lambda p, i: obs.mean_xp(p, i, EquilibriumBath(1.0), SQUEEZED),
+    "variances": lambda p, i: obs.variances(p, i, EquilibriumBath(1.0), SQUEEZED),
+    "asymptotic_variances": lambda p, i: obs.asymptotic_variances(p, i, EquilibriumBath(1.0)),
+    "asymptotic_purity": lambda p, i: obs.asymptotic_purity(p, i, EquilibriumBath(1.0)),
+    "member_purities": lambda p, i: obs.member_purities(p, i, NumberStateBath([[1]]), SQUEEZED),
+}
+
+
+NO_MEMBERS = NumberStateBath(np.zeros((0, 1), dtype=int))
+REFUSALS = [(call, i, f"grid index {i} is outside the grid of 21 points")
+            for call in sorted(SCALAR_CALLS) for i in (21, -22)]
+REFUSALS.append(("member_purities", "no members", "at least one member"))
+
+
+@pytest.mark.parametrize("call, i, message", REFUSALS)
+def test_scalar_entry_points_refuse_what_the_grid_does_not_hold(call, i, message):
+    p = compute_propagator(stock_model("rwa-n1-resonant"), TimeGrid.linspace(2.0, 20))
+    if i == "no members":
+        with pytest.raises(ParameterError, match=message):
+            obs.member_purities(p, 5, NO_MEMBERS, SQUEEZED)
+        return
+    with pytest.raises(ParameterError, match=message):
+        SCALAR_CALLS[call](p, i)
+    if i > 0:
+        SCALAR_CALLS[call](p, i - 1)  # the last index is held
 
 
 def test_means_independent_of_zero_drift_bath(ohmic_pp):

@@ -249,11 +249,9 @@ def test_half_plane_visits_the_full_rule_levels_on_half_the_nodes(
 
     def full_levels(p, rows, s, gauss_bath, whiten, ns, occs):
         levels.extend(ns)
-        # the doubling levels take one grid index, the exact level a one-row set
-        one = np.ndim(rows) == 0
-        i, w = (rows, whiten) if one else (int(rows[0]), whiten[0])
-        sums = np.array([_full_rule(p, i, s, gauss_bath, w, n, occs) for n in ns])
-        sums = sums if one else sums[..., None]
+        sums = np.array([[_full_rule(p, int(i), s, gauss_bath, w, n, occs)
+                          for i, w in zip(rows, whiten)] for n in ns])  # (levels, rows, members)
+        sums = sums.transpose(0, 2, 1)
         return lambda members, chosen=slice(None): sums[chosen][:, members]
 
     def half_levels(*args):
@@ -312,21 +310,28 @@ def test_cat_row_converging_at_level_32_takes_one_chi_eval_call(monkeypatch, ohm
     assert calls["coherent_overlap"] == []
 
 
-def _block_rows(p, bath):
-    """Rows per block of the exact first level: the Laguerre table stays within BLOCK_VALUES."""
+def _block_rows(ns, width):
+    """Rows per block of the level set ns: rows x half-plane nodes x width <= BLOCK_VALUES.
+
+    width is the number of occupied modes of a number bath, or 32 without a Laguerre table.
+    """
+    return max(1, laguerre.BLOCK_VALUES // (width * sum(n * ((n + 1) // 2) for n in ns)))
+
+
+def _exact_block_rows(bath):
+    """Rows per block of a number bath whose first level is the exact rule."""
     exact = 2 * int(bath.n.sum()) + 1
     assert exact <= 2 * obs.N_START  # the first level is the exact rule
-    table_row = np.count_nonzero(bath.n) * exact * ((exact + 1) // 2)
-    return laguerre.BLOCK_VALUES // table_row
+    return _block_rows((exact,), np.count_nonzero(bath.n))
 
 
 @pytest.mark.parametrize("model", ["ohmic_rwa", "ohmic_pp"])
 def test_number_bath_rows_equal_one_row_purity_bitwise(request, model):
-    # purity() is the one-row call of the driver that purity_rows runs on row blocks
+    # an index is the one-row call of the driver that a row set runs on row blocks
     p = request.getfixturevalue(model)
     bath = _singly_occupied(p)
-    assert 1 < _block_rows(p, bath) < p.n_times
-    grid = obs.purity_rows(p, slice(None), bath, SQUEEZED)
+    assert 1 < _exact_block_rows(bath) < p.n_times
+    grid = obs.purity(p, slice(None), bath, SQUEEZED)
     assert grid.shape == (p.n_times,) and np.all((grid > 0.0) & (grid <= 1.0))
     single = np.array([obs.purity(p, i, bath, SQUEEZED) for i in range(p.n_times)])
     assert single.tobytes() == grid.tobytes()
@@ -336,14 +341,14 @@ def test_number_bath_rows_equal_one_row_purity_bitwise(request, model):
 def test_number_bath_row_selectors_give_the_grid_bits(ohmic_rwa):
     p = ohmic_rwa
     bath = _singly_occupied(p)
-    grid = obs.purity_rows(p, slice(None), bath, SQUEEZED)
+    grid = obs.purity(p, slice(None), bath, SQUEEZED)
     selectors = [
         slice(3, 90, 7),
         np.array([5, -1, 5, 0, -40, 99, 5]),  # negative and repeated indices
         np.arange(p.n_times) % 3 == 1,
     ]
     for rows in selectors:
-        got = obs.purity_rows(p, rows, bath, SQUEEZED)
+        got = obs.purity(p, rows, bath, SQUEEZED)
         assert got.shape == p.A[rows].shape
         assert got.tobytes() == grid[rows].tobytes(), rows
 
@@ -351,7 +356,7 @@ def test_number_bath_row_selectors_give_the_grid_bits(ohmic_rwa):
 def test_number_bath_rows_take_one_chi_eval_call_per_block(monkeypatch, ohmic_rwa):
     p = ohmic_rwa
     bath = _singly_occupied(p)
-    step = _block_rows(p, bath)
+    step = _exact_block_rows(bath)
     exact = 2 * int(bath.n.sum()) + 1
     shapes, orders = [], []
     chi_eval, eval_scaled = obs.chi_eval, laguerre.eval_scaled
@@ -366,7 +371,7 @@ def test_number_bath_rows_take_one_chi_eval_call_per_block(monkeypatch, ohmic_rw
 
     monkeypatch.setattr(obs, "chi_eval", counted_chi_eval)
     monkeypatch.setattr(laguerre, "eval_scaled", counted_eval_scaled)
-    obs.purity_rows(p, slice(None), bath, SQUEEZED)
+    obs.purity(p, slice(None), bath, SQUEEZED)
     blocks = math.ceil(p.n_times / step)
     assert shapes == [(min(step, p.n_times - k * step), exact * ((exact + 1) // 2))
                       for k in range(blocks)]
@@ -375,13 +380,13 @@ def test_number_bath_rows_take_one_chi_eval_call_per_block(monkeypatch, ohmic_rw
 
 def test_number_bath_rows_memory_does_not_grow_with_the_grid(ohmic_rwa):
     bath = _singly_occupied(ohmic_rwa)
-    assert _block_rows(ohmic_rwa, bath) < ohmic_rwa.n_times  # both grids fill whole blocks
+    assert _exact_block_rows(bath) < ohmic_rwa.n_times  # both grids fill whole blocks
     peaks = []
     for steps in (100, 1600):
         p = compute_propagator(ohmic_rwa.model, TimeGrid.linspace(40.0, steps))
         tracemalloc.start()
         try:
-            obs.purity_rows(p, slice(None), bath, SQUEEZED)
+            obs.purity(p, slice(None), bath, SQUEEZED)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -399,15 +404,19 @@ def test_non_positive_envelope_names_the_first_bad_row_in_row_order(ohmic_rwa):
     bath = _singly_occupied(p)
     for selector, first in ((slice(None), 7), (np.array([50, 40, 3, 7]), 40), (-61, 40)):
         with pytest.raises(PhysicalityError, match=f"at grid index {first}:"):
-            obs.purity_rows(bad, selector, bath, SQUEEZED)
+            obs.purity(bad, selector, bath, SQUEEZED)
     with pytest.raises(PhysicalityError, match="at grid index 7:"):
         obs.purity(bad, 7, bath, SQUEEZED)
-    assert obs.purity_rows(bad, slice(8, 40), bath, SQUEEZED).tobytes() == (
-        obs.purity_rows(p, slice(8, 40), bath, SQUEEZED).tobytes())
+    assert obs.purity(bad, slice(8, 40), bath, SQUEEZED).tobytes() == (
+        obs.purity(p, slice(8, 40), bath, SQUEEZED).tobytes())
 
 
 def _envelope(a, g):
     return np.array([[2.0 * a - 4.0 * g.real, -4.0 * g.imag], [-4.0 * g.imag, 2.0 * a + 4.0 * g.real]])
+
+
+def _whiten_one(a, g, disc):
+    return obs._whitening(np.array([a]), np.array([g]), np.array([disc]), [0])
 
 
 def test_closed_form_whitening_diagonalizes_the_envelope():
@@ -423,7 +432,7 @@ def test_closed_form_whitening_diagonalizes_the_envelope():
         g = complex(g)
         # a^2 - 4|g|^2 as a product, whose first factor is exact where a ~ 2|g| (Sterbenz)
         disc = (a - 2.0 * abs(g)) * (a + 2.0 * abs(g))
-        whiten, scale = obs._whitening(a, g, disc)
+        whiten, scale = (x[0] for x in _whiten_one(a, g, disc))
         m = _envelope(a, g)
         lam = np.linalg.eigvalsh(m)
         assert lam[0] > 0.0, (a, g)
@@ -435,4 +444,77 @@ def test_closed_form_whitening_diagonalizes_the_envelope():
         assert scale == pytest.approx(1.0 / (math.pi * math.sqrt(np.linalg.det(m))), rel=tol)
     for a, g in [(1.0, 0.5 + 0j), (1.0, 0.5j), (1.0, 0.6 * np.exp(1j)), (-1.0, 0j), (0.0, 0j)]:
         with pytest.raises(PhysicalityError):
-            obs._whitening(a, complex(g), (a - 2.0 * abs(g)) * (a + 2.0 * abs(g)))
+            _whiten_one(a, complex(g), (a - 2.0 * abs(g)) * (a + 2.0 * abs(g)))
+
+
+# lobes far enough apart that some rows go on to levels 64 and 128
+WIDE_CAT = CatState(alpha=2.5, beta=-2.5)
+CAT_BATHS = {
+    "vacuum": lambda p: EquilibriumBath(math.inf),
+    "thermal": lambda p: EquilibriumBath(1.0),
+    "coherent": lambda p: CoherentStateBath(0.4 * np.exp(1j * np.arange(p.n_modes))),
+}
+
+
+@pytest.mark.parametrize("cat", [CAT, WIDE_CAT], ids=["cat", "wide-cat"])
+@pytest.mark.parametrize("kind", sorted(CAT_BATHS))
+@pytest.mark.parametrize("model", ["rwa_n1", "ohmic_pp"])
+def test_cat_row_sets_equal_one_index_purity_bitwise(request, model, kind, cat):
+    # cat rows double their levels, each row on its own, in blocks that converged rows leave
+    p = request.getfixturevalue(model)
+    bath = CAT_BATHS[kind](p)
+    single = np.array([obs.purity(p, i, bath, cat) for i in range(p.n_times)])
+    selectors = [
+        slice(None),
+        slice(3, -5, 4),
+        np.array([7, -1, 7, 0, -30, 12, 7]),  # negative and repeated indices
+        np.arange(p.n_times) % 3 == 1,
+    ]
+    for rows in selectors:
+        got = obs.purity(p, rows, bath, cat)
+        assert got.shape == p.A[rows].shape
+        assert got.tobytes() == single[rows].tobytes(), rows
+
+
+def test_cat_row_set_evaluates_the_nodes_of_its_rows_alone(monkeypatch, ohmic_pp):
+    # no row evaluates a level it does not need alone, and each level's blocks
+    # keep rows x nodes x 32 within BLOCK_VALUES
+    p, bath = ohmic_pp, EquilibriumBath(1.0)
+    shapes = []
+    chi_eval = obs.chi_eval
+
+    def counted_chi_eval(p, rows, bath, s, eta):
+        shapes.append(np.shape(eta))
+        return chi_eval(p, rows, bath, s, eta)
+
+    monkeypatch.setattr(obs, "chi_eval", counted_chi_eval)
+    obs.purity(p, slice(None), bath, WIDE_CAT)
+    whole = list(shapes)
+    shapes.clear()
+    for i in range(p.n_times):
+        obs.purity(p, i, bath, WIDE_CAT)
+    assert sum(math.prod(s) for s in whole) == sum(math.prod(s) for s in shapes)
+    first = 16 * 8 + 32 * 16
+    rows_at = {}
+    for rows, nodes in whole:
+        n = round(math.sqrt(2 * nodes)) if nodes != first else None
+        assert rows <= _block_rows((16, 32) if n is None else (n,), 32)
+        rows_at[nodes] = rows_at.get(nodes, 0) + rows
+    assert whole[0] == (_block_rows((16, 32), 32), first) and rows_at[first] == p.n_times
+    later = [rows_at[nodes] for nodes in sorted(rows_at) if nodes != first]
+    assert later and later == sorted(later, reverse=True) and later[0] < p.n_times
+
+
+def test_cat_rows_memory_does_not_grow_with_the_grid(ohmic_rwa):
+    bath = EquilibriumBath(1.0)
+    obs.purity(ohmic_rwa, slice(None), bath, CAT)  # the cached node tables are not counted
+    peaks = []
+    for steps in (100, 1600):
+        p = compute_propagator(ohmic_rwa.model, TimeGrid.linspace(40.0, steps))
+        tracemalloc.start()
+        try:
+            obs.purity(p, slice(None), bath, CAT)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0], peaks

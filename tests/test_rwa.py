@@ -9,7 +9,7 @@ import pytest
 from qbath import rwa
 from qbath.baths import EquilibriumBath
 from qbath.errors import ParameterError
-from qbath.observables import purity, purity_rows
+from qbath.observables import purity
 from qbath.states import CatState, SqueezedDisplaced, coherent_overlap
 
 
@@ -89,7 +89,7 @@ def test_closed_purity_of_strong_squeezing_matches_squeezed_reference(rwa_n1, r,
     # rounding, lost digits from r ~ 5 and was not positive from r = 9.25
     p = rwa_n1
     s_state = SqueezedDisplaced(disp=0.7 - 0.4j, r=r, phi=1.1)
-    pur = purity_rows(p, slice(None), EquilibriumBath(math.inf), s_state)
+    pur = purity(p, slice(None), EquilibriumBath(math.inf), s_state)
     absA2 = np.abs(p.A) ** 2
     ref = np.array([rwa.purity_squeezed_rwa(min(s, 1.0), r) for s in absA2])
     squeezed_reference_check(absA2, pur, ref)
