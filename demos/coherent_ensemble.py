@@ -41,8 +41,8 @@ state = vacuum_state()
 members = sample_coherent_states(beta, model, seed, n_samples)  # one row per member
 
 print("=== every member is a displaced zero-temperature state ===")
-vx0, vp0 = variance_rows(p, row_slice(i), EquilibriumBath(beta=math.inf), state)
-vxk, vpk = variance_rows(p, row_slice(i), CoherentStateBath(members.amps[:200]), state)
+vx0, vp0 = variance_rows(p, row_slice(p, i), EquilibriumBath(beta=math.inf), state)
+vxk, vpk = variance_rows(p, row_slice(p, i), CoherentStateBath(members.amps[:200]), state)
 worst = max(np.max(np.abs(vxk - vx0)), np.max(np.abs(vpk - vp0)))
 print(f"max |per-sample variance - T=0 variance| over 200 members: {worst:.2e}")
 
@@ -52,8 +52,8 @@ print(f"displaced-vacuum factorization defect: {displaced_vacuum_check(p, i, amp
 
 print()
 print(f"=== thermal broadening lives in the scatter of the means ({n_samples} samples) ===")
-mx, mp = mean_rows(p, row_slice(i), members, state)
-di, dj = (bath_delta(p, row_slice(k), members) for k in (i, j))
+mx, mp = mean_rows(p, row_slice(p, i), members, state)
+di, dj = (bath_delta(p, row_slice(p, k), members) for k in (i, j))
 
 thermal, cold = (asymptotic_variances(p, i, EquilibriumBath(beta=b)) for b in (beta, math.inf))
 pred_x2, pred_p2 = np.subtract(thermal, cold)

@@ -41,7 +41,7 @@ for i in (0, 5, 10, 20, 30, 40, 56):
 print("(sigma is identically zero for any equilibrium bath; kappa(0) = mu(0) = 0)")
 
 state = SqueezedDisplaced(0.6 - 0.3j, 0.5, 0.8)
-res = max(generator_residual(p, i, bath, state) for i in (3, 12, 25, 40))
+res = generator_residual(p, np.array([3, 12, 25, 40]), bath, state).max()
 print(f"\nevolution-identity residual, sup over probe times: {res:.2e}")
 
 print()

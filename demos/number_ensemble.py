@@ -42,7 +42,7 @@ state = vacuum_state()
 
 print(f"=== {n_samples} number-state bath samples at beta = {beta}, t = {p.grid.t[i]:.1f} ===")
 members = sample_number_states(beta, model, seed, n_samples)  # one row per member
-vx, _ = variance_rows(p, row_slice(i), members, state)
+vx, _ = variance_rows(p, row_slice(p, i), members, state)
 
 eq_vx, _ = variances(p, i, EquilibriumBath(beta=beta), state)
 se = vx.std(ddof=1) / math.sqrt(n_samples)

@@ -22,10 +22,11 @@ numbers (P_n) or complex Gaussian amplitudes with E|beta_k|^2 = nbar_k (P_c).
 
 This module alone decides what F is.  Gaussian parameters come from
 bath_sums as a GaussianFSeries on propagator rows (fs[0] for one index), and
-_gaussian_sums is the one guard that refuses number states.  _laguerre_split
+_gaussian is the one guard that refuses number states.  _laguerre_split
 writes any bath as a Gaussian part times prod_k L_{n_k} (vacuum plus
 occupations, or the bath itself plus a row of zeros), and bath_F_eval is the
-one evaluator of F for every preparation.  _mode_args builds
+one evaluator of F for every preparation (through _influence, which the
+general generator feeds with its own sums).  _mode_args builds
 z_k = eta B_k^* - eta^* D_k for the general generator, and _mode_args_squared
 the Laguerre arguments |z_k|^2 of bath_F_eval and purity quadrature.
 
@@ -238,13 +239,11 @@ def bath_sums(
     return fs
 
 
-def _gaussian_sums(
-    p: PropagatorCoefficients, rows, bath: BathSpec, *, derivs: bool = False
-) -> GaussianFSeries:
-    """bath_sums of a bath with Gaussian influence; ParameterError for number states."""
+def _gaussian(bath: BathSpec) -> BathSpec:
+    """bath itself; ParameterError for number states, whose influence is not Gaussian."""
     if isinstance(bath, NumberStateBath):
         raise ParameterError("number-state baths have no Gaussian influence parameters")
-    return bath_sums(p, rows, bath, derivs=derivs)
+    return bath
 
 
 def _laguerre_split(p: PropagatorCoefficients, bath: BathSpec) -> tuple[BathSpec, np.ndarray]:
@@ -261,9 +260,9 @@ def _laguerre_split(p: PropagatorCoefficients, bath: BathSpec) -> tuple[BathSpec
 
 
 def _mode_args(b: np.ndarray, d: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """z_k = eta b_k^* - eta^* d_k: one row per mode of b and d, one column per node of eta."""
-    eta = np.ravel(eta)
-    return eta * np.conj(b[:, None]) - np.conj(eta) * d[:, None]
+    """z_k = eta b_k^* - eta^* d_k on a row set: (R, K) b and d, (R, P) eta, (K, R, P) result."""
+    b, d = b.T[..., None], d.T[..., None]
+    return eta * np.conj(b) - np.conj(eta) * d
 
 
 def _mode_args_squared(b: np.ndarray, d: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -300,9 +299,8 @@ def bath_f_params(p: PropagatorCoefficients, i, bath: BathSpec) -> GaussianFSeri
     On a row set i (a slice, an integer array or a mask) the fields hold
     one entry per row of p.X[i].
     """
-    if _is_index(i):
-        return _gaussian_sums(p, row_slice(i), _single(bath))[0]
-    return _gaussian_sums(p, i, _single(bath))
+    fs = bath_sums(p, row_slice(p, i) if _is_index(i) else i, _gaussian(_single(bath)))
+    return fs[0] if _is_index(i) else fs
 
 
 def bath_F_eval(p: PropagatorCoefficients, i, bath: BathSpec, eta: np.ndarray) -> np.ndarray:
@@ -316,12 +314,17 @@ def bath_F_eval(p: PropagatorCoefficients, i, bath: BathSpec, eta: np.ndarray) -
     laguerre.log_products, in log space to avoid overflow, with its sign
     from the parity of the negative factors.
     """
+    fs = bath_f_params(p, i, _laguerre_split(p, _single(bath))[0])
+    return _influence(p, i, bath, fs if _is_index(i) else fs[:, None], eta)
+
+
+def _influence(p: PropagatorCoefficients, i, bath: BathSpec, fs: GaussianFSeries, eta):
+    """F(eta) on p.X[i] from fs, the sums of bath's Gaussian part (as columns on a row set)."""
     eta = np.asarray(eta, dtype=complex)
     if not isinstance(bath, NumberStateBath):
-        return gaussian_F_eval(_columns(i, bath_f_params(p, i, bath)), eta)
-    vacuum, occs = _laguerre_split(p, _single(bath))
-    zero_t = _columns(i, bath_f_params(p, i, vacuum))
-    log_env = np.real(gaussian_exponent(0.0, zero_t.alpha, zero_t.gamma, eta))
+        return gaussian_F_eval(fs, eta)
+    _, occs = _laguerre_split(p, bath)
+    log_env = np.real(gaussian_exponent(0.0, fs.alpha, fs.gamma, eta))
     active = np.flatnonzero(occs[0])
     xs = _mode_args_squared(p.B[i][..., active], p.D[i][..., active], eta)
     ((_, log_lag, odd),) = laguerre.log_products(occs[:, active], xs, signed=True)
@@ -332,11 +335,6 @@ def bath_F_eval(p: PropagatorCoefficients, i, bath: BathSpec, eta: np.ndarray) -
 def _is_index(i) -> bool:
     """True for one grid index, False for a row set."""
     return isinstance(i, (int, np.integer))
-
-
-def _columns(i, fs: GaussianFSeries) -> GaussianFSeries:
-    """fs at index i as it is, or on a row set as columns, one row per row of eta."""
-    return fs if _is_index(i) else fs[:, None]
 
 
 def _generator(seed: int, count: int) -> np.random.Generator:
@@ -436,8 +434,7 @@ def delta_correlations(
 ) -> NoiseCorrelation:
     """Correlators of delta(t) = sum_k (B_k beta_k + D_k beta_k^*) under P_c."""
     nbar = occupation(beta, p.model.omegas, p.model.units.hbar)
-    bi, di = p.B[i], p.D[i]
-    bj, dj = p.B[j], p.D[j]
+    (bi, di), (bj, dj) = ((p.B[rows], p.D[rows]) for rows in (row_slice(p, i), row_slice(p, j)))
     c1 = complex(np.sum((bi * np.conj(bj) + di * np.conj(dj)) * nbar))
     c2 = complex(np.sum((bi * dj + bj * di) * nbar))
     return NoiseCorrelation(c1=c1, c2=c2)

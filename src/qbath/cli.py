@@ -203,7 +203,7 @@ def _number_ensemble(cfg: RunConfig, p, i: int, seed: int, n_samples: int) -> di
     beta = cfg.bath_doc["beta"]
     s = cfg.oscillator
     members = sample_number_states(beta, cfg.model, seed, n_samples)
-    var_samples, _ = variance_rows(p, row_slice(i), members, s)
+    var_samples, _ = variance_rows(p, row_slice(p, i), members, s)
     centered = var_samples - var_samples.mean()
     pop_var = float(np.sum(centered**2) / (n_samples - 1))
     m4 = float(np.mean(centered**4))
@@ -230,8 +230,8 @@ def _coherent_ensemble(cfg: RunConfig, p, i: int, seed: int, n_samples: int) -> 
     members = sample_coherent_states(beta, cfg.model, seed, n_samples)
     zero_t = EquilibriumBath(beta=math.inf)
     x0, p0 = mean_xp(p, i, zero_t, s)
-    mean_x, mean_p = mean_rows(p, row_slice(i), members, s)
-    delta_i, delta_j = (bath_delta(p, row_slice(k), members) for k in (i, j))
+    mean_x, mean_p = mean_rows(p, row_slice(p, i), members, s)
+    delta_i, delta_j = (bath_delta(p, row_slice(p, k), members) for k in (i, j))
     c1_mc, c2_mc = delta_i * np.conj(delta_j), delta_i * delta_j
     samples = {"mean_x_sq": (mean_x - x0) ** 2, "mean_p_sq": (mean_p - p0) ** 2,
                "c1_re": c1_mc.real, "c1_im": c1_mc.imag, "c2_re": c2_mc.real, "c2_im": c2_mc.imag}
@@ -308,9 +308,7 @@ def _cmd_master_eq(cfg: RunConfig, out: Path) -> list[str]:
         pre = t < rep.recurrence_onset if rep.recurrence_onset is not None else np.ones_like(t, bool)
         window = np.nonzero(pre & series["valid"])[0]
         probe = window[np.linspace(0, window.size - 1, min(8, window.size)).astype(int)]
-        max_res = max(
-            mastereq.generator_residual(p, int(k), bath, state) for k in probe
-        )
+        max_res = mastereq.generator_residual(p, probe, bath, state).max()
         _write_json(out / "master_eq_residual.json", {
             "max_residual": float(max_res),
             "flagged_nodes": int((~series["valid"]).sum()),

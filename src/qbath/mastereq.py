@@ -24,10 +24,17 @@ in baths), and chi_time_derivative the left side d chi/dt of every residual,
 Gaussian or not.  Everything here evaluates both sides of these identities
 along the exact solution; nothing is integrated forward.
 
+Both sides come from one row-set kernel, _chi_pieces, which evaluates the
+bath sums once per call; for a Gaussian bath they also give the generator
+coefficients.  generator_residual takes a grid index or a row set, and the
+other grid-index entry points are one-row slices of the same kernels;
+propagator.row_slice refuses an index outside the grid.
+
 The drift denominator |A|^2 - |C|^2 can cross zero (e.g. on resonance at
-u t = pi/2); points at or below the floor raise SingularGeneratorError from
-the scalar entry points and are flagged invalid in the series form.  The
-coefficients are never regularized.
+u t = pi/2); every entry point that uses the drift raises
+SingularGeneratorError at the first such row, naming its grid index and
+time, and the series form flags it invalid.  The coefficients are never
+regularized.
 """
 
 from __future__ import annotations
@@ -41,10 +48,11 @@ from . import laguerre
 from .baths import (
     BathSpec,
     GaussianFSeries,
-    _gaussian_sums,
+    _gaussian,
+    _influence,
+    _is_index,
     _laguerre_split,
     _mode_args,
-    bath_F_eval,
     bath_sums,
 )
 from .errors import SingularGeneratorError
@@ -90,7 +98,7 @@ class GeneratorCoefficients:
 
 def f_series_for(p: PropagatorCoefficients, bath: BathSpec) -> GaussianFSeries:
     """Gaussian influence series for an equilibrium or coherent preparation."""
-    return _gaussian_sums(p, slice(None), bath, derivs=True)
+    return bath_sums(p, slice(None), _gaussian(bath), derivs=True)
 
 
 def _drift_rows(p: PropagatorCoefficients, rows):
@@ -118,10 +126,21 @@ def _generator_rows(p: PropagatorCoefficients, rows, fs: GaussianFSeries) -> dic
             "denom": denom, "valid": valid}
 
 
-def _raise_singular(p: PropagatorCoefficients, i: int, denom: float):
-    raise SingularGeneratorError(
-        f"|A|^2 - |C|^2 = {denom:.3e} <= floor {DENOM_FLOOR:.1e} at t = {p.grid.t[i]}"
-    )
+def _checked_drift(p: PropagatorCoefficients, rows: np.ndarray):
+    """(xi, zeta, denom) on the grid rows; SingularGeneratorError at the first singular row."""
+    xi, zeta, denom, valid = _drift_rows(p, rows)
+    if not valid.all():
+        k = int(np.argmin(valid))
+        raise SingularGeneratorError(
+            f"|A|^2 - |C|^2 = {denom[k]:.3e} <= floor {DENOM_FLOOR:.1e} "
+            f"at grid index {rows[k]}, t = {p.grid.t[rows[k]]}"
+        )
+    return xi, zeta, denom
+
+
+def _grid_rows(p: PropagatorCoefficients, i) -> np.ndarray:
+    """Grid indices of the rows p.X[i]: one, checked by row_slice, for a grid index."""
+    return np.arange(p.n_times)[row_slice(p, i) if _is_index(i) else i]
 
 
 def xi_zeta(p: PropagatorCoefficients, i: int) -> tuple[complex, complex, float]:
@@ -130,28 +149,18 @@ def xi_zeta(p: PropagatorCoefficients, i: int) -> tuple[complex, complex, float]
     Raises SingularGeneratorError when the denominator is at or below the
     floor; the coefficients are never regularized.
     """
-    xi, zeta, denom, valid = _drift_rows(p, row_slice(i))
-    if not valid[0]:
-        _raise_singular(p, i, denom[0])
+    xi, zeta, denom = _checked_drift(p, _grid_rows(p, i))
     return complex(xi[0]), complex(zeta[0]), float(denom[0])
-
-
-def _generator_at(p: PropagatorCoefficients, i: int, fs_i: GaussianFSeries):
-    c = _generator_rows(p, row_slice(i), fs_i)
-    if not c["valid"][0]:
-        _raise_singular(p, i, c["denom"][0])
-    return GeneratorCoefficients(
-        xi=complex(c["xi"][0]), zeta=complex(c["zeta"][0]), kappa=complex(c["kappa"][0]),
-        mu=complex(c["mu"][0]), sigma=complex(c["sigma"][0]), denom=float(c["denom"][0]),
-        valid=True,
-    )
 
 
 def gaussian_generator(
     p: PropagatorCoefficients, i: int, fs: GaussianFSeries
 ) -> GeneratorCoefficients:
     """Generator coefficients for a Gaussian influence function at index i."""
-    return _generator_at(p, i, fs[row_slice(i)])
+    rows = _grid_rows(p, i)
+    _checked_drift(p, rows)
+    c = _generator_rows(p, rows, fs[rows])
+    return GeneratorCoefficients(**{key: value[0].item() for key, value in c.items()})
 
 
 def generator_series(p: PropagatorCoefficients, fs: GaussianFSeries) -> dict[str, np.ndarray]:
@@ -159,59 +168,62 @@ def generator_series(p: PropagatorCoefficients, fs: GaussianFSeries) -> dict[str
     return {"t": p.grid.t.copy(), **_generator_rows(p, slice(None), fs)}
 
 
-def _logF_derivs(p: PropagatorCoefficients, i: int, bath: BathSpec, eta: np.ndarray):
-    """(dlnF/deta, dlnF/deta^*, dlnF/dt, ok) at index i.
+def _logF_derivs(p: PropagatorCoefficients, rows: np.ndarray, bath: BathSpec, eta: np.ndarray):
+    """(dlnF/deta, dlnF/deta^*, dlnF/dt, ok, fs) on the grid indices rows, with an (R, P) eta.
 
-    F is the Gaussian part of _laguerre_split times prod_k L_{n_k}(|z_k|^2),
-    whose log-derivatives form one (modes x nodes) array, one log_derivative
+    fs holds the bath sums, with time derivatives, of the Gaussian part of
+    _laguerre_split, and F is that Gaussian times prod_k L_{n_k}(|z_k|^2),
+    whose log-derivatives form one (modes, R, P) array, one log_derivative
     call per distinct order; ok flags nodes too close to a Laguerre zero.
     """
     gauss, occs = _laguerre_split(p, bath)
-    fs = bath_sums(p, row_slice(i), gauss, derivs=True)[0]
+    fs = bath_sums(p, rows, gauss, derivs=True)
     active = np.flatnonzero(occs[0])
-    orders, b, d = occs[0, active], p.B[i, active], p.D[i, active]
-    z, dz = _mode_args(b, d, eta), _mode_args(p.dB[i, active], p.dD[i, active], eta)
+    orders = occs[0, active]
+    b, d, db, dd = (x[rows][:, active] for x in (p.B, p.D, p.dB, p.dD))
+    z, dz = _mode_args(b, d, eta), _mode_args(db, dd, eta)
     x = np.abs(z) ** 2
     ratio, ok = np.empty(x.shape), np.empty(x.shape, dtype=bool)
     for n in np.unique(orders):
         at = orders == n
         ratio[at], ok[at] = laguerre.log_derivative(int(n), x[at])
-    b, d, z_c = b[:, None], d[:, None], np.conj(z)
-    mode_sum = lambda term: (ratio * term).sum(axis=0).reshape(eta.shape)
-    d_eta, d_etab = gaussian_exponent_wirtinger(fs.delta, fs.alpha, fs.gamma, eta)
-    d_t = gaussian_exponent(fs.ddelta, fs.dalpha, fs.dgamma, eta)
+    b, d, z_c, col = b.T[..., None], d.T[..., None], np.conj(z), fs[:, None]
+    mode_sum = lambda term: (ratio * term).sum(axis=0)
+    d_eta, d_etab = gaussian_exponent_wirtinger(col.delta, col.alpha, col.gamma, eta)
+    d_t = gaussian_exponent(col.ddelta, col.dalpha, col.dgamma, eta)
     return (
         d_eta + mode_sum(np.conj(b) * z_c - np.conj(d) * z),
         d_etab + mode_sum(b * z - d * z_c),
         d_t + mode_sum(2.0 * np.real(dz * z_c)),
-        ok.all(axis=0).reshape(eta.shape),
+        ok.all(axis=0),
+        fs,
     )
 
 
-def _chi_pieces(
-    p: PropagatorCoefficients, i: int, bath: BathSpec, s: OscillatorState, eta: np.ndarray
-):
-    """chi, its eta-Wirtinger derivatives, its explicit time derivative and F's log-derivatives.
+def _chi_pieces(p: PropagatorCoefficients, rows, bath: BathSpec, s: OscillatorState, eta):
+    """chi, its eta-Wirtinger derivatives, its explicit time derivative and _logF_derivs.
 
-    d chi/dt differentiates the solution chi0(eta A^* - eta^* C) F(eta, t)
-    along the exact trajectory, through dA, dC and dlnF/dt.
+    The row-set kernel of every residual, on the grid indices rows with an
+    (R, P) eta.  d chi/dt differentiates chi0(eta A^* - eta^* C) F(eta, t)
+    along the exact trajectory, through dA, dC and dlnF/dt; F comes from the
+    bath sums of _logF_derivs.  Every step is elementwise in the rows, or a
+    sum within one row, so a row has the same bits in any row set.
     """
-    a_t, c_t, da_t, dc_t = p.A[i], p.C[i], p.dA[i], p.dC[i]
+    a_t, c_t, da_t, dc_t = (x[rows][:, None] for x in (p.A, p.C, p.dA, p.dC))
     w = eta * np.conj(a_t) - np.conj(eta) * c_t
     chi0, c0w, c0wb = chi0_wirtinger(s, w)
-    f_val = bath_F_eval(p, i, bath, eta)
-    log_f = _logF_derivs(p, i, bath, eta)
-    d_eta, d_etab, d_t, _ = log_f
+    log_f = _logF_derivs(p, rows, bath, eta)
+    f_val = _influence(p, rows, bath, log_f[4][:, None], eta)
     chi = chi0 * f_val
-    dchi_eta = (c0w * np.conj(a_t) - c0wb * np.conj(c_t)) * f_val + chi * d_eta
-    dchi_etab = (-c0w * c_t + c0wb * a_t) * f_val + chi * d_etab
+    dchi_eta = (c0w * np.conj(a_t) - c0wb * np.conj(c_t)) * f_val + chi * log_f[0]
+    dchi_etab = (-c0w * c_t + c0wb * a_t) * f_val + chi * log_f[1]
     dw_t = eta * np.conj(da_t) - np.conj(eta) * dc_t
     dwb_t = np.conj(eta) * da_t - eta * np.conj(dc_t)
-    dchi_t = (c0w * dw_t + c0wb * dwb_t) * f_val + chi0 * f_val * d_t
+    dchi_t = (c0w * dw_t + c0wb * dwb_t) * f_val + chi0 * f_val * log_f[2]
     return chi, dchi_eta, dchi_etab, dchi_t, log_f
 
 
-def _drift_apply(xi: complex, zeta: complex, eta: np.ndarray, g_eta, g_etab) -> np.ndarray:
+def _drift_apply(xi, zeta, eta: np.ndarray, g_eta, g_etab) -> np.ndarray:
     """(xi^* eta + zeta eta^*) g_eta + (xi eta^* + zeta^* eta) g_etab."""
     eta_c = np.conj(eta)
     return (np.conj(xi) * eta + zeta * eta_c) * g_eta + (xi * eta_c + np.conj(zeta) * eta) * g_etab
@@ -222,12 +234,13 @@ def chi_time_derivative(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact d chi/dt from the explicit time dependence of the solution.
 
-    Returns (dchi_dt, ok); ok flags nodes where the bath factor F passes too
-    close to a zero for its logarithmic derivative to be reliable.
+    Returns (dchi_dt, ok) of eta's shape; ok flags nodes where the bath
+    factor F passes too close to a zero for its logarithmic derivative to be
+    reliable.  It takes no drift, so a singular row is evaluated too.
     """
-    eta = np.asarray(eta, dtype=complex)
-    _, _, _, dchi_t, (_, _, _, ok) = _chi_pieces(p, i, bath, s, eta)
-    return dchi_t, ok
+    shape, eta = np.shape(eta), np.asarray(eta, dtype=complex).reshape(1, -1)
+    _, _, _, dchi_t, log_f = _chi_pieces(p, _grid_rows(p, i), bath, s, eta)
+    return dchi_t.reshape(shape), log_f[3].reshape(shape)
 
 
 def _residual_nodes(eta) -> np.ndarray:
@@ -236,51 +249,50 @@ def _residual_nodes(eta) -> np.ndarray:
 
 
 def generator_residual(
-    p: PropagatorCoefficients,
-    i: int,
-    bath: BathSpec,
-    s: OscillatorState,
-    eta=None,
-) -> float:
+    p: PropagatorCoefficients, i, bath: BathSpec, s: OscillatorState, eta=None
+) -> float | np.ndarray:
     """Max |dchi/dt - generator RHS| / max |chi| for Gaussian influence baths.
 
-    The left side is chi_time_derivative, the explicit time derivative of the
+    i is a grid index (returning a float) or a row set: a slice, an integer
+    array or a mask (returning an array of the shape p.A[i] has, each entry
+    with the bits of its one-index call).  The left side is d chi/dt of the
     closed-form solution, for every oscillator state; the right side uses the
-    generator coefficients.  Their agreement verifies the coefficient
-    formulas along the trajectory.
+    generator coefficients from the same bath sums.  Their agreement verifies
+    the coefficient formulas along the trajectory.
     """
-    eta = _residual_nodes(eta)
-    fs = _gaussian_sums(p, row_slice(i), bath, derivs=True)
-    c = _generator_at(p, i, fs)
-    chi, dchi_eta, dchi_etab, lhs, _ = _chi_pieces(p, i, bath, s, eta)
-    rhs = _drift_apply(c.xi, c.zeta, eta, dchi_eta, dchi_etab) + gaussian_exponent(
-        c.sigma, -c.kappa, c.mu, eta
+    bath, grid_rows = _gaussian(bath), _grid_rows(p, i)
+    rows, nodes = grid_rows.ravel(), _residual_nodes(eta).ravel()
+    _checked_drift(p, rows)
+    eta = np.broadcast_to(nodes, (rows.size, nodes.size))
+    chi, dchi_eta, dchi_etab, lhs, log_f = _chi_pieces(p, rows, bath, s, eta)
+    c = {key: value[:, None] for key, value in _generator_rows(p, rows, log_f[4]).items()}
+    rhs = _drift_apply(c["xi"], c["zeta"], eta, dchi_eta, dchi_etab) + gaussian_exponent(
+        c["sigma"], -c["kappa"], c["mu"], eta
     ) * chi
-    return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(chi)))
+    res = np.max(np.abs(lhs - rhs), axis=-1) / np.max(np.abs(chi), axis=-1)
+    return float(res[0]) if _is_index(i) else res.reshape(grid_rows.shape)
 
 
-def _general_rhs(xi: complex, zeta: complex, eta: np.ndarray, pieces) -> np.ndarray:
-    """Right side of the general evolution identity from the `_chi_pieces` at eta."""
-    chi, dchi_eta, dchi_etab, _, (d_eta, d_etab, d_t, _) = pieces
-    return _drift_apply(xi, zeta, eta, dchi_eta - chi * d_eta, dchi_etab - chi * d_etab) + chi * d_t
+def _general_sides(p: PropagatorCoefficients, i: int, bath: BathSpec, s: OscillatorState, eta):
+    """(chi, dchi/dt, the general identity's right side, ok) at index i, of eta's shape."""
+    shape, eta = np.shape(eta), np.asarray(eta, dtype=complex).reshape(1, -1)
+    rows = _grid_rows(p, i)
+    xi, zeta, _ = _checked_drift(p, rows)
+    chi, dchi_eta, dchi_etab, lhs, (d_eta, d_etab, d_t, ok, _) = _chi_pieces(p, rows, bath, s, eta)
+    rhs = _drift_apply(xi[:, None], zeta[:, None], eta, dchi_eta - chi * d_eta,
+                       dchi_etab - chi * d_etab) + chi * d_t
+    return tuple(x.reshape(shape) for x in (chi, lhs, rhs, ok))
 
 
 def general_generator_apply(
-    p: PropagatorCoefficients,
-    i: int,
-    bath: BathSpec,
-    s: OscillatorState,
-    eta,
+    p: PropagatorCoefficients, i: int, bath: BathSpec, s: OscillatorState, eta
 ) -> tuple[np.ndarray, np.ndarray]:
     """Right side of the general (arbitrary-F) evolution identity on a grid.
 
-    Returns (rhs, ok); nodes where F vanishes are flagged, not fabricated.
+    Returns (rhs, ok) of eta's shape; nodes where F vanishes are flagged, not fabricated.
     """
-    eta = np.asarray(eta, dtype=complex)
-    xi, zeta, _ = xi_zeta(p, i)
-    pieces = _chi_pieces(p, i, bath, s, eta)
-    _, _, _, _, (_, _, _, ok) = pieces
-    return _general_rhs(xi, zeta, eta, pieces), ok
+    _, _, rhs, ok = _general_sides(p, i, bath, s, eta)
+    return rhs, ok
 
 
 @dataclass
@@ -291,24 +303,18 @@ class GeneralResidualReport:
 
 
 def general_generator_residual(
-    p: PropagatorCoefficients,
-    i: int,
-    bath: BathSpec,
-    s: OscillatorState,
-    eta=None,
+    p: PropagatorCoefficients, i: int, bath: BathSpec, s: OscillatorState, eta=None
 ) -> GeneralResidualReport:
     """Residual of the general evolution identity over non-flagged nodes.
 
     Both sides, chi and the flags come from one `_chi_pieces` evaluation.
+    Both sides carry the same dlnF/dt, so for a non-Gaussian F (a number-state
+    bath) this checks the drift (xi, zeta) alone, not the number-bath equation.
     """
-    eta = _residual_nodes(eta)
-    xi, zeta, _ = xi_zeta(p, i)
-    pieces = _chi_pieces(p, i, bath, s, eta)
-    chi, _, _, lhs, (_, _, _, ok) = pieces
-    res = np.abs(lhs - _general_rhs(xi, zeta, eta, pieces))[ok]
-    scale = float(np.max(np.abs(chi)))
+    chi, lhs, rhs, ok = _general_sides(p, i, bath, s, _residual_nodes(eta))
+    res = np.abs(lhs - rhs)[ok]
     return GeneralResidualReport(
-        max_residual=float(res.max() / scale) if res.size else math.nan,
+        max_residual=float(res.max() / np.max(np.abs(chi))) if res.size else math.nan,
         n_flagged=int((~ok).sum()),
-        n_nodes=int(eta.size),
+        n_nodes=int(ok.size),
     )

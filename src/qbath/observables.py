@@ -42,7 +42,7 @@ from .baths import (
     BathSpec,
     CoherentStateBath,
     NumberStateBath,
-    _gaussian_sums,
+    _gaussian,
     _is_index,
     _laguerre_split,
     _mode_args_squared,
@@ -115,13 +115,6 @@ def square_eta_grid(extent: float, n: int) -> np.ndarray:
     return (re + 1j * im).ravel()
 
 
-def _row(p: PropagatorCoefficients, i: int) -> slice:
-    """row_slice(i) of a scalar entry point; ParameterError for an index outside the grid."""
-    if not -p.n_times <= i < p.n_times:
-        raise ParameterError(f"grid index {i} is outside the grid of {p.n_times} points")
-    return row_slice(i)
-
-
 def chi_eval(p: PropagatorCoefficients, i, bath: BathSpec, s: OscillatorState, eta) -> np.ndarray:
     """Symmetrically ordered characteristic function of the reduced state.
 
@@ -130,9 +123,8 @@ def chi_eval(p: PropagatorCoefficients, i, bath: BathSpec, s: OscillatorState, e
     evaluated on the r-th row of p.X[i], as in bath_F_eval.
     """
     eta = np.asarray(eta, dtype=complex)
-    a_t, c_t = p.A[i], p.C[i]
-    if np.ndim(a_t):  # a row set: one row of eta per propagator row
-        a_t, c_t = a_t[:, None], c_t[:, None]
+    one = _is_index(i)  # a row set takes one row of eta per propagator row
+    a_t, c_t = (x[row_slice(p, i)][0] if one else x[i][:, None] for x in (p.A, p.C))
     zeta = eta * np.conj(a_t) - np.conj(eta) * c_t
     return chi0_eval(s, zeta) * bath_F_eval(p, i, bath, eta)
 
@@ -158,7 +150,7 @@ def mean_xp(
     p: PropagatorCoefficients, i: int, bath: BathSpec, s: OscillatorState
 ) -> tuple[float, float]:
     """(mean x, mean p) at grid index i."""
-    mean_x, mean_p = mean_rows(p, _row(p, i), _single(bath), s)
+    mean_x, mean_p = mean_rows(p, row_slice(p, i), _single(bath), s)
     return float(mean_x[0]), float(mean_p[0])
 
 
@@ -185,7 +177,7 @@ def variances(
     p: PropagatorCoefficients, i: int, bath: BathSpec, s: OscillatorState
 ) -> tuple[float, float]:
     """(var x, var p) at grid index i; coherent amplitudes drop out."""
-    var_x, var_p = variance_rows(p, _row(p, i), _single(bath), s)
+    var_x, var_p = variance_rows(p, row_slice(p, i), _single(bath), s)
     return float(var_x[0]), float(var_p[0])
 
 
@@ -193,7 +185,7 @@ def asymptotic_variances(
     p: PropagatorCoefficients, i: int, bath: BathSpec
 ) -> tuple[float, float]:
     """Long-time limits (hbar/m nu)(alpha +- 2 Re gamma) evaluated at index i."""
-    f = bath_sums(p, _row(p, i), _single(bath))
+    f = bath_sums(p, row_slice(p, i), _single(bath))
     alpha, gamma = float(f.alpha[0]), complex(f.gamma[0])
     u = p.model.units
     factor = u.hbar / (u.mass * p.model.nu)
@@ -228,7 +220,7 @@ def _gaussian_purity(disc: np.ndarray, a: np.ndarray, g: np.ndarray) -> np.ndarr
 
 def asymptotic_purity(p: PropagatorCoefficients, i: int, bath: BathSpec) -> float:
     """Long-time purity 1/(2 sqrt(alpha^2 - 4 |gamma|^2)) evaluated at index i."""
-    f = bath_sums(p, _row(p, i), _single(bath))
+    f = bath_sums(p, row_slice(p, i), _single(bath))
     return float(_gaussian_purity(f.alpha**2 - 4.0 * np.abs(f.gamma) ** 2, f.alpha, f.gamma)[0])
 
 
@@ -494,12 +486,13 @@ def purity(
     bath's _laguerre_split with every row of i.
     """
     one = _is_index(i)
-    rows, bath = _row(p, i) if one else i, _single(bath)
+    rows, bath = row_slice(p, i) if one else i, _single(bath)
     if method == "auto":
         gaussian = is_gaussian(s) and not isinstance(bath, NumberStateBath)
         method = "closed" if gaussian else "quadrature"
     if method == "closed":
-        values = _gaussian_purity(*_total_gaussian_rows(p, rows, s, _gaussian_sums(p, rows, bath)))
+        f = bath_sums(p, rows, _gaussian(bath))
+        values = _gaussian_purity(*_total_gaussian_rows(p, rows, s, f))
     elif method == "quadrature":
         indices = np.arange(p.n_times)[rows]
         gauss_bath, occs = _laguerre_split(p, bath)
@@ -518,7 +511,7 @@ def number_variance_of_variance(p: PropagatorCoefficients, i: int, beta: float) 
     (hbar / m nu)^2 sum_k |B_k + D_k^*|^4 nbar_k (nbar_k + 1).
     """
     nbar = occupation(beta, p.model.omegas, p.model.units.hbar)
-    b, d = p.B[i], p.D[i]
+    b, d = (x[row_slice(p, i)] for x in (p.B, p.D))
     u = p.model.units
     factor = (u.hbar / (u.mass * p.model.nu)) ** 2
     return float(factor * np.sum(np.abs(b + np.conj(d)) ** 4 * (nbar**2 + nbar)))
@@ -533,7 +526,7 @@ def member_purities(
     member and the most occupied ones, and each level sums them in member
     blocks of one batched Laguerre kernel (_levels).
     """
-    rows = np.arange(p.n_times)[_row(p, i)]
+    rows = np.arange(p.n_times)[row_slice(p, i)]
     gauss_bath, occs = _laguerre_split(p, bath)
     if not occs.shape[0]:
         raise ParameterError("member_purities needs at least one member")

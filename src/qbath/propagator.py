@@ -498,12 +498,15 @@ def _uniform_phases(t: np.ndarray, freqs: np.ndarray, table: np.ndarray) -> None
     _direct_phases(t[head:], freqs, table[head:])
 
 
-def row_slice(i: int) -> slice:
-    """The one-row slice of grid index i (negative indices count from the end).
+def row_slice(p: PropagatorCoefficients, i: int) -> slice:
+    """The one-row slice of grid index i of p (negative indices count from the end).
 
     Scalar entry points evaluate the whole-grid row kernels on this slice and
-    unwrap the single entry, so they agree bitwise with the series.
+    unwrap the single entry, so they agree bitwise with the series.  An index
+    outside p's grid is a ParameterError naming the index and the grid length.
     """
+    if not -p.n_times <= i < p.n_times:
+        raise ParameterError(f"grid index {i} is outside the grid of {p.n_times} points")
     return slice(i, i + 1 or None)
 
 

@@ -98,14 +98,18 @@ def test_thermal_number_average_monte_carlo(ohmic_rwa, keyed_rng):
 
 def test_laguerre_arguments_equal_the_squared_mode_args(ohmic_pp):
     # the real form |eta|^2 (|b|^2 + |d|^2) - 2 Re(eta^2 b^* d^*) against |z|^2 of the complex z
+    # on one row (any eta shape, flattened) and on a row set of two rows
     rng = np.random.default_rng(3)
     eta = rng.normal(size=(7, 9)) + 1j * rng.normal(size=(7, 9))
-    b, d = ohmic_pp.B[40], ohmic_pp.D[40]
-    got = baths._mode_args_squared(b, d, eta)
-    want = np.abs(baths._mode_args(b, d, eta)) ** 2
-    scale = np.outer(np.abs(b) ** 2 + np.abs(d) ** 2, np.abs(eta.ravel()) ** 2)
-    assert got.shape == want.shape and np.all(got >= 0.0)
-    assert np.max(np.abs(got - want) / scale) < 1e-14
+    b, d = ohmic_pp.B[[40, 7]], ohmic_pp.D[[40, 7]]
+    n = ohmic_pp.n_modes
+    one_row = (baths._mode_args_squared(b[0], d[0], eta), (n, 63), b[:1], d[:1], eta.reshape(1, -1))
+    row_set = (baths._mode_args_squared(b, d, eta[:2]), (n, 2, 9), b, d, eta[:2])
+    for got, shape, b, d, eta in (one_row, row_set):
+        want = np.abs(baths._mode_args(b, d, eta)) ** 2  # (modes, rows, nodes)
+        scale = (np.abs(b) ** 2 + np.abs(d) ** 2).T[..., None] * np.abs(eta) ** 2
+        assert got.shape == shape and np.all(got >= 0.0)
+        assert np.max(np.abs(got.reshape(want.shape) - want) / scale) < 1e-14
 
 
 def test_coherent_params(ohmic_pp):

@@ -478,6 +478,24 @@ def test_master_eq_equilibrium_outputs(tmp_path, sample_config):
     assert rep["flagged_nodes"] == 0
 
 
+def test_master_eq_checks_its_probe_rows_in_one_residual_call(tmp_path, sample_config,
+                                                              monkeypatch):
+    real, calls = qbath.mastereq.generator_residual, []
+
+    def counted(p, rows, *args, **kwargs):
+        calls.append(np.asarray(rows).tolist())
+        return real(p, rows, *args, **kwargs)
+
+    monkeypatch.setattr("qbath.cli.mastereq.generator_residual", counted)
+    rc, out = run(tmp_path, "master-eq", sample_config("master-eq-equilibrium"))
+    assert rc == 0
+    rep = load_json(out, "master_eq_residual.json")
+    assert sorted(rep) == ["flagged_nodes", "max_residual", "probe_indices", "window"]
+    assert calls == [rep["probe_indices"]] and len(rep["probe_indices"]) == 8
+    assert rep["max_residual"] < 1e-8 and rep["flagged_nodes"] == 0
+    assert len(rep["window"]) == 2 and rep["window"][0] < rep["window"][1]
+
+
 def test_ensemble_number_summary(tmp_path, sample_config):
     rc, out = run(tmp_path, "ensemble", sample_config("ensemble-number"))
     assert rc == 0

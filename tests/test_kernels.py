@@ -95,7 +95,7 @@ def test_member_batch_equals_members(prop):
         singles = [(NumberStateBath(number.n[k]), CoherentStateBath(coherent.amps[k]))
                    for k in range(m)]
         for i in INDICES:
-            rows = row_slice(i)
+            rows = row_slice(prop, i)
             for batch, member in ((number, 0), (coherent, 1)):
                 # members share what their preparation does not enter: a number batch's
                 # means and delta, a coherent batch's variances
@@ -113,11 +113,11 @@ def test_member_batch_equals_members(prop):
 def test_drive_blocks_equal_members(ohmic_pp):
     # more members than one 256-row block of the drive sum, checked across block edges
     batch = sample_coherent_states(1.3, ohmic_pp.model, 8, 600)
-    delta = bath_delta(ohmic_pp, row_slice(17), batch)
+    delta = bath_delta(ohmic_pp, row_slice(ohmic_pp, 17), batch)
     assert delta.shape == (600,)
     for k in (0, 255, 256, 511, 512, 599):
         single = CoherentStateBath(batch.amps[k])
-        assert delta[k] == bath_delta(ohmic_pp, row_slice(17), single)[0]
+        assert delta[k] == bath_delta(ohmic_pp, row_slice(ohmic_pp, 17), single)[0]
 
 
 def test_member_matrix_needs_one_row_and_a_batch_entry_point(prop):

@@ -47,18 +47,28 @@ def test_single_mode_drift_closed_form(rwa_n1):
 
 
 def test_singular_generator_raises():
-    # |A|^2 - |C|^2 = cos^2(u t) vanishes at u t = pi/2 on resonance
+    # |A|^2 - |C|^2 = cos^2(u t) vanishes at u t = pi/2 and 3 pi/2 on resonance
     m = stock_model("rwa-n1-resonant")
     u = float(np.real(m.u[0]))
     t_sing = math.pi / (2.0 * u)
-    p = compute_propagator(m, TimeGrid(np.array([0.0, 0.5 * t_sing, t_sing])))
+    p = compute_propagator(m, TimeGrid(t_sing * np.array([0.0, 0.5, 1.0, 1.5, 3.0])))
+    bath = EquilibriumBath(1.0)
     me.xi_zeta(p, 1)
-    with pytest.raises(SingularGeneratorError):
-        me.xi_zeta(p, 2)
-    with pytest.raises(SingularGeneratorError):
-        me.gaussian_generator(p, 2, me.f_series_for(p, EquilibriumBath(1.0)))
+    for call in (me.xi_zeta, lambda p, i: me.gaussian_generator(p, i, me.f_series_for(p, bath)),
+                 lambda p, i: me.general_generator_residual(p, i, bath, CAT)):
+        with pytest.raises(SingularGeneratorError, match=f"at grid index 2, t = {p.grid.t[2]}"):
+            call(p, 2)
+    # a row set is refused at its first singular row in row order
+    for rows, first in (([3, 4, 1, 2], 4), (slice(None), 2), (np.array([0, 1, 0, 2, 4]), 2),
+                        (np.array([False, True, True, True, True]), 2), (-1, 4)):
+        with pytest.raises(SingularGeneratorError, match=f"at grid index {first}, t = "):
+            me.generator_residual(p, rows, bath, SQUEEZED)
+    assert np.all(me.generator_residual(p, [0, 1, 3], bath, SQUEEZED) < 1e-8)
+    for rows in (1, [0, 1, 3], slice(None)):
+        with pytest.raises(ParameterError, match="number-state"):
+            me.generator_residual(p, rows, NumberStateBath([1]), SQUEEZED)
     # series form flags instead of raising
-    series = me.generator_series(p, me.f_series_for(p, EquilibriumBath(1.0)))
+    series = me.generator_series(p, me.f_series_for(p, bath))
     assert series["valid"][1]
     assert not series["valid"][2]
     assert np.isnan(series["xi"][2])
@@ -123,6 +133,52 @@ def test_generator_residual_cat_state(ohmic_rwa):
         assert me.generator_residual(p, i, EquilibriumBath(2.0), CAT) < 1e-8
 
 
+def _row_selectors(p):
+    """A slice, an integer array with negative and repeated indices, and a mask; all rows
+    before pair coupling drives |A|^2 - |C|^2 through zero."""
+    early = np.arange(p.n_times) < 60
+    return (slice(2, 60, 11), np.array([-p.n_times, 48, 3, 48, 17]),
+            early & (np.arange(p.n_times) % 13 == 5))
+
+
+def test_generator_residual_row_sets_equal_one_index_calls_bitwise(ohmic_rwa, ohmic_pp):
+    for p in (ohmic_rwa, ohmic_pp):
+        amps = sample_coherent_state(1.5, p.model, np.random.default_rng(23)).amps
+        for bath in (EquilibriumBath(1.3), CoherentStateBath(amps)):
+            for s, sel in itertools.product((SQUEEZED, vacuum_state(), CAT), _row_selectors(p)):
+                got = me.generator_residual(p, sel, bath, s)
+                indices = np.arange(p.n_times)[sel]
+                assert got.shape == indices.shape and np.all(got < 1e-8)
+                for r, i in enumerate(indices):
+                    assert got[r] == me.generator_residual(p, int(i), bath, s), (s, i)
+
+
+def test_number_bath_slices_keep_their_values(ohmic_rwa, ohmic_pp):
+    # frozen values of chi_time_derivative for a number bath at three nodes, and the flag
+    # counts of the general residual on nodes wide enough to reach Laguerre zeros
+    frozen = (
+        (ohmic_rwa, [-0.0009002620978348164 - 0.020457177528299883j,
+                     -0.0010910009008005379 - 0.033006399057433286j,
+                     0.0014974157875700855 + 0.004523117976699825j]),
+        (ohmic_pp, [-0.0025692315792484287 - 0.00144661667091463j,
+                    0.0005966235241729814 - 0.0014635755451904648j,
+                    -0.010464601114728384 + 0.004414041242600038j]),
+    )
+    eta = np.array([0.5 + 0.2j, -0.3 + 0.7j, 1.1 - 0.4j])
+    for p, want in frozen:
+        occs = np.zeros(p.n_modes, dtype=int)
+        occs[::7], occs[3] = 2, 5
+        dchi, ok = me.chi_time_derivative(p, 33, NumberStateBath(occs), SQUEEZED, eta)
+        assert np.all(ok) and np.max(np.abs(dchi - want) / np.abs(want)) < 1e-13
+    occs = np.zeros(64, dtype=int)
+    occs[np.arange(0, 60, 4)] = np.repeat(np.arange(1, 6), 3)
+    for p, i, n_flagged in ((ohmic_rwa, 90, 16), (ohmic_pp, 4, 2)):
+        report = me.general_generator_residual(p, i, NumberStateBath(occs), SQUEEZED,
+                                               square_eta_grid(6.0, 21))
+        assert (report.n_flagged, report.n_nodes) == (n_flagged, 441)
+        assert report.max_residual < 1e-8
+
+
 def test_general_residual_number_bath(ohmic_rwa, keyed_rng):
     p = ohmic_rwa
     occs = sample_number_state(2.0, p.model, keyed_rng(55, 0)).n
@@ -137,7 +193,7 @@ def test_general_residual_number_bath(ohmic_rwa, keyed_rng):
 
 def _logF_derivs_per_mode(p, i, bath, eta):
     """Reference for me._logF_derivs: the vacuum Gaussian plus one Laguerre mode at a time."""
-    fs = bath_sums(p, row_slice(i), EquilibriumBath(math.inf), derivs=True)[0]
+    fs = bath_sums(p, row_slice(p, i), EquilibriumBath(math.inf), derivs=True)[0]
     d_eta, d_etab = gaussian_exponent_wirtinger(fs.delta, fs.alpha, fs.gamma, eta)
     d_t = gaussian_exponent(fs.ddelta, fs.dalpha, fs.dgamma, eta)
     ok = np.ones(eta.shape, dtype=bool)
@@ -156,21 +212,23 @@ def _logF_derivs_per_mode(p, i, bath, eta):
 
 def test_log_derivatives_match_the_per_mode_loop(ohmic_rwa, ohmic_pp):
     # orders 1-5, three modes each; D_k = 0 under RWA, so the pair-term model
-    # checks the D terms; the wide grid reaches Laguerre zeros on both models
+    # checks the D terms; the wide grid reaches Laguerre zeros on both models.
+    # One row-set call takes three grid rows, each on its own row of nodes.
     occs = np.zeros(64, dtype=int)
     occs[np.arange(0, 60, 4)] = np.repeat(np.arange(1, 6), 3)
     bath = NumberStateBath(occs)
-    flat = square_eta_grid(6.0, 21)
+    rows = np.array([4, 40, 90])
+    eta = np.array([1.0, 0.9, 1.1])[:, None] * square_eta_grid(6.0, 21)
     flagged = 0
-    for p, eta in itertools.product((ohmic_rwa, ohmic_pp), (flat, flat.reshape(21, 21))):
-        for i in (4, 40, 90):
-            got = me._logF_derivs(p, i, bath, eta)
-            ref = _logF_derivs_per_mode(p, i, bath, eta)
+    for p in (ohmic_rwa, ohmic_pp):
+        got = me._logF_derivs(p, rows, bath, eta)
+        for r, i in enumerate(rows):
+            ref = _logF_derivs_per_mode(p, i, bath, eta[r])
             for a, b in zip(got[:3], ref[:3]):
                 assert a.shape == eta.shape
-                assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+                assert np.max(np.abs(a[r] - b)) <= 1e-13 * np.max(np.abs(b))
             assert got[3].shape == eta.shape
-            assert np.array_equal(got[3], ref[3])
+            assert np.array_equal(got[3][r], ref[3])
             flagged += int((~ref[3]).sum())
     assert flagged > 0
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_laguerre, i0e
 
+from qbath import mastereq as me
 from qbath import observables as obs
 from qbath.baths import (
     CoherentStateBath,
@@ -188,6 +189,22 @@ SCALAR_CALLS = {
     "asymptotic_variances": lambda p, i: obs.asymptotic_variances(p, i, EquilibriumBath(1.0)),
     "asymptotic_purity": lambda p, i: obs.asymptotic_purity(p, i, EquilibriumBath(1.0)),
     "member_purities": lambda p, i: obs.member_purities(p, i, NumberStateBath([[1]]), SQUEEZED),
+    "chi_eval": lambda p, i: obs.chi_eval(p, i, NumberStateBath([1]), SQUEEZED, ETAS),
+    "bath_f_params": lambda p, i: bath_f_params(p, i, EquilibriumBath(1.0)),
+    "number_variance_of_variance": lambda p, i: obs.number_variance_of_variance(p, i, 1.0),
+    "displaced_vacuum_check": lambda p, i: obs.displaced_vacuum_check(p, i, [0.3j], SQUEEZED),
+    "delta_correlations-i": lambda p, i: delta_correlations(p, i, 0, 1.0),
+    "delta_correlations-j": lambda p, i: delta_correlations(p, 0, i, 1.0),
+    "xi_zeta": lambda p, i: me.xi_zeta(p, i),
+    "gaussian_generator": lambda p, i: me.gaussian_generator(
+        p, i, me.f_series_for(p, EquilibriumBath(1.0))),
+    "generator_residual": lambda p, i: me.generator_residual(p, i, EquilibriumBath(1.0), CAT),
+    "chi_time_derivative": lambda p, i: me.chi_time_derivative(
+        p, i, NumberStateBath([1]), SQUEEZED, ETAS),
+    "general_generator_apply": lambda p, i: me.general_generator_apply(
+        p, i, NumberStateBath([1]), SQUEEZED, ETAS),
+    "general_generator_residual": lambda p, i: me.general_generator_residual(
+        p, i, NumberStateBath([1]), SQUEEZED),
 }
 
 
