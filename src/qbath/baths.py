@@ -319,15 +319,14 @@ def bath_F_eval(p: PropagatorCoefficients, i, bath: BathSpec, eta: np.ndarray) -
 
 
 def _influence(p: PropagatorCoefficients, i, bath: BathSpec, fs: GaussianFSeries, eta):
-    """F(eta) on p.X[i] from fs, the sums of bath's Gaussian part (as columns on a row set)."""
+    """F(eta) on p.X[i] for one checked bath from fs, its Gaussian part's sums (row-set columns)."""
     eta = np.asarray(eta, dtype=complex)
     if not isinstance(bath, NumberStateBath):
         return gaussian_F_eval(fs, eta)
-    _, occs = _laguerre_split(p, bath)
     log_env = np.real(gaussian_exponent(0.0, fs.alpha, fs.gamma, eta))
-    active = np.flatnonzero(occs[0])
+    active = np.flatnonzero(bath.n)
     xs = _mode_args_squared(p.B[i][..., active], p.D[i][..., active], eta)
-    ((_, log_lag, odd),) = laguerre.log_products(occs[:, active], xs, signed=True)
+    ((_, log_lag, odd),) = laguerre.log_products(bath.n[None, active], xs, signed=True)
     sign = np.where(odd[0], -1.0, 1.0).reshape(eta.shape)
     return sign * np.exp(log_env + log_lag[0].reshape(eta.shape))
 

@@ -53,6 +53,7 @@ from .baths import (
     _is_index,
     _laguerre_split,
     _mode_args,
+    _single,
     bath_sums,
 )
 from .errors import SingularGeneratorError
@@ -98,7 +99,7 @@ class GeneratorCoefficients:
 
 def f_series_for(p: PropagatorCoefficients, bath: BathSpec) -> GaussianFSeries:
     """Gaussian influence series for an equilibrium or coherent preparation."""
-    return bath_sums(p, slice(None), _gaussian(bath), derivs=True)
+    return bath_sums(p, slice(None), _gaussian(_single(bath)), derivs=True)
 
 
 def _drift_rows(p: PropagatorCoefficients, rows):
@@ -112,9 +113,9 @@ def _drift_rows(p: PropagatorCoefficients, rows):
     return xi, zeta, denom, valid
 
 
-def _generator_rows(p: PropagatorCoefficients, rows, fs: GaussianFSeries) -> dict[str, np.ndarray]:
-    """Generator coefficients on the rows p.X[rows]; fs holds the same rows."""
-    xi, zeta, denom, valid = _drift_rows(p, rows)
+def _generator_rows(drift, fs: GaussianFSeries) -> dict[str, np.ndarray]:
+    """Generator coefficients from the _drift_rows result drift and the bath sums fs of its rows."""
+    xi, zeta, denom, valid = drift
     kappa = fs.alpha * 2.0 * np.real(xi) - 2.0 * (
         zeta * np.conj(fs.gamma) + np.conj(zeta) * fs.gamma
     ) - fs.dalpha
@@ -127,15 +128,16 @@ def _generator_rows(p: PropagatorCoefficients, rows, fs: GaussianFSeries) -> dic
 
 
 def _checked_drift(p: PropagatorCoefficients, rows: np.ndarray):
-    """(xi, zeta, denom) on the grid rows; SingularGeneratorError at the first singular row."""
-    xi, zeta, denom, valid = _drift_rows(p, rows)
+    """_drift_rows on the grid rows; SingularGeneratorError at the first singular row."""
+    drift = _drift_rows(p, rows)
+    _, _, denom, valid = drift
     if not valid.all():
         k = int(np.argmin(valid))
         raise SingularGeneratorError(
             f"|A|^2 - |C|^2 = {denom[k]:.3e} <= floor {DENOM_FLOOR:.1e} "
             f"at grid index {rows[k]}, t = {p.grid.t[rows[k]]}"
         )
-    return xi, zeta, denom
+    return drift
 
 
 def _grid_rows(p: PropagatorCoefficients, i) -> np.ndarray:
@@ -149,7 +151,7 @@ def xi_zeta(p: PropagatorCoefficients, i: int) -> tuple[complex, complex, float]
     Raises SingularGeneratorError when the denominator is at or below the
     floor; the coefficients are never regularized.
     """
-    xi, zeta, denom = _checked_drift(p, _grid_rows(p, i))
+    xi, zeta, denom, _ = _checked_drift(p, _grid_rows(p, i))
     return complex(xi[0]), complex(zeta[0]), float(denom[0])
 
 
@@ -158,25 +160,25 @@ def gaussian_generator(
 ) -> GeneratorCoefficients:
     """Generator coefficients for a Gaussian influence function at index i."""
     rows = _grid_rows(p, i)
-    _checked_drift(p, rows)
-    c = _generator_rows(p, rows, fs[rows])
+    c = _generator_rows(_checked_drift(p, rows), fs[rows])
     return GeneratorCoefficients(**{key: value[0].item() for key, value in c.items()})
 
 
 def generator_series(p: PropagatorCoefficients, fs: GaussianFSeries) -> dict[str, np.ndarray]:
     """Vectorized generator coefficients with validity flags (no raising)."""
-    return {"t": p.grid.t.copy(), **_generator_rows(p, slice(None), fs)}
+    return {"t": p.grid.t.copy(), **_generator_rows(_drift_rows(p, slice(None)), fs)}
 
 
 def _logF_derivs(p: PropagatorCoefficients, rows: np.ndarray, bath: BathSpec, eta: np.ndarray):
     """(dlnF/deta, dlnF/deta^*, dlnF/dt, ok, fs) on the grid indices rows, with an (R, P) eta.
 
+    bath is one preparation; a member matrix is refused with a ParameterError.
     fs holds the bath sums, with time derivatives, of the Gaussian part of
     _laguerre_split, and F is that Gaussian times prod_k L_{n_k}(|z_k|^2),
     whose log-derivatives form one (modes, R, P) array, one log_derivative
     call per distinct order; ok flags nodes too close to a Laguerre zero.
     """
-    gauss, occs = _laguerre_split(p, bath)
+    gauss, occs = _laguerre_split(p, _single(bath))
     fs = bath_sums(p, rows, gauss, derivs=True)
     active = np.flatnonzero(occs[0])
     orders = occs[0, active]
@@ -212,15 +214,15 @@ def _chi_pieces(p: PropagatorCoefficients, rows, bath: BathSpec, s: OscillatorSt
     a_t, c_t, da_t, dc_t = (x[rows][:, None] for x in (p.A, p.C, p.dA, p.dC))
     w = eta * np.conj(a_t) - np.conj(eta) * c_t
     chi0, c0w, c0wb = chi0_wirtinger(s, w)
-    log_f = _logF_derivs(p, rows, bath, eta)
-    f_val = _influence(p, rows, bath, log_f[4][:, None], eta)
+    d_eta, d_etab, d_t, ok, fs = _logF_derivs(p, rows, bath, eta)
+    f_val = _influence(p, rows, bath, fs[:, None], eta)
     chi = chi0 * f_val
-    dchi_eta = (c0w * np.conj(a_t) - c0wb * np.conj(c_t)) * f_val + chi * log_f[0]
-    dchi_etab = (-c0w * c_t + c0wb * a_t) * f_val + chi * log_f[1]
+    dchi_eta = (c0w * np.conj(a_t) - c0wb * np.conj(c_t)) * f_val + chi * d_eta
+    dchi_etab = (-c0w * c_t + c0wb * a_t) * f_val + chi * d_etab
     dw_t = eta * np.conj(da_t) - np.conj(eta) * dc_t
     dwb_t = np.conj(eta) * da_t - eta * np.conj(dc_t)
-    dchi_t = (c0w * dw_t + c0wb * dwb_t) * f_val + chi0 * f_val * log_f[2]
-    return chi, dchi_eta, dchi_etab, dchi_t, log_f
+    dchi_t = (c0w * dw_t + c0wb * dwb_t) * f_val + chi0 * f_val * d_t
+    return chi, dchi_eta, dchi_etab, dchi_t, (d_eta, d_etab, d_t, ok, fs)
 
 
 def _drift_apply(xi, zeta, eta: np.ndarray, g_eta, g_etab) -> np.ndarray:
@@ -239,8 +241,8 @@ def chi_time_derivative(
     reliable.  It takes no drift, so a singular row is evaluated too.
     """
     shape, eta = np.shape(eta), np.asarray(eta, dtype=complex).reshape(1, -1)
-    _, _, _, dchi_t, log_f = _chi_pieces(p, _grid_rows(p, i), bath, s, eta)
-    return dchi_t.reshape(shape), log_f[3].reshape(shape)
+    _, _, _, dchi_t, (_, _, _, ok, _) = _chi_pieces(p, _grid_rows(p, i), bath, s, eta)
+    return dchi_t.reshape(shape), ok.reshape(shape)
 
 
 def _residual_nodes(eta) -> np.ndarray:
@@ -262,10 +264,10 @@ def generator_residual(
     """
     bath, grid_rows = _gaussian(bath), _grid_rows(p, i)
     rows, nodes = grid_rows.ravel(), _residual_nodes(eta).ravel()
-    _checked_drift(p, rows)
+    drift = _checked_drift(p, rows)
     eta = np.broadcast_to(nodes, (rows.size, nodes.size))
-    chi, dchi_eta, dchi_etab, lhs, log_f = _chi_pieces(p, rows, bath, s, eta)
-    c = {key: value[:, None] for key, value in _generator_rows(p, rows, log_f[4]).items()}
+    chi, dchi_eta, dchi_etab, lhs, (*_, fs) = _chi_pieces(p, rows, bath, s, eta)
+    c = {key: value[:, None] for key, value in _generator_rows(drift, fs).items()}
     rhs = _drift_apply(c["xi"], c["zeta"], eta, dchi_eta, dchi_etab) + gaussian_exponent(
         c["sigma"], -c["kappa"], c["mu"], eta
     ) * chi
@@ -277,7 +279,7 @@ def _general_sides(p: PropagatorCoefficients, i: int, bath: BathSpec, s: Oscilla
     """(chi, dchi/dt, the general identity's right side, ok) at index i, of eta's shape."""
     shape, eta = np.shape(eta), np.asarray(eta, dtype=complex).reshape(1, -1)
     rows = _grid_rows(p, i)
-    xi, zeta, _ = _checked_drift(p, rows)
+    xi, zeta, _, _ = _checked_drift(p, rows)
     chi, dchi_eta, dchi_etab, lhs, (d_eta, d_etab, d_t, ok, _) = _chi_pieces(p, rows, bath, s, eta)
     rhs = _drift_apply(xi[:, None], zeta[:, None], eta, dchi_eta - chi * d_eta,
                        dchi_etab - chi * d_etab) + chi * d_t

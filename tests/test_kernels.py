@@ -137,6 +137,11 @@ def test_member_matrix_needs_one_row_and_a_batch_entry_point(prop):
             obs.purity(prop, 1, batch, SQUEEZED, method="quadrature")
         with pytest.raises(ParameterError, match="members"):
             bath_F_eval(prop, 1, batch, np.array([0.3 + 0.1j]))
+        for general in (me.chi_time_derivative, me.general_generator_apply):
+            with pytest.raises(ParameterError, match="members"):
+                general(prop, 1, batch, SQUEEZED, np.array([0.3 + 0.1j]))
+        with pytest.raises(ParameterError, match="members"):
+            me.general_generator_residual(prop, 1, batch, SQUEEZED)
     for rows in (slice(None), [0, 1]):
         with pytest.raises(ParameterError, match="one propagator row"):
             bath_delta(prop, rows, coherent)
@@ -144,6 +149,11 @@ def test_member_matrix_needs_one_row_and_a_batch_entry_point(prop):
             obs.mean_rows(prop, rows, coherent, SQUEEZED)
     with pytest.raises(ParameterError, match="members"):
         bath_f_params(prop, 1, coherent)
+    for rows in (1, [0, 1]):
+        with pytest.raises(ParameterError, match="members"):
+            me.generator_residual(prop, rows, coherent, SQUEEZED)
+    with pytest.raises(ParameterError, match="members"):
+        me.f_series_for(prop, coherent)
 
 
 def test_chi_eval_on_a_row_set_equals_each_row_bitwise(prop, keyed_rng):

@@ -213,14 +213,15 @@ def _logF_derivs_per_mode(p, i, bath, eta):
 def test_log_derivatives_match_the_per_mode_loop(ohmic_rwa, ohmic_pp):
     # orders 1-5, three modes each; D_k = 0 under RWA, so the pair-term model
     # checks the D terms; the wide grid reaches Laguerre zeros on both models.
-    # One row-set call takes three grid rows, each on its own row of nodes.
+    # One row-set call takes three grid rows, on the same nodes and on
+    # scaled nodes, one row of nodes per grid row.
     occs = np.zeros(64, dtype=int)
     occs[np.arange(0, 60, 4)] = np.repeat(np.arange(1, 6), 3)
     bath = NumberStateBath(occs)
     rows = np.array([4, 40, 90])
-    eta = np.array([1.0, 0.9, 1.1])[:, None] * square_eta_grid(6.0, 21)
     flagged = 0
-    for p in (ohmic_rwa, ohmic_pp):
+    for p, scale in itertools.product((ohmic_rwa, ohmic_pp), ([1.0] * 3, [1.0, 0.9, 1.1])):
+        eta = np.array(scale)[:, None] * square_eta_grid(6.0, 21)
         got = me._logF_derivs(p, rows, bath, eta)
         for r, i in enumerate(rows):
             ref = _logF_derivs_per_mode(p, i, bath, eta[r])
@@ -231,6 +232,21 @@ def test_log_derivatives_match_the_per_mode_loop(ohmic_rwa, ohmic_pp):
             assert np.array_equal(got[3][r], ref[3])
             flagged += int((~ref[3]).sum())
     assert flagged > 0
+
+
+def test_index_slices_keep_the_shape_of_eta(ohmic_rwa, ohmic_pp):
+    # a 2-D eta gives the flat call's values in eta's shape
+    occs = np.zeros(64, dtype=int)
+    occs[np.arange(0, 60, 4)] = np.repeat(np.arange(1, 6), 3)
+    flat = square_eta_grid(6.0, 21)
+    for p, bath in itertools.product((ohmic_rwa, ohmic_pp),
+                                     (NumberStateBath(occs), EquilibriumBath(1.3))):
+        for call, i in itertools.product((me.chi_time_derivative, me.general_generator_apply),
+                                         (4, 40)):
+            got = call(p, i, bath, SQUEEZED, flat.reshape(21, 21))
+            for a, b in zip(got, call(p, i, bath, SQUEEZED, flat)):
+                assert a.shape == (21, 21)
+                assert a.tobytes() == b.reshape(21, 21).tobytes()
 
 
 def test_general_path_agrees_with_gaussian_path(ohmic_pp):
