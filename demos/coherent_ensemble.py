@@ -21,14 +21,14 @@ from qbath import (
     compute_propagator,
     delta_correlations,
     displaced_vacuum_check,
-    mean_rows,
+    mean_xp,
     plateau_window,
     purity,
     row_slice,
     sample_coherent_states,
     stock_model,
     vacuum_state,
-    variance_rows,
+    variances,
 )
 
 beta, seed, n_samples = 2.0, 19, 4000
@@ -41,8 +41,8 @@ state = vacuum_state()
 members = sample_coherent_states(beta, model, seed, n_samples)  # one row per member
 
 print("=== every member is a displaced zero-temperature state ===")
-vx0, vp0 = variance_rows(p, row_slice(p, i), EquilibriumBath(beta=math.inf), state)
-vxk, vpk = variance_rows(p, row_slice(p, i), CoherentStateBath(members.amps[:200]), state)
+vx0, vp0 = variances(p, row_slice(p, i), EquilibriumBath(beta=math.inf), state)
+vxk, vpk = variances(p, row_slice(p, i), CoherentStateBath(members.amps[:200]), state)
 worst = max(np.max(np.abs(vxk - vx0)), np.max(np.abs(vpk - vp0)))
 print(f"max |per-sample variance - T=0 variance| over 200 members: {worst:.2e}")
 
@@ -52,7 +52,7 @@ print(f"displaced-vacuum factorization defect: {displaced_vacuum_check(p, i, amp
 
 print()
 print(f"=== thermal broadening lives in the scatter of the means ({n_samples} samples) ===")
-mx, mp = mean_rows(p, row_slice(p, i), members, state)
+mx, mp = mean_xp(p, row_slice(p, i), members, state)
 di, dj = (bath_delta(p, row_slice(p, k), members) for k in (i, j))
 
 thermal, cold = (asymptotic_variances(p, i, EquilibriumBath(beta=b)) for b in (beta, math.inf))

@@ -29,7 +29,6 @@ from qbath import (
     stock_config,
     stock_model,
     vacuum_state,
-    variance_rows,
     variances,
 )
 
@@ -42,7 +41,7 @@ state = vacuum_state()
 
 print(f"=== {n_samples} number-state bath samples at beta = {beta}, t = {p.grid.t[i]:.1f} ===")
 members = sample_number_states(beta, model, seed, n_samples)  # one row per member
-vx, _ = variance_rows(p, row_slice(p, i), members, state)
+vx, _ = variances(p, row_slice(p, i), members, state)
 
 eq_vx, _ = variances(p, i, EquilibriumBath(beta=beta), state)
 se = vx.std(ddof=1) / math.sqrt(n_samples)

@@ -71,15 +71,12 @@ from .observables import (
     averaged_purity_number_ensemble,
     chi_eval,
     displaced_vacuum_check,
-    mean_rows,
     mean_xp,
-    member_purities,
     number_variance_of_variance,
     observable_series,
     purity,
     square_eta_grid,
     summarize,
-    variance_rows,
     variances,
 )
 from .presets import STOCK_MODEL_NAMES, stock_config, stock_model

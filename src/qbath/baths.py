@@ -200,6 +200,8 @@ def _mode_weights(p: PropagatorCoefficients, bath: BathSpec, lead) -> np.ndarray
 
 def _drive(p: PropagatorCoefficients, b: np.ndarray, d: np.ndarray, bath: BathSpec) -> np.ndarray:
     """sum_k (b_k beta_k + d_k beta_k^*) over the last axis; zero unless the bath is coherent."""
+    if isinstance(bath, NumberStateBath):
+        _check_modes(p, bath.n, "occupations", b.shape[:-1])
     if not isinstance(bath, CoherentStateBath):
         return np.zeros(b.shape[:-1], dtype=complex)
     _check_modes(p, bath.amps, "amplitudes", b.shape[:-1])
@@ -246,16 +248,18 @@ def _gaussian(bath: BathSpec) -> BathSpec:
     return bath
 
 
-def _laguerre_split(p: PropagatorCoefficients, bath: BathSpec) -> tuple[BathSpec, np.ndarray]:
+def _laguerre_split(
+    p: PropagatorCoefficients, bath: BathSpec, lead=()
+) -> tuple[BathSpec, np.ndarray]:
     """(Gaussian part, occupation matrix) with F = F_gauss prod_k L_{n_k}, one row per member.
 
-    A number-state bath is the vacuum plus its checked occupations; any other
-    bath is itself plus one row of zeros.
+    A number-state bath is the vacuum plus its occupations, checked for
+    propagator rows of shape lead; any other bath is itself plus one row of
+    zeros.
     """
     if isinstance(bath, NumberStateBath):
-        occs = np.atleast_2d(bath.n)
-        _check_modes(p, occs, "occupations")
-        return EquilibriumBath(math.inf), occs
+        _check_modes(p, bath.n, "occupations", lead)
+        return EquilibriumBath(math.inf), np.atleast_2d(bath.n)
     return bath, np.zeros((1, p.n_modes), dtype=int)
 
 

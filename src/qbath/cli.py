@@ -57,17 +57,15 @@ from .config import RunConfig, load_config, realize_bath
 from .errors import NumericalError, SchemaError
 from .model import CouplingFamily, build_model, validate_model
 from .observables import (
+    ENSEMBLE_TOL,
     EnsembleSummary,
     asymptotic_variances,
     displaced_vacuum_check,
-    mean_rows,
     mean_xp,
-    member_purities,
     number_variance_of_variance,
     observable_series,
     purity,
     summarize,
-    variance_rows,
     variances,
 )
 from .propagator import (
@@ -203,13 +201,13 @@ def _number_ensemble(cfg: RunConfig, p, i: int, seed: int, n_samples: int) -> di
     beta = cfg.bath_doc["beta"]
     s = cfg.oscillator
     members = sample_number_states(beta, cfg.model, seed, n_samples)
-    var_samples, _ = variance_rows(p, row_slice(p, i), members, s)
+    var_samples, _ = variances(p, row_slice(p, i), members, s)
     centered = var_samples - var_samples.mean()
     pop_var = float(np.sum(centered**2) / (n_samples - 1))
     m4 = float(np.mean(centered**4))
     var_se = math.sqrt(max(m4 - pop_var**2, 0.0) / n_samples)
     # the purity members are the first (at most 1000) of the variance members
-    purities = member_purities(p, i, NumberStateBath(members.n[:1000]), s)
+    purities = purity(p, row_slice(p, i), NumberStateBath(members.n[:1000]), s, tol=ENSEMBLE_TOL)
     return {
         "kind": "number",
         "time_index": i,
@@ -230,7 +228,7 @@ def _coherent_ensemble(cfg: RunConfig, p, i: int, seed: int, n_samples: int) -> 
     members = sample_coherent_states(beta, cfg.model, seed, n_samples)
     zero_t = EquilibriumBath(beta=math.inf)
     x0, p0 = mean_xp(p, i, zero_t, s)
-    mean_x, mean_p = mean_rows(p, row_slice(p, i), members, s)
+    mean_x, mean_p = mean_xp(p, row_slice(p, i), members, s)
     delta_i, delta_j = (bath_delta(p, row_slice(p, k), members) for k in (i, j))
     c1_mc, c2_mc = delta_i * np.conj(delta_j), delta_i * delta_j
     samples = {"mean_x_sq": (mean_x - x0) ** 2, "mean_p_sq": (mean_p - p0) ** 2,

@@ -1,9 +1,15 @@
 """Reduced-state observables: characteristic function, moments, purity, ensembles.
 
 Position and momentum use x = sqrt(hbar/(2 m nu))(a^dag + a) and
-p = i sqrt(hbar m nu / 2)(a^dag - a).  Purity is Tr rho^2 =
-(1/pi) int d^2eta |chi(eta)|^2.  purity() takes one grid index or a row set:
-when both the oscillator state and the bath influence are Gaussian it is
+p = i sqrt(hbar m nu / 2)(a^dag - a).  mean_xp, variances and purity each
+take one grid index, and return floats, or a row set (a slice, an integer
+array or a mask), and return arrays; each row has the bits of its index
+call.  On a one-row set, mean_xp and variances give a member matrix one
+entry per member, or one shared entry where the preparation drops out, and
+purity gives a number-state member matrix one purity per member.
+
+Purity is Tr rho^2 = (1/pi) int d^2eta |chi(eta)|^2.  When both the
+oscillator state and the bath influence are Gaussian it is
 1/(2 sqrt(a^2 - 4|g|^2)) in the total Gaussian parameters; otherwise one
 quadrature driver integrates |chi|^2 = |chi0|^2 |F_g|^2 prod_k L_{n_k}^2,
 with F_g and n_k from baths._laguerre_split, on a tensor Gauss-Hermite rule
@@ -24,9 +30,7 @@ has the same bits in any row set and costs the levels it needs alone.  The
 members of a number-state ensemble share one row's node set, and each level
 evaluates them together: one laguerre.log_products table of the distinct
 (mode, order) factors, summed per member in blocks of bounded size, so a
-member has the same bits alone as in any ensemble.  On one propagator row,
-mean_rows and variance_rows give a member matrix one entry per member, or
-one shared entry.
+member has the same bits alone as in any ensemble.
 """
 
 from __future__ import annotations
@@ -72,15 +76,12 @@ __all__ = [
     "EnsembleSummary",
     "square_eta_grid",
     "chi_eval",
-    "mean_rows",
     "mean_xp",
-    "variance_rows",
     "variances",
     "asymptotic_variances",
     "asymptotic_purity",
     "purity",
     "number_variance_of_variance",
-    "member_purities",
     "averaged_purity_number_ensemble",
     "displaced_vacuum_check",
     "observable_series",
@@ -129,10 +130,23 @@ def chi_eval(p: PropagatorCoefficients, i, bath: BathSpec, s: OscillatorState, e
     return chi0_eval(s, zeta) * bath_F_eval(p, i, bath, eta)
 
 
-def mean_rows(
-    p: PropagatorCoefficients, rows, bath: BathSpec, s: OscillatorState
-) -> tuple[np.ndarray, np.ndarray]:
-    """(mean x, mean p) on the propagator rows p.X[rows]."""
+def _at(p: PropagatorCoefficients, i, bath: BathSpec):
+    """(rows, bath): at a grid index its one-row slice and one checked preparation."""
+    return (row_slice(p, i), _single(bath)) if _is_index(i) else (i, bath)
+
+
+def _entries(one: bool, *values: np.ndarray) -> tuple:
+    """The floats of one-row values at a grid index, else the arrays."""
+    return tuple(float(v[0]) for v in values) if one else values
+
+
+def mean_xp(p: PropagatorCoefficients, i, bath: BathSpec, s: OscillatorState) -> tuple:
+    """(mean x, mean p) at grid index i, as floats, or on the row set p.X[i], as arrays.
+
+    On one row a member matrix gives one entry per member; number states
+    drop out, and share one entry.
+    """
+    rows, bath = _at(p, i, bath)
     mean_a, _, _ = initial_moments(s)
     a_t, c_t = p.A[rows], p.C[rows]
     delta = bath_delta(p, rows, bath)
@@ -143,56 +157,42 @@ def mean_rows(
     mean_x = x_scale * (mean_adag_t + delta + np.conj(delta))
     diff = (np.conj(a_t) - c_t) * np.conj(mean_a) - (a_t - np.conj(c_t)) * mean_a
     mean_p = 1j * p_scale * (diff + np.conj(delta) - delta)
-    return np.real(mean_x), np.real(mean_p)
+    return _entries(_is_index(i), np.real(mean_x), np.real(mean_p))
 
 
-def mean_xp(
-    p: PropagatorCoefficients, i: int, bath: BathSpec, s: OscillatorState
-) -> tuple[float, float]:
-    """(mean x, mean p) at grid index i."""
-    mean_x, mean_p = mean_rows(p, row_slice(p, i), _single(bath), s)
-    return float(mean_x[0]), float(mean_p[0])
-
-
-def variance_rows(
-    p: PropagatorCoefficients, rows, bath: BathSpec, s: OscillatorState
-) -> tuple[np.ndarray, np.ndarray]:
-    """(var x, var p) on the propagator rows p.X[rows]."""
-    n_c, c_aa = central_moments(s)
+def _variance_kernel(p: PropagatorCoefficients, rows, bath: BathSpec, s: OscillatorState | None):
+    """(var x, var p) on the rows p.X[rows]; s = None leaves the state's part out."""
     f = bath_sums(p, rows, bath)
-    a_t, c_t = p.A[rows], p.C[rows]
+    core_x = core_p = 0.0
+    if s is not None:
+        n_c, c_aa = central_moments(s)
+        a_t, c_t = p.A[rows], p.C[rows]
+        plus = a_t + np.conj(c_t)
+        minus = a_t - np.conj(c_t)
+        core_x = 2.0 * np.real(plus**2 * c_aa) + 2.0 * np.abs(plus) ** 2 * (n_c + 0.5)
+        core_p = -2.0 * np.real(minus**2 * c_aa) + 2.0 * np.abs(minus) ** 2 * (n_c + 0.5)
     u = p.model.units
     xq = u.hbar / (2.0 * u.mass * p.model.nu)
     pq = u.hbar * u.mass * p.model.nu / 2.0
-    plus = a_t + np.conj(c_t)
-    minus = a_t - np.conj(c_t)
-    core_x = 2.0 * np.real(plus**2 * c_aa) + 2.0 * np.abs(plus) ** 2 * (n_c + 0.5)
-    core_p = -2.0 * np.real(minus**2 * c_aa) + 2.0 * np.abs(minus) ** 2 * (n_c + 0.5)
     var_x = xq * (core_x + 2.0 * (f.alpha + 2.0 * np.real(f.gamma)))
     var_p = pq * (core_p + 2.0 * (f.alpha - 2.0 * np.real(f.gamma)))
     return var_x, var_p
 
 
-def variances(
-    p: PropagatorCoefficients, i: int, bath: BathSpec, s: OscillatorState
-) -> tuple[float, float]:
-    """(var x, var p) at grid index i; coherent amplitudes drop out."""
-    var_x, var_p = variance_rows(p, row_slice(p, i), _single(bath), s)
-    return float(var_x[0]), float(var_p[0])
+def variances(p: PropagatorCoefficients, i, bath: BathSpec, s: OscillatorState) -> tuple:
+    """(var x, var p) shaped as mean_xp; coherent amplitudes drop out, and share one entry."""
+    rows, bath = _at(p, i, bath)
+    return _entries(_is_index(i), *_variance_kernel(p, rows, bath, s))
 
 
 def asymptotic_variances(
     p: PropagatorCoefficients, i: int, bath: BathSpec
 ) -> tuple[float, float]:
-    """Long-time limits (hbar/m nu)(alpha +- 2 Re gamma) evaluated at index i."""
-    f = bath_sums(p, row_slice(p, i), _single(bath))
-    alpha, gamma = float(f.alpha[0]), complex(f.gamma[0])
-    u = p.model.units
-    factor = u.hbar / (u.mass * p.model.nu)
-    return (
-        factor * (alpha + 2.0 * np.real(gamma)),
-        u.hbar * u.mass * p.model.nu * (alpha - 2.0 * np.real(gamma)),
-    )
+    """Long-time limits (hbar/m nu)(alpha +- 2 Re gamma) evaluated at index i.
+
+    The variances without the state's part, which decays with A and C.
+    """
+    return _entries(True, *_variance_kernel(p, row_slice(p, i), _single(bath), None))
 
 
 def _discriminant(d0: float, a_s, g_s, a_t, c_t, alpha, gamma):
@@ -479,14 +479,17 @@ def purity(
 
     An integer i returns a float; a slice, an integer array or a boolean
     mask returns an array of the shape p.A[i] has, each entry with the bits
-    of its one-index call.  method: "auto" picks the closed Gaussian form
-    when the state and bath are both Gaussian, quadrature otherwise;
-    "closed" and "quadrature" force a path (closed raises for non-Gaussian
-    inputs).  Quadrature is one call of the Gauss-Hermite driver on the
-    bath's _laguerre_split with every row of i.
+    of its one-index call.  On a one-row set, a number-state member matrix
+    returns one purity per member.  method: "auto" picks the closed
+    Gaussian form when the state and bath are both Gaussian, quadrature
+    otherwise; "closed" and "quadrature" force a path (closed raises for
+    non-Gaussian inputs).  Quadrature is one call of the Gauss-Hermite
+    driver on the bath's _laguerre_split with every row of i; a level ends
+    once member 0, the most coupled and the most occupied member agree.
     """
-    one = _is_index(i)
-    rows, bath = row_slice(p, i) if one else i, _single(bath)
+    rows, bath = _at(p, i, bath)
+    members = isinstance(bath, NumberStateBath) and bath.n.ndim > 1  # on a row set only
+    bath = bath if members else _single(bath)
     if method == "auto":
         gaussian = is_gaussian(s) and not isinstance(bath, NumberStateBath)
         method = "closed" if gaussian else "quadrature"
@@ -495,12 +498,19 @@ def purity(
         values = _gaussian_purity(*_total_gaussian_rows(p, rows, s, f))
     elif method == "quadrature":
         indices = np.arange(p.n_times)[rows]
-        gauss_bath, occs = _laguerre_split(p, bath)
-        values = _quadrature(p, indices.ravel(), s, gauss_bath, occs, [0], tol)[0]
-        values = values.reshape(indices.shape)
+        gauss_bath, occs = _laguerre_split(p, bath, indices.shape)
+        if not occs.shape[0]:
+            raise ParameterError("purity needs at least one member")
+        probes = [0]
+        if members:
+            row = indices.item()
+            coupling = occs @ (np.abs(p.B[row]) ** 2 + np.abs(p.D[row]) ** 2)
+            probes = sorted({0, int(np.argmax(coupling)), int(np.argmax(occs.sum(axis=1)))})
+        values = _quadrature(p, indices.ravel(), s, gauss_bath, occs, probes, tol)
+        values = values[:, 0] if members else values[0].reshape(indices.shape)
     else:
         raise ParameterError(f"unknown purity method {method!r}")
-    return float(values[0]) if one else values
+    return float(values[0]) if _is_index(i) else values
 
 
 def number_variance_of_variance(p: PropagatorCoefficients, i: int, beta: float) -> float:
@@ -517,24 +527,6 @@ def number_variance_of_variance(p: PropagatorCoefficients, i: int, beta: float) 
     return float(factor * np.sum(np.abs(b + np.conj(d)) ** 4 * (nbar**2 + nbar)))
 
 
-def member_purities(
-    p: PropagatorCoefficients, i: int, bath: NumberStateBath, s: OscillatorState
-) -> np.ndarray:
-    """Purity at index i of each member of a number-state member matrix.
-
-    The members share one Gauss-Hermite node set, refined on the first
-    member and the most occupied ones, and each level sums them in member
-    blocks of one batched Laguerre kernel (_levels).
-    """
-    rows = np.arange(p.n_times)[row_slice(p, i)]
-    gauss_bath, occs = _laguerre_split(p, bath)
-    if not occs.shape[0]:
-        raise ParameterError("member_purities needs at least one member")
-    alpha_member = occs @ (np.abs(p.B[i]) ** 2 + np.abs(p.D[i]) ** 2)
-    probes = sorted({0, int(np.argmax(alpha_member)), int(np.argmax(occs.sum(axis=1)))})
-    return _quadrature(p, rows, s, gauss_bath, occs, probes, ENSEMBLE_TOL)[:, 0]
-
-
 def averaged_purity_number_ensemble(
     p: PropagatorCoefficients,
     i: int,
@@ -546,12 +538,12 @@ def averaged_purity_number_ensemble(
     """Monte-Carlo mean of purity over number-state preparations drawn from P_n.
 
     Draws the member matrix sample_number_states(beta, p.model, seed,
-    n_samples) and summarizes its member_purities.
+    n_samples) and summarizes its purities, one purity call on row i.
     """
     if n_samples < 2:
         raise ParameterError("need at least two samples")
     members = sample_number_states(beta, p.model, seed, n_samples)
-    return summarize(member_purities(p, i, members, s), seed)
+    return summarize(purity(p, row_slice(p, i), members, s, tol=ENSEMBLE_TOL), seed)
 
 
 def displaced_vacuum_check(
@@ -584,7 +576,7 @@ def observable_series(
 ) -> dict[str, np.ndarray]:
     """Means, variances and purity on the whole grid."""
     out = {"t": p.grid.t.copy()}
-    out["mean_x"], out["mean_p"] = mean_rows(p, slice(None), bath, s)
-    out["var_x"], out["var_p"] = variance_rows(p, slice(None), bath, s)
+    out["mean_x"], out["mean_p"] = mean_xp(p, slice(None), bath, s)
+    out["var_x"], out["var_p"] = variances(p, slice(None), bath, s)
     out["purity"] = purity(p, slice(None), bath, s)
     return out

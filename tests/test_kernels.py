@@ -74,16 +74,32 @@ def test_gaussian_generator_equals_series(prop, keyed_rng):
             assert (xi, zeta, denom) == (series["xi"][i], series["zeta"][i], series["denom"][i])
 
 
+def _row_sets(p):
+    """A slice, an integer array with negative and repeated indices, and a mask."""
+    mask = np.zeros(p.n_times, dtype=bool)
+    mask[2::13] = True
+    return slice(3, None, 11), np.array([-1, 17, 0, 17, -p.n_times, 50]), mask
+
+
 def test_moments_equal_observable_series(prop, keyed_rng):
     n = np.zeros(prop.n_modes, dtype=int)
     n[::7] = 2
     baths = (EquilibriumBath(1.3), _coherent(prop, keyed_rng), NumberStateBath(n))
     for bath in baths:
-        mean_x, mean_p = obs.mean_rows(prop, slice(None), bath, SQUEEZED)
-        var_x, var_p = obs.variance_rows(prop, slice(None), bath, SQUEEZED)
+        # the whole grid, as observable_series takes it
+        mean_x, mean_p = obs.mean_xp(prop, slice(None), bath, SQUEEZED)
+        var_x, var_p = obs.variances(prop, slice(None), bath, SQUEEZED)
         for i in INDICES:
             assert obs.mean_xp(prop, i, bath, SQUEEZED) == (mean_x[i], mean_p[i])
             assert obs.variances(prop, i, bath, SQUEEZED) == (var_x[i], var_p[i])
+        for rows in _row_sets(prop):
+            indices = np.arange(prop.n_times)[rows]
+            moments = (*obs.mean_xp(prop, rows, bath, SQUEEZED),
+                       *obs.variances(prop, rows, bath, SQUEEZED))
+            assert all(v.shape == indices.shape for v in moments)
+            for k, i in enumerate(indices.tolist()):
+                assert obs.mean_xp(prop, i, bath, SQUEEZED) == (moments[0][k], moments[1][k])
+                assert obs.variances(prop, i, bath, SQUEEZED) == (moments[2][k], moments[3][k])
 
 
 def test_member_batch_equals_members(prop):
@@ -100,8 +116,8 @@ def test_member_batch_equals_members(prop):
                 # members share what their preparation does not enter: a number batch's
                 # means and delta, a coherent batch's variances
                 mx, mp, vx, vp, delta = (np.broadcast_to(v, (m,)) for v in (
-                    *obs.mean_rows(prop, rows, batch, SQUEEZED),
-                    *obs.variance_rows(prop, rows, batch, SQUEEZED),
+                    *obs.mean_xp(prop, rows, batch, SQUEEZED),
+                    *obs.variances(prop, rows, batch, SQUEEZED),
                     bath_delta(prop, rows, batch)))
                 for k in range(m):
                     bath = singles[k][member]
@@ -126,8 +142,11 @@ def test_member_matrix_needs_one_row_and_a_batch_entry_point(prop):
     coherent = sample_coherent_states(1.3, prop.model, 3, prop.n_times)
     for batch in (number, coherent):
         for rows in (slice(None), [0, 1]):
+            for entry in (obs.mean_xp, obs.variances):
+                with pytest.raises(ParameterError, match="one propagator row"):
+                    entry(prop, rows, batch, SQUEEZED)
             with pytest.raises(ParameterError, match="one propagator row"):
-                obs.variance_rows(prop, rows, batch, SQUEEZED)
+                bath_delta(prop, rows, batch)
         with pytest.raises(ParameterError):
             obs.observable_series(prop, batch, SQUEEZED)
         for scalar in (obs.purity, obs.mean_xp, obs.variances):
@@ -142,11 +161,19 @@ def test_member_matrix_needs_one_row_and_a_batch_entry_point(prop):
                 general(prop, 1, batch, SQUEEZED, np.array([0.3 + 0.1j]))
         with pytest.raises(ParameterError, match="members"):
             me.general_generator_residual(prop, 1, batch, SQUEEZED)
+    # purity has a member path for number states only, on one row
     for rows in (slice(None), [0, 1]):
         with pytest.raises(ParameterError, match="one propagator row"):
-            bath_delta(prop, rows, coherent)
-        with pytest.raises(ParameterError, match="one propagator row"):
-            obs.mean_rows(prop, rows, coherent, SQUEEZED)
+            obs.purity(prop, rows, number, SQUEEZED)
+    with pytest.raises(ParameterError, match="members"):
+        obs.purity(prop, row_slice(prop, 1), coherent, SQUEEZED)
+    # a number bath of the wrong length has no preparation for the model's modes
+    short = NumberStateBath([1, 2])
+    for rows in (5, slice(None)):
+        with pytest.raises(ParameterError, match=f"expected {prop.n_modes} occupations"):
+            obs.mean_xp(prop, rows, short, SQUEEZED)
+    with pytest.raises(ParameterError, match=f"expected {prop.n_modes} occupations"):
+        bath_delta(prop, slice(None), short)
     with pytest.raises(ParameterError, match="members"):
         bath_f_params(prop, 1, coherent)
     for rows in (1, [0, 1]):

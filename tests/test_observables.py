@@ -12,6 +12,7 @@ from qbath.baths import (
     CoherentStateBath,
     EquilibriumBath,
     NumberStateBath,
+    bath_delta,
     bath_f_params,
     occupation,
     sample_coherent_state,
@@ -21,7 +22,7 @@ from qbath.baths import (
 from qbath.errors import ParameterError
 from qbath.model import ModelSpec
 from qbath.presets import stock_model
-from qbath.propagator import TimeGrid, compute_propagator
+from qbath.propagator import TimeGrid, compute_propagator, row_slice
 from qbath.states import CatState, SqueezedDisplaced, chi0_eval, vacuum_state
 
 ETAS = np.array([0.5 + 0.2j, -0.3 + 0.7j])
@@ -188,7 +189,8 @@ SCALAR_CALLS = {
     "variances": lambda p, i: obs.variances(p, i, EquilibriumBath(1.0), SQUEEZED),
     "asymptotic_variances": lambda p, i: obs.asymptotic_variances(p, i, EquilibriumBath(1.0)),
     "asymptotic_purity": lambda p, i: obs.asymptotic_purity(p, i, EquilibriumBath(1.0)),
-    "member_purities": lambda p, i: obs.member_purities(p, i, NumberStateBath([[1]]), SQUEEZED),
+    "purity-members": lambda p, i: obs.purity(
+        p, row_slice(p, i), NumberStateBath([[1]]), SQUEEZED, tol=obs.ENSEMBLE_TOL),
     "chi_eval": lambda p, i: obs.chi_eval(p, i, NumberStateBath([1]), SQUEEZED, ETAS),
     "bath_f_params": lambda p, i: bath_f_params(p, i, EquilibriumBath(1.0)),
     "number_variance_of_variance": lambda p, i: obs.number_variance_of_variance(p, i, 1.0),
@@ -208,23 +210,44 @@ SCALAR_CALLS = {
 }
 
 
-NO_MEMBERS = NumberStateBath(np.zeros((0, 1), dtype=int))
 REFUSALS = [(call, i, f"grid index {i} is outside the grid of 21 points")
             for call in sorted(SCALAR_CALLS) for i in (21, -22)]
-REFUSALS.append(("member_purities", "no members", "at least one member"))
 
 
 @pytest.mark.parametrize("call, i, message", REFUSALS)
 def test_scalar_entry_points_refuse_what_the_grid_does_not_hold(call, i, message):
     p = compute_propagator(stock_model("rwa-n1-resonant"), TimeGrid.linspace(2.0, 20))
-    if i == "no members":
-        with pytest.raises(ParameterError, match=message):
-            obs.member_purities(p, 5, NO_MEMBERS, SQUEEZED)
-        return
     with pytest.raises(ParameterError, match=message):
         SCALAR_CALLS[call](p, i)
     if i > 0:
         SCALAR_CALLS[call](p, i - 1)  # the last index is held
+
+
+# baths the one-mode model does not hold, each met by the entry points of BATH_CALLS
+BAD_BATHS = {
+    "no members": NumberStateBath(np.zeros((0, 1), dtype=int)),
+    "two modes": NumberStateBath([1, 2]),
+}
+BATH_CALLS = {
+    "purity-members": lambda p, bath: obs.purity(
+        p, row_slice(p, 5), bath, SQUEEZED, tol=obs.ENSEMBLE_TOL),
+    "mean_xp": lambda p, bath: obs.mean_xp(p, 5, bath, SQUEEZED),
+    "mean_xp-rows": lambda p, bath: obs.mean_xp(p, slice(None), bath, SQUEEZED),
+    "variances": lambda p, bath: obs.variances(p, 5, bath, SQUEEZED),
+    "purity": lambda p, bath: obs.purity(p, 5, bath, SQUEEZED),
+    "observable_series": lambda p, bath: obs.observable_series(p, bath, SQUEEZED),
+    "bath_delta": lambda p, bath: bath_delta(p, slice(None), bath),
+}
+BATH_REFUSALS = [("purity-members", "no members", "at least one member")]
+BATH_REFUSALS += [(call, "two modes", "expected 1 occupations per member")
+                  for call in sorted(BATH_CALLS)]
+
+
+@pytest.mark.parametrize("call, bath, message", BATH_REFUSALS)
+def test_entry_points_refuse_a_bath_the_model_does_not_hold(call, bath, message):
+    p = compute_propagator(stock_model("rwa-n1-resonant"), TimeGrid.linspace(2.0, 20))
+    with pytest.raises(ParameterError, match=message):
+        BATH_CALLS[call](p, BAD_BATHS[bath])
 
 
 def test_means_independent_of_zero_drift_bath(ohmic_pp):

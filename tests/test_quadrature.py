@@ -21,7 +21,7 @@ from qbath.baths import (
     sample_number_states,
 )
 from qbath.errors import PhysicalityError
-from qbath.propagator import PropagatorCoefficients
+from qbath.propagator import PropagatorCoefficients, row_slice
 from qbath.states import CatState, SqueezedDisplaced
 
 SQUEEZED = SqueezedDisplaced(disp=0.5 - 0.1j, r=0.6, phi=0.3)
@@ -151,7 +151,7 @@ def test_level_rows_equal_one_member_levels_bitwise(ohmic_rwa, ohmic_pp, plateau
             assert whole[m] == level([m])[0, 0, 0] == alone(slice(None))[0, 0, 0], m
 
 
-def test_member_purities_memory_does_not_grow_with_members(ohmic_rwa, plateau_index):
+def test_member_purity_memory_does_not_grow_with_members(ohmic_rwa, plateau_index):
     p = ohmic_rwa
     i = plateau_index(p)
     peaks = []
@@ -159,7 +159,7 @@ def test_member_purities_memory_does_not_grow_with_members(ohmic_rwa, plateau_in
         members = sample_number_states(2.0, p.model, 5, count)
         tracemalloc.start()
         try:
-            obs.member_purities(p, i, members, SQUEEZED)
+            obs.purity(p, row_slice(p, i), members, SQUEEZED, tol=obs.ENSEMBLE_TOL)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -272,7 +272,8 @@ def test_half_plane_visits_the_full_rule_levels_on_half_the_nodes(
             for case, (s, gauss_bath, occs) in _half_plane_cases(p).items():
                 if occs.any():
                     bath = NumberStateBath(occs)
-                    run = lambda: obs.member_purities(p, i, bath, s)  # noqa: E731
+                    run = lambda: obs.purity(  # noqa: E731
+                        p, row_slice(p, i), bath, s, tol=obs.ENSEMBLE_TOL)
                 else:
                     run = lambda: obs.purity(p, i, gauss_bath, s, method="quadrature")  # noqa: E731
                 full_levels_seen, _, full = visits(full_levels, run)

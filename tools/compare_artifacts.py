@@ -5,7 +5,8 @@
 Each checkout runs in a fresh interpreter that imports qbath from its own
 ``src``.  It runs the sample configs ``configs/*.json`` (all of them, or the
 NAMEs given), each with the subcommand its file name starts with, and with
-``--workloads`` also the seed-1 jobs of the benchmark's three workloads, whose
+``--workloads`` also the jobs of the benchmark's three workloads at the seeds
+1, 2 and 3, each seed in its own ``<workload>/seed-<seed>`` subtree, whose
 configs come from the checkout's ``perfbench/workloads.py`` (imported, never
 changed).  Every data file is then compared across the two output trees.  A
 line says ``identical``, or gives the largest relative deviation
@@ -37,7 +38,7 @@ from pathlib import Path
 SUBCOMMANDS = ("validate", "propagate", "observables", "purity", "ensemble", "master-eq",
                "rwa-compare", "n-sweep")
 WORKLOADS = ("spectral", "cat-purity", "configs")
-WORKLOAD_SEED = 1
+WORKLOAD_SEEDS = (1, 2, 3)
 SKIPPED = {"manifest.json"}
 
 
@@ -66,10 +67,12 @@ def _jobs(root: Path, names: list[str] | None, workloads: bool, work: Path):
         sys.modules[spec.name] = module  # its dataclasses look their module up
         spec.loader.exec_module(module)
         for workload in WORKLOADS:
-            cfg_dir = work / "workload-configs" / workload
-            for job in module.write_configs(workload, WORKLOAD_SEED, "full", cfg_dir):
-                jobs.append((f"{workload}/{job.name}", job.subcommand,
-                             cfg_dir / f"{job.config}.json"))
+            for seed in WORKLOAD_SEEDS:
+                tree = f"{workload}/seed-{seed}"
+                cfg_dir = work / "workload-configs" / tree
+                for job in module.write_configs(workload, seed, "full", cfg_dir):
+                    jobs.append((f"{tree}/{job.name}", job.subcommand,
+                                 cfg_dir / f"{job.config}.json"))
     return jobs
 
 
@@ -171,7 +174,7 @@ def main(argv=None) -> int:
     ap.add_argument("--config", action="append", dest="names", metavar="NAME",
                     help="run only this sample config (repeatable); default: all of them")
     ap.add_argument("--workloads", action="store_true",
-                    help="also run the seed-1 jobs of the benchmark workloads")
+                    help="also run the jobs of the benchmark workloads at the seeds 1, 2 and 3")
     ap.add_argument("--run-into", type=Path, metavar="DIR",
                     help="run the jobs of the checkout in the working directory into DIR "
                          "(what the comparison starts for each side)")
