@@ -44,15 +44,19 @@ is a ParameterError; a form that has no Cholesky factor although
 validate_model finds it positive sits at the stability edge and is a
 NumericalError.
 
-The kernel reads its phases from one table exp(i E t).  On a uniform grid,
-t[:-1] == arange(T - 1) * t[1] exactly, as `TimeGrid.linspace` writes it,
-a table of at least PHASE_TABLE_MIN entries T (N+1) takes cos and sin at
-ceil(sqrt(T)) offsets and about as many anchors only; every other entry
-is an anchor times an offset (angle addition), and the last row, t_max,
-is evaluated directly.  Other grids and smaller tables evaluate every phase.
-The table is within 2 eps max|E t| + 4 eps of cos and sin of the exact
-phases of the stored times, against eps max|E t| / 2 + eps evaluated
-directly.
+Every route hands the kernel one (N+1, 2, W) stack whose pair k is
+[R_c,k; R_s,k], or [R_c,k; i R_s,k] when they are complex: the layout its
+product reads.  The kernel fills the phase table exp(i E t) one block of
+rows at a time, in one reused buffer, and multiplies each block straight
+into its rows, so beyond the rows it holds O(block N + N^2) memory, not a
+(T, N+1) table.  On a uniform grid, t[:-1] == arange(T - 1) * t[1] exactly,
+as `TimeGrid.linspace` writes it, a table of at least PHASE_TABLE_MIN
+entries T (N+1) takes cos and sin at ceil(sqrt(T)) offsets and about as
+many anchors only; every other entry is an anchor times an offset (angle
+addition), and the last row, t_max, is evaluated directly.  Other grids
+and smaller tables evaluate every phase.  Each block is within
+2 eps max|E t| + 4 eps of cos and sin of the exact phases of the stored
+times, against eps max|E t| / 2 + eps evaluated directly.
 
 The sum rule is the contract on every row compute_propagator returns: its
 sup defect over the grid must be at most SUM_RULE_TOL, or the rows are
@@ -69,6 +73,7 @@ master-equation generators and bath sums with derivatives use them.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -93,7 +98,7 @@ DECAY_THRESHOLD = 0.1  # |A| level that decay_report's recurrence onset is measu
 LATE_FRACTION = 0.2  # trailing share of the grid that decay_report calls late
 PLATEAU_THRESHOLD = 0.05  # |A|, |C| level below which plateau_window counts memory as lost
 PHASE_TABLE_MIN = 1024  # fewest entries T (N+1) where angle addition beat direct cos and sin
-_ROW_BLOCK = 256  # grid rows per product of the real-route kernel
+_ROW_BLOCK = 256  # grid rows per phase block of the row kernel (uniform grids: whole anchor groups)
 
 
 @dataclass
@@ -197,8 +202,9 @@ def compute_propagator(m: ModelSpec, grid: TimeGrid) -> PropagatorCoefficients:
     and gives the pair frequencies E and the matrices R_c, R_s: "number",
     `eigh` of Dk for v = 0; "quadrature-svd", one (N+1) SVD for real K;
     "williamson-svd", one real (2N+2) SVD for complex K.  One call of
-    `_trig_rows` writes the rows.  The coefficients keep the route and the
-    ||K||_1 / min E bound of the pair routes.
+    `_trig_rows` writes the rows from the route's stack of R_c, R_s.  The
+    coefficients keep the route and the ||K||_1 / min E bound of the pair
+    routes.
     Without a Cholesky factor the model is unstable (ParameterError) or at
     the stability edge (NumericalError); a bound above COND_LIMIT and a sup
     sum-rule defect above SUM_RULE_TOL are NumericalErrors too.  Derivative
@@ -206,16 +212,16 @@ def compute_propagator(m: ModelSpec, grid: TimeGrid) -> PropagatorCoefficients:
     """
     if not m.v.any():
         # the eigenvectors of Dk are unitary (cond = 1): no conditioning guard
-        route, (freqs, r_cos, r_sin) = "number", _number_pairs(m)
+        route, (freqs, stack) = "number", _number_pairs(m)
     elif m.u.imag.any() or m.v.imag.any():
-        route, (freqs, r_cos, r_sin) = "williamson-svd", _williamson_pairs(m)
+        route, (freqs, stack) = "williamson-svd", _williamson_pairs(m)
     else:
-        route, (freqs, r_cos, r_sin) = "quadrature-svd", _quadrature_pairs(*_quadrature_modes(m))
+        route, (freqs, stack) = "quadrature-svd", _quadrature_pairs(*_quadrature_modes(m))
     # the pair frequencies E descend: E[-1] is the smallest
     cond_bound = None if route == "number" else _check_conditioning(m, freqs[-1])
     # v = 0 fills only the (a, b_k) columns: C and D stay exactly zero
     rows = np.zeros((len(grid), 2 * m.n_modes + 2), dtype=complex)
-    _trig_rows(grid.t, freqs, r_cos, r_sin, rows[:, : r_cos.shape[1]])
+    _trig_rows(grid.t, freqs, stack, rows[:, : stack.shape[-1]])
     # t = 0 is the identity exactly; drop the reconstruction rounding there
     rows[0, :] = 0.0
     rows[0, 0] = 1.0
@@ -264,21 +270,23 @@ def _check_conditioning(m: ModelSpec, min_freq: float) -> float:
     return float(bound)
 
 
-def _number_pairs(m: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(E, R_c, R_s) of `_trig_rows` for v = 0, from `eigh` of Dk.
+def _number_pairs(m: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(E, stack) of `_trig_rows` for v = 0, from `eigh` of Dk.
 
     (a, b_k) evolve alone under exp(-i Dk t), for any Hermitian Dk.  With
     Dk = V diag(E) V^dag the a-row is exp(-i E t) w V^dag, w = V's a-row, so
     R_c = w V^dag and R_s = -R_c over the N+1 (a, b_k) columns.  A real Dk
-    (real u) keeps V, R_c and R_s real.
+    (real u) keeps V, R_c and R_s real; a complex one stacks R_c and
+    i R_s = -i R_c.
     """
     block = _number_block(m)
     freqs, vecs = np.linalg.eigh(block if m.u.imag.any() else block.real)
     if freqs[0] <= 0.0:
         _check_stable(m)
-    # C order: the complex kernel takes the interleaved float view of [R_c; i R_s]
-    r_cos = np.multiply(vecs[0, :, None], vecs.T.conj(), order="C")
-    return freqs, r_cos, -r_cos
+    stack = np.empty((freqs.size, 2, freqs.size), dtype=vecs.dtype)
+    np.multiply(vecs[0, :, None], vecs.T.conj(), out=stack[:, 0])
+    np.multiply(stack[:, 0], -1j if np.iscomplexobj(stack) else -1.0, out=stack[:, 1])
+    return freqs, stack
 
 
 def _williamson_modes(m: ModelSpec) -> tuple[np.ndarray, ...]:
@@ -315,8 +323,8 @@ def _williamson_modes(m: ModelSpec) -> tuple[np.ndarray, ...]:
     return will, *np.linalg.svd(will), np.array([g_x, (1j * math.sqrt(0.5) - l10 * g_x) / l11])
 
 
-def _williamson_pairs(m: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(E, R_c, R_s) of `_trig_rows` from `_williamson_modes`.
+def _williamson_pairs(m: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(E, stack [R_c; i R_s]) of `_trig_rows` from `_williamson_modes`.
 
     A is antisymmetric, so its singular values come in equal pairs, and on
     the span of a pair exp(A t) = cos(sigma t) + sin(sigma t) A / sigma:
@@ -349,15 +357,13 @@ def _williamson_pairs(m: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     np.multiply(vt[:, n : 2 * n], -root, out=modes[:, 1 : n + 1].imag)
     modes[:, n + 2 :] = np.conj(modes[:, 1 : n + 1])
     weights = np.stack(((will[:, 2 * n :] @ g) @ left / sigma, beta / np.repeat(freqs, 2)))
-    del will, left  # so the rows below and the kernel's tables can reuse their memory
-    # pair k: [alpha; beta / E] of its two columns times their two rows, into [R_c; i R_s]
-    r_cos, r_sin = rows = np.empty((2, n + 1, 2 * n + 2), dtype=complex)
-    np.matmul(weights.reshape(2, n + 1, 2).transpose(1, 0, 2), modes.reshape(n + 1, 2, -1),
-              out=rows.transpose(1, 0, 2))
+    del will, left  # so the stack below and the kernel's phase block can reuse their memory
+    # pair k: [alpha; beta / E] of its two columns times their two rows is [R_c,k; i R_s,k]
+    stack = np.matmul(weights.reshape(2, n + 1, 2).transpose(1, 0, 2), modes.reshape(n + 1, 2, -1))
+    r_cos = stack[:, 0]
     r_cos[-1] = -r_cos[:-1].sum(axis=0)
     r_cos[-1, 0] += 1.0
-    r_sin *= -1j
-    return freqs, r_cos, r_sin
+    return freqs, stack
 
 
 def _quadrature_modes(m: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -385,8 +391,8 @@ def _quadrature_modes(m: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def _quadrature_pairs(
     freqs: np.ndarray, x_modes: np.ndarray, p_modes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(E, R_c, R_s) of `_trig_rows` from the modes of `_quadrature_modes`.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(E, stack [R_c; R_s]) of `_trig_rows` from the modes of `_quadrature_modes`.
 
     With a = (x_0 + i p_0) / sqrt(2), a(t) takes alpha_j = P_0j / E_j of
     xi_j(t) and beta_j = X_0j / E_j of pi_j(t); xi_j(t) = cos xi_j + sin pi_j
@@ -407,56 +413,49 @@ def _quadrature_pairs(
     r_cos = np.hstack((ax + bp, ax - bp))
     r_cos[-1] = -r_cos[:-1].sum(axis=0)
     r_cos[-1, 0] += 1.0
-    return freqs, r_cos, np.hstack((-(bx + ap), ap - bx))
+    return freqs, np.stack((r_cos, np.hstack((-(bx + ap), ap - bx))), axis=1)
 
 
-def _trig_rows(
-    t: np.ndarray, freqs: np.ndarray, r_cos: np.ndarray, r_sin: np.ndarray, out: np.ndarray
-) -> None:
+def _trig_rows(t: np.ndarray, freqs: np.ndarray, stack: np.ndarray, out: np.ndarray) -> None:
     """Write the rows cos(E t) @ R_c + i sin(E t) @ R_s, one per grid time, into out.
 
-    The kernel of every route, on the phase table exp(i E t) of
-    `_phase_table`.  Real R_c, R_s (real K; real u, v = 0) take one real
-    product each, of the table's real and imaginary parts into out's real and
-    imaginary parts; these views are strided, so numpy buffers them, and the
-    products go in blocks of _ROW_BLOCK rows to keep those buffers small.
-    Complex ones take one real product of the table's interleaved float view
-    [cos_k, sin_k] with the rows [R_c_k; i R_s_k], interleaved alike,
-    straight into out: half the arithmetic of a complex product.
+    The kernel of every route.  stack is the route's (n, 2, W) array, whose
+    pair k is the two rows [R_c,k; R_s,k] when they are real (real K; real u,
+    v = 0) and [R_c,k; i R_s,k] when they are complex.  The phase table
+    exp(i E t) comes one row block at a time from `_phase_blocks`, and each
+    block is multiplied straight into its rows of out.  Real stacks take one
+    real product each, of the block's real and imaginary parts into out's
+    real and imaginary parts (numpy buffers these strided views).  Complex
+    ones take one real product of the block's interleaved float view
+    [cos_k, sin_k] with the stack, interleaved alike: half the arithmetic of
+    a complex product.
     """
-    table = _phase_table(t, freqs)
-    if not np.iscomplexobj(r_cos):
-        for first in range(0, t.size, _ROW_BLOCK):
-            rows = slice(first, first + _ROW_BLOCK)
-            np.matmul(table[rows].real, r_cos, out=out[rows].real)
-            np.matmul(table[rows].imag, r_sin, out=out[rows].imag)
+    if np.iscomplexobj(stack):
+        flat = stack.reshape(2 * freqs.size, -1).view(np.float64)
+        for rows, phases in _phase_blocks(t, freqs):
+            np.matmul(phases.view(np.float64), flat, out=out[rows].view(np.float64))
         return
-    stacked = np.empty((freqs.size, 2, r_cos.shape[1]), dtype=complex)
-    stacked[:, 0] = r_cos
-    np.multiply(r_sin, 1j, out=stacked[:, 1])
-    np.matmul(
-        table.view(np.float64),
-        stacked.reshape(2 * freqs.size, -1).view(np.float64),
-        out=out.view(np.float64),
-    )
+    for rows, phases in _phase_blocks(t, freqs):
+        np.matmul(phases.real, stack[:, 0], out=out[rows].real)
+        np.matmul(phases.imag, stack[:, 1], out=out[rows].imag)
 
 
-def _phase_table(t: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """The (T, n) phase table exp(i E t) of the grid times t and the n frequencies E.
+def _phase_blocks(t: np.ndarray, freqs: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """The phase table exp(i E t) of the grid times t, as (rows, block) pairs in grid order.
 
-    A grid is uniform when t[:-1] == arange(T - 1) * t[1] holds exactly, as
-    it does for every `TimeGrid.linspace`.  There, from PHASE_TABLE_MIN table
-    entries T n on, `_uniform_phases` fills the table from cos and sin at
+    Every block is the same reused buffer, overwritten by the next one.  A
+    grid is uniform when t[:-1] == arange(T - 1) * t[1] holds exactly, as it
+    does for every `TimeGrid.linspace`.  There, from PHASE_TABLE_MIN table
+    entries T n on, `_uniform_blocks` fills the table from cos and sin at
     about 2 sqrt(T) n phases.  Smaller tables, where that costs more than it
-    saves, and other grids take cos and sin of every phase t E.
+    saves, and other grids take cos and sin of every phase t E, in
+    `_direct_blocks`.
     """
-    table = np.empty((t.size, freqs.size), dtype=complex)
     head = t[:-1]
-    if table.size >= PHASE_TABLE_MIN and np.array_equal(head, np.arange(head.size) * t[1:2]):
-        _uniform_phases(t, freqs, table)
-    else:
-        _direct_phases(t, freqs, table)
-    return table
+    if t.size * freqs.size >= PHASE_TABLE_MIN and np.array_equal(
+            head, np.arange(head.size) * t[1:2]):
+        return _uniform_blocks(t, freqs)
+    return _direct_blocks(t, freqs)
 
 
 def _direct_phases(t: np.ndarray, freqs: np.ndarray, table: np.ndarray) -> None:
@@ -466,36 +465,55 @@ def _direct_phases(t: np.ndarray, freqs: np.ndarray, table: np.ndarray) -> None:
     np.sin(phase, out=table.imag)
 
 
-def _uniform_phases(t: np.ndarray, freqs: np.ndarray, table: np.ndarray) -> None:
-    """`_direct_phases` for a uniform grid, t[i] = i t[1] for i < T - 1, by angle addition.
+def _direct_blocks(t: np.ndarray, freqs: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """`_phase_blocks` of _ROW_BLOCK rows, each phase by cos and sin."""
+    phases = np.empty((min(t.size, _ROW_BLOCK), freqs.size), dtype=complex)
+    for first in range(0, t.size, _ROW_BLOCK):
+        rows = slice(first, min(first + _ROW_BLOCK, t.size))
+        block = phases[: rows.stop - first]
+        _direct_phases(t[rows], freqs, block)
+        yield rows, block
+
+
+def _uniform_blocks(t: np.ndarray, freqs: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """`_phase_blocks` for a uniform grid, t[i] = i t[1] for i < T - 1, by angle addition.
 
     With b = ceil(sqrt(T)) the time of row q b + r is the anchor t[q b] plus
     the offset t[r], r < b.  Only the b offsets and the ceil((T - 1) / b)
-    anchors take cos and sin; each block of b rows is then the anchor's
-    exp(i E t[q b]) times the offsets' exp(i E t[r]), written in place:
+    anchors take cos and sin; each group of b rows is then the anchor's
+    exp(i E t[q b]) times the offsets' exp(i E t[r]):
 
         cos(x + y) = cos x cos y - sin x sin y,
         sin(x + y) = sin x cos y + cos x sin y.
 
-    The last row holds t_max, which `linspace` sets apart from (T - 1) t[1],
-    and is evaluated directly.  Against cos and sin of the exact phases t E of
-    the stored times, the error is at most 2 eps max|E t| + 4 eps: the
-    anchor's and the offset's phases each carry the rounding of a product t E,
-    and the stored times the rounding of i t[1].  Direct evaluation carries
-    the first alone.
+    A block holds whole groups: as many as fit in _ROW_BLOCK rows, at least
+    one.  The last row holds t_max, which `linspace` sets apart from (T - 1)
+    t[1], and is evaluated directly.  Against cos and sin of the exact phases
+    t E of the stored times, the error is at most 2 eps max|E t| + 4 eps: the
+    anchor's and the offset's phases each carry the rounding of a product
+    t E, and the stored times the rounding of i t[1].  Direct evaluation
+    carries the first alone.
     """
     head = t.size - 1
-    block = math.isqrt(head) + 1  # ceil(sqrt(T))
-    offsets = np.empty((min(block, head), freqs.size), dtype=complex)
-    _direct_phases(t[: offsets.shape[0]], freqs, offsets)
-    anchors = np.empty(((head + block - 1) // block, freqs.size), dtype=complex)
-    _direct_phases(t[:head:block], freqs, anchors)
-    full = head // block
-    if full:
-        full_blocks = table[: full * block].reshape(full, block, freqs.size)
-        np.multiply(anchors[:full, None], offsets, out=full_blocks)
-    np.multiply(anchors[full:], offsets[: head - full * block], out=table[full * block : head])
-    _direct_phases(t[head:], freqs, table[head:])
+    span = math.isqrt(head) + 1  # ceil(sqrt(T)), never more than T
+    offsets = np.empty((span, freqs.size), dtype=complex)
+    _direct_phases(t[:span], freqs, offsets)
+    anchors = np.empty(((head + span - 1) // span, freqs.size), dtype=complex)
+    _direct_phases(t[:head:span], freqs, anchors)
+    height = span * max(1, _ROW_BLOCK // span)
+    phases = np.empty((min(t.size, height), freqs.size), dtype=complex)
+    for first in range(0, t.size, height):
+        rows = slice(first, min(first + height, t.size))
+        block = phases[: rows.stop - first]
+        lead = block[: head - first]  # the rows before t_max
+        full, part = divmod(lead.shape[0], span)
+        group = anchors[first // span :]
+        np.multiply(group[:full, None], offsets,
+                    out=lead[: full * span].reshape(full, span, freqs.size))
+        np.multiply(group[full : full + 1], offsets[:part], out=lead[full * span :])
+        if rows.stop == t.size:
+            _direct_phases(t[head:], freqs, block[head - first :])
+        yield rows, block
 
 
 def row_slice(p: PropagatorCoefficients, i: int) -> slice:

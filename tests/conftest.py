@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import qbath
 import numpy as np
 import pytest
 
-from qbath import TimeGrid, compute_propagator, stock_model
+from qbath import TimeGrid, compute_propagator, propagator, stock_model
 from qbath.model import ModelSpec, dynamical_matrix
 from qbath.propagator import plateau_window
 
@@ -87,6 +88,69 @@ def eig_route_rows():
         out = (np.exp(np.multiply.outer(grid.t, lam)) * vecs[0, :]) @ np.linalg.inv(vecs)
         out[0, :] = 0.0
         out[0, 0] = 1.0
+        return out
+
+    return rows
+
+
+@pytest.fixture(scope="session")
+def one_shot_phases():
+    """The whole (T, n) phase table exp(i E t) of the grid times t, as one array.
+
+    The reference of the propagator kernel's block fill, which must match it
+    bit for bit: on a uniform grid, t[:-1] == arange(T - 1) * t[1] exactly,
+    of at least PHASE_TABLE_MIN entries T n, cos and sin of b = ceil(sqrt(T))
+    offsets and ceil((T - 1) / b) anchors, every row q b + r before the last
+    the anchor t[q b] times the offset t[r], and the last row direct; on
+    other grids and smaller tables, cos and sin of every phase.
+    """
+
+    def direct(t, freqs, table):
+        phase = np.multiply.outer(t, freqs)
+        np.cos(phase, out=table.real)
+        np.sin(phase, out=table.imag)
+
+    def phases(t, freqs):
+        table = np.empty((t.size, freqs.size), dtype=complex)
+        head = t.size - 1
+        if table.size < propagator.PHASE_TABLE_MIN or not np.array_equal(
+                t[:head], np.arange(head) * t[1:2]):
+            direct(t, freqs, table)
+            return table
+        span = math.isqrt(head) + 1
+        offsets = np.empty((min(span, head), freqs.size), dtype=complex)
+        direct(t[: offsets.shape[0]], freqs, offsets)
+        anchors = np.empty(((head + span - 1) // span, freqs.size), dtype=complex)
+        direct(t[:head:span], freqs, anchors)
+        full = head // span
+        if full:
+            np.multiply(anchors[:full, None], offsets,
+                        out=table[: full * span].reshape(full, span, freqs.size))
+        np.multiply(anchors[full:], offsets[: head - full * span], out=table[full * span : head])
+        direct(t[head:], freqs, table[head:])
+        return table
+
+    return phases
+
+
+@pytest.fixture(scope="session")
+def one_shot_rows(one_shot_phases):
+    """Rows of the propagator kernel's (n, 2, W) stack by one product over the whole table.
+
+    A real stack [R_c,k; R_s,k] takes one real product each into the rows'
+    real and imaginary parts, a complex stack [R_c,k; i R_s,k] one real
+    product of the table's interleaved float view.
+    """
+
+    def rows(t, freqs, stack):
+        table = one_shot_phases(t, freqs)
+        out = np.empty((t.size, stack.shape[-1]), dtype=complex)
+        if np.iscomplexobj(stack):
+            np.matmul(table.view(np.float64), stack.reshape(2 * freqs.size, -1).view(np.float64),
+                      out=out.view(np.float64))
+        else:
+            np.matmul(table.real, stack[:, 0], out=out.real)
+            np.matmul(table.imag, stack[:, 1], out=out.imag)
         return out
 
     return rows

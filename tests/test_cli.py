@@ -262,8 +262,8 @@ def test_sum_rule_contract_exits_3(tmp_path, capsys, monkeypatch, sample_config,
     # v = 0 (observables-rwa-coherent) included, writes its rows in _trig_rows
     kernel = qbath.propagator._trig_rows
 
-    def scaled_kernel(t, freqs, r_cos, r_sin, out):
-        kernel(t, freqs, r_cos, r_sin, out)
+    def scaled_kernel(t, freqs, stack, out):
+        kernel(t, freqs, stack, out)
         out *= 1.0 + 1e-9
 
     monkeypatch.setattr(qbath.propagator, "_trig_rows", scaled_kernel)

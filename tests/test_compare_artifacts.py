@@ -34,6 +34,29 @@ def test_checkout_compared_with_itself_is_identical():
     assert any(line.startswith("configs/propagate-ohmic-pp/propagator_bd.bin") for line in lines)
 
 
+def test_workload_propagate_jobs_also_write_their_rows(tmp_path, run_python):
+    # spectral's propagate configs ask for json alone; the tool's copies add the CSV and
+    # the sidecar, so the rows are compared too.  The jobs are listed in a fresh interpreter,
+    # as the tool lists them: perfbench's modules stay out of the test process, whose
+    # hypothesis examples draw on the constants of the modules loaded there
+    listed = run_python(f"""
+import importlib.util, json
+from pathlib import Path
+spec = importlib.util.spec_from_file_location("compare_artifacts", {str(TOOL)!r})
+tool = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tool)
+jobs = tool._jobs(Path({str(ROOT)!r}), ["propagate-ohmic-pp"], True, Path({str(tmp_path)!r}))
+print(json.dumps([(name, json.loads(config.read_text())["outputs"]["formats"])
+                  for name, sub, config in jobs if sub == "propagate"]))
+""")
+    propagate = json.loads(listed)
+    assert any(name.startswith("spectral/seed-1/propagate-") for name, _ in propagate)
+    for name, formats in propagate:
+        assert {"csv", "sidecar"} <= set(formats), name
+        if name.startswith("spectral/"):
+            assert sorted(formats) == ["csv", "json", "sidecar"]
+
+
 def test_differing_files_report_their_largest_relative_deviation(tmp_path):
     tool = _tool()
     trees = tmp_path / "a", tmp_path / "b"

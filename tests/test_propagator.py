@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -167,40 +168,48 @@ def _phase_error(table, t, freqs):
                      np.max(np.abs(table.imag - sin), initial=0.0)))
 
 
-def _table(fill, t, freqs):
-    table = np.empty((t.size, freqs.size), dtype=complex)
-    fill(t, freqs, table)
-    return table
+def _block_fill(t, freqs):
+    """The phase table exp(i E t) as the kernel's block fill writes it, block after block."""
+    blocks = []
+    for rows, block in propagator._phase_blocks(t, freqs):
+        assert rows.start == sum(map(len, blocks))
+        assert block.shape == (rows.stop - rows.start, freqs.size)
+        blocks.append(block.copy())  # the next block overwrites this one
+    assert sum(map(len, blocks)) == t.size
+    return np.concatenate(blocks)
 
 
 @pytest.mark.parametrize("t_max, steps, n", [(120.0, 1600, 257), (1000.0, 20000, 9),
                                              (40.0, 100, 65), (8.9, 180, 2)])
-def test_phase_table_against_long_double_reference(t_max, steps, n):
+def test_phase_table_against_long_double_reference(t_max, steps, n, monkeypatch):
     # angle addition: within 2 eps max|E t| + 4 eps; direct: eps max|E t| / 2 + eps
     t = TimeGrid.linspace(t_max, steps).t
     freqs = np.linspace(0.01, 8.0, n)
     largest = t_max * freqs[-1]
-    table = _table(propagator._uniform_phases, t, freqs)
+    monkeypatch.setattr(propagator, "PHASE_TABLE_MIN", 0)
+    table = _block_fill(t, freqs)
     assert _phase_error(table, t, freqs) <= 2 * EPS * largest + 4 * EPS
-    direct = _table(propagator._direct_phases, t, freqs)
+    monkeypatch.setattr(propagator, "PHASE_TABLE_MIN", np.inf)
+    direct = _block_fill(t, freqs)
     assert _phase_error(direct, t, freqs) <= EPS * largest / 2 + EPS
 
 
 @pytest.mark.parametrize("steps", [0, 1, 2, 3, 9, 12, 16, 25, 40])
-def test_phase_table_at_every_block_shape(steps):
-    # T = 1, 2, 3; 12 uniform rows are three blocks of b = 4, while 9, 16, 25
-    # and 40 leave a part block (b = 4, 5, 6, 7)
+def test_phase_table_at_every_block_shape(steps, monkeypatch):
+    # T = 1, 2, 3; 12 uniform rows are three groups of b = 4, while 9, 16, 25
+    # and 40 leave a part group (b = 4, 5, 6, 7)
     t = np.linspace(0.0, 3.7, steps + 1)
     freqs = np.array([0.3, 1.7, 5.2])
-    table = _table(propagator._uniform_phases, t, freqs)
+    monkeypatch.setattr(propagator, "PHASE_TABLE_MIN", 0)
+    table = _block_fill(t, freqs)
     assert _phase_error(table, t, freqs) <= 2 * EPS * 3.7 * 5.2 + 4 * EPS
     assert table[0].tolist() == [1.0] * 3
 
 
 def test_phase_table_takes_angle_addition_on_large_uniform_grids(monkeypatch):
     calls = []
-    uniform = propagator._uniform_phases
-    monkeypatch.setattr(propagator, "_uniform_phases",
+    uniform = propagator._uniform_blocks
+    monkeypatch.setattr(propagator, "_uniform_blocks",
                         lambda *args: calls.append(args[0].size) or uniform(*args))
     n = 5
     below = propagator.PHASE_TABLE_MIN // n - 1  # T n just under the threshold
@@ -208,16 +217,97 @@ def test_phase_table_takes_angle_addition_on_large_uniform_grids(monkeypatch):
     freqs = np.linspace(0.2, 3.0, n)
     for times in (np.linspace(0.0, 10.0, below), np.linspace(0.0, 10.0, above),
                   np.arange(above) * 0.01):  # explicit times that are uniform
-        propagator._phase_table(times, freqs)
+        _block_fill(times, freqs)
     assert calls == [above, above]
     # the same times with one nudged by an ulp take the direct path
     times = np.linspace(0.0, 10.0, above)
     nudged = times.copy()
     nudged[7] = np.nextafter(nudged[7], np.inf)
-    direct = propagator._phase_table(nudged, freqs)
+    direct = _block_fill(nudged, freqs)
     assert calls == [above, above]
-    table = propagator._phase_table(times, freqs)
+    table = _block_fill(times, freqs)
     assert np.max(np.abs(table - direct)) <= 2 * EPS * 10.0 * 3.0 + 4 * EPS + 2 * EPS * 3.0
+
+
+# grid sizes T around the kernel's row blocks: b = ceil(sqrt(T)) rows per anchor group, and
+# a block of _ROW_BLOCK = 256 rows, or on uniform grids the whole groups that fit in it.
+# The 1601-point grid has b = 41 and blocks of 246 rows (41, 245, 246, 247 and 493 are b,
+# block - 1, block, block + 1 and 2 block + 1 there).  Uniform: 255 and 256 are one block
+# (b = 16) that ends inside and at the end of a group; 257 (b = 17) is 255 rows and a block
+# of 2; 493, 507 and 513 (b = 23) are two blocks of 253 rows and a last one of 240, 1 and
+# 7 rows.  Direct: 257 and 513 leave one row after one and two blocks of 256.
+BLOCK_GRID_SIZES = (1, 2, 3, 41, 245, 246, 247, 255, 256, 257, 493, 507, 513, 1601)
+
+
+def _nudged(t):
+    """t with one inner time moved up by an ulp: not uniform from T = 4 on."""
+    nudged = t.copy()
+    nudged[t.size // 2] = np.nextafter(nudged[t.size // 2], np.inf)
+    return nudged
+
+
+@pytest.mark.parametrize("n", [1, 3, 33, 257])
+def test_block_fill_is_the_one_shot_table_bit_for_bit(n, one_shot_phases):
+    freqs = np.linspace(0.05, 8.0, n)
+    for size in (*BLOCK_GRID_SIZES, 12801):
+        t = np.linspace(0.0, 120.0, size)
+        for times in (t, _nudged(t)):
+            assert _block_fill(times, freqs).tobytes() == one_shot_phases(times, freqs).tobytes()
+
+
+def _n32_models():
+    """A model of each kernel operand at N = 32: (route, real or complex stack)."""
+    k = np.arange(32)
+    omegas, u = 0.5 + 0.03 * k, 0.04 * np.cos(0.7 * k)
+    phase = np.exp(0.9j * k)
+    return {
+        "number-real-u": ModelSpec(1.0, omegas, u, coupling_family="RWA"),
+        "number-complex-u": ModelSpec(1.0, omegas, u * phase),
+        "quadrature-svd": ModelSpec(1.0, omegas, u, coupling_family="PositionPosition"),
+        "williamson-svd": ModelSpec(1.0, omegas, u * phase, 0.3 * u / phase),
+    }
+
+
+@pytest.mark.parametrize("name", list(_n32_models()))
+def test_rows_match_the_one_shot_kernel_at_every_block_boundary(name, monkeypatch,
+                                                                 one_shot_rows):
+    m = _n32_models()[name]
+    monkeypatch.setattr(propagator, "PHASE_TABLE_MIN", 0)  # uniform grids of T = 1, 2, 3 too
+    handed = []
+    kernel = propagator._trig_rows
+    monkeypatch.setattr(propagator, "_trig_rows", lambda t, freqs, stack, out: (
+        handed.append((freqs, stack)), kernel(t, freqs, stack, out)))
+    for size in BLOCK_GRID_SIZES:
+        t = TimeGrid.linspace(60.0, size - 1).t if size > 1 else np.zeros(1)
+        for times in (t, _nudged(t)) if size > 3 else (t,):
+            p = compute_propagator(m, TimeGrid(times))
+            freqs, stack = handed.pop()
+            assert np.iscomplexobj(stack) == (name in ("number-complex-u", "williamson-svd"))
+            want = np.zeros_like(p.rows)
+            want[:, : stack.shape[-1]] = one_shot_rows(times, freqs, stack)
+            want[0] = 0.0
+            want[0, 0] = 1.0
+            assert np.max(np.abs(p.rows - want)) <= 1e-15, (name, size)
+
+
+@pytest.mark.parametrize("name", list(_n32_models()))
+def test_kernel_memory_beyond_the_rows_does_not_grow_with_the_grid(name):
+    # the phase table goes through the product one row block at a time: beyond its
+    # output rows, compute_propagator holds O(block N + N^2), not a (T, N + 1) table
+    m = _n32_models()[name]
+    compute_propagator(m, TimeGrid.linspace(60.0, 400))  # first-call allocations
+
+    def extra(steps):
+        grid = TimeGrid.linspace(60.0, steps)
+        tracemalloc.start()
+        try:
+            p = compute_propagator(m, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - p.rows.nbytes
+
+    assert extra(12800) <= 1.5 * extra(400)
 
 
 @pytest.mark.parametrize("name", ["ohmic-rwa-n64", "ohmic-pp-n64", *CUSTOM_MODELS])
@@ -362,8 +452,8 @@ def test_real_model_takes_the_same_modes_through_both_svd_routes(name):
     pairs = propagator._williamson_pairs(m), propagator._quadrature_pairs(
         *propagator._quadrature_modes(m))
     rows = np.zeros((2, len(grid), 2 * m.n_modes + 2), dtype=complex)
-    for (freqs, r_cos, r_sin), out in zip(pairs, rows):
-        propagator._trig_rows(grid.t, freqs, r_cos, r_sin, out)
+    for (freqs, stack), out in zip(pairs, rows):
+        propagator._trig_rows(grid.t, freqs, stack, out)
     np.testing.assert_allclose(pairs[0][0], pairs[1][0], rtol=0, atol=1e-12)
     assert np.max(np.abs(rows[0] - rows[1])) <= 1e-12
 

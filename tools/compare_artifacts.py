@@ -8,7 +8,10 @@ NAMEs given), each with the subcommand its file name starts with, and with
 ``--workloads`` also the jobs of the benchmark's three workloads at the seeds
 1, 2 and 3, each seed in its own ``<workload>/seed-<seed>`` subtree, whose
 configs come from the checkout's ``perfbench/workloads.py`` (imported, never
-changed).  Every data file is then compared across the two output trees.  A
+changed).  In the tool's own copy of those configs every propagate job also
+writes the formats ``csv`` and ``sidecar``, so that the rows themselves are
+compared, not only their summary.  Every data file is then compared across
+the two output trees.  A
 line says ``identical``, or gives the largest relative deviation
 |a - b| / max(|a|, |b|) and the largest absolute deviation |a - b| over the
 numbers of the file: the CSV cells, the JSON numbers, or the float64 parts of
@@ -71,9 +74,19 @@ def _jobs(root: Path, names: list[str] | None, workloads: bool, work: Path):
                 tree = f"{workload}/seed-{seed}"
                 cfg_dir = work / "workload-configs" / tree
                 for job in module.write_configs(workload, seed, "full", cfg_dir):
-                    jobs.append((f"{tree}/{job.name}", job.subcommand,
-                                 cfg_dir / f"{job.config}.json"))
+                    config = cfg_dir / f"{job.config}.json"
+                    if job.subcommand == "propagate":
+                        _add_row_formats(config)
+                    jobs.append((f"{tree}/{job.name}", job.subcommand, config))
     return jobs
+
+
+def _add_row_formats(config: Path) -> None:
+    """Make the propagate config file at config also write its rows: csv and sidecar."""
+    doc = json.loads(config.read_text())
+    formats = doc.setdefault("outputs", {}).setdefault("formats", ["csv", "json"])
+    formats += [fmt for fmt in ("csv", "sidecar") if fmt not in formats]
+    config.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _run_checkout(out: Path, names: list[str] | None, workloads: bool) -> int:
