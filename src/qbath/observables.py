@@ -13,24 +13,28 @@ oscillator state and the bath influence are Gaussian it is
 1/(2 sqrt(a^2 - 4|g|^2)) in the total Gaussian parameters; otherwise one
 quadrature driver integrates |chi|^2 = |chi0|^2 |F_g|^2 prod_k L_{n_k}^2,
 with F_g and n_k from baths._laguerre_split, on a tensor Gauss-Hermite rule
-in the coordinates that whiten its Gaussian envelope, doubling the nodes per
-axis until two successive levels agree.  The reduced state is Hermitian, so
-|chi|^2 is even in eta; the rule's nodes come in exact +- pairs, and each
-level evaluates only the half plane, n ceil(n/2) of its n^2 nodes.  The
-first comparison needs two levels, so levels 16 and 32 share one chi_eval
-call on their joined nodes, each summed on its own points; the node tables
-of each level set are built on first use and cached.
+in the coordinates that whiten its Gaussian envelope, stepping up the
+LADDER of nodes per axis (16, 24, 32, then doubling to 256) until two
+successive levels agree.  A cat row ends only on a level fine enough for
+the fringes of its lobe cross terms (_fringe_nodes): closer rungs would
+otherwise let two unresolved levels agree by accident.  The reduced
+state is Hermitian, so |chi|^2 is even in eta; the rule's nodes come in
+exact +- pairs, and each level evaluates only the half plane, n ceil(n/2)
+of its n^2 nodes.  The first comparison needs two levels, so levels 16 and
+24 share one chi_eval call on their joined nodes, each summed on its own
+points; the node tables of each level set are built on first use and cached.
 For a Gaussian state the rest of the integrand is a polynomial, and the rule
-is exact at 2 sum_k n_k + 1 nodes per axis; up to 2 N_START nodes that rule
-is the first and only level.  The driver takes a set of grid rows and a
-member matrix.  Each level runs the rows still pending in blocks of bounded
-size through the whitening, chi_eval and the Laguerre table, each step
-elementwise in the rows, and a row leaves once it has converged, so a row
-has the same bits in any row set and costs the levels it needs alone.  The
-members of a number-state ensemble share one row's node set, and each level
-evaluates them together: one laguerre.log_products table of the distinct
-(mode, order) factors, summed per member in blocks of bounded size, so a
-member has the same bits alone as in any ensemble.
+is exact at 2 sum_k n_k + 1 nodes per axis; up to EXACT_FIRST nodes that
+rule is the first and only level, and above it the rule caps the ladder.
+_quadrature takes a set of grid rows and a member matrix.  Each level runs
+the rows still pending in blocks of bounded size through the whitening,
+chi_eval and the Laguerre table, each step elementwise in the rows, and a
+row leaves once it has converged, so a row has the same bits in any row set
+and costs the levels it needs alone.  The members of a number-state ensemble
+share one row's node set, and each level evaluates them together: one
+laguerre.log_products table of the distinct (mode, order) factors, summed
+per member in blocks of bounded size, so a member has the same bits alone as
+in any ensemble.
 """
 
 from __future__ import annotations
@@ -87,8 +91,10 @@ __all__ = [
     "observable_series",
 ]
 
-N_START = 16  # Gauss-Hermite nodes per axis at the first quadrature level
-MAX_NODES = 256  # nodes per axis at the finest level; hermgauss(512) is not finite
+LADDER = (16, 24, 32, 64, 128, 256)  # Gauss-Hermite nodes per axis of the levels
+MAX_NODES = LADDER[-1]  # nodes per axis at the finest level; hermgauss(512) is not finite
+EXACT_FIRST = 32  # an exact rule of at most this many nodes per axis is the only level
+FRINGE = math.e / 8  # nodes per axis per |b|^2 that resolve a cross term exp(b.y) (_fringe_nodes)
 ENSEMBLE_TOL = 1e-7  # level agreement of the number-ensemble quadrature
 
 
@@ -285,6 +291,30 @@ def _whitened(p: PropagatorCoefficients, rows, s: OscillatorState, gauss_bath):
     return _whitening(a, g, disc, rows)
 
 
+def _fringe_nodes(p: PropagatorCoefficients, rows, s: OscillatorState, whiten) -> np.ndarray:
+    """Nodes per axis that resolve a cat's |chi|^2 on the grid indices rows: FRINGE k^2.
+
+    |chi|^2 sums 16 cross terms, one per lobe pair (g_a, d_a) of chi and (g_b, d_b)
+    of chi^*.  In the coordinates y of x = W y each is exp(-|y|^2 + b.y) times a
+    constant, with b = W^T (p + q, i (p - q)), p = u A^* - v C^*, q = v A - u C,
+    u = g_a^* - d_b^* and v = g_b - d_a, and an n-point Gauss-Hermite rule
+    resolves exp(b.y) once n >~ e |b_j|^2 / 8 on each axis j; k is the largest
+    |b_j| over the terms and both axes.  b is linear, b = X^* f + Y f^* with
+    f = W^T (A^* - C, i (A^* + C)), in X = g_a - d_b and Y = g_b - d_a, each 0 or
+    +-(alpha - beta): up to sign the terms give b = z, z^*, 2 Re z and 2i Im z for
+    z = (alpha - beta)^* f, so k is twice the largest |Re z_j|, |Im z_j|.  (R,)
+    nodes for the (R, 2, 2) whitenings; zeros for a Gaussian state, whose
+    integrand is a polynomial that the exact rule bounds.
+    """
+    if is_gaussian(s):
+        return np.zeros(len(rows))
+    a_t, c_t = np.conj(p.A[rows])[:, None], p.C[rows][:, None]
+    f = whiten[:, 0] * (a_t - c_t) + whiten[:, 1] * (1j * (a_t + c_t))
+    z = np.conj(s.alpha - s.beta) * f
+    k = 2.0 * np.abs(z.view(float)).max(axis=-1)
+    return FRINGE * k * k
+
+
 @functools.cache
 def _hermite_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes y and modified weights w exp(y^2) of the n-point Gauss-Hermite rule."""
@@ -298,8 +328,9 @@ def _hermite_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return table
 
 
-# a table holds 3 n ceil(n/2) floats (0.8 MiB at n = 256), and each exact level of a
-# number bath is its own set, so only the recently used sets are kept
+# a table holds 3 n ceil(n/2) floats (0.75 MiB at n = 256), a row that walks the whole
+# ladder visits 5 sets, and each exact level of a number bath is its own set, so only the
+# recently used sets are kept
 @functools.lru_cache(maxsize=8)
 def _half_plane_table(ns: tuple[int, ...]):
     """Joined half-plane nodes of the levels ns: (y1, y2, offsets, weights, log_weights).
@@ -409,22 +440,24 @@ def _quadrature(p, rows: np.ndarray, s, gauss_bath, occs, probes, tol) -> np.nda
     |chi(x_ij)|^2 / (pi sqrt(det M)) on a tensor Gauss-Hermite rule shared
     by the members (_levels evaluates its half plane j < n/2).  Every row
     starts at the first level: the exact rule of _exact_nodes when it has at
-    most 2 N_START nodes per axis (it costs less than the two levels
-    doubling needs), otherwise the joined levels N_START and 2 N_START.  A
-    row leaves as soon as every probe member agrees with the row's previous
-    level to tol, and its other members, if any, are summed on that level
-    only; the rows left go on at twice the nodes, capped at the exact rule,
-    which ends every row without a comparison.  Each level runs its pending
-    rows in blocks with rows x nodes x m <= laguerre.BLOCK_VALUES, m the
-    occupied modes of the Laguerre table, or 32 without one (about the
-    float64 values a node holds through one chi evaluation), so the memory
-    does not grow with the rows; a row is whitened in its first block.
+    most EXACT_FIRST nodes per axis, otherwise the first two rungs of LADDER
+    joined.  A row leaves as soon as every probe member agrees with the
+    row's previous level to tol on a level of at least its _fringe_nodes, and
+    its other members, if any, are summed on that level only; the rows left
+    go on one rung up, capped at the exact rule, which ends every row without
+    a comparison.  A row still pending past the last rung raises
+    AccuracyError.  Each level runs its pending rows in blocks with
+    rows x nodes x m <= laguerre.BLOCK_VALUES, m the occupied modes of the
+    Laguerre table, or 32 without one (about the float64 values a node holds
+    through one chi evaluation), so the memory does not grow with the rows;
+    a row is whitened, and its fringe nodes taken, in its first block.
     """
     exact = _exact_nodes(s, occs)
-    ns = (exact,) if exact <= 2 * N_START else (N_START, 2 * N_START)
+    ns = (exact,) if exact <= EXACT_FIRST else LADDER[:2]
     width = np.count_nonzero(occs.any(axis=0)) or 32
     out = np.empty((occs.shape[0], rows.size))
     whiten, scale = np.empty((rows.size, 2, 2)), np.empty(rows.size)
+    fringe = np.empty(rows.size)
     prev = np.full((len(probes), rows.size), np.nan)  # compares False: no level before the first
     rest = np.ones(occs.shape[0], dtype=bool)
     rest[probes] = False  # summed on the level where their row leaves, and on no other
@@ -443,6 +476,7 @@ def _quadrature(p, rows: np.ndarray, s, gauss_bath, occs, probes, tol) -> np.nda
             block = pending[start : start + step]
             if first:
                 whiten[block], scale[block] = _whitened(p, rows[block], s, gauss_bath)
+                fringe[block] = _fringe_nodes(p, rows[block], s, whiten[block])
             sums = _levels(p, rows[block], s, gauss_bath, whiten[block], ns, occs)
             if ns[-1] == exact:
                 out[:, block] = sums(slice(None))[-1] * scale[block]
@@ -450,7 +484,7 @@ def _quadrature(p, rows: np.ndarray, s, gauss_bath, occs, probes, tol) -> np.nda
                 continue
             for k, cur in enumerate(sums(probes) * scale[block]):
                 close = np.abs(cur - prev[:, block]) < tol * np.maximum(1.0, np.abs(cur))
-                agree = close.all(axis=0)
+                agree = close.all(axis=0) & (ns[k] >= fringe[block])
                 prev[:, block] = cur
                 if agree.any():
                     if rest.any():
@@ -462,7 +496,7 @@ def _quadrature(p, rows: np.ndarray, s, gauss_bath, occs, probes, tol) -> np.nda
                     done[block[agree]] = True
         first = False
         pending = pending[~done[pending]]
-        ns = (min(2 * ns[-1], exact),)
+        ns = (min(next((n for n in LADDER if n > ns[-1]), math.inf), exact),)
     return out
 
 

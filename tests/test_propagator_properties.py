@@ -68,7 +68,28 @@ def test_random_stable_models_match_eig_route(m, eig_route_rows):
         assert not p.C.any() and not p.D.any()
 
 
+# A model that hypothesis draws only with the local modules of the tools and the benchmark
+# loaded: an uncoupled mode at 3.660 beside a coupled pair at 3.641, a gap of
+# 5.0e-3 ||A||.  Its invariant-plane residual, 3.88e-12, is 24 eps ||A||^2 / gap, and
+# above a flat 1e-12 ||A|| = 3.66e-12.
+CLOSE_PAIR = ModelSpec(
+    0.6810839822750719,
+    [0.99999, 1.6744300523393858, 0.5247413138386237, 0.10413100378738327, 3.659912237240221,
+     3.1674136430231377, 1.6707977654160615, 3.3515625, 0.5, 1.4069203071849468,
+     3.640447314991787, 0.5780300384993845],
+    [0.09105372660829254, 0.10047796463100207, 0.0259932818301547, 0.10406140183804861, 0.0,
+     0.021842518732856062, 0.03251918807439019, 0.09296474285342896, 0.05203070091902431,
+     0.019856945524792006, 0.0984476351875782, 0.06796179852866985],
+    coupling_family="PositionPosition",
+)
+# residual x gap / (eps ||A||^2) of a simple pair, the first-order (Davis-Kahan) scale of
+# an invariant plane's error, stayed at or below 44.9 over 24 000 random PositionPosition
+# and Custom models, a third of them with an uncoupled mode within 1e-4 to 0.1 of another
+PLANE_RESIDUAL = 128.0
+
+
 @given(stable_models(family="PositionPosition") | stable_models(family="Custom"))
+@hypothesis.example(CLOSE_PAIR)
 def test_williamson_modes_are_symplectically_normalized(m):
     will, _, sigma, vt, _ = propagator._williamson_modes(m)
     # the Williamson matrix A = L^T J L is built exactly antisymmetric
@@ -80,15 +101,17 @@ def test_williamson_modes_are_symplectically_normalized(m):
     av = vt @ will.T
     e_sq = np.repeat(freqs, 2)[:, None] ** 2
     assert np.max(np.abs(av @ will.T + e_sq * vt)) <= 1e-12 * norm**2
-    # a pair with a simple frequency spans an invariant plane: A v1 = -b v2, A v2 = b v1
-    # (in a repeated one, such as that of uncoupled modes, any orthonormal basis is an SVD)
+    # a pair with a simple frequency spans an invariant plane: A v1 = -b v2, A v2 = b v1,
+    # to rounding over the pair's frequency gap (in a repeated one, such as that of
+    # uncoupled modes, any orthonormal basis is an SVD)
     gaps = np.abs(freqs[:, None] - freqs[None, :]) + np.diag(np.full(freqs.size, np.inf))
-    simple = gaps.min(axis=1) > 1e-3 * norm
+    gap = gaps.min(axis=1)
+    simple = gap > 1e-3 * norm
     b = np.einsum("ij,ij->i", vt[::2], av[1::2])[simple, None]
-    tol = 1e-12 * norm
-    assert np.max(np.abs(av[::2][simple] + b * vt[1::2][simple]), initial=0.0) <= tol
-    assert np.max(np.abs(av[1::2][simple] - b * vt[::2][simple]), initial=0.0) <= tol
-    np.testing.assert_allclose(np.abs(b[:, 0]), freqs[simple], rtol=0, atol=tol)
+    plane_tol = PLANE_RESIDUAL * np.finfo(float).eps * norm**2 / gap[simple, None]
+    assert np.all(np.abs(av[::2][simple] + b * vt[1::2][simple]) <= plane_tol)
+    assert np.all(np.abs(av[1::2][simple] - b * vt[::2][simple]) <= plane_tol)
+    np.testing.assert_allclose(np.abs(b[:, 0]), freqs[simple], rtol=0, atol=1e-12 * norm)
 
 
 @given(stable_models(family="PositionPosition") | stable_models(family="Custom", real=True))

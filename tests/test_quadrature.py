@@ -225,10 +225,10 @@ def test_joined_levels_equal_single_levels_bitwise(ohmic_rwa, ohmic_pp, plateau_
         rows = np.array([plateau_index(p)])
         for case, (s, gauss_bath, occs) in _half_plane_cases(p).items():
             whiten, _ = obs._whitened(p, rows, s, gauss_bath)
-            joined = obs._levels(p, rows, s, gauss_bath, whiten, (16, 32), occs)
+            joined = obs._levels(p, rows, s, gauss_bath, whiten, obs.LADDER[:2], occs)
             both = joined(slice(None))
             picked = [occs.shape[0] - 1, 0]  # a member subset on one level, as after convergence
-            for k, n in enumerate((16, 32)):
+            for k, n in enumerate(obs.LADDER[:2]):
                 alone = obs._levels(p, rows, s, gauss_bath, whiten, (n,), occs)(slice(None))[0]
                 assert both[k].tobytes() == alone.tobytes(), (case, n)
                 one_level = joined(picked, slice(k, k + 1))
@@ -284,9 +284,9 @@ def test_half_plane_visits_the_full_rule_levels_on_half_the_nodes(
                 assert np.max(np.abs(half - full) / full) <= 1e-14, (case, i)
 
 
-def test_cat_row_converging_at_level_32_takes_one_chi_eval_call(monkeypatch, ohmic_rwa,
+def test_cat_row_converging_at_level_24_takes_one_chi_eval_call(monkeypatch, ohmic_rwa,
                                                                 plateau_index):
-    # the first two levels share one evaluation, the bath's Gaussian parameters are taken
+    # the first two rungs share one evaluation, the bath's Gaussian parameters are taken
     # once for the whitening and once for it, and the cat's overlaps were stored when built
     p, i, bath = ohmic_rwa, plateau_index(ohmic_rwa), EquilibriumBath(1.0)
     cat = CatState(alpha=1.3 + 0.4j, beta=-0.8 - 0.6j)
@@ -306,7 +306,7 @@ def test_cat_row_converging_at_level_32_takes_one_chi_eval_call(monkeypatch, ohm
                          (states, "coherent_overlap")):
         spy(module, name)
     assert obs.purity(p, i, bath, cat, method="quadrature") == expected
-    assert [np.size(args[-1]) for args in calls["chi_eval"]] == [16 * 8 + 32 * 16]
+    assert [np.size(args[-1]) for args in calls["chi_eval"]] == [16 * 8 + 24 * 12]
     assert len(calls["bath_f_params"]) == 2
     assert calls["coherent_overlap"] == []
 
@@ -322,7 +322,7 @@ def _block_rows(ns, width):
 def _exact_block_rows(bath):
     """Rows per block of a number bath whose first level is the exact rule."""
     exact = 2 * int(bath.n.sum()) + 1
-    assert exact <= 2 * obs.N_START  # the first level is the exact rule
+    assert exact <= obs.EXACT_FIRST  # the first level is the exact rule
     return _block_rows((exact,), np.count_nonzero(bath.n))
 
 
@@ -461,7 +461,7 @@ CAT_BATHS = {
 @pytest.mark.parametrize("kind", sorted(CAT_BATHS))
 @pytest.mark.parametrize("model", ["rwa_n1", "ohmic_pp"])
 def test_cat_row_sets_equal_one_index_purity_bitwise(request, model, kind, cat):
-    # cat rows double their levels, each row on its own, in blocks that converged rows leave
+    # cat rows step up the ladder, each row on its own, in blocks that converged rows leave
     p = request.getfixturevalue(model)
     bath = CAT_BATHS[kind](p)
     single = np.array([obs.purity(p, i, bath, cat) for i in range(p.n_times)])
@@ -495,13 +495,13 @@ def test_cat_row_set_evaluates_the_nodes_of_its_rows_alone(monkeypatch, ohmic_pp
     for i in range(p.n_times):
         obs.purity(p, i, bath, WIDE_CAT)
     assert sum(math.prod(s) for s in whole) == sum(math.prod(s) for s in shapes)
-    first = 16 * 8 + 32 * 16
+    first = 16 * 8 + 24 * 12
     rows_at = {}
     for rows, nodes in whole:
         n = round(math.sqrt(2 * nodes)) if nodes != first else None
-        assert rows <= _block_rows((16, 32) if n is None else (n,), 32)
+        assert rows <= _block_rows((16, 24) if n is None else (n,), 32)
         rows_at[nodes] = rows_at.get(nodes, 0) + rows
-    assert whole[0] == (_block_rows((16, 32), 32), first) and rows_at[first] == p.n_times
+    assert whole[0] == (_block_rows((16, 24), 32), first) and rows_at[first] == p.n_times
     later = [rows_at[nodes] for nodes in sorted(rows_at) if nodes != first]
     assert later and later == sorted(later, reverse=True) and later[0] < p.n_times
 
@@ -519,3 +519,31 @@ def test_cat_rows_memory_does_not_grow_with_the_grid(ohmic_rwa):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 2 * peaks[0], peaks
+
+
+def _members_up_to(p, totals, seed):
+    """A member matrix whose rows hold the given total occupations on random modes."""
+    rng = np.random.default_rng(seed)
+    return np.array([np.bincount(rng.integers(p.n_modes, size=n), minlength=p.n_modes)
+                     for n in totals])
+
+
+@pytest.mark.parametrize("model", ["ohmic_rwa", "ohmic_pp"])
+def test_member_purities_on_the_ladder_match_each_members_exact_rule(request, model,
+                                                                     plateau_index):
+    # the ensemble's rule is exact only for its most occupied member; every member's own
+    # exact rule, 2 sum_k n_k + 1 nodes per axis, is the reference
+    p = request.getfixturevalue(model)
+    zero_t = EquilibriumBath(math.inf)
+    occs = _members_up_to(p, (0, 1, 3, 8, 12, 17, 22, 26, 30), seed=11)
+    assert 2 * occs.sum(axis=1).max() + 1 > obs.EXACT_FIRST  # the rows take the ladder
+    for i in (*EARLY, plateau_index(p)):
+        got = obs.purity(p, row_slice(p, i), NumberStateBath(occs), SQUEEZED,
+                         tol=obs.ENSEMBLE_TOL)
+        rows = np.array([i])
+        whiten, scale = obs._whitened(p, rows, SQUEEZED, zero_t)
+        for m, occ in enumerate(occs):
+            n = 2 * int(occ.sum()) + 1
+            exact = obs._levels(p, rows, SQUEEZED, zero_t, whiten, (n,), occs[m : m + 1])
+            assert abs(got[m] - exact(slice(None))[0, 0, 0] * scale[0]) <= obs.ENSEMBLE_TOL, (i, m)
+
