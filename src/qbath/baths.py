@@ -52,7 +52,6 @@ from . import laguerre
 from .errors import DataError, ParameterError
 from .model import ModelSpec
 from .propagator import PropagatorCoefficients, row_slice
-from .states import gaussian_exponent
 
 __all__ = [
     "EquilibriumBath",
@@ -291,10 +290,39 @@ def _mode_args_squared(b: np.ndarray, d: np.ndarray, eta: np.ndarray) -> np.ndar
     return np.maximum(squares, 0.0, out=squares)
 
 
+def _log_envelope(alpha, gamma, eta: np.ndarray) -> np.ndarray:
+    """Re Q = -alpha |eta|^2 + 2 Re(gamma^* eta^2) of the Gaussian exponent, in real arithmetic.
+
+    With eta = x + i y it is (2 Re gamma - alpha) x^2 + 4 Im gamma x y
+    - (2 Re gamma + alpha) y^2: the log of a Gaussian influence's modulus,
+    and of the zero-temperature envelope of a number-state bath.
+    """
+    x, y = eta.real, eta.imag
+    g_re = 2.0 * np.real(gamma)
+    out = (g_re - alpha) * x
+    out += 4.0 * np.imag(gamma) * y
+    out *= x
+    out -= (g_re + alpha) * (y * y)
+    return out
+
+
 def gaussian_F_eval(params: GaussianFSeries, eta: np.ndarray) -> np.ndarray:
-    """Evaluate a Gaussian influence function on an array of eta values."""
+    """Evaluate a Gaussian influence function on an array of eta values.
+
+    F = exp(Re Q) cis(Im Q), with Re Q from _log_envelope and
+    Im Q = 2 Im(delta^* eta), in real arithmetic.  Where every delta is 0
+    (equilibrium and vacuum baths) F is real: one real exp, and no cos or sin.
+    """
     eta = np.asarray(eta, dtype=complex)
-    return np.exp(gaussian_exponent(params.delta, params.alpha, params.gamma, eta))
+    modulus = np.exp(_log_envelope(params.alpha, params.gamma, eta))
+    delta = np.asarray(params.delta)
+    if not delta.any():
+        return modulus
+    phase = 2.0 * (delta.real * eta.imag - delta.imag * eta.real)
+    out = np.empty(np.broadcast_shapes(np.shape(modulus), phase.shape), dtype=complex)
+    np.multiply(modulus, np.cos(phase), out=out.real)
+    np.multiply(modulus, np.sin(phase), out=out.imag)
+    return out
 
 
 def bath_f_params(p: PropagatorCoefficients, i, bath: BathSpec) -> GaussianFSeries:
@@ -312,8 +340,9 @@ def bath_F_eval(p: PropagatorCoefficients, i, bath: BathSpec, eta: np.ndarray) -
 
     i is a grid index, with eta of any shape, or a row set of R rows (a
     slice, an integer array or a mask), with an (R, P) eta whose row r is
-    evaluated on the r-th row of p.X[i].  A number-state bath has the real F
-    of its _laguerre_split: the real zero-temperature Gaussian times
+    evaluated on the r-th row of p.X[i].  A Gaussian bath has the F of
+    gaussian_F_eval, real where every delta is 0.  A number-state bath has
+    the real F of its _laguerre_split: the real zero-temperature Gaussian times
     prod_k L_{n_k}(|eta B_k^* - eta^* D_k|^2), the one-member call of
     laguerre.log_products, in log space to avoid overflow, with its sign
     from the parity of the negative factors.
@@ -327,7 +356,7 @@ def _influence(p: PropagatorCoefficients, i, bath: BathSpec, fs: GaussianFSeries
     eta = np.asarray(eta, dtype=complex)
     if not isinstance(bath, NumberStateBath):
         return gaussian_F_eval(fs, eta)
-    log_env = np.real(gaussian_exponent(0.0, fs.alpha, fs.gamma, eta))
+    log_env = _log_envelope(fs.alpha, fs.gamma, eta)
     active = np.flatnonzero(bath.n)
     xs = _mode_args_squared(p.B[i][..., active], p.D[i][..., active], eta)
     ((_, log_lag, odd),) = laguerre.log_products(bath.n[None, active], xs, signed=True)

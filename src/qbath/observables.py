@@ -26,11 +26,12 @@ points; the node tables of each level set are built on first use and cached.
 For a Gaussian state the rest of the integrand is a polynomial, and the rule
 is exact at 2 sum_k n_k + 1 nodes per axis; up to EXACT_FIRST nodes that
 rule is the first and only level, and above it the rule caps the ladder.
-_quadrature takes a set of grid rows and a member matrix.  Each level runs
-the rows still pending in blocks of bounded size through the whitening,
-chi_eval and the Laguerre table, each step elementwise in the rows, and a
-row leaves once it has converged, so a row has the same bits in any row set
-and costs the levels it needs alone.  The members of a number-state ensemble
+_quadrature takes a set of grid rows and a member matrix.  It whitens every
+row once, before the first level, in row chunks of bounded size; each level
+then runs the rows still pending in blocks of bounded size through chi_eval
+and the Laguerre table, each step elementwise in the rows, and a row leaves
+once it has converged, so a row has the same bits in any row set and costs
+the levels it needs alone.  The members of a number-state ensemble
 share one row's node set, and each level evaluates them together: one
 laguerre.log_products table of the distinct (mode, order) factors, summed
 per member in blocks of bounded size, so a member has the same bits alone as
@@ -253,9 +254,10 @@ def _whitening(a, g, disc, rows) -> tuple[np.ndarray, np.ndarray]:
     x^T M x = y^T y.  disc is a^2 - 4|g|^2, as `_discriminant` forms it:
     det M = 4 disc, and the smaller eigenvalue is 2a - 4|g| = 2 disc / (a + 2|g|).
     The first entry whose M is not positive-definite raises, named by its
-    grid index.  Each entry is taken in Python floats: a cat block holds a
-    few rows, and on a few entries numpy's per-call cost is several times
-    the arithmetic.
+    grid index.  Each entry is taken on its own, in Python floats and the
+    math module, so its bits cannot depend on the chunk of _whitened it is
+    in.  That costs about 2.7 us an entry, about 3 % of a stock cat row's
+    quadrature.
     """
     whiten, scale = [], []
     for i, a_k, g_k, disc_k in zip(rows, a.tolist(), g.tolist(), disc.tolist()):
@@ -284,11 +286,21 @@ def _whitened(p: PropagatorCoefficients, rows, s: OscillatorState, gauss_bath):
     M holds the state's carried Gaussian parameters (a cat's are the
     vacuum's, a0 = 1/2, g0 = 0, d0 = 1/4) plus those of the members' common
     Gaussian bath, on each of the R grid indices of the integer array rows:
-    (R, 2, 2) W and (R,) scales.
+    (R, 2, 2) W and (R,) scales.  The bath's sums run in chunks of at most
+    BLOCK_VALUES // (32 (N + 1)) rows, N the modes, so that their
+    (rows x modes) temporaries stay within the budget of a node block of
+    _quadrature whatever R is; every step is elementwise in the rows, so a
+    row has the same bits in any chunk.
     """
-    f = bath_f_params(p, rows, gauss_bath)
-    disc, a, g = _total_gaussian_rows(p, rows, s if is_gaussian(s) else _VACUUM, f)
-    return _whitening(a, g, disc, rows)
+    state = s if is_gaussian(s) else _VACUUM
+    step = max(1, laguerre.BLOCK_VALUES // (32 * (p.n_modes + 1)))
+    whiten, scale = np.empty((rows.size, 2, 2)), np.empty(rows.size)
+    for start in range(0, rows.size, step):
+        part = slice(start, start + step)
+        disc, a, g = _total_gaussian_rows(p, rows[part], state,
+                                          bath_f_params(p, rows[part], gauss_bath))
+        whiten[part], scale[part] = _whitening(a, g, disc, rows[part])
+    return whiten, scale
 
 
 def _fringe_nodes(p: PropagatorCoefficients, rows, s: OscillatorState, whiten) -> np.ndarray:
@@ -449,21 +461,21 @@ def _quadrature(p, rows: np.ndarray, s, gauss_bath, occs, probes, tol) -> np.nda
     AccuracyError.  Each level runs its pending rows in blocks with
     rows x nodes x m <= laguerre.BLOCK_VALUES, m the occupied modes of the
     Laguerre table, or 32 without one (about the float64 values a node holds
-    through one chi evaluation), so the memory does not grow with the rows;
-    a row is whitened, and its fringe nodes taken, in its first block.
+    through one chi evaluation), so the memory does not grow with the rows.
+    Every row is whitened, and its fringe nodes taken, once, before the first
+    level: _whitened takes the bath's sums in row chunks of the same budget.
     """
     exact = _exact_nodes(s, occs)
     ns = (exact,) if exact <= EXACT_FIRST else LADDER[:2]
     width = np.count_nonzero(occs.any(axis=0)) or 32
     out = np.empty((occs.shape[0], rows.size))
-    whiten, scale = np.empty((rows.size, 2, 2)), np.empty(rows.size)
-    fringe = np.empty(rows.size)
+    whiten, scale = _whitened(p, rows, s, gauss_bath)
+    fringe = _fringe_nodes(p, rows, s, whiten)
     prev = np.full((len(probes), rows.size), np.nan)  # compares False: no level before the first
     rest = np.ones(occs.shape[0], dtype=bool)
     rest[probes] = False  # summed on the level where their row leaves, and on no other
     done = np.zeros(rows.size, dtype=bool)
     pending = np.arange(rows.size)
-    first = True
     while pending.size:
         if ns[-1] > MAX_NODES:
             i = rows[pending[0]]
@@ -474,9 +486,6 @@ def _quadrature(p, rows: np.ndarray, s, gauss_bath, occs, probes, tol) -> np.nda
         step = max(1, laguerre.BLOCK_VALUES // (width * sum(n * ((n + 1) // 2) for n in ns)))
         for start in range(0, pending.size, step):
             block = pending[start : start + step]
-            if first:
-                whiten[block], scale[block] = _whitened(p, rows[block], s, gauss_bath)
-                fringe[block] = _fringe_nodes(p, rows[block], s, whiten[block])
             sums = _levels(p, rows[block], s, gauss_bath, whiten[block], ns, occs)
             if ns[-1] == exact:
                 out[:, block] = sums(slice(None))[-1] * scale[block]
@@ -494,7 +503,6 @@ def _quadrature(p, rows: np.ndarray, s, gauss_bath, occs, probes, tol) -> np.nda
                         cur = every
                     out[:, block[agree]] = cur[:, agree]
                     done[block[agree]] = True
-        first = False
         pending = pending[~done[pending]]
         ns = (min(next((n for n in LADDER if n > ns[-1]), math.inf), exact),)
     return out

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from qbath import baths
 from qbath.errors import DataError, ParameterError
 from qbath.observables import summarize
+from qbath.states import gaussian_exponent
 
 
 def test_occupation_values():
@@ -94,6 +96,47 @@ def test_thermal_number_average_monte_carlo(ohmic_rwa, keyed_rng):
         baths.bath_f_params(p, i, baths.EquilibriumBath(beta)), np.array([eta])
     )[0].real
     assert abs(summary.estimate - thermal) < 4.0 * summary.std_error
+
+
+def test_gaussian_influence_in_real_arithmetic_matches_the_complex_exponential():
+    # exp(Re Q) cis(Im Q) against exp(Q) of the complex exponent: both round the terms of Q,
+    # so they agree to a few eps of |F| per unit of those terms' size, the condition of exp
+    rng = np.random.default_rng(12)
+    eps = np.finfo(float).eps
+    for _ in range(200):
+        alpha = rng.uniform(0.1, 3.0, size=(3, 1))
+        gamma = 0.5 * alpha * rng.uniform(size=(3, 1)) * np.exp(2j * np.pi * rng.uniform(size=(3, 1)))
+        delta = rng.normal(size=(3, 1)) + 1j * rng.normal(size=(3, 1))
+        eta = rng.normal(size=(3, 40)) + 1j * rng.normal(size=(3, 40))
+        rows = baths.GaussianFSeries(delta, alpha, gamma)  # (R, 1) params against an (R, P) eta
+        for fs, at in ((rows, eta), (rows[0, 0], eta[0])):  # and one row's scalars
+            got = baths.gaussian_F_eval(fs, at)
+            ref = np.exp(gaussian_exponent(fs.delta, fs.alpha, fs.gamma, at))
+            size = (fs.alpha + 2.0 * np.abs(fs.gamma)) * np.abs(at) ** 2 + 2.0 * np.abs(
+                fs.delta * at)
+            assert got.shape == ref.shape
+            assert np.all(np.abs(got - ref) <= 4.0 * eps * np.abs(ref) * (1.0 + size))
+
+
+def test_gaussian_influence_without_drive_is_real_and_underflows_quietly(ohmic_pp, plateau_index):
+    p = ohmic_pp
+    rows = np.arange(p.n_times)
+    eta = np.exp(1j * np.linspace(0.0, 6.0, 7)) * np.linspace(0.1, 3.0, 7)
+    grid_eta = np.broadcast_to(eta, (p.n_times, eta.size))
+    amps = 0.4 * np.exp(1j * np.arange(p.n_modes))
+    undriven = [baths.EquilibriumBath(1.0), baths.EquilibriumBath(math.inf),
+                baths.CoherentStateBath(np.zeros(p.n_modes))]
+    for bath in undriven:
+        f = baths.bath_F_eval(p, rows, bath, grid_eta)
+        assert f.shape == grid_eta.shape and np.all(np.imag(f) == 0.0)
+        assert not np.iscomplexobj(f)  # one real exp: no cos or sin
+    assert np.any(np.imag(baths.bath_F_eval(p, rows, baths.CoherentStateBath(amps), grid_eta)))
+    i = plateau_index(p)
+    far = 1e4 * eta
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bath in [*undriven, baths.CoherentStateBath(amps)]:
+            assert np.all(baths.bath_F_eval(p, i, bath, far) == 0.0)
 
 
 def test_laguerre_arguments_equal_the_squared_mode_args(ohmic_pp):

@@ -12,7 +12,7 @@ import pytest
 from numpy.polynomial.hermite import hermgauss
 from scipy.special import eval_laguerre
 
-from qbath import TimeGrid, baths, compute_propagator, laguerre, states
+from qbath import TimeGrid, baths, compute_propagator, laguerre, states, stock_config
 from qbath import observables as obs
 from qbath.baths import (
     CoherentStateBath,
@@ -20,6 +20,7 @@ from qbath.baths import (
     NumberStateBath,
     sample_number_states,
 )
+from qbath.config import parse_config
 from qbath.errors import PhysicalityError
 from qbath.propagator import PropagatorCoefficients, row_slice
 from qbath.states import CatState, SqueezedDisplaced
@@ -512,6 +513,73 @@ def test_cat_rows_memory_does_not_grow_with_the_grid(ohmic_rwa):
     peaks = []
     for steps in (100, 1600):
         p = compute_propagator(ohmic_rwa.model, TimeGrid.linspace(40.0, steps))
+        tracemalloc.start()
+        try:
+            obs.purity(p, slice(None), bath, CAT)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0], peaks
+
+
+def _whitening_rows(p):
+    """Rows per chunk of the whitening's bath sums: rows x 32 (N + 1) <= BLOCK_VALUES."""
+    return laguerre.BLOCK_VALUES // (32 * (p.n_modes + 1))
+
+
+@pytest.mark.parametrize("kind", sorted(CAT_BATHS))
+def test_whitening_chunks_keep_each_rows_bits(monkeypatch, flat_custom, kind):
+    # the whitening takes the bath's sums once per chunk of rows, before the first level,
+    # and a grid of many chunks gives every row the bits of its one-index call
+    p = flat_custom
+    bath = CAT_BATHS[kind](p)
+    chunks = []
+    bath_f_params = obs.bath_f_params
+
+    def recorded(p, rows, bath):
+        chunks.append(np.size(rows))
+        return bath_f_params(p, rows, bath)
+
+    monkeypatch.setattr(obs, "bath_f_params", recorded)
+    grid = obs.purity(p, slice(None), bath, CAT)
+    step = _whitening_rows(p)
+    assert chunks == [min(step, p.n_times - k) for k in range(0, p.n_times, step)]
+    assert len(chunks) >= 2
+    single = np.array([obs.purity(p, i, bath, CAT) for i in range(p.n_times)])
+    assert single.tobytes() == grid.tobytes()
+
+
+def test_non_positive_cat_envelope_names_the_first_bad_row_in_a_later_chunk(ohmic_rwa):
+    # |A| = |C| with B = D = 0 makes the vacuum lobes' envelope singular on a row
+    p = ohmic_rwa
+    rows = p.rows.copy()
+    for k in (40, 65):
+        rows[k] = 0.0
+        rows[k, 0] = rows[k, p.n_modes + 1] = 0.6
+    bad = PropagatorCoefficients(p.model, p.grid, rows, p.route, p.cond_bound)
+    step = _whitening_rows(p)
+    reverse = np.arange(p.n_times)[::-1]
+    assert step <= 40 and step <= list(reverse).index(65)  # neither is in the first chunk
+    for kind, make_bath in sorted(CAT_BATHS.items()):
+        for selector, first in ((slice(None), 40), (reverse, 65), (slice(41, None), 65), (65, 65)):
+            with pytest.raises(PhysicalityError, match=f"at grid index {first}:"):
+                obs.purity(bad, selector, make_bath(p), CAT)
+        assert obs.purity(bad, slice(41, 65), make_bath(p), CAT).tobytes() == (
+            obs.purity(p, slice(41, 65), make_bath(p), CAT).tobytes()), kind
+
+
+def test_cat_rows_memory_on_a_wide_bath_does_not_grow_with_the_grid():
+    # at N = 256 a whole call's (rows x modes) bath sums would outgrow the node blocks
+    # (a peak ratio of about 15 here); the whitening's row chunks bound them
+    doc = stock_config("ohmic-rwa-n64")
+    doc["spectral"]["N"] = 256
+    model = parse_config({"model": doc}).model
+    bath = EquilibriumBath(1.0)
+    props = [compute_propagator(model, TimeGrid.linspace(40.0, steps)) for steps in (100, 1600)]
+    assert _whitening_rows(props[0]) < props[0].n_times  # both grids fill whole chunks
+    obs.purity(props[0], slice(None), bath, CAT)  # the cached node tables are not counted
+    peaks = []
+    for p in props:
         tracemalloc.start()
         try:
             obs.purity(p, slice(None), bath, CAT)
