@@ -3,10 +3,12 @@
 For Gaussian bath preparations the reduced characteristic function obeys a
 time-local equation with five coefficients: xi (drift/damping), zeta (pair
 mixing), kappa (diffusion), mu (anomalous diffusion), sigma (linear drive).
-All five follow from the propagator coefficients and the influence sums; this
-script extracts them, verifies the evolution identity pointwise, and shows the
-one place the construction legitimately breaks: the generator denominator
-|A|^2 - |C|^2 can cross zero, where no time-local generator exists.
+All five follow from the propagator coefficients and the influence sums, and
+generator_coefficients(p, i, bath) returns them on a grid index or a row set;
+this script extracts them on the whole grid, verifies the evolution identity
+pointwise, and shows the one place the construction legitimately breaks: the
+generator denominator |A|^2 - |C|^2 can cross zero, where no time-local
+generator exists.
 """
 
 import math
@@ -19,17 +21,15 @@ from qbath import (
     SqueezedDisplaced,
     TimeGrid,
     compute_propagator,
-    f_series_for,
+    generator_coefficients,
     generator_residual,
-    generator_series,
     stock_model,
-    xi_zeta,
 )
 
 model = stock_model("ohmic-pp-n64")
 p = compute_propagator(model, TimeGrid.linspace(40.0, 100))
 bath = EquilibriumBath(beta=1.5)
-series = generator_series(p, f_series_for(p, bath))
+series = generator_coefficients(p, slice(None), bath)
 
 print("=== generator coefficients, pair-coupled Ohmic bath (beta = 1.5) ===")
 print("   t      Re xi     Im xi     |zeta|    kappa     |mu|      denom")
@@ -61,10 +61,10 @@ u = float(np.real(m1.u[0]))
 t_sing = math.pi / (2 * u)
 p1 = compute_propagator(m1, TimeGrid(np.array([0.0, 0.9 * t_sing, 0.99 * t_sing, t_sing])))
 for i in (1, 2):
-    xi, zeta, denom = xi_zeta(p1, i)
-    print(f"t = {p1.grid.t[i]:.3f}: xi = {xi:+.3f}, denom = {denom:.2e} "
+    c = generator_coefficients(p1, i, bath)
+    print(f"t = {c['t']:.3f}: xi = {c['xi']:+.3f}, denom = {c['denom']:.2e} "
           f"(exact: xi = -i nu - u tan(ut), denom = cos^2(ut))")
 try:
-    xi_zeta(p1, 3)
+    generator_coefficients(p1, 3, bath)
 except SingularGeneratorError as exc:
     print(f"t = {t_sing:.3f} (u t = pi/2): raises SingularGeneratorError: {exc}")

@@ -15,6 +15,7 @@ from .baths import (
     BathSpec,
     CoherentStateBath,
     EquilibriumBath,
+    GaussianFSeries,
     NoiseCorrelation,
     NumberStateBath,
     bath_F_eval,
@@ -40,17 +41,12 @@ from .errors import (
 )
 from .mastereq import (
     DENOM_FLOOR,
-    GaussianFSeries,
     GeneralResidualReport,
-    GeneratorCoefficients,
     chi_time_derivative,
-    f_series_for,
-    gaussian_generator,
     general_generator_apply,
     general_generator_residual,
+    generator_coefficients,
     generator_residual,
-    generator_series,
-    xi_zeta,
 )
 from .model import (
     CouplingFamily,

@@ -99,7 +99,10 @@ class NumberStateBath:
     def __post_init__(self) -> None:
         self.n = np.atleast_1d(np.asarray(self.n))
         if not np.issubdtype(self.n.dtype, np.integer):
-            as_int = self.n.astype(int)
+            try:
+                as_int = self.n.astype(int)
+            except OverflowError:  # a Python int past the int64 range
+                raise ParameterError("occupation numbers exceed the integer range") from None
             if np.any(as_int != self.n):
                 raise ParameterError("occupation numbers must be integers")
             self.n = as_int

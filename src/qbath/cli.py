@@ -284,8 +284,7 @@ def _cmd_master_eq(cfg: RunConfig, out: Path) -> list[str]:
         )
     bath = realize_bath(cfg)
     p = compute_propagator(cfg.model, cfg.grid)
-    fs = mastereq.f_series_for(p, bath)
-    series = mastereq.generator_series(p, fs)
+    series = mastereq.generator_coefficients(p, slice(None), bath)
     artifacts = []
     if "csv" in cfg.formats:
         _write_csv(out / "master_eq.csv",

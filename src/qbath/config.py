@@ -46,7 +46,7 @@ from .baths import (
     sample_coherent_states,
     sample_number_states,
 )
-from .errors import PhysicalityError, SchemaError
+from .errors import ParameterError, PhysicalityError, SchemaError
 from .model import (
     CouplingFamily,
     ModelSpec,
@@ -247,17 +247,17 @@ def _parse_model(model: _Section) -> tuple[ModelSpec, SpectralDiscretization | N
 
 def _parse_oscillator(osc: _Section) -> OscillatorState:
     kind = osc.kind(_OSC_KINDS)
-    if kind == "gaussian":
-        try:
+    try:
+        if kind == "gaussian":
             state = GaussianMoments(mean_a=osc.complex("mean"), n_ex=osc.number("n_ex", 0.0),
                                     aa=osc.complex("aa"))
-        except PhysicalityError as exc:  # moments a configured state cannot have
-            raise SchemaError(f"oscillator: {exc}") from None
-    elif kind == "squeezed":
-        state = SqueezedDisplaced(disp=osc.complex("disp"), r=osc.number("r", 0.0),
-                                  phi=osc.number("phi", 0.0))
-    else:
-        state = CatState(alpha=osc.complex("alpha"), beta=osc.complex("beta"))
+        elif kind == "squeezed":
+            state = SqueezedDisplaced(disp=osc.complex("disp"), r=osc.number("r", 0.0),
+                                      phi=osc.number("phi", 0.0))
+        else:
+            state = CatState(alpha=osc.complex("alpha"), beta=osc.complex("beta"))
+    except (ParameterError, PhysicalityError) as exc:  # a state no configuration can have
+        raise SchemaError(f"oscillator: {exc}") from None
     osc.done()
     return state
 
@@ -274,8 +274,8 @@ def _parse_bath(bath: _Section, n_modes: int) -> dict:
         out["seed"] = seed
     if kind == "number":
         n = bath.get("n", None)
-        if not isinstance(n, list) or not all(_is_integer(x) and x >= 0 for x in n):
-            raise SchemaError("bath.n must be a list of nonnegative integers")
+        if not isinstance(n, list) or not all(_is_integer(x) and 0 <= x <= _MAX_SIZE for x in n):
+            raise SchemaError(f"bath.n must be a list of integers in [0, {_MAX_SIZE}]")
         out["n"] = np.asarray(n, dtype=int)
     if kind == "coherent":
         re, im = bath.numbers("amps_re"), bath.numbers("amps_im")
@@ -389,6 +389,8 @@ def load_config(path: str | Path) -> RunConfig:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError:  # nesting deeper than the parser's recursion limit
+        raise SchemaError(f"invalid JSON in {path}: nested too deeply to parse") from None
     return parse_config(doc, raw)
 
 

@@ -18,23 +18,23 @@ with kappa, mu, sigma given by the influence parameters, their exact time
 derivatives, and (xi, zeta).  For arbitrary F the generator keeps log-
 derivatives of F explicitly, split as baths decides (a number-state F is
 the vacuum Gaussian times Laguerre factors).  Each quantity has one entry
-point taking any BathSpec: f_series_for gives the influence series of an
-equilibrium or coherent bath (number-state baths are refused by the one guard
-in baths), and chi_time_derivative the left side d chi/dt of every residual,
-Gaussian or not.  Everything here evaluates both sides of these identities
-along the exact solution; nothing is integrated forward.
+point taking any BathSpec: generator_coefficients gives (xi, zeta, kappa, mu,
+sigma) of an equilibrium or coherent bath (number-state baths are refused by
+the one guard in baths), and chi_time_derivative the left side d chi/dt of
+every residual, Gaussian or not.  Everything here evaluates both sides of
+these identities along the exact solution; nothing is integrated forward.
 
 Both sides come from one row-set kernel, _chi_pieces, which evaluates the
 bath sums once per call; for a Gaussian bath they also give the generator
-coefficients.  generator_residual takes a grid index or a row set, and the
-other grid-index entry points are one-row slices of the same kernels;
-propagator.row_slice refuses an index outside the grid.
+coefficients.  generator_coefficients and generator_residual take a grid
+index or a row set, and the other grid-index entry points are one-row slices
+of the same kernels; propagator.row_slice refuses an index outside the grid.
 
 The drift denominator |A|^2 - |C|^2 can cross zero (e.g. on resonance at
 u t = pi/2); every entry point that uses the drift raises
 SingularGeneratorError at the first such row, naming its grid index and
-time, and the series form flags it invalid.  The coefficients are never
-regularized.
+time, except generator_coefficients on a row set, which flags it invalid.
+The coefficients are never regularized.
 """
 
 from __future__ import annotations
@@ -68,13 +68,8 @@ from .states import (
 
 __all__ = [
     "DENOM_FLOOR",
-    "GeneratorCoefficients",
-    "GaussianFSeries",
     "GeneralResidualReport",
-    "xi_zeta",
-    "f_series_for",
-    "gaussian_generator",
-    "generator_series",
+    "generator_coefficients",
     "generator_residual",
     "general_generator_apply",
     "general_generator_residual",
@@ -82,24 +77,6 @@ __all__ = [
 ]
 
 DENOM_FLOOR = 1e-8  # |A|^2 - |C|^2 at or below this marks a singular generator
-
-
-@dataclass
-class GeneratorCoefficients:
-    """Time-local generator coefficients at one grid index."""
-
-    xi: complex
-    zeta: complex
-    kappa: complex  # real up to rounding
-    mu: complex
-    sigma: complex
-    denom: float
-    valid: bool
-
-
-def f_series_for(p: PropagatorCoefficients, bath: BathSpec) -> GaussianFSeries:
-    """Gaussian influence series for an equilibrium or coherent preparation."""
-    return bath_sums(p, slice(None), _gaussian(_single(bath)), derivs=True)
 
 
 def _drift_rows(p: PropagatorCoefficients, rows):
@@ -145,28 +122,22 @@ def _grid_rows(p: PropagatorCoefficients, i) -> np.ndarray:
     return np.arange(p.n_times)[row_slice(p, i) if _is_index(i) else i]
 
 
-def xi_zeta(p: PropagatorCoefficients, i: int) -> tuple[complex, complex, float]:
-    """Drift coefficients and their denominator |A|^2 - |C|^2 at index i.
+def generator_coefficients(p: PropagatorCoefficients, i, bath: BathSpec) -> dict:
+    """Generator coefficients t, xi, zeta, kappa, mu, sigma, denom and valid.
 
-    Raises SingularGeneratorError when the denominator is at or below the
-    floor; the coefficients are never regularized.
+    i is a grid index (Python scalars; SingularGeneratorError when the drift
+    denominator is at or below the floor) or a row set: a slice, an integer
+    array or a mask (arrays of the shape p.A[i] has, singular rows flagged
+    invalid and NaN, each entry with the bits of its one-index call).  bath is
+    one equilibrium or coherent preparation, whose bath sums are taken once.
     """
-    xi, zeta, denom, _ = _checked_drift(p, _grid_rows(p, i))
-    return complex(xi[0]), complex(zeta[0]), float(denom[0])
-
-
-def gaussian_generator(
-    p: PropagatorCoefficients, i: int, fs: GaussianFSeries
-) -> GeneratorCoefficients:
-    """Generator coefficients for a Gaussian influence function at index i."""
-    rows = _grid_rows(p, i)
-    c = _generator_rows(_checked_drift(p, rows), fs[rows])
-    return GeneratorCoefficients(**{key: value[0].item() for key, value in c.items()})
-
-
-def generator_series(p: PropagatorCoefficients, fs: GaussianFSeries) -> dict[str, np.ndarray]:
-    """Vectorized generator coefficients with validity flags (no raising)."""
-    return {"t": p.grid.t.copy(), **_generator_rows(_drift_rows(p, slice(None)), fs)}
+    one, bath = _is_index(i), _gaussian(_single(bath))
+    # a row set is indexed as given: a slice takes views, not (rows x modes) copies
+    rows = row_slice(p, i) if one else i
+    fs = bath_sums(p, rows, bath, derivs=True)
+    drift = _checked_drift(p, _grid_rows(p, i)) if one else _drift_rows(p, rows)
+    c = {"t": p.grid.t[rows].copy(), **_generator_rows(drift, fs)}
+    return {key: value[0].item() for key, value in c.items()} if one else c
 
 
 def _logF_derivs(p: PropagatorCoefficients, rows: np.ndarray, bath: BathSpec, eta: np.ndarray):

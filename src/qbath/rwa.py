@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .states import coherent_overlap
+from .states import _check_lobes, coherent_overlap
 
 __all__ = [
     "purity_squeezed_rwa",
@@ -61,6 +61,7 @@ def purity_squeezed_rwa(absA2: float, r: float) -> float:
 def purity_cat_rwa(absA2: float, alpha: complex, beta: complex) -> float:
     """Purity of an initial (|alpha> + |beta>)/sqrt(N) superposition."""
     s = _check_survival(absA2)
+    _check_lobes(alpha, beta)
     d2 = abs(alpha - beta) ** 2
     norm = 2.0 + 2.0 * coherent_overlap(alpha, beta).real
     if norm < 1e-12:

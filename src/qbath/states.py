@@ -128,7 +128,8 @@ class CatState:
     """Normalized superposition (|alpha> + |beta>)/sqrt(2 + 2 Re<alpha|beta>).
 
     overlaps holds <g|d> for (g, d) = (alpha, alpha), (alpha, beta),
-    (beta, alpha), (beta, beta), in that order.
+    (beta, alpha), (beta, beta), in that order.  Lobes whose squares overflow
+    are a ParameterError.
     """
 
     alpha: complex
@@ -139,6 +140,7 @@ class CatState:
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
+        _check_lobes(self.alpha, self.beta)
         lobes = (self.alpha, self.beta)
         overlaps = tuple(coherent_overlap(g, d) for g in lobes for d in lobes)
         object.__setattr__(self, "overlaps", overlaps)
@@ -153,6 +155,16 @@ class CatState:
 
 
 OscillatorState = GaussianMoments | SqueezedDisplaced | CatState
+
+
+def _check_lobes(alpha: complex, beta: complex) -> None:
+    """ParameterError when |alpha|^2, |beta|^2 or |alpha - beta|^2 is past the float range."""
+    # hypot and products, not abs and ** 2: past the range they give inf, not an OverflowError
+    sizes = [math.hypot(g.real, g.imag) for g in (alpha, beta, alpha - beta)]
+    if not all(math.isfinite(r * r) for r in sizes):
+        raise ParameterError(
+            f"cat lobes past the float range: |alpha| = {sizes[0]:.3e}, |beta| = {sizes[1]:.3e}"
+        )
 
 
 def coherent_overlap(g: complex, d: complex) -> complex:

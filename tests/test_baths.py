@@ -38,6 +38,8 @@ def test_beta_validation():
         baths.NumberStateBath([1, -2])
     with pytest.raises(ParameterError):
         baths.NumberStateBath([0.5])
+    with pytest.raises(ParameterError, match="integer range"):
+        baths.NumberStateBath([10**30, 0])  # an object array numpy cannot cast
     with pytest.raises(DataError):
         baths.CoherentStateBath([1.0, math.inf + 0j])
 

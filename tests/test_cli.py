@@ -93,6 +93,30 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("subcommand, name, edit, message", [
+    # an occupation past the int64 range, a cat lobe whose square is past the
+    # float range, and nesting past the parser's recursion limit
+    ("observables", "observables-rwa-coherent",
+     lambda doc: doc.update(bath={"kind": "number", "n": [10**30] + [0] * 63}), "bath.n"),
+    ("purity", "purity-cat-vacuum", lambda doc: doc["oscillator"].update(alpha_re=1e200),
+     "oscillator: cat lobes"),
+    ("validate", None, None, "nested too deeply"),
+])
+def test_malformed_config_exits_2(tmp_path, capsys, sample_config, subcommand, name, edit,
+                                  message):
+    path = tmp_path / "config.json"
+    if name is None:
+        path.write_text("[" * 100000)
+    else:
+        doc = sample_config(name)
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    rc = main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and message in err
+
+
 def test_negative_seed_exits_2(tmp_path, capsys, sample_config):
     cfg = write_config(tmp_path, sample_config("validate-decoupled"))
     rc = main(["validate", "--config", cfg, "--seed", "-1"])

@@ -227,6 +227,8 @@ def _set(doc, path, value):
     (("time_grid", "steps"), 10**30),
     (("model", "spectral", "N"), 2**63),
     (("model", "spectral", "N"), 10**30),
+    (("bath",), {"kind": "number", "n": [10**30] + [0] * 7}),  # past the int64 range
+    (("oscillator",), {"kind": "cat", "alpha_re": 1e200}),  # |alpha|^2 past the float range
 ])
 def test_malformed_values_are_schema_errors(path, value):
     # each of these once escaped as AttributeError, TypeError, OverflowError,
@@ -452,6 +454,9 @@ def test_invalid_json_file(tmp_path):
         load_config(path)
     path.write_text("[1, 2]")
     with pytest.raises(SchemaError):
+        load_config(path)
+    path.write_text("[" * 100000)  # past the parser's recursion limit
+    with pytest.raises(SchemaError, match="nested too deeply"):
         load_config(path)
 
 

@@ -18,6 +18,7 @@ from qbath.baths import (
     bath_delta,
     bath_F_eval,
     bath_f_params,
+    bath_sums,
     sample_coherent_state,
     sample_coherent_states,
     sample_number_states,
@@ -41,8 +42,8 @@ def _coherent(p, keyed_rng):
 
 
 def _slice_equals_series(p, bath):
-    """bath_f_params at each index is the row of f_series_for, bitwise, derivatives aside."""
-    fs = me.f_series_for(p, bath)
+    """bath_f_params at each index is the row of the whole-grid bath sums, bitwise."""
+    fs = bath_sums(p, slice(None), bath)
     for i in INDICES:
         f = bath_f_params(p, i, bath)
         assert (f.delta, f.alpha, f.gamma) == (fs.delta[i], fs.alpha[i], fs.gamma[i])
@@ -57,21 +58,26 @@ def test_coherent_delta_equals_series(prop, keyed_rng):
     _slice_equals_series(prop, _coherent(prop, keyed_rng))
 
 
-def test_gaussian_generator_equals_series(prop, keyed_rng):
-    baths = (EquilibriumBath(1.3), _coherent(prop, keyed_rng))
-    for fs in (me.f_series_for(prop, bath) for bath in baths):
-        series = me.generator_series(prop, fs)
+def test_generator_coefficients_equal_each_row(prop, keyed_rng):
+    for bath in (EquilibriumBath(1.3), _coherent(prop, keyed_rng)):
+        series = me.generator_coefficients(prop, slice(None), bath)
+        assert all(v.shape == (prop.n_times,) for v in series.values())
         for i in INDICES:
             if not series["valid"][i]:
                 # flat-custom's last point sits past a zero of |A|^2 - |C|^2
                 with pytest.raises(SingularGeneratorError):
-                    me.gaussian_generator(prop, i, fs)
+                    me.generator_coefficients(prop, i, bath)
                 continue
-            c = me.gaussian_generator(prop, i, fs)
-            for key in ("xi", "zeta", "kappa", "mu", "sigma", "denom", "valid"):
-                assert getattr(c, key) == series[key][i], key
-            xi, zeta, denom = me.xi_zeta(prop, i)
-            assert (xi, zeta, denom) == (series["xi"][i], series["zeta"][i], series["denom"][i])
+            c = me.generator_coefficients(prop, i, bath)
+            assert c == {key: v[i].item() for key, v in series.items()}
+            assert all(type(v) in (float, complex, bool) for v in c.values())
+        for rows in _row_sets(prop):
+            indices = np.arange(prop.n_times)[rows]
+            sub = me.generator_coefficients(prop, rows, bath)
+            for key, v in sub.items():
+                # NaN on flagged rows: compare the bits, not the values
+                assert v.shape == indices.shape, key
+                assert v.tobytes() == series[key][indices].tobytes(), key
 
 
 def _row_sets(p):
@@ -179,8 +185,9 @@ def test_member_matrix_needs_one_row_and_a_batch_entry_point(prop):
     for rows in (1, [0, 1]):
         with pytest.raises(ParameterError, match="members"):
             me.generator_residual(prop, rows, coherent, SQUEEZED)
-    with pytest.raises(ParameterError, match="members"):
-        me.f_series_for(prop, coherent)
+    for rows in (1, slice(None)):
+        with pytest.raises(ParameterError, match="members"):
+            me.generator_coefficients(prop, rows, coherent)
 
 
 def test_chi_eval_on_a_row_set_equals_each_row_bitwise(prop, keyed_rng):

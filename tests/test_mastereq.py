@@ -14,6 +14,7 @@ from qbath.baths import (
     NumberStateBath,
     bath_sums,
     sample_coherent_state,
+    sample_coherent_states,
     sample_number_state,
 )
 from qbath.errors import ParameterError, SingularGeneratorError
@@ -31,6 +32,12 @@ SQUEEZED = SqueezedDisplaced(disp=0.5 - 0.1j, r=0.6, phi=0.3)
 CAT = CatState(alpha=1.3 + 0.4j, beta=-0.8 - 0.6j)
 
 
+def _drift(p, i):
+    """(xi, zeta, denom) at grid index i; the drift does not depend on the bath."""
+    c = me.generator_coefficients(p, i, EquilibriumBath(1.0))
+    return c["xi"], c["zeta"], c["denom"]
+
+
 def test_single_mode_drift_closed_form(rwa_n1):
     # A = exp(-i nu t) cos(u t) gives xi = -i nu - u tan(u t) and zeta = 0
     p = rwa_n1
@@ -39,7 +46,7 @@ def test_single_mode_drift_closed_form(rwa_n1):
         t = p.grid.t[i]
         if math.cos(u * t) ** 2 <= me.DENOM_FLOOR:
             continue
-        xi, zeta, denom = me.xi_zeta(p, i)
+        xi, zeta, denom = _drift(p, i)
         expected = -1j * nu - u * math.tan(u * t)
         assert abs(xi - expected) <= 1e-9 * max(1.0, abs(expected))
         assert zeta == 0.0
@@ -53,8 +60,8 @@ def test_singular_generator_raises():
     t_sing = math.pi / (2.0 * u)
     p = compute_propagator(m, TimeGrid(t_sing * np.array([0.0, 0.5, 1.0, 1.5, 3.0])))
     bath = EquilibriumBath(1.0)
-    me.xi_zeta(p, 1)
-    for call in (me.xi_zeta, lambda p, i: me.gaussian_generator(p, i, me.f_series_for(p, bath)),
+    me.generator_coefficients(p, 1, bath)
+    for call in (lambda p, i: me.generator_coefficients(p, i, bath),
                  lambda p, i: me.general_generator_residual(p, i, bath, CAT)):
         with pytest.raises(SingularGeneratorError, match=f"at grid index 2, t = {p.grid.t[2]}"):
             call(p, 2)
@@ -67,12 +74,15 @@ def test_singular_generator_raises():
     for rows in (1, [0, 1, 3], slice(None)):
         with pytest.raises(ParameterError, match="number-state"):
             me.generator_residual(p, rows, NumberStateBath([1]), SQUEEZED)
-    # series form flags instead of raising
-    series = me.generator_series(p, me.f_series_for(p, bath))
+    # a row set of generator coefficients flags instead of raising
+    series = me.generator_coefficients(p, slice(None), bath)
     assert series["valid"][1]
     assert not series["valid"][2]
     assert np.isnan(series["xi"][2])
     assert np.isfinite(series["xi"][1])
+    rows = me.generator_coefficients(p, [3, 4, 1, 2], bath)
+    assert rows["valid"].tolist() == [True, False, True, False]
+    assert np.isnan(rows["xi"][[1, 3]]).all() and np.isfinite(rows["xi"][[0, 2]]).all()
 
 
 def test_near_floor_denominator_not_regularized():
@@ -81,7 +91,7 @@ def test_near_floor_denominator_not_regularized():
     # cos^2(u t) = 100 * floor: close to singular but still valid
     t_near = (math.pi / 2.0 - math.sqrt(100.0 * me.DENOM_FLOOR)) / u
     p = compute_propagator(m, TimeGrid(np.array([0.0, t_near])))
-    xi, zeta, denom = me.xi_zeta(p, 1)
+    xi, zeta, denom = _drift(p, 1)
     assert denom == pytest.approx(100.0 * me.DENOM_FLOOR, rel=1e-4)
     # |xi| ~ u / sqrt(denom): genuinely large, not clipped
     assert abs(xi) > 0.9 * u / math.sqrt(100.0 * me.DENOM_FLOOR)
@@ -90,8 +100,7 @@ def test_near_floor_denominator_not_regularized():
 
 def test_equilibrium_generator_shape(ohmic_rwa):
     p = ohmic_rwa
-    fs = me.f_series_for(p, EquilibriumBath(1.3))
-    series = me.generator_series(p, fs)
+    series = me.generator_coefficients(p, slice(None), EquilibriumBath(1.3))
     valid = series["valid"]
     assert np.all(valid)
     # no drive: sigma vanishes identically, kappa is real
@@ -107,12 +116,11 @@ def test_equilibrium_generator_shape(ohmic_rwa):
 def test_initial_sigma_matches_coupling_row(ohmic_pp):
     p = ohmic_pp
     amps = sample_coherent_state(1.0, p.model, np.random.default_rng(17)).amps
-    fs = me.f_series_for(p, CoherentStateBath(amps))
-    g0 = me.gaussian_generator(p, 0, fs)
-    assert g0.kappa == 0.0
-    assert g0.mu == 0.0
+    g0 = me.generator_coefficients(p, 0, CoherentStateBath(amps))
+    assert g0["kappa"] == 0.0
+    assert g0["mu"] == 0.0
     expected = -1j * (p.model.u @ amps + p.model.v @ np.conj(amps))
-    assert abs(g0.sigma - expected) < 1e-13
+    assert abs(g0["sigma"] - expected) < 1e-13
 
 
 def test_generator_residual_gaussian_baths(ohmic_rwa, ohmic_pp):
@@ -288,14 +296,14 @@ def test_sigma_is_linear_in_amplitudes(ohmic_pp):
     # drift pair and the propagator row derivatives
     p = ohmic_pp
     i = 30
-    xi, zeta, _ = me.xi_zeta(p, i)
+    xi, zeta, _ = _drift(p, i)
     b, d, db, dd = p.B[i], p.D[i], p.dB[i], p.dD[i]
     P = zeta * np.conj(d) - xi * b + db
     Q = zeta * np.conj(b) - xi * d + dd
     rng = np.random.default_rng(61)
     for _ in range(20):
         amps = rng.normal(size=p.n_modes) + 1j * rng.normal(size=p.n_modes)
-        sigma = me.gaussian_generator(p, i, me.f_series_for(p, CoherentStateBath(amps))).sigma
+        sigma = me.generator_coefficients(p, i, CoherentStateBath(amps))["sigma"]
         assert abs(sigma - (P @ amps + Q @ np.conj(amps))) < 1e-12
 
 
@@ -305,7 +313,7 @@ def test_sigma_ensemble_statistics(ohmic_pp):
     p = ohmic_pp
     i = 30
     beta = 1.5
-    xi, zeta, _ = me.xi_zeta(p, i)
+    xi, zeta, _ = _drift(p, i)
     P = zeta * np.conj(p.D[i]) - xi * p.B[i] + p.dB[i]
     Q = zeta * np.conj(p.B[i]) - xi * p.D[i] + p.dD[i]
     nbar = 1.0 / np.expm1(beta * p.model.omegas)
@@ -328,12 +336,18 @@ def test_sigma_ensemble_statistics(ohmic_pp):
         assert abs(s.estimate - part(pred_sq)) < 4.0 * s.std_error
 
 
-def test_f_series_validation(ohmic_rwa):
+def test_generator_coefficients_validation(ohmic_rwa):
     p = ohmic_rwa
-    with pytest.raises(ParameterError):
-        me.f_series_for(p, NumberStateBath(np.zeros(p.n_modes, dtype=int)))
-    with pytest.raises(ParameterError):
-        me.f_series_for(p, CoherentStateBath(np.zeros(3, dtype=complex)))
-    fs = me.f_series_for(p, EquilibriumBath(0.9))
+    number = NumberStateBath(np.zeros(p.n_modes, dtype=int))
+    short = CoherentStateBath(np.zeros(3, dtype=complex))
+    members = sample_coherent_states(1.3, p.model, 3, 4)
+    for rows in (1, slice(None), [0, 2], np.arange(p.n_times) > 5):
+        with pytest.raises(ParameterError, match="number-state"):
+            me.generator_coefficients(p, rows, number)
+        with pytest.raises(ParameterError, match=f"expected {p.n_modes} amplitudes"):
+            me.generator_coefficients(p, rows, short)
+        with pytest.raises(ParameterError, match="members"):
+            me.generator_coefficients(p, rows, members)
+    fs = bath_sums(p, slice(None), EquilibriumBath(0.9), derivs=True)
     assert fs.alpha.shape == (p.n_times,)
     assert np.all(fs.delta == 0.0)

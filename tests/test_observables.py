@@ -197,9 +197,7 @@ SCALAR_CALLS = {
     "displaced_vacuum_check": lambda p, i: obs.displaced_vacuum_check(p, i, [0.3j], SQUEEZED),
     "delta_correlations-i": lambda p, i: delta_correlations(p, i, 0, 1.0),
     "delta_correlations-j": lambda p, i: delta_correlations(p, 0, i, 1.0),
-    "xi_zeta": lambda p, i: me.xi_zeta(p, i),
-    "gaussian_generator": lambda p, i: me.gaussian_generator(
-        p, i, me.f_series_for(p, EquilibriumBath(1.0))),
+    "generator_coefficients": lambda p, i: me.generator_coefficients(p, i, EquilibriumBath(1.0)),
     "generator_residual": lambda p, i: me.generator_residual(p, i, EquilibriumBath(1.0), CAT),
     "chi_time_derivative": lambda p, i: me.chi_time_derivative(
         p, i, NumberStateBath([1]), SQUEEZED, ETAS),

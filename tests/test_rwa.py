@@ -66,6 +66,9 @@ def test_survival_argument_validation():
             rwa.purity_squeezed_rwa(bad, 1.0)
         with pytest.raises(ParameterError):
             rwa.purity_cat_rwa(bad, 1.0, -1.0 + 0.2j)
+    for alpha, beta in ((1e155, 0.0), (0.0, 1e155j), (1e154, -1e154)):
+        with pytest.raises(ParameterError, match="float range"):
+            rwa.purity_cat_rwa(0.5, alpha, beta)
 
 
 def test_pipeline_matches_squeezed_reference(rwa_n1):

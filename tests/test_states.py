@@ -58,6 +58,20 @@ def test_squeezing_whose_moments_overflow_is_refused(r):
         states.GaussianMoments(1e160, 1e200, 0.0)
 
 
+@pytest.mark.parametrize("alpha, beta", [
+    (1e200, 0.0),  # |alpha|^2 past the float range
+    (1.5e308 + 1.5e308j, 0.0),  # |alpha| itself past it
+    (1e154, -1e154),  # |alpha|^2 finite, |alpha - beta|^2 not
+    (math.nan, 0.0),
+])
+def test_cat_lobes_past_the_float_range_are_refused(alpha, beta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="float range"):
+            states.CatState(alpha, beta)
+    assert states.CatState(1e153, -1e153).norm_sq == 2.0  # far apart, in range
+
+
 def test_vacuum_chi0():
     w = _grid()
     vac = states.vacuum_state()
