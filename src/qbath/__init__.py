@@ -20,12 +20,10 @@ from .baths import (
     NumberStateBath,
     bath_F_eval,
     bath_delta,
-    bath_f_params,
+    bath_sums,
     delta_correlations,
     occupation,
-    sample_coherent_state,
     sample_coherent_states,
-    sample_number_state,
     sample_number_states,
 )
 from .config import RunConfig, load_config, parse_config, realize_bath

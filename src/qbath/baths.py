@@ -20,9 +20,11 @@ beta = +inf is the zero-temperature sentinel.  Random preparations are drawn
 from the diagonal weights of the equilibrium state: geometric occupation
 numbers (P_n) or complex Gaussian amplitudes with E|beta_k|^2 = nbar_k (P_c).
 
-This module alone decides what F is.  Gaussian parameters come from
-bath_sums as a GaussianFSeries on propagator rows (fs[0] for one index), and
-_gaussian is the one guard that refuses number states.  _laguerre_split
+This module alone decides what F is.  Its mode sums come from one entry
+point, bath_sums(p, i, bath): at a grid index i the one-row fs[0], on a row
+set a GaussianFSeries with one entry per row.  For a number bath they are the
+second-moment sums of its occupations; _gaussian is the one guard that
+refuses number states where F itself must be Gaussian.  _laguerre_split
 writes any bath as a Gaussian part times prod_k L_{n_k} (vacuum plus
 occupations, or the bath itself plus a row of zeros), and bath_F_eval is the
 one evaluator of F for every preparation (through _influence, which the
@@ -33,11 +35,12 @@ the Laguerre arguments |z_k|^2 of bath_F_eval and purity quadrature.
 An ensemble is one bath holding an (M x N) member matrix, from
 sample_number_states or sample_coherent_states; on one propagator row the
 sums below give one entry per member, or one shared by all where the prepared
-values do not enter.  The whole matrix is one default_rng(seed) stream,
-drawn in blocks of _BLOCK rows and consumed row by row in C order, so row k
-of an M-member draw is row k of any larger draw, and row 0 is the single
-draw sample_*_state(beta, m, seed).  A zero-temperature draw advances no
-generator.  The member count is bounded only by the largest array.
+values do not enter.  The whole matrix is one stream of default_rng(seed),
+or of a given np.random.Generator, drawn in blocks of _BLOCK rows and
+consumed row by row in C order, so row k of an M-member draw is row k of any
+larger draw, and a single draw is row 0 of sample_*_states(beta, m, seed, 1).
+A zero-temperature draw advances no generator.  The member count is bounded
+only by the largest array.
 """
 
 from __future__ import annotations
@@ -62,11 +65,8 @@ __all__ = [
     "occupation",
     "gaussian_F_eval",
     "bath_F_eval",
-    "bath_f_params",
     "bath_sums",
     "bath_delta",
-    "sample_number_state",
-    "sample_coherent_state",
     "sample_number_states",
     "sample_coherent_states",
     "delta_correlations",
@@ -218,16 +218,21 @@ def bath_delta(p: PropagatorCoefficients, rows, bath: BathSpec) -> np.ndarray:
 
 
 def bath_sums(
-    p: PropagatorCoefficients, rows, bath: BathSpec, *, derivs: bool = False
+    p: PropagatorCoefficients, i, bath: BathSpec, *, derivs: bool = False
 ) -> GaussianFSeries:
-    """Bath mode sums on the propagator rows p.X[rows].
+    """Bath mode sums at grid index i, the one row fs[0], or on the row set p.X[i].
 
     alpha = sum_k w_k (|B_k|^2 + |D_k|^2) and gamma = sum_k w_k B_k D_k with
     the weights w_k of _mode_weights, and delta as in bath_delta.  Time
-    derivatives are computed only with derivs=True.  Sums run elementwise
+    derivatives are computed only with derivs=True.  A grid index is checked
+    by row_slice and takes one preparation (a member matrix is a
+    ParameterError); a row set (a slice, an integer array or a mask) gives
+    one entry per row, or, on one row, one per member.  Sums run elementwise
     along the mode axis, so one row gives the same bits as the whole grid,
     and each member of a member matrix the same bits as that member alone.
     """
+    one = _is_index(i)
+    rows, bath = (row_slice(p, i), _single(bath)) if one else (i, bath)
     b, d = p.B[rows], p.D[rows]
     w = _mode_weights(p, bath, b.shape[:-1])
     fs = GaussianFSeries(
@@ -240,7 +245,7 @@ def bath_sums(
         fs.ddelta = _drive(p, db, dd, bath)
         fs.dalpha = (2.0 * np.real(np.conj(b) * db + np.conj(d) * dd) * w).sum(axis=-1)
         fs.dgamma = ((db * d + b * dd) * w).sum(axis=-1)
-    return fs
+    return fs[0] if one else fs
 
 
 def _gaussian(bath: BathSpec) -> BathSpec:
@@ -328,16 +333,6 @@ def gaussian_F_eval(params: GaussianFSeries, eta: np.ndarray) -> np.ndarray:
     return out
 
 
-def bath_f_params(p: PropagatorCoefficients, i, bath: BathSpec) -> GaussianFSeries:
-    """Gaussian influence parameters at index i, the row fs[0]; rejects number-state baths.
-
-    On a row set i (a slice, an integer array or a mask) the fields hold
-    one entry per row of p.X[i].
-    """
-    fs = bath_sums(p, row_slice(p, i) if _is_index(i) else i, _gaussian(_single(bath)))
-    return fs[0] if _is_index(i) else fs
-
-
 def bath_F_eval(p: PropagatorCoefficients, i, bath: BathSpec, eta: np.ndarray) -> np.ndarray:
     """Influence function F(eta, t_i) for any supported preparation.
 
@@ -350,7 +345,7 @@ def bath_F_eval(p: PropagatorCoefficients, i, bath: BathSpec, eta: np.ndarray) -
     laguerre.log_products, in log space to avoid overflow, with its sign
     from the parity of the negative factors.
     """
-    fs = bath_f_params(p, i, _laguerre_split(p, _single(bath))[0])
+    fs = bath_sums(p, i, _laguerre_split(p, _single(bath))[0])
     return _influence(p, i, bath, fs if _is_index(i) else fs[:, None], eta)
 
 
@@ -372,41 +367,57 @@ def _is_index(i) -> bool:
     return isinstance(i, (int, np.integer))
 
 
-def _generator(seed: int, count: int) -> np.random.Generator:
-    """default_rng(seed) for count members, both checked before any member array exists."""
-    seed, count = operator.index(seed), operator.index(count)
-    if seed < 0:
-        raise ParameterError(f"seeds must be nonnegative, got {seed}")
+def _generator(seed: int | np.random.Generator, count: int) -> np.random.Generator:
+    """The generator for count members: default_rng(seed), or seed itself when it is one.
+
+    The seed and the count are checked before any member array exists.
+    """
+    count = operator.index(count)
     if count < 0:
         raise ParameterError(f"member counts must be nonnegative, got {count}")
+    if isinstance(seed, np.random.Generator):
+        return seed
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ParameterError(f"seeds must be nonnegative, got {seed}")
     return np.random.default_rng(seed)
 
 
-def _number_rows(beta: float, m: ModelSpec, rng: np.random.Generator, count: int) -> np.ndarray:
-    """count rows of occupations from P(n) = (1-q) q^n, drawn in C order from rng."""
-    beta = _check_beta(beta)
-    out = np.zeros((count, m.n_modes), dtype=int)
+def sample_number_states(
+    beta: float, m: ModelSpec, seed: int | np.random.Generator, n_members: int
+) -> NumberStateBath:
+    """n_members rows of occupations from the equilibrium weights P(n) = (1-q) q^n.
+
+    The rows are drawn one after another in C order from default_rng(seed),
+    or from seed itself when it is a np.random.Generator; a single draw is
+    row 0 of a one-member call.
+    """
+    rng, beta = _generator(seed, n_members), _check_beta(beta)
+    out = np.zeros((n_members, m.n_modes), dtype=int)
     if math.isinf(beta):  # all n = 0, and rng is not advanced
-        return out
+        return NumberStateBath(out)
     p = 1.0 - np.exp(-beta * m.units.hbar * m.omegas)
-    for k in range(0, count, _BLOCK):
+    for k in range(0, n_members, _BLOCK):
         rows = out[k : k + _BLOCK]
         np.subtract(rng.geometric(p, size=rows.shape), 1, out=rows)  # numpy counts trials from 1
-    return out
+    return NumberStateBath(out)
 
 
-def _coherent_rows(beta: float, m: ModelSpec, rng: np.random.Generator, count: int) -> np.ndarray:
-    """count rows of amplitudes with E|beta_k|^2 = nbar_k, drawn in C order from rng.
+def sample_coherent_states(
+    beta: float, m: ModelSpec, seed: int | np.random.Generator, n_members: int
+) -> CoherentStateBath:
+    """n_members rows of amplitudes from the complex Gaussian with E|beta_k|^2 = nbar_k.
 
-    A row is one normal(size=2N) draw, real parts first: the same values as
-    two normal(size=N) draws.
+    The rows are drawn as in sample_number_states; a row is one
+    normal(size=2N) draw, real parts first: the same values as two
+    normal(size=N) draws.
     """
-    beta, n = _check_beta(beta), m.n_modes
+    rng, beta, n = _generator(seed, n_members), _check_beta(beta), m.n_modes
     if math.isinf(beta):  # all amplitudes 0, and rng is not advanced
-        return np.zeros((count, n), dtype=complex)
+        return CoherentStateBath(np.zeros((n_members, n), dtype=complex))
     scale = np.sqrt(occupation(beta, m.omegas, m.units.hbar) / 2.0)
-    out = np.empty((count, n), dtype=complex)
-    for k in range(0, count, _BLOCK):
+    out = np.empty((n_members, n), dtype=complex)
+    for k in range(0, n_members, _BLOCK):
         rows = out[k : k + _BLOCK]
         z = rng.normal(size=(rows.shape[0], 2 * n))
         re, im = rows.real, rows.imag
@@ -417,43 +428,7 @@ def _coherent_rows(beta: float, m: ModelSpec, rng: np.random.Generator, count: i
         # where the imaginary part was -0.0 too (signed zeros come from a zero scale)
         re += np.copysign(0.0, im)
         im += 0.0
-    return out
-
-
-def sample_number_state(
-    beta: float, m: ModelSpec, rng: np.random.Generator | int
-) -> NumberStateBath:
-    """Draw occupations from the equilibrium diagonal weights P(n) = (1-q) q^n.
-
-    An int rng seeds default_rng(rng): the draw is row 0 of
-    sample_number_states(beta, m, rng, M) for every M >= 1.
-    """
-    return NumberStateBath(_number_rows(beta, m, np.random.default_rng(rng), 1)[0])
-
-
-def sample_coherent_state(
-    beta: float, m: ModelSpec, rng: np.random.Generator | int
-) -> CoherentStateBath:
-    """Draw amplitudes from the complex Gaussian with E|beta_k|^2 = nbar_k.
-
-    An int rng seeds default_rng(rng): the draw is row 0 of
-    sample_coherent_states(beta, m, rng, M) for every M >= 1.
-    """
-    return CoherentStateBath(_coherent_rows(beta, m, np.random.default_rng(rng), 1)[0])
-
-
-def sample_number_states(beta: float, m: ModelSpec, seed: int, n_members: int) -> NumberStateBath:
-    """n_members rows of sample_number_state, drawn one after another from default_rng(seed)."""
-    rng = _generator(seed, n_members)
-    return NumberStateBath(_number_rows(beta, m, rng, n_members))
-
-
-def sample_coherent_states(
-    beta: float, m: ModelSpec, seed: int, n_members: int
-) -> CoherentStateBath:
-    """n_members rows of sample_coherent_state, drawn one after another from default_rng(seed)."""
-    rng = _generator(seed, n_members)
-    return CoherentStateBath(_coherent_rows(beta, m, rng, n_members))
+    return CoherentStateBath(out)
 
 
 @dataclass

@@ -18,6 +18,9 @@ log|L| table, built with one eval_scaled call per distinct order, and a
 member's product is the sum of its rows of that table, taken in mode order.
 A single member is a one-row member matrix, with the same bits as its row in
 any larger one.
+
+The recurrence takes one numpy step per order, so an order above MAX_ORDER
+(where one purity row costs about 1-2 s) is an AccuracyError before any step.
 """
 
 from __future__ import annotations
@@ -26,24 +29,32 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import AccuracyError, ParameterError
 
-__all__ = ["eval_scaled", "log_derivative", "log_products"]
+__all__ = ["MAX_ORDER", "eval_scaled", "log_derivative", "log_products"]
 
 _RENORM_LIMIT = 2.0**500
 _LN2 = math.log(2.0)
 BLOCK_VALUES = 1 << 16  # table values gathered per member block of log_products
+MAX_ORDER = 1 << 14  # the highest order evaluated: one recurrence step per order
+
+
+def _check_order(n: int) -> None:
+    """AccuracyError for an order above MAX_ORDER, naming the order and the bound."""
+    if n > MAX_ORDER:
+        raise AccuracyError(f"Laguerre order {n} is above the bound MAX_ORDER = {MAX_ORDER}")
 
 
 def eval_scaled(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (m_n, m_prev, e) with L_n(x) = m_n 2^e and L_{n-1}(x) = m_prev 2^e.
 
-    x must be real and non-negative; n >= 0 (m_prev is 0 for n = 0).  For
-    n <= 1, m_prev and e are read-only broadcasts of their one value, so the
-    low orders allocate only m_n.
+    x must be real and non-negative; 0 <= n <= MAX_ORDER (m_prev is 0 for
+    n = 0).  For n <= 1, m_prev and e are read-only broadcasts of their one
+    value, so the low orders allocate only m_n.
     """
     if n < 0:
         raise ParameterError(f"Laguerre order must be >= 0, got {n}")
+    _check_order(n)
     x = np.asarray(x, dtype=float)
     if (x < 0.0).any():
         raise ParameterError("Laguerre argument must be >= 0")
@@ -108,7 +119,8 @@ def log_products(occs, xs, *, signed: bool = False):
     point pairwise) it has the same bits at each point whatever other
     members and points share the call; it is -inf where a factor vanishes
     and 0 for a member with no occupied mode.  odd marks an odd count of
-    negative factors (None unless signed).
+    negative factors (None unless signed).  An order above MAX_ORDER is an
+    AccuracyError, raised before any factor is evaluated.
 
     Members come in blocks of consecutive rows, yielded as the slice rows of
     occs, whose gathered factor rows, padded to the most factors of any
@@ -122,6 +134,7 @@ def log_products(occs, xs, *, signed: bool = False):
     member, mode = np.nonzero(occs)  # row-major: each member's modes in ascending order
     order = occs[member, mode]
     width = int(order.max(initial=0)) + 1
+    _check_order(width - 1)  # before mode * width, which a huge order would overflow
     pairs, row = np.unique(mode * width + order, return_inverse=True)
     pair_mode, pair_order = np.divmod(pairs, width)
     # one row per distinct factor, then a zero row (log 1) that pads short members

@@ -58,7 +58,6 @@ from .baths import (
     _single,
     bath_F_eval,
     bath_delta,
-    bath_f_params,
     bath_sums,
     occupation,
     sample_number_states,
@@ -168,7 +167,7 @@ def mean_xp(p: PropagatorCoefficients, i, bath: BathSpec, s: OscillatorState) ->
 
 
 def _variance_kernel(p: PropagatorCoefficients, rows, bath: BathSpec, s: OscillatorState | None):
-    """(var x, var p) on the rows p.X[rows]; s = None leaves the state's part out."""
+    """(var x, var p) on p.X[rows], or at grid index rows; s = None leaves the state's part out."""
     f = bath_sums(p, rows, bath)
     core_x = core_p = 0.0
     if s is not None:
@@ -199,7 +198,7 @@ def asymptotic_variances(
 
     The variances without the state's part, which decays with A and C.
     """
-    return _entries(True, *_variance_kernel(p, row_slice(p, i), _single(bath), None))
+    return tuple(float(v) for v in _variance_kernel(p, i, bath, None))
 
 
 def _discriminant(d0: float, a_s, g_s, a_t, c_t, alpha, gamma):
@@ -220,15 +219,15 @@ def _gaussian_purity(disc: np.ndarray, a: np.ndarray, g: np.ndarray) -> np.ndarr
     """1/(2 sqrt(disc)) elementwise, disc = a^2 - 4|g|^2; raises at the first non-positive form."""
     bad = disc <= 0.0
     if bad.any():
-        k = np.argmax(bad)
+        k = np.unravel_index(np.argmax(bad), np.shape(bad))  # () at one grid index
         raise PhysicalityError(f"purity form not positive: a={a[k]}, |g|={abs(g[k])}")
     return 1.0 / (2.0 * np.sqrt(disc))
 
 
 def asymptotic_purity(p: PropagatorCoefficients, i: int, bath: BathSpec) -> float:
     """Long-time purity 1/(2 sqrt(alpha^2 - 4 |gamma|^2)) evaluated at index i."""
-    f = bath_sums(p, row_slice(p, i), _single(bath))
-    return float(_gaussian_purity(f.alpha**2 - 4.0 * np.abs(f.gamma) ** 2, f.alpha, f.gamma)[0])
+    f = bath_sums(p, i, bath)
+    return float(_gaussian_purity(f.alpha**2 - 4.0 * np.abs(f.gamma) ** 2, f.alpha, f.gamma))
 
 
 def _total_gaussian_rows(
@@ -297,8 +296,8 @@ def _whitened(p: PropagatorCoefficients, rows, s: OscillatorState, gauss_bath):
     whiten, scale = np.empty((rows.size, 2, 2)), np.empty(rows.size)
     for start in range(0, rows.size, step):
         part = slice(start, start + step)
-        disc, a, g = _total_gaussian_rows(p, rows[part], state,
-                                          bath_f_params(p, rows[part], gauss_bath))
+        f = bath_sums(p, rows[part], gauss_bath)
+        disc, a, g = _total_gaussian_rows(p, rows[part], state, f)
         whiten[part], scale[part] = _whitening(a, g, disc, rows[part])
     return whiten, scale
 
@@ -316,14 +315,16 @@ def _fringe_nodes(p: PropagatorCoefficients, rows, s: OscillatorState, whiten) -
     +-(alpha - beta): up to sign the terms give b = z, z^*, 2 Re z and 2i Im z for
     z = (alpha - beta)^* f, so k is twice the largest |Re z_j|, |Im z_j|.  (R,)
     nodes for the (R, 2, 2) whitenings; zeros for a Gaussian state, whose
-    integrand is a polynomial that the exact rule bounds.
+    integrand is a polynomial that the exact rule bounds.  k is capped at
+    MAX_NODES, where FRINGE k^2 is still far past every level, so that k^2
+    never overflows.
     """
     if is_gaussian(s):
         return np.zeros(len(rows))
     a_t, c_t = np.conj(p.A[rows])[:, None], p.C[rows][:, None]
     f = whiten[:, 0] * (a_t - c_t) + whiten[:, 1] * (1j * (a_t + c_t))
     z = np.conj(s.alpha - s.beta) * f
-    k = 2.0 * np.abs(z.view(float)).max(axis=-1)
+    k = np.minimum(2.0 * np.abs(z.view(float)).max(axis=-1), MAX_NODES)
     return FRINGE * k * k
 
 
@@ -458,10 +459,12 @@ def _quadrature(p, rows: np.ndarray, s, gauss_bath, occs, probes, tol) -> np.nda
     its other members, if any, are summed on that level only; the rows left
     go on one rung up, capped at the exact rule, which ends every row without
     a comparison.  A row still pending past the last rung raises
-    AccuracyError.  Each level runs its pending rows in blocks with
-    rows x nodes x m <= laguerre.BLOCK_VALUES, m the occupied modes of the
-    Laguerre table, or 32 without one (about the float64 values a node holds
-    through one chi evaluation), so the memory does not grow with the rows.
+    AccuracyError; so does, before the first level, the first row whose
+    fringe nodes no rung reaches.  Each level runs its pending rows in
+    blocks with rows x nodes x m <= laguerre.BLOCK_VALUES, m the occupied
+    modes of the Laguerre table, or 32 without one (about the float64 values
+    a node holds through one chi evaluation), so the memory does not grow
+    with the rows.
     Every row is whitened, and its fringe nodes taken, once, before the first
     level: _whitened takes the bath's sums in row chunks of the same budget.
     """
@@ -475,9 +478,10 @@ def _quadrature(p, rows: np.ndarray, s, gauss_bath, occs, probes, tol) -> np.nda
     rest = np.ones(occs.shape[0], dtype=bool)
     rest[probes] = False  # summed on the level where their row leaves, and on no other
     done = np.zeros(rows.size, dtype=bool)
-    pending = np.arange(rows.size)
+    unresolved = fringe > MAX_NODES  # no rung ends these rows: the first of them fails at once
+    pending = np.flatnonzero(unresolved) if unresolved.any() else np.arange(rows.size)
     while pending.size:
-        if ns[-1] > MAX_NODES:
+        if ns[-1] > MAX_NODES or unresolved.any():
             i = rows[pending[0]]
             raise AccuracyError(
                 f"purity quadrature did not converge to {tol:.1e} within {MAX_NODES} nodes "
@@ -606,7 +610,7 @@ def displaced_vacuum_check(
     eta = np.asarray(eta, dtype=complex)
     bath = CoherentStateBath(amps)
     chi = chi_eval(p, i, bath, s, eta)
-    delta = bath_f_params(p, i, bath).delta
+    delta = bath_sums(p, i, bath).delta
     phase = np.exp(np.conj(delta) * eta - delta * np.conj(eta))
     vac_bath = CoherentStateBath(np.zeros(p.n_modes, dtype=complex))
     chi_vac = chi_eval(p, i, vac_bath, vacuum_state(), eta)

@@ -263,7 +263,8 @@ def _cat_terms(s: CatState, w: np.ndarray):
     (g, d) in {alpha, beta}^2, with <g|d> stored in s.overlaps.  The
     exponent's imaginary part is Im(g^* w) + Im(d^* w), so the four terms
     share two phases cis(Im alpha^* w) and cis(Im beta^* w); its real part
-    -|w|^2/2 + Re(g^* w) - Re(d^* w) is at most |g - d|^2/2 and never overflows.
+    -|w|^2/2 + Re(g^* w) - Re(d^* w) is at most |g - d|^2/2, which exp can
+    overflow once |g - d|^2 is above about 1418.
     """
     lobes = (s.alpha, s.beta)
     env = -0.5 * np.abs(w) ** 2

@@ -23,7 +23,7 @@ from qbath import (
     asymptotic_purity,
     asymptotic_variances,
     averaged_purity_number_ensemble,
-    bath_f_params,
+    bath_sums,
     compute_propagator,
     decay_report,
     delta_correlations,
@@ -40,9 +40,7 @@ from qbath import (
     purity,
     purity_cat_rwa,
     purity_squeezed_rwa,
-    sample_coherent_state,
     sample_coherent_states,
-    sample_number_state,
     sample_number_states,
     stock_config,
     stock_model,
@@ -216,8 +214,8 @@ def test_criterion_5_coherent_state_ensemble(ohmic_rwa, plateau_index):
         if k % 500 == 0:
             record(p, i, bath, s, f"coherent sample {k}")
 
-    fb = bath_f_params(p, i, EquilibriumBath(beta=beta))
-    f0 = bath_f_params(p, i, EquilibriumBath(beta=math.inf))
+    fb = bath_sums(p, i, EquilibriumBath(beta=beta))
+    f0 = bath_sums(p, i, EquilibriumBath(beta=math.inf))
     da, dg = fb.alpha - f0.alpha, fb.gamma - f0.gamma
     pred_x2 = (u.hbar / (u.mass * m.nu)) * (da + 2.0 * dg.real)
     pred_p2 = (u.hbar * u.mass * m.nu) * (da - 2.0 * dg.real)
@@ -248,8 +246,8 @@ def test_criterion_6_master_equation(ohmic_rwa, keyed_rng):
     idx = [k for k in (0, 10, 25, 45, 70, 96)
            if onset is None or p.grid.t[k] < onset]
     eq = EquilibriumBath(beta=1.5)
-    coh = CoherentStateBath(sample_coherent_state(1.5, m, keyed_rng(SEED, 0)).amps)
-    num = sample_number_state(1.5, m, keyed_rng(SEED, 1))
+    coh = CoherentStateBath(sample_coherent_states(1.5, m, keyed_rng(SEED, 0), 1).amps[0])
+    num = NumberStateBath(sample_number_states(1.5, m, keyed_rng(SEED, 1), 1).n[0])
     sq = SqueezedDisplaced(0.5 - 0.1j, 0.6, 0.3)
     cat = CatState(1.3 + 0.4j, -0.8 - 0.6j)
 
@@ -324,8 +322,8 @@ def test_criterion_8_physicality_suite(keyed_rng):
     # widen the audit beyond what criteria 1-7 recorded
     for name in ("ohmic-rwa-n64", "ohmic-pp-n64"):
         p = compute_propagator(stock_model(name), GRID)
-        amps = sample_coherent_state(1.0, p.model, keyed_rng(5, 0)).amps
-        number = sample_number_state(1.0, p.model, keyed_rng(5, 1))
+        amps = sample_coherent_states(1.0, p.model, keyed_rng(5, 0), 1).amps[0]
+        number = NumberStateBath(sample_number_states(1.0, p.model, keyed_rng(5, 1), 1).n[0])
         baths = (EquilibriumBath(beta=2.0), EquilibriumBath(beta=math.inf),
                  CoherentStateBath(amps), number)
         states = (vacuum_state(), SqueezedDisplaced(0.3 + 0.2j, 0.8, 0.4),

@@ -48,7 +48,7 @@ def test_equilibrium_params_match_direct_sums(ohmic_pp):
     p = ohmic_pp
     i = 37
     beta = 1.3
-    params = baths.bath_f_params(p, i, baths.EquilibriumBath(beta))
+    params = baths.bath_sums(p, i, baths.EquilibriumBath(beta))
     nbar = baths.occupation(beta, p.model.omegas)
     b, d = p.B[i], p.D[i]
     alpha = np.sum((np.abs(b) ** 2 + np.abs(d) ** 2) * (nbar + 0.5))
@@ -62,7 +62,7 @@ def test_ground_state_number_equals_zero_temperature(ohmic_pp):
     p = ohmic_pp
     i = 52
     eta = np.array([0.3 - 0.4j, 1.1 + 0.2j, -0.7 + 0.9j])
-    zero_t = baths.gaussian_F_eval(baths.bath_f_params(p, i, baths.EquilibriumBath(math.inf)), eta)
+    zero_t = baths.gaussian_F_eval(baths.bath_sums(p, i, baths.EquilibriumBath(math.inf)), eta)
     ground = baths.NumberStateBath(np.zeros(p.n_modes, dtype=int))
     from_number = baths.bath_F_eval(p, i, ground, eta)
     assert np.max(np.abs(from_number - zero_t)) < 1e-13
@@ -91,11 +91,12 @@ def test_thermal_number_average_monte_carlo(ohmic_rwa, keyed_rng):
     n_samples = 3000
     vals = np.empty(n_samples)
     for s in range(n_samples):
-        bath = baths.sample_number_state(beta, p.model, keyed_rng(411, s))
+        occs = baths.sample_number_states(beta, p.model, keyed_rng(411, s), 1).n[0]
+        bath = baths.NumberStateBath(occs)
         vals[s] = baths.bath_F_eval(p, i, bath, np.array([eta]))[0]
     summary = summarize(vals, seed=411)
     thermal = baths.gaussian_F_eval(
-        baths.bath_f_params(p, i, baths.EquilibriumBath(beta)), np.array([eta])
+        baths.bath_sums(p, i, baths.EquilibriumBath(beta)), np.array([eta])
     )[0].real
     assert abs(summary.estimate - thermal) < 4.0 * summary.std_error
 
@@ -162,22 +163,27 @@ def test_coherent_params(ohmic_pp):
     i = 61
     rng = np.random.default_rng(7)
     amps = rng.normal(size=p.n_modes) + 1j * rng.normal(size=p.n_modes)
-    params = baths.bath_f_params(p, i, baths.CoherentStateBath(amps))
+    params = baths.bath_sums(p, i, baths.CoherentStateBath(amps))
     b, d = p.B[i], p.D[i]
     delta = np.sum(b * amps + d * np.conj(amps))
     assert params.delta == pytest.approx(delta, rel=1e-14)
-    zero_t = baths.bath_f_params(p, i, baths.EquilibriumBath(math.inf))
+    zero_t = baths.bath_sums(p, i, baths.EquilibriumBath(math.inf))
     assert params.alpha == pytest.approx(zero_t.alpha, rel=1e-14)
     assert params.gamma == pytest.approx(zero_t.gamma, rel=1e-14)
-    quiet = baths.bath_f_params(p, i, baths.CoherentStateBath(np.zeros(p.n_modes, dtype=complex)))
+    quiet = baths.bath_sums(p, i, baths.CoherentStateBath(np.zeros(p.n_modes, dtype=complex)))
     assert quiet.delta == 0.0
     with pytest.raises(ParameterError):
-        baths.bath_f_params(p, i, baths.CoherentStateBath(amps[:-1]))
+        baths.bath_sums(p, i, baths.CoherentStateBath(amps[:-1]))
     with pytest.raises(ParameterError):
         short = baths.NumberStateBath(np.zeros(3, dtype=int))
         baths.bath_F_eval(p, i, short, np.array([0.1 + 0.1j]))
-    with pytest.raises(ParameterError):
-        baths.bath_f_params(p, i, baths.NumberStateBath(np.zeros(p.n_modes, dtype=int)))
+    # a number bath has the second-moment sums of its occupations, and no drive
+    n = np.arange(p.n_modes) % 3
+    number = baths.bath_sums(p, i, baths.NumberStateBath(n))
+    assert number.delta == 0.0
+    weighted = np.sum((np.abs(b) ** 2 + np.abs(d) ** 2) * (n + 0.5))
+    assert number.alpha == pytest.approx(weighted, rel=1e-14)
+    assert number.gamma == pytest.approx(np.sum(b * d * (n + 0.5)), rel=1e-14)
 
 
 SEEDS = (0, 31, 2**64 + 5)
@@ -212,11 +218,16 @@ def test_member_matrix_is_one_stream(ohmic_rwa):
                 assert rows.tobytes() == number[:size].tobytes(), (beta, seed, size)
                 rows = baths.sample_coherent_states(beta, m, seed, size).amps
                 assert rows.tobytes() == coherent[:size].tobytes(), (beta, seed, size)
-            # an int seed makes the single draw row 0
-            single = baths.sample_number_state(beta, m, seed).n
-            assert (single.dtype, single.tobytes()) == (number.dtype, number[0].tobytes())
-            single = baths.sample_coherent_state(beta, m, seed).amps
-            assert (single.dtype, single.tobytes()) == (coherent.dtype, coherent[0].tobytes())
+            # a Generator draws the rows of default_rng(seed), and a generator shared by
+            # one-member draws gives them the rows in turn
+            for sample, field, want in ((baths.sample_number_states, "n", number),
+                                        (baths.sample_coherent_states, "amps", coherent)):
+                rows = getattr(sample(beta, m, np.random.default_rng(seed), sizes[-1]), field)
+                assert (rows.dtype, rows.tobytes()) == (want.dtype, want.tobytes()), (beta, seed)
+                rng = np.random.default_rng(seed)
+                for k in range(3):
+                    row = getattr(sample(beta, m, rng, 1), field)[0]
+                    assert row.tobytes() == want[k].tobytes(), (beta, seed, k)
 
 
 def test_member_matrix_is_determined_by_its_seed(ohmic_rwa):
@@ -235,7 +246,7 @@ def test_seed_and_count_refused_before_allocation(ohmic_rwa):
     tracemalloc.start()
     try:
         for sample in (baths.sample_number_states, baths.sample_coherent_states):
-            for seed, count in ((-1, 10**12), (0, -1), (-1, 3)):
+            for seed, count in ((-1, 10**12), (0, -1), (-1, 3), (np.random.default_rng(0), -1)):
                 with pytest.raises(ParameterError):
                     sample(1.0, ohmic_rwa.model, seed, count)
         peak = tracemalloc.get_traced_memory()[1]
@@ -264,21 +275,21 @@ def test_number_sampler_moments(ohmic_rwa, keyed_rng):
     n_samples = 1500
     draws = np.empty((n_samples, m.n_modes))
     for s in range(n_samples):
-        draws[s] = baths.sample_number_state(beta, m, keyed_rng(787, s)).n
+        draws[s] = baths.sample_number_states(beta, m, keyed_rng(787, s), 1).n[0]
     mean_res = summarize((draws - nbar).ravel(), seed=787)
     assert abs(mean_res.estimate) < 4.0 * mean_res.std_error
     var_res = summarize(((draws - nbar) ** 2 - nbar * (nbar + 1.0)).ravel(), seed=787)
     assert abs(var_res.estimate) < 4.0 * var_res.std_error
-    vacuum = baths.sample_number_state(math.inf, m, keyed_rng(787, 0))
-    assert np.all(vacuum.n == 0)
+    vacuum = baths.sample_number_states(math.inf, m, keyed_rng(787, 0), 1)
+    assert vacuum.n.shape == (1, m.n_modes) and np.all(vacuum.n == 0)
 
 
 def test_zero_temperature_number_draw_leaves_the_generator(ohmic_rwa):
     # a generator shared with later draws gives them the same values at beta = inf
     rng = np.random.default_rng(5)
     state = rng.bit_generator.state
-    assert not baths.sample_number_state(math.inf, ohmic_rwa.model, rng).n.any()
-    assert not baths.sample_coherent_state(math.inf, ohmic_rwa.model, rng).amps.any()
+    assert not baths.sample_number_states(math.inf, ohmic_rwa.model, rng, 1).n[0].any()
+    assert not baths.sample_coherent_states(math.inf, ohmic_rwa.model, rng, 1).amps[0].any()
     assert rng.bit_generator.state == state
 
 
@@ -289,7 +300,7 @@ def test_coherent_sampler_moments(ohmic_rwa, keyed_rng):
     n_samples = 2000
     amps = np.empty((n_samples, m.n_modes), dtype=complex)
     for s in range(n_samples):
-        amps[s] = baths.sample_coherent_state(beta, m, keyed_rng(788, s)).amps
+        amps[s] = baths.sample_coherent_states(beta, m, keyed_rng(788, s), 1).amps[0]
     mag = summarize((np.abs(amps) ** 2 - nbar).ravel(), seed=788)
     assert abs(mag.estimate) < 4.0 * mag.std_error
     for part in (np.real, np.imag):

@@ -20,11 +20,13 @@ from qbath import (
     compute_propagator,
     parse_config,
 )
+from qbath import laguerre
 from qbath.cli import main
 from qbath.config import _MAX_SIZE
 from qbath.model import ModelSpec
 from qbath.presets import stock_config, stock_model
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SMALL_MODEL = {
     "nu": 1.0,
     "coupling_family": "RWA",
@@ -212,6 +214,40 @@ def test_quadrature_failure_exits_3(tmp_path, capsys):
     assert report["error"] == "AccuracyError"
     assert "did not converge" in report["message"]
     assert "at grid index 0 (t = 0.0)" in report["message"]  # the first row in row order
+
+
+@pytest.mark.parametrize("alpha_re", [1e150, 1.3e154])
+def test_far_apart_cat_lobes_exit_3_with_only_the_error_line(tmp_path, capsys, alpha_re):
+    # no level resolves the fringes of such lobes, so the quadrature refuses the first
+    # row before it evaluates a node, where the cross terms would overflow
+    doc = json.loads((CONFIGS / "purity-cat-vacuum.json").read_text())
+    doc["oscillator"]["alpha_re"] = alpha_re
+    rc, _ = run(tmp_path, "purity", doc)
+    err = capsys.readouterr().err
+    assert rc == 3
+    (line,) = err.splitlines()
+    report = json.loads(line)
+    assert report["error"] == "AccuracyError"
+    assert "did not converge" in report["message"]
+    assert "at grid index 0 (t = 0.0)" in report["message"]
+
+
+def test_huge_number_occupation_exits_3_promptly(tmp_path):
+    # an order past laguerre.MAX_ORDER is refused before the recurrence's first step
+    doc = json.loads((CONFIGS / "observables-rwa-coherent.json").read_text())
+    doc["bath"] = {"kind": "number", "n": [2**62] + [0] * (doc["model"]["spectral"]["N"] - 1)}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(qbath.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from qbath.cli import main; sys.exit(main())",
+         "observables", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3
+    report = json.loads(proc.stderr)
+    assert report["error"] == "AccuracyError"
+    assert f"order {2**62} " in report["message"]
+    assert f"MAX_ORDER = {laguerre.MAX_ORDER}" in report["message"]
 
 
 @pytest.mark.parametrize("subcommand, section, key", [

@@ -12,9 +12,7 @@ from qbath.baths import (
     CoherentStateBath,
     EquilibriumBath,
     NumberStateBath,
-    sample_coherent_state,
     sample_coherent_states,
-    sample_number_state,
     sample_number_states,
 )
 from qbath.config import _MAX_SIZE, load_config, parse_config, realize_bath
@@ -343,7 +341,7 @@ def test_sampled_bath_seeds():
     assert isinstance(realize_bath(parse_config(doc, "")), NumberStateBath)
     doc["bath"] = {"kind": "sample_coherent", "beta": 1.0, "seed": 11}
     amps = realize_bath(parse_config(doc, "")).amps
-    expected = sample_coherent_state(1.0, cfg.model, 11).amps
+    expected = sample_coherent_states(1.0, cfg.model, 11, 1).amps[0]
     assert np.array_equal(amps, expected)
     doc["bath"] = {"kind": "sample_number", "beta": 1.0, "seed": -1}
     with pytest.raises(SchemaError):
@@ -351,20 +349,21 @@ def test_sampled_bath_seeds():
 
 
 def test_realized_sample_bath_is_row_0_of_the_ensemble():
-    # a configured sampled bath is member 0 of its seed's ensemble and the single
-    # draw with that seed, bit for bit
+    # a configured sampled bath is member 0 of its seed's ensemble and of a one-member
+    # draw from default_rng(seed), bit for bit
     doc = _base_doc()
-    kinds = (("sample_number", sample_number_state, sample_number_states, "n"),
-             ("sample_coherent", sample_coherent_state, sample_coherent_states, "amps"))
+    kinds = (("sample_number", sample_number_states, "n"),
+             ("sample_coherent", sample_coherent_states, "amps"))
     for model in (doc["model"], stock_config("ohmic-rwa-n64")):
         doc["model"] = model
-        for kind, single, sample, field in kinds:
+        for kind, sample, field in kinds:
             for beta, seed in itertools.product((0.7, math.inf), (7, 2**64 + 3)):
                 doc["bath"] = {"kind": kind, "beta": beta, "seed": seed}
                 cfg = parse_config(doc, "")
                 got = getattr(realize_bath(cfg), field)
+                rng = np.random.default_rng(seed)
                 for want in (getattr(sample(beta, cfg.model, seed, 3), field)[0],
-                             getattr(single(beta, cfg.model, seed), field)):
+                             getattr(sample(beta, cfg.model, rng, 1), field)[0]):
                     assert (got.dtype, got.shape) == (want.dtype, want.shape)
                     assert got.tobytes() == want.tobytes(), (kind, beta, seed)
 

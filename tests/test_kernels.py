@@ -17,9 +17,7 @@ from qbath.baths import (
     NumberStateBath,
     bath_delta,
     bath_F_eval,
-    bath_f_params,
     bath_sums,
-    sample_coherent_state,
     sample_coherent_states,
     sample_number_states,
 )
@@ -38,15 +36,27 @@ def prop(request):
 
 
 def _coherent(p, keyed_rng):
-    return CoherentStateBath(sample_coherent_state(2.0, p.model, keyed_rng(5, 0)).amps)
+    return CoherentStateBath(sample_coherent_states(2.0, p.model, keyed_rng(5, 0), 1).amps[0])
+
+
+def _bits(fs):
+    """The bytes of every field of a GaussianFSeries (None where not computed)."""
+    return tuple(None if v is None else np.asarray(v).tobytes() for v in vars(fs).values())
 
 
 def _slice_equals_series(p, bath):
-    """bath_f_params at each index is the row of the whole-grid bath sums, bitwise."""
-    fs = bath_sums(p, slice(None), bath)
-    for i in INDICES:
-        f = bath_f_params(p, i, bath)
-        assert (f.delta, f.alpha, f.gamma) == (fs.delta[i], fs.alpha[i], fs.gamma[i])
+    """bath_sums at each index, and on each row set, is its rows of the whole-grid call, bitwise."""
+    for derivs in (False, True):
+        fs = bath_sums(p, slice(None), bath, derivs=derivs)
+        for i in INDICES:
+            f = bath_sums(p, i, bath, derivs=derivs)
+            assert all(np.ndim(v) == 0 for v in vars(f).values() if v is not None)
+            assert _bits(f) == _bits(fs[i])
+        for rows in _row_sets(p):
+            indices = np.arange(p.n_times)[rows]
+            sub = bath_sums(p, rows, bath, derivs=derivs)
+            assert all(v.shape == indices.shape for v in vars(sub).values() if v is not None)
+            assert _bits(sub) == _bits(fs[indices])
 
 
 def test_equilibrium_params_equal_series(prop):
@@ -56,6 +66,12 @@ def test_equilibrium_params_equal_series(prop):
 
 def test_coherent_delta_equals_series(prop, keyed_rng):
     _slice_equals_series(prop, _coherent(prop, keyed_rng))
+
+
+def test_number_sums_equal_series(prop):
+    n = np.zeros(prop.n_modes, dtype=int)
+    n[::7] = 2
+    _slice_equals_series(prop, NumberStateBath(n))
 
 
 def test_generator_coefficients_equal_each_row(prop, keyed_rng):
@@ -180,8 +196,9 @@ def test_member_matrix_needs_one_row_and_a_batch_entry_point(prop):
             obs.mean_xp(prop, rows, short, SQUEEZED)
     with pytest.raises(ParameterError, match=f"expected {prop.n_modes} occupations"):
         bath_delta(prop, slice(None), short)
-    with pytest.raises(ParameterError, match="members"):
-        bath_f_params(prop, 1, coherent)
+    for batch in (number, coherent):
+        with pytest.raises(ParameterError, match="members"):
+            bath_sums(prop, 1, batch)
     for rows in (1, [0, 1]):
         with pytest.raises(ParameterError, match="members"):
             me.generator_residual(prop, rows, coherent, SQUEEZED)

@@ -3,6 +3,7 @@ import pytest
 from scipy.special import eval_laguerre
 
 from qbath import laguerre
+from qbath.errors import AccuracyError
 
 
 def value(n, x):
@@ -201,3 +202,20 @@ def test_log_products_vanishing_factor_is_zero_not_nan():
     ])
     assert values[0, 0] == values[2, 0] == 0.0
     np.testing.assert_allclose(values, ref, rtol=1e-14, atol=0.0)
+
+
+def test_orders_above_the_bound_are_refused_before_the_recurrence():
+    # one step per order: a huge order would run for as many steps as it counts
+    x = np.array([0.0, 0.5])
+    top = laguerre.MAX_ORDER
+    assert value(top, x)[0] == 1.0
+    huge = 2**62
+    with pytest.raises(AccuracyError, match=f"order {top + 1} .*MAX_ORDER = {top}"):
+        laguerre.eval_scaled(top + 1, x)
+    with pytest.raises(AccuracyError, match=f"order {huge} "):
+        laguerre.log_derivative(huge, x)
+    # on any mode: mode * (order + 1) would overflow int64 past mode 1
+    occs = np.zeros((2, 6), dtype=np.int64)
+    occs[1, 5] = huge
+    with pytest.raises(AccuracyError, match=f"order {huge} "):
+        next(laguerre.log_products(occs, np.full((6, 2), 0.5)))

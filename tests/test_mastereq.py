@@ -13,13 +13,12 @@ from qbath.baths import (
     EquilibriumBath,
     NumberStateBath,
     bath_sums,
-    sample_coherent_state,
     sample_coherent_states,
-    sample_number_state,
+    sample_number_states,
 )
 from qbath.errors import ParameterError, SingularGeneratorError
 from qbath.observables import summarize, square_eta_grid
-from qbath.propagator import TimeGrid, compute_propagator, row_slice
+from qbath.propagator import TimeGrid, compute_propagator
 from qbath.states import (
     CatState,
     SqueezedDisplaced,
@@ -115,7 +114,7 @@ def test_equilibrium_generator_shape(ohmic_rwa):
 
 def test_initial_sigma_matches_coupling_row(ohmic_pp):
     p = ohmic_pp
-    amps = sample_coherent_state(1.0, p.model, np.random.default_rng(17)).amps
+    amps = sample_coherent_states(1.0, p.model, np.random.default_rng(17), 1).amps[0]
     g0 = me.generator_coefficients(p, 0, CoherentStateBath(amps))
     assert g0["kappa"] == 0.0
     assert g0["mu"] == 0.0
@@ -127,7 +126,7 @@ def test_generator_residual_gaussian_baths(ohmic_rwa, ohmic_pp):
     # pair coupling drives |A|^2 - |C|^2 through zero deep in the plateau, so
     # the late index is only checked where the generator exists
     for p, indices in ((ohmic_rwa, (3, 17, 48, 90)), (ohmic_pp, (3, 17, 48))):
-        amps = sample_coherent_state(1.5, p.model, np.random.default_rng(23)).amps
+        amps = sample_coherent_states(1.5, p.model, np.random.default_rng(23), 1).amps[0]
         for bath in (EquilibriumBath(1.3), CoherentStateBath(amps)):
             for s in (SQUEEZED, vacuum_state()):
                 for i in indices:
@@ -151,7 +150,7 @@ def _row_selectors(p):
 
 def test_generator_residual_row_sets_equal_one_index_calls_bitwise(ohmic_rwa, ohmic_pp):
     for p in (ohmic_rwa, ohmic_pp):
-        amps = sample_coherent_state(1.5, p.model, np.random.default_rng(23)).amps
+        amps = sample_coherent_states(1.5, p.model, np.random.default_rng(23), 1).amps[0]
         for bath in (EquilibriumBath(1.3), CoherentStateBath(amps)):
             for s, sel in itertools.product((SQUEEZED, vacuum_state(), CAT), _row_selectors(p)):
                 got = me.generator_residual(p, sel, bath, s)
@@ -189,7 +188,7 @@ def test_number_bath_slices_keep_their_values(ohmic_rwa, ohmic_pp):
 
 def test_general_residual_number_bath(ohmic_rwa, keyed_rng):
     p = ohmic_rwa
-    occs = sample_number_state(2.0, p.model, keyed_rng(55, 0)).n
+    occs = sample_number_states(2.0, p.model, keyed_rng(55, 0), 1).n[0]
     bath = NumberStateBath(occs)
     for i in (4, 33, 66, 95):
         report = me.general_generator_residual(p, i, bath, SQUEEZED)
@@ -201,7 +200,7 @@ def test_general_residual_number_bath(ohmic_rwa, keyed_rng):
 
 def _logF_derivs_per_mode(p, i, bath, eta):
     """Reference for me._logF_derivs: the vacuum Gaussian plus one Laguerre mode at a time."""
-    fs = bath_sums(p, row_slice(p, i), EquilibriumBath(math.inf), derivs=True)[0]
+    fs = bath_sums(p, i, EquilibriumBath(math.inf), derivs=True)
     d_eta, d_etab = gaussian_exponent_wirtinger(fs.delta, fs.alpha, fs.gamma, eta)
     d_t = gaussian_exponent(fs.ddelta, fs.dalpha, fs.dgamma, eta)
     ok = np.ones(eta.shape, dtype=bool)
@@ -272,7 +271,7 @@ def test_general_path_agrees_with_gaussian_path(ohmic_pp):
 def test_normalization_is_preserved(ohmic_pp):
     # chi(0, t) = 1 for all t: the time derivative at eta = 0 vanishes
     p = ohmic_pp
-    amps = sample_coherent_state(1.0, p.model, np.random.default_rng(8)).amps
+    amps = sample_coherent_states(1.0, p.model, np.random.default_rng(8), 1).amps[0]
     for bath in (EquilibriumBath(1.0), CoherentStateBath(amps)):
         for i in (0, 25, 70):
             dchi, ok = me.chi_time_derivative(p, i, bath, CAT, np.array([0.0j]))

@@ -13,10 +13,10 @@ from qbath.baths import (
     EquilibriumBath,
     NumberStateBath,
     bath_delta,
-    bath_f_params,
+    bath_sums,
     occupation,
-    sample_coherent_state,
-    sample_number_state,
+    sample_coherent_states,
+    sample_number_states,
     delta_correlations,
 )
 from qbath.errors import ParameterError
@@ -96,7 +96,7 @@ def test_moments_match_characteristic_function_derivatives(ohmic_pp):
     # chi(i v) generates x moments, chi(u) generates p moments
     p = ohmic_pp
     i = 30
-    amps = sample_coherent_state(1.5, p.model, np.random.default_rng(11)).amps
+    amps = sample_coherent_states(1.5, p.model, np.random.default_rng(11), 1).amps[0]
     bath = CoherentStateBath(amps)
     mx, mp_ = obs.mean_xp(p, i, bath, CAT)
     vx, vp = obs.variances(p, i, bath, CAT)
@@ -129,7 +129,7 @@ def test_closed_and_quadrature_purity_agree(ohmic_rwa, ohmic_pp):
             ohmic_pp,
             40,
             CoherentStateBath(
-                sample_coherent_state(1.0, ohmic_pp.model, np.random.default_rng(5)).amps
+                sample_coherent_states(1.0, ohmic_pp.model, np.random.default_rng(5), 1).amps[0]
             ),
             SQUEEZED,
         ),
@@ -192,7 +192,7 @@ SCALAR_CALLS = {
     "purity-members": lambda p, i: obs.purity(
         p, row_slice(p, i), NumberStateBath([[1]]), SQUEEZED, tol=obs.ENSEMBLE_TOL),
     "chi_eval": lambda p, i: obs.chi_eval(p, i, NumberStateBath([1]), SQUEEZED, ETAS),
-    "bath_f_params": lambda p, i: bath_f_params(p, i, EquilibriumBath(1.0)),
+    "bath_sums": lambda p, i: bath_sums(p, i, EquilibriumBath(1.0)),
     "number_variance_of_variance": lambda p, i: obs.number_variance_of_variance(p, i, 1.0),
     "displaced_vacuum_check": lambda p, i: obs.displaced_vacuum_check(p, i, [0.3j], SQUEEZED),
     "delta_correlations-i": lambda p, i: delta_correlations(p, i, 0, 1.0),
@@ -265,8 +265,8 @@ def test_variances_independent_of_coherent_amplitudes(ohmic_pp):
     p = ohmic_pp
     i = 45
     rng = np.random.default_rng(21)
-    a1 = sample_coherent_state(0.8, p.model, rng).amps
-    a2 = 10.0 * sample_coherent_state(0.8, p.model, rng).amps
+    a1 = sample_coherent_states(0.8, p.model, rng, 1).amps[0]
+    a2 = 10.0 * sample_coherent_states(0.8, p.model, rng, 1).amps[0]
     v1 = obs.variances(p, i, CoherentStateBath(a1), SQUEEZED)
     v2 = obs.variances(p, i, CoherentStateBath(a2), SQUEEZED)
     assert v1 == v2
@@ -307,7 +307,7 @@ def test_heisenberg_and_purity_bounds(ohmic_pp, ohmic_rwa):
             for bath in (
                 EquilibriumBath(0.5),
                 NumberStateBath(rng.integers(0, 3, size=p.n_modes)),
-                CoherentStateBath(sample_coherent_state(1.0, p.model, rng).amps),
+                CoherentStateBath(sample_coherent_states(1.0, p.model, rng, 1).amps[0]),
             ):
                 for s in (SQUEEZED, vacuum_state()):
                     vx, vp = obs.variances(p, i, bath, s)
@@ -325,7 +325,7 @@ def test_number_ensemble_variance_mean_and_spread(ohmic_rwa, plateau_index, keye
     n_samples = 2000
     vals = np.empty(n_samples)
     for k in range(n_samples):
-        bath = sample_number_state(beta, p.model, keyed_rng(314, k))
+        bath = NumberStateBath(sample_number_states(beta, p.model, keyed_rng(314, k), 1).n[0])
         vals[k], _ = obs.variances(p, i, bath, vacuum_state())
     thermal, _ = obs.variances(p, i, EquilibriumBath(beta), vacuum_state())
     summary = obs.summarize(vals, seed=314)
@@ -344,7 +344,8 @@ def test_coherent_ensemble_mean_square_drift(ohmic_pp, keyed_rng):
     mx2 = np.empty(n_samples)
     mp2 = np.empty(n_samples)
     for k in range(n_samples):
-        bath = CoherentStateBath(sample_coherent_state(beta, p.model, keyed_rng(271, k)).amps)
+        amps = sample_coherent_states(beta, p.model, keyed_rng(271, k), 1).amps[0]
+        bath = CoherentStateBath(amps)
         mx, mp_ = obs.mean_xp(p, i, bath, vacuum_state())
         mx2[k], mp2[k] = mx * mx, mp_ * mp_
     corr = delta_correlations(p, i, i, beta)
@@ -377,7 +378,7 @@ def _exact_averaged_purity(p, i, beta, s, radius=6.0, n=400):
     eta = (re + 1j * im).ravel()
     zeta = eta * np.conj(p.A[i]) - np.conj(eta) * p.C[i]
     chi0_sq = np.abs(chi0_eval(s, zeta)) ** 2
-    zt = bath_f_params(p, i, EquilibriumBath(math.inf))
+    zt = bath_sums(p, i, EquilibriumBath(math.inf))
     log_env = 2.0 * (-zt.alpha * np.abs(eta) ** 2 + 2.0 * np.real(zt.gamma * np.conj(eta) ** 2))
     nbar = occupation(beta, p.model.omegas)
     xs = np.abs(np.outer(eta, np.conj(p.B[i])) - np.outer(np.conj(eta), p.D[i])) ** 2
@@ -403,7 +404,7 @@ def test_averaged_purity_matches_exact_ensemble_mean(ohmic_rwa, plateau_index):
 def test_displaced_vacuum_defect(ohmic_rwa, plateau_index):
     p = ohmic_rwa
     i = plateau_index(p)
-    amps = sample_coherent_state(1.0, p.model, np.random.default_rng(3)).amps
+    amps = sample_coherent_states(1.0, p.model, np.random.default_rng(3), 1).amps[0]
     # vacuum oscillator: the factorization is exact at every time
     assert obs.displaced_vacuum_check(p, i, amps, vacuum_state()) < 1e-12
     assert obs.displaced_vacuum_check(p, 5, amps, vacuum_state()) < 1e-12

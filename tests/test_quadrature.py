@@ -292,7 +292,7 @@ def test_cat_row_converging_at_level_24_takes_one_chi_eval_call(monkeypatch, ohm
     p, i, bath = ohmic_rwa, plateau_index(ohmic_rwa), EquilibriumBath(1.0)
     cat = CatState(alpha=1.3 + 0.4j, beta=-0.8 - 0.6j)
     expected = obs.purity(p, i, bath, cat, method="quadrature")
-    calls = {"chi_eval": [], "bath_f_params": [], "coherent_overlap": []}
+    calls = {"chi_eval": [], "bath_sums": [], "coherent_overlap": []}
 
     def spy(module, name):
         real = getattr(module, name)
@@ -303,12 +303,12 @@ def test_cat_row_converging_at_level_24_takes_one_chi_eval_call(monkeypatch, ohm
 
         monkeypatch.setattr(module, name, recorded)
 
-    for module, name in ((obs, "chi_eval"), (obs, "bath_f_params"), (baths, "bath_f_params"),
+    for module, name in ((obs, "chi_eval"), (obs, "bath_sums"), (baths, "bath_sums"),
                          (states, "coherent_overlap")):
         spy(module, name)
     assert obs.purity(p, i, bath, cat, method="quadrature") == expected
     assert [np.size(args[-1]) for args in calls["chi_eval"]] == [16 * 8 + 24 * 12]
-    assert len(calls["bath_f_params"]) == 2
+    assert len(calls["bath_sums"]) == 2
     assert calls["coherent_overlap"] == []
 
 
@@ -534,13 +534,13 @@ def test_whitening_chunks_keep_each_rows_bits(monkeypatch, flat_custom, kind):
     p = flat_custom
     bath = CAT_BATHS[kind](p)
     chunks = []
-    bath_f_params = obs.bath_f_params
+    bath_sums = obs.bath_sums
 
-    def recorded(p, rows, bath):
+    def recorded(p, rows, bath, **kwargs):
         chunks.append(np.size(rows))
-        return bath_f_params(p, rows, bath)
+        return bath_sums(p, rows, bath, **kwargs)
 
-    monkeypatch.setattr(obs, "bath_f_params", recorded)
+    monkeypatch.setattr(obs, "bath_sums", recorded)
     grid = obs.purity(p, slice(None), bath, CAT)
     step = _whitening_rows(p)
     assert chunks == [min(step, p.n_times - k) for k in range(0, p.n_times, step)]
