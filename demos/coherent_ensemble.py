@@ -9,6 +9,7 @@ acts as a colored Gaussian noise whose two-time correlators have closed forms.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -20,19 +21,20 @@ from qbath import (
     bath_delta,
     compute_propagator,
     delta_correlations,
+    load_config,
     displaced_vacuum_check,
     mean_xp,
     plateau_window,
     purity,
     row_slice,
     sample_coherent_states,
-    stock_model,
     vacuum_state,
     variances,
 )
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 beta, seed, n_samples = 2.0, 19, 4000
-model = stock_model("ohmic-rwa-n64")
+model = load_config(CONFIGS / "ensemble-number.json").model
 p = compute_propagator(model, TimeGrid.linspace(40.0, 100))
 i0, i1 = plateau_window(p)
 i = i0 + int(np.argmin(np.abs(p.A[i0 : i1 + 1])))

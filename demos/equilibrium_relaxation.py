@@ -13,6 +13,7 @@ and in the high-temperature limit var_x doubles when beta is halved.
 """
 
 import math
+from pathlib import Path
 
 from qbath import (
     EquilibriumBath,
@@ -21,13 +22,14 @@ from qbath import (
     asymptotic_purity,
     asymptotic_variances,
     compute_propagator,
+    load_config,
     plateau_window,
     purity,
-    stock_model,
     variances,
 )
 
-model = stock_model("flat-custom-n128")
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+model = load_config(CONFIGS / "propagate-flat-custom.json").model
 p = compute_propagator(model, TimeGrid.linspace(100.0, 500))
 bath = EquilibriumBath(beta=1.0)
 state = SqueezedDisplaced(0.8 - 0.3j, 0.9, 0.2)  # displaced and squeezed

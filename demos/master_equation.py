@@ -12,6 +12,7 @@ generator exists.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -23,10 +24,11 @@ from qbath import (
     compute_propagator,
     generator_coefficients,
     generator_residual,
-    stock_model,
+    load_config,
 )
 
-model = stock_model("ohmic-pp-n64")
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+model = load_config(CONFIGS / "propagate-ohmic-pp.json").model
 p = compute_propagator(model, TimeGrid.linspace(40.0, 100))
 bath = EquilibriumBath(beta=1.5)
 series = generator_coefficients(p, slice(None), bath)
@@ -56,7 +58,7 @@ print("(pair coupling lets |C| catch up with |A|; the generator does not exist t
 
 print()
 print("=== single-mode resonant case: the singularity in closed form ===")
-m1 = stock_model("rwa-n1-resonant")
+m1 = load_config(CONFIGS / "purity-cat-vacuum.json").model
 u = float(np.real(m1.u[0]))
 t_sing = math.pi / (2 * u)
 p1 = compute_propagator(m1, TimeGrid(np.array([0.0, 0.9 * t_sing, 0.99 * t_sing, t_sing])))

@@ -11,7 +11,9 @@ nonlinear statistic than the purity of the averaged state, and at finite N it
 sits strictly above the equilibrium purity. The gap closes as N grows.
 """
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -19,21 +21,22 @@ from qbath import (
     EquilibriumBath,
     TimeGrid,
     averaged_purity_number_ensemble,
+    build_model,
     compute_propagator,
+    load_config,
     number_variance_of_variance,
-    parse_config,
     plateau_window,
     purity,
     row_slice,
     sample_number_states,
-    stock_config,
-    stock_model,
     vacuum_state,
     variances,
 )
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 beta, seed, n_samples = 2.0, 7, 2000
-model = stock_model("ohmic-rwa-n64")
+cfg = load_config(CONFIGS / "ensemble-number.json")
+model = cfg.model
 p = compute_propagator(model, TimeGrid.linspace(40.0, 100))
 i0, i1 = plateau_window(p)
 i = i0 + int(np.argmin(np.abs(p.A[i0 : i1 + 1])))
@@ -57,9 +60,9 @@ print(f"closed-form prediction:       {pred:.3e}")
 print()
 print("=== member-to-member scatter dies off as 1/N ===")
 for n in (32, 64, 128, 256):
-    doc = stock_config("ohmic-rwa-n64")
-    doc["spectral"]["N"] = n
-    pn = compute_propagator(parse_config({"model": doc}).model, p.grid)
+    model_n = build_model(dataclasses.replace(cfg.band, n_modes=n), model.nu,
+                          model.coupling_family, model.units)
+    pn = compute_propagator(model_n, p.grid)
     j0, j1 = plateau_window(pn)
     j = j0 + int(np.argmin(np.abs(pn.A[j0 : j1 + 1])))
     print(f"N = {n:3d}: var-of-var = {number_variance_of_variance(pn, j, beta):.4e}")

@@ -8,22 +8,26 @@ unchanged. The sum rule |A|^2 - |C|^2 + sum|B_k|^2 - sum|D_k|^2 = 1 is an exact
 commutator identity and holds at every instant.
 """
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 
 from qbath import (
     TimeGrid,
+    build_model,
     compute_propagator,
     decay_report,
-    parse_config,
-    stock_config,
-    stock_model,
+    load_config,
     sum_rule_defects,
 )
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 grid = TimeGrid.linspace(200.0, 800)
+rwa = load_config(CONFIGS / "ensemble-number.json")
 
 print("=== N = 64 Ohmic band, rotating-wave coupling ===")
-p = compute_propagator(stock_model("ohmic-rwa-n64"), grid)
+p = compute_propagator(rwa.model, grid)
 print(f"sum-rule defect, sup over grid: {np.max(np.abs(sum_rule_defects(p))):.3e}")
 print()
 print("   t      |A(t)|")
@@ -38,16 +42,16 @@ print(f"recurrence onset:  {rep.recurrence_onset}")
 print()
 print("=== recurrence onset vs mode count (same band, rediscretized) ===")
 for n in (16, 32, 64, 128):
-    doc = stock_config("ohmic-rwa-n64")
-    doc["spectral"]["N"] = n
-    model = parse_config({"model": doc}).model
+    model = build_model(dataclasses.replace(rwa.band, n_modes=n), rwa.model.nu,
+                        rwa.model.coupling_family, rwa.model.units)
     rep = decay_report(compute_propagator(model, grid))
     onset = "beyond grid" if rep.recurrence_onset is None else f"{rep.recurrence_onset:8.1f}"
     print(f"N = {n:3d}: onset {onset}, plateau sup|A| ~ {rep.late_sup_A:.4f}")
 
 print()
 print("=== pair coupling also populates the conjugate coefficients C, D ===")
-p = compute_propagator(stock_model("ohmic-pp-n64"), TimeGrid.linspace(40.0, 100))
+p = compute_propagator(load_config(CONFIGS / "propagate-ohmic-pp.json").model,
+                       TimeGrid.linspace(40.0, 100))
 i = 60
 print(f"at t = {p.grid.t[i]:.1f}: |A| = {abs(p.A[i]):.4f}, |C| = {abs(p.C[i]):.4f}, "
       f"sum|B|^2 = {np.sum(np.abs(p.B[i])**2):.4f}, sum|D|^2 = {np.sum(np.abs(p.D[i])**2):.4f}")

@@ -14,6 +14,7 @@ quadrature-based purity.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -23,14 +24,15 @@ from qbath import (
     SqueezedDisplaced,
     TimeGrid,
     compute_propagator,
+    load_config,
     min_purity_check,
     purity,
     purity_cat_rwa,
     purity_squeezed_rwa,
-    stock_model,
 )
 
-model = stock_model("rwa-n1-resonant")
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+model = load_config(CONFIGS / "purity-cat-vacuum.json").model
 u = float(np.real(model.u[0]))
 grid = TimeGrid.linspace(math.pi / u, 180)  # one full survival cycle 1 -> 0 -> 1
 p = compute_propagator(model, grid)

@@ -73,7 +73,6 @@ from .observables import (
     summarize,
     variances,
 )
-from .presets import STOCK_MODEL_NAMES, stock_config, stock_model
 from .propagator import (
     DecayReport,
     PropagatorCoefficients,

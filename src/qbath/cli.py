@@ -9,7 +9,9 @@ and writes CSV/JSON artifacts plus a manifest into the output directory.
 parsed config, before the subcommand runs.
 Exit codes: 0 success, 2 config/validation failure, 3 numerical error (a
 sum-rule defect that breaks the contract of `propagator` among them, in
-every subcommand that propagates, and an array the machine cannot allocate).
+every subcommand that propagates, an array the machine cannot allocate, and
+a float overflow, invalid operation or division by zero, on which numpy
+raises while a subcommand runs).  No JSON artifact holds NaN or inf.
 
 Artifacts are deterministic: given identical config and seed every data file
 is byte-identical across runs at a fixed BLAS thread count (one unless the
@@ -90,9 +92,12 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
 
 
 def _write_json(path: Path, doc: dict) -> None:
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # NaN or inf: a result the computation lost, not JSON
+        raise NumericalError(f"{path.name}: {exc}") from None
     with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _require(cfg: RunConfig, *, grid=False, bath=False, oscillator=False) -> None:
@@ -441,7 +446,10 @@ def main(argv=None) -> int:
         if out_dir is not None:
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
-        artifacts = _DISPATCH[args.subcommand](cfg, out)
+        # an overflow or invalid operation is a numerical failure, not a silent inf or NaN;
+        # underflow stays quiet, as Gaussian influences underflow to 0 by design
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            artifacts = _DISPATCH[args.subcommand](cfg, out)
         if out is not None:
             config_bytes = Path(args.config).read_bytes()
             _write_json(out / "manifest.json", {
@@ -460,9 +468,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, np.linalg.LinAlgError, MemoryError) as exc:
+    except (RuntimeError, np.linalg.LinAlgError, MemoryError, FloatingPointError) as exc:
         # LinAlgError subclasses ValueError, but a failed factorization is numerical;
-        # an array the machine refuses to allocate is a numerical failure too
+        # an array the machine refuses to allocate and a float operation numpy refused
+        # under the subcommand's errstate are numerical failures too
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -107,6 +107,11 @@ class SqueezedDisplaced:
             sh, ch = math.sinh(self.r), math.cosh(self.r)
         except OverflowError:
             raise ParameterError(f"squeezing magnitude {self.r} overflows the moments") from None
+        # hypot and a product, not abs and ** 2: past the range they give inf, not an
+        # OverflowError
+        size = math.hypot(self.disp.real, self.disp.imag)
+        if not math.isfinite(size * size):
+            raise ParameterError(f"displacement past the float range: |disp| = {size:.3e}")
         # Python floats and complex, not numpy scalars: moments that overflow come out
         # as inf without a warning, and GaussianMoments refuses them
         squeeze = complex(math.cos(2 * self.phi), math.sin(2 * self.phi)) * sh * ch

@@ -10,7 +10,7 @@ import qbath
 import numpy as np
 import pytest
 
-from qbath import TimeGrid, compute_propagator, propagator, stock_model
+from qbath import TimeGrid, compute_propagator, load_config, propagator
 from qbath.model import ModelSpec, dynamical_matrix
 from qbath.propagator import plateau_window
 
@@ -27,9 +27,36 @@ else:
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
+# The sample configs whose models are the stock models, one per coupling family and
+# spectral recipe, each strictly stable:
+#   validate-decoupled     zero coupling; pure phase rotation, no decay
+#   purity-cat-vacuum      one resonant RWA mode, u = 0.35; closed-form coefficients,
+#                          periodic revivals, generator singular at u t = pi/2
+#   ensemble-number        narrow Ohmic band around resonance, RWA; the small |B_k|^4
+#                          participation keeps finite-N ensemble statistics close to
+#                          their N -> infinity limits
+#   propagate-ohmic-pp     wide Ohmic band, position-position (v = u); C, D nonzero
+#   propagate-flat-custom  128-mode flat band with explicit complex v_k; the densest
+#                          spectrum and the latest recurrence
+# The three N >= 64 models decay to a plateau well before their recurrence onset
+# 2 pi / delta omega.
+STOCK_CONFIGS = (
+    "validate-decoupled",
+    "purity-cat-vacuum",
+    "ensemble-number",
+    "propagate-ohmic-pp",
+    "propagate-flat-custom",
+)
+
+
 def load_sample_config(name):
     """A fresh copy of the run-config document configs/<name>.json."""
     return json.loads((CONFIG_DIR / f"{name}.json").read_text())
+
+
+def load_sample_model(name):
+    """The validated model of the run config configs/<name>.json."""
+    return load_config(CONFIG_DIR / f"{name}.json").model
 
 
 @pytest.fixture
@@ -193,22 +220,24 @@ def keyed_rng():
 @pytest.fixture(scope="session")
 def rwa_n1():
     # grid step 0.05 keeps the generator singularity t = pi/0.7 off-grid
-    return compute_propagator(stock_model("rwa-n1-resonant"), TimeGrid.linspace(9.0, 180))
+    return compute_propagator(load_sample_model("purity-cat-vacuum"), TimeGrid.linspace(9.0, 180))
 
 
 @pytest.fixture(scope="session")
 def ohmic_rwa():
-    return compute_propagator(stock_model("ohmic-rwa-n64"), TimeGrid.linspace(40.0, 100))
+    return compute_propagator(load_sample_model("ensemble-number"), TimeGrid.linspace(40.0, 100))
 
 
 @pytest.fixture(scope="session")
 def ohmic_pp():
-    return compute_propagator(stock_model("ohmic-pp-n64"), TimeGrid.linspace(40.0, 100))
+    return compute_propagator(load_sample_model("propagate-ohmic-pp"),
+                              TimeGrid.linspace(40.0, 100))
 
 
 @pytest.fixture(scope="session")
 def flat_custom():
-    return compute_propagator(stock_model("flat-custom-n128"), TimeGrid.linspace(100.0, 500))
+    return compute_propagator(load_sample_model("propagate-flat-custom"),
+                              TimeGrid.linspace(100.0, 500))
 
 
 @pytest.fixture(scope="session")

@@ -42,13 +42,12 @@ from qbath import (
     purity_squeezed_rwa,
     sample_coherent_states,
     sample_number_states,
-    stock_config,
-    stock_model,
     sum_rule_defects,
     vacuum_state,
     variances,
 )
-from qbath import STOCK_MODEL_NAMES
+
+from conftest import STOCK_CONFIGS, load_sample_config, load_sample_model
 
 HBAR = 1.0  # stock models use hbar = m = 1
 GRID = TimeGrid.linspace(40.0, 100)
@@ -75,8 +74,8 @@ def test_criterion_1_sum_rule():
     t0 = time.perf_counter()
     grid = TimeGrid.linspace(100.0, 1000)
     worst = 0.0
-    for name in STOCK_MODEL_NAMES:
-        p = compute_propagator(stock_model(name), grid)
+    for name in STOCK_CONFIGS:
+        p = compute_propagator(load_sample_model(name), grid)
         worst = max(worst, float(np.max(np.abs(sum_rule_defects(p)))))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-10 and elapsed <= 10.0
@@ -85,7 +84,7 @@ def test_criterion_1_sum_rule():
 
 
 def test_criterion_2_propagator_oracles():
-    m1 = stock_model("rwa-n1-resonant")
+    m1 = load_sample_model("purity-cat-vacuum")
     grid = TimeGrid.linspace(9.0, 300)
     p1 = compute_propagator(m1, grid)
     nu, u = m1.nu, float(np.real(m1.u[0]))
@@ -95,7 +94,7 @@ def test_criterion_2_propagator_oracles():
         float(np.max(np.abs(p1.B[:, 0] + 1j * phase * np.sin(u * grid.t)))),
     )
 
-    doc = stock_config("ohmic-pp-n64")
+    doc = load_sample_config("propagate-ohmic-pp")["model"]
     doc["spectral"]["N"] = 16
     m2 = parse_config({"model": doc}).model
     p2 = compute_propagator(m2, GRID)
@@ -170,7 +169,7 @@ def test_criterion_4_number_state_ensemble(ohmic_rwa, plateau_index):
     # variance-of-variance must fall off as 1/N when the band is rediscretized
     vv, ns = [], (32, 64, 128, 256)
     for n_modes in ns:
-        doc = stock_config("ohmic-rwa-n64")
+        doc = load_sample_config("ensemble-number")["model"]
         doc["spectral"]["N"] = n_modes
         pn = compute_propagator(parse_config({"model": doc}).model, GRID)
         vv.append(number_variance_of_variance(pn, plateau_index(pn), beta))
@@ -265,7 +264,7 @@ def test_criterion_6_master_equation(ohmic_rwa, keyed_rng):
             rhs, _ = general_generator_apply(p, k, bath, sq, np.array([0.0j]))
             origin = max(origin, abs(rhs[0]))
 
-    m1 = stock_model("rwa-n1-resonant")
+    m1 = load_sample_model("purity-cat-vacuum")
     u1 = float(np.real(m1.u[0]))
     t_sing = math.pi / (2.0 * u1)
     p1 = compute_propagator(m1, TimeGrid(np.array([0.0, 0.5 * t_sing, t_sing])))
@@ -280,7 +279,7 @@ def test_criterion_6_master_equation(ohmic_rwa, keyed_rng):
 
 
 def test_criterion_7_purity_oracles():
-    m = stock_model("rwa-n1-resonant")
+    m = load_sample_model("purity-cat-vacuum")
     u = float(np.real(m.u[0]))
     # an even grid over [0, pi/u] pairs each node with its exact mirror, so
     # |A(t_k)|^2 + |A(t_{-k})|^2 = 1 holds to machine precision
@@ -320,8 +319,8 @@ def test_criterion_7_purity_oracles():
 
 def test_criterion_8_physicality_suite(keyed_rng):
     # widen the audit beyond what criteria 1-7 recorded
-    for name in ("ohmic-rwa-n64", "ohmic-pp-n64"):
-        p = compute_propagator(stock_model(name), GRID)
+    for name in ("ensemble-number", "propagate-ohmic-pp"):
+        p = compute_propagator(load_sample_model(name), GRID)
         amps = sample_coherent_states(1.0, p.model, keyed_rng(5, 0), 1).amps[0]
         number = NumberStateBath(sample_number_states(1.0, p.model, keyed_rng(5, 1), 1).n[0])
         baths = (EquilibriumBath(beta=2.0), EquilibriumBath(beta=math.inf),

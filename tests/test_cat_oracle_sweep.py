@@ -8,10 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qbath import TimeGrid, compute_propagator, parse_config, realize_bath, stock_model
+from qbath import TimeGrid, compute_propagator, parse_config, realize_bath
 from qbath import observables as obs
 from qbath.baths import CoherentStateBath, EquilibriumBath
 from qbath.states import CatState, SqueezedDisplaced
+
+from conftest import load_sample_model
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "cat_oracle_sweep.py"
 CAT = CatState(alpha=1.3 + 0.4j, beta=-0.8 - 0.6j)
@@ -89,7 +91,7 @@ def test_fringe_nodes_bound_every_cross_term(request, model):
 
 # the sweep's cat 35 at seed 3: its row 1 needs 139 nodes per axis, and levels below
 # that agree to 1e-8 on a purity 1.7e-6 off the closed form
-ACCIDENT = ("ohmic-pp-n64", 0.02, CatState(4.9408832820555055 - 4.8614361192614455j,
+ACCIDENT = ("propagate-ohmic-pp", 0.02, CatState(4.9408832820555055 - 4.8614361192614455j,
                                            5.067171601504741 + 5.797147569382509j),
             5.4997229950664455, 1)
 
@@ -97,7 +99,7 @@ ACCIDENT = ("ohmic-pp-n64", 0.02, CatState(4.9408832820555055 - 4.86143611926144
 def test_fringe_guard_rejects_an_accidental_agreement_and_goes_on_to_the_right_value(
         monkeypatch):
     name, beta, cat, t_max, i = ACCIDENT
-    p = compute_propagator(stock_model(name), TimeGrid.linspace(t_max, 12))
+    p = compute_propagator(load_sample_model(name), TimeGrid.linspace(t_max, 12))
     bath = EquilibriumBath(beta)
     closed = _tool().closed_form(p, i, bath, cat)
     assert abs(obs.purity(p, i, bath, cat) - closed) <= 1e-12

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import struct
 import subprocess
@@ -21,10 +22,12 @@ from qbath import (
     parse_config,
 )
 from qbath import laguerre
-from qbath.cli import main
+from qbath.cli import _write_json, main
 from qbath.config import _MAX_SIZE
+from qbath.errors import NumericalError
 from qbath.model import ModelSpec
-from qbath.presets import stock_config, stock_model
+
+from conftest import load_sample_config, load_sample_model
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SMALL_MODEL = {
@@ -202,7 +205,7 @@ def test_quadrature_failure_exits_3(tmp_path, capsys):
     # widely separated cat lobes at high temperature: the purity integrand
     # oscillates too fast for the node cap, so the quadrature gives up
     doc = {
-        "model": stock_config("rwa-n1-resonant"),
+        "model": load_sample_config("purity-cat-vacuum")["model"],
         "bath": {"kind": "equilibrium", "beta": 0.02},
         "oscillator": {"kind": "cat", "alpha_re": 7.0, "beta_re": -7.0},
         "time_grid": {"t_max": 2.0, "steps": 4},
@@ -230,6 +233,53 @@ def test_far_apart_cat_lobes_exit_3_with_only_the_error_line(tmp_path, capsys, a
     assert report["error"] == "AccuracyError"
     assert "did not converge" in report["message"]
     assert "at grid index 0 (t = 0.0)" in report["message"]
+
+
+@pytest.mark.parametrize("subcommand, config, key, value", [
+    ("ensemble", "ensemble-number", "disp_re", 1.4e154),
+    ("rwa-compare", "rwa-compare-squeezed", "disp_im", 1e300),
+])
+def test_displacement_past_the_float_range_exits_2(tmp_path, capsys, sample_config, subcommand,
+                                                   config, key, value):
+    # |disp|^2 overflows the moments: a state no configuration can have
+    doc = sample_config(config)
+    doc["oscillator"][key] = value
+    rc, out = run(tmp_path, subcommand, doc)
+    assert rc == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: oscillator: displacement past the float range")
+    assert not out.exists()  # refused while the config loads
+
+
+def test_displacement_whose_square_is_in_range_runs(tmp_path, sample_config):
+    doc = sample_config("ensemble-number")
+    doc["oscillator"]["disp_re"] = 1e154  # |disp|^2 = 1e308
+    rc, out = run(tmp_path, "ensemble", doc)
+    assert rc == 0
+    assert (out / "ensemble_summary.json").exists()
+
+
+def test_overflow_in_a_subcommand_exits_3_before_its_summary(tmp_path, capsys, sample_config):
+    # a cat lobe of 1e150 overflows exp in the characteristic function the generator
+    # residual evaluates: numpy raises under the subcommand's errstate, where the residual
+    # would have been NaN in the JSON
+    doc = sample_config("purity-cat-vacuum")
+    doc["oscillator"]["alpha_re"] = 1e150
+    rc, out = run(tmp_path, "master-eq", doc)
+    assert rc == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "FloatingPointError",
+                                "message": "overflow encountered in exp"}
+    assert not (out / "master_eq_residual.json").exists()
+    assert not (out / "manifest.json").exists()
+
+
+def test_json_artifacts_refuse_non_finite_numbers(tmp_path):
+    path = tmp_path / "summary.json"
+    for value in (math.nan, math.inf):
+        with pytest.raises(NumericalError, match="^summary.json: Out of range float"):
+            _write_json(path, {"max_residual": value})
+        assert not path.exists()
 
 
 def test_huge_number_occupation_exits_3_promptly(tmp_path):
@@ -304,16 +354,12 @@ def test_ill_conditioned_modes_exit_3(tmp_path, capsys, monkeypatch, sample_conf
     assert not (out / "propagator.csv").exists()
 
 
-COMPLEX_CUSTOM = {"model": stock_config("flat-custom-n128"),
-                  "time_grid": {"t_max": 20.0, "steps": 40}}
-
-
 @pytest.mark.parametrize("subcommand, config", [
     ("propagate", "propagate-ohmic-pp"),
     ("observables", "observables-rwa-coherent"),
     ("purity", "purity-cat-vacuum"),
     ("master-eq", "master-eq-equilibrium"),
-    pytest.param("propagate", COMPLEX_CUSTOM, id="propagate-complex-custom"),
+    pytest.param("propagate", "propagate-flat-custom", id="propagate-complex-custom"),
 ])
 def test_sum_rule_contract_exits_3(tmp_path, capsys, monkeypatch, sample_config, subcommand,
                                    config):
@@ -327,7 +373,7 @@ def test_sum_rule_contract_exits_3(tmp_path, capsys, monkeypatch, sample_config,
         out *= 1.0 + 1e-9
 
     monkeypatch.setattr(qbath.propagator, "_trig_rows", scaled_kernel)
-    doc = sample_config(config) if isinstance(config, str) else config
+    doc = sample_config(config)
     rc, out = run(tmp_path, subcommand, doc)
     assert rc == 3
     report = json.loads(capsys.readouterr().err)
@@ -340,7 +386,7 @@ def test_sum_rule_contract_exits_3(tmp_path, capsys, monkeypatch, sample_config,
 @pytest.mark.parametrize("config, route", [
     ({"model": SMALL_MODEL, "time_grid": {"t_max": 10.0, "steps": 20}}, "number"),
     ("propagate-ohmic-pp", "quadrature-svd"),
-    (COMPLEX_CUSTOM, "williamson-svd"),
+    ("propagate-flat-custom", "williamson-svd"),
 ], ids=["rwa", "position-position", "complex-custom"])
 def test_propagate_summary_names_the_route_and_its_cond_bound(tmp_path, sample_config, config,
                                                              route):
@@ -383,7 +429,7 @@ def test_stability_edge_exits_3(tmp_path, capsys, no_cholesky, sample_config):
 def test_propagate_artifacts_round_trip(tmp_path, sample_config):
     rc, out = run(tmp_path, "propagate", sample_config("propagate-ohmic-pp"))
     assert rc == 0
-    p = compute_propagator(stock_model("ohmic-pp-n64"), TimeGrid.linspace(30.0, 300))
+    p = compute_propagator(load_sample_model("propagate-ohmic-pp"), TimeGrid.linspace(30.0, 300))
 
     raw = (out / "propagator_bd.bin").read_bytes()
     n_modes, n_times = struct.unpack_from("<QQ", raw)
@@ -775,7 +821,7 @@ def test_n_sweep_builds_each_n_from_the_band(tmp_path, monkeypatch, sample_confi
 
 
 @pytest.mark.parametrize("model, n_list, message", [
-    pytest.param(stock_config("rwa-n1-resonant"), [16, 24],
+    pytest.param(load_sample_config("purity-cat-vacuum")["model"], [16, 24],
                  "n-sweep requires a parametric spectral family, not 'Explicit'", id="explicit"),
     pytest.param(SMALL_MODEL, [2**63], "exceeds the largest array size", id="n-beyond-arrays"),
 ])

@@ -18,8 +18,9 @@ from qbath.baths import (
 from qbath.config import _MAX_SIZE, load_config, parse_config, realize_bath
 from qbath.errors import DataError, ParameterError, SchemaError
 from qbath.cli import _DISPATCH
-from qbath.presets import STOCK_MODEL_NAMES, stock_config
 from qbath.states import CatState, GaussianMoments, SqueezedDisplaced
+
+from conftest import load_sample_config
 
 
 def _base_doc():
@@ -354,7 +355,7 @@ def test_realized_sample_bath_is_row_0_of_the_ensemble():
     doc = _base_doc()
     kinds = (("sample_number", sample_number_states, "n"),
              ("sample_coherent", sample_coherent_states, "amps"))
-    for model in (doc["model"], stock_config("ohmic-rwa-n64")):
+    for model in (doc["model"], load_sample_config("ensemble-number")["model"]):
         doc["model"] = model
         for kind, sample, field in kinds:
             for beta, seed in itertools.product((0.7, math.inf), (7, 2**64 + 3)):
@@ -457,7 +458,3 @@ def test_invalid_json_file(tmp_path):
     path.write_text("[" * 100000)  # past the parser's recursion limit
     with pytest.raises(SchemaError, match="nested too deeply"):
         load_config(path)
-
-
-def test_stock_names_cover_presets():
-    assert len(STOCK_MODEL_NAMES) == 5

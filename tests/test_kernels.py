@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from qbath import TimeGrid, compute_propagator, stock_model
+from qbath import TimeGrid, compute_propagator
 from qbath import mastereq as me
 from qbath import observables as obs
 from qbath.baths import (
@@ -24,6 +24,8 @@ from qbath.baths import (
 from qbath.errors import ParameterError, SingularGeneratorError
 from qbath.propagator import row_slice
 from qbath.states import CatState, SqueezedDisplaced
+
+from conftest import load_sample_model
 
 SQUEEZED = SqueezedDisplaced(disp=0.5 - 0.1j, r=0.6, phi=0.3)
 INDICES = (0, 1, 17, 50, -1)
@@ -232,7 +234,7 @@ def test_closed_purity_equals_observable_series(prop, keyed_rng):
 
 
 def test_quadrature_purity_row_sets_equal_one_index_purity():
-    p = compute_propagator(stock_model("rwa-n1-resonant"), TimeGrid.linspace(2.0, 4))
+    p = compute_propagator(load_sample_model("purity-cat-vacuum"), TimeGrid.linspace(2.0, 4))
     bath = EquilibriumBath(1.0)
     cat = CatState(alpha=1.3 + 0.4j, beta=-0.8 - 0.6j)
     rows = obs.purity(p, slice(None), bath, cat)
@@ -243,7 +245,7 @@ def test_quadrature_purity_row_sets_equal_one_index_purity():
 
 @pytest.mark.parametrize("selector", ["slice", "integers", "mask"])
 def test_purity_takes_every_row_selector_on_both_paths(selector):
-    p = compute_propagator(stock_model("rwa-n1-resonant"), TimeGrid.linspace(2.0, 4))
+    p = compute_propagator(load_sample_model("purity-cat-vacuum"), TimeGrid.linspace(2.0, 4))
     rows = {
         "slice": slice(1, None, 2),
         "integers": np.array([3, 1, -1]),

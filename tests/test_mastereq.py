@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qbath import laguerre, stock_model
+from qbath import laguerre
 from qbath import mastereq as me
 from qbath.baths import (
     CoherentStateBath,
@@ -26,6 +26,8 @@ from qbath.states import (
     gaussian_exponent_wirtinger,
     vacuum_state,
 )
+
+from conftest import load_sample_model
 
 SQUEEZED = SqueezedDisplaced(disp=0.5 - 0.1j, r=0.6, phi=0.3)
 CAT = CatState(alpha=1.3 + 0.4j, beta=-0.8 - 0.6j)
@@ -54,7 +56,7 @@ def test_single_mode_drift_closed_form(rwa_n1):
 
 def test_singular_generator_raises():
     # |A|^2 - |C|^2 = cos^2(u t) vanishes at u t = pi/2 and 3 pi/2 on resonance
-    m = stock_model("rwa-n1-resonant")
+    m = load_sample_model("purity-cat-vacuum")
     u = float(np.real(m.u[0]))
     t_sing = math.pi / (2.0 * u)
     p = compute_propagator(m, TimeGrid(t_sing * np.array([0.0, 0.5, 1.0, 1.5, 3.0])))
@@ -85,7 +87,7 @@ def test_singular_generator_raises():
 
 
 def test_near_floor_denominator_not_regularized():
-    m = stock_model("rwa-n1-resonant")
+    m = load_sample_model("purity-cat-vacuum")
     u = float(np.real(m.u[0]))
     # cos^2(u t) = 100 * floor: close to singular but still valid
     t_near = (math.pi / 2.0 - math.sqrt(100.0 * me.DENOM_FLOOR)) / u

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qbath import build_model, stock_model, validate_model
+from qbath import build_model, validate_model
 from qbath.errors import ParameterError
 from qbath.model import (
     ModelSpec,
@@ -14,16 +14,17 @@ from qbath.model import (
     quadratic_form_matrix,
     spectral_density,
 )
-from qbath.presets import STOCK_MODEL_NAMES
+
+from conftest import STOCK_CONFIGS, load_sample_model
 
 
 def test_decoupled_min_eigenvalue_is_half():
-    assert validate_model(stock_model("decoupled")) == pytest.approx(0.5, abs=1e-14)
+    assert validate_model(load_sample_model("validate-decoupled")) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_all_stock_models_stable():
-    for name in STOCK_MODEL_NAMES:
-        assert validate_model(stock_model(name)) > 0.0, name
+    for name in STOCK_CONFIGS:
+        assert validate_model(load_sample_model(name)) > 0.0, name
 
 
 def test_spectral_density_values():
@@ -126,7 +127,7 @@ def test_dynamical_matrix_structure_n1():
 
 
 def test_stable_spectrum_is_imaginary_pairs():
-    m = stock_model("ohmic-pp-n64")
+    m = load_sample_model("propagate-ohmic-pp")
     lam = np.linalg.eigvals(dynamical_matrix(m))
     assert np.max(np.abs(lam.real)) < 1e-12
     # frequencies come in +/- pairs from the dagger sector
@@ -135,8 +136,8 @@ def test_stable_spectrum_is_imaginary_pairs():
 
 
 def test_quadratic_form_is_hermitian():
-    for name in STOCK_MODEL_NAMES:
-        h = quadratic_form_matrix(stock_model(name))
+    for name in STOCK_CONFIGS:
+        h = quadratic_form_matrix(load_sample_model(name))
         np.testing.assert_allclose(h, h.conj().T, atol=1e-14)
 
 
@@ -195,7 +196,7 @@ def test_matrices_from_one_coupling_matrix_equal_block_assembly():
         units=Units(hbar=2.5, mass=0.7),
         coupling_family="Custom",
     )
-    models = [stock_model(name) for name in STOCK_MODEL_NAMES] + [custom]
+    models = [load_sample_model(name) for name in STOCK_CONFIGS] + [custom]
     for m in models:
         mat, ref_mat = dynamical_matrix(m), _dynamical_matrix_reference(m)
         h, ref_h = quadratic_form_matrix(m), _quadratic_form_reference(m)

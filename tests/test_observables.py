@@ -21,9 +21,10 @@ from qbath.baths import (
 )
 from qbath.errors import ParameterError
 from qbath.model import ModelSpec
-from qbath.presets import stock_model
 from qbath.propagator import TimeGrid, compute_propagator, row_slice
 from qbath.states import CatState, SqueezedDisplaced, chi0_eval, vacuum_state
+
+from conftest import load_sample_model
 
 ETAS = np.array([0.5 + 0.2j, -0.3 + 0.7j])
 SQUEEZED = SqueezedDisplaced(disp=0.5 - 0.1j, r=0.6, phi=0.3)
@@ -214,7 +215,7 @@ REFUSALS = [(call, i, f"grid index {i} is outside the grid of 21 points")
 
 @pytest.mark.parametrize("call, i, message", REFUSALS)
 def test_scalar_entry_points_refuse_what_the_grid_does_not_hold(call, i, message):
-    p = compute_propagator(stock_model("rwa-n1-resonant"), TimeGrid.linspace(2.0, 20))
+    p = compute_propagator(load_sample_model("purity-cat-vacuum"), TimeGrid.linspace(2.0, 20))
     with pytest.raises(ParameterError, match=message):
         SCALAR_CALLS[call](p, i)
     if i > 0:
@@ -243,7 +244,7 @@ BATH_REFUSALS += [(call, "two modes", "expected 1 occupations per member")
 
 @pytest.mark.parametrize("call, bath, message", BATH_REFUSALS)
 def test_entry_points_refuse_a_bath_the_model_does_not_hold(call, bath, message):
-    p = compute_propagator(stock_model("rwa-n1-resonant"), TimeGrid.linspace(2.0, 20))
+    p = compute_propagator(load_sample_model("purity-cat-vacuum"), TimeGrid.linspace(2.0, 20))
     with pytest.raises(ParameterError, match=message):
         BATH_CALLS[call](p, BAD_BATHS[bath])
 

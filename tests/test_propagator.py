@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from qbath import TimeGrid, build_model, compute_propagator, stock_model, validate_model
+from qbath import TimeGrid, build_model, compute_propagator, validate_model
 from qbath import propagator
 from qbath.errors import NumericalError, ParameterError
 from qbath.model import ModelSpec, SpectralDiscretization, Units, _coupling_matrix, dynamical_matrix
-from qbath.presets import STOCK_MODEL_NAMES
 from qbath.propagator import _local_maxima, decay_report, plateau_window, sum_rule_defects
+
+from conftest import STOCK_CONFIGS, load_sample_model
 
 EDGE_SWEEP = Path(__file__).resolve().parents[1] / "tools" / "edge_sweep.py"
 
@@ -55,6 +56,11 @@ CUSTOM_MODELS = {
     "real-custom-n12": real_custom_model,
     "complex-rwa-n12": complex_rwa_model,
 }
+
+
+def _model(name):
+    """A model of CUSTOM_MODELS by name, else the model of the sample config of that name."""
+    return CUSTOM_MODELS[name]() if name in CUSTOM_MODELS else load_sample_model(name)
 
 
 def test_time_grid_validation():
@@ -133,7 +139,7 @@ def test_coefficients_are_views_of_one_row_array(ohmic_pp):
 
 
 def test_derivative_rows_wait_for_first_read():
-    p = compute_propagator(stock_model("ohmic-rwa-n64"), TimeGrid.linspace(10.0, 20))
+    p = compute_propagator(load_sample_model("ensemble-number"), TimeGrid.linspace(10.0, 20))
     # before any read, the coefficients hold views of the rows and, from the contract
     # check, the (T,) sum-rule defects that sum_rule_defects returns from then on
     held = {k: v for k, v in vars(p).items() if isinstance(v, np.ndarray)}
@@ -148,8 +154,8 @@ def test_derivative_rows_wait_for_first_read():
 
 def test_sum_rule_all_stock_models():
     grid = TimeGrid.linspace(30.0, 120)
-    for name in STOCK_MODEL_NAMES:
-        p = compute_propagator(stock_model(name), grid)
+    for name in STOCK_CONFIGS:
+        p = compute_propagator(load_sample_model(name), grid)
         assert np.max(np.abs(sum_rule_defects(p))) < 1e-10, name
 
 
@@ -310,10 +316,10 @@ def test_kernel_memory_beyond_the_rows_does_not_grow_with_the_grid(name):
     assert extra(12800) <= 1.5 * extra(400)
 
 
-@pytest.mark.parametrize("name", ["ohmic-rwa-n64", "ohmic-pp-n64", *CUSTOM_MODELS])
+@pytest.mark.parametrize("name", ["ensemble-number", "propagate-ohmic-pp", *CUSTOM_MODELS])
 @pytest.mark.parametrize("steps", [0, 1, 2, 600])
 def test_rows_agree_on_the_table_and_the_direct_path(name, steps, monkeypatch):
-    m = CUSTOM_MODELS[name]() if name in CUSTOM_MODELS else stock_model(name)
+    m = _model(name)
     grid = TimeGrid.linspace(60.0, steps) if steps else TimeGrid([0.0])
     monkeypatch.setattr(propagator, "PHASE_TABLE_MIN", 0)
     table = compute_propagator(m, grid)
@@ -325,9 +331,9 @@ def test_rows_agree_on_the_table_and_the_direct_path(name, steps, monkeypatch):
     assert table.rows.shape == (len(grid), 2 * m.n_modes + 2)
 
 
-@pytest.mark.parametrize("name", [*STOCK_MODEL_NAMES, *CUSTOM_MODELS])
+@pytest.mark.parametrize("name", [*STOCK_CONFIGS, *CUSTOM_MODELS])
 def test_defects_match_the_complex_abs_formula(name):
-    m = CUSTOM_MODELS[name]() if name in CUSTOM_MODELS else stock_model(name)
+    m = _model(name)
     p = compute_propagator(m, TimeGrid.linspace(50.0, 400))
     # the reference: the |.|^2 sums the defects were first written with
     plus = np.abs(p.A) ** 2 + np.sum(np.abs(p.B) ** 2, axis=1)
@@ -346,7 +352,7 @@ def test_no_cholesky_factor_is_a_typed_failure(unstable_model, no_cholesky):
     for m in (unstable_model, unstable_complex):
         with pytest.raises(ParameterError, match="model is not stable"):
             compute_propagator(m, grid)
-    for m in (stock_model("ohmic-pp-n64"), stock_model("flat-custom-n128"),
+    for m in (load_sample_model("propagate-ohmic-pp"), load_sample_model("propagate-flat-custom"),
               complex_custom_model()):
         with pytest.raises(NumericalError, match="stability edge") as err:
             compute_propagator(m, grid)
@@ -444,10 +450,10 @@ def test_complex_route_with_dark_modes_matches_eig_route(repeats, eig_route_rows
     assert np.max(np.abs(sum_rule_defects(p))) < 1e-10
 
 
-@pytest.mark.parametrize("name", ["real-custom-n12", "ohmic-pp-n64"])
+@pytest.mark.parametrize("name", ["real-custom-n12", "propagate-ohmic-pp"])
 def test_real_model_takes_the_same_modes_through_both_svd_routes(name):
     # real K: the (N+1) SVD of L_x^T L_p and the (2N+2) SVD of the whole Williamson matrix
-    m = CUSTOM_MODELS[name]() if name in CUSTOM_MODELS else stock_model(name)
+    m = _model(name)
     grid = TimeGrid.linspace(60.0, 240)
     pairs = propagator._williamson_pairs(m), propagator._quadrature_pairs(
         *propagator._quadrature_modes(m))
@@ -458,9 +464,9 @@ def test_real_model_takes_the_same_modes_through_both_svd_routes(name):
     assert np.max(np.abs(rows[0] - rows[1])) <= 1e-12
 
 
-@pytest.mark.parametrize("name", [*STOCK_MODEL_NAMES, "complex-custom-n12"])
+@pytest.mark.parametrize("name", [*STOCK_CONFIGS, "complex-custom-n12"])
 def test_coefficients_report_their_route_and_cond_bound(name):
-    m = CUSTOM_MODELS[name]() if name in CUSTOM_MODELS else stock_model(name)
+    m = _model(name)
     p = compute_propagator(m, TimeGrid.linspace(10.0, 20))
     if not m.v.any():
         assert (p.route, p.cond_bound) == ("number", None)
@@ -473,9 +479,9 @@ def test_coefficients_report_their_route_and_cond_bound(name):
     assert p.cond_bound == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.parametrize("name", [*STOCK_MODEL_NAMES, *CUSTOM_MODELS])
+@pytest.mark.parametrize("name", [*STOCK_CONFIGS, *CUSTOM_MODELS])
 def test_hermitian_route_matches_eig_route(name, eig_route_rows):
-    m = CUSTOM_MODELS[name]() if name in CUSTOM_MODELS else stock_model(name)
+    m = _model(name)
     grid = TimeGrid.linspace(60.0, 240)
     p = compute_propagator(m, grid)
     assert np.max(np.abs(p.rows - eig_route_rows(m, grid))) <= 1e-10
@@ -487,11 +493,11 @@ def test_hermitian_route_matches_eig_route(name, eig_route_rows):
         assert not p.C.any() and not p.D.any()
 
 
-@pytest.mark.parametrize("name", [*STOCK_MODEL_NAMES, *CUSTOM_MODELS])
+@pytest.mark.parametrize("name", [*STOCK_CONFIGS, *CUSTOM_MODELS])
 def test_no_route_builds_the_dense_coupling_matrix(name, monkeypatch):
     # every route works from the structure of K (Dk, the quadrature arrows, the 2 x 2 Schur
     # complement), never from the dense (2N+2)^2 K; the lazy derivative rows are not read here
-    m = CUSTOM_MODELS[name]() if name in CUSTOM_MODELS else stock_model(name)
+    m = _model(name)
 
     def dense(_):
         raise AssertionError("a propagator route built the dense coupling matrix K")
@@ -502,8 +508,8 @@ def test_no_route_builds_the_dense_coupling_matrix(name, monkeypatch):
 
 
 def test_cond_guard_on_hermitian_route(monkeypatch):
-    # ohmic-pp-n64 has ||K||_1 / min|eps| = 192 and an eig cond(V) of 2.67
-    m = stock_model("ohmic-pp-n64")
+    # the model of propagate-ohmic-pp has ||K||_1 / min|eps| = 192 and an eig cond(V) of 2.67
+    m = load_sample_model("propagate-ohmic-pp")
     monkeypatch.setattr(propagator, "COND_LIMIT", 100.0)
     with pytest.raises(NumericalError, match="ill-conditioned normal modes"):
         compute_propagator(m, TimeGrid.linspace(10.0, 20))
@@ -511,10 +517,10 @@ def test_cond_guard_on_hermitian_route(monkeypatch):
     compute_propagator(m, TimeGrid.linspace(10.0, 20))
 
 
-@pytest.mark.parametrize("name", ["ohmic-pp-n64", "flat-custom-n128", "real-custom-n12"])
+@pytest.mark.parametrize("name", ["propagate-ohmic-pp", "propagate-flat-custom", "real-custom-n12"])
 def test_cond_bound_is_the_norm_over_the_smallest_frequency(name, monkeypatch):
     # the real route sums K's columns in O(N); both routes must report ||K||_1 / min|eps|
-    m = CUSTOM_MODELS[name]() if name in CUSTOM_MODELS else stock_model(name)
+    m = _model(name)
     freqs = np.abs(np.linalg.eigvals(dynamical_matrix(m)).imag)
     want = np.linalg.norm(_coupling_matrix(m), 1) / freqs.min()
     monkeypatch.setattr(propagator, "COND_LIMIT", 0.0)
@@ -523,8 +529,64 @@ def test_cond_bound_is_the_norm_over_the_smallest_frequency(name, monkeypatch):
     assert f"cond bound = {want:.3e} >" in str(err.value)
 
 
+# one N >= 64 sample config per route
+ROUTE_CONFIGS = [("ensemble-number", "number"), ("propagate-ohmic-pp", "quadrature-svd"),
+                 ("propagate-flat-custom", "williamson-svd")]
+
+
+def _relabeling_bound(m, grid):
+    """2 eps ||K||_1 t_max, five times the largest difference measured by the tests below.
+
+    The splits and permutations of the models of ROUTE_CONFIGS differ by at most
+    0.38 eps ||K||_1 t_max, and by 0.61 over eight random splits and six permutations.
+    """
+    return 2.0 * EPS * np.linalg.norm(_coupling_matrix(m), 1) * grid.t[-1]
+
+
+def _row_distance(p, q, b, d):
+    """Largest |difference| of q's A, C, B, D from p's A and C and the given B and D."""
+    return max(np.max(np.abs(x - y)) for x, y in ((q.A, p.A), (q.C, p.C), (q.B, b), (q.D, d)))
+
+
+@pytest.mark.parametrize("name, route", ROUTE_CONFIGS)
+def test_splitting_a_mode_splits_its_columns(name, route):
+    # mode k split at angle theta into two modes at omega_k, coupled by (u_k, v_k) cos theta
+    # and (u_k, v_k) sin theta: their bright combination is mode k and the dark one never
+    # couples, so A and C stay and B_k, D_k split into B_k cos theta and B_k sin theta
+    m = load_sample_model(name)
+    grid = TimeGrid.linspace(60.0, 800)
+    p = compute_propagator(m, grid)
+    assert p.route == route
+    for k, theta in ((0, 0.3), (7, 1.1), (31, 2.0)):
+        c, s = np.cos(theta), np.sin(theta)
+        scale = np.ones(m.n_modes)
+        scale[k] = c
+        split = ModelSpec(m.nu, np.append(m.omegas, m.omegas[k]),
+                          np.append(m.u * scale, m.u[k] * s), np.append(m.v * scale, m.v[k] * s),
+                          units=m.units, coupling_family=m.coupling_family)
+        q = compute_propagator(split, grid)
+        assert q.route == route
+        b = np.column_stack([p.B * scale, p.B[:, k] * s])
+        d = np.column_stack([p.D * scale, p.D[:, k] * s])
+        assert _row_distance(p, q, b, d) <= _relabeling_bound(m, grid), k
+
+
+@pytest.mark.parametrize("name, route", ROUTE_CONFIGS)
+def test_permuting_the_modes_permutes_the_columns(name, route):
+    m = load_sample_model(name)
+    grid = TimeGrid.linspace(60.0, 800)
+    p = compute_propagator(m, grid)
+    for seed in range(3):
+        perm = np.random.default_rng(seed).permutation(m.n_modes)
+        permuted = ModelSpec(m.nu, m.omegas[perm], m.u[perm], m.v[perm], units=m.units,
+                             coupling_family=m.coupling_family)
+        q = compute_propagator(permuted, grid)
+        assert q.route == route
+        assert _row_distance(p, q, p.B[:, perm], p.D[:, perm]) <= _relabeling_bound(m, grid)
+
+
 def test_decay_report_decoupled():
-    p = compute_propagator(stock_model("decoupled"), TimeGrid.linspace(20.0, 100))
+    p = compute_propagator(load_sample_model("validate-decoupled"), TimeGrid.linspace(20.0, 100))
     rep = decay_report(p)
     assert rep.late_sup_A == pytest.approx(1.0, abs=1e-12)
     assert rep.recurrence_onset is None
@@ -533,7 +595,7 @@ def test_decay_report_decoupled():
 
 
 def test_decay_report_n1_revival():
-    p = compute_propagator(stock_model("rwa-n1-resonant"), TimeGrid.linspace(100.0, 1000))
+    p = compute_propagator(load_sample_model("purity-cat-vacuum"), TimeGrid.linspace(100.0, 1000))
     rep = decay_report(p)
     # |A| = |cos(0.35 t)| first revives at 0.35 t = pi
     assert rep.recurrence_onset == pytest.approx(np.pi / 0.35, abs=0.1)

@@ -12,7 +12,7 @@ import pytest
 from numpy.polynomial.hermite import hermgauss
 from scipy.special import eval_laguerre
 
-from qbath import TimeGrid, baths, compute_propagator, laguerre, states, stock_config
+from qbath import TimeGrid, baths, compute_propagator, laguerre, states
 from qbath import observables as obs
 from qbath.baths import (
     CoherentStateBath,
@@ -24,6 +24,8 @@ from qbath.config import parse_config
 from qbath.errors import PhysicalityError
 from qbath.propagator import PropagatorCoefficients, row_slice
 from qbath.states import CatState, SqueezedDisplaced
+
+from conftest import load_sample_config
 
 SQUEEZED = SqueezedDisplaced(disp=0.5 - 0.1j, r=0.6, phi=0.3)
 CAT = CatState(alpha=1.3 + 0.4j, beta=-0.8 - 0.6j)
@@ -571,7 +573,7 @@ def test_non_positive_cat_envelope_names_the_first_bad_row_in_a_later_chunk(ohmi
 def test_cat_rows_memory_on_a_wide_bath_does_not_grow_with_the_grid():
     # at N = 256 a whole call's (rows x modes) bath sums would outgrow the node blocks
     # (a peak ratio of about 15 here); the whitening's row chunks bound them
-    doc = stock_config("ohmic-rwa-n64")
+    doc = load_sample_config("ensemble-number")["model"]
     doc["spectral"]["N"] = 256
     model = parse_config({"model": doc}).model
     bath = EquilibriumBath(1.0)

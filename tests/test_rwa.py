@@ -12,6 +12,8 @@ from qbath.errors import ParameterError
 from qbath.observables import purity
 from qbath.states import CatState, SqueezedDisplaced, coherent_overlap
 
+from conftest import load_sample_model
+
 
 def test_squeezed_reference_values():
     # half survival at r = 1: 1 / sqrt(1 + sinh(1)^2) = 1 / cosh(1)
@@ -125,9 +127,9 @@ def test_min_purity_check_on_trajectory(rwa_n1):
 def test_symmetry_exact_on_mirrored_grid():
     # cos^2(u t) and cos^2(pi/2 - u t) sum to one, so a grid symmetric about
     # u t = pi/4 pairs every survival value with its mirror exactly
-    from qbath import TimeGrid, compute_propagator, stock_model
+    from qbath import TimeGrid, compute_propagator
 
-    m = stock_model("rwa-n1-resonant")
+    m = load_sample_model("purity-cat-vacuum")
     u = float(np.real(m.u[0]))
     p = compute_propagator(m, TimeGrid.linspace(math.pi / (2.0 * u), 80))
     absA2 = np.abs(p.A) ** 2

@@ -72,6 +72,20 @@ def test_cat_lobes_past_the_float_range_are_refused(alpha, beta):
     assert states.CatState(1e153, -1e153).norm_sq == 2.0  # far apart, in range
 
 
+@pytest.mark.parametrize("disp", [
+    1.4e154,  # |disp|^2 past the float range
+    1e300j,
+    1.5e308 + 1.5e308j,  # |disp| itself past it
+    math.nan,
+])
+def test_displacement_past_the_float_range_is_refused(disp):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="displacement past the float range"):
+            states.SqueezedDisplaced(disp=disp, r=0.6, phi=0.3)
+    assert states.SqueezedDisplaced(disp=1e154, r=0.6).moments.mean_a == 1e154  # in range
+
+
 def test_vacuum_chi0():
     w = _grid()
     vac = states.vacuum_state()

@@ -4,9 +4,10 @@
 
 It imports qbath from the ``src`` of its own checkout.  Each cat has two
 lobes of modulus up to LOBE_MAX, drawn with a thermal bath of inverse
-temperature from BETAS and one of MODELS, on ROWS grid times up to t_max in
-[1, 40].  Every row's purity is taken by quadrature, one grid index at a
-time, and set against ``closed_form``: each line gives a cat's rows that are
+temperature from BETAS and the model of one of the sample configs MODELS
+(configs/<name>.json), on ROWS grid times up to t_max in [1, 40].  Every
+row's purity is taken by quadrature, one grid index at a time, and set
+against ``closed_form``: each line gives a cat's rows that are
 wrong (an accepted purity off the closed form by more than TOL) and refused
 (AccuracyError), and its largest accepted error; the last line counts the
 wrong and the refused rows.  The cats depend on the seed alone, so two
@@ -24,13 +25,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402  (after qbath's source is on the path)
 
-from qbath import TimeGrid, compute_propagator, stock_model  # noqa: E402
+from qbath import TimeGrid, compute_propagator, load_config  # noqa: E402
 from qbath.baths import CoherentStateBath, EquilibriumBath, occupation  # noqa: E402
 from qbath.errors import AccuracyError  # noqa: E402
 from qbath.observables import purity  # noqa: E402
 from qbath.states import CatState  # noqa: E402
 
-MODELS = ("rwa-n1-resonant", "ohmic-rwa-n64", "ohmic-pp-n64")
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+MODELS = ("purity-cat-vacuum", "ensemble-number", "propagate-ohmic-pp")
 BETAS = (0.02, 0.1, 0.5, 2.0, math.inf)
 LOBE_MAX = 8.0
 ROWS = 13
@@ -96,7 +98,7 @@ def draw(rng: np.random.Generator) -> tuple:
 def sweep(seed: int, cats: int) -> tuple[int, int]:
     """Print one line per cat and the wrong and refused counts; return those counts."""
     rng = np.random.default_rng(seed)
-    models = {name: stock_model(name) for name in MODELS}
+    models = {name: load_config(CONFIGS / f"{name}.json").model for name in MODELS}
     wrong = refused = 0
     for k in range(cats):
         name, beta, alpha, lobe, t_max = draw(rng)
