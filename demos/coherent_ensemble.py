@@ -18,7 +18,7 @@ from qbath import (
     EquilibriumBath,
     TimeGrid,
     asymptotic_variances,
-    bath_delta,
+    bath_sums,
     compute_propagator,
     delta_correlations,
     load_config,
@@ -55,7 +55,7 @@ print(f"displaced-vacuum factorization defect: {displaced_vacuum_check(p, i, amp
 print()
 print(f"=== thermal broadening lives in the scatter of the means ({n_samples} samples) ===")
 mx, mp = mean_xp(p, row_slice(p, i), members, state)
-di, dj = (bath_delta(p, row_slice(p, k), members) for k in (i, j))
+di, dj = (bath_sums(p, row_slice(p, k), members).delta for k in (i, j))
 
 thermal, cold = (asymptotic_variances(p, i, EquilibriumBath(beta=b)) for b in (beta, math.inf))
 pred_x2, pred_p2 = np.subtract(thermal, cold)

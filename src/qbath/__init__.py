@@ -19,7 +19,6 @@ from .baths import (
     NoiseCorrelation,
     NumberStateBath,
     bath_F_eval,
-    bath_delta,
     bath_sums,
     delta_correlations,
     occupation,

@@ -66,7 +66,6 @@ __all__ = [
     "gaussian_F_eval",
     "bath_F_eval",
     "bath_sums",
-    "bath_delta",
     "sample_number_states",
     "sample_coherent_states",
     "delta_correlations",
@@ -212,21 +211,16 @@ def _drive(p: PropagatorCoefficients, b: np.ndarray, d: np.ndarray, bath: BathSp
     return np.concatenate([term(amps[k : k + _BLOCK]) for k in range(0, len(amps), _BLOCK)])
 
 
-def bath_delta(p: PropagatorCoefficients, rows, bath: BathSpec) -> np.ndarray:
-    """Coherent drive delta = sum_k (B_k beta_k + D_k beta_k^*) on the rows p.X[rows]."""
-    return _drive(p, p.B[rows], p.D[rows], bath)
-
-
 def bath_sums(
     p: PropagatorCoefficients, i, bath: BathSpec, *, derivs: bool = False
 ) -> GaussianFSeries:
     """Bath mode sums at grid index i, the one row fs[0], or on the row set p.X[i].
 
     alpha = sum_k w_k (|B_k|^2 + |D_k|^2) and gamma = sum_k w_k B_k D_k with
-    the weights w_k of _mode_weights, and delta as in bath_delta.  Time
-    derivatives are computed only with derivs=True.  A grid index is checked
-    by row_slice and takes one preparation (a member matrix is a
-    ParameterError); a row set (a slice, an integer array or a mask) gives
+    the weights w_k of _mode_weights, and the coherent drive
+    delta = sum_k (B_k beta_k + D_k beta_k^*).  Time derivatives are computed
+    only with derivs=True.  A grid index is checked by row_slice and takes one
+    preparation (a member matrix is a ParameterError); a row set (a slice, an integer array or a mask) gives
     one entry per row, or, on one row, one per member.  Sums run elementwise
     along the mode axis, so one row gives the same bits as the whole grid,
     and each member of a member matrix the same bits as that member alone.

@@ -4,14 +4,17 @@
 
 Subcommands: validate, propagate, observables, purity, ensemble, master-eq,
 rwa-compare, n-sweep.  Each reads one JSON run config, executes the scenario,
-and writes CSV/JSON artifacts plus a manifest into the output directory.
+and returns its CSV/JSON artifacts by file name.  Only once every artifact is
+computed and encoded does `main` create the output directory and write them,
+the manifest last, so a failed run writes no artifact and no manifest.
 --seed replaces the sampled bath's seed and experiment.seed once, in the
 parsed config, before the subcommand runs.
-Exit codes: 0 success, 2 config/validation failure, 3 numerical error (a
-sum-rule defect that breaks the contract of `propagator` among them, in
-every subcommand that propagates, an array the machine cannot allocate, and
-a float overflow, invalid operation or division by zero, on which numpy
-raises while a subcommand runs).  No JSON artifact holds NaN or inf.
+Exit codes: 0 success, 2 config/validation failure (an output directory
+that cannot be written among them, found after the computation), 3 numerical
+error (a sum-rule defect that breaks the contract of `propagator` among them,
+in every subcommand that propagates, an array the machine cannot allocate, a
+float overflow, invalid operation or division by zero, on which numpy raises
+while a subcommand runs, and a NaN or inf, which no JSON artifact holds).
 
 Artifacts are deterministic: given identical config and seed every data file
 is byte-identical across runs at a fixed BLAS thread count (one unless the
@@ -49,8 +52,7 @@ from . import BLAS_THREADS, __version__, mastereq, rwa
 from .baths import (
     CoherentStateBath,
     EquilibriumBath,
-    NumberStateBath,
-    bath_delta,
+    bath_sums,
     delta_correlations,
     sample_coherent_states,
     sample_number_states,
@@ -59,9 +61,9 @@ from .config import RunConfig, load_config, realize_bath
 from .errors import NumericalError, SchemaError
 from .model import CouplingFamily, build_model, validate_model
 from .observables import (
-    ENSEMBLE_TOL,
     EnsembleSummary,
     asymptotic_variances,
+    averaged_purity_number_ensemble,
     displaced_vacuum_check,
     mean_xp,
     number_variance_of_variance,
@@ -82,22 +84,33 @@ from .states import CatState, SqueezedDisplaced, vacuum_state
 __all__ = ["main"]
 
 
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """One line per row, every column as a float with 17 digits (a bool prints 1 or 0)."""
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*(np.asarray(col, dtype=float).tolist() for col in columns)):
-            fh.write(line % row)
-
-
-def _write_json(path: Path, doc: dict) -> None:
+def _json_text(name: str, doc: dict) -> str:
+    """The JSON file named name holding doc; NumericalError for a NaN or inf in it."""
     try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:  # NaN or inf: a result the computation lost, not JSON
-        raise NumericalError(f"{path.name}: {exc}") from None
+        raise NumericalError(f"{name}: {exc}") from None
+
+
+def _write(path: Path, payload) -> None:
+    """Write one artifact: JSON text, the sidecar's byte chunks, or a CSV (header, columns).
+
+    A CSV gets one line per row, every column as a float with 17 digits (a bool
+    prints 1 or 0), formatted and written row by row.
+    """
+    if isinstance(payload, list):
+        with open(path, "wb") as fh:
+            fh.writelines(payload)
+        return
     with open(path, "w", newline="\n") as fh:
-        fh.write(text + "\n")
+        if isinstance(payload, str):
+            fh.write(payload)
+            return
+        header, columns = payload
+        line = ",".join(["%.17g"] * len(columns)) + "\n"
+        fh.write(",".join(header) + "\n")
+        fh.writelines(map(line.__mod__, zip(*(np.asarray(col, dtype=float).tolist()
+                                              for col in columns))))
 
 
 def _require(cfg: RunConfig, *, grid=False, bath=False, oscillator=False) -> None:
@@ -125,80 +138,70 @@ def _time_index(cfg: RunConfig, p) -> int:
     return ti % p.n_times
 
 
-def _cmd_validate(cfg: RunConfig, out: Path | None) -> list[str]:
+def _cmd_validate(cfg: RunConfig) -> dict:
     min_eig = validate_model(cfg.model)
     print(f"min eigenvalue {min_eig:.17g}")
     print(f"stable {'true' if min_eig > 0 else 'false'}")
-    if out is None:
-        return []
-    _write_json(out / "validate.json", {
+    return {"validate.json": {
         "min_eigenvalue": min_eig,
         "stable": bool(min_eig > 0),
         "n_modes": cfg.model.n_modes,
         "coupling_family": cfg.model.coupling_family.value,
-    })
-    return ["validate.json"]
+    }}
 
 
-def _cmd_propagate(cfg: RunConfig, out: Path) -> list[str]:
+def _cmd_propagate(cfg: RunConfig) -> dict:
     _require(cfg, grid=True)
     p = compute_propagator(cfg.model, cfg.grid)
     defects = sum_rule_defects(p)
-    artifacts = []
+    artifacts = {}
     if "csv" in cfg.formats:
-        _write_csv(out / "propagator.csv",
-                   ["t", "re_A", "im_A", "re_C", "im_C", "sum_rule_defect"],
-                   [p.grid.t, p.A.real, p.A.imag, p.C.real, p.C.imag, defects])
-        artifacts.append("propagator.csv")
+        artifacts["propagator.csv"] = (
+            ["t", "re_A", "im_A", "re_C", "im_C", "sum_rule_defect"],
+            [p.grid.t, p.A.real, p.A.imag, p.C.real, p.C.imag, defects])
     if "sidecar" in cfg.formats:
-        side = out / "propagator_bd.bin"
-        with open(side, "wb") as fh:
-            fh.write(struct.pack("<QQ", p.n_modes, p.n_times))
-            fh.write(np.ascontiguousarray(p.B, dtype="<c16").tobytes())
-            fh.write(np.ascontiguousarray(p.D, dtype="<c16").tobytes())
-        artifacts.append("propagator_bd.bin")
+        artifacts["propagator_bd.bin"] = [
+            struct.pack("<QQ", p.n_modes, p.n_times),
+            np.ascontiguousarray(p.B, dtype="<c16"),
+            np.ascontiguousarray(p.D, dtype="<c16"),
+        ]
     if "json" in cfg.formats:
         rep = decay_report(p)
-        _write_json(out / "propagate_summary.json", {
+        artifacts["propagate_summary.json"] = {
             "sup_sum_rule_defect": float(np.max(np.abs(defects))),
             "late_sup_A": rep.late_sup_A,
             "late_sup_C": rep.late_sup_C,
             "recurrence_onset": rep.recurrence_onset,
             "route": p.route,
             "cond_bound": p.cond_bound,
-        })
-        artifacts.append("propagate_summary.json")
+        }
     return artifacts
 
 
-def _cmd_observables(cfg: RunConfig, out: Path) -> list[str]:
+def _cmd_observables(cfg: RunConfig) -> dict:
     _require(cfg, grid=True, bath=True, oscillator=True)
     bath = realize_bath(cfg)
     p = compute_propagator(cfg.model, cfg.grid)
     series = observable_series(p, bath, cfg.oscillator)
-    _write_csv(out / "observables.csv",
-               ["t", "mean_x", "mean_p", "var_x", "var_p", "purity"],
-               [series[k] for k in ("t", "mean_x", "mean_p", "var_x", "var_p", "purity")])
-    return ["observables.csv"]
+    header = ["t", "mean_x", "mean_p", "var_x", "var_p", "purity"]
+    return {"observables.csv": (header, [series[k] for k in header])}
 
 
-def _cmd_purity(cfg: RunConfig, out: Path) -> list[str]:
+def _cmd_purity(cfg: RunConfig) -> dict:
     _require(cfg, grid=True, bath=True, oscillator=True)
     bath = realize_bath(cfg)
     p = compute_propagator(cfg.model, cfg.grid)
     vals = purity(p, slice(None), bath, cfg.oscillator)
-    artifacts = []
+    artifacts = {}
     if "csv" in cfg.formats:
-        _write_csv(out / "purity.csv", ["t", "purity"], [p.grid.t, vals])
-        artifacts.append("purity.csv")
+        artifacts["purity.csv"] = (["t", "purity"], [p.grid.t, vals])
     if "json" in cfg.formats:
         i_min = rwa.first_min_index(vals)
-        _write_json(out / "purity_summary.json", {
+        artifacts["purity_summary.json"] = {
             "min_purity": float(vals[i_min]),
             "t_min": float(p.grid.t[i_min]),
             "final_purity": float(vals[-1]),
-        })
-        artifacts.append("purity_summary.json")
+        }
     return artifacts
 
 
@@ -211,8 +214,6 @@ def _number_ensemble(cfg: RunConfig, p, i: int, seed: int, n_samples: int) -> di
     pop_var = float(np.sum(centered**2) / (n_samples - 1))
     m4 = float(np.mean(centered**4))
     var_se = math.sqrt(max(m4 - pop_var**2, 0.0) / n_samples)
-    # the purity members are the first (at most 1000) of the variance members
-    purities = purity(p, row_slice(p, i), NumberStateBath(members.n[:1000]), s, tol=ENSEMBLE_TOL)
     return {
         "kind": "number",
         "time_index": i,
@@ -221,7 +222,9 @@ def _number_ensemble(cfg: RunConfig, p, i: int, seed: int, n_samples: int) -> di
         "equilibrium_var_x": variances(p, i, EquilibriumBath(beta=beta), s)[0],
         "population_var_of_var_x": vars(EnsembleSummary(pop_var, var_se, n_samples, seed)),
         "predicted_var_of_var_x": number_variance_of_variance(p, i, beta),
-        "averaged_purity": vars(summarize(purities, seed)),
+        # its members are the first (at most 1000) of the variance members
+        "averaged_purity": vars(averaged_purity_number_ensemble(
+            p, i, beta, s, min(n_samples, 1000), seed)),
         "equilibrium_purity": purity(p, i, EquilibriumBath(beta=beta), s),
     }
 
@@ -234,7 +237,7 @@ def _coherent_ensemble(cfg: RunConfig, p, i: int, seed: int, n_samples: int) -> 
     zero_t = EquilibriumBath(beta=math.inf)
     x0, p0 = mean_xp(p, i, zero_t, s)
     mean_x, mean_p = mean_xp(p, row_slice(p, i), members, s)
-    delta_i, delta_j = (bath_delta(p, row_slice(p, k), members) for k in (i, j))
+    delta_i, delta_j = (bath_sums(p, row_slice(p, k), members).delta for k in (i, j))
     c1_mc, c2_mc = delta_i * np.conj(delta_j), delta_i * delta_j
     samples = {"mean_x_sq": (mean_x - x0) ** 2, "mean_p_sq": (mean_p - p0) ** 2,
                "c1_re": c1_mc.real, "c1_im": c1_mc.imag, "c2_re": c2_mc.real, "c2_im": c2_mc.imag}
@@ -258,7 +261,7 @@ def _coherent_ensemble(cfg: RunConfig, p, i: int, seed: int, n_samples: int) -> 
     }
 
 
-def _cmd_ensemble(cfg: RunConfig, out: Path) -> list[str]:
+def _cmd_ensemble(cfg: RunConfig) -> dict:
     _require(cfg, grid=True, bath=True, oscillator=True)
     kind = cfg.bath_doc["kind"]
     if kind not in ("sample_number", "sample_coherent"):
@@ -271,15 +274,11 @@ def _cmd_ensemble(cfg: RunConfig, out: Path) -> list[str]:
     n_samples = cfg.experiment["n_samples"]
     p = compute_propagator(cfg.model, cfg.grid)
     i = _time_index(cfg, p)
-    if want == "number":
-        doc = _number_ensemble(cfg, p, i, seed, n_samples)
-    else:
-        doc = _coherent_ensemble(cfg, p, i, seed, n_samples)
-    _write_json(out / "ensemble_summary.json", doc)
-    return ["ensemble_summary.json"]
+    ensemble = _number_ensemble if want == "number" else _coherent_ensemble
+    return {"ensemble_summary.json": ensemble(cfg, p, i, seed, n_samples)}
 
 
-def _cmd_master_eq(cfg: RunConfig, out: Path) -> list[str]:
+def _cmd_master_eq(cfg: RunConfig) -> dict:
     _require(cfg, grid=True, bath=True)
     kind = cfg.bath_doc["kind"]
     if kind not in ("equilibrium", "coherent", "sample_coherent"):
@@ -290,19 +289,18 @@ def _cmd_master_eq(cfg: RunConfig, out: Path) -> list[str]:
     bath = realize_bath(cfg)
     p = compute_propagator(cfg.model, cfg.grid)
     series = mastereq.generator_coefficients(p, slice(None), bath)
-    artifacts = []
+    artifacts = {}
     if "csv" in cfg.formats:
-        _write_csv(out / "master_eq.csv",
-                   ["t", "re_xi", "im_xi", "re_zeta", "im_zeta", "re_kappa",
-                    "re_mu", "im_mu", "re_sigma", "im_sigma", "denom", "valid_flag"],
-                   [series["t"],
-                    series["xi"].real, series["xi"].imag,
-                    series["zeta"].real, series["zeta"].imag,
-                    series["kappa"].real,
-                    series["mu"].real, series["mu"].imag,
-                    series["sigma"].real, series["sigma"].imag,
-                    series["denom"], series["valid"]])
-        artifacts.append("master_eq.csv")
+        artifacts["master_eq.csv"] = (
+            ["t", "re_xi", "im_xi", "re_zeta", "im_zeta", "re_kappa",
+             "re_mu", "im_mu", "re_sigma", "im_sigma", "denom", "valid_flag"],
+            [series["t"],
+             series["xi"].real, series["xi"].imag,
+             series["zeta"].real, series["zeta"].imag,
+             series["kappa"].real,
+             series["mu"].real, series["mu"].imag,
+             series["sigma"].real, series["sigma"].imag,
+             series["denom"], series["valid"]])
     if "json" in cfg.formats:
         state = cfg.oscillator if cfg.oscillator is not None else vacuum_state()
         rep = decay_report(p)
@@ -311,17 +309,16 @@ def _cmd_master_eq(cfg: RunConfig, out: Path) -> list[str]:
         window = np.nonzero(pre & series["valid"])[0]
         probe = window[np.linspace(0, window.size - 1, min(8, window.size)).astype(int)]
         max_res = mastereq.generator_residual(p, probe, bath, state).max()
-        _write_json(out / "master_eq_residual.json", {
+        artifacts["master_eq_residual.json"] = {
             "max_residual": float(max_res),
             "flagged_nodes": int((~series["valid"]).sum()),
             "window": [float(t[window[0]]), float(t[window[-1]])],
             "probe_indices": [int(k) for k in probe],
-        })
-        artifacts.append("master_eq_residual.json")
+        }
     return artifacts
 
 
-def _cmd_rwa_compare(cfg: RunConfig, out: Path) -> list[str]:
+def _cmd_rwa_compare(cfg: RunConfig) -> dict:
     _require(cfg, grid=True, bath=True, oscillator=True)
     if cfg.model.coupling_family is not CouplingFamily.RWA:
         raise SchemaError("rwa-compare requires the RWA coupling family")
@@ -339,26 +336,23 @@ def _cmd_rwa_compare(cfg: RunConfig, out: Path) -> list[str]:
     absA2 = np.abs(p.A) ** 2
     pur = purity(p, slice(None), bath, s)
     oracle_vals = np.array([oracle(min(max(a2, 0.0), 1.0)) for a2 in absA2])
-    artifacts = []
+    artifacts = {}
     if "csv" in cfg.formats:
-        _write_csv(out / "rwa_compare.csv",
-                   ["t", "absA2", "purity", "oracle_purity"],
-                   [p.grid.t, absA2, pur, oracle_vals])
-        artifacts.append("rwa_compare.csv")
+        artifacts["rwa_compare.csv"] = (["t", "absA2", "purity", "oracle_purity"],
+                                        [p.grid.t, absA2, pur, oracle_vals])
     if "json" in cfg.formats:
         rep = rwa.min_purity_check(pur, absA2)
-        _write_json(out / "rwa_compare_report.json", {
+        artifacts["rwa_compare_report.json"] = {
             "max_oracle_defect": float(np.max(np.abs(pur - oracle_vals))),
             "index_min": rep.index_min,
             "absA2_min": rep.absA2_min,
             "purity_min": rep.purity_min,
             "symmetry_defect": rep.symmetry_defect,
-        })
-        artifacts.append("rwa_compare_report.json")
+        }
     return artifacts
 
 
-def _cmd_n_sweep(cfg: RunConfig, out: Path) -> list[str]:
+def _cmd_n_sweep(cfg: RunConfig) -> dict:
     _require(cfg, grid=True, bath=True, oscillator=True)
     if cfg.bath_doc["kind"] != "equilibrium":
         raise SchemaError("n-sweep requires bath kind 'equilibrium'")
@@ -395,12 +389,11 @@ def _cmd_n_sweep(cfg: RunConfig, out: Path) -> list[str]:
     onsets = [e["recurrence_onset"] for e in entries]
     known = [o for o in onsets if o is not None]
     monotone = all(b > a for a, b in zip(known, known[1:]))
-    _write_json(out / "n_sweep_summary.json", {
+    return {"n_sweep_summary.json": {
         "entries": entries,
         "var_of_var_slope": slope,
         "recurrence_onset_monotone": bool(monotone),
-    })
-    return ["n_sweep_summary.json"]
+    }}
 
 
 _DISPATCH = {
@@ -440,21 +433,24 @@ def main(argv=None) -> int:
             if cfg.bath_doc is not None and "seed" in cfg.bath_doc:
                 cfg.bath_doc["seed"] = args.seed
         out_dir = args.out if args.out is not None else cfg.out_dir
-        out = None
         if args.subcommand != "validate" and out_dir is None:
             raise SchemaError("an output directory is required: pass --out or set outputs.directory")
-        if out_dir is not None:
-            out = Path(out_dir)
-            out.mkdir(parents=True, exist_ok=True)
         # an overflow or invalid operation is a numerical failure, not a silent inf or NaN;
         # underflow stays quiet, as Gaussian influences underflow to 0 by design
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            artifacts = _DISPATCH[args.subcommand](cfg, out)
-        if out is not None:
-            config_bytes = Path(args.config).read_bytes()
-            _write_json(out / "manifest.json", {
+            artifacts = _DISPATCH[args.subcommand](cfg)
+        files = {name: _json_text(name, doc) if isinstance(doc, dict) else doc
+                 for name, doc in artifacts.items()}
+        # nothing is written until the run has succeeded, and the manifest comes last
+        if out_dir is not None:
+            config_sha256 = hashlib.sha256(Path(args.config).read_bytes()).hexdigest()
+            out = Path(out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            for name, payload in files.items():
+                _write(out / name, payload)
+            _write(out / "manifest.json", _json_text("manifest.json", {
                 "subcommand": args.subcommand,
-                "config_sha256": hashlib.sha256(config_bytes).hexdigest(),
+                "config_sha256": config_sha256,
                 "seed": args.seed,
                 "versions": {
                     "qbath": __version__,
@@ -463,8 +459,8 @@ def main(argv=None) -> int:
                 },
                 "blas_threads": BLAS_THREADS,
                 "wall_time_s": time.perf_counter() - t_start,
-                "artifacts": artifacts,
-            })
+                "artifacts": list(artifacts),
+            }))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

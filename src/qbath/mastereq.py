@@ -216,13 +216,13 @@ def chi_time_derivative(
     return dchi_t.reshape(shape), ok.reshape(shape)
 
 
-def _residual_nodes(eta) -> np.ndarray:
+def _residual_nodes(eta=None) -> np.ndarray:
     """The given eta nodes, or by default a 21 x 21 grid on [-2.5, 2.5]^2."""
     return square_eta_grid(2.5, 21) if eta is None else np.asarray(eta, dtype=complex)
 
 
 def generator_residual(
-    p: PropagatorCoefficients, i, bath: BathSpec, s: OscillatorState, eta=None
+    p: PropagatorCoefficients, i, bath: BathSpec, s: OscillatorState
 ) -> float | np.ndarray:
     """Max |dchi/dt - generator RHS| / max |chi| for Gaussian influence baths.
 
@@ -230,11 +230,12 @@ def generator_residual(
     array or a mask (returning an array of the shape p.A[i] has, each entry
     with the bits of its one-index call).  The left side is d chi/dt of the
     closed-form solution, for every oscillator state; the right side uses the
-    generator coefficients from the same bath sums.  Their agreement verifies
-    the coefficient formulas along the trajectory.
+    generator coefficients from the same bath sums.  Their agreement on the
+    21 x 21 eta grid on [-2.5, 2.5]^2 verifies the coefficient formulas along
+    the trajectory.
     """
     bath, grid_rows = _gaussian(bath), _grid_rows(p, i)
-    rows, nodes = grid_rows.ravel(), _residual_nodes(eta).ravel()
+    rows, nodes = grid_rows.ravel(), _residual_nodes().ravel()
     drift = _checked_drift(p, rows)
     eta = np.broadcast_to(nodes, (rows.size, nodes.size))
     chi, dchi_eta, dchi_etab, lhs, (*_, fs) = _chi_pieces(p, rows, bath, s, eta)

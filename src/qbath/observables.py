@@ -57,7 +57,6 @@ from .baths import (
     _mode_args_squared,
     _single,
     bath_F_eval,
-    bath_delta,
     bath_sums,
     occupation,
     sample_number_states,
@@ -155,7 +154,7 @@ def mean_xp(p: PropagatorCoefficients, i, bath: BathSpec, s: OscillatorState) ->
     rows, bath = _at(p, i, bath)
     mean_a, _, _ = initial_moments(s)
     a_t, c_t = p.A[rows], p.C[rows]
-    delta = bath_delta(p, rows, bath)
+    delta = bath_sums(p, rows, bath).delta
     u = p.model.units
     x_scale = math.sqrt(u.hbar / (2.0 * u.mass * p.model.nu))
     p_scale = math.sqrt(u.hbar * u.mass * p.model.nu / 2.0)
@@ -597,17 +596,15 @@ def displaced_vacuum_check(
     i: int,
     amps: np.ndarray,
     s: OscillatorState,
-    eta=None,
 ) -> float:
-    """Sup over the eta grid of |chi - exp(delta^* eta - delta eta^*) chi_vac|.
+    """Sup of |chi - exp(delta^* eta - delta eta^*) chi_vac| over eta in [-3, 3]^2.
 
-    chi uses the oscillator state s with a coherent bath; chi_vac is the same
-    model with zero amplitudes and the oscillator in the vacuum.  At long
-    times the defect is bounded by the residual |A|, |C|.
+    The eta grid has 21 x 21 nodes.  chi uses the oscillator state s with a
+    coherent bath; chi_vac is the same model with zero amplitudes and the
+    oscillator in the vacuum.  At long times the defect is bounded by the
+    residual |A|, |C|.
     """
-    if eta is None:
-        eta = square_eta_grid(3.0, 21)
-    eta = np.asarray(eta, dtype=complex)
+    eta = square_eta_grid(3.0, 21)
     bath = CoherentStateBath(amps)
     chi = chi_eval(p, i, bath, s, eta)
     delta = bath_sums(p, i, bath).delta

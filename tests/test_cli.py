@@ -22,7 +22,8 @@ from qbath import (
     parse_config,
 )
 from qbath import laguerre
-from qbath.cli import _write_json, main
+from qbath import cli
+from qbath.cli import _json_text, main
 from qbath.config import _MAX_SIZE
 from qbath.errors import NumericalError
 from qbath.model import ModelSpec
@@ -201,6 +202,18 @@ def test_missing_out_dir_exits_2(tmp_path, capsys, sample_config):
     assert "output directory" in capsys.readouterr().err
 
 
+def test_unwritable_out_dir_exits_2_after_the_computation(tmp_path, capsys, sample_config):
+    blocker = tmp_path / "out"
+    blocker.write_text("a file, not a directory")
+    rc, _ = run(tmp_path, "validate", sample_config("validate-decoupled"))
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("min eigenvalue")  # the subcommand ran first
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+    assert blocker.read_text() == "a file, not a directory"
+
+
 def test_quadrature_failure_exits_3(tmp_path, capsys):
     # widely separated cat lobes at high temperature: the purity integrand
     # oscillates too fast for the node cap, so the quadrature gives up
@@ -270,16 +283,24 @@ def test_overflow_in_a_subcommand_exits_3_before_its_summary(tmp_path, capsys, s
     (line,) = capsys.readouterr().err.splitlines()
     assert json.loads(line) == {"error": "FloatingPointError",
                                 "message": "overflow encountered in exp"}
+    assert not (out / "master_eq.csv").exists()  # computed before the residual, never written
     assert not (out / "master_eq_residual.json").exists()
     assert not (out / "manifest.json").exists()
 
 
-def test_json_artifacts_refuse_non_finite_numbers(tmp_path):
-    path = tmp_path / "summary.json"
+def test_json_artifacts_refuse_non_finite_numbers(tmp_path, capsys, monkeypatch, sample_config):
     for value in (math.nan, math.inf):
         with pytest.raises(NumericalError, match="^summary.json: Out of range float"):
-            _write_json(path, {"max_residual": value})
-        assert not path.exists()
+            _json_text("summary.json", {"max_residual": value})
+        # through main: exit 3 naming the file, with nothing written
+        monkeypatch.setitem(cli._DISPATCH, "validate",
+                            lambda cfg: {"summary.json": {"max_residual": value}})
+        rc, out = run(tmp_path, "validate", sample_config("validate-decoupled"))
+        assert rc == 3
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "NumericalError"
+        assert report["message"].startswith("summary.json: Out of range float")
+        assert not out.exists()
 
 
 def test_huge_number_occupation_exits_3_promptly(tmp_path):
@@ -380,7 +401,7 @@ def test_sum_rule_contract_exits_3(tmp_path, capsys, monkeypatch, sample_config,
     assert report["error"] == "NumericalError"
     assert report["message"].startswith("sum-rule defect 2.0")
     assert report["message"].endswith("exceeds 1e-10")
-    assert not any(out.iterdir())
+    assert not out.exists()  # a failed run creates no output directory
 
 
 @pytest.mark.parametrize("config, route", [

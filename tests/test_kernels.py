@@ -15,7 +15,6 @@ from qbath.baths import (
     CoherentStateBath,
     EquilibriumBath,
     NumberStateBath,
-    bath_delta,
     bath_F_eval,
     bath_sums,
     sample_coherent_states,
@@ -142,22 +141,22 @@ def test_member_batch_equals_members(prop):
                 mx, mp, vx, vp, delta = (np.broadcast_to(v, (m,)) for v in (
                     *obs.mean_xp(prop, rows, batch, SQUEEZED),
                     *obs.variances(prop, rows, batch, SQUEEZED),
-                    bath_delta(prop, rows, batch)))
+                    bath_sums(prop, rows, batch).delta))
                 for k in range(m):
                     bath = singles[k][member]
                     assert obs.mean_xp(prop, i, bath, SQUEEZED) == (mx[k], mp[k])
                     assert obs.variances(prop, i, bath, SQUEEZED) == (vx[k], vp[k])
-                    assert bath_delta(prop, rows, bath)[0] == delta[k]
+                    assert bath_sums(prop, rows, bath).delta[0] == delta[k]
 
 
 def test_drive_blocks_equal_members(ohmic_pp):
     # more members than one 256-row block of the drive sum, checked across block edges
     batch = sample_coherent_states(1.3, ohmic_pp.model, 8, 600)
-    delta = bath_delta(ohmic_pp, row_slice(ohmic_pp, 17), batch)
+    delta = bath_sums(ohmic_pp, row_slice(ohmic_pp, 17), batch).delta
     assert delta.shape == (600,)
     for k in (0, 255, 256, 511, 512, 599):
         single = CoherentStateBath(batch.amps[k])
-        assert delta[k] == bath_delta(ohmic_pp, row_slice(ohmic_pp, 17), single)[0]
+        assert delta[k] == bath_sums(ohmic_pp, row_slice(ohmic_pp, 17), single).delta[0]
 
 
 def test_member_matrix_needs_one_row_and_a_batch_entry_point(prop):
@@ -170,7 +169,7 @@ def test_member_matrix_needs_one_row_and_a_batch_entry_point(prop):
                 with pytest.raises(ParameterError, match="one propagator row"):
                     entry(prop, rows, batch, SQUEEZED)
             with pytest.raises(ParameterError, match="one propagator row"):
-                bath_delta(prop, rows, batch)
+                bath_sums(prop, rows, batch)
         with pytest.raises(ParameterError):
             obs.observable_series(prop, batch, SQUEEZED)
         for scalar in (obs.purity, obs.mean_xp, obs.variances):
@@ -197,7 +196,7 @@ def test_member_matrix_needs_one_row_and_a_batch_entry_point(prop):
         with pytest.raises(ParameterError, match=f"expected {prop.n_modes} occupations"):
             obs.mean_xp(prop, rows, short, SQUEEZED)
     with pytest.raises(ParameterError, match=f"expected {prop.n_modes} occupations"):
-        bath_delta(prop, slice(None), short)
+        bath_sums(prop, slice(None), short)
     for batch in (number, coherent):
         with pytest.raises(ParameterError, match="members"):
             bath_sums(prop, 1, batch)

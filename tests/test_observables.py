@@ -12,7 +12,6 @@ from qbath.baths import (
     CoherentStateBath,
     EquilibriumBath,
     NumberStateBath,
-    bath_delta,
     bath_sums,
     occupation,
     sample_coherent_states,
@@ -235,7 +234,7 @@ BATH_CALLS = {
     "variances": lambda p, bath: obs.variances(p, 5, bath, SQUEEZED),
     "purity": lambda p, bath: obs.purity(p, 5, bath, SQUEEZED),
     "observable_series": lambda p, bath: obs.observable_series(p, bath, SQUEEZED),
-    "bath_delta": lambda p, bath: bath_delta(p, slice(None), bath),
+    "bath_sums-rows": lambda p, bath: bath_sums(p, slice(None), bath),
 }
 BATH_REFUSALS = [("purity-members", "no members", "at least one member")]
 BATH_REFUSALS += [(call, "two modes", "expected 1 occupations per member")
