@@ -38,9 +38,7 @@ from .errors import (
 )
 from .mastereq import (
     DENOM_FLOOR,
-    GeneralResidualReport,
-    chi_time_derivative,
-    general_generator_apply,
+    general_generator,
     general_generator_residual,
     generator_coefficients,
     generator_residual,

@@ -379,6 +379,7 @@ def _cmd_n_sweep(cfg: RunConfig) -> dict:
         except NumericalError:
             entry["no_decay"] = True
             entry["plateau_sup_A"] = float(np.max(np.abs(p.A)))
+            entry["plateau_t"] = None
             entry["var_of_var_x"] = None
         entries.append(entry)
 

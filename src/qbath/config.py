@@ -9,6 +9,10 @@ A run config is a single JSON object with sections
     outputs     {directory, formats: ["csv" | "json" | "sidecar"]}
     experiment  {kind, n_samples, seed, n_list, time_index}
 
+outputs.formats (default csv and json) selects the artifacts of propagate
+(csv, sidecar, json) and of purity, master-eq and rwa-compare (csv, json);
+validate, observables, ensemble and n-sweep always write their one file.
+
 model.explicit lists omegas and u_re, and u_im, v_re, v_im (0 when absent),
 each of length model.spectral.N.  Without v_re and v_im, v is the coupling
 family's (u for PositionPosition, else 0); a given v must agree with the

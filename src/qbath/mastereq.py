@@ -17,21 +17,22 @@ the full chi = chi~ F satisfies
 with kappa, mu, sigma given by the influence parameters, their exact time
 derivatives, and (xi, zeta).  For arbitrary F the generator keeps log-
 derivatives of F explicitly, split as baths decides (a number-state F is
-the vacuum Gaussian times Laguerre factors).  Each quantity has one entry
-point taking any BathSpec: generator_coefficients gives (xi, zeta, kappa, mu,
-sigma) of an equilibrium or coherent bath (number-state baths are refused by
-the one guard in baths), and chi_time_derivative the left side d chi/dt of
-every residual, Gaussian or not.  Everything here evaluates both sides of
+the vacuum Gaussian times Laguerre factors).  Each identity has one entry
+point: generator_coefficients gives (xi, zeta, kappa, mu, sigma) of an
+equilibrium or coherent bath (number-state baths are refused by the one guard
+in baths), and general_generator gives chi, d chi/dt, the general right side
+and the flags for any BathSpec.  Everything here evaluates both sides of
 these identities along the exact solution; nothing is integrated forward.
 
 Both sides come from one row-set kernel, _chi_pieces, which evaluates the
 bath sums once per call; for a Gaussian bath they also give the generator
 coefficients.  generator_coefficients and generator_residual take a grid
-index or a row set, and the other grid-index entry points are one-row slices
-of the same kernels; propagator.row_slice refuses an index outside the grid.
+index or a row set; general_generator and general_generator_residual take a
+grid index and are one-row slices of the same kernels.  propagator.row_slice
+refuses an index outside the grid.
 
 The drift denominator |A|^2 - |C|^2 can cross zero (e.g. on resonance at
-u t = pi/2); every entry point that uses the drift raises
+u t = pi/2); every entry point raises
 SingularGeneratorError at the first such row, naming its grid index and
 time, except generator_coefficients on a row set, which flags it invalid.
 The coefficients are never regularized.
@@ -40,7 +41,6 @@ The coefficients are never regularized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,12 +68,10 @@ from .states import (
 
 __all__ = [
     "DENOM_FLOOR",
-    "GeneralResidualReport",
     "generator_coefficients",
     "generator_residual",
-    "general_generator_apply",
+    "general_generator",
     "general_generator_residual",
-    "chi_time_derivative",
 ]
 
 DENOM_FLOOR = 1e-8  # |A|^2 - |C|^2 at or below this marks a singular generator
@@ -202,23 +200,9 @@ def _drift_apply(xi, zeta, eta: np.ndarray, g_eta, g_etab) -> np.ndarray:
     return (np.conj(xi) * eta + zeta * eta_c) * g_eta + (xi * eta_c + np.conj(zeta) * eta) * g_etab
 
 
-def chi_time_derivative(
-    p: PropagatorCoefficients, i: int, bath: BathSpec, s: OscillatorState, eta
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact d chi/dt from the explicit time dependence of the solution.
-
-    Returns (dchi_dt, ok) of eta's shape; ok flags nodes where the bath
-    factor F passes too close to a zero for its logarithmic derivative to be
-    reliable.  It takes no drift, so a singular row is evaluated too.
-    """
-    shape, eta = np.shape(eta), np.asarray(eta, dtype=complex).reshape(1, -1)
-    _, _, _, dchi_t, (_, _, _, ok, _) = _chi_pieces(p, _grid_rows(p, i), bath, s, eta)
-    return dchi_t.reshape(shape), ok.reshape(shape)
-
-
-def _residual_nodes(eta=None) -> np.ndarray:
-    """The given eta nodes, or by default a 21 x 21 grid on [-2.5, 2.5]^2."""
-    return square_eta_grid(2.5, 21) if eta is None else np.asarray(eta, dtype=complex)
+def _residual_nodes() -> np.ndarray:
+    """The eta nodes of every residual: a 21 x 21 grid on [-2.5, 2.5]^2."""
+    return square_eta_grid(2.5, 21)
 
 
 def generator_residual(
@@ -247,8 +231,16 @@ def generator_residual(
     return float(res[0]) if _is_index(i) else res.reshape(grid_rows.shape)
 
 
-def _general_sides(p: PropagatorCoefficients, i: int, bath: BathSpec, s: OscillatorState, eta):
-    """(chi, dchi/dt, the general identity's right side, ok) at index i, of eta's shape."""
+def general_generator(
+    p: PropagatorCoefficients, i: int, bath: BathSpec, s: OscillatorState, eta
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(chi, dchi/dt, rhs, ok) of the general (arbitrary-F) evolution identity at grid index i.
+
+    Each array has eta's shape.  dchi/dt is the exact time derivative of the
+    closed-form solution, rhs the identity's right side from the drift and
+    the log-derivatives of F, and ok flags nodes where F passes too close to
+    a zero for its log-derivatives to be reliable: flagged, not fabricated.
+    """
     shape, eta = np.shape(eta), np.asarray(eta, dtype=complex).reshape(1, -1)
     rows = _grid_rows(p, i)
     xi, zeta, _, _ = _checked_drift(p, rows)
@@ -258,37 +250,15 @@ def _general_sides(p: PropagatorCoefficients, i: int, bath: BathSpec, s: Oscilla
     return tuple(x.reshape(shape) for x in (chi, lhs, rhs, ok))
 
 
-def general_generator_apply(
-    p: PropagatorCoefficients, i: int, bath: BathSpec, s: OscillatorState, eta
-) -> tuple[np.ndarray, np.ndarray]:
-    """Right side of the general (arbitrary-F) evolution identity on a grid.
-
-    Returns (rhs, ok) of eta's shape; nodes where F vanishes are flagged, not fabricated.
-    """
-    _, _, rhs, ok = _general_sides(p, i, bath, s, eta)
-    return rhs, ok
-
-
-@dataclass
-class GeneralResidualReport:
-    max_residual: float
-    n_flagged: int
-    n_nodes: int
-
-
 def general_generator_residual(
-    p: PropagatorCoefficients, i: int, bath: BathSpec, s: OscillatorState, eta=None
-) -> GeneralResidualReport:
-    """Residual of the general evolution identity over non-flagged nodes.
+    p: PropagatorCoefficients, i: int, bath: BathSpec, s: OscillatorState
+) -> float:
+    """Max |dchi/dt - rhs| over the nodes general_generator leaves unflagged, / max |chi|.
 
-    Both sides, chi and the flags come from one `_chi_pieces` evaluation.
+    The nodes are generator_residual's; NaN when every node is flagged.
     Both sides carry the same dlnF/dt, so for a non-Gaussian F (a number-state
     bath) this checks the drift (xi, zeta) alone, not the number-bath equation.
     """
-    chi, lhs, rhs, ok = _general_sides(p, i, bath, s, _residual_nodes(eta))
+    chi, lhs, rhs, ok = general_generator(p, i, bath, s, _residual_nodes())
     res = np.abs(lhs - rhs)[ok]
-    return GeneralResidualReport(
-        max_residual=float(res.max() / np.max(np.abs(chi))) if res.size else math.nan,
-        n_flagged=int((~ok).sum()),
-        n_nodes=int(ok.size),
-    )
+    return float(res.max() / np.max(np.abs(chi))) if res.size else math.nan

@@ -124,9 +124,6 @@ class SqueezedDisplaced:
         )
         object.__setattr__(self, "moments", moments)
 
-    def to_gaussian_moments(self) -> GaussianMoments:
-        return self.moments
-
 
 @dataclass(frozen=True)
 class CatState:
@@ -152,11 +149,6 @@ class CatState:
         object.__setattr__(self, "norm_sq", 2.0 + 2.0 * float(np.real(overlaps[1])))
         if self.norm_sq < 1e-12:
             raise ParameterError("cat state norm vanishes (destructive overlap)")
-
-    @property
-    def overlap(self) -> complex:
-        """<alpha|beta>."""
-        return self.overlaps[1]
 
 
 OscillatorState = GaussianMoments | SqueezedDisplaced | CatState
@@ -186,13 +178,13 @@ def is_gaussian(s: OscillatorState) -> bool:
 
 
 def _as_moments(s: OscillatorState) -> GaussianMoments:
-    return s.to_gaussian_moments() if isinstance(s, SqueezedDisplaced) else s
+    return s.moments if isinstance(s, SqueezedDisplaced) else s
 
 
 def initial_moments(s: OscillatorState) -> tuple[complex, float, complex]:
     """(<a>, <a^dag a>, <a a>) of the initial state."""
     if isinstance(s, CatState):
-        ov = s.overlap
+        ov = s.overlaps[1]
         ov_c = np.conj(ov)
         nsq = s.norm_sq
         a, b = s.alpha, s.beta

@@ -787,6 +787,11 @@ def test_ensemble_deterministic_across_thread_count(tmp_path):
         (out2 / "ensemble_summary.json").read_bytes()
 
 
+# a decaying and a no-decay n-sweep entry carry the same keys
+N_SWEEP_ENTRY_KEYS = {"N", "recurrence_onset", "no_decay", "plateau_sup_A", "plateau_t",
+                      "var_of_var_x"}
+
+
 def test_n_sweep_summary(tmp_path, sample_config):
     rc, out = run(tmp_path, "n-sweep", sample_config("n-sweep-ohmic-rwa"))
     assert rc == 0
@@ -795,6 +800,7 @@ def test_n_sweep_summary(tmp_path, sample_config):
     assert -1.3 < doc["var_of_var_slope"] < -0.7
     assert [e["N"] for e in doc["entries"]] == [16, 24, 32]
     assert all(e["no_decay"] is False for e in doc["entries"])
+    assert all(set(e) == N_SWEEP_ENTRY_KEYS for e in doc["entries"])
     onsets = [e["recurrence_onset"] for e in doc["entries"]]
     assert onsets == sorted(onsets)
 
@@ -815,6 +821,8 @@ def test_n_sweep_decoupled_flags_no_decay(tmp_path):
     for entry in doc["entries"]:
         assert entry["no_decay"] is True
         assert abs(entry["plateau_sup_A"] - 1.0) < 1e-12
+        assert entry["plateau_t"] is None
+        assert set(entry) == N_SWEEP_ENTRY_KEYS
     assert doc["var_of_var_slope"] is None
 
 

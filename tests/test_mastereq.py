@@ -63,6 +63,7 @@ def test_singular_generator_raises():
     bath = EquilibriumBath(1.0)
     me.generator_coefficients(p, 1, bath)
     for call in (lambda p, i: me.generator_coefficients(p, i, bath),
+                 lambda p, i: me.general_generator(p, i, bath, CAT, np.array([0.3j])),
                  lambda p, i: me.general_generator_residual(p, i, bath, CAT)):
         with pytest.raises(SingularGeneratorError, match=f"at grid index 2, t = {p.grid.t[2]}"):
             call(p, 2)
@@ -163,8 +164,8 @@ def test_generator_residual_row_sets_equal_one_index_calls_bitwise(ohmic_rwa, oh
 
 
 def test_number_bath_slices_keep_their_values(ohmic_rwa, ohmic_pp):
-    # frozen values of chi_time_derivative for a number bath at three nodes, and the flag
-    # counts of the general residual on nodes wide enough to reach Laguerre zeros
+    # frozen values of d chi/dt for a number bath at three nodes, and the flag counts
+    # and residual of the general generator on nodes wide enough to reach Laguerre zeros
     frozen = (
         (ohmic_rwa, [-0.0009002620978348164 - 0.020457177528299883j,
                      -0.0010910009008005379 - 0.033006399057433286j,
@@ -177,27 +178,67 @@ def test_number_bath_slices_keep_their_values(ohmic_rwa, ohmic_pp):
     for p, want in frozen:
         occs = np.zeros(p.n_modes, dtype=int)
         occs[::7], occs[3] = 2, 5
-        dchi, ok = me.chi_time_derivative(p, 33, NumberStateBath(occs), SQUEEZED, eta)
+        _, dchi, _, ok = me.general_generator(p, 33, NumberStateBath(occs), SQUEEZED, eta)
         assert np.all(ok) and np.max(np.abs(dchi - want) / np.abs(want)) < 1e-13
     occs = np.zeros(64, dtype=int)
     occs[np.arange(0, 60, 4)] = np.repeat(np.arange(1, 6), 3)
     for p, i, n_flagged in ((ohmic_rwa, 90, 16), (ohmic_pp, 4, 2)):
-        report = me.general_generator_residual(p, i, NumberStateBath(occs), SQUEEZED,
-                                               square_eta_grid(6.0, 21))
-        assert (report.n_flagged, report.n_nodes) == (n_flagged, 441)
-        assert report.max_residual < 1e-8
+        chi, lhs, rhs, ok = me.general_generator(p, i, NumberStateBath(occs), SQUEEZED,
+                                                 square_eta_grid(6.0, 21))
+        assert (int((~ok).sum()), ok.size) == (n_flagged, 441)
+        assert np.max(np.abs(lhs - rhs)[ok]) / np.max(np.abs(chi)) < 1e-8
 
 
 def test_general_residual_number_bath(ohmic_rwa, keyed_rng):
     p = ohmic_rwa
     occs = sample_number_states(2.0, p.model, keyed_rng(55, 0), 1).n[0]
     bath = NumberStateBath(occs)
+    nodes = square_eta_grid(2.5, 21)  # the nodes of general_generator_residual
     for i in (4, 33, 66, 95):
-        report = me.general_generator_residual(p, i, bath, SQUEEZED)
-        assert report.max_residual < 1e-8
-        assert report.n_flagged < report.n_nodes // 10
+        assert me.general_generator_residual(p, i, bath, SQUEEZED) < 1e-8
+        *_, ok = me.general_generator(p, i, bath, SQUEEZED, nodes)
+        assert int((~ok).sum()) < ok.size // 10
     with pytest.raises(ParameterError):
         me.generator_residual(p, 10, bath, SQUEEZED)
+
+
+def test_general_residual_reduces_general_generator_on_its_nodes(ohmic_rwa):
+    p, bath = ohmic_rwa, NumberStateBath([3] + [0] * (ohmic_rwa.model.n_modes - 1))
+    nodes = square_eta_grid(2.5, 21)
+    for i in (4, 66):
+        chi, lhs, rhs, ok = me.general_generator(p, i, bath, SQUEEZED, nodes)
+        want = np.max(np.abs(lhs - rhs)[ok]) / np.max(np.abs(chi))
+        assert me.general_generator_residual(p, i, bath, SQUEEZED) == want
+
+
+def test_general_residual_skips_flagged_nodes_and_is_nan_when_all_are(ohmic_rwa, monkeypatch):
+    p, bath = ohmic_rwa, NumberStateBath([1] + [0] * (ohmic_rwa.model.n_modes - 1))
+    chi, lhs, rhs, ok = me.general_generator(p, 4, bath, SQUEEZED, square_eta_grid(2.5, 21))
+    assert ok.all()
+    bad, ok_but_one = rhs.copy(), ok.copy()
+    bad[100] += 1e6  # a node the residual must not read once flagged
+    ok_but_one[100] = False
+    sides = {"one": (chi, lhs, bad, ok_but_one), "all": (chi, lhs, rhs, np.zeros_like(ok))}
+    monkeypatch.setattr(me, "general_generator", lambda *args: sides[flags])
+    flags = "one"
+    want = np.max(np.abs(lhs - rhs)[ok_but_one]) / np.max(np.abs(chi))
+    assert me.general_generator_residual(p, 4, bath, SQUEEZED) == want < 1e-8
+    flags = "all"
+    assert math.isnan(me.general_generator_residual(p, 4, bath, SQUEEZED))
+
+
+def test_mastereq_public_names():
+    import inspect
+
+    import qbath
+
+    assert sorted(me.__all__) == sorted(["DENOM_FLOOR", "generator_coefficients",
+                                         "generator_residual", "general_generator",
+                                         "general_generator_residual"])
+    for gone in ("chi_time_derivative", "general_generator_apply", "GeneralResidualReport"):
+        assert not hasattr(me, gone) and not hasattr(qbath, gone)
+    for residual in (me.generator_residual, me.general_generator_residual):
+        assert "eta" not in inspect.signature(residual).parameters
 
 
 def _logF_derivs_per_mode(p, i, bath, eta):
@@ -250,10 +291,9 @@ def test_index_slices_keep_the_shape_of_eta(ohmic_rwa, ohmic_pp):
     flat = square_eta_grid(6.0, 21)
     for p, bath in itertools.product((ohmic_rwa, ohmic_pp),
                                      (NumberStateBath(occs), EquilibriumBath(1.3))):
-        for call, i in itertools.product((me.chi_time_derivative, me.general_generator_apply),
-                                         (4, 40)):
-            got = call(p, i, bath, SQUEEZED, flat.reshape(21, 21))
-            for a, b in zip(got, call(p, i, bath, SQUEEZED, flat)):
+        for i in (4, 40):
+            got = me.general_generator(p, i, bath, SQUEEZED, flat.reshape(21, 21))
+            for a, b in zip(got, me.general_generator(p, i, bath, SQUEEZED, flat)):
                 assert a.shape == (21, 21)
                 assert a.tobytes() == b.reshape(21, 21).tobytes()
 
@@ -263,10 +303,8 @@ def test_general_path_agrees_with_gaussian_path(ohmic_pp):
     i = 42
     bath = EquilibriumBath(0.9)
     eta = square_eta_grid(2.0, 15)
-    rhs_general, ok = me.general_generator_apply(p, i, bath, SQUEEZED, eta)
+    _, lhs, rhs_general, ok = me.general_generator(p, i, bath, SQUEEZED, eta)
     assert np.all(ok)
-    lhs, ok2 = me.chi_time_derivative(p, i, bath, SQUEEZED, eta)
-    assert np.all(ok2)
     assert np.max(np.abs(lhs - rhs_general)) < 1e-10
 
 
@@ -276,10 +314,9 @@ def test_normalization_is_preserved(ohmic_pp):
     amps = sample_coherent_states(1.0, p.model, np.random.default_rng(8), 1).amps[0]
     for bath in (EquilibriumBath(1.0), CoherentStateBath(amps)):
         for i in (0, 25, 70):
-            dchi, ok = me.chi_time_derivative(p, i, bath, CAT, np.array([0.0j]))
+            _, dchi, rhs, ok = me.general_generator(p, i, bath, CAT, np.array([0.0j]))
             assert ok[0]
             assert abs(dchi[0]) < 1e-13
-            rhs, _ = me.general_generator_apply(p, i, bath, CAT, np.array([0.0j]))
             assert abs(rhs[0]) < 1e-13
 
 
@@ -287,8 +324,8 @@ def test_time_derivative_hermiticity(ohmic_pp):
     p = ohmic_pp
     eta = square_eta_grid(2.0, 9)
     bath = EquilibriumBath(1.1)
-    plus, _ = me.chi_time_derivative(p, 31, bath, CAT, eta)
-    minus, _ = me.chi_time_derivative(p, 31, bath, CAT, -eta)
+    _, plus, _, _ = me.general_generator(p, 31, bath, CAT, eta)
+    _, minus, _, _ = me.general_generator(p, 31, bath, CAT, -eta)
     assert np.max(np.abs(minus - np.conj(plus))) < 1e-13
 
 

@@ -199,9 +199,7 @@ SCALAR_CALLS = {
     "delta_correlations-j": lambda p, i: delta_correlations(p, 0, i, 1.0),
     "generator_coefficients": lambda p, i: me.generator_coefficients(p, i, EquilibriumBath(1.0)),
     "generator_residual": lambda p, i: me.generator_residual(p, i, EquilibriumBath(1.0), CAT),
-    "chi_time_derivative": lambda p, i: me.chi_time_derivative(
-        p, i, NumberStateBath([1]), SQUEEZED, ETAS),
-    "general_generator_apply": lambda p, i: me.general_generator_apply(
+    "general_generator": lambda p, i: me.general_generator(
         p, i, NumberStateBath([1]), SQUEEZED, ETAS),
     "general_generator_residual": lambda p, i: me.general_generator_residual(
         p, i, NumberStateBath([1]), SQUEEZED),

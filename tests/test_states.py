@@ -178,7 +178,7 @@ def test_coherent_overlap():
 
 
 def test_squeezed_moments_closed_form():
-    mom = SQUEEZED.to_gaussian_moments()
+    mom = SQUEEZED.moments
     sh, ch = math.sinh(0.6), math.cosh(0.6)
     assert mom.mean_a == 0.5 - 0.1j
     assert mom.n_ex == pytest.approx(abs(0.5 - 0.1j) ** 2 + sh**2, rel=1e-14)
