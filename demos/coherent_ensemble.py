@@ -20,11 +20,11 @@ from qbath import (
     asymptotic_variances,
     bath_sums,
     compute_propagator,
+    decay_report,
     delta_correlations,
     load_config,
     displaced_vacuum_check,
     mean_xp,
-    plateau_window,
     purity,
     row_slice,
     sample_coherent_states,
@@ -36,8 +36,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 beta, seed, n_samples = 2.0, 19, 4000
 model = load_config(CONFIGS / "ensemble-number.json").model
 p = compute_propagator(model, TimeGrid.linspace(40.0, 100))
-i0, i1 = plateau_window(p)
-i = i0 + int(np.argmin(np.abs(p.A[i0 : i1 + 1])))
+i = decay_report(p).probe
 j = i // 2
 state = vacuum_state()
 members = sample_coherent_states(beta, model, seed, n_samples)  # one row per member

@@ -22,8 +22,8 @@ from qbath import (
     asymptotic_purity,
     asymptotic_variances,
     compute_propagator,
+    decay_report,
     load_config,
-    plateau_window,
     purity,
     variances,
 )
@@ -41,7 +41,7 @@ for i in range(0, 501, 50):
     pur = purity(p, i, bath, state)
     print(f"{p.grid.t[i]:6.1f}   {vx:8.5f}  {vp:8.5f}   {pur:.5f}")
 
-i0, i1 = plateau_window(p)
+i0, i1 = decay_report(p).plateau
 i = (i0 + i1) // 2
 vx, vp = variances(p, i, bath, state)
 pur = purity(p, i, bath, state)

@@ -15,17 +15,15 @@ import dataclasses
 import math
 from pathlib import Path
 
-import numpy as np
-
 from qbath import (
     EquilibriumBath,
     TimeGrid,
     averaged_purity_number_ensemble,
     build_model,
     compute_propagator,
+    decay_report,
     load_config,
     number_variance_of_variance,
-    plateau_window,
     purity,
     row_slice,
     sample_number_states,
@@ -38,8 +36,7 @@ beta, seed, n_samples = 2.0, 7, 2000
 cfg = load_config(CONFIGS / "ensemble-number.json")
 model = cfg.model
 p = compute_propagator(model, TimeGrid.linspace(40.0, 100))
-i0, i1 = plateau_window(p)
-i = i0 + int(np.argmin(np.abs(p.A[i0 : i1 + 1])))
+i = decay_report(p).probe
 state = vacuum_state()
 
 print(f"=== {n_samples} number-state bath samples at beta = {beta}, t = {p.grid.t[i]:.1f} ===")
@@ -63,8 +60,7 @@ for n in (32, 64, 128, 256):
     model_n = build_model(dataclasses.replace(cfg.band, n_modes=n), model.nu,
                           model.coupling_family, model.units)
     pn = compute_propagator(model_n, p.grid)
-    j0, j1 = plateau_window(pn)
-    j = j0 + int(np.argmin(np.abs(pn.A[j0 : j1 + 1])))
+    j = decay_report(pn).probe
     print(f"N = {n:3d}: var-of-var = {number_variance_of_variance(pn, j, beta):.4e}")
 
 print()

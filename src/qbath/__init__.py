@@ -76,7 +76,6 @@ from .propagator import (
     TimeGrid,
     compute_propagator,
     decay_report,
-    plateau_window,
     row_slice,
     sum_rule_defects,
 )

@@ -9,6 +9,9 @@ computed and encoded does `main` create the output directory and write them,
 the manifest last, so a failed run writes no artifact and no manifest.
 --seed replaces the sampled bath's seed and experiment.seed once, in the
 parsed config, before the subcommand runs.
+experiment.time_index "auto" or absent is decay_report(p).probe; no plateau exits 3.
+An n-sweep N without a plateau has no_decay true, plateau_t and var_of_var_x
+null, and plateau_sup_A the sup of |A| over the whole grid.
 Exit codes: 0 success, 2 config/validation failure (an output directory
 that cannot be written among them, found after the computation), 3 numerical
 error (a sum-rule defect that breaks the contract of `propagator` among them,
@@ -73,9 +76,9 @@ from .observables import (
     variances,
 )
 from .propagator import (
+    PLATEAU_THRESHOLD,
     compute_propagator,
     decay_report,
-    plateau_window,
     row_slice,
     sum_rule_defects,
 )
@@ -122,17 +125,14 @@ def _require(cfg: RunConfig, *, grid=False, bath=False, oscillator=False) -> Non
         raise SchemaError("this subcommand requires an 'oscillator' section")
 
 
-def _plateau(p) -> tuple[int, int, int]:
-    """Plateau window (i0, i1) and the index in it where max(|A|, |C|) is least."""
-    i0, i1 = plateau_window(p)
-    run = np.maximum(np.abs(p.A[i0 : i1 + 1]), np.abs(p.C[i0 : i1 + 1]))
-    return i0, i1, i0 + int(np.argmin(run))
-
-
 def _time_index(cfg: RunConfig, p) -> int:
     ti = cfg.experiment.get("time_index", "auto")
     if ti == "auto" or ti is None:
-        return _plateau(p)[2]
+        probe = decay_report(p).probe
+        if probe is None:
+            raise NumericalError(
+                f"no plateau: |A|, |C| never drop below {PLATEAU_THRESHOLD} on this grid")
+        return probe
     if not -p.n_times <= ti < p.n_times:
         raise SchemaError(f"experiment.time_index {ti} out of range for {p.n_times} grid points")
     return ti % p.n_times
@@ -358,6 +358,9 @@ def _cmd_n_sweep(cfg: RunConfig) -> dict:
         raise SchemaError("n-sweep requires bath kind 'equilibrium'")
     if cfg.band is None:
         raise SchemaError("n-sweep requires a parametric spectral family, not 'Explicit'")
+    exp_kind = cfg.experiment.get("kind")
+    if exp_kind not in (None, "n-sweep"):
+        raise SchemaError(f"n-sweep requires experiment.kind 'n-sweep', not {exp_kind!r}")
     n_list = cfg.experiment.get("n_list")
     if not n_list:
         raise SchemaError("n-sweep requires experiment.n_list")
@@ -369,18 +372,13 @@ def _cmd_n_sweep(cfg: RunConfig) -> dict:
                             m.units)
         p = compute_propagator(model, cfg.grid)
         rep = decay_report(p)
-        entry = {"N": n, "recurrence_onset": rep.recurrence_onset}
-        try:
-            i0, i1, i_pl = _plateau(p)
-            entry["no_decay"] = False
-            entry["plateau_sup_A"] = float(np.max(np.abs(p.A[i0 : i1 + 1])))
-            entry["plateau_t"] = float(p.grid.t[i_pl])
-            entry["var_of_var_x"] = number_variance_of_variance(p, i_pl, beta)
-        except NumericalError:
-            entry["no_decay"] = True
-            entry["plateau_sup_A"] = float(np.max(np.abs(p.A)))
-            entry["plateau_t"] = None
-            entry["var_of_var_x"] = None
+        i0, i1 = rep.plateau or (0, p.n_times - 1)  # no plateau: the sup of the whole grid
+        entry = {"N": n, "recurrence_onset": rep.recurrence_onset, "no_decay": rep.probe is None,
+                 "plateau_sup_A": float(np.max(np.abs(p.A[i0 : i1 + 1]))),
+                 "plateau_t": None, "var_of_var_x": None}
+        if rep.probe is not None:
+            entry["plateau_t"] = float(p.grid.t[rep.probe])
+            entry["var_of_var_x"] = number_variance_of_variance(p, rep.probe, beta)
         entries.append(entry)
 
     vv = [e["var_of_var_x"] for e in entries]

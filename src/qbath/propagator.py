@@ -89,14 +89,13 @@ __all__ = [
     "compute_propagator",
     "sum_rule_defects",
     "decay_report",
-    "plateau_window",
 ]
 
 SUM_RULE_TOL = 1e-10  # largest sup |sum-rule defect| that compute_propagator accepts
 COND_LIMIT = 1e10  # largest ||K||_1 / min E (bounds cond of the normal modes) accepted
 DECAY_THRESHOLD = 0.1  # |A| level that decay_report's recurrence onset is measured against
 LATE_FRACTION = 0.2  # trailing share of the grid that decay_report calls late
-PLATEAU_THRESHOLD = 0.05  # |A|, |C| level below which plateau_window counts memory as lost
+PLATEAU_THRESHOLD = 0.05  # |A|, |C| level below which decay_report counts memory as lost
 PHASE_TABLE_MIN = 1024  # fewest entries T (N+1) where angle addition beat direct cos and sin
 _ROW_BLOCK = 256  # grid rows per phase block of the row kernel (uniform grids: whole anchor groups)
 
@@ -541,11 +540,18 @@ def sum_rule_defects(p: PropagatorCoefficients) -> np.ndarray:
 
 @dataclass
 class DecayReport:
-    """Late-window coefficient magnitudes and a recurrence-onset estimate."""
+    """Late-window coefficient magnitudes, a recurrence-onset estimate and the plateau.
+
+    plateau is the first longest run (i0, i1) of max(|A|, |C|) < `PLATEAU_THRESHOLD`,
+    where initial-state memory has decayed; probe is the first index of its least
+    max(|A|, |C|), the row that asymptotic values are read at.  Both None without one.
+    """
 
     late_sup_A: float
     late_sup_C: float
     recurrence_onset: float | None
+    plateau: tuple[int, int] | None
+    probe: int | None
 
 
 def _local_maxima(y: np.ndarray) -> np.ndarray:
@@ -567,10 +573,19 @@ def decay_report(p: PropagatorCoefficients) -> DecayReport:
     abs_a = np.abs(p.A)
     abs_c = np.abs(p.C)
     start = int(np.floor((1.0 - LATE_FRACTION) * (abs_a.size - 1)))
+    level = np.maximum(abs_a, abs_c)
+    runs = np.flatnonzero(np.diff(np.concatenate(([False], level < PLATEAU_THRESHOLD, [False]))))
+    plateau = probe = None
+    if runs.size:  # run starts and run stops, alternating
+        best = int(np.argmax(runs[1::2] - runs[::2]))
+        i0, i1 = int(runs[2 * best]), int(runs[2 * best + 1]) - 1
+        plateau, probe = (i0, i1), i0 + int(np.argmin(level[i0 : i1 + 1]))
     report = DecayReport(
         late_sup_A=float(abs_a[start:].max()),
         late_sup_C=float(abs_c[start:].max()),
         recurrence_onset=None,
+        plateau=plateau,
+        probe=probe,
     )
     below = np.nonzero(abs_a < DECAY_THRESHOLD)[0]
     if below.size == 0:
@@ -581,27 +596,3 @@ def decay_report(p: PropagatorCoefficients) -> DecayReport:
     if maxima.size:
         report.recurrence_onset = float(p.grid.t[maxima[0]])
     return report
-
-
-def plateau_window(p: PropagatorCoefficients) -> tuple[int, int]:
-    """Index range [i0, i1] where initial-state memory has decayed.
-
-    The window is the longest contiguous run of grid points with both |A| and
-    |C| below `PLATEAU_THRESHOLD`; it ends where a recurrence (or the grid)
-    begins.  Raises if no such run exists.
-    """
-    below = np.maximum(np.abs(p.A), np.abs(p.C)) < PLATEAU_THRESHOLD
-    if not below.any():
-        raise NumericalError(
-            f"no plateau: |A|, |C| never drop below {PLATEAU_THRESHOLD} on this grid"
-        )
-    edges = np.diff(below.astype(int))
-    starts = list(np.nonzero(edges == 1)[0] + 1)
-    ends = list(np.nonzero(edges == -1)[0])
-    if below[0]:
-        starts.insert(0, 0)
-    if below[-1]:
-        ends.append(below.size - 1)
-    lengths = [e - s for s, e in zip(starts, ends)]
-    best = int(np.argmax(lengths))
-    return int(starts[best]), int(ends[best])

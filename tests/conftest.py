@@ -12,7 +12,7 @@ import pytest
 
 from qbath import TimeGrid, compute_propagator, load_config, propagator
 from qbath.model import ModelSpec, dynamical_matrix
-from qbath.propagator import plateau_window
+from qbath.propagator import decay_report
 
 try:
     from hypothesis import settings
@@ -242,9 +242,4 @@ def flat_custom():
 
 @pytest.fixture(scope="session")
 def plateau_index():
-    def pick(p):
-        i0, i1 = plateau_window(p)
-        sup = np.maximum(np.abs(p.A[i0 : i1 + 1]), np.abs(p.C[i0 : i1 + 1]))
-        return i0 + int(np.argmin(sup))
-
-    return pick
+    return lambda p: decay_report(p).probe

@@ -673,6 +673,21 @@ def test_ensemble_rejects_wrong_bath(tmp_path, capsys, sample_config):
     capsys.readouterr()
 
 
+def test_ensemble_without_a_plateau_needs_a_time_index(tmp_path, capsys, sample_config):
+    # the decoupled model never decays, so an auto time index has no plateau to probe
+    doc = sample_config("ensemble-number")
+    doc["model"] = sample_config("validate-decoupled")["model"]
+    rc, out = run(tmp_path, "ensemble", doc)
+    assert rc == 3
+    assert "no plateau" in capsys.readouterr().err
+    assert not out.exists()
+
+    doc["experiment"]["time_index"] = 10
+    rc, out = run(tmp_path, "ensemble", doc, outdir="indexed")
+    assert rc == 0
+    assert (out / "ensemble_summary.json").exists()
+
+
 @pytest.mark.parametrize("kind", ["number", "coherent"])
 def test_one_sample_ensemble_exits_2(tmp_path, capsys, kind):
     doc = {
@@ -874,6 +889,34 @@ def test_n_sweep_reports_genuine_errors(tmp_path, capsys, monkeypatch, sample_co
     assert rc == 2
     assert "broken" in capsys.readouterr().err
     assert not (out / "n_sweep_summary.json").exists()
+
+
+def test_n_sweep_numerical_errors_after_the_plateau_search_exit_3(tmp_path, capsys, monkeypatch,
+                                                                    sample_config):
+    # a plateau was found: a numerical failure past it is an error, not "no decay"
+    def broken(*args, **kwargs):
+        raise NumericalError("broken")
+
+    monkeypatch.setattr("qbath.cli.number_variance_of_variance", broken)
+    rc, out = run(tmp_path, "n-sweep", sample_config("n-sweep-ohmic-rwa"))
+    assert rc == 3
+    assert "broken" in capsys.readouterr().err
+    assert not (out / "n_sweep_summary.json").exists()
+
+
+@pytest.mark.parametrize("kind, code", [("coherent", 2), ("number", 2), ("n-sweep", 0), (None, 0)])
+def test_n_sweep_checks_the_experiment_kind(tmp_path, capsys, sample_config, kind, code):
+    doc = sample_config("n-sweep-ohmic-rwa")
+    doc["experiment"]["n_list"] = [8, 16]
+    if kind is None:
+        del doc["experiment"]["kind"]
+    else:
+        doc["experiment"]["kind"] = kind
+    rc, out = run(tmp_path, "n-sweep", doc)
+    assert rc == code
+    assert (out / "n_sweep_summary.json").exists() == (code == 0)
+    if code == 2:
+        assert f"experiment.kind 'n-sweep', not {kind!r}" in capsys.readouterr().err
 
 
 def test_rwa_compare_report(tmp_path, sample_config):

@@ -2,6 +2,7 @@ import functools
 import importlib.util
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from qbath import (
 from qbath import propagator
 from qbath.errors import NumericalError, ParameterError
 from qbath.model import ModelSpec, SpectralDiscretization, Units, _coupling_matrix, dynamical_matrix
-from qbath.propagator import _local_maxima, decay_report, plateau_window, sum_rule_defects
+from qbath.propagator import PLATEAU_THRESHOLD, _local_maxima, decay_report, sum_rule_defects
 from qbath.states import SqueezedDisplaced
 
 from conftest import STOCK_CONFIGS, load_sample_model
@@ -637,8 +638,7 @@ def test_decay_report_decoupled():
     rep = decay_report(p)
     assert rep.late_sup_A == pytest.approx(1.0, abs=1e-12)
     assert rep.recurrence_onset is None
-    with pytest.raises(NumericalError):
-        plateau_window(p)
+    assert rep.plateau is None and rep.probe is None
 
 
 def test_decay_report_n1_revival():
@@ -648,13 +648,58 @@ def test_decay_report_n1_revival():
     assert rep.recurrence_onset == pytest.approx(np.pi / 0.35, abs=0.1)
 
 
-def test_plateau_window_ohmic(ohmic_rwa, plateau_index):
-    i0, i1 = plateau_window(ohmic_rwa)
+def test_decay_report_plateau_ohmic(ohmic_rwa):
+    rep = decay_report(ohmic_rwa)
+    i0, i1 = rep.plateau
     assert i1 == ohmic_rwa.n_times - 1  # recurrence far beyond this grid
     sup = np.max(np.abs(ohmic_rwa.A[i0 : i1 + 1]))
-    assert sup < 0.05
-    idx = plateau_index(ohmic_rwa)
-    assert i0 <= idx <= i1
+    assert sup < PLATEAU_THRESHOLD
+    assert i0 <= rep.probe <= i1
+
+
+def _plateau_loop(level):
+    """(plateau, probe) by a scan: the first longest run below the threshold, its first minimum."""
+    best, start = None, None
+    for i, x in enumerate(list(level) + [np.inf]):
+        if x < PLATEAU_THRESHOLD:
+            start = i if start is None else start
+        elif start is not None:
+            if best is None or i - 1 - start > best[1] - best[0]:
+                best = (start, i - 1)
+            start = None
+    if best is None:
+        return None, None
+    probe = best[0]
+    for k in range(best[0], best[1] + 1):
+        if level[k] < level[probe]:
+            probe = k
+    return best, probe
+
+
+def test_decay_report_plateau_matches_loop_reference():
+    th = PLATEAU_THRESHOLD
+    rng = np.random.default_rng(5)
+    cases = [  # (|A|, |C|) in units of the threshold
+        ([0.5], [0.0]),  # one-point grid, below
+        ([2.0], [0.0]),  # one-point grid, above
+        ([1.0, 2.0, 1.5], [0.0, 0.0, 0.0]),  # no point below: the threshold itself is not below
+        ([0.5, 0.3, 0.3, 0.9], [0.0, 0.0, 0.0, 0.0]),  # every point below, equal minima
+        ([1.0, 0.5, 0.2, 1.0, 0.3, 0.1, 1.0], [0.0] * 7),  # two longest runs: the first wins
+        ([1.0, 0.4, 0.2, 0.2, 0.5, 1.0], [0.0] * 6),  # equal minima: the first index wins
+        ([0.3, 0.1, 0.2, 1.0, 0.5], [0.0] * 5),  # the longest run touches index 0
+        ([0.3, 0.1, 1.0, 2.0, 0.2, 0.3, 0.4], [0.0] * 7),  # the longest run touches T - 1
+        ([0.1, 0.1, 0.1, 0.1], [0.5, 1.0, 0.2, 0.3]),  # |C| sets the level and breaks the run
+    ]
+    cases += [(rng.integers(0, 3, n) * 0.6, rng.integers(0, 3, n) * 0.3) for n in (5, 17, 64, 200)]
+    for a, c in cases:
+        a, c = np.asarray(a, float) * th, np.asarray(c, float) * th
+        phase = rng.choice([1, -1, 1j, -1j], a.size)  # keeps |A| and |C|, and their ties, exact
+        p = SimpleNamespace(A=a * phase, C=c * np.conj(phase),
+                            grid=SimpleNamespace(t=np.arange(a.size, dtype=float)))
+        rep = decay_report(p)
+        want = _plateau_loop(np.maximum(a, c))
+        assert (rep.plateau, rep.probe) == want, (a, c)
+        assert rep.plateau is None or all(type(k) is int for k in (*rep.plateau, rep.probe))
 
 
 def _local_maxima_loop(y):
